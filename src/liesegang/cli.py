@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +71,16 @@ def _run_from_config(cfg: RunConfig) -> SolutionRecord:
     return runner(cfg.params, cfg.grid, cfg.relay_kind, snapshot_stride=cfg.snapshot_stride)
 
 
-def _agreement_tol(cfg: RunConfig, args, epsilon: float | None = None) -> float:
+def _agreement_tol(cfg: RunConfig, args, base: SolutionRecord,
+                   epsilon: float | None = None) -> float:
     """Explicit tolerance, or the measured default: 10x the self-refinement
-    error at T_unique plus, for a mollified pairing, its width envelope."""
+    error of ``base`` (the run of ``cfg``) at T_unique plus, for a mollified
+    pairing, its width envelope."""
     if getattr(args, "agreement_tol", None) is not None:
         return args.agreement_tol
     if cfg.tolerances.agreement_tol is not None:
         return cfg.tolerances.agreement_tol
-    base = solver.run(cfg.params, cfg.grid, cfg.relay_kind, snapshot_stride=cfg.snapshot_stride)
-    fine = solver.run(cfg.params, cfg.grid.refined(2, 2), cfg.relay_kind,
-                      snapshot_stride=cfg.snapshot_stride)
+    fine = _run_from_config(replace(cfg, grid=cfg.grid.refined(2, 2)))
     t_u = base.constants.T_unique
     rep = comparison.compare_cross_grid(base, fine, agreement_tol=math.inf)
     k = int(np.argmin(np.abs(rep.times - t_u)))
@@ -194,10 +195,9 @@ def cmd_compare(args) -> int:
         if args.epsilon2 is None:
             raise ValidationError(["provide --rec1/--rec2, or --epsilon2 for a sharp-vs-"
                                    "mollified pair"])
-        tol = _agreement_tol(cfg, args, epsilon=args.epsilon2)
         rec1 = _run_from_config(cfg)
-        rec2 = solver.run(cfg.params, cfg.grid, RelayKind.mollified(args.epsilon2),
-                          snapshot_stride=cfg.snapshot_stride)
+        tol = _agreement_tol(cfg, args, rec1, epsilon=args.epsilon2)
+        rec2 = _run_from_config(replace(cfg, relay_kind=RelayKind.mollified(args.epsilon2)))
         report = comparison.compare(rec1, rec2, tol)
         eff = cfg.effective_config()
     out = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "comparison_report",

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grids import DEFAULT_DT, DEFAULT_DX, DEFAULT_X_MAX, GridSpec
+from .jsonio import SCHEMA_VERSION
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .relay import MOLLIFIED, RelayKind
 
 ENV_OUTPUT_DIR = "LIESEGANG_OUTPUT_DIR"
-SCHEMA_VERSION = 1
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,

@@ -113,7 +113,10 @@ class SolutionRecord:
         meta = jsonio.load_json(prefix.parent / (prefix.name + ".json"))
         if meta.get("kind") != "solution_record":
             raise ValueError(f"{prefix}: not a solution record sidecar")
-        data = np.load(prefix.parent / (prefix.name + ".npz"))
+        with np.load(prefix.parent / (prefix.name + ".npz")) as data:
+            arrays = {name: data[name] for name in (
+                "times", "w", "p", "accum", "ignition_time", "ignition_u",
+                "ignition_u_right", "ignition_u_back")}
         params = ModelParams(**meta["params"])
         g = meta["grid"]
         grid = GridSpec(dx=g["dx"], dt=g["dt"], x_max=g["x_max"], t_max=g["t_max"],
@@ -131,10 +134,7 @@ class SolutionRecord:
         return cls(
             params=params, grid=grid, relay_kind=relay,
             snapshot_stride=meta["snapshot_stride"], scheme=meta["scheme"],
-            times=data["times"], w=data["w"], p=data["p"], accum=data["accum"],
-            ignition_time=data["ignition_time"], ignition_u=data["ignition_u"],
-            ignition_u_right=data["ignition_u_right"], ignition_u_back=data["ignition_u_back"],
-            constants=constants,
+            constants=constants, **arrays,
         )
 
     def write_csv(self, path) -> None:

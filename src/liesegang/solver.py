@@ -11,6 +11,12 @@ trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
 taken implicitly in ``u`` with the precipitation field lagged by one step,
 and the relay accumulator is updated from the newly computed ``u``.
 
+The step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only through
+``p``, which the irreversible relay changes only when a node switches.  Both
+schemes therefore LU-factor it once per relay switch (LAPACK ``gttrf``) and
+solve each step with the stored factors (``gttrs``); the factors and the
+solution are bit-identical to a fresh ``gtsv`` elimination on every step.
+
 A second scheme integrates ``u`` directly, depositing the singular source
 ``(alpha*beta / (2 sqrt t)) * delta(x - alpha sqrt t)`` onto the grid with
 linear (hat) weights and the exact per-step source mass.  Substituting
@@ -27,7 +33,8 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, lapack
+from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing.py wraps it
 
 from . import model
 from .grids import GridSpec
@@ -75,6 +82,42 @@ def _check_domain(grid: GridSpec, constants: ModelConstants | None) -> None:
         )
 
 
+class StepMatrix:
+    """LU factors of the trapezoidal step matrix ``I - mu*D2 + dt*diag(p)``.
+
+    The Neumann ends enter through mirrored off-diagonal weights, which stay
+    constant; ``p`` is non-zero only on the leading ``p_win.size`` nodes.
+    :meth:`solve` refactors only when ``p_win`` differs from the copy it
+    last factored, and counts the factorizations it made.
+    """
+
+    def __init__(self, n: int, mu: float, dt: float):
+        self.dl = np.full(n - 1, -mu)
+        self.dl[-1] = -2.0 * mu
+        self.du = np.full(n - 1, -mu)
+        self.du[0] = -2.0 * mu
+        self.main_base = np.full(n, 1.0 + 2.0 * mu)
+        self.dt = dt
+        self.p_win: np.ndarray | None = None
+        self.factors: tuple = ()
+        self.factorizations = 0
+
+    def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        if self.p_win is None or not np.array_equal(p_win, self.p_win):
+            d = self.main_base.copy()
+            d[: p_win.size] += self.dt * p_win
+            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du)
+            if info != 0:
+                raise LinAlgError(f"singular step matrix (gttrf info={info})")
+            self.factors = (dl, d, du, du2, ipiv)
+            self.p_win = p_win.copy()
+            self.factorizations += 1
+        x, info = lapack.dgttrs(*self.factors, rhs)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
+        return x
+
+
 class _IgnitionLog:
     """Exact per-node data captured at the step a node first switches."""
 
@@ -114,16 +157,8 @@ class DeficitStepper:
         self.m = _relay_window(params, grid, self.constants)
         self.x = grid.x
         self.x_win = self.x[: self.m]
-        mu = grid.dt / (2.0 * grid.dx**2)
-        self.mu = mu
-        # Band storage for the tridiagonal trapezoidal system; Neumann ends
-        # enter through mirrored off-diagonal weights.
-        self.ab = np.zeros((3, n))
-        self.ab[0, 1:] = -mu
-        self.ab[0, 1] = -2.0 * mu
-        self.ab[2, :-1] = -mu
-        self.ab[2, n - 2] = -2.0 * mu
-        self.main_base = np.full(n, 1.0 + 2.0 * mu)
+        self.mu = grid.dt / (2.0 * grid.dx**2)
+        self.matrix = StepMatrix(n, self.mu, grid.dt)
 
         self.w = np.zeros(n)
         self.step_index = 0
@@ -144,13 +179,12 @@ class DeficitStepper:
     def step(self) -> "DeficitStepper":
         dt = self.grid.dt
         t_new = (self.step_index + 1) * dt
-        psi_win = model.psi(self.x_win, t_new, self.params)
+        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0.
+        psi_win = model.capital_psi(self.x_win / math.sqrt(t_new), self.params)
 
         rhs = self._rhs_diffusion(self.w)
         rhs[: self.m] -= dt * self.p_win * psi_win
-        self.ab[1, :] = self.main_base
-        self.ab[1, : self.m] += dt * self.p_win
-        w_new = solve_banded((1, 1), self.ab, rhs, check_finite=False)
+        w_new = self.matrix.solve(self.p_win, rhs)
         if not np.isfinite(w_new).all():
             raise NonFiniteField(f"non-finite deficit field at step {self.step_index + 1}, t={t_new}")
 
@@ -258,12 +292,7 @@ def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: Relay
     m = _relay_window(params, grid, constants)
 
     mu = dt / (2.0 * dx**2)
-    ab_band = np.zeros((3, n))
-    ab_band[0, 1:] = -mu
-    ab_band[0, 1] = -2.0 * mu
-    ab_band[2, :-1] = -mu
-    ab_band[2, n - 2] = -2.0 * mu
-    main_base = np.full(n, 1.0 + 2.0 * mu)
+    matrix = StepMatrix(n, mu, dt)
 
     u = model.psi(x, dt, params)
     state = RelayState.create(x[:m], params)
@@ -301,9 +330,7 @@ def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: Relay
         rhs[0] += 2.0 * mu * u[1]
         rhs[-1] += 2.0 * mu * u[-2]
         _deposit_swept_source(rhs, b, a * math.sqrt(t_old), a * math.sqrt(t_new), dx)
-        ab_band[1, :] = main_base
-        ab_band[1, :m] += dt * p_win
-        u = solve_banded((1, 1), ab_band, rhs, check_finite=False)
+        u = matrix.solve(p_win, rhs)
         if not np.isfinite(u).all():
             raise NonFiniteField(f"non-finite concentration at step {k}, t={t_new}")
 

@@ -194,6 +194,35 @@ class TestCli:
         lines = (tmp_path / "cmp.csv").read_text().splitlines()
         assert lines[0] == "t,sup_diff,energy"
 
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    def test_compare_epsilon2_runs_each_configuration_once(self, tmp_path, monkeypatch, scheme):
+        # base, refined base (for the measured tolerance) and mollified run,
+        # all with the configured scheme
+        grids = []
+        for name in ("run", "source_deposition_run"):
+            real = getattr(lg.solver, name)
+
+            def counted(params, grid, *args, _real=real, _name=name, **kwargs):
+                grids.append((_name, grid.dx))
+                return _real(params, grid, *args, **kwargs)
+
+            monkeypatch.setattr(lg.solver, name, counted)
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
+                                           t_max=0.26, scheme=scheme))
+        out = tmp_path / "cmp.json"
+        assert self.run_cli("compare", "-c", path, "--epsilon2", "1e-3", "-o", str(out)) == 0
+        runner = "run" if scheme == "deficit" else "source_deposition_run"
+        assert sorted(grids) == [(runner, 0.01), (runner, 0.02), (runner, 0.02)]
+        data = json.loads(out.read_text())
+        assert list(data) == ["schema_version", "kind", "effective_config", "agreement_tol",
+                              "divergence_time", "entangled", "witness_window",
+                              "max_sup_diff", "max_energy", "times", "sup_diff", "energy",
+                              "energy_rev"]
+        assert data["kind"] == "comparison_report"
+        assert data["effective_config"]["scheme"] == scheme
+        assert 0 < data["agreement_tol"] < math.inf
+        assert len(data["times"]) == len(data["sup_diff"]) == len(data["energy"])
+
     def test_compare_requires_tol_for_saved_records(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
         assert self.run_cli("simulate", "-c", path, "-o", "a") == 0

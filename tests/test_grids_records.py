@@ -1,4 +1,6 @@
 """Grid consistency, record serialization, synthetic record construction."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ class TestSerialization:
         assert npz_path.name == "eps_0.0005.npz"
         assert json_path.name == "eps_0.0005.json"
         back = lg.SolutionRecord.load(prefix)
+        np.testing.assert_array_equal(back.w, tiny_record.w)
+
+    def test_load_closes_the_npz_file(self, tiny_record, tmp_path, monkeypatch):
+        tiny_record.save(tmp_path / "rec")
+        opened = []
+        real_load = np.load
+
+        def spy(*args, **kwargs):
+            opened.append(real_load(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(np, "load", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            back = lg.SolutionRecord.load(tmp_path / "rec")
+        assert len(opened) == 1
+        assert opened[0].fid is None  # closed before load returned
         np.testing.assert_array_equal(back.w, tiny_record.w)
 
     def test_csv_dump_header_and_rows(self, tiny_record, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import liesegang as lg
 from liesegang import solver
@@ -64,6 +65,53 @@ class TestDeficitScheme:
     def test_snapshot_stride_validation(self):
         with pytest.raises(ValueError):
             lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=0)
+
+
+class TestStepMatrix:
+    N, M, MU, DT = 41, 12, 0.7, 1e-3
+
+    def banded_solve(self, p_win, rhs):
+        """The per-step elimination the factored solve replaces."""
+        mu, n = self.MU, self.N
+        ab = np.zeros((3, n))
+        ab[0, 1:] = -mu
+        ab[0, 1] = -2.0 * mu
+        ab[2, :-1] = -mu
+        ab[2, n - 2] = -2.0 * mu
+        ab[1, :] = 1.0 + 2.0 * mu
+        ab[1, : p_win.size] += self.DT * p_win
+        return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    def test_bit_identical_to_banded_solve(self):
+        rng = np.random.default_rng(7)
+        patterns = [np.zeros(self.M),
+                    (np.arange(self.M) < 5).astype(float),
+                    rng.uniform(0.0, 1.0, self.M)]
+        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
+        for p_win in patterns + patterns[:1]:
+            for _ in range(2):  # the second solve reuses the factors
+                rhs = rng.normal(size=self.N)
+                x = matrix.solve(p_win, rhs)
+                assert np.array_equal(x, self.banded_solve(p_win, rhs))
+        assert matrix.factorizations == 4
+
+    def test_sharp_run_refactors_once_per_ignition_step(self):
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp())
+        for _ in range(grid.n_t):
+            stepper.step()
+        ign = stepper.state.ignition_time
+        steps = np.unique(np.round(ign[np.isfinite(ign)] / grid.dt).astype(int))
+        assert steps.size > 10
+        # p changes after each ignition step; the next solve refactors
+        assert stepper.matrix.factorizations == 1 + np.count_nonzero(steps < grid.n_t)
+
+    def test_forced_zero_p_factors_once(self):
+        grid = coarse_grid()
+        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp(), force_zero_p=True)
+        for _ in range(grid.n_t):
+            stepper.step()
+        assert stepper.matrix.factorizations == 1
 
 
 class TestInvariants:
