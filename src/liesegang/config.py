@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .duhamel import DEFAULT_RATE_FLOOR, DEFAULT_SLOPE_FLOOR
+from .fronts import DEFAULT_JUMP_FACTOR
 from .grids import DEFAULT_DT, DEFAULT_DX, DEFAULT_X_MAX, GridSpec
 from .jsonio import SCHEMA_VERSION
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
@@ -40,16 +42,6 @@ _DEFAULTS = {
     "probes": [],
     "output_dir": ".",
     "tolerances": {},
-}
-
-_TOLERANCE_DEFAULTS = {
-    "slope_floor": 1e-4,
-    "rate_floor": 1e-4,
-    "jump_factor": 50.0,
-    "measure_tol": 0.0,
-    "front_tol": None,
-    "agreement_tol": None,
-    "t1_ceiling": None,
 }
 
 _SCHEMES = ("deficit", "deposition")
@@ -79,13 +71,17 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    slope_floor: float = 1e-4
-    rate_floor: float = 1e-4
-    jump_factor: float = 50.0
+    slope_floor: float = DEFAULT_SLOPE_FLOOR
+    rate_floor: float = DEFAULT_RATE_FLOOR
+    jump_factor: float = DEFAULT_JUMP_FACTOR
     measure_tol: float = 0.0
     front_tol: float | None = None
     agreement_tol: float | None = None
     t1_ceiling: float | None = None
+
+
+# The "tolerances" keys of a config file, in emission order, with defaults.
+_TOLERANCE_DEFAULTS = asdict(Tolerances())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ integrates the kernel along the front, ``F2 = int_I Phi(x - y, t - ell(y)) dy``
 with the convention that the kernel vanishes for ``t < ell(y)``.  Both
 integrals extend over the even reflection across x = 0.
 
+F1's space-time mass ``p u_t ds`` does not depend on the probe.  It is
+tabulated once per record, per snapshot cell and only on the columns where p
+is ever non-zero (:func:`f1_mass_table`, cached on the record like the u_t
+table), so each probe costs one kernel-matrix contraction over that table.
+
 F2's integrand has an integrable ``1/sqrt(t - ell)`` singularity where the
 front crosses the evaluation time.  Each grid cell is integrated with the
 exact time-antiderivative of the kernel under linear interpolation of the
@@ -22,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import model
 from .fronts import FrontFunction
@@ -53,9 +57,8 @@ class DegenerateRate(ValueError):
 def ut_table(record: SolutionRecord) -> np.ndarray:
     """Discrete u_t at every snapshot: centered differences, one-sided at the
     record ends and around each node's ignition time (cached on the record)."""
-    cached = getattr(record, "_ut_cache", None)
-    if cached is not None:
-        return cached
+    if record._ut_cache is not None:
+        return record._ut_cache
     u = record.u
     t = record.times
     ut = np.empty_like(u)
@@ -83,6 +86,30 @@ def _interp_node(x_grid: np.ndarray, values_row: np.ndarray, x: float) -> float:
 
 # -- F1 ------------------------------------------------------------------------
 
+def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Grid columns where p is ever non-zero, and the mass ``p u_t ds`` of
+    every snapshot cell on those columns (cached on the record).
+
+    Row k is the product-rule increment ``0.5*(p_k + p_{k+1})*(u_{k+1} - u_k)``
+    over the cell [t_k, t_{k+1}]; a cell containing the node's ignition time
+    holds the mass above the threshold, ``p_{k+1}*(u_{k+1} - u_star)``.
+    Elsewhere p vanishes on the whole cell, and so does the mass.
+    """
+    if record._f1_mass_cache is not None:
+        return record._f1_mass_cache
+    cols = np.flatnonzero(record.p.any(axis=0))
+    p = record.p[:, cols]
+    u = record.u[:, cols]
+    ell = record.ignition_time[cols]
+    times = record.times[:, None]
+    # NaN (never ignited) compares false, so such a column has no crossing cell.
+    crossing = (ell > times[:-1]) & (ell <= times[1:])
+    mass = np.where(crossing, p[1:] * (u[1:] - record.params.u_star),
+                    0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1]))
+    record._f1_mass_cache = (cols, mass)
+    return record._f1_mass_cache
+
+
 def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     """Space-time quadrature of Phi * (p u_t) up to time t, evaluated at x.
 
@@ -93,10 +120,14 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     costs no accuracy; a cell containing a node's exact ignition time uses
     the mass above the threshold, ``u_{k+1} - u_star``.  (A sampled-u_t
     trapezoid, by contrast, carries a snapshot-resolution error floor that
-    no grid refinement removes.)  Cells too close to t for the spatial grid
-    to resolve the kernel use the nascent-delta limit of the convolution,
-    and the final sub-step [t_K, t] uses the exact kernel time integral,
-    which is (t - t_K) for the frozen integrand.
+    no grid refinement removes.)  The cell masses come from
+    :func:`f1_mass_table`, so the space-time sum over every cell far enough
+    below t is one contraction of the (cells x columns) kernel matrix,
+    direct plus mirror, with the table times the spatial trapezoid weights.
+    Cells too close to t for the spatial grid to resolve the kernel use the
+    nascent-delta limit of the convolution, and the final sub-step [t_K, t]
+    uses the exact kernel time integral, which is (t - t_K) for the frozen
+    integrand.
     """
     dt = record.grid.dt
     if t < 10.0 * dt:
@@ -110,28 +141,24 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     K = rows[-1]
     xg = record.x
     dx = record.grid.dx
-    u = record.u
-    p = record.p
-    ell = np.where(np.isfinite(record.ignition_time), record.ignition_time, np.inf)
-    u_star = record.params.u_star
-    tau_smooth = _SMOOTH_TAU_CELLS * dx * dx
+    cols, mass = f1_mass_table(record)
 
-    total = 0.0
-    for k in range(K):
-        s_lo, s_hi = times[k], times[k + 1]
-        mass = 0.5 * (p[k] + p[k + 1]) * (u[k + 1] - u[k])
-        crossing = (ell > s_lo) & (ell <= s_hi)
-        if crossing.any():
-            mass[crossing] = p[k + 1, crossing] * (u[k + 1, crossing] - u_star)
-        tau_mid = t - 0.5 * (s_lo + s_hi)
-        if tau_mid >= tau_smooth:
-            kern = model.heat_kernel(x - xg, tau_mid) + model.heat_kernel(x + xg, tau_mid)
-            total += float(trapezoid(kern * mass, dx=dx))
-        else:
-            total += _interp_node(xg, mass, x)
+    tau_mid = t - 0.5 * (times[:K] + times[1:K + 1])
+    # tau_mid decreases with k, so the resolved cells are a prefix.
+    n_far = int(np.count_nonzero(tau_mid >= _SMOOTH_TAU_CELLS * dx * dx))
+    y = xg[cols]
+    tau = tau_mid[:n_far, None]
+    kern = model.heat_kernel(x - y, tau) + model.heat_kernel(x + y, tau)
+    weights = np.where((cols == 0) | (cols == xg.size - 1), 0.5 * dx, dx)
+    total = float(np.sum(kern * mass[:n_far], axis=0) @ weights)
+
+    row = np.zeros(xg.size)
+    for k in range(n_far, K):
+        row[cols] = mass[k]
+        total += _interp_node(xg, row, x)
 
     ut = ut_table(record)
-    total += (t - times[K]) * _interp_node(xg, p[K] * ut[K], x)
+    total += (t - times[K]) * _interp_node(xg, record.p[K] * ut[K], x)
     return total
 
 

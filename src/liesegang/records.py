@@ -16,6 +16,7 @@ stride):
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,38 @@ from .relay import RelayKind, RelayState, accumulate, evaluate
 
 BACK_OFFSETS = (1, 2, 4, 8)
 RIGHT_CELLS = 5
+_ARRAY_NAMES = ("times", "w", "p", "accum", "ignition_time", "ignition_u",
+                "ignition_u_right", "ignition_u_back")
+
+
+def _paths(prefix) -> tuple[Path, Path]:
+    """<prefix>.npz and <prefix>.json; the suffixes are appended verbatim so
+    prefixes containing dots (e.g. ``eps_0.0005``) stay intact."""
+    prefix = Path(prefix)
+    return prefix.parent / (prefix.name + ".npz"), prefix.parent / (prefix.name + ".json")
+
+
+def _sidecar_fields(meta: dict) -> dict:
+    """The non-array SolutionRecord fields stored in a sidecar."""
+    g = meta["grid"]
+    constants = None
+    if meta.get("constants"):
+        c = meta["constants"]
+        constants = ModelConstants(
+            psi_alpha=c["psi_alpha"], alpha_star=c["alpha_star"], t_star=c["t_star"],
+            ring_width_L=c["L"], ring_width_alt=meta["ring_width_alt"],
+            C_psi=c["C_psi"], c_psi=c["c_psi"], C_ell=c["C_ell"],
+            T1=c["T1"], T2=c["T2"], T_unique=c["T_unique"],
+        )
+    return {
+        "params": ModelParams(**meta["params"]),
+        "grid": GridSpec(dx=g["dx"], dt=g["dt"], x_max=g["x_max"], t_max=g["t_max"],
+                         n_x=g["n_x"], n_t=g["n_t"]),
+        "relay_kind": RelayKind(meta["relay"]["variant"], meta["relay"]["epsilon"]),
+        "snapshot_stride": meta["snapshot_stride"],
+        "scheme": meta["scheme"],
+        "constants": constants,
+    }
 
 
 @dataclass
@@ -46,7 +79,12 @@ class SolutionRecord:
     ignition_u_right: np.ndarray
     ignition_u_back: np.ndarray
     constants: ModelConstants | None = None
+    # Derived-data caches, filled on first use: u = w + psi, the u_t table
+    # and the F1 cell-mass table (``liesegang.duhamel``).
     _u_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _ut_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def x(self) -> np.ndarray:
@@ -72,25 +110,9 @@ class SolutionRecord:
     # -- serialization ----------------------------------------------------
 
     def save(self, prefix) -> tuple[Path, Path]:
-        """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar).
-
-        The suffixes are appended verbatim so prefixes containing dots
-        (e.g. ``eps_0.0005``) stay intact.
-        """
-        prefix = Path(prefix)
-        npz_path = prefix.parent / (prefix.name + ".npz")
-        json_path = prefix.parent / (prefix.name + ".json")
-        np.savez(
-            npz_path,
-            times=self.times,
-            w=self.w,
-            p=self.p,
-            accum=self.accum,
-            ignition_time=self.ignition_time,
-            ignition_u=self.ignition_u,
-            ignition_u_right=self.ignition_u_right,
-            ignition_u_back=self.ignition_u_back,
-        )
+        """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar)."""
+        npz_path, json_path = _paths(prefix)
+        np.savez(npz_path, **{name: getattr(self, name) for name in _ARRAY_NAMES})
         sidecar = {
             "schema_version": jsonio.SCHEMA_VERSION,
             "kind": "solution_record",
@@ -109,33 +131,45 @@ class SolutionRecord:
 
     @classmethod
     def load(cls, prefix) -> "SolutionRecord":
-        prefix = Path(prefix)
-        meta = jsonio.load_json(prefix.parent / (prefix.name + ".json"))
-        if meta.get("kind") != "solution_record":
-            raise ValueError(f"{prefix}: not a solution record sidecar")
-        with np.load(prefix.parent / (prefix.name + ".npz")) as data:
-            arrays = {name: data[name] for name in (
-                "times", "w", "p", "accum", "ignition_time", "ignition_u",
-                "ignition_u_right", "ignition_u_back")}
-        params = ModelParams(**meta["params"])
-        g = meta["grid"]
-        grid = GridSpec(dx=g["dx"], dt=g["dt"], x_max=g["x_max"], t_max=g["t_max"],
-                        n_x=g["n_x"], n_t=g["n_t"])
-        relay = RelayKind(meta["relay"]["variant"], meta["relay"]["epsilon"])
-        constants = None
-        if meta.get("constants"):
-            c = meta["constants"]
-            constants = ModelConstants(
-                psi_alpha=c["psi_alpha"], alpha_star=c["alpha_star"], t_star=c["t_star"],
-                ring_width_L=c["L"], ring_width_alt=meta["ring_width_alt"],
-                C_psi=c["C_psi"], c_psi=c["c_psi"], C_ell=c["C_ell"],
-                T1=c["T1"], T2=c["T2"], T_unique=c["T_unique"],
-            )
-        return cls(
-            params=params, grid=grid, relay_kind=relay,
-            snapshot_stride=meta["snapshot_stride"], scheme=meta["scheme"],
-            constants=constants, **arrays,
-        )
+        """Read a record written by :meth:`save`.
+
+        Raises ValueError naming the offending file for a sidecar of another
+        kind or schema version or with a missing field, an unreadable (e.g.
+        truncated) array file, a missing array, or array shapes that do not
+        match the grid and times.
+        """
+        npz_path, json_path = _paths(prefix)
+        meta = jsonio.load_json(json_path)
+        if not isinstance(meta, dict) or meta.get("kind") != "solution_record":
+            raise ValueError(f"{json_path}: not a solution record sidecar")
+        if meta.get("schema_version") != jsonio.SCHEMA_VERSION:
+            raise ValueError(f"{json_path}: unsupported schema_version "
+                             f"{meta.get('schema_version')!r} (expected {jsonio.SCHEMA_VERSION})")
+        try:
+            fields = _sidecar_fields(meta)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{json_path}: malformed sidecar ({exc!r})") from exc
+        try:
+            with np.load(npz_path) as data:
+                arrays = {name: data[name] for name in _ARRAY_NAMES if name in data.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise ValueError(f"{npz_path}: unreadable record arrays ({exc})") from exc
+        missing = [name for name in _ARRAY_NAMES if name not in arrays]
+        if missing:
+            raise ValueError(f"{npz_path}: missing arrays {', '.join(missing)}")
+        n_snap, n_nodes = arrays["times"].size, fields["grid"].n_x + 1
+        expected = {
+            "times": (n_snap,), "w": (n_snap, n_nodes), "p": (n_snap, n_nodes),
+            "accum": (n_snap, n_nodes), "ignition_time": (n_nodes,), "ignition_u": (n_nodes,),
+            "ignition_u_right": (n_nodes, RIGHT_CELLS),
+            "ignition_u_back": (n_nodes, len(BACK_OFFSETS)),
+        }
+        bad = [f"{name} {arrays[name].shape} != {shape}" for name, shape in expected.items()
+               if arrays[name].shape != shape]
+        if bad:
+            raise ValueError(f"{npz_path}: array shapes do not match the grid and times: "
+                             + "; ".join(bad))
+        return cls(**fields, **arrays)
 
     def write_csv(self, path) -> None:
         """Snapshot dump: header row, then one row per snapshot (t, u per node)."""
@@ -181,7 +215,7 @@ class SolutionRecord:
                 hi = min(i + RIGHT_CELLS, n_nodes)
                 ign_right[i, : hi - i] = u_now[i:hi]
                 for j, k in enumerate(BACK_OFFSETS):
-                    if n - k >= 0:
+                    if n - k >= 1:
                         ign_back[i, j] = float(np.asarray(u_fn(x[i:i + 1], (n - k) * dt))[0])
             if n % snapshot_stride == 0 or n == n_t:
                 snap(t, u_now)

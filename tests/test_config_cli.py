@@ -94,6 +94,19 @@ class TestParseConfig:
         cfg = config.parse_config(write_config(tmp_path, dict(TINY)))
         assert cfg.output_dir == str(tmp_path / "elsewhere")
 
+    def test_tolerance_defaults_have_one_source(self, tmp_path):
+        from liesegang import duhamel, fronts
+        tol = config.Tolerances()
+        assert tol.slope_floor == duhamel.DEFAULT_SLOPE_FLOOR
+        assert tol.rate_floor == duhamel.DEFAULT_RATE_FLOOR
+        assert tol.jump_factor == fronts.DEFAULT_JUMP_FACTOR
+        cfg = config.parse_config(write_config(tmp_path, dict(TINY)))
+        assert cfg.tolerances == tol
+        assert json.dumps(cfg.effective_config()["tolerances"]) == (
+            '{"slope_floor": 0.0001, "rate_floor": 0.0001, "jump_factor": 50.0, '
+            '"measure_tol": 0.0, "front_tol": null, "agreement_tol": null, '
+            '"t1_ceiling": null}')
+
     def test_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, dict(TINY))
         cfg = config.parse_config(path, overrides={"dx": 0.04})
@@ -161,6 +174,28 @@ class TestCli:
         lines = (tmp_path / "diag.csv").read_text().splitlines()
         assert lines[0] == "x,t,u_t,psi_t,F1,F2,residual"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema"])
+    def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
+        import numpy as np
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", path, "-o", "rec") == 0
+        npz_path, json_path = tmp_path / "rec.npz", tmp_path / "rec.json"
+        if damage == "truncated":
+            npz_path.write_bytes(npz_path.read_bytes()[:1000])
+        elif damage == "mis_shaped":
+            with np.load(npz_path) as data:
+                arrays = {k: data[k] for k in data.files}
+            arrays["p"] = arrays["p"][:-1]
+            np.savez(npz_path, **arrays)
+        else:
+            json_path.write_text(json_path.read_text().replace('"schema_version": 1',
+                                                               '"schema_version": 2'))
+        capsys.readouterr()
+        assert self.run_cli("diagnose", "-c", path, "-r", str(tmp_path / "rec")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("rec.json" if damage == "wrong_schema" else "rec.npz") in err
 
     def test_toy_subcommand(self, tmp_path, capsys):
         out = tmp_path / "toy.json"

@@ -1,9 +1,10 @@
 """F1/F2 quadratures, the derivative identity, and transversality probes."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 import liesegang as lg
 from liesegang import duhamel, fronts, model
@@ -16,12 +17,91 @@ def synthetic_record(u_fn, dx=0.02, dt=1e-3, x_max=1.0, t_max=1.0, stride=1):
     return lg.SolutionRecord.from_fields(u_fn, PARAMS, grid, snapshot_stride=stride)
 
 
+def f1_per_cell_reference(record, x, t):
+    """F1 as one spatial trapezoid per snapshot cell over the whole grid: the
+    direct form of the per-cell product rule that ``eval_F1`` contracts."""
+    times = record.times
+    K = np.flatnonzero(times < t - 1e-15 * max(t, 1.0))[-1]
+    xg, dx, u, p = record.x, record.grid.dx, record.u, record.p
+    ell = np.where(np.isfinite(record.ignition_time), record.ignition_time, np.inf)
+    total = 0.0
+    for k in range(K):
+        s_lo, s_hi = times[k], times[k + 1]
+        mass = 0.5 * (p[k] + p[k + 1]) * (u[k + 1] - u[k])
+        crossing = (ell > s_lo) & (ell <= s_hi)
+        mass[crossing] = p[k + 1, crossing] * (u[k + 1, crossing] - record.params.u_star)
+        tau_mid = t - 0.5 * (s_lo + s_hi)
+        if tau_mid >= 9.0 * dx * dx:
+            kern = model.heat_kernel(x - xg, tau_mid) + model.heat_kernel(x + xg, tau_mid)
+            total += float(trapezoid(kern * mass, dx=dx))
+        else:
+            total += float(np.interp(x, xg, mass))
+    ut = duhamel.ut_table(record)
+    return total + (t - times[K]) * float(np.interp(x, xg, p[K] * ut[K]))
+
+
+@pytest.fixture(scope="module", params=["sharp", "mollified", "property_p"])
+def rec_oracle(request, grid_coarse):
+    # coarse grid, half the F2 horizon, stride 4: snapshots below t = 10*dt
+    kind = {"sharp": lg.RelayKind.sharp(), "mollified": lg.RelayKind.mollified(1e-3),
+            "property_p": lg.RelayKind.property_p()}[request.param]
+    grid = lg.GridSpec.make(dx=grid_coarse.dx, dt=grid_coarse.dt, x_max=grid_coarse.x_max,
+                            t_max=0.5 * lg.compute_constants(PARAMS).T2)
+    return lg.run(PARAMS, grid, kind, snapshot_stride=4)
+
+
+def oracle_probes(rec):
+    times = rec.times
+    ignited = rec.x[np.isfinite(rec.ignition_time)]
+    k = times.size // 2
+    return {
+        "just_above_10dt": (ignited[0], 10.0 * rec.grid.dt * (1.0 + 1e-9)),
+        "between_snapshots": (0.2, 0.5 * (times[k] + times[k + 1])),
+        "record_end": (0.3, times[-1]),
+        "x_zero": (0.0, 0.7 * times[-1]),
+        "past_front": (ignited[-1] + 0.2, 0.8 * times[-1]),
+    }
+
+
 class TestF1:
+    @pytest.mark.parametrize("probe", ["just_above_10dt", "between_snapshots", "record_end",
+                                       "x_zero", "past_front"])
+    def test_matches_per_cell_reference(self, rec_oracle, probe):
+        assert np.isfinite(rec_oracle.ignition_time).any()
+        x, t = oracle_probes(rec_oracle)[probe]
+        got = duhamel.eval_F1(rec_oracle, x, t)
+        assert got != 0.0
+        assert abs(got - f1_per_cell_reference(rec_oracle, x, t)) <= 1e-13
+
+    def test_mass_table_covers_only_precipitated_columns(self, rec_oracle):
+        cols, mass = duhamel.f1_mass_table(rec_oracle)
+        np.testing.assert_array_equal(cols, np.flatnonzero(rec_oracle.p.any(axis=0)))
+        assert 0 < cols.size < rec_oracle.x.size
+        assert mass.shape == (rec_oracle.times.size - 1, cols.size)
+
+    def test_table_built_once_and_caches_ignored_by_equality(self, rec_coarse_sharp):
+        rec = dataclasses.replace(rec_coarse_sharp, _u_cache=None, _ut_cache=None,
+                                  _f1_mass_cache=None)
+        twin = dataclasses.replace(rec)
+        t_max = rec.grid.t_max
+        duhamel.eval_F1(rec, 0.1, 0.5 * t_max)
+        table = rec._f1_mass_cache
+        assert table is not None
+        for x, t in ((0.0, 0.3 * t_max), (0.2, 0.9 * t_max), (0.4, t_max)):
+            duhamel.eval_F1(rec, x, t)
+            assert rec._f1_mass_cache is table
+        assert rec._ut_cache is not None and twin._ut_cache is None
+        assert twin._f1_mass_cache is None
+        assert rec == twin
+        assert "_cache" not in repr(rec)
+
     def test_zero_precipitation_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
-        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20,
+        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=5,
                      force_zero_p=True)
-        assert duhamel.eval_F1(rec, 0.3, 0.04) == 0.0
+        assert duhamel.f1_mass_table(rec)[0].size == 0
+        for x, t in ((0.3, 0.04), (0.0, 10.0 * grid.dt * (1.0 + 1e-9)), (1.0, 0.05)):
+            assert duhamel.eval_F1(rec, x, t) == 0.0
 
     def test_under_resolved_time_rejected(self, rec_coarse_sharp):
         with pytest.raises(ValueError):

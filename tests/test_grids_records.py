@@ -1,4 +1,5 @@
 """Grid consistency, record serialization, synthetic record construction."""
+import json
 import warnings
 
 import numpy as np
@@ -92,6 +93,47 @@ class TestSerialization:
         assert opened[0].fid is None  # closed before load returned
         np.testing.assert_array_equal(back.w, tiny_record.w)
 
+    def test_truncated_array_file_rejected(self, tiny_record, tmp_path):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        data = npz_path.read_bytes()
+        npz_path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="rec.npz"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_missing_array_rejected(self, tiny_record, tmp_path):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        with np.load(npz_path) as data:
+            arrays = {k: data[k] for k in data.files if k != "accum"}
+        np.savez(npz_path, **arrays)
+        with pytest.raises(ValueError, match="rec.npz: missing arrays accum"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    @pytest.mark.parametrize("name", ["times", "w", "ignition_u_back"])
+    def test_mis_shaped_array_rejected(self, tiny_record, tmp_path, name):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        with np.load(npz_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name] = arrays[name][..., :-1]
+        np.savez(npz_path, **arrays)
+        with pytest.raises(ValueError, match=f"rec.npz: .*{name}"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_other_schema_version_rejected(self, tiny_record, tmp_path):
+        _, json_path = tiny_record.save(tmp_path / "rec")
+        meta = json.loads(json_path.read_text())
+        meta["schema_version"] = 99
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="rec.json: unsupported schema_version 99"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_sidecar_missing_a_field_rejected(self, tiny_record, tmp_path):
+        _, json_path = tiny_record.save(tmp_path / "rec")
+        meta = json.loads(json_path.read_text())
+        del meta["grid"]["n_x"]
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="rec.json: malformed sidecar"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
     def test_csv_dump_header_and_rows(self, tiny_record, tmp_path):
         path = tmp_path / "snapshots.csv"
         tiny_record.write_csv(path)
@@ -127,6 +169,25 @@ class TestFromFields:
         expect = [params.u_star - 0.5 + ramp * (0.26 - k * 0.01) for k in (1, 2, 4, 8)]
         np.testing.assert_allclose(rec.ignition_u_back[3], expect)
         assert rec.scheme == "synthetic"
+
+    @pytest.mark.parametrize("step", [3, 4, 8, 9])
+    def test_look_back_never_samples_the_initial_field(self, step):
+        # The solvers keep the fields of steps >= 1 only, so a look-back
+        # reaching step 0 or earlier stays NaN (here: offset k >= step).
+        params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+        grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=1.0, t_max=0.2)
+
+        def u_fn(x, t):
+            return np.full(np.shape(x), params.u_star + t - (step - 0.5) * grid.dt)
+
+        rec = lg.SolutionRecord.from_fields(u_fn, params, grid)
+        assert np.allclose(rec.ignition_time, step * grid.dt)
+        for j, k in enumerate(lg.records.BACK_OFFSETS):
+            back = rec.ignition_u_back[:, j]
+            if k < step:
+                np.testing.assert_allclose(back, params.u_star - (k - 0.5) * grid.dt)
+            else:
+                assert np.isnan(back).all()
 
     def test_snapshot_stride(self):
         params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
