@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
 from .config import (
@@ -33,7 +34,8 @@ from .relay import RelayKind
 from .solver import NonFiniteField, measure_t1
 
 _NUMERICAL_ERRORS = (NonFiniteField, EmptyFront, duhamel.InsufficientSnapshots,
-                     duhamel.ProbeOnFront, duhamel.DegenerateRate, FloatingPointError)
+                     duhamel.ProbeOnFront, duhamel.DegenerateRate, FloatingPointError,
+                     LinAlgError)
 
 
 def _config_from_args(args) -> RunConfig:

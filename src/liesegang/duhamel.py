@@ -159,7 +159,7 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
 
     ut = ut_table(record)
     total += (t - times[K]) * _interp_node(xg, record.p[K] * ut[K], x)
-    return total
+    return float(total)
 
 
 # -- F2 ------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class RelayState:
 
 def smoothstep(s):
     """Cubic smoothstep: 0 for s <= 0, 1 for s >= 1, 3s^2 - 2s^3 between."""
-    s_arr = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    s_arr = np.minimum(np.maximum(s, 0.0), 1.0)
     out = s_arr * s_arr * (3.0 - 2.0 * s_arr)
     if np.isscalar(s):
         return float(out)
@@ -116,7 +116,9 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new: float,
     u_field = np.asarray(u_field, dtype=float)
     if u_field.shape[0] != state.size:
         raise LengthMismatch(f"field has {u_field.shape[0]} nodes, state has {state.size}")
-    inc = np.maximum(u_field - state.u_star, 0.0) * dt
+    inc = u_field - state.u_star
+    np.maximum(inc, 0.0, out=inc)
+    inc *= dt
     if kind.variant == PROPERTY_P:
         inc[t_new > state.cap_time] = 0.0
     newly = np.flatnonzero((inc > 0.0) & np.isnan(state.ignition_time))

@@ -12,10 +12,16 @@ taken implicitly in ``u`` with the precipitation field lagged by one step,
 and the relay accumulator is updated from the newly computed ``u``.
 
 The step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only through
-``p``, which the irreversible relay changes only when a node switches.  Both
-schemes therefore LU-factor it once per relay switch (LAPACK ``gttrf``) and
-solve each step with the stored factors (``gttrs``); the factors and the
-solution are bit-identical to a fresh ``gtsv`` elimination on every step.
+``p``, which the irreversible relay changes only when a node switches (under
+the mollified relay, while any node is inside its smoothstep band: every
+step).  Both schemes therefore LU-factor it only when ``p`` changed (LAPACK
+``gttrf``) and solve each step with the stored factors (``gttrs``); the
+factors and the solution are bit-identical to a fresh ``gtsv`` elimination on
+every step.  Because ``p`` is non-zero only on the relay window, a change
+refactors only the leading rows and splices them onto the stored tail
+factors, which the elimination recurrence reaches unchanged; see
+:class:`StepMatrix` for why that is exact and when it falls back to the full
+factorization.
 
 A second scheme integrates ``u`` directly, depositing the singular source
 ``(alpha*beta / (2 sqrt t)) * delta(x - alpha sqrt t)`` onto the grid with
@@ -43,6 +49,10 @@ from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
 from .relay import RelayKind, RelayState, accumulate, evaluate
 
 WINDOW_MARGIN_CELLS = 16
+# Rows past the relay window that a splice refactors.  At the default grid
+# the pivots equal the p = 0 pivots again 6 rows past the last non-zero p;
+# a margin too small only costs a fallback to the full factorization.
+SPLICE_MARGIN_ROWS = 32
 
 
 class NonFiniteField(FloatingPointError):
@@ -88,10 +98,29 @@ class StepMatrix:
     The Neumann ends enter through mirrored off-diagonal weights, which stay
     constant; ``p`` is non-zero only on the leading ``p_win.size`` nodes.
     :meth:`solve` refactors only when ``p_win`` differs from the copy it
-    last factored, and counts the factorizations it made.
+    last factored, and counts the refactorizations it made
+    (``factorizations``) and how many of them were splices (``splices``).
+
+    The first factorization is a full ``gttrf``.  After that, a change of
+    ``p_win`` factors only the leading ``k + 1`` rows, ``k = p_win.size +
+    SPLICE_MARGIN_ROWS``, and splices the new ``d[:k]`` and ``dl[:k - 1]``
+    onto the stored factors.  That is exact: without row interchanges the
+    elimination ``d'[i+1] = d[i+1] - (dl[i]/d'[i])*du[i]`` reads, from row
+    ``k`` on, only the pivot ``d'[k-1]`` and rows that do not depend on
+    ``p``, so if ``d'[k-1]`` equals the stored pivot bit for bit, every later
+    factor entry is the same arithmetic on the same inputs as in the stored
+    factors, and ``du``, ``du2`` and ``ipiv`` are untouched.  The block is one
+    row longer than the part spliced, so every spliced entry comes from the
+    same loop body of ``gttrf`` as in a full factorization.  The splice is
+    taken only when the block's ``d'[k-1]`` equals the stored one and neither
+    the block nor the stored factors interchanged rows before ``k``;
+    otherwise, and whenever the block would cover the whole matrix,
+    :meth:`solve` falls back to the full ``gttrf``.  The margin therefore
+    only decides how often the splice is taken, never the factors.
     """
 
     def __init__(self, n: int, mu: float, dt: float):
+        self.n = n
         self.dl = np.full(n - 1, -mu)
         self.dl[-1] = -2.0 * mu
         self.du = np.full(n - 1, -mu)
@@ -101,21 +130,46 @@ class StepMatrix:
         self.p_win: np.ndarray | None = None
         self.factors: tuple = ()
         self.factorizations = 0
+        self.splices = 0
+        self._rows = np.arange(1, n + 1)  # identity pivots; gttrf counts rows from 1
+        self._unpivoted = 0  # leading rows of the stored factors with no interchange (none yet)
 
     def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self.p_win is None or not np.array_equal(p_win, self.p_win):
-            d = self.main_base.copy()
-            d[: p_win.size] += self.dt * p_win
-            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du)
-            if info != 0:
-                raise LinAlgError(f"singular step matrix (gttrf info={info})")
-            self.factors = (dl, d, du, du2, ipiv)
+        if self.p_win is None or (p_win != self.p_win).any():
+            if not self._splice(p_win):
+                self._factor(p_win)
             self.p_win = p_win.copy()
             self.factorizations += 1
         x, info = lapack.dgttrs(*self.factors, rhs)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
         return x
+
+    def _factor(self, p_win: np.ndarray) -> None:
+        d = self.main_base.copy()
+        d[: p_win.size] += self.dt * p_win
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
+        if info != 0:
+            raise LinAlgError(f"singular step matrix (gttrf info={info})")
+        self.factors = (dl, d, du, du2, ipiv)
+        swaps = np.flatnonzero(ipiv != self._rows)
+        self._unpivoted = swaps[0] if swaps.size else self.n
+
+    def _splice(self, p_win: np.ndarray) -> bool:
+        """Refactor the leading rows in place; False if the splice is not exact."""
+        k = p_win.size + SPLICE_MARGIN_ROWS
+        if k + 1 >= self.n or k > self._unpivoted:
+            return False
+        d = self.main_base[: k + 1].copy()
+        d[: p_win.size] += self.dt * p_win
+        dl, d, _du, _du2, ipiv, info = lapack.dgttrf(self.dl[:k], d, self.du[:k], overwrite_d=1)
+        old_dl, old_d = self.factors[:2]
+        if info != 0 or d[k - 1] != old_d[k - 1] or (ipiv[:k] != self._rows[:k]).any():
+            return False
+        old_dl[: k - 1] = dl[: k - 1]
+        old_d[:k] = d[:k]
+        self.splices += 1
+        return True
 
 
 class _IgnitionLog:

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from scipy.linalg import LinAlgError
 
 import liesegang as lg
 from liesegang import cli, config
@@ -146,6 +147,15 @@ class TestCli:
         rec.save(tmp_path / "empty")
         assert self.run_cli("analyze", "-c", path, "-r", str(tmp_path / "empty")) == 2
         assert "no node ignited" in capsys.readouterr().err
+
+    def test_singular_step_matrix_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def singular(self, p_win, rhs):
+            raise LinAlgError("singular step matrix (gttrf info=3)")
+
+        monkeypatch.setattr(lg.solver.StepMatrix, "solve", singular)
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", path, "-o", "rec") == 2
+        assert "numerical failure: singular step matrix" in capsys.readouterr().err
 
     def test_simulate_then_analyze_pipeline(self, tmp_path):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),

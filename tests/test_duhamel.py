@@ -70,6 +70,7 @@ class TestF1:
         assert np.isfinite(rec_oracle.ignition_time).any()
         x, t = oracle_probes(rec_oracle)[probe]
         got = duhamel.eval_F1(rec_oracle, x, t)
+        assert type(got) is float
         assert got != 0.0
         assert abs(got - f1_per_cell_reference(rec_oracle, x, t)) <= 1e-13
 
@@ -101,7 +102,8 @@ class TestF1:
                      force_zero_p=True)
         assert duhamel.f1_mass_table(rec)[0].size == 0
         for x, t in ((0.3, 0.04), (0.0, 10.0 * grid.dt * (1.0 + 1e-9)), (1.0, 0.05)):
-            assert duhamel.eval_F1(rec, x, t) == 0.0
+            f1 = duhamel.eval_F1(rec, x, t)
+            assert type(f1) is float and f1 == 0.0
 
     def test_under_resolved_time_rejected(self, rec_coarse_sharp):
         with pytest.raises(ValueError):

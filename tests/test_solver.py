@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack, solve_banded
 
 import liesegang as lg
 from liesegang import solver
@@ -67,33 +69,122 @@ class TestDeficitScheme:
             lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=0)
 
 
-class TestStepMatrix:
-    N, M, MU, DT = 41, 12, 0.7, 1e-3
+class FullRefactorStepMatrix:
+    """Oracle: the step matrix refactored in full by ``gttrf`` whenever ``p_win``
+    changes, with no splice."""
 
-    def banded_solve(self, p_win, rhs):
-        """The per-step elimination the factored solve replaces."""
-        mu, n = self.MU, self.N
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -mu
-        ab[0, 1] = -2.0 * mu
-        ab[2, :-1] = -mu
-        ab[2, n - 2] = -2.0 * mu
-        ab[1, :] = 1.0 + 2.0 * mu
-        ab[1, : p_win.size] += self.DT * p_win
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
+    def __init__(self, n, mu, dt):
+        self.dl = np.full(n - 1, -mu)
+        self.dl[-1] = -2.0 * mu
+        self.du = np.full(n - 1, -mu)
+        self.du[0] = -2.0 * mu
+        self.main_base = np.full(n, 1.0 + 2.0 * mu)
+        self.dt = dt
+        self.p_win = None
+        self.factors = ()
+
+    def solve(self, p_win, rhs):
+        if self.p_win is None or not np.array_equal(p_win, self.p_win):
+            d = self.main_base.copy()
+            d[: p_win.size] += self.dt * p_win
+            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du)
+            assert info == 0
+            self.factors = (dl, d, du, du2, ipiv)
+            self.p_win = p_win.copy()
+        x, info = lapack.dgttrs(*self.factors, rhs)
+        assert info == 0
+        return x
+
+
+def banded_solve(mu, dt, p_win, rhs):
+    """The per-step elimination the factored solve replaces."""
+    n = rhs.size
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -mu
+    ab[0, 1] = -2.0 * mu
+    ab[2, :-1] = -mu
+    ab[2, n - 2] = -2.0 * mu
+    ab[1, :] = 1.0 + 2.0 * mu
+    ab[1, : p_win.size] += dt * p_win
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
+class TestStepMatrix:
+    # N leaves room for the splice: M + SPLICE_MARGIN_ROWS + 1 < N
+    N, M, MU, DT = 401, 12, 0.7, 1e-3
 
     def test_bit_identical_to_banded_solve(self):
-        rng = np.random.default_rng(7)
-        patterns = [np.zeros(self.M),
-                    (np.arange(self.M) < 5).astype(float),
-                    rng.uniform(0.0, 1.0, self.M)]
-        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
-        for p_win in patterns + patterns[:1]:
-            for _ in range(2):  # the second solve reuses the factors
-                rhs = rng.normal(size=self.N)
-                x = matrix.solve(p_win, rhs)
-                assert np.array_equal(x, self.banded_solve(p_win, rhs))
+        # n = 41: the window plus the margin covers the whole matrix, so every
+        # refactorization is a full one
+        for n, splices in ((self.N, 3), (41, 0)):
+            assert (self.M + solver.SPLICE_MARGIN_ROWS + 1 < n) == (splices > 0)
+            rng = np.random.default_rng(7)
+            patterns = [np.zeros(self.M),
+                        (np.arange(self.M) < 5).astype(float),
+                        rng.uniform(0.0, 1.0, self.M)]
+            matrix = solver.StepMatrix(n, self.MU, self.DT)
+            for p_win in patterns + patterns[:1]:
+                for _ in range(2):  # the second solve reuses the factors
+                    rhs = rng.normal(size=n)
+                    x = matrix.solve(p_win, rhs)
+                    assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
+            assert matrix.factorizations == 4
+            assert matrix.splices == splices
+
+    def test_pivots_that_do_not_settle_fall_back_to_full_factorization(self):
+        # With mu = 200 the pivot recurrence contracts by ~0.87 per row, so a
+        # change of p is still visible SPLICE_MARGIN_ROWS rows past the window.
+        mu = 200.0
+        rng = np.random.default_rng(11)
+        matrix = solver.StepMatrix(self.N, mu, self.DT)
+        p_win = np.zeros(self.M)
+        for _ in range(4):
+            rhs = rng.normal(size=self.N)
+            assert np.array_equal(matrix.solve(p_win, rhs), banded_solve(mu, self.DT, p_win, rhs))
+            p_win = np.minimum(p_win + rng.uniform(0.0, 0.5, self.M), 1.0)
         assert matrix.factorizations == 4
+        assert matrix.splices == 0
+
+    def test_row_interchange_falls_back_to_full_factorization(self):
+        # A pivot below |dl| = mu makes gttrf interchange rows inside the
+        # window; the splice must refuse both that block and, afterwards,
+        # stored factors that carry the interchange.
+        rng = np.random.default_rng(5)
+        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
+        oracle = FullRefactorStepMatrix(self.N, self.MU, self.DT)
+        pivoting = np.zeros(self.M)
+        pivoting[4] = -(1.0 + 2.0 * self.MU - 0.1) / self.DT
+        sequence = [np.zeros(self.M), pivoting, np.full(self.M, 0.5), np.ones(self.M)]
+        paths = []
+        for p_win in sequence:
+            before = matrix.splices
+            rhs = rng.normal(size=self.N)
+            assert np.array_equal(matrix.solve(p_win, rhs), oracle.solve(p_win, rhs))
+            paths.append(matrix.splices - before)
+        # full (first), full (block pivots), full (stored pivots), splice
+        assert paths == [0, 0, 0, 1]
+        assert matrix.factorizations == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                             min_size=M, max_size=M),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_relay_like_sequences_bit_identical(self, draws, seed):
+        rng = np.random.default_rng(seed)
+        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
+        p_win = np.zeros(self.M)
+        changes = 0
+        for i, draw in enumerate(draws):
+            # the relay is irreversible: p never decreases at any node
+            new = np.maximum(p_win, draw)
+            changes += int(i > 0 and not np.array_equal(new, p_win))
+            p_win = new
+            rhs = rng.normal(size=self.N)
+            assert np.array_equal(matrix.solve(p_win, rhs),
+                                  banded_solve(self.MU, self.DT, p_win, rhs))
+        assert matrix.factorizations == 1 + changes
+        assert matrix.splices == changes
 
     def test_sharp_run_refactors_once_per_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
@@ -112,6 +203,31 @@ class TestStepMatrix:
         for _ in range(grid.n_t):
             stepper.step()
         assert stepper.matrix.factorizations == 1
+
+    @pytest.mark.parametrize("scheme, relay", [
+        ("deposition", lg.RelayKind.mollified(1e-3)),
+        ("deficit", lg.RelayKind.sharp()),
+    ])
+    def test_whole_run_bit_identical_to_full_refactor_oracle(self, monkeypatch, scheme, relay):
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        runner = lg.source_deposition_run if scheme == "deposition" else lg.run
+        made = []
+
+        class Recorded(solver.StepMatrix):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "StepMatrix", Recorded)
+        rec = runner(PARAMS, grid, relay, snapshot_stride=10)
+        monkeypatch.setattr(solver, "StepMatrix", FullRefactorStepMatrix)
+        ref = runner(PARAMS, grid, relay, snapshot_stride=10)
+        for name in ("times", "w", "p", "accum", "ignition_time", "ignition_u",
+                     "ignition_u_right", "ignition_u_back"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
+        (matrix,) = made
+        assert matrix.factorizations > 10
+        assert matrix.splices == matrix.factorizations - 1
 
 
 class TestInvariants:

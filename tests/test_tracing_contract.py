@@ -1,0 +1,55 @@
+"""The names the benchmark tracer patches must keep existing and keep being called.
+
+``perfbench/tracing.py`` wraps module-level callables by name.  A refactor
+that renames one, or stops calling it through the patched namespace, would
+silently read zero in the per-layer metrics instead of failing.  These tests
+read the tracer's span table; they never modify ``perfbench/``.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import liesegang as lg
+from liesegang import solver
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+def test_every_traced_name_exists():
+    spans = load_spans()
+    assert len(spans) > 10
+    for owner, attr, name, _hook in spans:
+        assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+# The deficit stepper evaluates the relay once more, before its first step;
+# the deposition scheme's bootstrap over [0, dt] stands in for its first step.
+@pytest.mark.parametrize("runner, extra_evaluate", [(lg.run, 1), (lg.source_deposition_run, 0)])
+@pytest.mark.parametrize("relay", [lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3)])
+def test_time_loops_call_the_relay_through_the_solver_namespace(monkeypatch, runner,
+                                                                extra_evaluate, relay):
+    calls = {"accumulate": 0, "evaluate": 0}
+
+    def spy(name):
+        real = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, spy(name))
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
+    runner(PARAMS, grid, relay, snapshot_stride=20)
+    assert calls == {"accumulate": grid.n_t, "evaluate": grid.n_t + extra_evaluate}
