@@ -69,8 +69,15 @@ def _report_skeleton(cfg: RunConfig, kind: str) -> dict:
 
 
 def _run_from_config(cfg: RunConfig) -> SolutionRecord:
-    runner = solver.run if cfg.scheme == "deficit" else solver.source_deposition_run
-    return runner(cfg.params, cfg.grid, cfg.relay_kind, snapshot_stride=cfg.snapshot_stride)
+    return solver.runner(cfg.scheme)(cfg.params, cfg.grid, cfg.relay_kind,
+                                     snapshot_stride=cfg.snapshot_stride)
+
+
+def _configured_agreement_tol(cfg: RunConfig, args) -> float | None:
+    """``--agreement-tol``, else the config's ``tolerances.agreement_tol``."""
+    if getattr(args, "agreement_tol", None) is not None:
+        return args.agreement_tol
+    return cfg.tolerances.agreement_tol
 
 
 def _agreement_tol(cfg: RunConfig, args, base: SolutionRecord,
@@ -78,15 +85,11 @@ def _agreement_tol(cfg: RunConfig, args, base: SolutionRecord,
     """Explicit tolerance, or the measured default: 10x the self-refinement
     error of ``base`` (the run of ``cfg``) at T_unique plus, for a mollified
     pairing, its width envelope."""
-    if getattr(args, "agreement_tol", None) is not None:
-        return args.agreement_tol
-    if cfg.tolerances.agreement_tol is not None:
-        return cfg.tolerances.agreement_tol
-    fine = _run_from_config(replace(cfg, grid=cfg.grid.refined(2, 2)))
+    tol = _configured_agreement_tol(cfg, args)
+    if tol is not None:
+        return tol
     t_u = base.constants.T_unique
-    rep = comparison.compare_cross_grid(base, fine, agreement_tol=math.inf)
-    k = int(np.argmin(np.abs(rep.times - t_u)))
-    refine_err = float(rep.sup_diff[k])
+    refine_err = comparison.measure_refinement_error(base, t_u)
     rate = comparison.median_ignition_rate(base, t_max=t_u) if epsilon is not None else None
     return comparison.default_agreement_tol(refine_err, epsilon=epsilon,
                                             u_star=cfg.params.u_star, ignition_rate=rate)
@@ -118,7 +121,9 @@ def cmd_simulate(args) -> int:
     if args.csv:
         record.write_csv(_out_path(cfg, args.csv))
     ignited = int(np.isfinite(record.ignition_time).sum())
-    print(f"{cfg.scheme} run: {record.grid.n_t} steps, {record.times.size} snapshots, "
+    # the deposition scheme starts at t0 = dt, one step after the deficit scheme
+    steps = round((record.times[-1] - record.times[0]) / record.grid.dt)
+    print(f"{cfg.scheme} run: {steps} steps, {record.times.size} snapshots, "
           f"{ignited} ignited nodes -> {npz_path}, {json_path}")
     return 0
 
@@ -223,9 +228,10 @@ def cmd_sweep(args) -> int:
     if args.halved_grid:
         perturbations.append(cfg.grid.refined(2, 1))
     rows = comparison.perturbation_sweep(cfg.params, cfg.grid, cfg.relay_kind,
-                                         perturbations, agreement_tol=args.agreement_tol,
+                                         perturbations,
+                                         agreement_tol=_configured_agreement_tol(cfg, args),
                                          snapshot_stride=cfg.snapshot_stride,
-                                         workers=args.workers)
+                                         workers=args.workers, scheme=cfg.scheme)
     report = _report_skeleton(cfg, "sweep_report")
     report["rows"] = [{"label": r.label, "divergence_time": r.divergence_time,
                        "T_unique": r.T_unique,

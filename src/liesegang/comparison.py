@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
+from . import solver
 from .grids import GridSpec
 from .records import SolutionRecord
 from .relay import RelayKind
-from .solver import run
 
 
 class GridMismatch(ValueError):
@@ -38,6 +38,20 @@ def median_ignition_rate(record: SolutionRecord, t_max: float | None = None) -> 
         raise ValueError("record has no usable ignition data")
     rates = (record.ignition_u[sel] - record.ignition_u_back[sel, 0]) / record.grid.dt
     return float(np.median(rates))
+
+
+def measure_refinement_error(base: SolutionRecord, t: float) -> float:
+    """Self-refinement error of ``base`` at ``t``.
+
+    Reruns the configuration of ``base`` (same scheme, relay and stride) with
+    ``dx`` and ``dt`` halved and returns the sup difference of ``u`` at the
+    base snapshot nearest ``t``, after interpolation onto the base grid.
+    """
+    fine = solver.runner(base.scheme)(base.params, base.grid.refined(2, 2), base.relay_kind,
+                                      snapshot_stride=base.snapshot_stride)
+    rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
+    k = int(np.argmin(np.abs(rep.times - t)))
+    return float(rep.sup_diff[k])
 
 
 def default_agreement_tol(refinement_error: float, *, epsilon: float | None = None,
@@ -227,14 +241,15 @@ class SweepRow:
 
 
 def _run_for_sweep(args):
-    params, grid, relay, stride = args
-    return run(params, grid, relay, snapshot_stride=stride)
+    scheme, params, grid, relay, stride = args
+    return solver.runner(scheme)(params, grid, relay, snapshot_stride=stride)
 
 
 def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbations, *,
                        agreement_tol: float | None = None,
                        refinement_error: float | None = None,
-                       snapshot_stride: int = 100, workers: int = 1) -> list[SweepRow]:
+                       snapshot_stride: int = 100, workers: int = 1,
+                       scheme: str = "deficit") -> list[SweepRow]:
     """Run the base configuration against each perturbation and tabulate the
     divergence time next to the uniqueness horizon.
 
@@ -243,28 +258,26 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
     ``agreement_tol`` is given, the per-row default combines 10x the
     self-refinement error (measured with one simultaneous halving if not
     supplied) with the mollification envelope of the row's relay width.
-    Perturbed runs share no state and fan out over ``workers`` processes
-    when workers > 1; the table is identical either way.
+    Every run uses ``scheme`` (``deficit`` or ``deposition``).  Perturbed
+    runs share no state and fan out over ``workers`` processes when
+    workers > 1; the table is identical either way.
     """
     if not perturbations:
         return []
-    base = run(params, grid, base_relay, snapshot_stride=snapshot_stride)
+    base = solver.runner(scheme)(params, grid, base_relay, snapshot_stride=snapshot_stride)
     t_unique = base.constants.T_unique if base.constants else math.nan
     rate = None
     if agreement_tol is None:
         if refinement_error is None:
-            fine = run(params, grid.refined(2, 2), base_relay, snapshot_stride=snapshot_stride)
-            rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
-            k = int(np.argmin(np.abs(rep.times - t_unique)))
-            refinement_error = float(rep.sup_diff[k])
+            refinement_error = measure_refinement_error(base, t_unique)
         rate = median_ignition_rate(base, t_max=t_unique)
 
     jobs = []
     for pert in perturbations:
         if isinstance(pert, RelayKind):
-            jobs.append((params, grid, pert, snapshot_stride))
+            jobs.append((scheme, params, grid, pert, snapshot_stride))
         elif isinstance(pert, GridSpec):
-            jobs.append((params, pert, base_relay, snapshot_stride))
+            jobs.append((scheme, params, pert, base_relay, snapshot_stride))
         else:
             raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
     if workers > 1:

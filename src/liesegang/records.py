@@ -25,7 +25,7 @@ import numpy as np
 from . import jsonio, model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams
-from .relay import RelayKind, RelayState, accumulate, evaluate
+from .relay import RelayKind
 
 BACK_OFFSETS = (1, 2, 4, 8)
 RIGHT_CELLS = 5
@@ -185,45 +185,14 @@ class SolutionRecord:
                     constants: ModelConstants | None = None) -> "SolutionRecord":
         """Build a record from a prescribed field ``u_fn(x_array, t) -> array``.
 
-        The relay is driven through the same per-step update as the solvers,
-        so ignition bookkeeping (times, right-neighbor and look-back values)
-        matches what a real run would have recorded for that field.  Used by
-        tests and diagnostics demos; the field need not solve anything.
+        The solvers' stepper records it (scheme ``synthetic``) with ``u_fn`` in
+        place of a solve and the relay on every node, so ignition bookkeeping
+        matches what a real run would have recorded for that field.  ``u_fn``
+        is called on the whole grid ``n_t + 1`` times; look-back values are its
+        stored rows, so it must act node by node.  Used by tests and diagnostics
+        demos; the field need not solve anything.
         """
-        x = grid.x
-        dt, n_t = grid.dt, grid.n_t
-        state = RelayState.create(x, params)
-        n_nodes = x.shape[0]
-        ign_u = np.full(n_nodes, np.nan)
-        ign_right = np.full((n_nodes, RIGHT_CELLS), np.nan)
-        ign_back = np.full((n_nodes, len(BACK_OFFSETS)), np.nan)
-        times, w_rows, p_rows, a_rows = [], [], [], []
+        from . import solver  # the solver imports this module
 
-        def snap(t, u_now):
-            times.append(t)
-            w_rows.append(u_now - model.psi(x, t, params))
-            p_rows.append(evaluate(state, relay_kind))
-            a_rows.append(state.accumulator.copy())
-
-        snap(0.0, np.asarray(u_fn(x, 0.0), dtype=float))
-        for n in range(1, n_t + 1):
-            t = n * dt
-            u_now = np.asarray(u_fn(x, t), dtype=float)
-            accumulate(state, u_now, dt, t, relay_kind)
-            for i in state.last_ignited:
-                ign_u[i] = u_now[i]
-                hi = min(i + RIGHT_CELLS, n_nodes)
-                ign_right[i, : hi - i] = u_now[i:hi]
-                for j, k in enumerate(BACK_OFFSETS):
-                    if n - k >= 1:
-                        ign_back[i, j] = float(np.asarray(u_fn(x[i:i + 1], (n - k) * dt))[0])
-            if n % snapshot_stride == 0 or n == n_t:
-                snap(t, u_now)
-        return cls(
-            params=params, grid=grid, relay_kind=relay_kind,
-            snapshot_stride=snapshot_stride, scheme="synthetic",
-            times=np.array(times), w=np.array(w_rows), p=np.array(p_rows),
-            accum=np.array(a_rows), ignition_time=state.ignition_time,
-            ignition_u=ign_u, ignition_u_right=ign_right, ignition_u_back=ign_back,
-            constants=constants,
-        )
+        return solver._record(params, grid, relay_kind, snapshot_stride, scheme="synthetic",
+                              u_fn=u_fn, constants=constants)

@@ -32,6 +32,11 @@ uniform line density ``beta`` along the swept segment
 that segment; the deposit then varies smoothly as the source crosses cells.
 The scheme exists as a cross-validation path; it starts at ``t0 = dt``
 because the source strength is singular at t = 0.
+
+Both schemes, and the prescribed fields of ``SolutionRecord.from_fields``
+(scheme ``synthetic``), are stepped by one :class:`Stepper` and recorded by
+one snapshot loop, so the relay update, the ignition log and the snapshots
+are written once for all three.
 """
 from __future__ import annotations
 
@@ -172,57 +177,89 @@ class StepMatrix:
         return True
 
 
-class _IgnitionLog:
-    """Exact per-node data captured at the step a node first switches."""
+class Stepper:
+    """One time step of a scheme: advance the field, update the relay, log ignitions.
 
-    def __init__(self, n_nodes: int):
-        self.u = np.full(n_nodes, np.nan)
-        self.right = np.full((n_nodes, RIGHT_CELLS), np.nan)
-        self.back = np.full((n_nodes, len(BACK_OFFSETS)), np.nan)
-
-    def capture(self, ignited, u_full_fn, past: deque, step_index: int):
-        for i in ignited:
-            vals = u_full_fn(i, i + RIGHT_CELLS)
-            self.u[i] = vals[0]
-            self.right[i, : vals.shape[0]] = vals
-            for j, k in enumerate(BACK_OFFSETS):
-                if k <= len(past) and step_index - k >= 0:
-                    self.back[i, j] = past[-k][i]
-
-
-class DeficitStepper:
-    """One-step advancement of the deficit formulation.
-
-    ``force_zero_p`` pins the precipitation field to zero for the whole run
-    (the trajectory is then bit-identical to a run with u_star = inf).
+    The scheme (``deficit``, ``deposition`` or ``synthetic``; see the module
+    docstring), fixed at construction, picks the initial field and time, the
+    advance of one step and the snapshot ``w``; all else is shared.  The
+    ignition log is captured at the step a node first switches, with
+    look-back values from a buffer of past window fields.  ``force_zero_p``
+    pins the precipitation field to zero for the whole run (the trajectory is
+    then bit-identical to a run with u_star = inf).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-                 force_zero_p: bool = False, constants: ModelConstants | None = None):
+                 force_zero_p: bool = False, constants: ModelConstants | None = None, *,
+                 scheme: str = "deficit", u_fn=None):
         self.params = params
         self.grid = grid
         self.relay_kind = relay_kind
         self.force_zero_p = force_zero_p
-        self.constants = constants if constants is not None else _constants_or_none(params)
-        _check_domain(grid, self.constants)
-
+        self.scheme = scheme
         n = grid.n_x + 1
         self.n = n
-        self.m = _relay_window(params, grid, self.constants)
         self.x = grid.x
+        if scheme == "synthetic":
+            self.constants = constants
+            self.m = n
+        else:
+            self.constants = constants if constants is not None else _constants_or_none(params)
+            _check_domain(grid, self.constants)
+            self.m = _relay_window(params, grid, self.constants)
         self.x_win = self.x[: self.m]
         self.mu = grid.dt / (2.0 * grid.dx**2)
         self.matrix = StepMatrix(n, self.mu, grid.dt)
 
-        self.w = np.zeros(n)
         self.step_index = 0
         self.t = 0.0
         self.state = RelayState.create(self.x_win, params)
-        self.p_win = np.zeros(self.m) if force_zero_p else evaluate(self.state, relay_kind)
+        self.p_win = np.zeros(self.m)
         self.past_u = deque(maxlen=max(BACK_OFFSETS))
-        self.log = _IgnitionLog(n)
+        self.ignition_u = np.full(n, np.nan)
+        self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
+        self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
 
-    def _rhs_diffusion(self, field: np.ndarray) -> np.ndarray:
+        # The deficit scheme holds w, the others u.  Per-scheme methods are kept
+        # unbound: bound ones would make the stepper a reference cycle.
+        self._w_now, self._u_rows = Stepper._w_from_u, Stepper._u_rows_from_u
+        if scheme == "deficit":
+            self.w = np.zeros(n)
+            self._advance = Stepper._advance_deficit
+            self._w_now, self._u_rows = Stepper._w_copy, Stepper._u_rows_from_w
+        elif scheme == "deposition":
+            self.u = model.psi(self.x, grid.dt, params)
+            self._advance = Stepper._advance_deposition
+            self.step_index, self.t = 1, grid.dt
+            self._update_relay(self.u[: self.m])
+        elif scheme == "synthetic":
+            self.u_fn = u_fn
+            self.u = np.asarray(u_fn(self.x, 0.0), dtype=float)
+            self._advance = Stepper._advance_prescribed
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if scheme != "deposition" and not force_zero_p:
+            self.p_win = evaluate(self.state, relay_kind)
+
+    def step(self) -> "Stepper":
+        t_new = (self.step_index + 1) * self.grid.dt
+        u_win = self._advance(self, t_new)
+        self.step_index += 1
+        self.t = t_new
+        self._update_relay(u_win)
+        return self
+
+    def snapshot(self) -> tuple:
+        """(t, w, p, accumulator) at the current time, on the whole grid."""
+        return self.t, self._w_now(self), self._full(self.p_win), self._full(self.state.accumulator)
+
+    def _full(self, win: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """A relay-window array extended to the whole grid with ``fill``."""
+        out = np.full(self.n, fill)
+        out[: self.m] = win
+        return out
+
+    def _explicit_half_step(self, field: np.ndarray) -> np.ndarray:
         mu = self.mu
         rhs = (1.0 - 2.0 * mu) * field
         rhs[1:-1] += mu * (field[:-2] + field[2:])
@@ -230,53 +267,85 @@ class DeficitStepper:
         rhs[-1] += 2.0 * mu * field[-2]
         return rhs
 
-    def step(self) -> "DeficitStepper":
-        dt = self.grid.dt
-        t_new = (self.step_index + 1) * dt
-        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0.
-        psi_win = model.capital_psi(self.x_win / math.sqrt(t_new), self.params)
+    def _solve(self, rhs: np.ndarray, t_new: float, what: str) -> np.ndarray:
+        out = self.matrix.solve(self.p_win, rhs)
+        if not np.isfinite(out).all():
+            raise NonFiniteField(f"non-finite {what} at step {self.step_index + 1}, t={t_new}")
+        return out
 
-        rhs = self._rhs_diffusion(self.w)
-        rhs[: self.m] -= dt * self.p_win * psi_win
-        w_new = self.matrix.solve(self.p_win, rhs)
-        if not np.isfinite(w_new).all():
-            raise NonFiniteField(f"non-finite deficit field at step {self.step_index + 1}, t={t_new}")
-
-        u_win = w_new[: self.m] + psi_win
+    def _update_relay(self, u_win: np.ndarray) -> None:
+        """Accumulate the window field, log new ignitions, re-evaluate p."""
         if not self.force_zero_p:
-            accumulate(self.state, u_win, dt, t_new, self.relay_kind)
-            if self.state.last_ignited.size:
-                def u_at(lo, hi):
-                    hi = min(hi, self.n)
-                    if hi <= self.m:
-                        return u_win[lo:hi].copy()
-                    return w_new[lo:hi] + model.psi(self.x[lo:hi], t_new, self.params)
-
-                self.log.capture(self.state.last_ignited, u_at, self.past_u, self.step_index + 1)
+            accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
+            for i in self.state.last_ignited.tolist():  # an empty ndarray loop is slow
+                hi = min(i + RIGHT_CELLS, self.n)
+                vals = u_win[i:hi] if hi <= self.m else self._u_rows(self, i, hi)
+                self.ignition_u[i] = vals[0]
+                self.ignition_u_right[i, : hi - i] = vals
+                # the buffer holds steps >= 1 only, so no look-back reaches step 0
+                for j, k in enumerate(BACK_OFFSETS):
+                    if k <= len(self.past_u):
+                        self.ignition_u_back[i, j] = self.past_u[-k][i]
             self.p_win = evaluate(self.state, self.relay_kind)
         self.past_u.append(u_win.copy())
 
-        self.w = w_new
-        self.step_index += 1
-        self.t = t_new
-        return self
+    def _advance_deficit(self, t_new: float) -> np.ndarray:
+        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0.
+        psi_win = model.capital_psi(self.x_win / math.sqrt(t_new), self.params)
+        rhs = self._explicit_half_step(self.w)
+        rhs[: self.m] -= self.grid.dt * self.p_win * psi_win
+        self.w = self._solve(rhs, t_new, "deficit field")
+        return self.w[: self.m] + psi_win
 
-    # -- snapshot helpers --------------------------------------------------
+    def _advance_deposition(self, t_new: float) -> np.ndarray:
+        rhs = self._explicit_half_step(self.u)
+        a = self.params.alpha
+        _deposit_swept_source(rhs, self.params.beta, a * math.sqrt(self.t), a * math.sqrt(t_new),
+                              self.grid.dx)
+        self.u = self._solve(rhs, t_new, "concentration")
+        return self.u[: self.m]
 
-    def p_full(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[: self.m] = self.p_win
-        return out
+    def _advance_prescribed(self, t_new: float) -> np.ndarray:
+        self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
+        return self.u
 
-    def accum_full(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[: self.m] = self.state.accumulator
-        return out
+    def _w_copy(self) -> np.ndarray:
+        return self.w.copy()
 
-    def ignition_full(self) -> np.ndarray:
-        out = np.full(self.n, np.nan)
-        out[: self.m] = self.state.ignition_time
-        return out
+    def _w_from_u(self) -> np.ndarray:
+        return self.u - model.psi(self.x, self.t, self.params)
+
+    def _u_rows_from_w(self, lo: int, hi: int) -> np.ndarray:
+        return self.w[lo:hi] + model.psi(self.x[lo:hi], self.t, self.params)
+
+    def _u_rows_from_u(self, lo: int, hi: int) -> np.ndarray:
+        return self.u[lo:hi]
+
+
+DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span
+
+
+def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot_stride: int,
+            **options) -> SolutionRecord:
+    """Step a :class:`Stepper` to ``t_max`` with snapshots every ``snapshot_stride``
+    steps (and at the last step) and return the record."""
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be >= 1")
+    stepper = Stepper(params, grid, relay_kind, **options)
+    snapshots = [stepper.snapshot()]
+    for n in range(stepper.step_index + 1, grid.n_t + 1):
+        stepper.step()
+        if n % snapshot_stride == 0 or n == grid.n_t:
+            snapshots.append(stepper.snapshot())
+    times, w, p, accum = (np.array(column) for column in zip(*snapshots))
+    return SolutionRecord(
+        params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
+        scheme=stepper.scheme, times=times, w=w, p=p, accum=accum,
+        ignition_time=stepper._full(stepper.state.ignition_time, np.nan),
+        ignition_u=stepper.ignition_u,
+        ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
+        constants=stepper.constants,
+    )
 
 
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -285,24 +354,7 @@ def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
 
     Deterministic: identical inputs produce bit-identical records.
     """
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-    stepper = DeficitStepper(params, grid, relay_kind, force_zero_p=force_zero_p)
-    times, w_rows, p_rows, a_rows = [0.0], [stepper.w.copy()], [stepper.p_full()], [stepper.accum_full()]
-    for n in range(1, grid.n_t + 1):
-        stepper.step()
-        if n % snapshot_stride == 0 or n == grid.n_t:
-            times.append(stepper.t)
-            w_rows.append(stepper.w.copy())
-            p_rows.append(stepper.p_full())
-            a_rows.append(stepper.accum_full())
-    return SolutionRecord(
-        params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
-        scheme="deficit", times=np.array(times), w=np.array(w_rows), p=np.array(p_rows),
-        accum=np.array(a_rows), ignition_time=stepper.ignition_full(),
-        ignition_u=stepper.log.u, ignition_u_right=stepper.log.right,
-        ignition_u_back=stepper.log.back, constants=stepper.constants,
-    )
+    return _record(params, grid, relay_kind, snapshot_stride, force_zero_p=force_zero_p)
 
 
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:
@@ -335,79 +387,16 @@ def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: Relay
     The run starts at ``t0 = dt`` from the closed-form profile; the relay
     bootstraps with one rectangle over [0, dt].
     """
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-    constants = _constants_or_none(params)
-    _check_domain(grid, constants)
-    a, b = params.alpha, params.beta
-    x = grid.x
-    n = grid.n_x + 1
-    dx, dt, n_t = grid.dx, grid.dt, grid.n_t
-    m = _relay_window(params, grid, constants)
+    return _record(params, grid, relay_kind, snapshot_stride, force_zero_p=force_zero_p,
+                   scheme="deposition")
 
-    mu = dt / (2.0 * dx**2)
-    matrix = StepMatrix(n, mu, dt)
 
-    u = model.psi(x, dt, params)
-    state = RelayState.create(x[:m], params)
-    log = _IgnitionLog(n)
-    past_u = deque(maxlen=max(BACK_OFFSETS))
-    if not force_zero_p:
-        accumulate(state, u[:m], dt, dt, relay_kind)
-        log.capture(state.last_ignited, lambda lo, hi: u[lo:min(hi, n)].copy(), past_u, 1)
-    p_win = np.zeros(m) if force_zero_p else evaluate(state, relay_kind)
-    past_u.append(u[:m].copy())
+def runner(scheme: str):
+    """The run function of a scheme, ``deficit`` or ``deposition``.
 
-    def p_full():
-        out = np.zeros(n)
-        out[:m] = p_win
-        return out
-
-    def accum_full():
-        out = np.zeros(n)
-        out[:m] = state.accumulator
-        return out
-
-    def w_of(u_now, t):
-        return u_now - model.psi(x, t, params)
-
-    times = [dt]
-    w_rows = [w_of(u, dt)]
-    p_rows = [p_full()]
-    a_rows = [accum_full()]
-
-    for k in range(2, n_t + 1):
-        t_old, t_new = (k - 1) * dt, k * dt
-
-        rhs = (1.0 - 2.0 * mu) * u
-        rhs[1:-1] += mu * (u[:-2] + u[2:])
-        rhs[0] += 2.0 * mu * u[1]
-        rhs[-1] += 2.0 * mu * u[-2]
-        _deposit_swept_source(rhs, b, a * math.sqrt(t_old), a * math.sqrt(t_new), dx)
-        u = matrix.solve(p_win, rhs)
-        if not np.isfinite(u).all():
-            raise NonFiniteField(f"non-finite concentration at step {k}, t={t_new}")
-
-        if not force_zero_p:
-            accumulate(state, u[:m], dt, t_new, relay_kind)
-            if state.last_ignited.size:
-                log.capture(state.last_ignited, lambda lo, hi: u[lo:min(hi, n)].copy(), past_u, k)
-            p_win = evaluate(state, relay_kind)
-        past_u.append(u[:m].copy())
-        if k % snapshot_stride == 0 or k == n_t:
-            times.append(t_new)
-            w_rows.append(w_of(u, t_new))
-            p_rows.append(p_full())
-            a_rows.append(accum_full())
-
-    ignition = np.full(n, np.nan)
-    ignition[:m] = state.ignition_time
-    return SolutionRecord(
-        params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
-        scheme="deposition", times=np.array(times), w=np.array(w_rows), p=np.array(p_rows),
-        accum=np.array(a_rows), ignition_time=ignition, ignition_u=log.u,
-        ignition_u_right=log.right, ignition_u_back=log.back, constants=constants,
-    )
+    Looked up when called, so a wrapped or patched ``run`` is the one used.
+    """
+    return {"deficit": run, "deposition": source_deposition_run}[scheme]
 
 
 def measure_t1(record: SolutionRecord, tol: float = 0.0) -> float:

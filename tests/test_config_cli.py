@@ -268,6 +268,59 @@ class TestCli:
         assert 0 < data["agreement_tol"] < math.inf
         assert len(data["times"]) == len(data["sup_diff"]) == len(data["energy"])
 
+    @staticmethod
+    def count_runs(monkeypatch):
+        """(runner name, dx) of every solver run, in call order."""
+        runs = []
+        for name in ("run", "source_deposition_run"):
+            real = getattr(lg.solver, name)
+
+            def counted(params, grid, *args, _real=real, _name=name, **kwargs):
+                runs.append((_name, grid.dx))
+                return _real(params, grid, *args, **kwargs)
+
+            monkeypatch.setattr(lg.solver, name, counted)
+        return runs
+
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    def test_sweep_runs_the_configured_scheme(self, tmp_path, monkeypatch, scheme):
+        # base, refined base (for the measured tolerance) and one mollified run
+        runs = self.count_runs(monkeypatch)
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
+                                           t_max=0.26, scheme=scheme))
+        assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", "-o", "sweep.json") == 0
+        runner = "run" if scheme == "deficit" else "source_deposition_run"
+        assert sorted(runs) == [(runner, 0.01), (runner, 0.02), (runner, 0.02)]
+        data = json.loads((tmp_path / "sweep.json").read_text())
+        assert data["effective_config"]["scheme"] == scheme
+        assert [row["label"] for row in data["rows"]] == ["relay=mollified(eps=0.001)"]
+
+    @pytest.mark.parametrize("flag", [[], ["--agreement-tol", "0.07"]])
+    def test_sweep_takes_the_configured_agreement_tol(self, tmp_path, monkeypatch, flag):
+        # a configured (or flagged) tolerance needs no refined run to measure one
+        runs = self.count_runs(monkeypatch)
+        tol_seen = []
+        real_compare = lg.comparison.compare
+
+        def compare(rec1, rec2, agreement_tol):
+            tol_seen.append(agreement_tol)
+            return real_compare(rec1, rec2, agreement_tol)
+
+        monkeypatch.setattr(lg.comparison, "compare", compare)
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
+                                           t_max=0.26, tolerances={"agreement_tol": 0.05}))
+        assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", *flag,
+                            "-o", "sweep.json") == 0
+        assert runs == [("run", 0.02), ("run", 0.02)]
+        assert tol_seen == [0.07 if flag else 0.05]
+
+    @pytest.mark.parametrize("scheme, steps", [("deficit", 500), ("deposition", 499)])
+    def test_simulate_summary_counts_the_steps_taken(self, tmp_path, capsys, scheme, steps):
+        # the deposition scheme starts at t0 = dt and takes n_t - 1 steps
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), scheme=scheme))
+        assert self.run_cli("simulate", "-c", path, "-o", "rec") == 0
+        assert capsys.readouterr().out.startswith(f"{scheme} run: {steps} steps, ")
+
     def test_compare_requires_tol_for_saved_records(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
         assert self.run_cli("simulate", "-c", path, "-o", "a") == 0

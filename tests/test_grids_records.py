@@ -189,6 +189,22 @@ class TestFromFields:
             else:
                 assert np.isnan(back).all()
 
+    def test_prescribed_field_is_evaluated_once_per_step(self):
+        # look-back values come from the stepper's buffered rows, not from
+        # re-evaluating the field at past times
+        params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+        grid = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
+        calls = []
+
+        def u_fn(x, t):
+            calls.append(t)
+            return np.full(np.shape(x), params.u_star - 0.2 + t)
+
+        rec = lg.SolutionRecord.from_fields(u_fn, params, grid, snapshot_stride=7)
+        assert np.isfinite(rec.ignition_time).all()
+        assert np.isfinite(rec.ignition_u_back).all()
+        assert len(calls) == grid.n_t + 1
+
     def test_snapshot_stride(self):
         params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
         grid = lg.GridSpec.make(dx=0.1, dt=0.1, x_max=1.0, t_max=1.0)

@@ -57,6 +57,26 @@ class TestDeficitScheme:
         with pytest.raises(lg.NonFiniteField):
             stepper.step()
 
+    @pytest.mark.parametrize("runner", [lg.run, lg.source_deposition_run])
+    def test_ignition_capture_reads_past_the_relay_window(self, monkeypatch, runner):
+        # Without a margin, nodes near the window end ignite, and their
+        # right-neighbour values come from the whole-grid field.
+        monkeypatch.setattr(solver, "WINDOW_MARGIN_CELLS", 0)
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        rec = runner(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=1)
+        m = solver._relay_window(PARAMS, grid, rec.constants)
+        ignited = np.flatnonzero(np.isfinite(rec.ignition_time))
+        past = ignited[ignited + lg.records.RIGHT_CELLS > m]
+        assert past.size
+        for i in past:
+            k = int(np.argmin(np.abs(rec.times - rec.ignition_time[i])))
+            np.testing.assert_allclose(rec.ignition_u_right[i],
+                                       rec.u[k, i:i + lg.records.RIGHT_CELLS], rtol=1e-13)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp(), scheme="implicit")
+
     def test_domain_truncation_validated(self):
         c = lg.compute_constants(PARAMS)
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=1.0, t_max=1.0)

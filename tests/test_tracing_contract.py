@@ -8,6 +8,7 @@ read the tracer's span table; they never modify ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liesegang as lg
@@ -53,3 +54,37 @@ def test_time_loops_call_the_relay_through_the_solver_namespace(monkeypatch, run
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
     runner(PARAMS, grid, relay, snapshot_stride=20)
     assert calls == {"accumulate": grid.n_t, "evaluate": grid.n_t + extra_evaluate}
+
+
+def spy_on(owner, name, monkeypatch):
+    """Count the calls of ``owner.name`` (a function or method) by patching it."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# The deposition scheme's bootstrap over [0, dt] stands in for its first step,
+# so only the traced per-step function runs on every later step.
+@pytest.mark.parametrize("runner, missing_steps", [(lg.run, 0), (lg.source_deposition_run, 1)])
+def test_both_schemes_step_through_the_traced_step(monkeypatch, runner, missing_steps):
+    steps = spy_on(solver.DeficitStepper, "step", monkeypatch)
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
+    runner(PARAMS, grid, lg.RelayKind.mollified(1e-3), snapshot_stride=20)
+    assert len(steps) == grid.n_t - missing_steps
+
+
+def test_prescribed_fields_update_the_relay_through_the_solver_namespace(monkeypatch):
+    calls = {name: spy_on(solver, name, monkeypatch) for name in ("accumulate", "evaluate")}
+    steps = spy_on(solver.DeficitStepper, "step", monkeypatch)
+    grid = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
+    lg.SolutionRecord.from_fields(lambda x, t: np.full(np.shape(x), PARAMS.u_star + t - 0.2),
+                                  PARAMS, grid, snapshot_stride=7)
+    assert len(steps) == grid.n_t
+    assert len(calls["accumulate"]) == grid.n_t
+    assert len(calls["evaluate"]) == grid.n_t + 1
