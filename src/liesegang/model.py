@@ -68,6 +68,12 @@ class ModelParams:
         return replace(probe, u_star=u_star_fraction * probe.psi_alpha)
 
 
+def psi_prefactor(params: ModelParams) -> float:
+    """The factor (alpha*beta*sqrt(pi)/2) * exp(alpha^2/4) of :func:`capital_psi`."""
+    a = params.alpha
+    return 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
+
+
 def capital_psi(eta, params: ModelParams):
     """Self-similar profile Psi(eta) of the source-only solution.
 
@@ -75,10 +81,8 @@ def capital_psi(eta, params: ModelParams):
     constant at its plateau value for eta <= alpha, an erfc tail beyond.
     Continuous and non-increasing on the whole real line.
     """
-    a = params.alpha
-    pref = 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
     eta_arr = np.asarray(eta, dtype=float)
-    out = pref * erfc(np.maximum(eta_arr, a) / 2.0)
+    out = psi_prefactor(params) * erfc(np.maximum(eta_arr, params.alpha) / 2.0)
     if np.isscalar(eta) or eta_arr.ndim == 0:
         return float(out)
     return out

@@ -11,17 +11,26 @@ trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
 taken implicitly in ``u`` with the precipitation field lagged by one step,
 and the relay accumulator is updated from the newly computed ``u``.
 
-The step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only through
-``p``, which the irreversible relay changes only when a node switches (under
-the mollified relay, while any node is inside its smoothstep band: every
-step).  Both schemes therefore LU-factor it only when ``p`` changed (LAPACK
-``gttrf``) and solve each step with the stored factors (``gttrs``); the
-factors and the solution are bit-identical to a fresh ``gtsv`` elimination on
-every step.  Because ``p`` is non-zero only on the relay window, a change
-refactors only the leading rows and splices them onto the stored tail
-factors, which the elimination recurrence reaches unchanged; see
-:class:`StepMatrix` for why that is exact and when it falls back to the full
-factorization.
+The grid is split at ``J = m + RIGHT_CELLS`` nodes, ``m`` being the relay
+window.  Past the window ``p`` and the forcing are identically zero, so the
+tail beyond the interior obeys the plain heat equation driven only by the
+last interior value; :class:`ModalTail` advances it exactly in the
+eigenmodes of its Crank–Nicolson step, Neumann wall included.  The tail
+enters the interior solve as one diagonal correction and one right-hand-side
+term on row ``J - 1``, so only ``J`` rows are solved per step (274 of 2,401
+at the default grid), and ignition capture never reads past them.  Nothing
+is truncated: up to rounding, the split step is the whole-grid step.  When
+fewer than ``MIN_TAIL_NODES`` tail nodes would remain (no supercritical
+threshold, or a grid barely wider than the window) the interior is the whole
+grid with its mirrored Neumann row, and there is no tail.
+
+The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
+through ``p``, which the irreversible relay changes only when a node switches
+(under the mollified relay, while any node is inside its smoothstep band:
+every step).  Both schemes therefore LU-factor it only when ``p`` changed
+(LAPACK ``gttrf``) and solve each step with the stored factors (``gttrs``);
+the factors and the solution are bit-identical to a fresh ``gtsv``
+elimination on every step.
 
 A second scheme integrates ``u`` directly, depositing the singular source
 ``(alpha*beta / (2 sqrt t)) * delta(x - alpha sqrt t)`` onto the grid with
@@ -44,8 +53,10 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.fft import dst
 from scipy.linalg import LinAlgError, lapack
 from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing.py wraps it
+from scipy.special import erfc
 
 from . import model
 from .grids import GridSpec
@@ -54,10 +65,12 @@ from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
 from .relay import RelayKind, RelayState, accumulate, evaluate
 
 WINDOW_MARGIN_CELLS = 16
-# Rows past the relay window that a splice refactors.  At the default grid
-# the pivots equal the p = 0 pivots again 6 rows past the last non-zero p;
-# a margin too small only costs a fallback to the full factorization.
-SPLICE_MARGIN_ROWS = 32
+# Grids that would leave fewer tail nodes are solved whole, with the Neumann
+# row: so short a tail saves nothing.
+MIN_TAIL_NODES = 2
+# Steps a ModalTail takes between updates of its mode vector.  Its table of
+# lam**r, r <= TAIL_BLOCK_STEPS, is 2.2 MB on the default grid's 2,127 tail nodes.
+TAIL_BLOCK_STEPS = 128
 
 
 class NonFiniteField(FloatingPointError):
@@ -98,51 +111,39 @@ def _check_domain(grid: GridSpec, constants: ModelConstants | None) -> None:
 
 
 class StepMatrix:
-    """LU factors of the trapezoidal step matrix ``I - mu*D2 + dt*diag(p)``.
+    """LU factors of the interior step matrix ``I - mu*D2 + dt*diag(p)``.
 
-    The Neumann ends enter through mirrored off-diagonal weights, which stay
-    constant; ``p`` is non-zero only on the leading ``p_win.size`` nodes.
-    :meth:`solve` refactors only when ``p_win`` differs from the copy it
-    last factored, and counts the refactorizations it made
-    (``factorizations``) and how many of them were splices (``splices``).
-
-    The first factorization is a full ``gttrf``.  After that, a change of
-    ``p_win`` factors only the leading ``k + 1`` rows, ``k = p_win.size +
-    SPLICE_MARGIN_ROWS``, and splices the new ``d[:k]`` and ``dl[:k - 1]``
-    onto the stored factors.  That is exact: without row interchanges the
-    elimination ``d'[i+1] = d[i+1] - (dl[i]/d'[i])*du[i]`` reads, from row
-    ``k`` on, only the pivot ``d'[k-1]`` and rows that do not depend on
-    ``p``, so if ``d'[k-1]`` equals the stored pivot bit for bit, every later
-    factor entry is the same arithmetic on the same inputs as in the stored
-    factors, and ``du``, ``du2`` and ``ipiv`` are untouched.  The block is one
-    row longer than the part spliced, so every spliced entry comes from the
-    same loop body of ``gttrf`` as in a full factorization.  The splice is
-    taken only when the block's ``d'[k-1]`` equals the stored one and neither
-    the block nor the stored factors interchanged rows before ``k``;
-    otherwise, and whenever the block would cover the whole matrix,
-    :meth:`solve` falls back to the full ``gttrf``.  The margin therefore
-    only decides how often the splice is taken, never the factors.
+    Row 0 is the mirrored Neumann row.  The last row is the mirrored Neumann
+    row at ``x_max`` when the interior is the whole grid (``tail_h0`` None);
+    otherwise it couples to a :class:`ModalTail`, which adds ``-mu*tail_h0``
+    to its diagonal and keeps the ``-mu`` towards the interior.  ``p`` is
+    non-zero only on the leading ``p_win.size`` nodes.  :meth:`solve`
+    refactors (a full ``gttrf``) only when ``p_win`` differs from the copy it
+    last factored, and counts the refactorizations (``factorizations``).
     """
 
-    def __init__(self, n: int, mu: float, dt: float):
-        self.n = n
+    def __init__(self, n: int, mu: float, dt: float, tail_h0: float | None = None):
         self.dl = np.full(n - 1, -mu)
-        self.dl[-1] = -2.0 * mu
         self.du = np.full(n - 1, -mu)
         self.du[0] = -2.0 * mu
         self.main_base = np.full(n, 1.0 + 2.0 * mu)
+        if tail_h0 is None:
+            self.dl[-1] = -2.0 * mu
+        else:
+            self.main_base[-1] -= mu * tail_h0
         self.dt = dt
         self.p_win: np.ndarray | None = None
         self.factors: tuple = ()
         self.factorizations = 0
-        self.splices = 0
-        self._rows = np.arange(1, n + 1)  # identity pivots; gttrf counts rows from 1
-        self._unpivoted = 0  # leading rows of the stored factors with no interchange (none yet)
 
     def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if self.p_win is None or (p_win != self.p_win).any():
-            if not self._splice(p_win):
-                self._factor(p_win)
+            d = self.main_base.copy()
+            d[: p_win.size] += self.dt * p_win
+            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
+            if info != 0:
+                raise LinAlgError(f"singular step matrix (gttrf info={info})")
+            self.factors = (dl, d, du, du2, ipiv)
             self.p_win = p_win.copy()
             self.factorizations += 1
         x, info = lapack.dgttrs(*self.factors, rhs)
@@ -150,31 +151,88 @@ class StepMatrix:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
         return x
 
-    def _factor(self, p_win: np.ndarray) -> None:
-        d = self.main_base.copy()
-        d[: p_win.size] += self.dt * p_win
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
-        if info != 0:
-            raise LinAlgError(f"singular step matrix (gttrf info={info})")
-        self.factors = (dl, d, du, du2, ipiv)
-        swaps = np.flatnonzero(ipiv != self._rows)
-        self._unpivoted = swaps[0] if swaps.size else self.n
 
-    def _splice(self, p_win: np.ndarray) -> bool:
-        """Refactor the leading rows in place; False if the splice is not exact."""
-        k = p_win.size + SPLICE_MARGIN_ROWS
-        if k + 1 >= self.n or k > self._unpivoted:
-            return False
-        d = self.main_base[: k + 1].copy()
-        d[: p_win.size] += self.dt * p_win
-        dl, d, _du, _du2, ipiv, info = lapack.dgttrf(self.dl[:k], d, self.du[:k], overwrite_d=1)
-        old_dl, old_d = self.factors[:2]
-        if info != 0 or d[k - 1] != old_d[k - 1] or (ipiv[:k] != self._rows[:k]).any():
-            return False
-        old_dl[: k - 1] = dl[: k - 1]
-        old_d[:k] = d[:k]
-        self.splices += 1
-        return True
+class ModalTail:
+    """The nodes past the interior, advanced exactly in the eigenmodes of their
+    Crank–Nicolson step.
+
+    With ``p`` and the forcing zero there, the ``n`` tail values ``v`` obey
+    ``(I - mu*L) v' = (I + mu*L) v + mu*e_0*(g + g')``, where ``g`` is the
+    last interior value (node 0's left neighbour, hence the ``e_0`` term) and
+    ``L`` the second difference without it, with the mirrored Neumann row at
+    ``x_max``.  ``L``'s eigenvectors are
+    ``V_ik = sqrt(2/n) sin((k+1/2)*pi*(i+1)/n)`` (symmetric about node ``n``,
+    so they satisfy the Neumann row), with eigenvalues
+    ``theta_k = -4 sin^2((k+1/2)*pi/(2n))``, and ``V^-1`` is ``V^T`` with the
+    Neumann node weighted by 1/2.  In modes ``q = V^-1 v`` each step is
+
+        q_k' = lam_k*q_k + b_k*(g + g'),
+        lam_k = (1 + mu*theta_k)/(1 - mu*theta_k),   b_k = mu*V0_k/(1 - mu*theta_k),
+
+    with ``V0_k = V_0k``.  The first tail value after the step is ``V0 . q'``,
+    linear in the unknown ``g'`` with slope ``h0 = V0 . b``: the interior
+    matrix takes ``-mu*h0`` on its last diagonal entry and ``mu`` times
+    :meth:`coupling` on its last right-hand side, so its solve stays
+    tridiagonal.  No mode is dropped, so the split step is the whole-grid step
+    up to rounding.  ``V`` and ``V^-1`` are a type-2 and a type-3 DST.
+
+    ``q`` is updated in blocks of at most ``TAIL_BLOCK_STEPS`` steps: it is
+    kept at the start of the block with the drives ``s_j = g + g'`` since,
+    stored newest first.  At offset ``r`` into a block the coupling is
+    ``F[r] + F[r+1] + sum_{j<r} (h[r-1-j] + h[r-j]) s_j + h0*g``, with
+    ``F = Lam @ (V0*q)`` per block, ``h = Lam @ (V0*b)`` and ``Lam[r] = lam**r``.
+    A block ends after ``TAIL_BLOCK_STEPS`` steps or when :meth:`values` is
+    read.
+    """
+
+    def __init__(self, values: np.ndarray, g: float, mu: float):
+        n = values.size
+        angle = (np.arange(n) + 0.5) * (math.pi / n)
+        theta = -4.0 * np.sin(0.5 * angle) ** 2
+        self.lam = (1.0 + mu * theta) / (1.0 - mu * theta)
+        self.v0 = math.sqrt(2.0 / n) * np.sin(angle)
+        self.b = mu * self.v0 / (1.0 - mu * theta)
+        self.h0 = float(self.v0 @ self.b)
+        self.block = TAIL_BLOCK_STEPS
+        self.powers = self.lam ** np.arange(self.block + 1)[:, None]
+        h = self.powers @ (self.v0 * self.b)
+        self._h_pairs = h[:-1] + h[1:]
+        self._drives = np.zeros(self.block)
+        self._scale = math.sqrt(0.5 / n)
+        self.q = self._scale * dst(values, type=3)
+        self.g = g
+        self.r = 0
+        self._F = (self.powers @ (self.v0 * self.q)).tolist()
+
+    def coupling(self) -> float:
+        """Row ``J - 1``'s tail term over ``mu``: the first tail value before
+        the step plus the part of the one after it that does not involve ``g'``."""
+        r = self.r
+        c = self._F[r] + self._F[r + 1] + self.h0 * self.g
+        if r:
+            c += self._h_pairs[:r].dot(self._drives[self.block - r:])
+        return c
+
+    def advance(self, g_new: float) -> None:
+        """Take the step whose new interface value is ``g_new``."""
+        self._drives[self.block - 1 - self.r] = self.g + g_new
+        self.g = g_new
+        self.r += 1
+        if self.r == self.block:
+            self._flush()
+
+    def values(self) -> np.ndarray:
+        """The tail values at the current step (ends the block)."""
+        self._flush()
+        return self._scale * dst(self.q, type=2)
+
+    def _flush(self) -> None:
+        r = self.r
+        if r:
+            drives = self._drives[self.block - r:]
+            self.q = self.powers[r] * self.q + self.b * (drives @ self.powers[:r])
+            self._F = (self.powers @ (self.v0 * self.q)).tolist()
+            self.r = 0
 
 
 class Stepper:
@@ -186,7 +244,10 @@ class Stepper:
     ignition log is captured at the step a node first switches, with
     look-back values from a buffer of past window fields.  ``force_zero_p``
     pins the precipitation field to zero for the whole run (the trajectory is
-    then bit-identical to a run with u_star = inf).
+    then bit-identical to a run with u_star = inf).  The stepped field (``w``
+    or ``u``) holds the ``J`` interior nodes; the rest of the grid is the
+    ``tail`` (a :class:`ModalTail`, or None when the interior is the whole
+    grid).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -209,7 +270,8 @@ class Stepper:
             self.m = _relay_window(params, grid, self.constants)
         self.x_win = self.x[: self.m]
         self.mu = grid.dt / (2.0 * grid.dx**2)
-        self.matrix = StepMatrix(n, self.mu, grid.dt)
+        self.J = self.m + RIGHT_CELLS if n - self.m - RIGHT_CELLS >= MIN_TAIL_NODES else n
+        self.tail: ModalTail | None = None
 
         self.step_index = 0
         self.t = 0.0
@@ -224,11 +286,12 @@ class Stepper:
         # unbound: bound ones would make the stepper a reference cycle.
         self._w_now, self._u_rows = Stepper._w_from_u, Stepper._u_rows_from_u
         if scheme == "deficit":
-            self.w = np.zeros(n)
+            self.w = self._split(np.zeros(n))
+            self._psi_prefactor = model.psi_prefactor(params)
             self._advance = Stepper._advance_deficit
-            self._w_now, self._u_rows = Stepper._w_copy, Stepper._u_rows_from_w
+            self._w_now, self._u_rows = Stepper._w_whole, Stepper._u_rows_from_w
         elif scheme == "deposition":
-            self.u = model.psi(self.x, grid.dt, params)
+            self.u = self._split(model.psi(self.x, grid.dt, params))
             self._advance = Stepper._advance_deposition
             self.step_index, self.t = 1, grid.dt
             self._update_relay(self.u[: self.m])
@@ -238,6 +301,8 @@ class Stepper:
             self._advance = Stepper._advance_prescribed
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
+        tail_h0 = None if self.tail is None else self.tail.h0
+        self.matrix = StepMatrix(self.J, self.mu, grid.dt, tail_h0)
         if scheme != "deposition" and not force_zero_p:
             self.p_win = evaluate(self.state, relay_kind)
 
@@ -253,6 +318,18 @@ class Stepper:
         """(t, w, p, accumulator) at the current time, on the whole grid."""
         return self.t, self._w_now(self), self._full(self.p_win), self._full(self.state.accumulator)
 
+    def _split(self, field: np.ndarray) -> np.ndarray:
+        """Hand the nodes past the interior to a new tail; return the interior."""
+        if self.J < self.n:
+            self.tail = ModalTail(field[self.J:], field[self.J - 1], self.mu)
+        return field[: self.J]
+
+    def _whole(self, interior: np.ndarray) -> np.ndarray:
+        """The stepped field on the whole grid (a new array)."""
+        if self.tail is None:
+            return interior.copy()
+        return np.concatenate((interior, self.tail.values()))
+
     def _full(self, win: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """A relay-window array extended to the whole grid with ``fill``."""
         out = np.full(self.n, fill)
@@ -264,13 +341,18 @@ class Stepper:
         rhs = (1.0 - 2.0 * mu) * field
         rhs[1:-1] += mu * (field[:-2] + field[2:])
         rhs[0] += 2.0 * mu * field[1]
-        rhs[-1] += 2.0 * mu * field[-2]
+        if self.tail is None:
+            rhs[-1] += 2.0 * mu * field[-2]
+        else:
+            rhs[-1] += mu * (field[-2] + self.tail.coupling())
         return rhs
 
     def _solve(self, rhs: np.ndarray, t_new: float, what: str) -> np.ndarray:
         out = self.matrix.solve(self.p_win, rhs)
         if not np.isfinite(out).all():
             raise NonFiniteField(f"non-finite {what} at step {self.step_index + 1}, t={t_new}")
+        if self.tail is not None:
+            self.tail.advance(out[-1])
         return out
 
     def _update_relay(self, u_win: np.ndarray) -> None:
@@ -290,8 +372,13 @@ class Stepper:
         self.past_u.append(u_win.copy())
 
     def _advance_deficit(self, t_new: float) -> np.ndarray:
-        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0.
-        psi_win = model.capital_psi(self.x_win / math.sqrt(t_new), self.params)
+        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0, with
+        # model.capital_psi's arithmetic done in place
+        psi_win = np.divide(self.x_win, math.sqrt(t_new))
+        np.maximum(psi_win, self.params.alpha, out=psi_win)
+        psi_win /= 2.0
+        erfc(psi_win, out=psi_win)
+        psi_win *= self._psi_prefactor
         rhs = self._explicit_half_step(self.w)
         rhs[: self.m] -= self.grid.dt * self.p_win * psi_win
         self.w = self._solve(rhs, t_new, "deficit field")
@@ -309,11 +396,13 @@ class Stepper:
         self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
         return self.u
 
-    def _w_copy(self) -> np.ndarray:
-        return self.w.copy()
+    def _w_whole(self) -> np.ndarray:
+        return self._whole(self.w)
 
     def _w_from_u(self) -> np.ndarray:
-        return self.u - model.psi(self.x, self.t, self.params)
+        w = self._whole(self.u)
+        w -= model.psi(self.x, self.t, self.params)
+        return w
 
     def _u_rows_from_w(self, lo: int, hi: int) -> np.ndarray:
         return self.w[lo:hi] + model.psi(self.x[lo:hi], self.t, self.params)

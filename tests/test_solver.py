@@ -1,11 +1,13 @@
 """Deficit scheme, deposition scheme, and their invariants at desk scale."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import solve_banded
 
 import liesegang as lg
 from liesegang import solver
@@ -89,33 +91,6 @@ class TestDeficitScheme:
             lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=0)
 
 
-class FullRefactorStepMatrix:
-    """Oracle: the step matrix refactored in full by ``gttrf`` whenever ``p_win``
-    changes, with no splice."""
-
-    def __init__(self, n, mu, dt):
-        self.dl = np.full(n - 1, -mu)
-        self.dl[-1] = -2.0 * mu
-        self.du = np.full(n - 1, -mu)
-        self.du[0] = -2.0 * mu
-        self.main_base = np.full(n, 1.0 + 2.0 * mu)
-        self.dt = dt
-        self.p_win = None
-        self.factors = ()
-
-    def solve(self, p_win, rhs):
-        if self.p_win is None or not np.array_equal(p_win, self.p_win):
-            d = self.main_base.copy()
-            d[: p_win.size] += self.dt * p_win
-            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du)
-            assert info == 0
-            self.factors = (dl, d, du, du2, ipiv)
-            self.p_win = p_win.copy()
-        x, info = lapack.dgttrs(*self.factors, rhs)
-        assert info == 0
-        return x
-
-
 def banded_solve(mu, dt, p_win, rhs):
     """The per-step elimination the factored solve replaces."""
     n = rhs.size
@@ -130,59 +105,19 @@ def banded_solve(mu, dt, p_win, rhs):
 
 
 class TestStepMatrix:
-    # N leaves room for the splice: M + SPLICE_MARGIN_ROWS + 1 < N
     N, M, MU, DT = 401, 12, 0.7, 1e-3
 
     def test_bit_identical_to_banded_solve(self):
-        # n = 41: the window plus the margin covers the whole matrix, so every
-        # refactorization is a full one
-        for n, splices in ((self.N, 3), (41, 0)):
-            assert (self.M + solver.SPLICE_MARGIN_ROWS + 1 < n) == (splices > 0)
-            rng = np.random.default_rng(7)
-            patterns = [np.zeros(self.M),
-                        (np.arange(self.M) < 5).astype(float),
-                        rng.uniform(0.0, 1.0, self.M)]
-            matrix = solver.StepMatrix(n, self.MU, self.DT)
-            for p_win in patterns + patterns[:1]:
-                for _ in range(2):  # the second solve reuses the factors
-                    rhs = rng.normal(size=n)
-                    x = matrix.solve(p_win, rhs)
-                    assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
-            assert matrix.factorizations == 4
-            assert matrix.splices == splices
-
-    def test_pivots_that_do_not_settle_fall_back_to_full_factorization(self):
-        # With mu = 200 the pivot recurrence contracts by ~0.87 per row, so a
-        # change of p is still visible SPLICE_MARGIN_ROWS rows past the window.
-        mu = 200.0
-        rng = np.random.default_rng(11)
-        matrix = solver.StepMatrix(self.N, mu, self.DT)
-        p_win = np.zeros(self.M)
-        for _ in range(4):
-            rhs = rng.normal(size=self.N)
-            assert np.array_equal(matrix.solve(p_win, rhs), banded_solve(mu, self.DT, p_win, rhs))
-            p_win = np.minimum(p_win + rng.uniform(0.0, 0.5, self.M), 1.0)
-        assert matrix.factorizations == 4
-        assert matrix.splices == 0
-
-    def test_row_interchange_falls_back_to_full_factorization(self):
-        # A pivot below |dl| = mu makes gttrf interchange rows inside the
-        # window; the splice must refuse both that block and, afterwards,
-        # stored factors that carry the interchange.
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(7)
+        patterns = [np.zeros(self.M),
+                    (np.arange(self.M) < 5).astype(float),
+                    rng.uniform(0.0, 1.0, self.M)]
         matrix = solver.StepMatrix(self.N, self.MU, self.DT)
-        oracle = FullRefactorStepMatrix(self.N, self.MU, self.DT)
-        pivoting = np.zeros(self.M)
-        pivoting[4] = -(1.0 + 2.0 * self.MU - 0.1) / self.DT
-        sequence = [np.zeros(self.M), pivoting, np.full(self.M, 0.5), np.ones(self.M)]
-        paths = []
-        for p_win in sequence:
-            before = matrix.splices
-            rhs = rng.normal(size=self.N)
-            assert np.array_equal(matrix.solve(p_win, rhs), oracle.solve(p_win, rhs))
-            paths.append(matrix.splices - before)
-        # full (first), full (block pivots), full (stored pivots), splice
-        assert paths == [0, 0, 0, 1]
+        for p_win in patterns + patterns[:1]:
+            for _ in range(2):  # the second solve reuses the factors
+                rhs = rng.normal(size=self.N)
+                x = matrix.solve(p_win, rhs)
+                assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
         assert matrix.factorizations == 4
 
     @settings(max_examples=40, deadline=None)
@@ -204,7 +139,6 @@ class TestStepMatrix:
             assert np.array_equal(matrix.solve(p_win, rhs),
                                   banded_solve(self.MU, self.DT, p_win, rhs))
         assert matrix.factorizations == 1 + changes
-        assert matrix.splices == changes
 
     def test_sharp_run_refactors_once_per_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
@@ -224,30 +158,125 @@ class TestStepMatrix:
             stepper.step()
         assert stepper.matrix.factorizations == 1
 
+
+def tail_operators(n, mu):
+    """Dense ``I - mu*L`` and ``I + mu*L`` of an ``n``-node tail with the
+    mirrored Neumann row at its far end."""
+    lap = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    lap[-1, -2] = 2.0
+    return np.eye(n) - mu * lap, np.eye(n) + mu * lap
+
+
+def dense_tail_step(v, g, g_new, mu):
+    implicit, explicit = tail_operators(v.size, mu)
+    rhs = explicit @ v
+    rhs[0] += mu * (g + g_new)
+    return np.linalg.solve(implicit, rhs)
+
+
+# mu = 0.2 is the default grid's; dt = 1e-3 on dx = 0.01 gives mu = 5, where
+# the fastest modes have lam < 0
+MUS = (0.2, 0.5 * 1e-3 / 0.01**2)
+
+
+class TestModalTail:
+    @pytest.mark.parametrize("n", [2, 3, 37, 300])
+    @pytest.mark.parametrize("mu", MUS)
+    def test_one_step_against_dense_solve(self, n, mu):
+        rng = np.random.default_rng(n)
+        v, g, g_new = rng.normal(size=n), rng.normal(), rng.normal()
+        tail = solver.ModalTail(v, g, mu)
+        if n == 300:
+            assert (tail.lam < 0).any() == (mu > 1)
+        np.testing.assert_allclose(tail.values(), v, rtol=0, atol=1e-14)  # DST round trip
+        expected = dense_tail_step(v, g, g_new, mu)
+        # the interior's last row reads both tail values at node J through coupling()
+        assert abs(tail.coupling() + tail.h0 * g_new - (v[0] + expected[0])) < 1e-14
+        tail.advance(g_new)
+        np.testing.assert_allclose(tail.values(), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("block, stride", [(4, 1), (4, 4), (4, 7), (None, 300)])
+    def test_blocked_update_matches_per_step_recurrence(self, monkeypatch, block, stride):
+        # stride 1: every block is partial; stride 4: the snapshot comes right
+        # after a block ended (a flush at r = 0); strides 7 and 300: longer
+        # than a block
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        rng = np.random.default_rng(stride)
+        n, mu = 37, MUS[1]
+        tail = solver.ModalTail(rng.normal(size=n), 0.3, mu)
+        q, g = tail.q.copy(), 0.3
+        for step in range(1, 2 * stride + 11):
+            g_new = rng.normal()
+            expected = tail.v0 @ q + tail.v0 @ (tail.lam * q) + tail.h0 * g
+            assert abs(tail.coupling() - expected) < 1e-14
+            q = tail.lam * q + tail.b * (g + g_new)
+            g = g_new
+            tail.advance(g_new)
+            if step % stride == 0:
+                values = tail.values()
+                np.testing.assert_allclose(tail.q, q, rtol=0, atol=1e-15)
+                assert np.array_equal(tail.values(), values)
+
     @pytest.mark.parametrize("scheme, relay", [
         ("deposition", lg.RelayKind.mollified(1e-3)),
         ("deficit", lg.RelayKind.sharp()),
     ])
-    def test_whole_run_bit_identical_to_full_refactor_oracle(self, monkeypatch, scheme, relay):
+    def test_whole_run_matches_neumann_reference(self, monkeypatch, scheme, relay):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
         runner = lg.source_deposition_run if scheme == "deposition" else lg.run
-        made = []
-
-        class Recorded(solver.StepMatrix):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(solver, "StepMatrix", Recorded)
+        stepper = solver.Stepper(PARAMS, grid, relay, scheme=scheme)
+        assert stepper.tail is not None and stepper.tail.q.size > stepper.J
         rec = runner(PARAMS, grid, relay, snapshot_stride=10)
-        monkeypatch.setattr(solver, "StepMatrix", FullRefactorStepMatrix)
+        monkeypatch.setattr(solver, "MIN_TAIL_NODES", grid.n_x + 2)  # interior = whole grid
+        assert solver.Stepper(PARAMS, grid, relay, scheme=scheme).tail is None
         ref = runner(PARAMS, grid, relay, snapshot_stride=10)
-        for name in ("times", "w", "p", "accum", "ignition_time", "ignition_u",
-                     "ignition_u_right", "ignition_u_back"):
-            assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
-        (matrix,) = made
-        assert matrix.factorizations > 10
-        assert matrix.splices == matrix.factorizations - 1
+        assert np.max(np.abs(rec.w - ref.w)) <= 1e-13
+        assert np.isfinite(rec.ignition_time).sum() > 10
+        assert np.array_equal(rec.ignition_time, ref.ignition_time, equal_nan=True)
+
+    @pytest.mark.parametrize("tail_nodes", [0, 1, 2])
+    def test_grids_with_almost_no_tail(self, monkeypatch, tail_nodes):
+        # dx = 0.1 makes the window's 16-cell margin wider than the domain
+        # rule's 6*sqrt(t_max), so the grid can end just past the interior
+        dx, t_max = 0.1, 0.05
+        c = lg.compute_constants(PARAMS)
+        m = math.ceil(c.alpha_star * math.sqrt(t_max) / dx) + solver.WINDOW_MARGIN_CELLS
+        grid = lg.GridSpec.make(dx=dx, dt=1e-3, x_max=dx * (m + lg.records.RIGHT_CELLS - 1 +
+                                                            tail_nodes), t_max=t_max)
+        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp())
+        assert stepper.m == m and stepper.n == m + lg.records.RIGHT_CELLS + tail_nodes
+        assert (stepper.tail is None) == (tail_nodes < solver.MIN_TAIL_NODES)
+        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=5)
+        monkeypatch.setattr(solver, "MIN_TAIL_NODES", grid.n_x + 2)
+        ref = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=5)
+        assert np.max(np.abs(rec.w - ref.w)) <= 1e-15
+        assert np.array_equal(rec.ignition_time, ref.ignition_time, equal_nan=True)
+
+    def test_infinite_threshold_solves_the_whole_grid(self):
+        # test_infinite_threshold_is_bit_identical_to_forced_zero compares a
+        # run without a tail against one with a tail
+        grid = coarse_grid()
+        inf_params = lg.ModelParams(1.0, 1.0, math.inf)
+        assert lg.DeficitStepper(inf_params, grid, lg.RelayKind.sharp()).tail is None
+        forced = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp(), force_zero_p=True)
+        assert forced.tail is not None
+
+    def test_stepper_is_not_a_reference_cycle(self):
+        # a stepper alive until the cycle collector runs holds its arrays
+        # past the run
+        stepper = lg.DeficitStepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
+        for _ in range(solver.TAIL_BLOCK_STEPS + 3):
+            stepper.step()
+        stepper.snapshot()
+        assert stepper.tail is not None
+        ref = weakref.ref(stepper)
+        gc.disable()
+        try:
+            del stepper
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestInvariants:
