@@ -57,15 +57,27 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
+def _out_path(cfg: RunConfig | None, name: str) -> Path:
+    """``name`` in the config's output directory (created), or as given without a config."""
+    if cfg is None:
+        return Path(name)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
 
-def _report_skeleton(cfg: RunConfig, kind: str) -> dict:
-    return {"schema_version": jsonio.SCHEMA_VERSION, "kind": kind,
-            "effective_config": cfg.effective_config()}
+def _write_report(cfg: RunConfig | None, kind: str, body: dict, name: str) -> Path:
+    """Write the header, then ``body``, to :func:`_out_path`; return the path.
+
+    The header omits ``effective_config`` when there is no config.
+    """
+    report = {"schema_version": jsonio.SCHEMA_VERSION, "kind": kind}
+    if cfg is not None:
+        report["effective_config"] = cfg.effective_config()
+    report.update(body)
+    path = _out_path(cfg, name)
+    jsonio.dump_json(report, path)
+    return path
 
 
 def _run_from_config(cfg: RunConfig) -> SolutionRecord:
@@ -103,12 +115,9 @@ def cmd_constants(args) -> int:
         record = _run_from_config(cfg)
         measured_t1 = measure_t1(record)
         constants = compute_constants(cfg.params, t1=measured_t1)
-    report = _report_skeleton(cfg, "constants_report")
-    report["constants"] = constants.to_json_dict()
-    report["ring_width_alt"] = constants.ring_width_alt
-    report["t1_measured"] = measured_t1
-    path = _out_path(cfg, args.output)
-    jsonio.dump_json(report, path)
+    body = {"constants": constants.to_json_dict(), "ring_width_alt": constants.ring_width_alt,
+            "t1_measured": measured_t1}
+    path = _write_report(cfg, "constants_report", body, args.output)
     print(f"constants written to {path}")
     return 0
 
@@ -129,19 +138,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config_from_args(args) if (args.config or not args.record) else None
+    cfg = _config_from_args(args) if args.config else None
     record = SolutionRecord.load(args.record)
     tol = cfg.tolerances if cfg else Tolerances()
     report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
                                       jump_factor=tol.jump_factor, front_tol=tol.front_tol)
-    report = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "front_report"}
-    if cfg:
-        report["effective_config"] = cfg.effective_config()
-    report.update(report_body)
-    out = Path(args.output)
-    if cfg:
-        out = _out_path(cfg, args.output)
-    jsonio.dump_json(report, out)
+    out = _write_report(cfg, "front_report", report_body, args.output)
     print(f"front report written to {out} "
           f"(rings: {len(report_body['rings'])}, X_star: {report_body['X_star']:.4g})")
     return 0
@@ -161,17 +163,11 @@ def cmd_diagnose(args) -> int:
     report_body = duhamel.diagnostics_report(record, front, probes,
                                              slope_floor=tol.slope_floor,
                                              rate_floor=tol.rate_floor)
-    report = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "diagnostics_report"}
-    if cfg:
-        report["effective_config"] = cfg.effective_config()
-    report.update(report_body)
-    out = _out_path(cfg, args.output) if cfg else Path(args.output)
-    jsonio.dump_json(report, out)
+    out = _write_report(cfg, "diagnostics_report", report_body, args.output)
     if args.csv:
-        csv_path = _out_path(cfg, args.csv) if cfg else Path(args.csv)
-        jsonio.write_csv(csv_path, ["x", "t", "u_t", "psi_t", "F1", "F2", "residual"],
-                         [[r["x"], r["t"], r["u_t"], r["psi_t"], r["F1"], r["F2"], r["residual"]]
-                          for r in report_body["probes"]])
+        columns = ["x", "t", "u_t", "psi_t", "F1", "F2", "residual"]
+        jsonio.write_csv(_out_path(cfg, args.csv), columns,
+                         [[r[c] for c in columns] for r in report_body["probes"]])
     print(f"diagnostics written to {out} (max |residual| = {report_body['max_abs_residual']:.3e})")
     return 0
 
@@ -232,14 +228,12 @@ def cmd_sweep(args) -> int:
                                          agreement_tol=_configured_agreement_tol(cfg, args),
                                          snapshot_stride=cfg.snapshot_stride,
                                          workers=args.workers, scheme=cfg.scheme)
-    report = _report_skeleton(cfg, "sweep_report")
-    report["rows"] = [{"label": r.label, "divergence_time": r.divergence_time,
-                       "T_unique": r.T_unique,
-                       "max_sup_diff_before_T_unique": r.max_sup_diff_before_T_unique,
-                       "energy_monotone_before_T_unique": r.energy_monotone_before_T_unique}
-                      for r in rows]
-    path = _out_path(cfg, args.output)
-    jsonio.dump_json(report, path)
+    body = {"rows": [{"label": r.label, "divergence_time": r.divergence_time,
+                      "T_unique": r.T_unique,
+                      "max_sup_diff_before_T_unique": r.max_sup_diff_before_T_unique,
+                      "energy_monotone_before_T_unique": r.energy_monotone_before_T_unique}
+                     for r in rows]}
+    path = _write_report(cfg, "sweep_report", body, args.output)
     print(f"{'label':<28}{'divergence_time':<18}{'T_unique':<12}")
     for r in rows:
         div = "never" if math.isnan(r.divergence_time) else f"{r.divergence_time:.6g}"

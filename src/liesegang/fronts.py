@@ -155,8 +155,7 @@ def _node_classes(record: SolutionRecord, i_max: int) -> np.ndarray:
     never = (p <= 0.0).all(axis=0)
     classes[never] = INTERRING
     above = times[:, None] > cap[None, :] + record.grid.dt
-    has_above = above.any(axis=0)
-    ring = has_above & np.array([(p[above[:, j], j] == 1.0).all() for j in range(i_max + 1)])
+    ring = above.any(axis=0) & (~above | (p == 1.0)).all(axis=0)
     classes[ring & ~never] = RING
     return classes
 

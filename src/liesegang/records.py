@@ -1,18 +1,22 @@
 """Gridded space-time history of a run, with serialization.
 
-A :class:`SolutionRecord` stores the deficit field ``w = u - psi`` at
-snapshot times together with the precipitation field, accumulator snapshots
-and exact per-node ignition data.  The concentration ``u`` is reconstructed
-lazily from the closed-form ``psi``.
+A :class:`SolutionRecord` stores the deficit field ``w = u - psi`` and the
+relay accumulator at snapshot times, and exact per-node ignition data.  The
+concentration ``u = w + psi`` and the precipitation field
+``p = relay.evaluate(accum)`` are derived on first use and cached.
 
 Ignition data captured at full step resolution (independent of the snapshot
 stride):
 
 * ``ignition_time[i]``     -- end time of the first step with a strict
   accumulator increase at node i (NaN if the node never ignited),
-* ``ignition_u[i]``        -- u at that node and time,
-* ``ignition_u_right[i]``  -- u at nodes i..i+4 at the ignition time,
+* ``ignition_u_right[i]``  -- u at nodes i..i+4 at the ignition time (column
+  0 is ``ignition_u[i]``),
 * ``ignition_u_back[i]``   -- u at node i at 1, 2, 4 and 8 steps earlier.
+
+Older files also hold ``p`` and ``ignition_u``; they load, as unnamed arrays are
+not read, and derive the stored values bit for bit.  Older readers reject newer
+files (exit 1), naming the missing arrays.
 """
 from __future__ import annotations
 
@@ -25,12 +29,11 @@ import numpy as np
 from . import jsonio, model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams
-from .relay import RelayKind
+from .relay import RelayKind, evaluate
 
 BACK_OFFSETS = (1, 2, 4, 8)
 RIGHT_CELLS = 5
-_ARRAY_NAMES = ("times", "w", "p", "accum", "ignition_time", "ignition_u",
-                "ignition_u_right", "ignition_u_back")
+_ARRAY_NAMES = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
 
 
 def _paths(prefix) -> tuple[Path, Path]:
@@ -72,16 +75,15 @@ class SolutionRecord:
     scheme: str
     times: np.ndarray
     w: np.ndarray
-    p: np.ndarray
     accum: np.ndarray
     ignition_time: np.ndarray
-    ignition_u: np.ndarray
     ignition_u_right: np.ndarray
     ignition_u_back: np.ndarray
     constants: ModelConstants | None = None
-    # Derived-data caches, filled on first use: u = w + psi, the u_t table
+    # Derived-data caches, filled on first use: u = w + psi, p, the u_t table
     # and the F1 cell-mass table (``liesegang.duhamel``).
     _u_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _p_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _ut_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
@@ -99,13 +101,16 @@ class SolutionRecord:
         return self._u_cache
 
     @property
-    def snapshot_dt(self) -> float:
-        return self.snapshot_stride * self.grid.dt
+    def p(self) -> np.ndarray:
+        """Precipitation field ``relay.evaluate(accum)`` at every stored snapshot."""
+        if self._p_cache is None:
+            self._p_cache = evaluate(self.accum, self.relay_kind)
+        return self._p_cache
 
-    def time_index(self, t: float) -> int:
-        """Index of the closest snapshot at or below t."""
-        k = int(np.searchsorted(self.times, t + 1e-12 * max(1.0, abs(t))) - 1)
-        return max(k, 0)
+    @property
+    def ignition_u(self) -> np.ndarray:
+        """u at each node at its ignition time: a view of ``ignition_u_right[:, 0]``."""
+        return self.ignition_u_right[:, 0]
 
     # -- serialization ----------------------------------------------------
 
@@ -133,13 +138,16 @@ class SolutionRecord:
     def load(cls, prefix) -> "SolutionRecord":
         """Read a record written by :meth:`save`.
 
-        Raises ValueError naming the offending file for a sidecar of another
-        kind or schema version or with a missing field, an unreadable (e.g.
-        truncated) array file, a missing array, or array shapes that do not
-        match the grid and times.
+        Raises ValueError naming the offending file for an unreadable (e.g.
+        truncated) sidecar, a sidecar of another kind or schema version or with
+        a missing field, an unreadable array file, a missing array, or array
+        shapes that do not match the grid and times.
         """
         npz_path, json_path = _paths(prefix)
-        meta = jsonio.load_json(json_path)
+        try:
+            meta = jsonio.load_json(json_path)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{json_path}: unreadable sidecar ({exc})") from exc
         if not isinstance(meta, dict) or meta.get("kind") != "solution_record":
             raise ValueError(f"{json_path}: not a solution record sidecar")
         if meta.get("schema_version") != jsonio.SCHEMA_VERSION:
@@ -159,9 +167,8 @@ class SolutionRecord:
             raise ValueError(f"{npz_path}: missing arrays {', '.join(missing)}")
         n_snap, n_nodes = arrays["times"].size, fields["grid"].n_x + 1
         expected = {
-            "times": (n_snap,), "w": (n_snap, n_nodes), "p": (n_snap, n_nodes),
-            "accum": (n_snap, n_nodes), "ignition_time": (n_nodes,), "ignition_u": (n_nodes,),
-            "ignition_u_right": (n_nodes, RIGHT_CELLS),
+            "times": (n_snap,), "w": (n_snap, n_nodes), "accum": (n_snap, n_nodes),
+            "ignition_time": (n_nodes,), "ignition_u_right": (n_nodes, RIGHT_CELLS),
             "ignition_u_back": (n_nodes, len(BACK_OFFSETS)),
         }
         bad = [f"{name} {arrays[name].shape} != {shape}" for name, shape in expected.items()

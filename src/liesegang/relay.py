@@ -128,8 +128,8 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new: float,
     return state
 
 
-def evaluate(state: RelayState, kind: RelayKind) -> np.ndarray:
-    """Precipitation value per node for the current accumulator."""
+def evaluate(accumulator: np.ndarray, kind: RelayKind) -> np.ndarray:
+    """Precipitation value of an accumulator array, element by element."""
     if kind.variant == MOLLIFIED:
-        return smoothstep(state.accumulator / kind.epsilon)
-    return (state.accumulator > 0.0).astype(float)
+        return smoothstep(accumulator / kind.epsilon)
+    return (accumulator > 0.0).astype(float)

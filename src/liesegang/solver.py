@@ -278,7 +278,6 @@ class Stepper:
         self.state = RelayState.create(self.x_win, params)
         self.p_win = np.zeros(self.m)
         self.past_u = deque(maxlen=max(BACK_OFFSETS))
-        self.ignition_u = np.full(n, np.nan)
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
 
@@ -304,7 +303,7 @@ class Stepper:
         tail_h0 = None if self.tail is None else self.tail.h0
         self.matrix = StepMatrix(self.J, self.mu, grid.dt, tail_h0)
         if scheme != "deposition" and not force_zero_p:
-            self.p_win = evaluate(self.state, relay_kind)
+            self.p_win = evaluate(self.state.accumulator, relay_kind)
 
     def step(self) -> "Stepper":
         t_new = (self.step_index + 1) * self.grid.dt
@@ -315,8 +314,8 @@ class Stepper:
         return self
 
     def snapshot(self) -> tuple:
-        """(t, w, p, accumulator) at the current time, on the whole grid."""
-        return self.t, self._w_now(self), self._full(self.p_win), self._full(self.state.accumulator)
+        """(t, w, accumulator) on the whole grid; records derive ``p`` from the accumulator."""
+        return self.t, self._w_now(self), self._full(self.state.accumulator)
 
     def _split(self, field: np.ndarray) -> np.ndarray:
         """Hand the nodes past the interior to a new tail; return the interior."""
@@ -362,13 +361,12 @@ class Stepper:
             for i in self.state.last_ignited.tolist():  # an empty ndarray loop is slow
                 hi = min(i + RIGHT_CELLS, self.n)
                 vals = u_win[i:hi] if hi <= self.m else self._u_rows(self, i, hi)
-                self.ignition_u[i] = vals[0]
                 self.ignition_u_right[i, : hi - i] = vals
                 # the buffer holds steps >= 1 only, so no look-back reaches step 0
                 for j, k in enumerate(BACK_OFFSETS):
                     if k <= len(self.past_u):
                         self.ignition_u_back[i, j] = self.past_u[-k][i]
-            self.p_win = evaluate(self.state, self.relay_kind)
+            self.p_win = evaluate(self.state.accumulator, self.relay_kind)
         self.past_u.append(u_win.copy())
 
     def _advance_deficit(self, t_new: float) -> np.ndarray:
@@ -426,12 +424,11 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
         stepper.step()
         if n % snapshot_stride == 0 or n == grid.n_t:
             snapshots.append(stepper.snapshot())
-    times, w, p, accum = (np.array(column) for column in zip(*snapshots))
+    times, w, accum = (np.array(column) for column in zip(*snapshots))
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
-        scheme=stepper.scheme, times=times, w=w, p=p, accum=accum,
+        scheme=stepper.scheme, times=times, w=w, accum=accum,
         ignition_time=stepper._full(stepper.state.ignition_time, np.nan),
-        ignition_u=stepper.ignition_u,
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
         constants=stepper.constants,
     )

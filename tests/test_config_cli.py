@@ -143,7 +143,7 @@ class TestCli:
         assert self.run_cli("simulate", "-c", path, "-o", "rec") == 0
         rec = lg.SolutionRecord.load(tmp_path / "rec")
         rec.ignition_time[:] = float("nan")
-        rec.p[:] = 0.0
+        rec.accum[:] = 0.0
         rec.save(tmp_path / "empty")
         assert self.run_cli("analyze", "-c", path, "-r", str(tmp_path / "empty")) == 2
         assert "no node ignited" in capsys.readouterr().err
@@ -185,7 +185,8 @@ class TestCli:
         assert lines[0] == "x,t,u_t,psi_t,F1,F2,residual"
         assert len(lines) == 11
 
-    @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema"])
+    @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema",
+                                        "corrupt_sidecar", "non_utf8_sidecar"])
     def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
         import numpy as np
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
@@ -196,8 +197,12 @@ class TestCli:
         elif damage == "mis_shaped":
             with np.load(npz_path) as data:
                 arrays = {k: data[k] for k in data.files}
-            arrays["p"] = arrays["p"][:-1]
+            arrays["accum"] = arrays["accum"][:-1]
             np.savez(npz_path, **arrays)
+        elif damage == "corrupt_sidecar":
+            json_path.write_bytes(json_path.read_bytes()[:30])
+        elif damage == "non_utf8_sidecar":
+            json_path.write_bytes(b"\xff" + json_path.read_bytes())
         else:
             json_path.write_text(json_path.read_text().replace('"schema_version": 1',
                                                                '"schema_version": 2'))
@@ -205,7 +210,11 @@ class TestCli:
         assert self.run_cli("diagnose", "-c", path, "-r", str(tmp_path / "rec")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert ("rec.json" if damage == "wrong_schema" else "rec.npz") in err
+        if damage in ("truncated", "mis_shaped"):
+            assert "rec.npz" in err
+        else:
+            assert "rec.json" in err
+            assert damage == "wrong_schema" or "unreadable sidecar" in err
 
     def test_toy_subcommand(self, tmp_path, capsys):
         out = tmp_path / "toy.json"

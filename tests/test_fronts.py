@@ -86,7 +86,7 @@ class TestSegmentRings:
         rec = self.make_pattern_record([1, 1, 1, 0, 0, 0, 0])
         # poison node 2: ignition above its parabola time
         rec.ignition_time[2] = 0.3
-        rec.p[:, 2] = (rec.times > 0.3).astype(float)
+        rec.accum[:, 2] = (rec.times > 0.3).astype(float)
         seg = fronts.segment_rings(rec)
         assert seg.X_star <= 0.25
         assert seg.node_class[2] == fronts.UNDETERMINED

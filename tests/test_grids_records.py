@@ -1,11 +1,17 @@
 """Grid consistency, record serialization, synthetic record construction."""
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liesegang as lg
+from liesegang import duhamel, fronts, jsonio, records
+from liesegang.config import default_probe_ladder
 
 
 class TestGridSpec:
@@ -134,6 +140,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rec.json: malformed sidecar"):
             lg.SolutionRecord.load(tmp_path / "rec")
 
+    def test_derived_fields_are_not_written(self, tiny_record, tmp_path):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        with np.load(npz_path) as data:
+            assert "p" not in data.files and "ignition_u" not in data.files
+
+    def test_records_that_store_p_and_ignition_u_still_load(self, rec_coarse_sharp, tmp_path):
+        # Older files also hold p and ignition_u.  Rebuild them independently
+        # of the accumulator: under the sharp relay a node's p is 1 exactly
+        # from its ignition time on.
+        rec = rec_coarse_sharp
+        npz_path, _ = rec.save(tmp_path / "old")
+        stored_p = (rec.ignition_time[None, :] <= rec.times[:, None]).astype(float)
+        stored_ignition_u = rec.ignition_u_right[:, 0].copy()
+        with np.load(npz_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        np.savez(npz_path, p=stored_p, ignition_u=stored_ignition_u, **arrays)
+        old = lg.SolutionRecord.load(tmp_path / "old")
+        assert np.array_equal(old.p, stored_p) and old.p.any()
+        assert np.array_equal(old.ignition_u, stored_ignition_u, equal_nan=True)
+
+        def reports(record):
+            front = fronts.extract_front(record)
+            probes = default_probe_ladder(record.constants, record.params.alpha)
+            return (jsonio.dumps(fronts.front_report(record)),
+                    jsonio.dumps(duhamel.diagnostics_report(record, front, probes)))
+
+        assert reports(old) == reports(rec)
+
     def test_csv_dump_header_and_rows(self, tiny_record, tmp_path):
         path = tmp_path / "snapshots.csv"
         tiny_record.write_csv(path)
@@ -211,3 +245,29 @@ class TestFromFields:
         rec = lg.SolutionRecord.from_fields(lambda x, t: np.zeros(np.shape(x)), params, grid,
                                             snapshot_stride=4)
         assert list(rec.times) == [0.0, 0.4, 0.8, 1.0]
+
+
+RELAY_KINDS = st.one_of(st.just(lg.RelayKind.sharp()), st.just(lg.RelayKind.property_p()),
+                        st.floats(1e-4, 1e-1).map(lg.RelayKind.mollified))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=RELAY_KINDS, rate=st.floats(0.1, 5.0), slope=st.floats(0.0, 2.0),
+       offset=st.floats(-0.5, 0.2), stride=st.integers(1, 7))
+def test_from_fields_round_trip_reproduces_every_array(kind, rate, slope, offset, stride):
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=1.0, t_max=0.3)
+
+    def u_fn(x, t):
+        return params.u_star + offset + rate * t - slope * np.asarray(x)
+
+    rec = lg.SolutionRecord.from_fields(u_fn, params, grid, relay_kind=kind,
+                                        snapshot_stride=stride)
+    with tempfile.TemporaryDirectory() as tmp:
+        rec.save(Path(tmp) / "rec")
+        back = lg.SolutionRecord.load(Path(tmp) / "rec")
+    assert back.relay_kind == kind
+    for name in records._ARRAY_NAMES:
+        assert np.array_equal(getattr(back, name), getattr(rec, name), equal_nan=True), name
+    assert np.array_equal(back.p, lg.evaluate(back.accum, kind))
+    assert np.array_equal(back.ignition_u, back.ignition_u_right[:, 0], equal_nan=True)

@@ -35,7 +35,7 @@ class TestAccumulate:
         u = np.full(state.size, params.u_star - 0.1)
         lg.accumulate(state, u, dt=0.01, t_new=0.01, kind=lg.RelayKind.sharp())
         assert np.all(state.accumulator == 0.0)
-        assert np.all(lg.evaluate(state, lg.RelayKind.sharp()) == 0.0)
+        assert np.all(lg.evaluate(state.accumulator, lg.RelayKind.sharp()) == 0.0)
 
     def test_uniform_excess_adds_dt_everywhere(self, params):
         state, _ = make_state(params)
@@ -79,12 +79,12 @@ class TestEvaluate:
         state, _ = make_state(params)
         for kind in (lg.RelayKind.sharp(), lg.RelayKind.property_p(),
                      lg.RelayKind.mollified(1e-3)):
-            assert np.all(lg.evaluate(state, kind) == 0.0)
+            assert np.all(lg.evaluate(state.accumulator, kind) == 0.0)
 
     def test_sharp_values_are_exactly_binary(self, params):
         state, _ = make_state(params)
         state.accumulator[:] = np.linspace(0, 1e-6, state.size)
-        p = lg.evaluate(state, lg.RelayKind.sharp())
+        p = lg.evaluate(state.accumulator, lg.RelayKind.sharp())
         assert set(np.unique(p)) <= {0.0, 1.0}
         assert p[0] == 0.0  # zero accumulator stays off
 
@@ -92,7 +92,7 @@ class TestEvaluate:
         state, _ = make_state(params)
         eps = 1e-3
         state.accumulator[:] = eps * 1.0001
-        assert np.all(lg.evaluate(state, lg.RelayKind.mollified(eps)) == 1.0)
+        assert np.all(lg.evaluate(state.accumulator, lg.RelayKind.mollified(eps)) == 1.0)
 
     def test_mollified_monotone_on_random_increasing_sequences(self, params):
         rng = np.random.default_rng(7)
@@ -103,7 +103,7 @@ class TestEvaluate:
         for _ in range(200):
             a += rng.uniform(0, 2e-5)
             state.accumulator[0] = a
-            val = float(lg.evaluate(state, kind)[0])
+            val = float(lg.evaluate(state.accumulator, kind)[0])
             assert val >= prev
             prev = val
 
@@ -112,8 +112,8 @@ class TestEvaluate:
         eps = 1e-3
         state.accumulator[:] = np.concatenate(
             [np.zeros(5), np.full(state.size - 5, 2 * eps)])
-        sharp = lg.evaluate(state, lg.RelayKind.sharp())
-        moll = lg.evaluate(state, lg.RelayKind.mollified(eps))
+        sharp = lg.evaluate(state.accumulator, lg.RelayKind.sharp())
+        moll = lg.evaluate(state.accumulator, lg.RelayKind.mollified(eps))
         assert np.array_equal(sharp, moll)
 
 
@@ -135,7 +135,7 @@ def test_sharp_irreversibility_on_simulated_history(params):
     high = np.full(state.size, params.u_star + 0.2)
     low = np.full(state.size, params.u_star - 0.2)
     lg.accumulate(state, high, 0.01, 0.01, kind)
-    assert np.all(lg.evaluate(state, kind) == 1.0)
+    assert np.all(lg.evaluate(state.accumulator, kind) == 1.0)
     for n in range(2, 50):
         lg.accumulate(state, low, 0.01, n * 0.01, kind)
-        assert np.all(lg.evaluate(state, kind) == 1.0)
+        assert np.all(lg.evaluate(state.accumulator, kind) == 1.0)

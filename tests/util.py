@@ -6,13 +6,13 @@ from liesegang import model
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 
 
-def make_record(params, grid, times, u=None, p=None, ignition_time=None,
-                relay_kind=None, accum=None):
-    """Assemble a SolutionRecord from explicit snapshot arrays.
+def make_record(params, grid, times, u=None, p=None, ignition_time=None):
+    """Assemble a sharp-relay SolutionRecord from explicit snapshot arrays.
 
     ``u`` defaults to psi on the grid (zero deficit); ``p`` defaults to the
-    canonical indicator of ``ignition_time``; unspecified ignition data stays
-    unset.
+    canonical indicator of ``ignition_time``.  ``p`` is stored as the
+    accumulator, from which the sharp relay derives it exactly.  Unspecified
+    ignition data stays unset.
     """
     times = np.asarray(times, dtype=float)
     x = grid.x
@@ -28,13 +28,10 @@ def make_record(params, grid, times, u=None, p=None, ignition_time=None,
         ell = np.where(np.isfinite(ignition_time), ignition_time, np.inf)
         p = (times[:, None] > ell[None, :]).astype(float)
     return lg.SolutionRecord(
-        params=params, grid=grid,
-        relay_kind=relay_kind or lg.RelayKind.sharp(),
+        params=params, grid=grid, relay_kind=lg.RelayKind.sharp(),
         snapshot_stride=1, scheme="synthetic",
-        times=times, w=u - psi_vals, p=np.asarray(p, dtype=float),
-        accum=accum if accum is not None else np.zeros_like(u),
+        times=times, w=u - psi_vals, accum=np.array(p, dtype=float),
         ignition_time=ignition_time,
-        ignition_u=np.full(n, np.nan),
         ignition_u_right=np.full((n, RIGHT_CELLS), np.nan),
         ignition_u_back=np.full((n, len(BACK_OFFSETS)), np.nan),
         constants=None,
