@@ -191,8 +191,6 @@ def cmd_compare(args) -> int:
         tol = args.agreement_tol
         if tol is None:
             raise ValidationError(["--agreement-tol is required when comparing saved records"])
-        report = comparison.compare(rec1, rec2, tol)
-        eff = cfg.effective_config() if cfg else None
     else:
         cfg = _config_from_args(args)
         if args.epsilon2 is None:
@@ -201,18 +199,14 @@ def cmd_compare(args) -> int:
         rec1 = _run_from_config(cfg)
         tol = _agreement_tol(cfg, args, rec1, epsilon=args.epsilon2)
         rec2 = _run_from_config(replace(cfg, relay_kind=RelayKind.mollified(args.epsilon2)))
-        report = comparison.compare(rec1, rec2, tol)
-        eff = cfg.effective_config()
-    out = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "comparison_report",
-           "effective_config": eff}
-    out.update(report.to_json_dict())
-    jsonio.dump_json(out, args.output)
+    report = comparison.compare(rec1, rec2, tol)
+    path = _write_report(cfg, "comparison_report", report.to_json_dict(), args.output)
     if args.csv:
-        jsonio.write_csv(args.csv, ["t", "sup_diff", "energy"],
+        jsonio.write_csv(_out_path(cfg, args.csv), ["t", "sup_diff", "energy"],
                          zip(report.times.tolist(), report.sup_diff.tolist(),
                              report.energy.tolist()))
     div = report.divergence_time
-    print(f"comparison written to {args.output} (divergence_time: "
+    print(f"comparison written to {path} (divergence_time: "
           f"{'never' if math.isnan(div) else f'{div:.6g}'}, entangled: {report.entangled})")
     return 0
 

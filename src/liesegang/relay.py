@@ -24,6 +24,7 @@ SHARP = "sharp"
 MOLLIFIED = "mollified"
 PROPERTY_P = "property_p"
 _VARIANTS = (SHARP, MOLLIFIED, PROPERTY_P)
+_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 class LengthMismatch(ValueError):
@@ -69,7 +70,9 @@ class RelayState:
     ``cap_time`` holds the parabola time x^2/alpha^2 of every node; only the
     property_p variant consults it.  ``ignition_time`` is NaN until the first
     step with a strict accumulator increase and is set to the end time of
-    that step.
+    that step.  ``last_ignited`` holds the nodes that ignited in the last
+    :func:`accumulate` call, and ``last_ignited_row`` the row of its block
+    at which each did.
     """
 
     u_star: float
@@ -77,6 +80,7 @@ class RelayState:
     ignition_time: np.ndarray
     cap_time: np.ndarray
     last_ignited: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    last_ignited_row: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @staticmethod
     def create(x: np.ndarray, params: ModelParams) -> "RelayState":
@@ -102,29 +106,49 @@ def smoothstep(s):
     return out
 
 
-def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new: float,
+def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
                kind: RelayKind) -> RelayState:
-    """Advance the accumulator by one left-endpoint rectangle of (u - u_star)_+.
+    """Advance the accumulator by left-endpoint rectangles of (u - u_star)_+.
 
-    ``u_field`` is the concentration at the end of the step and ``t_new`` the
-    corresponding time.  For the property_p variant, nodes whose parabola
-    time lies below ``t_new`` are frozen and receive no increment.  Newly
-    ignited node indices are recorded in ``state.last_ignited``.
+    ``u_field`` is the concentration at the end of a step and ``t_new`` the
+    corresponding time, or a ``(k, n)`` block of ``k`` consecutive steps
+    with their ``k`` times.  The rows are added in order, seeded with the
+    current accumulator (``np.add.accumulate``), so a block gives bit for bit
+    what ``k`` one-row calls give.  For the property_p variant, nodes whose
+    parabola time lies below a row's time are frozen and receive no
+    increment from it.  Newly ignited node indices, and the rows they
+    ignited at, are recorded in ``state.last_ignited`` and
+    ``state.last_ignited_row``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u_field = np.asarray(u_field, dtype=float)
-    if u_field.shape[0] != state.size:
-        raise LengthMismatch(f"field has {u_field.shape[0]} nodes, state has {state.size}")
-    inc = u_field - state.u_star
+    if u_field.shape[-1] != state.size:
+        raise LengthMismatch(f"field has {u_field.shape[-1]} nodes, state has {state.size}")
+    times = np.asarray(t_new, dtype=float).reshape(-1, 1)
+    inc = u_field.reshape(-1, state.size) - state.u_star
+    if len(times) != len(inc):
+        raise LengthMismatch(f"{len(inc)} field rows but {len(times)} times")
     np.maximum(inc, 0.0, out=inc)
     inc *= dt
     if kind.variant == PROPERTY_P:
-        inc[t_new > state.cap_time] = 0.0
-    newly = np.flatnonzero((inc > 0.0) & np.isnan(state.ignition_time))
-    state.ignition_time[newly] = t_new
-    state.accumulator += inc
+        inc[times > state.cap_time] = 0.0
+    fresh = (inc > 0.0) & np.isnan(state.ignition_time)
+    rows = newly = _NO_NODES
+    if np.count_nonzero(fresh):
+        # row-major order: a node's first entry is its first rising row
+        rows, newly = np.nonzero(fresh)
+        newly, first = np.unique(newly, return_index=True)
+        rows = rows[first]
+        state.ignition_time[newly] = times[rows, 0]
+    if len(inc) == 1:  # the same sum, without the pass over the block
+        state.accumulator += inc[0]
+    else:
+        inc[0] += state.accumulator
+        np.add.accumulate(inc, axis=0, out=inc)
+        state.accumulator[:] = inc[-1]
     state.last_ignited = newly
+    state.last_ignited_row = rows
     return state
 
 

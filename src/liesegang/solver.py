@@ -11,18 +11,27 @@ trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
 taken implicitly in ``u`` with the precipitation field lagged by one step,
 and the relay accumulator is updated from the newly computed ``u``.
 
-The grid is split at ``J = m + RIGHT_CELLS`` nodes, ``m`` being the relay
-window.  Past the window ``p`` and the forcing are identically zero, so the
-tail beyond the interior obeys the plain heat equation driven only by the
-last interior value; :class:`ModalTail` advances it exactly in the
-eigenmodes of its Crank–Nicolson step, Neumann wall included.  The tail
-enters the interior solve as one diagonal correction and one right-hand-side
-term on row ``J - 1``, so only ``J`` rows are solved per step (274 of 2,401
-at the default grid), and ignition capture never reads past them.  Nothing
-is truncated: up to rounding, the split step is the whole-grid step.  When
+The grid is split at ``J >= m + RIGHT_CELLS`` nodes, ``m`` being the relay
+window, with ``J`` moved out so that the tail length ``n - J`` is
+``scipy.fft.prev_fast_len(n - m - RIGHT_CELLS)``, a length its snapshot DST
+handles fast (2,112 rather than 2,127 = 3 x 709 nodes at the default grid).
+Past the window ``p`` and the forcing are identically zero, so the tail
+beyond the interior obeys the plain heat equation driven only by the last
+interior value; :class:`ModalTail` advances it exactly in the eigenmodes of
+its Crank–Nicolson step, Neumann wall included.  The tail enters the
+interior solve as one diagonal correction and one right-hand-side term on
+row ``J - 1``, so only ``J`` rows are solved per step (289 of 2,401 at the
+default grid), and ignition capture never reads past them.  Nothing is
+truncated: up to rounding, the split step is the whole-grid step.  When
 fewer than ``MIN_TAIL_NODES`` tail nodes would remain (no supercritical
 threshold, or a grid barely wider than the window) the interior is the whole
 grid with its mirrored Neumann row, and there is no tail.
+
+The relay is a distributed non-ideal relay: it switches only at isolated
+ignition events, and between them the field obeys a linear equation with a
+known forcing.  So the relay is not updated after every step but once per
+block of steps in which no node can switch (:class:`Stepper`): each step
+only checks whether a node whose ``p`` can still change has ``u > u_star``.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
@@ -50,10 +59,9 @@ are written once for all three.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, prev_fast_len
 from scipy.linalg import LinAlgError, lapack
 from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing.py wraps it
 from scipy.special import erfc
@@ -62,14 +70,15 @@ from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
-from .relay import RelayKind, RelayState, accumulate, evaluate
+from .relay import MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate
 
 WINDOW_MARGIN_CELLS = 16
 # Grids that would leave fewer tail nodes are solved whole, with the Neumann
 # row: so short a tail saves nothing.
 MIN_TAIL_NODES = 2
-# Steps a ModalTail takes between updates of its mode vector.  Its table of
-# lam**r, r <= TAIL_BLOCK_STEPS, is 2.2 MB on the default grid's 2,127 tail nodes.
+# Steps a ModalTail takes between updates of its mode vector, and the most
+# steps a Stepper takes between relay updates.  The tail's table of lam**r,
+# r <= TAIL_BLOCK_STEPS, is 2.2 MB on the default grid's 2,112 tail nodes.
 TAIL_BLOCK_STEPS = 128
 
 
@@ -119,7 +128,9 @@ class StepMatrix:
     to its diagonal and keeps the ``-mu`` towards the interior.  ``p`` is
     non-zero only on the leading ``p_win.size`` nodes.  :meth:`solve`
     refactors (a full ``gttrf``) only when ``p_win`` differs from the copy it
-    last factored, and counts the refactorizations (``factorizations``).
+    last factored, and counts the refactorizations (``factorizations``).  It
+    compares only a new array: passing the array of the previous call again
+    skips the comparison, so a caller must not change ``p_win`` in place.
     """
 
     def __init__(self, n: int, mu: float, dt: float, tail_h0: float | None = None):
@@ -133,11 +144,13 @@ class StepMatrix:
             self.main_base[-1] -= mu * tail_h0
         self.dt = dt
         self.p_win: np.ndarray | None = None
+        self._last_p_win: np.ndarray | None = None
         self.factors: tuple = ()
         self.factorizations = 0
 
     def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self.p_win is None or (p_win != self.p_win).any():
+        if p_win is not self._last_p_win and (self.p_win is None
+                                              or np.count_nonzero(p_win != self.p_win)):
             d = self.main_base.copy()
             d[: p_win.size] += self.dt * p_win
             dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
@@ -146,6 +159,7 @@ class StepMatrix:
             self.factors = (dl, d, du, du2, ipiv)
             self.p_win = p_win.copy()
             self.factorizations += 1
+        self._last_p_win = p_win
         x, info = lapack.dgttrs(*self.factors, rhs)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
@@ -236,18 +250,32 @@ class ModalTail:
 
 
 class Stepper:
-    """One time step of a scheme: advance the field, update the relay, log ignitions.
+    """One time step of a scheme: advance the field; update the relay when it can switch.
 
     The scheme (``deficit``, ``deposition`` or ``synthetic``; see the module
     docstring), fixed at construction, picks the initial field and time, the
-    advance of one step and the snapshot ``w``; all else is shared.  The
-    ignition log is captured at the step a node first switches, with
-    look-back values from a buffer of past window fields.  ``force_zero_p``
-    pins the precipitation field to zero for the whole run (the trajectory is
-    then bit-identical to a run with u_star = inf).  The stepped field (``w``
-    or ``u``) holds the ``J`` interior nodes; the rest of the grid is the
-    ``tail`` (a :class:`ModalTail`, or None when the interior is the whole
-    grid).
+    advance of one step and the snapshot ``w``; all else is shared.
+    ``force_zero_p`` pins the precipitation field to zero for the whole run
+    (the trajectory is then bit-identical to a run with u_star = inf).  The
+    stepped field (``w`` or ``u``) holds the ``J`` interior nodes; the rest of
+    the grid is the ``tail`` (a :class:`ModalTail`, or None when the interior
+    is the whole grid).
+
+    Each step writes its window ``u`` into a buffer of ``TAIL_BLOCK_STEPS``
+    rows (after ``max(BACK_OFFSETS)`` look-back rows) and checks only whether
+    a live node, one whose ``p`` can still change, has ``u > u_star`` (or any
+    window value is NaN).  The relay is updated for the whole block of steps
+    since the last update (:meth:`_update_relay`: finiteness check of every
+    solved row, one ``accumulate`` over the block, ignition capture with
+    look-back from the buffer, one ``evaluate``) when that check fires, at a
+    snapshot, and when the buffer is full; ``relay_updates`` counts the
+    updates.  While no live node exceeds ``u_star``, ``p`` cannot change, so
+    deferring the update changes nothing: the accumulator sums the same rows
+    in the same order, and every node ignites at the step that fires the
+    check.  Under the mollified relay, while any node is inside the
+    smoothstep band, the relay is updated after every step.  Between updates
+    the accumulator lags (ignition times do not); :meth:`snapshot` brings it
+    up to date.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -270,16 +298,31 @@ class Stepper:
             self.m = _relay_window(params, grid, self.constants)
         self.x_win = self.x[: self.m]
         self.mu = grid.dt / (2.0 * grid.dx**2)
-        self.J = self.m + RIGHT_CELLS if n - self.m - RIGHT_CELLS >= MIN_TAIL_NODES else n
+        # the tail's snapshot DST is slow on lengths with a large prime factor
+        tail = n - self.m - RIGHT_CELLS
+        self.J = n - prev_fast_len(tail) if tail >= MIN_TAIL_NODES else n
         self.tail: ModalTail | None = None
 
         self.step_index = 0
         self.t = 0.0
         self.state = RelayState.create(self.x_win, params)
         self.p_win = np.zeros(self.m)
-        self.past_u = deque(maxlen=max(BACK_OFFSETS))
+        self._dt_p: np.ndarray | None = None  # dt * p_win, computed on first use
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
+        # Rows [_lo, _hi) of the buffers are the steps since the last relay
+        # update: their time, window u and solved interior.  Rows
+        # [_first, _lo) of the u buffer are the look-back steps before them.
+        lookback = max(BACK_OFFSETS)
+        self._t_buf = np.empty(lookback + TAIL_BLOCK_STEPS)
+        self._u_buf = np.empty((self._t_buf.size, self.m))
+        self._solved = np.empty((self._t_buf.size, self.J))
+        self._first = self._lo = self._hi = lookback
+        self._threshold = np.full(self.m, np.inf)  # u_star on live nodes
+        self._every_step = False
+        self.relay_updates = 0
+        if not force_zero_p:
+            self._find_live()
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
@@ -287,13 +330,21 @@ class Stepper:
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
             self._psi_prefactor = model.psi_prefactor(params)
+            self._psi_block = np.empty((0, self.m))
+            self._psi_from = 0
             self._advance = Stepper._advance_deficit
             self._w_now, self._u_rows = Stepper._w_whole, Stepper._u_rows_from_w
+            self._field_name = "deficit field"
         elif scheme == "deposition":
             self.u = self._split(model.psi(self.x, grid.dt, params))
             self._advance = Stepper._advance_deposition
+            self._field_name = "concentration"
             self.step_index, self.t = 1, grid.dt
-            self._update_relay(self.u[: self.m])
+            self._solved[self._hi] = self.u
+            self._u_buf[self._hi] = self.u[: self.m]
+            self._t_buf[self._hi] = self.t
+            self._hi += 1
+            self._update_relay()
         elif scheme == "synthetic":
             self.u_fn = u_fn
             self.u = np.asarray(u_fn(self.x, 0.0), dtype=float)
@@ -302,19 +353,26 @@ class Stepper:
             raise ValueError(f"unknown scheme {scheme!r}")
         tail_h0 = None if self.tail is None else self.tail.h0
         self.matrix = StepMatrix(self.J, self.mu, grid.dt, tail_h0)
-        if scheme != "deposition" and not force_zero_p:
-            self.p_win = evaluate(self.state.accumulator, relay_kind)
 
     def step(self) -> "Stepper":
         t_new = (self.step_index + 1) * self.grid.dt
-        u_win = self._advance(self, t_new)
+        j = self._hi
+        u_win = self._u_buf[j]
+        self._advance(self, t_new, u_win)
         self.step_index += 1
         self.t = t_new
-        self._update_relay(u_win)
+        self._t_buf[j] = t_new
+        self._hi = j + 1
+        # NaN fails <=, so a non-finite window ends the block at once
+        if self._every_step or self._hi == self._t_buf.size or \
+                np.count_nonzero(u_win <= self._threshold) < self.m:
+            self._update_relay()
         return self
 
     def snapshot(self) -> tuple:
         """(t, w, accumulator) on the whole grid; records derive ``p`` from the accumulator."""
+        if self._hi > self._lo:
+            self._update_relay()
         return self.t, self._w_now(self), self._full(self.state.accumulator)
 
     def _split(self, field: np.ndarray) -> np.ndarray:
@@ -346,53 +404,110 @@ class Stepper:
             rhs[-1] += mu * (field[-2] + self.tail.coupling())
         return rhs
 
-    def _solve(self, rhs: np.ndarray, t_new: float, what: str) -> np.ndarray:
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self.matrix.solve(self.p_win, rhs)
-        if not np.isfinite(out).all():
-            raise NonFiniteField(f"non-finite {what} at step {self.step_index + 1}, t={t_new}")
+        self._solved[self._hi] = out
         if self.tail is not None:
             self.tail.advance(out[-1])
         return out
 
-    def _update_relay(self, u_win: np.ndarray) -> None:
-        """Accumulate the window field, log new ignitions, re-evaluate p."""
+    def _update_relay(self) -> None:
+        """Check the block of steps since the last update for non-finite
+        values, accumulate it, log its ignitions and re-evaluate p."""
+        lo, hi = self._lo, self._hi
+        if self.scheme != "synthetic":
+            finite = np.isfinite(self._solved[lo:hi])
+            if np.count_nonzero(finite) < finite.size:
+                j = lo + int(np.argmin(finite.all(axis=1)))
+                raise NonFiniteField(f"non-finite {self._field_name} at step "
+                                     f"{self.step_index - (hi - 1 - j)}, t={self._t_buf[j]}")
         if not self.force_zero_p:
-            accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
-            for i in self.state.last_ignited.tolist():  # an empty ndarray loop is slow
-                hi = min(i + RIGHT_CELLS, self.n)
-                vals = u_win[i:hi] if hi <= self.m else self._u_rows(self, i, hi)
-                self.ignition_u_right[i, : hi - i] = vals
-                # the buffer holds steps >= 1 only, so no look-back reaches step 0
-                for j, k in enumerate(BACK_OFFSETS):
-                    if k <= len(self.past_u):
-                        self.ignition_u_back[i, j] = self.past_u[-k][i]
-            self.p_win = evaluate(self.state.accumulator, self.relay_kind)
-        self.past_u.append(u_win.copy())
+            self.relay_updates += 1
+            state = self.state
+            accumulate(state, self._u_buf[lo:hi], self.grid.dt, self._t_buf[lo:hi],
+                       self.relay_kind)
+            if state.last_ignited.size:
+                self._log_ignitions(state.last_ignited.tolist(),
+                                    (lo + state.last_ignited_row).tolist())
+            self.p_win = evaluate(state.accumulator, self.relay_kind)
+            self._dt_p = None
+            # the band is tested again only when the buffer refills
+            if not self._every_step or hi == self._t_buf.size:
+                self._find_live()
+        self._lo = hi
+        if hi == self._t_buf.size:  # keep the look-back rows, drop the rest
+            keep = max(BACK_OFFSETS)
+            self._u_buf[:keep] = self._u_buf[hi - keep:]
+            self._first = max(self._first - (hi - keep), 0)
+            self._lo = self._hi = keep
 
-    def _advance_deficit(self, t_new: float) -> np.ndarray:
-        # psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0, with
-        # model.capital_psi's arithmetic done in place
-        psi_win = np.divide(self.x_win, math.sqrt(t_new))
-        np.maximum(psi_win, self.params.alpha, out=psi_win)
-        psi_win /= 2.0
-        erfc(psi_win, out=psi_win)
-        psi_win *= self._psi_prefactor
+    def _log_ignitions(self, nodes: list, rows: list) -> None:
+        """Capture ``u`` right of each node that ignited, and at the look-back
+        offsets before its step, from its buffer row."""
+        for i, j in zip(nodes, rows):
+            right = min(i + RIGHT_CELLS, self.n)
+            vals = self._u_buf[j, i:right] if right <= self.m else self._u_rows(self, j, i, right)
+            self.ignition_u_right[i, : right - i] = vals
+            for c, k in enumerate(BACK_OFFSETS):
+                if j - k >= self._first:
+                    self.ignition_u_back[i, c] = self._u_buf[j - k, i]
+
+    def _find_live(self) -> None:
+        """Set the threshold the live check compares each step's window with:
+        ``u_star`` on nodes whose ``p`` can still change, inf elsewhere."""
+        a = self.state.accumulator
+        if self.relay_kind.variant == MOLLIFIED:
+            # some p strictly between 0 and 1: the smoothstep band is not empty
+            self._every_step = self.p_win.dot(1.0 - self.p_win) > 0.0
+            if self._every_step:
+                return
+            # a >= epsilon gives a/epsilon >= 1 and p = 1 for good
+            live = a < self.relay_kind.epsilon
+        elif self.relay_kind.variant == PROPERTY_P:
+            live = (a == 0.0) & (self.state.cap_time >= self.t)
+        else:
+            live = a == 0.0
+        self._threshold = np.where(live, self.state.u_star, np.inf)
+
+    def _psi_window(self) -> np.ndarray:
+        """psi on the window at the end of the coming step.
+
+        psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0, with
+        model.capital_psi's arithmetic done in place, for ``TAIL_BLOCK_STEPS``
+        steps at a time.
+        """
+        r = self.step_index - self._psi_from
+        if r == len(self._psi_block):
+            self._psi_from, r = self.step_index, 0
+            t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
+            psi = np.divide(self.x_win, np.sqrt(t)[:, None])
+            np.maximum(psi, self.params.alpha, out=psi)
+            psi /= 2.0
+            erfc(psi, out=psi)
+            psi *= self._psi_prefactor
+            self._psi_block = psi
+        return self._psi_block[r]
+
+    def _advance_deficit(self, t_new: float, u_win: np.ndarray) -> None:
+        psi_win = self._psi_window()
         rhs = self._explicit_half_step(self.w)
-        rhs[: self.m] -= self.grid.dt * self.p_win * psi_win
-        self.w = self._solve(rhs, t_new, "deficit field")
-        return self.w[: self.m] + psi_win
+        if self._dt_p is None:
+            self._dt_p = self.grid.dt * self.p_win
+        rhs[: self.m] -= self._dt_p * psi_win
+        self.w = self._solve(rhs)
+        np.add(self.w[: self.m], psi_win, out=u_win)
 
-    def _advance_deposition(self, t_new: float) -> np.ndarray:
+    def _advance_deposition(self, t_new: float, u_win: np.ndarray) -> None:
         rhs = self._explicit_half_step(self.u)
         a = self.params.alpha
         _deposit_swept_source(rhs, self.params.beta, a * math.sqrt(self.t), a * math.sqrt(t_new),
                               self.grid.dx)
-        self.u = self._solve(rhs, t_new, "concentration")
-        return self.u[: self.m]
+        self.u = self._solve(rhs)
+        u_win[:] = self.u[: self.m]
 
-    def _advance_prescribed(self, t_new: float) -> np.ndarray:
+    def _advance_prescribed(self, t_new: float, u_win: np.ndarray) -> None:
         self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
-        return self.u
+        u_win[:] = self.u
 
     def _w_whole(self) -> np.ndarray:
         return self._whole(self.w)
@@ -402,11 +517,12 @@ class Stepper:
         w -= model.psi(self.x, self.t, self.params)
         return w
 
-    def _u_rows_from_w(self, lo: int, hi: int) -> np.ndarray:
-        return self.w[lo:hi] + model.psi(self.x[lo:hi], self.t, self.params)
+    # ``u`` on nodes [lo, hi) at buffer row ``j`` of the current block
+    def _u_rows_from_w(self, j: int, lo: int, hi: int) -> np.ndarray:
+        return self._solved[j, lo:hi] + model.psi(self.x[lo:hi], self._t_buf[j], self.params)
 
-    def _u_rows_from_u(self, lo: int, hi: int) -> np.ndarray:
-        return self.u[lo:hi]
+    def _u_rows_from_u(self, j: int, lo: int, hi: int) -> np.ndarray:
+        return self._solved[j, lo:hi]
 
 
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span

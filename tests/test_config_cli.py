@@ -1,6 +1,10 @@
 """Configuration schema, validation, CLI subcommands, report determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.linalg import LinAlgError
@@ -248,6 +252,30 @@ class TestCli:
         lines = (tmp_path / "cmp.csv").read_text().splitlines()
         assert lines[0] == "t,sup_diff,energy"
 
+    def compare_two_records(self, tmp_path, *args):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", path, "-o", "a") == 0
+        assert self.run_cli("simulate", "-c", path, "--relay", "mollified",
+                            "--epsilon", "1e-3", "-o", "b") == 0
+        return self.run_cli("compare", "--rec1", str(tmp_path / "a"),
+                            "--rec2", str(tmp_path / "b"), "--agreement-tol", "0.05", *args)
+
+    def test_compare_without_config_omits_effective_config(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert self.compare_two_records(tmp_path, "-o", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert list(data)[:3] == ["schema_version", "kind", "agreement_tol"]
+        assert "effective_config" not in data
+
+    def test_compare_writes_to_the_configured_output_dir(self, tmp_path):
+        out_dir = tmp_path / "reports"
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(out_dir)), name="out.json")
+        assert self.compare_two_records(tmp_path, "-c", cfg, "-o", "cmp.json",
+                                        "--csv", "cmp.csv") == 0
+        data = json.loads((out_dir / "cmp.json").read_text())
+        assert data["effective_config"]["output_dir"] == str(out_dir)
+        assert (out_dir / "cmp.csv").read_text().startswith("t,sup_diff,energy\n")
+
     @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
     def test_compare_epsilon2_runs_each_configuration_once(self, tmp_path, monkeypatch, scheme):
         # base, refined base (for the measured tolerance) and mollified run,
@@ -343,6 +371,17 @@ class TestCli:
         self.run_cli("constants", "-c", path, "-o", "c.json")
         text = (tmp_path / "c.json").read_text()
         assert "0.43651308861203764" in text  # u_star at full precision
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "liesegang", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: liesegang ")
+    assert "simulate" in done.stdout
 
 
 def test_default_probe_ladder_is_interior(constants):

@@ -1,6 +1,8 @@
 """Relay accumulator and the three precipitation variants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liesegang as lg
 from liesegang.relay import MOLLIFIED, SHARP
@@ -72,6 +74,47 @@ class TestAccumulate:
         # frozen nodes accumulated only while t stayed at or below the parabola
         steps = np.minimum(np.floor(cap / dt + 1e-9), 20)
         assert np.allclose(state_p.accumulator, 0.5 * dt * steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3),
+                            lg.RelayKind.property_p()]),
+           st.integers(1, 24), st.integers(0, 2**32 - 1), st.data())
+    def test_blocks_match_per_row_calls_bit_for_bit(self, kind, rows, seed, data):
+        # rows straddle u_star, repeat it exactly and cross the parabola
+        # times x^2/alpha^2 of the nodes, so the property_p variant freezes
+        # some nodes part way through a block
+        params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)  # not reset per example as a fixture
+        rng = np.random.default_rng(seed)
+        state_rows, x = make_state(params, n=13, dx=0.08)
+        state_blocks, _ = make_state(params, n=13, dx=0.08)
+        dt = 0.013
+        times = dt * np.arange(1, rows + 1)
+        u = params.u_star + rng.normal(scale=0.05, size=(rows, x.size))
+        u[rng.uniform(size=u.shape) < 0.2] = params.u_star
+        history = []
+        for r in range(rows):
+            lg.accumulate(state_rows, u[r].copy(), dt, times[r], kind)
+            history.append(state_rows.accumulator.copy())
+        cuts = data.draw(st.lists(st.integers(1, max(rows - 1, 1)), unique=True, max_size=6))
+        bounds = [0, *sorted(c for c in cuts if c < rows), rows]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            before = state_blocks.ignition_time.copy()
+            lg.accumulate(state_blocks, u[lo:hi], dt, times[lo:hi], kind)
+            newly = state_blocks.last_ignited
+            assert np.isnan(before[newly]).all()
+            assert np.array_equal(state_blocks.ignition_time[newly],
+                                  times[lo + state_blocks.last_ignited_row])
+            assert np.array_equal(state_blocks.accumulator, history[hi - 1])
+        assert np.array_equal(state_blocks.ignition_time, state_rows.ignition_time,
+                              equal_nan=True)
+        # the relay is irreversible: the accumulator never decreases
+        assert np.all(np.diff(np.array([np.zeros(x.size), *history]), axis=0) >= 0.0)
+
+    def test_block_needs_one_time_per_row(self, params):
+        state, _ = make_state(params)
+        with pytest.raises(lg.LengthMismatch):
+            lg.accumulate(state, np.zeros((3, state.size)), 0.01, [0.01, 0.02],
+                          lg.RelayKind.sharp())
 
 
 class TestEvaluate:

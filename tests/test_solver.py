@@ -2,6 +2,7 @@
 import gc
 import math
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import liesegang as lg
-from liesegang import solver
+from liesegang import cli, model, relay, solver
+from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
 
@@ -277,6 +279,224 @@ class TestModalTail:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def per_row_accumulate(state, u_win, dt, t_new, kind):
+    """One rectangle of (u - u_star)_+ per call; returns the nodes that ignited."""
+    inc = u_win - state.u_star
+    np.maximum(inc, 0.0, out=inc)
+    inc *= dt
+    if kind.variant == "property_p":
+        inc[t_new > state.cap_time] = 0.0
+    newly = np.flatnonzero((inc > 0.0) & np.isnan(state.ignition_time))
+    state.ignition_time[newly] = t_new
+    state.accumulator += inc
+    return newly
+
+
+class PerStepRelay(solver.Stepper):
+    """The relay updated after every step, with a look-back deque: the
+    reference the block updates of :class:`solver.Stepper` must match bit
+    for bit."""
+
+    def __init__(self, *args, **kwargs):
+        self.past_u = deque(maxlen=max(BACK_OFFSETS))
+        super().__init__(*args, **kwargs)
+
+    def step(self):
+        super().step()
+        if self._hi > self._lo:
+            self._update_relay()
+        return self
+
+    def _update_relay(self):
+        (j,) = range(self._lo, self._hi)
+        u_win = self._u_buf[j].copy()
+        if self.scheme != "synthetic" and not np.isfinite(self._solved[j]).all():
+            raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
+        if not self.force_zero_p:
+            newly = per_row_accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
+            for i in newly:
+                hi = min(i + RIGHT_CELLS, self.n)
+                if hi <= self.m:
+                    vals = u_win[i:hi]
+                elif self.scheme == "deficit":
+                    vals = self.w[i:hi] + model.psi(self.x[i:hi], self.t, self.params)
+                else:
+                    vals = self.u[i:hi]
+                self.ignition_u_right[i, : hi - i] = vals
+                for c, k in enumerate(BACK_OFFSETS):
+                    if k <= len(self.past_u):
+                        self.ignition_u_back[i, c] = self.past_u[-k][i]
+            self.p_win = relay.evaluate(self.state.accumulator, self.relay_kind)
+            self._dt_p = None
+        self.past_u.append(u_win)
+        self._lo = self._hi = max(BACK_OFFSETS)
+
+
+RECORD_ARRAYS = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
+RELAYS = (lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p())
+
+
+def with_oracle(monkeypatch, build):
+    """``build()`` with the block stepper, then with :class:`PerStepRelay`."""
+    steppers = []
+    init = solver.Stepper.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        steppers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver.Stepper, "__init__", recording_init)
+        rec = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "Stepper", PerStepRelay)
+        ref = build()
+    return rec, ref, steppers[0]
+
+
+def assert_same_record(rec, ref):
+    for name in RECORD_ARRAYS:
+        assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
+
+
+# Ignition steps of the prescribed field below, with snapshots every 7 steps:
+# 14 and 21 are snapshot steps, 15 the first step of the next block, 20 and
+# 21 are consecutive, and the look-backs from 15 and 21 reach into earlier
+# blocks.
+IGNITION_STEPS = {3: 14, 5: 15, 7: 20, 8: 21, 10: 30, 12: 44}
+FIELD_GRID = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
+
+
+def stepped_field(x, t):
+    """Below u_star, rising with the step and the node, until a node's ignition step."""
+    step = round(t / FIELD_GRID.dt)
+    nodes = np.arange(x.size)
+    on = np.array([IGNITION_STEPS.get(i, 10**9) <= step for i in nodes])
+    return np.where(on, PARAMS.u_star + 0.1, PARAMS.u_star - 0.5 + 1e-3 * step + 1e-5 * nodes)
+
+
+class TestBlockRelay:
+    """The relay is updated once per block of steps in which no node can
+    switch; every record array must equal the per-step update's."""
+
+    @pytest.mark.parametrize("force_zero_p", [False, True])
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    def test_runs_match_the_per_step_update(self, monkeypatch, kind, scheme, force_zero_p):
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        runner = solver.runner(scheme)
+        rec, ref, stepper = with_oracle(
+            monkeypatch, lambda: runner(PARAMS, grid, kind, snapshot_stride=10,
+                                        force_zero_p=force_zero_p))
+        assert_same_record(rec, ref)
+        ignited = np.isfinite(rec.ignition_time).sum()
+        assert ignited == 0 if force_zero_p else ignited > 10
+        if force_zero_p:
+            assert stepper.relay_updates == 0
+        elif kind.variant != "mollified":
+            # blocks end at snapshots and ignition steps, not at every step
+            assert stepper.relay_updates < grid.n_t // 4
+
+    @pytest.mark.parametrize("block", [None, 2])
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    def test_look_back_across_blocks_and_buffer_refills(self, monkeypatch, kind, block):
+        # TAIL_BLOCK_STEPS = 2 refills the buffer every two steps, so the
+        # look-back reads rows carried over from earlier fills
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        grid = coarse_grid(t_max=0.1, x_max=4.0)
+        rec, ref, _ = with_oracle(monkeypatch, lambda: lg.run(PARAMS, grid, kind,
+                                                              snapshot_stride=25))
+        assert_same_record(rec, ref)
+        assert np.isfinite(rec.ignition_u_back).all(axis=1).sum() > 5
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    def test_prescribed_fields_match_the_per_step_update(self, monkeypatch, kind, stride):
+        def build():
+            return lg.SolutionRecord.from_fields(
+                lambda x, t: PARAMS.u_star + 0.3 * np.sin(7 * x + 11 * t) - 0.1 * x,
+                PARAMS, FIELD_GRID, kind, snapshot_stride=stride)
+
+        rec, ref, _ = with_oracle(monkeypatch, build)
+        assert_same_record(rec, ref)
+        assert np.isfinite(rec.ignition_time).sum() > 10
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_ignitions_at_block_edges_and_on_consecutive_steps(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        rec, ref, stepper = with_oracle(monkeypatch, lambda: lg.SolutionRecord.from_fields(
+            stepped_field, PARAMS, FIELD_GRID, snapshot_stride=7))
+        assert_same_record(rec, ref)
+        dt, x = FIELD_GRID.dt, FIELD_GRID.x
+        ignited = {int(i): int(round(rec.ignition_time[i] / dt))
+                   for i in np.flatnonzero(np.isfinite(rec.ignition_time))}
+        assert ignited == IGNITION_STEPS
+        for i, step in IGNITION_STEPS.items():
+            expected = [stepped_field(x, (step - k) * dt)[i] if step - k >= 1 else np.nan
+                        for k in BACK_OFFSETS]
+            np.testing.assert_array_equal(rec.ignition_u_back[i], expected)
+            np.testing.assert_array_equal(rec.ignition_u_right[i],
+                                          stepped_field(x, step * dt)[i:i + RIGHT_CELLS])
+        if block is None:
+            # the snapshots, plus one update per ignition step off a snapshot
+            off_snapshot = sum(step % 7 != 0 for step in IGNITION_STEPS.values())
+            assert stepper.relay_updates == rec.times.size - 1 + off_snapshot
+
+    def test_property_p_node_freezing_inside_a_block(self, monkeypatch):
+        # node 6 (x = 0.3) freezes once t > 0.09, at step 10 of the block of
+        # steps 8-14, and exceeds u_star from step 12: it never ignites, and
+        # after the one update its excess forces it is no longer watched
+        node, start = 6, 12
+
+        def field(x, t):
+            u = np.full(x.size, PARAMS.u_star - 0.2)
+            if round(t / FIELD_GRID.dt) >= start:
+                u[node] = PARAMS.u_star + 0.2
+            return u
+
+        kind = lg.RelayKind.property_p()
+        rec, ref, stepper = with_oracle(monkeypatch, lambda: lg.SolutionRecord.from_fields(
+            field, PARAMS, FIELD_GRID, kind, snapshot_stride=7))
+        assert_same_record(rec, ref)
+        assert (FIELD_GRID.x[node] / PARAMS.alpha) ** 2 < start * FIELD_GRID.dt
+        assert not np.isfinite(rec.ignition_time).any()
+        assert stepper.relay_updates == rec.times.size - 1 + 1
+        assert stepper._threshold[node] == np.inf
+
+    @staticmethod
+    def poison_solve(monkeypatch, call):
+        """Make the ``call``-th interior solve return NaN in its last row,
+        past the relay window."""
+        real = solver.StepMatrix.solve
+        calls = []
+
+        def solve(self, p_win, rhs):
+            out = real(self, p_win, rhs)
+            calls.append(None)
+            if len(calls) == call:
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver.StepMatrix, "solve", solve)
+
+    @pytest.mark.parametrize("scheme, first_step", [("deficit", 1), ("deposition", 2)])
+    def test_nan_inside_a_block_names_its_step(self, monkeypatch, scheme, first_step):
+        grid = coarse_grid()
+        self.poison_solve(monkeypatch, 35)
+        bad = 35 + first_step - 1
+        with pytest.raises(lg.NonFiniteField, match=f"at step {bad}, t={bad * grid.dt}$"):
+            solver.runner(scheme)(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20)
+
+    def test_nan_inside_a_block_fails_the_cli_with_status_2(self, tmp_path, monkeypatch, capsys):
+        self.poison_solve(monkeypatch, 35)
+        code = cli.main(["simulate", "--dx", "0.02", "--dt", "1e-4", "--x-max", "2.0",
+                         "--t-max", "0.05", "--stride", "20", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "numerical failure: non-finite deficit field at step 35," in capsys.readouterr().err
 
 
 class TestInvariants:

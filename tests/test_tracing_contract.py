@@ -32,12 +32,28 @@ def test_every_traced_name_exists():
         assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
 
 
-# The deficit stepper evaluates the relay once more, before its first step;
-# the deposition scheme's bootstrap over [0, dt] stands in for its first step.
-@pytest.mark.parametrize("runner, extra_evaluate", [(lg.run, 1), (lg.source_deposition_run, 0)])
+def capture_steppers(monkeypatch) -> list:
+    """(stepper, relay updates made while it was built) for every
+    :class:`solver.Stepper` built from now on, in order."""
+    steppers = []
+    init = solver.Stepper.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        steppers.append((self, self.relay_updates))
+
+    monkeypatch.setattr(solver.Stepper, "__init__", recording_init)
+    return steppers
+
+
+# The relay is updated once per block of steps in which no node can switch,
+# not once per step: one accumulate and one evaluate per update.  The
+# deposition scheme's bootstrap over [0, dt] is an update made before its
+# first step.
+@pytest.mark.parametrize("runner, updates_at_start", [(lg.run, 0), (lg.source_deposition_run, 1)])
 @pytest.mark.parametrize("relay", [lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3)])
 def test_time_loops_call_the_relay_through_the_solver_namespace(monkeypatch, runner,
-                                                                extra_evaluate, relay):
+                                                                updates_at_start, relay):
     calls = {"accumulate": 0, "evaluate": 0}
 
     def spy(name):
@@ -51,9 +67,16 @@ def test_time_loops_call_the_relay_through_the_solver_namespace(monkeypatch, run
 
     for name in calls:
         monkeypatch.setattr(solver, name, spy(name))
+    steppers = capture_steppers(monkeypatch)
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
     runner(PARAMS, grid, relay, snapshot_stride=20)
-    assert calls == {"accumulate": grid.n_t, "evaluate": grid.n_t + extra_evaluate}
+    ((stepper, at_start),) = steppers
+    assert at_start == updates_at_start
+    # every snapshot ends a block, and the sharp relay switches rarely
+    assert grid.n_t // 20 <= stepper.relay_updates <= grid.n_t
+    if relay.variant == "sharp":
+        assert stepper.relay_updates < grid.n_t // 4
+    assert calls == {"accumulate": stepper.relay_updates, "evaluate": stepper.relay_updates}
 
 
 def spy_on(owner, name, monkeypatch):
@@ -82,9 +105,12 @@ def test_both_schemes_step_through_the_traced_step(monkeypatch, runner, missing_
 def test_prescribed_fields_update_the_relay_through_the_solver_namespace(monkeypatch):
     calls = {name: spy_on(solver, name, monkeypatch) for name in ("accumulate", "evaluate")}
     steps = spy_on(solver.DeficitStepper, "step", monkeypatch)
+    steppers = capture_steppers(monkeypatch)
     grid = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
     lg.SolutionRecord.from_fields(lambda x, t: np.full(np.shape(x), PARAMS.u_star + t - 0.2),
                                   PARAMS, grid, snapshot_stride=7)
+    ((stepper, _),) = steppers
     assert len(steps) == grid.n_t
-    assert len(calls["accumulate"]) == grid.n_t
-    assert len(calls["evaluate"]) == grid.n_t + 1
+    assert 0 < stepper.relay_updates < grid.n_t
+    assert len(calls["accumulate"]) == stepper.relay_updates
+    assert len(calls["evaluate"]) == stepper.relay_updates
