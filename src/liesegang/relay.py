@@ -141,7 +141,8 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
         newly, first = np.unique(newly, return_index=True)
         rows = rows[first]
         state.ignition_time[newly] = times[rows, 0]
-    if len(inc) == 1:  # the same sum, without the pass over the block
+    # the same sum; a one-row block (every mollified step) skips the block pass
+    if len(inc) == 1:
         state.accumulator += inc[0]
     else:
         inc[0] += state.accumulator

@@ -32,6 +32,8 @@ ignition events, and between them the field obeys a linear equation with a
 known forcing.  So the relay is not updated after every step but once per
 block of steps in which no node can switch (:class:`Stepper`): each step
 only checks whether a node whose ``p`` can still change has ``u > u_star``.
+The mollified relay, whose ``p`` moves on every step a node spends in its
+smoothstep band, is still updated after every step.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
@@ -128,9 +130,7 @@ class StepMatrix:
     to its diagonal and keeps the ``-mu`` towards the interior.  ``p`` is
     non-zero only on the leading ``p_win.size`` nodes.  :meth:`solve`
     refactors (a full ``gttrf``) only when ``p_win`` differs from the copy it
-    last factored, and counts the refactorizations (``factorizations``).  It
-    compares only a new array: passing the array of the previous call again
-    skips the comparison, so a caller must not change ``p_win`` in place.
+    last factored, and counts the refactorizations (``factorizations``).
     """
 
     def __init__(self, n: int, mu: float, dt: float, tail_h0: float | None = None):
@@ -144,13 +144,11 @@ class StepMatrix:
             self.main_base[-1] -= mu * tail_h0
         self.dt = dt
         self.p_win: np.ndarray | None = None
-        self._last_p_win: np.ndarray | None = None
         self.factors: tuple = ()
         self.factorizations = 0
 
     def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if p_win is not self._last_p_win and (self.p_win is None
-                                              or np.count_nonzero(p_win != self.p_win)):
+        if self.p_win is None or np.count_nonzero(p_win != self.p_win):
             d = self.main_base.copy()
             d[: p_win.size] += self.dt * p_win
             dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
@@ -159,7 +157,6 @@ class StepMatrix:
             self.factors = (dl, d, du, du2, ipiv)
             self.p_win = p_win.copy()
             self.factorizations += 1
-        self._last_p_win = p_win
         x, info = lapack.dgttrs(*self.factors, rhs)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
@@ -272,10 +269,10 @@ class Stepper:
     updates.  While no live node exceeds ``u_star``, ``p`` cannot change, so
     deferring the update changes nothing: the accumulator sums the same rows
     in the same order, and every node ignites at the step that fires the
-    check.  Under the mollified relay, while any node is inside the
-    smoothstep band, the relay is updated after every step.  Between updates
-    the accumulator lags (ignition times do not); :meth:`snapshot` brings it
-    up to date.
+    check.  The mollified relay is updated after every step: its ``p`` can
+    change on any step a node spends inside the smoothstep band.  Between
+    updates the accumulator lags (ignition times do not); :meth:`snapshot`
+    brings it up to date.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -319,9 +316,9 @@ class Stepper:
         self._solved = np.empty((self._t_buf.size, self.J))
         self._first = self._lo = self._hi = lookback
         self._threshold = np.full(self.m, np.inf)  # u_star on live nodes
-        self._every_step = False
+        self._every_step = relay_kind.variant == MOLLIFIED
         self.relay_updates = 0
-        if not force_zero_p:
+        if not (force_zero_p or self._every_step):
             self._find_live()
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
@@ -431,8 +428,7 @@ class Stepper:
                                     (lo + state.last_ignited_row).tolist())
             self.p_win = evaluate(state.accumulator, self.relay_kind)
             self._dt_p = None
-            # the band is tested again only when the buffer refills
-            if not self._every_step or hi == self._t_buf.size:
+            if not self._every_step:
                 self._find_live()
         self._lo = hi
         if hi == self._t_buf.size:  # keep the look-back rows, drop the rest
@@ -453,17 +449,11 @@ class Stepper:
                     self.ignition_u_back[i, c] = self._u_buf[j - k, i]
 
     def _find_live(self) -> None:
-        """Set the threshold the live check compares each step's window with:
-        ``u_star`` on nodes whose ``p`` can still change, inf elsewhere."""
+        """Set the threshold the live check of the sharp and property_p
+        relays compares each step's window with: ``u_star`` on nodes whose
+        ``p`` can still change, inf elsewhere."""
         a = self.state.accumulator
-        if self.relay_kind.variant == MOLLIFIED:
-            # some p strictly between 0 and 1: the smoothstep band is not empty
-            self._every_step = self.p_win.dot(1.0 - self.p_win) > 0.0
-            if self._every_step:
-                return
-            # a >= epsilon gives a/epsilon >= 1 and p = 1 for good
-            live = a < self.relay_kind.epsilon
-        elif self.relay_kind.variant == PROPERTY_P:
+        if self.relay_kind.variant == PROPERTY_P:
             live = (a == 0.0) & (self.state.cap_time >= self.t)
         else:
             live = a == 0.0
@@ -535,12 +525,19 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     stepper = Stepper(params, grid, relay_kind, **options)
-    snapshots = [stepper.snapshot()]
-    for n in range(stepper.step_index + 1, grid.n_t + 1):
+    steps = np.arange(stepper.step_index + 1, grid.n_t + 1)
+    taken = (steps % snapshot_stride == 0) | (steps == grid.n_t)
+    # filled in place: stacking a list of snapshots would hold each one twice
+    times = np.empty(1 + np.count_nonzero(taken))
+    w = np.empty((times.size, stepper.n))
+    accum = np.empty_like(w)
+    times[0], w[0], accum[0] = stepper.snapshot()
+    k = 1
+    for take in taken.tolist():
         stepper.step()
-        if n % snapshot_stride == 0 or n == grid.n_t:
-            snapshots.append(stepper.snapshot())
-    times, w, accum = (np.array(column) for column in zip(*snapshots))
+        if take:
+            times[k], w[k], accum[k] = stepper.snapshot()
+            k += 1
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
         scheme=stepper.scheme, times=times, w=w, accum=accum,
