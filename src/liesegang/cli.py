@@ -177,9 +177,7 @@ def cmd_toy(args) -> int:
                                          dt=args.toy_dt))
     print(table.to_text())
     if args.output:
-        report = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "toy_report"}
-        report.update(table.to_json_dict())
-        jsonio.dump_json(report, args.output)
+        _write_report(None, "toy_report", table.to_json_dict(), args.output)
     return 0
 
 

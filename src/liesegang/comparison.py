@@ -247,7 +247,6 @@ def _run_for_sweep(args):
 
 def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbations, *,
                        agreement_tol: float | None = None,
-                       refinement_error: float | None = None,
                        snapshot_stride: int = 100, workers: int = 1,
                        scheme: str = "deficit") -> list[SweepRow]:
     """Run the base configuration against each perturbation and tabulate the
@@ -256,8 +255,8 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
     Each perturbation is a ``RelayKind`` (same grid) or a ``GridSpec`` (same
     relay, comparison interpolated onto the coarser grid).  When no explicit
     ``agreement_tol`` is given, the per-row default combines 10x the
-    self-refinement error (measured with one simultaneous halving if not
-    supplied) with the mollification envelope of the row's relay width.
+    self-refinement error (measured with one simultaneous halving) with the
+    mollification envelope of the row's relay width.
     Every run uses ``scheme`` (``deficit`` or ``deposition``).  Perturbed
     runs share no state and fan out over ``workers`` processes when
     workers > 1; the table is identical either way.
@@ -266,10 +265,9 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
         return []
     base = solver.runner(scheme)(params, grid, base_relay, snapshot_stride=snapshot_stride)
     t_unique = base.constants.T_unique if base.constants else math.nan
-    rate = None
+    refinement_error = rate = None
     if agreement_tol is None:
-        if refinement_error is None:
-            refinement_error = measure_refinement_error(base, t_unique)
+        refinement_error = measure_refinement_error(base, t_unique)
         rate = median_ignition_rate(base, t_max=t_unique)
 
     jobs = []

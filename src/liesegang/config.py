@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .duhamel import DEFAULT_RATE_FLOOR, DEFAULT_SLOPE_FLOOR
@@ -95,7 +95,6 @@ class RunConfig:
     probes: tuple
     tolerances: Tolerances
     output_dir: str
-    u_star_fraction: float | None = field(default=None, compare=False)
 
     def effective_config(self) -> dict:
         """All keys materialized; parsing this dict reproduces the config."""
@@ -218,8 +217,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     params = constants = None
     if not violations and alpha and beta:
-        if u_star is not None and fraction is not None and merged["u_star"] is not None \
-                and merged["u_star_fraction"] is not None:
+        # the fraction's default applies only when u_star is not given
+        if u_star is not None and raw.get("u_star_fraction") is not None:
             violations.append("u_star and u_star_fraction are mutually exclusive")
         else:
             if u_star is not None:
@@ -255,7 +254,6 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         scheme=merged["scheme"], snapshot_stride=stride,
         probes=tuple((float(p[0]), float(p[1])) for p in probes),
         tolerances=Tolerances(**tol_kwargs), output_dir=str(output_dir),
-        u_star_fraction=fraction if merged["u_star"] is None else None,
     )
 
 

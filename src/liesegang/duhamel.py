@@ -11,8 +11,11 @@ integrals extend over the even reflection across x = 0.
 
 F1's space-time mass ``p u_t ds`` does not depend on the probe.  It is
 tabulated once per record, per snapshot cell and only on the columns where p
-is ever non-zero (:func:`f1_mass_table`, cached on the record like the u_t
-table), so each probe costs one kernel-matrix contraction over that table.
+is ever non-zero (:func:`f1_mass_table`, cached on the record), so each probe
+costs one kernel-matrix contraction over that table.  ``p`` is evaluated
+from the accumulator on those columns only, and u_t only on the snapshot
+rows a probe reads (:func:`ut_table`), so neither is built on the whole
+record.
 
 F2's integrand has an integrable ``1/sqrt(t - ell)`` singularity where the
 front crosses the evaluation time.  Each grid cell is integrated with the
@@ -31,6 +34,7 @@ import numpy as np
 from . import model
 from .fronts import FrontFunction
 from .records import BACK_OFFSETS, SolutionRecord
+from .relay import evaluate
 
 DEFAULT_SLOPE_FLOOR = 1e-4
 DEFAULT_RATE_FLOOR = 1e-4
@@ -54,30 +58,26 @@ class DegenerateRate(ValueError):
 
 # -- u_t from snapshots -------------------------------------------------------
 
-def ut_table(record: SolutionRecord) -> np.ndarray:
-    """Discrete u_t at every snapshot: centered differences, one-sided at the
-    record ends and around each node's ignition time (cached on the record)."""
-    if record._ut_cache is not None:
-        return record._ut_cache
+def ut_table(record: SolutionRecord, k: int) -> np.ndarray:
+    """Discrete u_t at snapshot ``k``: centered differences, one-sided at the
+    record ends and around each node's ignition time."""
     u = record.u
     t = record.times
-    ut = np.empty_like(u)
-    ut[1:-1] = (u[2:] - u[:-2]) / (t[2:, None] - t[:-2, None])
-    ut[0] = (u[1] - u[0]) / (t[1] - t[0])
-    ut[-1] = (u[-1] - u[-2]) / (t[-1] - t[-2])
-    for i in np.flatnonzero(np.isfinite(record.ignition_time)):
-        ell = record.ignition_time[i]
-        k_up = int(np.searchsorted(t, ell))
-        # Rows whose centered stencil straddles the ignition time switch to
-        # the one-sided difference taken on their own side of the front.
-        k = k_up - 1
-        if 1 <= k <= t.size - 2 and t[k + 1] >= ell:
-            ut[k, i] = (u[k, i] - u[k - 1, i]) / (t[k] - t[k - 1])
-        k = k_up
-        if 1 <= k <= t.size - 2 and t[k - 1] < ell:
-            ut[k, i] = (u[k + 1, i] - u[k, i]) / (t[k + 1] - t[k])
-    record._ut_cache = ut
-    return ut
+    if k == 0:
+        return (u[1] - u[0]) / (t[1] - t[0])
+    if k == t.size - 1:
+        return (u[-1] - u[-2]) / (t[-1] - t[-2])
+    row = (u[k + 1] - u[k - 1]) / (t[k + 1] - t[k - 1])
+    # A centered stencil that straddles a node's ignition time switches to the
+    # one-sided difference taken on its own side of the front: backward when
+    # the ignition lies in (t_k, t_k+1], forward when it lies in (t_k-1, t_k].
+    ignited = np.flatnonzero(np.isfinite(record.ignition_time))
+    k_up = np.searchsorted(t, record.ignition_time[ignited])
+    back = ignited[k_up == k + 1]
+    row[back] = (u[k, back] - u[k - 1, back]) / (t[k] - t[k - 1])
+    fwd = ignited[k_up == k]
+    row[fwd] = (u[k + 1, fwd] - u[k, fwd]) / (t[k + 1] - t[k])
+    return row
 
 
 def _interp_node(x_grid: np.ndarray, values_row: np.ndarray, x: float) -> float:
@@ -97,8 +97,10 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     """
     if record._f1_mass_cache is not None:
         return record._f1_mass_cache
-    cols = np.flatnonzero(record.p.any(axis=0))
-    p = record.p[:, cols]
+    # The accumulator never decreases, so p is ever non-zero exactly where it
+    # is non-zero at the last snapshot.
+    cols = np.flatnonzero(evaluate(record.accum[-1], record.relay_kind) > 0.0)
+    p = evaluate(record.accum[:, cols], record.relay_kind)
     u = record.u[:, cols]
     ell = record.ignition_time[cols]
     times = record.times[:, None]
@@ -157,8 +159,8 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
         row[cols] = mass[k]
         total += _interp_node(xg, row, x)
 
-    ut = ut_table(record)
-    total += (t - times[K]) * _interp_node(xg, record.p[K] * ut[K], x)
+    p_K = evaluate(record.accum[K], record.relay_kind)
+    total += (t - times[K]) * _interp_node(xg, p_K * ut_table(record, K), x)
     return float(total)
 
 
@@ -249,12 +251,11 @@ def _off_front_guard(front: FrontFunction, x: float, t: float, dx: float, dt: fl
 
 
 def _ut_at(record: SolutionRecord, x: float, t: float) -> float:
-    ut = ut_table(record)
     times = record.times
     k = min(max(int(np.searchsorted(times, t)) - 1, 0), times.size - 2)
     frac = (t - times[k]) / (times[k + 1] - times[k])
     frac = min(max(frac, 0.0), 1.0)
-    row = (1.0 - frac) * ut[k] + frac * ut[k + 1]
+    row = (1.0 - frac) * ut_table(record, k) + frac * ut_table(record, k + 1)
     return _interp_node(record.x, row, x)
 
 

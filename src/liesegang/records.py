@@ -80,11 +80,11 @@ class SolutionRecord:
     ignition_u_right: np.ndarray
     ignition_u_back: np.ndarray
     constants: ModelConstants | None = None
-    # Derived-data caches, filled on first use: u = w + psi, p, the u_t table
-    # and the F1 cell-mass table (``liesegang.duhamel``).
+    # Derived-data caches, filled on first use: u = w + psi, p and the F1
+    # cell-mass table (``liesegang.duhamel``, which builds neither p nor u_t on
+    # the whole record).
     _u_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _p_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _ut_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
@@ -158,7 +158,8 @@ class SolutionRecord:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{json_path}: malformed sidecar ({exc!r})") from exc
         try:
-            with np.load(npz_path) as data:
+            # our own handle: np.load leaves the file open when the zip is unreadable
+            with open(npz_path, "rb") as fh, np.load(fh) as data:
                 arrays = {name: data[name] for name in _ARRAY_NAMES if name in data.files}
         except (zipfile.BadZipFile, EOFError, ValueError) as exc:
             raise ValueError(f"{npz_path}: unreadable record arrays ({exc})") from exc

@@ -3,7 +3,10 @@
 Each grid node carries an accumulator ``a(x, t) = integral of (u - u_star)_+``
 and a precipitation value derived from it.  The relay never switches back:
 the accumulator is non-negative and non-decreasing, so the precipitation
-value is non-decreasing in time at every node.
+value is non-decreasing in time at every node.  :class:`RelayState` holds
+only the accumulators, ignition times and parabola times;
+:func:`accumulate` returns the nodes that ignited during the call, with the
+step of its block at which each did, rather than storing them.
 
 Three variants are supported:
 
@@ -14,7 +17,7 @@ Three variants are supported:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,17 +73,13 @@ class RelayState:
     ``cap_time`` holds the parabola time x^2/alpha^2 of every node; only the
     property_p variant consults it.  ``ignition_time`` is NaN until the first
     step with a strict accumulator increase and is set to the end time of
-    that step.  ``last_ignited`` holds the nodes that ignited in the last
-    :func:`accumulate` call, and ``last_ignited_row`` the row of its block
-    at which each did.
+    that step.
     """
 
     u_star: float
     accumulator: np.ndarray
     ignition_time: np.ndarray
     cap_time: np.ndarray
-    last_ignited: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    last_ignited_row: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @staticmethod
     def create(x: np.ndarray, params: ModelParams) -> "RelayState":
@@ -107,7 +106,7 @@ def smoothstep(s):
 
 
 def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
-               kind: RelayKind) -> RelayState:
+               kind: RelayKind) -> tuple[np.ndarray, np.ndarray]:
     """Advance the accumulator by left-endpoint rectangles of (u - u_star)_+.
 
     ``u_field`` is the concentration at the end of a step and ``t_new`` the
@@ -116,9 +115,9 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
     current accumulator (``np.add.accumulate``), so a block gives bit for bit
     what ``k`` one-row calls give.  For the property_p variant, nodes whose
     parabola time lies below a row's time are frozen and receive no
-    increment from it.  Newly ignited node indices, and the rows they
-    ignited at, are recorded in ``state.last_ignited`` and
-    ``state.last_ignited_row``.
+    increment from it.  Returns ``(nodes, rows)``: the nodes that ignited in
+    this call, in increasing order, and the row of the block at which each
+    did (0 for a single field).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -148,9 +147,7 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
         inc[0] += state.accumulator
         np.add.accumulate(inc, axis=0, out=inc)
         state.accumulator[:] = inc[-1]
-    state.last_ignited = newly
-    state.last_ignited_row = rows
-    return state
+    return newly, rows
 
 
 def evaluate(accumulator: np.ndarray, kind: RelayKind) -> np.ndarray:

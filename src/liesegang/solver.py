@@ -258,13 +258,15 @@ class Stepper:
     the grid is the ``tail`` (a :class:`ModalTail`, or None when the interior
     is the whole grid).
 
-    Each step writes its window ``u`` into a buffer of ``TAIL_BLOCK_STEPS``
-    rows (after ``max(BACK_OFFSETS)`` look-back rows) and checks only whether
-    a live node, one whose ``p`` can still change, has ``u > u_star`` (or any
-    window value is NaN).  The relay is updated for the whole block of steps
-    since the last update (:meth:`_update_relay`: finiteness check of every
-    solved row, one ``accumulate`` over the block, ignition capture with
-    look-back from the buffer, one ``evaluate``) when that check fires, at a
+    Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
+    (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
+    ``max(BACK_OFFSETS)`` look-back rows) and checks only whether a live node,
+    one whose ``p`` can still change, has ``u > u_star`` (or any buffered
+    value is NaN).  The relay is updated for the whole block of steps since
+    the last update (:meth:`_update_relay`: finiteness check of every solved
+    row, one ``accumulate`` over the block's window columns, which returns
+    the ignitions, their capture from the buffer rows, one ``evaluate``, and
+    ``dt*p`` for the deficit forcing) when that check fires, at a
     snapshot, and when the buffer is full; ``relay_updates`` counts the
     updates.  While no live node exceeds ``u_star``, ``p`` cannot change, so
     deferring the update changes nothing: the accumulator sums the same rows
@@ -293,29 +295,30 @@ class Stepper:
             self.constants = constants if constants is not None else _constants_or_none(params)
             _check_domain(grid, self.constants)
             self.m = _relay_window(params, grid, self.constants)
-        self.x_win = self.x[: self.m]
         self.mu = grid.dt / (2.0 * grid.dx**2)
         # the tail's snapshot DST is slow on lengths with a large prime factor
         tail = n - self.m - RIGHT_CELLS
         self.J = n - prev_fast_len(tail) if tail >= MIN_TAIL_NODES else n
+        # the window plus the cells right of it that ignition capture reads
+        self.mc = min(self.m + RIGHT_CELLS, self.J)
         self.tail: ModalTail | None = None
 
         self.step_index = 0
         self.t = 0.0
-        self.state = RelayState.create(self.x_win, params)
+        self.state = RelayState.create(self.x[: self.m], params)
         self.p_win = np.zeros(self.m)
-        self._dt_p: np.ndarray | None = None  # dt * p_win, computed on first use
+        self._dt_p = np.zeros(self.mc)  # dt * p_win, zero past the window
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
         # Rows [_lo, _hi) of the buffers are the steps since the last relay
-        # update: their time, window u and solved interior.  Rows
-        # [_first, _lo) of the u buffer are the look-back steps before them.
+        # update: their time, u on the first ``mc`` nodes and solved interior.
+        # Rows [_first, _lo) of the u buffer are the look-back steps before them.
         lookback = max(BACK_OFFSETS)
         self._t_buf = np.empty(lookback + TAIL_BLOCK_STEPS)
-        self._u_buf = np.empty((self._t_buf.size, self.m))
+        self._u_buf = np.empty((self._t_buf.size, self.mc))
         self._solved = np.empty((self._t_buf.size, self.J))
         self._first = self._lo = self._hi = lookback
-        self._threshold = np.full(self.m, np.inf)  # u_star on live nodes
+        self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
         self._every_step = relay_kind.variant == MOLLIFIED
         self.relay_updates = 0
         if not (force_zero_p or self._every_step):
@@ -323,14 +326,14 @@ class Stepper:
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
-        self._w_now, self._u_rows = Stepper._w_from_u, Stepper._u_rows_from_u
+        self._w_now = Stepper._w_from_u
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
             self._psi_prefactor = model.psi_prefactor(params)
-            self._psi_block = np.empty((0, self.m))
+            self._psi_block = np.empty((0, self.mc))
             self._psi_from = 0
             self._advance = Stepper._advance_deficit
-            self._w_now, self._u_rows = Stepper._w_whole, Stepper._u_rows_from_w
+            self._w_now = Stepper._w_whole
             self._field_name = "deficit field"
         elif scheme == "deposition":
             self.u = self._split(model.psi(self.x, grid.dt, params))
@@ -338,7 +341,7 @@ class Stepper:
             self._field_name = "concentration"
             self.step_index, self.t = 1, grid.dt
             self._solved[self._hi] = self.u
-            self._u_buf[self._hi] = self.u[: self.m]
+            self._u_buf[self._hi] = self.u[: self.mc]
             self._t_buf[self._hi] = self.t
             self._hi += 1
             self._update_relay()
@@ -360,9 +363,9 @@ class Stepper:
         self.t = t_new
         self._t_buf[j] = t_new
         self._hi = j + 1
-        # NaN fails <=, so a non-finite window ends the block at once
+        # NaN fails <=, so a non-finite buffered value ends the block at once
         if self._every_step or self._hi == self._t_buf.size or \
-                np.count_nonzero(u_win <= self._threshold) < self.m:
+                np.count_nonzero(u_win <= self._threshold) < self.mc:
             self._update_relay()
         return self
 
@@ -421,13 +424,13 @@ class Stepper:
         if not self.force_zero_p:
             self.relay_updates += 1
             state = self.state
-            accumulate(state, self._u_buf[lo:hi], self.grid.dt, self._t_buf[lo:hi],
-                       self.relay_kind)
-            if state.last_ignited.size:
-                self._log_ignitions(state.last_ignited.tolist(),
-                                    (lo + state.last_ignited_row).tolist())
+            nodes, rows = accumulate(state, self._u_buf[lo:hi, : self.m], self.grid.dt,
+                                     self._t_buf[lo:hi], self.relay_kind)
+            if nodes.size:
+                self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
             self.p_win = evaluate(state.accumulator, self.relay_kind)
-            self._dt_p = None
+            if self.scheme == "deficit":
+                np.multiply(self.grid.dt, self.p_win, out=self._dt_p[: self.m])
             if not self._every_step:
                 self._find_live()
         self._lo = hi
@@ -441,26 +444,25 @@ class Stepper:
         """Capture ``u`` right of each node that ignited, and at the look-back
         offsets before its step, from its buffer row."""
         for i, j in zip(nodes, rows):
-            right = min(i + RIGHT_CELLS, self.n)
-            vals = self._u_buf[j, i:right] if right <= self.m else self._u_rows(self, j, i, right)
-            self.ignition_u_right[i, : right - i] = vals
+            vals = self._u_buf[j, i: i + RIGHT_CELLS]  # fewer at the end of the grid
+            self.ignition_u_right[i, : vals.size] = vals
             for c, k in enumerate(BACK_OFFSETS):
                 if j - k >= self._first:
                     self.ignition_u_back[i, c] = self._u_buf[j - k, i]
 
     def _find_live(self) -> None:
         """Set the threshold the live check of the sharp and property_p
-        relays compares each step's window with: ``u_star`` on nodes whose
-        ``p`` can still change, inf elsewhere."""
+        relays compares each step's buffer row with: ``u_star`` on window
+        nodes whose ``p`` can still change, inf elsewhere."""
         a = self.state.accumulator
         if self.relay_kind.variant == PROPERTY_P:
             live = (a == 0.0) & (self.state.cap_time >= self.t)
         else:
             live = a == 0.0
-        self._threshold = np.where(live, self.state.u_star, np.inf)
+        self._threshold[: self.m] = np.where(live, self.state.u_star, np.inf)
 
     def _psi_window(self) -> np.ndarray:
-        """psi on the window at the end of the coming step.
+        """psi on the first ``mc`` nodes at the end of the coming step.
 
         psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0, with
         model.capital_psi's arithmetic done in place, for ``TAIL_BLOCK_STEPS``
@@ -470,7 +472,7 @@ class Stepper:
         if r == len(self._psi_block):
             self._psi_from, r = self.step_index, 0
             t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
-            psi = np.divide(self.x_win, np.sqrt(t)[:, None])
+            psi = np.divide(self.x[: self.mc], np.sqrt(t)[:, None])
             np.maximum(psi, self.params.alpha, out=psi)
             psi /= 2.0
             erfc(psi, out=psi)
@@ -481,11 +483,9 @@ class Stepper:
     def _advance_deficit(self, t_new: float, u_win: np.ndarray) -> None:
         psi_win = self._psi_window()
         rhs = self._explicit_half_step(self.w)
-        if self._dt_p is None:
-            self._dt_p = self.grid.dt * self.p_win
-        rhs[: self.m] -= self._dt_p * psi_win
+        rhs[: self.mc] -= self._dt_p * psi_win
         self.w = self._solve(rhs)
-        np.add(self.w[: self.m], psi_win, out=u_win)
+        np.add(self.w[: self.mc], psi_win, out=u_win)
 
     def _advance_deposition(self, t_new: float, u_win: np.ndarray) -> None:
         rhs = self._explicit_half_step(self.u)
@@ -493,7 +493,7 @@ class Stepper:
         _deposit_swept_source(rhs, self.params.beta, a * math.sqrt(self.t), a * math.sqrt(t_new),
                               self.grid.dx)
         self.u = self._solve(rhs)
-        u_win[:] = self.u[: self.m]
+        u_win[:] = self.u[: self.mc]
 
     def _advance_prescribed(self, t_new: float, u_win: np.ndarray) -> None:
         self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
@@ -506,13 +506,6 @@ class Stepper:
         w = self._whole(self.u)
         w -= model.psi(self.x, self.t, self.params)
         return w
-
-    # ``u`` on nodes [lo, hi) at buffer row ``j`` of the current block
-    def _u_rows_from_w(self, j: int, lo: int, hi: int) -> np.ndarray:
-        return self._solved[j, lo:hi] + model.psi(self.x[lo:hi], self._t_buf[j], self.params)
-
-    def _u_rows_from_u(self, j: int, lo: int, hi: int) -> np.ndarray:
-        return self._solved[j, lo:hi]
 
 
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span

@@ -67,6 +67,12 @@ class TestParseConfig:
                                                         "u_star_fraction": 0.7}))
         assert any("mutually exclusive" in m for m in exc.value.violations)
 
+    def test_u_star_given_directly(self, tmp_path):
+        cfg = config.parse_config(write_config(tmp_path, {"u_star": 0.4}))
+        assert cfg.params.u_star == 0.4
+        emitted = write_config(tmp_path, cfg.effective_config(), "effective.json")
+        assert config.parse_config(emitted) == cfg
+
     def test_mollified_requires_epsilon(self, tmp_path):
         with pytest.raises(config.ValidationError):
             config.parse_config(write_config(tmp_path, {"relay": "mollified"}))
@@ -134,6 +140,11 @@ class TestCli:
                                            "C_ell", "T1", "T2", "T_unique", "psi_alpha"]
         assert data["ring_width_alt"] == pytest.approx(
             math.sqrt(data["constants"]["t_star"]))
+
+    def test_constants_with_u_star_flag(self, tmp_path):
+        assert self.run_cli("constants", "--u-star", "0.4", "--output-dir", str(tmp_path)) == 0
+        data = json.loads((tmp_path / "constants.json").read_text())
+        assert data["effective_config"]["u_star"] == 0.4
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"u_star_fraction": 1.2})

@@ -17,6 +17,27 @@ def synthetic_record(u_fn, dx=0.02, dt=1e-3, x_max=1.0, t_max=1.0, stride=1):
     return lg.SolutionRecord.from_fields(u_fn, PARAMS, grid, snapshot_stride=stride)
 
 
+def ut_table_reference(record):
+    """Discrete u_t at every snapshot, built whole: centered differences,
+    one-sided at the record ends and around each node's ignition time."""
+    u = record.u
+    t = record.times
+    ut = np.empty_like(u)
+    ut[1:-1] = (u[2:] - u[:-2]) / (t[2:, None] - t[:-2, None])
+    ut[0] = (u[1] - u[0]) / (t[1] - t[0])
+    ut[-1] = (u[-1] - u[-2]) / (t[-1] - t[-2])
+    for i in np.flatnonzero(np.isfinite(record.ignition_time)):
+        ell = record.ignition_time[i]
+        k_up = int(np.searchsorted(t, ell))
+        k = k_up - 1
+        if 1 <= k <= t.size - 2 and t[k + 1] >= ell:
+            ut[k, i] = (u[k, i] - u[k - 1, i]) / (t[k] - t[k - 1])
+        k = k_up
+        if 1 <= k <= t.size - 2 and t[k - 1] < ell:
+            ut[k, i] = (u[k + 1, i] - u[k, i]) / (t[k + 1] - t[k])
+    return ut
+
+
 def f1_per_cell_reference(record, x, t):
     """F1 as one spatial trapezoid per snapshot cell over the whole grid: the
     direct form of the per-cell product rule that ``eval_F1`` contracts."""
@@ -36,7 +57,7 @@ def f1_per_cell_reference(record, x, t):
             total += float(trapezoid(kern * mass, dx=dx))
         else:
             total += float(np.interp(x, xg, mass))
-    ut = duhamel.ut_table(record)
+    ut = ut_table_reference(record)
     return total + (t - times[K]) * float(np.interp(x, xg, p[K] * ut[K]))
 
 
@@ -63,6 +84,28 @@ def oracle_probes(rec):
     }
 
 
+class TestUtTable:
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rows_match_the_whole_table_bit_for_bit(self, rec_oracle, stride):
+        records = [rec_oracle, synthetic_record(
+            lambda x, t: PARAMS.u_star * (1.0 + 3.0 * t - x) + x * x * t, dt=0.01,
+            t_max=0.5, stride=stride)]
+        for rec in records:
+            assert np.isfinite(rec.ignition_time).any()
+            ref = ut_table_reference(rec)
+            for k in range(rec.times.size):
+                assert np.array_equal(duhamel.ut_table(rec, k), ref[k]), k
+
+    def test_diagnostics_report_does_not_build_p(self, rec_coarse_sharp):
+        from liesegang.config import default_probe_ladder
+        rec = dataclasses.replace(rec_coarse_sharp, _p_cache=None, _f1_mass_cache=None)
+        probes = default_probe_ladder(rec.constants, rec.params.alpha)
+        report = duhamel.diagnostics_report(rec, fronts.extract_front(rec), probes)
+        assert rec._p_cache is None
+        assert report == duhamel.diagnostics_report(
+            rec_coarse_sharp, fronts.extract_front(rec_coarse_sharp), probes)
+
+
 class TestF1:
     @pytest.mark.parametrize("probe", ["just_above_10dt", "between_snapshots", "record_end",
                                        "x_zero", "past_front"])
@@ -81,7 +124,7 @@ class TestF1:
         assert mass.shape == (rec_oracle.times.size - 1, cols.size)
 
     def test_table_built_once_and_caches_ignored_by_equality(self, rec_coarse_sharp):
-        rec = dataclasses.replace(rec_coarse_sharp, _u_cache=None, _ut_cache=None,
+        rec = dataclasses.replace(rec_coarse_sharp, _u_cache=None, _p_cache=None,
                                   _f1_mass_cache=None)
         twin = dataclasses.replace(rec)
         t_max = rec.grid.t_max
@@ -91,10 +134,20 @@ class TestF1:
         for x, t in ((0.0, 0.3 * t_max), (0.2, 0.9 * t_max), (0.4, t_max)):
             duhamel.eval_F1(rec, x, t)
             assert rec._f1_mass_cache is table
-        assert rec._ut_cache is not None and twin._ut_cache is None
+        assert rec._p_cache is None
         assert twin._f1_mass_cache is None
         assert rec == twin
         assert "_cache" not in repr(rec)
+
+    def test_mass_table_matches_the_whole_p(self, rec_oracle):
+        rec = dataclasses.replace(rec_oracle, _p_cache=None, _f1_mass_cache=None)
+        cols, mass = duhamel.f1_mass_table(rec)
+        assert rec._p_cache is None
+        p, u = rec_oracle.p[:, cols], rec_oracle.u[:, cols]
+        crossing = ((rec.ignition_time[cols] > rec.times[:-1, None])
+                    & (rec.ignition_time[cols] <= rec.times[1:, None]))
+        np.testing.assert_array_equal(mass, np.where(
+            crossing, p[1:] * (u[1:] - rec.params.u_star), 0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1])))
 
     def test_zero_precipitation_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)

@@ -99,11 +99,9 @@ class TestAccumulate:
         bounds = [0, *sorted(c for c in cuts if c < rows), rows]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             before = state_blocks.ignition_time.copy()
-            lg.accumulate(state_blocks, u[lo:hi], dt, times[lo:hi], kind)
-            newly = state_blocks.last_ignited
+            newly, newly_rows = lg.accumulate(state_blocks, u[lo:hi], dt, times[lo:hi], kind)
             assert np.isnan(before[newly]).all()
-            assert np.array_equal(state_blocks.ignition_time[newly],
-                                  times[lo + state_blocks.last_ignited_row])
+            assert np.array_equal(state_blocks.ignition_time[newly], times[lo + newly_rows])
             assert np.array_equal(state_blocks.accumulator, history[hi - 1])
         assert np.array_equal(state_blocks.ignition_time, state_rows.ignition_time,
                               equal_nan=True)

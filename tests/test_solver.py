@@ -311,7 +311,7 @@ class PerStepRelay(solver.Stepper):
 
     def _update_relay(self):
         (j,) = range(self._lo, self._hi)
-        u_win = self._u_buf[j].copy()
+        u_win = self._u_buf[j, : self.m].copy()
         if self.scheme != "synthetic" and not np.isfinite(self._solved[j]).all():
             raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
         if not self.force_zero_p:
@@ -329,7 +329,7 @@ class PerStepRelay(solver.Stepper):
                     if k <= len(self.past_u):
                         self.ignition_u_back[i, c] = self.past_u[-k][i]
             self.p_win = relay.evaluate(self.state.accumulator, self.relay_kind)
-            self._dt_p = None
+            self._dt_p[: self.m] = self.grid.dt * self.p_win
         self.past_u.append(u_win)
         self._lo = self._hi = max(BACK_OFFSETS)
 
