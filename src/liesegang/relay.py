@@ -98,10 +98,20 @@ class RelayState:
 
 def smoothstep(s):
     """Cubic smoothstep: 0 for s <= 0, 1 for s >= 1, 3s^2 - 2s^3 between."""
-    s_arr = np.minimum(np.maximum(s, 0.0), 1.0)
-    out = s_arr * s_arr * (3.0 - 2.0 * s_arr)
-    if np.isscalar(s):
-        return float(out)
+    if np.ndim(s) == 0:
+        return float(smoothstep_array(np.array([s], dtype=float))[0])
+    return smoothstep_array(s)
+
+
+def smoothstep_array(s) -> np.ndarray:
+    """:func:`smoothstep` of an array with at least one dimension, in place
+    on one copy: the path :func:`evaluate` and the stepper's band update take."""
+    s = np.maximum(s, 0.0)
+    np.minimum(s, 1.0, out=s)
+    out = np.multiply(s, s)
+    s *= 2.0
+    np.subtract(3.0, s, out=s)
+    out *= s
     return out
 
 
@@ -140,18 +150,14 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
         newly, first = np.unique(newly, return_index=True)
         rows = rows[first]
         state.ignition_time[newly] = times[rows, 0]
-    # the same sum; a one-row block (every mollified step) skips the block pass
-    if len(inc) == 1:
-        state.accumulator += inc[0]
-    else:
-        inc[0] += state.accumulator
-        np.add.accumulate(inc, axis=0, out=inc)
-        state.accumulator[:] = inc[-1]
+    inc[0] += state.accumulator
+    np.add.accumulate(inc, axis=0, out=inc)
+    state.accumulator[:] = inc[-1]
     return newly, rows
 
 
 def evaluate(accumulator: np.ndarray, kind: RelayKind) -> np.ndarray:
     """Precipitation value of an accumulator array, element by element."""
     if kind.variant == MOLLIFIED:
-        return smoothstep(accumulator / kind.epsilon)
+        return smoothstep_array(accumulator / kind.epsilon)
     return (accumulator > 0.0).astype(float)

@@ -31,9 +31,10 @@ The relay is a distributed non-ideal relay: it switches only at isolated
 ignition events, and between them the field obeys a linear equation with a
 known forcing.  So the relay is not updated after every step but once per
 block of steps in which no node can switch (:class:`Stepper`): each step
-only checks whether a node whose ``p`` can still change has ``u > u_star``.
-The mollified relay, whose ``p`` moves on every step a node spends in its
-smoothstep band, is still updated after every step.
+only checks whether a node that can still ignite has ``u > u_star``.  The
+mollified relay's ``p`` also moves on every step a node spends in its
+smoothstep band ``0 < a < eps``; only those few nodes are updated after
+every step, and the rest of its window goes through the block path.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
@@ -72,7 +73,8 @@ from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
-from .relay import MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate
+from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
+                    smoothstep_array)
 
 WINDOW_MARGIN_CELLS = 16
 # Grids that would leave fewer tail nodes are solved whole, with the Neumann
@@ -261,20 +263,24 @@ class Stepper:
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
     ``max(BACK_OFFSETS)`` look-back rows) and checks only whether a live node,
-    one whose ``p`` can still change, has ``u > u_star`` (or any buffered
-    value is NaN).  The relay is updated for the whole block of steps since
-    the last update (:meth:`_update_relay`: finiteness check of every solved
-    row, one ``accumulate`` over the block's window columns, which returns
-    the ignitions, their capture from the buffer rows, one ``evaluate``, and
-    ``dt*p`` for the deficit forcing) when that check fires, at a
-    snapshot, and when the buffer is full; ``relay_updates`` counts the
-    updates.  While no live node exceeds ``u_star``, ``p`` cannot change, so
-    deferring the update changes nothing: the accumulator sums the same rows
-    in the same order, and every node ignites at the step that fires the
-    check.  The mollified relay is updated after every step: its ``p`` can
-    change on any step a node spends inside the smoothstep band.  Between
-    updates the accumulator lags (ignition times do not); :meth:`snapshot`
-    brings it up to date.
+    one that can still ignite, has ``u > u_star`` (or any buffered value is
+    NaN).  The relay is updated for the whole block of steps since the last
+    update (:meth:`_update_relay`: finiteness check of every solved row, one
+    ``accumulate`` over the block's window columns, which returns the
+    ignitions, their capture from the buffer rows, one ``evaluate``, ``dt*p``
+    for the deficit forcing, and the look-back rows moved to the front of
+    the buffer) when that check fires, at a snapshot, and when the buffer is
+    full; ``relay_updates`` counts the updates.  While no live node exceeds
+    ``u_star``, no node ignites, so deferring the update changes nothing:
+    the accumulator sums the same rows in the same order, and every node
+    ignites at the step that fires the check.  Under the mollified relay a
+    node's ``p`` also changes on every step it spends inside the smoothstep
+    band ``0 < a < eps``: each step adds its rectangle to the band's
+    accumulators and re-evaluates their ``p`` (:meth:`_step_band`), and the
+    block update gives the band a zero increment.  The band is fixed at each
+    update; a node that saturates inside a block stays in it, with ``p``
+    exactly 1.  Between updates the other accumulators lag (ignition times
+    do not); :meth:`snapshot` brings them up to date.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -319,9 +325,11 @@ class Stepper:
         self._solved = np.empty((self._t_buf.size, self.J))
         self._first = self._lo = self._hi = lookback
         self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
-        self._every_step = relay_kind.variant == MOLLIFIED
+        # mollified: the window nodes in the smoothstep band, a slice when contiguous
+        self._band: slice | np.ndarray = slice(0, 0)
+        self._band_size = 0
         self.relay_updates = 0
-        if not (force_zero_p or self._every_step):
+        if not force_zero_p:
             self._find_live()
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
@@ -363,9 +371,10 @@ class Stepper:
         self.t = t_new
         self._t_buf[j] = t_new
         self._hi = j + 1
+        if self._band_size:
+            self._step_band(u_win)
         # NaN fails <=, so a non-finite buffered value ends the block at once
-        if self._every_step or self._hi == self._t_buf.size or \
-                np.count_nonzero(u_win <= self._threshold) < self.mc:
+        if self._hi == self._t_buf.size or np.count_nonzero(u_win <= self._threshold) < self.mc:
             self._update_relay()
         return self
 
@@ -424,21 +433,36 @@ class Stepper:
         if not self.force_zero_p:
             self.relay_updates += 1
             state = self.state
-            nodes, rows = accumulate(state, self._u_buf[lo:hi, : self.m], self.grid.dt,
-                                     self._t_buf[lo:hi], self.relay_kind)
+            block = self._u_buf[lo:hi, : self.m]
+            if self._band_size:  # the band's rows were added step by step
+                block = block.copy()
+                block[:, self._band] = -np.inf
+            nodes, rows = accumulate(state, block, self.grid.dt, self._t_buf[lo:hi],
+                                     self.relay_kind)
             if nodes.size:
                 self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
             self.p_win = evaluate(state.accumulator, self.relay_kind)
             if self.scheme == "deficit":
                 np.multiply(self.grid.dt, self.p_win, out=self._dt_p[: self.m])
-            if not self._every_step:
-                self._find_live()
-        self._lo = hi
-        if hi == self._t_buf.size:  # keep the look-back rows, drop the rest
-            keep = max(BACK_OFFSETS)
-            self._u_buf[:keep] = self._u_buf[hi - keep:]
-            self._first = max(self._first - (hi - keep), 0)
-            self._lo = self._hi = keep
+            self._find_live()
+        # keep the look-back rows at the front, drop the rest
+        keep = max(BACK_OFFSETS)
+        self._u_buf[:keep] = self._u_buf[hi - keep: hi]
+        self._first = max(self._first - (hi - keep), 0)
+        self._lo = self._hi = keep
+
+    def _step_band(self, u_win: np.ndarray) -> None:
+        """Add this step's rectangle to the band's accumulators (the one add
+        :func:`accumulate` makes) and re-evaluate their ``p``."""
+        band, a = self._band, self.state.accumulator
+        inc = u_win[band] - self.state.u_star
+        np.maximum(inc, 0.0, out=inc)
+        inc *= self.grid.dt
+        a[band] += inc
+        p = smoothstep_array(a[band] / self.relay_kind.epsilon)
+        self.p_win[band] = p
+        if self.scheme == "deficit":
+            self._dt_p[band] = self.grid.dt * p
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:
         """Capture ``u`` right of each node that ignited, and at the look-back
@@ -451,15 +475,20 @@ class Stepper:
                     self.ignition_u_back[i, c] = self._u_buf[j - k, i]
 
     def _find_live(self) -> None:
-        """Set the threshold the live check of the sharp and property_p
-        relays compares each step's buffer row with: ``u_star`` on window
-        nodes whose ``p`` can still change, inf elsewhere."""
+        """Set the threshold the live check compares each step's buffer row
+        with: ``u_star`` on unignited window nodes that can still ignite, inf
+        elsewhere; under the mollified relay, also find the band."""
         a = self.state.accumulator
+        live = a == 0.0
         if self.relay_kind.variant == PROPERTY_P:
-            live = (a == 0.0) & (self.state.cap_time >= self.t)
-        else:
-            live = a == 0.0
+            live &= self.state.cap_time >= self.t
         self._threshold[: self.m] = np.where(live, self.state.u_star, np.inf)
+        if self.relay_kind.variant == MOLLIFIED:
+            band = np.flatnonzero(~live & (a < self.relay_kind.epsilon))
+            self._band_size = band.size
+            if band.size and band[-1] - band[0] == band.size - 1:
+                band = slice(int(band[0]), int(band[-1]) + 1)
+            self._band = band
 
     def _psi_window(self) -> np.ndarray:
         """psi on the first ``mc`` nodes at the end of the coming step.
@@ -552,20 +581,21 @@ def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:
     """Add the uniform line source of density ``beta`` on the segment [a, b],
     projected onto the hat basis and scaled by 1/dx (nodal forcing)."""
-    n = rhs.shape[0]
+    # Called once per step: conditionals in place of max/min calls, and adds on
+    # Python floats (the same IEEE adds) in place of numpy scalars.
     j0 = max(int(a / dx), 0)
-    j1 = min(int(b / dx), n - 2)
+    j1 = min(int(b / dx), rhs.shape[0] - 2)
     for j in range(j0, j1 + 1):
-        lo = max(a, j * dx)
-        hi = min(b, (j + 1) * dx)
+        lo = a if a >= j * dx else j * dx
+        hi = b if b <= (j + 1) * dx else (j + 1) * dx
         if hi <= lo:
             continue
         # integrals of the two hat functions over [lo, hi] within cell j
         s_lo, s_hi = lo / dx - j, hi / dx - j
         left = dx * ((s_hi - s_lo) - 0.5 * (s_hi**2 - s_lo**2))
         right = dx * 0.5 * (s_hi**2 - s_lo**2)
-        rhs[j] += beta * left / dx
-        rhs[j + 1] += beta * right / dx
+        rhs[j] = rhs.item(j) + beta * left / dx
+        rhs[j + 1] = rhs.item(j + 1) + beta * right / dx
 
 
 def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,

@@ -395,9 +395,28 @@ class TestBlockRelay:
         assert ignited == 0 if force_zero_p else ignited > 10
         if force_zero_p:
             assert stepper.relay_updates == 0
-        elif kind.variant != "mollified":
+        else:
             # blocks end at snapshots and ignition steps, not at every step
             assert stepper.relay_updates < grid.n_t // 4
+
+    @pytest.mark.parametrize("kind", RELAYS[:2], ids=lambda k: k.variant)
+    def test_updates_only_at_snapshots_and_ignition_steps(self, kind):
+        # the buffer is compacted after every update, so with a stride below
+        # TAIL_BLOCK_STEPS it never fills
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        stepper = solver.Stepper(PARAMS, grid, kind)
+        stride, ignition_steps = 10, set()
+        for step in range(1, grid.n_t + 1):
+            stepper.step()
+            if step % stride == 0 or step == grid.n_t:
+                stepper.snapshot()
+            elif stepper._hi == stepper._lo:
+                ignition_steps.add(step)
+        times = np.round(stepper.state.ignition_time / grid.dt)
+        off_snapshot = {int(s) for s in times[np.isfinite(times)] if s % stride}
+        assert len(off_snapshot) > 10 and ignition_steps == off_snapshot
+        snapshots = grid.n_t // stride + (grid.n_t % stride != 0)
+        assert stepper.relay_updates == snapshots + len(off_snapshot)
 
     @pytest.mark.parametrize("block", [None, 2])
     @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
@@ -466,6 +485,60 @@ class TestBlockRelay:
         assert not np.isfinite(rec.ignition_time).any()
         assert stepper.relay_updates == rec.times.size - 1 + 1
         assert stepper._threshold[node] == np.inf
+
+    @staticmethod
+    def band_field(ignition_steps, rise):
+        """Below u_star until a node's ignition step; from it, ``u_star + rise``
+        at first, then oscillating about u_star (zero adds below it)."""
+        def field(x, t):
+            step = round(t / FIELD_GRID.dt)
+            nodes = np.arange(x.size)
+            since = step - np.array([ignition_steps.get(i, 10**9) for i in nodes])
+            on = PARAMS.u_star + rise * np.cos(0.7 * since) + 1e-3 * nodes
+            return np.where(since >= 0, on, PARAMS.u_star - 0.5 + 1e-3 * step)
+        return field
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_mollified_band_in_two_runs(self, monkeypatch, block):
+        # nodes 3-4 enter the band at step 5 (a slice), nodes 10-11 at step 12
+        # (with 3-4, an index array); eps keeps all four in it to the end
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        steps = {3: 5, 4: 5, 10: 12, 11: 12}
+        kind = lg.RelayKind.mollified(0.1)
+        rec, ref, stepper = with_oracle(monkeypatch, lambda: lg.SolutionRecord.from_fields(
+            self.band_field(steps, 0.1), PARAMS, FIELD_GRID, kind, snapshot_stride=7))
+        assert_same_record(rec, ref)
+        p = rec.p[-1]
+        assert np.all((p[list(steps)] > 0.0) & (p[list(steps)] < 1.0))
+        np.testing.assert_array_equal(stepper._band, sorted(steps))
+        if block is None:
+            assert stepper.relay_updates == rec.times.size - 1 + 2
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_mollified_node_saturating_inside_a_block(self, monkeypatch, block):
+        # node 4 ignites at step 3 (adding 2.04e-3) and passes eps = 3e-3 at
+        # step 4 (adding 1.57e-3), inside the block of steps 4-7
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        node, kind = 4, lg.RelayKind.mollified(3e-3)
+        field = self.band_field({node: 3}, 0.2)
+        rec, ref, _ = with_oracle(monkeypatch, lambda: lg.SolutionRecord.from_fields(
+            field, PARAMS, FIELD_GRID, kind, snapshot_stride=7))
+        assert_same_record(rec, ref)
+        if block is not None:
+            return
+        stepper = solver.Stepper(PARAMS, FIELD_GRID, kind, scheme="synthetic", u_fn=field)
+        for step in range(1, 8):
+            stepper.step()
+            if step >= 3:
+                assert stepper._band == slice(node, node + 1)
+            saturated = stepper.state.accumulator[node] >= kind.epsilon
+            assert saturated == (step >= 4)
+            assert (stepper.p_win[node] == 1.0) == saturated
+        stepper.snapshot()  # the next update
+        assert stepper.p_win[node] == 1.0 and stepper._band_size == 0
+        assert stepper._threshold[node] == np.inf and stepper.relay_updates == 2
 
     @staticmethod
     def poison_solve(monkeypatch, call):
