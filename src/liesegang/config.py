@@ -1,9 +1,10 @@
 """Run configuration: JSON schema (version 1), validation, defaults.
 
 A config file is a flat JSON object; unknown keys are rejected.  Every key
-has a documented default, so ``{}`` is a valid config.  ``u_star`` may be
-given directly or through ``u_star_fraction`` (fraction of the plateau value
-Psi(alpha)); the threshold must be supercritical.  ``t_max`` defaults to
+has a documented default, so ``{}`` is a valid config, and every number,
+tolerances included, must be finite.  ``u_star`` may be given directly or
+through ``u_star_fraction`` (fraction of the plateau value Psi(alpha)); the
+threshold must be supercritical.  ``t_max`` defaults to
 twice the F2-horizon T2.  ``dt`` is adjusted downward so that the step count
 is integral; the adjusted value is what ``effective_config`` reports, and
 re-parsing an emitted effective config reproduces the same configuration.
@@ -20,7 +21,8 @@ from .duhamel import DEFAULT_RATE_FLOOR, DEFAULT_SLOPE_FLOOR
 from .fronts import DEFAULT_JUMP_FACTOR
 from .grids import DEFAULT_DT, DEFAULT_DX, DEFAULT_X_MAX, GridSpec
 from .jsonio import SCHEMA_VERSION
-from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
+from .model import (ModelConstants, ModelParams, NotSupercritical, RootNotBracketed,
+                    compute_constants)
 from .relay import MOLLIFIED, RelayKind
 
 ENV_OUTPUT_DIR = "LIESEGANG_OUTPUT_DIR"
@@ -130,6 +132,13 @@ def _require_number(raw: dict, key: str, violations: list[str], *, positive: boo
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         violations.append(f"{key} must be a number, got {val!r}")
         return None
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        violations.append(f"{key} must be finite, got {val!r}")
+        return None
     if integer and int(val) != val:
         violations.append(f"{key} must be an integer, got {val!r}")
         return None
@@ -221,17 +230,20 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         if u_star is not None and raw.get("u_star_fraction") is not None:
             violations.append("u_star and u_star_fraction are mutually exclusive")
         else:
-            if u_star is not None:
-                params = ModelParams(alpha, beta, u_star)
-            else:
-                params = ModelParams.from_fraction(alpha, beta, fraction)
             try:
+                if u_star is not None:
+                    params = ModelParams(alpha, beta, u_star)
+                else:
+                    params = ModelParams.from_fraction(alpha, beta, fraction)
                 constants = compute_constants(params, t1_ceiling=tol_kwargs["t1_ceiling"])
             except NotSupercritical:
                 violations.append(
                     f"threshold u_star = {params.u_star:.6g} is not supercritical "
                     f"(Psi(alpha) = {params.psi_alpha:.6g})"
                 )
+            except (RootNotBracketed, ArithmeticError) as exc:
+                violations.append(f"no ring constants for alpha = {alpha:g}, beta = {beta:g}: "
+                                  f"{exc}")
 
     grid = None
     if not violations and constants is not None:

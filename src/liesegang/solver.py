@@ -129,13 +129,13 @@ class StepMatrix:
     Row 0 is the mirrored Neumann row.  The last row is the mirrored Neumann
     row at ``x_max`` when the interior is the whole grid (``tail_h0`` None);
     otherwise it couples to a :class:`ModalTail`, which adds ``-mu*tail_h0``
-    to its diagonal and keeps the ``-mu`` towards the interior.  ``p`` is
-    non-zero only on the leading ``p_win.size`` nodes.  :meth:`solve`
-    refactors (a full ``gttrf``) only when ``p_win`` differs from the copy it
-    last factored, and counts the refactorizations (``factorizations``).
+    to its diagonal and keeps the ``-mu`` towards the interior.  :meth:`factor`
+    LU-factors it (a full ``gttrf``) for ``dt*p`` on the leading nodes and
+    counts the factorizations (``factorizations``); :meth:`solve` reuses the
+    factors until the next :meth:`factor`.
     """
 
-    def __init__(self, n: int, mu: float, dt: float, tail_h0: float | None = None):
+    def __init__(self, n: int, mu: float, tail_h0: float | None = None):
         self.dl = np.full(n - 1, -mu)
         self.du = np.full(n - 1, -mu)
         self.du[0] = -2.0 * mu
@@ -144,21 +144,19 @@ class StepMatrix:
             self.dl[-1] = -2.0 * mu
         else:
             self.main_base[-1] -= mu * tail_h0
-        self.dt = dt
-        self.p_win: np.ndarray | None = None
         self.factors: tuple = ()
         self.factorizations = 0
 
-    def solve(self, p_win: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if self.p_win is None or np.count_nonzero(p_win != self.p_win):
-            d = self.main_base.copy()
-            d[: p_win.size] += self.dt * p_win
-            dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
-            if info != 0:
-                raise LinAlgError(f"singular step matrix (gttrf info={info})")
-            self.factors = (dl, d, du, du2, ipiv)
-            self.p_win = p_win.copy()
-            self.factorizations += 1
+    def factor(self, dt_p: np.ndarray) -> None:
+        d = self.main_base.copy()
+        d[: dt_p.size] += dt_p
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
+        if info != 0:
+            raise LinAlgError(f"singular step matrix (gttrf info={info})")
+        self.factors = (dl, d, du, du2, ipiv)
+        self.factorizations += 1
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = lapack.dgttrs(*self.factors, rhs)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
@@ -262,25 +260,30 @@ class Stepper:
 
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
-    ``max(BACK_OFFSETS)`` look-back rows) and checks only whether a live node,
-    one that can still ignite, has ``u > u_star`` (or any buffered value is
-    NaN).  The relay is updated for the whole block of steps since the last
-    update (:meth:`_update_relay`: finiteness check of every solved row, one
-    ``accumulate`` over the block's window columns, which returns the
-    ignitions, their capture from the buffer rows, one ``evaluate``, ``dt*p``
-    for the deficit forcing, and the look-back rows moved to the front of
-    the buffer) when that check fires, at a snapshot, and when the buffer is
-    full; ``relay_updates`` counts the updates.  While no live node exceeds
-    ``u_star``, no node ignites, so deferring the update changes nothing:
-    the accumulator sums the same rows in the same order, and every node
-    ignites at the step that fires the check.  Under the mollified relay a
-    node's ``p`` also changes on every step it spends inside the smoothstep
-    band ``0 < a < eps``: each step adds its rectangle to the band's
-    accumulators and re-evaluates their ``p`` (:meth:`_step_band`), and the
-    block update gives the band a zero increment.  The band is fixed at each
-    update; a node that saturates inside a block stays in it, with ``p``
-    exactly 1.  Between updates the other accumulators lag (ignition times
-    do not); :meth:`snapshot` brings them up to date.
+    ``max(BACK_OFFSETS)`` look-back rows, NaN before the first step) and
+    checks only whether a live node, one that can still ignite, has
+    ``u > u_star`` (or the row holds a NaN).  The relay is updated for the
+    whole block of steps since the last update (:meth:`_update_relay`: a
+    finiteness check of the block's last row, one ``accumulate`` over the
+    block's window columns, which returns the ignitions, their capture from
+    the buffer rows, one ``evaluate`` into ``dt*p``, and the look-back rows
+    moved to the front of the buffer) when that check fires, at a snapshot,
+    and when the buffer is full; ``relay_updates`` counts the updates.  A
+    NaN or infinity anywhere in a step's right-hand side makes its whole
+    solution NaN, which fires the check, so only a block's last row can be
+    non-finite.  While no live node exceeds ``u_star``, no node ignites, so
+    deferring the update changes nothing: the accumulator sums the same rows
+    in the same order, and every node ignites at the step that fires the
+    check.  Under the mollified relay a node's ``p`` also changes on every
+    step it spends inside the smoothstep band ``0 < a < eps``: each step adds
+    its rectangle to the band's accumulators and re-evaluates their ``p``
+    (:meth:`_step_band`), and the block update gives the band a zero
+    increment.  The band is fixed at each update; a node that saturates
+    inside a block stays in it, with ``p`` exactly 1.  Between updates the
+    other accumulators lag (ignition times do not); :meth:`snapshot` brings
+    them up to date.  ``p`` can change only at an update in which a node
+    ignited and at a band step, so only after those is the step matrix
+    refactored, before the next solve.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -312,18 +315,17 @@ class Stepper:
         self.step_index = 0
         self.t = 0.0
         self.state = RelayState.create(self.x[: self.m], params)
-        self.p_win = np.zeros(self.m)
-        self._dt_p = np.zeros(self.mc)  # dt * p_win, zero past the window
+        self._dt_p = np.zeros(self.mc)  # dt * p, zero past the window
+        self._refactor = True  # p changed since the step matrix was factored
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
         # Rows [_lo, _hi) of the buffers are the steps since the last relay
-        # update: their time, u on the first ``mc`` nodes and solved interior.
-        # Rows [_first, _lo) of the u buffer are the look-back steps before them.
+        # update: their time and u on the first ``mc`` nodes.  The rows before
+        # them in the u buffer are the look-back steps (NaN before step 1).
         lookback = max(BACK_OFFSETS)
         self._t_buf = np.empty(lookback + TAIL_BLOCK_STEPS)
-        self._u_buf = np.empty((self._t_buf.size, self.mc))
-        self._solved = np.empty((self._t_buf.size, self.J))
-        self._first = self._lo = self._hi = lookback
+        self._u_buf = np.full((self._t_buf.size, self.mc), np.nan)
+        self._lo = self._hi = lookback
         self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
         # mollified: the window nodes in the smoothstep band, a slice when contiguous
         self._band: slice | np.ndarray = slice(0, 0)
@@ -348,7 +350,6 @@ class Stepper:
             self._advance = Stepper._advance_deposition
             self._field_name = "concentration"
             self.step_index, self.t = 1, grid.dt
-            self._solved[self._hi] = self.u
             self._u_buf[self._hi] = self.u[: self.mc]
             self._t_buf[self._hi] = self.t
             self._hi += 1
@@ -360,7 +361,7 @@ class Stepper:
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         tail_h0 = None if self.tail is None else self.tail.h0
-        self.matrix = StepMatrix(self.J, self.mu, grid.dt, tail_h0)
+        self.matrix = StepMatrix(self.J, self.mu, tail_h0)
 
     def step(self) -> "Stepper":
         t_new = (self.step_index + 1) * self.grid.dt
@@ -414,22 +415,22 @@ class Stepper:
         return rhs
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = self.matrix.solve(self.p_win, rhs)
-        self._solved[self._hi] = out
+        if self._refactor:
+            self.matrix.factor(self._dt_p)
+            self._refactor = False
+        out = self.matrix.solve(rhs)
         if self.tail is not None:
             self.tail.advance(out[-1])
         return out
 
     def _update_relay(self) -> None:
-        """Check the block of steps since the last update for non-finite
-        values, accumulate it, log its ignitions and re-evaluate p."""
+        """Check the last step of the block since the last update for
+        non-finite values, accumulate the block, log its ignitions and
+        re-evaluate p."""
         lo, hi = self._lo, self._hi
-        if self.scheme != "synthetic":
-            finite = np.isfinite(self._solved[lo:hi])
-            if np.count_nonzero(finite) < finite.size:
-                j = lo + int(np.argmin(finite.all(axis=1)))
-                raise NonFiniteField(f"non-finite {self._field_name} at step "
-                                     f"{self.step_index - (hi - 1 - j)}, t={self._t_buf[j]}")
+        if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
+            raise NonFiniteField(f"non-finite {self._field_name} at step "
+                                 f"{self.step_index}, t={self._t_buf[hi - 1]}")
         if not self.force_zero_p:
             self.relay_updates += 1
             state = self.state
@@ -441,14 +442,13 @@ class Stepper:
                                      self.relay_kind)
             if nodes.size:
                 self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
-            self.p_win = evaluate(state.accumulator, self.relay_kind)
-            if self.scheme == "deficit":
-                np.multiply(self.grid.dt, self.p_win, out=self._dt_p[: self.m])
+                self._refactor = True
+            np.multiply(self.grid.dt, evaluate(state.accumulator, self.relay_kind),
+                        out=self._dt_p[: self.m])
             self._find_live()
         # keep the look-back rows at the front, drop the rest
         keep = max(BACK_OFFSETS)
         self._u_buf[:keep] = self._u_buf[hi - keep: hi]
-        self._first = max(self._first - (hi - keep), 0)
         self._lo = self._hi = keep
 
     def _step_band(self, u_win: np.ndarray) -> None:
@@ -459,10 +459,8 @@ class Stepper:
         np.maximum(inc, 0.0, out=inc)
         inc *= self.grid.dt
         a[band] += inc
-        p = smoothstep_array(a[band] / self.relay_kind.epsilon)
-        self.p_win[band] = p
-        if self.scheme == "deficit":
-            self._dt_p[band] = self.grid.dt * p
+        self._dt_p[band] = self.grid.dt * smoothstep_array(a[band] / self.relay_kind.epsilon)
+        self._refactor = True
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:
         """Capture ``u`` right of each node that ignited, and at the look-back
@@ -470,9 +468,7 @@ class Stepper:
         for i, j in zip(nodes, rows):
             vals = self._u_buf[j, i: i + RIGHT_CELLS]  # fewer at the end of the grid
             self.ignition_u_right[i, : vals.size] = vals
-            for c, k in enumerate(BACK_OFFSETS):
-                if j - k >= self._first:
-                    self.ignition_u_back[i, c] = self._u_buf[j - k, i]
+            self.ignition_u_back[i] = self._u_buf[[j - k for k in BACK_OFFSETS], i]
 
     def _find_live(self) -> None:
         """Set the threshold the live check compares each step's buffer row

@@ -61,6 +61,16 @@ class TestParseConfig:
         assert any("dx" in m for m in msgs)
         assert any("relay" in m for m in msgs)
 
+    @pytest.mark.parametrize("data, key, value", [
+        ({"alpha": math.nan}, "alpha", math.nan),
+        ({"x_max": 10**400}, "x_max", 10**400),  # an int no float can hold
+        ({"tolerances": {"measure_tol": -math.inf}}, "measure_tol", -math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, data, key, value):
+        with pytest.raises(config.ValidationError) as exc:
+            config.parse_config(write_config(tmp_path, data))
+        assert exc.value.violations == [f"{key} must be finite, got {value!r}"]
+
     def test_mutually_exclusive_threshold_forms(self, tmp_path):
         with pytest.raises(config.ValidationError) as exc:
             config.parse_config(write_config(tmp_path, {"u_star": 0.4,
@@ -151,6 +161,20 @@ class TestCli:
         assert self.run_cli("constants", "-c", path) == 1
         assert "supercritical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--t-max", "inf"),
+        ("constants", "--alpha", "60"),  # exp(alpha^2/4) overflows
+        ("constants", "--beta", "1e308"),
+        ("constants", "--u-star", "1e-300"),  # the alpha_star bracket holds no root
+        ("constants", "-c", {"snapshot_stride": math.inf}),
+        ("simulate", "--dx", "inf"),
+    ], ids=["t_max", "alpha", "beta", "u_star", "stride_file", "dx"])
+    def test_bad_numbers_are_config_errors(self, tmp_path, capsys, argv):
+        argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        assert self.run_cli(*argv, "--output-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a record with no ignition makes `analyze` fail numerically (exit 2)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),
@@ -164,7 +188,7 @@ class TestCli:
         assert "no node ignited" in capsys.readouterr().err
 
     def test_singular_step_matrix_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        def singular(self, p_win, rhs):
+        def singular(self, rhs):
             raise LinAlgError("singular step matrix (gttrf info=3)")
 
         monkeypatch.setattr(lg.solver.StepMatrix, "solve", singular)

@@ -1,6 +1,7 @@
 """Deficit scheme, deposition scheme, and their invariants at desk scale."""
 import gc
 import math
+import re
 import weakref
 from collections import deque
 
@@ -114,11 +115,12 @@ class TestStepMatrix:
         patterns = [np.zeros(self.M),
                     (np.arange(self.M) < 5).astype(float),
                     rng.uniform(0.0, 1.0, self.M)]
-        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
+        matrix = solver.StepMatrix(self.N, self.MU)
         for p_win in patterns + patterns[:1]:
+            matrix.factor(self.DT * p_win)
             for _ in range(2):  # the second solve reuses the factors
                 rhs = rng.normal(size=self.N)
-                x = matrix.solve(p_win, rhs)
+                x = matrix.solve(rhs)
                 assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
         assert matrix.factorizations == 4
 
@@ -129,18 +131,17 @@ class TestStepMatrix:
            st.integers(0, 2**32 - 1))
     def test_relay_like_sequences_bit_identical(self, draws, seed):
         rng = np.random.default_rng(seed)
-        matrix = solver.StepMatrix(self.N, self.MU, self.DT)
+        matrix = solver.StepMatrix(self.N, self.MU)
         p_win = np.zeros(self.M)
-        changes = 0
         for i, draw in enumerate(draws):
             # the relay is irreversible: p never decreases at any node
             new = np.maximum(p_win, draw)
-            changes += int(i > 0 and not np.array_equal(new, p_win))
+            if i == 0 or not np.array_equal(new, p_win):
+                matrix.factor(self.DT * new)
             p_win = new
             rhs = rng.normal(size=self.N)
-            assert np.array_equal(matrix.solve(p_win, rhs),
+            assert np.array_equal(matrix.solve(rhs),
                                   banded_solve(self.MU, self.DT, p_win, rhs))
-        assert matrix.factorizations == 1 + changes
 
     def test_sharp_run_refactors_once_per_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
@@ -312,7 +313,7 @@ class PerStepRelay(solver.Stepper):
     def _update_relay(self):
         (j,) = range(self._lo, self._hi)
         u_win = self._u_buf[j, : self.m].copy()
-        if self.scheme != "synthetic" and not np.isfinite(self._solved[j]).all():
+        if self.scheme != "synthetic" and not np.isfinite(self._u_buf[j]).all():
             raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
         if not self.force_zero_p:
             newly = per_row_accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
@@ -328,8 +329,9 @@ class PerStepRelay(solver.Stepper):
                 for c, k in enumerate(BACK_OFFSETS):
                     if k <= len(self.past_u):
                         self.ignition_u_back[i, c] = self.past_u[-k][i]
-            self.p_win = relay.evaluate(self.state.accumulator, self.relay_kind)
-            self._dt_p[: self.m] = self.grid.dt * self.p_win
+            self._dt_p[: self.m] = self.grid.dt * relay.evaluate(self.state.accumulator,
+                                                                 self.relay_kind)
+            self._refactor = True  # whether or not p changed
         self.past_u.append(u_win)
         self._lo = self._hi = max(BACK_OFFSETS)
 
@@ -535,24 +537,24 @@ class TestBlockRelay:
                 assert stepper._band == slice(node, node + 1)
             saturated = stepper.state.accumulator[node] >= kind.epsilon
             assert saturated == (step >= 4)
-            assert (stepper.p_win[node] == 1.0) == saturated
+            assert (stepper._dt_p[node] == FIELD_GRID.dt) == saturated
         stepper.snapshot()  # the next update
-        assert stepper.p_win[node] == 1.0 and stepper._band_size == 0
+        assert stepper._dt_p[node] == FIELD_GRID.dt and stepper._band_size == 0
         assert stepper._threshold[node] == np.inf and stepper.relay_updates == 2
 
     @staticmethod
-    def poison_solve(monkeypatch, call):
-        """Make the ``call``-th interior solve return NaN in its last row,
-        past the relay window."""
+    def poison_solve(monkeypatch, call, row=-1, value=np.nan):
+        """Put ``value`` in row ``row`` of the right-hand side of the
+        ``call``-th interior solve (by default a NaN in the last row, past the
+        relay window)."""
         real = solver.StepMatrix.solve
         calls = []
 
-        def solve(self, p_win, rhs):
-            out = real(self, p_win, rhs)
+        def solve(self, rhs):
             calls.append(None)
             if len(calls) == call:
-                out[-1] = np.nan
-            return out
+                rhs[row] = value
+            return real(self, rhs)
 
         monkeypatch.setattr(solver.StepMatrix, "solve", solve)
 
@@ -563,6 +565,24 @@ class TestBlockRelay:
         bad = 35 + first_step - 1
         with pytest.raises(lg.NonFiniteField, match=f"at step {bad}, t={bad * grid.dt}$"):
             solver.runner(scheme)(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, coarse_grid().n_t - 1), st.sampled_from(("first", "window", "last")),
+           st.sampled_from((math.nan, math.inf, -math.inf)),
+           st.sampled_from(("deficit", "deposition")), st.sampled_from(RELAYS), st.booleans())
+    def test_non_finite_rhs_row_names_its_step(self, call, where, value, scheme, kind,
+                                               force_zero_p):
+        # with force_zero_p no node is live, so only the non-finite row ends the block
+        grid = coarse_grid()
+        m = solver._relay_window(PARAMS, grid, lg.compute_constants(PARAMS))
+        row = {"first": 0, "window": m // 2, "last": -1}[where]
+        bad = call + (scheme == "deposition")  # the deposition run starts at step 1
+        message = re.escape(f"at step {bad}, t={bad * grid.dt}") + "$"
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(lg.NonFiniteField,
+                                                                  match=message):
+            self.poison_solve(patch, call, row, value)
+            solver.runner(scheme)(PARAMS, grid, kind, snapshot_stride=20,
+                                  force_zero_p=force_zero_p)
 
     def test_nan_inside_a_block_fails_the_cli_with_status_2(self, tmp_path, monkeypatch, capsys):
         self.poison_solve(monkeypatch, 35)
