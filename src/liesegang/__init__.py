@@ -17,8 +17,7 @@ from .duhamel import (
     eval_F1,
     eval_F2,
     front_derivative_estimate,
-    transversality_spatial,
-    transversality_temporal,
+    transversality,
 )
 from .fronts import (
     BoundaryClass,

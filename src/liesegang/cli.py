@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from scipy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
 from .config import (
+    ENV_OUTPUT_DIR,
     ParseError,
     RunConfig,
     Tolerances,
@@ -57,16 +59,22 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-def _out_path(cfg: RunConfig | None, name: str) -> Path:
-    """``name`` in the config's output directory (created), or as given without a config."""
-    if cfg is None:
+def _out_path(cfg: RunConfig | None, args, name: str) -> Path:
+    """``name`` in the output directory (created): the config's or, without
+    one, ``LIESEGANG_OUTPUT_DIR``, then ``--output-dir``, then the current
+    directory, as :func:`parse_config` orders them.  ``toy`` has no output
+    directory: it passes no ``args`` and writes ``name`` as given."""
+    if cfg is not None:
+        out = Path(cfg.output_dir)
+    elif args is not None:
+        out = Path(os.environ.get(ENV_OUTPUT_DIR, args.output_dir or "."))
+    else:
         return Path(name)
-    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
 
-def _write_report(cfg: RunConfig | None, kind: str, body: dict, name: str) -> Path:
+def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str) -> Path:
     """Write the header, then ``body``, to :func:`_out_path`; return the path.
 
     The header omits ``effective_config`` when there is no config.
@@ -75,7 +83,7 @@ def _write_report(cfg: RunConfig | None, kind: str, body: dict, name: str) -> Pa
     if cfg is not None:
         report["effective_config"] = cfg.effective_config()
     report.update(body)
-    path = _out_path(cfg, name)
+    path = _out_path(cfg, args, name)
     jsonio.dump_json(report, path)
     return path
 
@@ -117,7 +125,7 @@ def cmd_constants(args) -> int:
         constants = compute_constants(cfg.params, t1=measured_t1)
     body = {"constants": constants.to_json_dict(), "ring_width_alt": constants.ring_width_alt,
             "t1_measured": measured_t1}
-    path = _write_report(cfg, "constants_report", body, args.output)
+    path = _write_report(cfg, args, "constants_report", body, args.output)
     print(f"constants written to {path}")
     return 0
 
@@ -125,10 +133,10 @@ def cmd_constants(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     record = _run_from_config(cfg)
-    prefix = _out_path(cfg, args.output)
+    prefix = _out_path(cfg, args, args.output)
     npz_path, json_path = record.save(prefix)
     if args.csv:
-        record.write_csv(_out_path(cfg, args.csv))
+        record.write_csv(_out_path(cfg, args, args.csv))
     ignited = int(np.isfinite(record.ignition_time).sum())
     # the deposition scheme starts at t0 = dt, one step after the deficit scheme
     steps = round((record.times[-1] - record.times[0]) / record.grid.dt)
@@ -143,7 +151,7 @@ def cmd_analyze(args) -> int:
     tol = cfg.tolerances if cfg else Tolerances()
     report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
                                       jump_factor=tol.jump_factor, front_tol=tol.front_tol)
-    out = _write_report(cfg, "front_report", report_body, args.output)
+    out = _write_report(cfg, args, "front_report", report_body, args.output)
     print(f"front report written to {out} "
           f"(rings: {len(report_body['rings'])}, X_star: {report_body['X_star']:.4g})")
     return 0
@@ -163,10 +171,10 @@ def cmd_diagnose(args) -> int:
     report_body = duhamel.diagnostics_report(record, front, probes,
                                              slope_floor=tol.slope_floor,
                                              rate_floor=tol.rate_floor)
-    out = _write_report(cfg, "diagnostics_report", report_body, args.output)
+    out = _write_report(cfg, args, "diagnostics_report", report_body, args.output)
     if args.csv:
         columns = ["x", "t", "u_t", "psi_t", "F1", "F2", "residual"]
-        jsonio.write_csv(_out_path(cfg, args.csv), columns,
+        jsonio.write_csv(_out_path(cfg, args, args.csv), columns,
                          [[r[c] for c in columns] for r in report_body["probes"]])
     print(f"diagnostics written to {out} (max |residual| = {report_body['max_abs_residual']:.3e})")
     return 0
@@ -177,7 +185,7 @@ def cmd_toy(args) -> int:
                                          dt=args.toy_dt))
     print(table.to_text())
     if args.output:
-        _write_report(None, "toy_report", table.to_json_dict(), args.output)
+        _write_report(None, None, "toy_report", table.to_json_dict(), args.output)
     return 0
 
 
@@ -198,9 +206,9 @@ def cmd_compare(args) -> int:
         tol = _agreement_tol(cfg, args, rec1, epsilon=args.epsilon2)
         rec2 = _run_from_config(replace(cfg, relay_kind=RelayKind.mollified(args.epsilon2)))
     report = comparison.compare(rec1, rec2, tol)
-    path = _write_report(cfg, "comparison_report", report.to_json_dict(), args.output)
+    path = _write_report(cfg, args, "comparison_report", report.to_json_dict(), args.output)
     if args.csv:
-        jsonio.write_csv(_out_path(cfg, args.csv), ["t", "sup_diff", "energy"],
+        jsonio.write_csv(_out_path(cfg, args, args.csv), ["t", "sup_diff", "energy"],
                          zip(report.times.tolist(), report.sup_diff.tolist(),
                              report.energy.tolist()))
     div = report.divergence_time
@@ -225,7 +233,7 @@ def cmd_sweep(args) -> int:
                       "max_sup_diff_before_T_unique": r.max_sup_diff_before_T_unique,
                       "energy_monotone_before_T_unique": r.energy_monotone_before_T_unique}
                      for r in rows]}
-    path = _write_report(cfg, "sweep_report", body, args.output)
+    path = _write_report(cfg, args, "sweep_report", body, args.output)
     print(f"{'label':<28}{'divergence_time':<18}{'T_unique':<12}")
     for r in rows:
         div = "never" if math.isnan(r.divergence_time) else f"{r.divergence_time:.6g}"

@@ -2,9 +2,9 @@
 
 A config file is a flat JSON object; unknown keys are rejected.  Every key
 has a documented default, so ``{}`` is a valid config, and every number,
-tolerances included, must be finite.  ``u_star`` may be given directly or
-through ``u_star_fraction`` (fraction of the plateau value Psi(alpha)); the
-threshold must be supercritical.  ``t_max`` defaults to
+tolerances and probe coordinates included, must be finite.  ``u_star`` may
+be given directly or through ``u_star_fraction`` (fraction of the plateau
+value Psi(alpha)); the threshold must be supercritical.  ``t_max`` defaults to
 twice the F2-horizon T2.  ``dt`` is adjusted downward so that the step count
 is integral; the adjusted value is what ``effective_config`` reports, and
 re-parsing an emitted effective config reproduces the same configuration.
@@ -121,6 +121,13 @@ class RunConfig:
         }
 
 
+def _finite(val: int | float) -> bool:
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _require_number(raw: dict, key: str, violations: list[str], *, positive: bool = False,
                     allow_none: bool = False, integer: bool = False):
     val = raw[key]
@@ -132,11 +139,7 @@ def _require_number(raw: dict, key: str, violations: list[str], *, positive: boo
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         violations.append(f"{key} must be a number, got {val!r}")
         return None
-    try:
-        finite = math.isfinite(val)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
+    if not _finite(val):
         violations.append(f"{key} must be finite, got {val!r}")
         return None
     if integer and int(val) != val:
@@ -214,6 +217,9 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     ):
         violations.append("probes must be a list of [x, t] pairs")
         probes = []
+    for j, p in enumerate(probes):
+        if not all(_finite(v) for v in p):
+            violations.append(f"probes[{j}] must be finite, got {list(p)!r}")
 
     tol_kwargs = {}
     for key, default in _TOLERANCE_DEFAULTS.items():

@@ -276,44 +276,26 @@ def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
 
 # -- transversality ---------------------------------------------------------------
 
-def _front_index(record: SolutionRecord, x: float) -> int:
-    i = int(round(x / record.grid.dx))
-    if not (0 <= i < record.x.size) or not np.isfinite(record.ignition_time[i]):
-        raise ValueError(f"x = {x} is not a precipitated grid node")
-    return i
+def transversality(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial and temporal transversality values at every node's ignition,
+    from the samples the run stored then: ``(u_x_plus, u_t_minus)``.
 
-
-def transversality_spatial(record: SolutionRecord, front: FrontFunction, x: float,
-                           slope_floor: float = DEFAULT_SLOPE_FLOOR) -> tuple[bool, float]:
-    """One-sided forward slope of u at (x, ell(x)); flag when < -slope_floor."""
-    i = _front_index(record, x)
-    vals = record.ignition_u_right[i]
-    dx = record.grid.dx
-    if np.isfinite(vals[:3]).all():
-        value = float((-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dx))
-    elif np.isfinite(vals[:2]).all():
-        value = float((vals[1] - vals[0]) / dx)
-    else:
-        raise ValueError(f"no rightward samples stored at node x = {x}")
-    return value < -slope_floor, value
-
-
-def transversality_temporal(record: SolutionRecord, front: FrontFunction, x: float,
-                            rate_floor: float = DEFAULT_RATE_FLOOR) -> tuple[bool, float]:
-    """Largest backward difference of u over the ladder k in {dt, 2dt, 4dt, 8dt}
-    at the node's ignition time; flag when > rate_floor."""
-    i = _front_index(record, x)
-    dt = record.grid.dt
-    ell = record.ignition_time[i]
-    if ell < 10.0 * dt:
-        raise ValueError(f"node x = {x} ignites at {ell} < 10*dt")
-    back = record.ignition_u_back[i]
-    u0 = record.ignition_u[i]
-    rates = [(u0 - back[j]) / (k * dt) for j, k in enumerate(BACK_OFFSETS) if np.isfinite(back[j])]
-    if not rates:
-        raise ValueError(f"no look-back samples stored at node x = {x}")
-    value = float(max(rates))
-    return value > rate_floor, value
+    ``u_x_plus`` is the one-sided forward slope of u at (x, ell(x)), three-point
+    where three rightward samples are stored, else two-point.  ``u_t_minus`` is
+    the largest backward difference of u over the look-back ladder
+    ``k*dt, k in BACK_OFFSETS``, and is not defined for burn-in nodes, which
+    ignite before ``10*dt``.  Both are NaN where a node lacks the samples (a
+    node that never ignited has none).  A node is spatially transversal where
+    ``u_x_plus < -slope_floor``, temporally where ``u_t_minus > rate_floor``.
+    """
+    dx, dt = record.grid.dx, record.grid.dt
+    right = record.ignition_u_right
+    three = (-3.0 * right[:, 0] + 4.0 * right[:, 1] - right[:, 2]) / (2.0 * dx)
+    u_x_plus = np.where(np.isfinite(right[:, 2]), three, (right[:, 1] - right[:, 0]) / dx)
+    rates = (record.ignition_u[:, None] - record.ignition_u_back) / (np.array(BACK_OFFSETS) * dt)
+    # fmax skips the NaN of a missing look-back sample; all missing gives NaN
+    u_t_minus = np.where(record.ignition_time >= 10.0 * dt, np.fmax.reduce(rates, axis=1), np.nan)
+    return u_x_plus, u_t_minus
 
 
 @dataclass
@@ -325,18 +307,23 @@ class EllPrimeEstimate:
     u_t_minus: float
 
 
-def front_derivative_estimate(front: FrontFunction, record: SolutionRecord, x: float,
-                              slope_floor: float = DEFAULT_SLOPE_FLOOR,
+def front_derivative_estimate(record: SolutionRecord, x: float,
                               rate_floor: float = DEFAULT_RATE_FLOOR) -> EllPrimeEstimate:
     """Front slope from the transversal ratio -u_x+/u_t-, compared with the
     discrete slope of ell."""
-    t_flag, u_t_minus = transversality_temporal(record, front, x, rate_floor=rate_floor)
-    if not t_flag:
+    i = int(round(x / record.grid.dx))
+    if not 0 <= i < record.x.size:
+        raise ValueError(f"x = {x} is not a grid node")
+    u_x_plus, u_t_minus = (float(values[i]) for values in transversality(record))
+    if math.isnan(u_t_minus):
+        raise ValueError(f"no temporal rate at x = {x}: not ignited, ignited before 10*dt, "
+                         f"or no look-back samples stored")
+    if not u_t_minus > rate_floor:
         raise DegenerateRate(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
-    _s_flag, u_x_plus = transversality_spatial(record, front, x, slope_floor=slope_floor)
+    if math.isnan(u_x_plus):
+        raise ValueError(f"no rightward samples stored at node x = {x}")
     value = -u_x_plus / u_t_minus
 
-    i = _front_index(record, x)
     ell = record.ignition_time
     dx = record.grid.dx
     if 0 < i < ell.size - 1 and np.isfinite(ell[i - 1]) and np.isfinite(ell[i + 1]):
@@ -366,30 +353,17 @@ def diagnostics_report(record: SolutionRecord, front: FrontFunction, probes,
         f1_bound = math.sqrt(math.pi) * consts.alpha_star * consts.C_psi
         f2_bound = 0.5 * math.sqrt(math.pi / consts.C_ell)
 
+    u_x_plus, u_t_minus = transversality(record)
     node_rows = []
-    dt = record.grid.dt
     for i in front.indices:
-        x_i = float(record.x[i])
-        entry = {"x": x_i, "ell": float(record.ignition_time[i])}
-        try:
-            flag_s, val_s = transversality_spatial(record, front, x_i, slope_floor)
-            entry["u_x_plus"] = val_s
-            entry["spatial_flag"] = flag_s
-        except ValueError:
-            entry["u_x_plus"] = None
-            entry["spatial_flag"] = None
-        if record.ignition_time[i] >= 10.0 * dt:
-            try:
-                flag_t, val_t = transversality_temporal(record, front, x_i, rate_floor)
-                entry["u_t_minus"] = val_t
-                entry["temporal_flag"] = flag_t
-            except ValueError:
-                entry["u_t_minus"] = None
-                entry["temporal_flag"] = None
-        else:
-            entry["u_t_minus"] = None
-            entry["temporal_flag"] = None
-        node_rows.append(entry)
+        s, r = float(u_x_plus[i]), float(u_t_minus[i])
+        node_rows.append({
+            "x": float(record.x[i]), "ell": float(record.ignition_time[i]),
+            "u_x_plus": None if math.isnan(s) else s,
+            "spatial_flag": None if math.isnan(s) else s < -slope_floor,
+            "u_t_minus": None if math.isnan(r) else r,
+            "temporal_flag": None if math.isnan(r) else r > rate_floor,
+        })
 
     return {
         "probes": [{"x": r.x, "t": r.t, "u_t": r.u_t, "psi_t": r.psi_t, "F1": r.F1,

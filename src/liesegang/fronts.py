@@ -8,7 +8,7 @@ with interrings starting from a ring at x = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class FrontFunction:
     x: np.ndarray
     ell: np.ndarray
     dx: float
-    dt: float
-    u_star: float
-    residuals: np.ndarray
-    residual_max: float
-    front_tol: float
-    residual_ok: bool
-    tie_pairs: list = field(default_factory=list)
-    monotonicity_violations: list = field(default_factory=list)
 
     @property
     def mask(self) -> np.ndarray:
@@ -58,6 +50,23 @@ class FrontFunction:
     def ignited_ell(self) -> np.ndarray:
         return self.ell[self.mask]
 
+    def _increments(self):
+        """(i, j, ell[j] - ell[i]) for each pair of consecutive front nodes."""
+        idx = self.indices
+        return zip(idx[:-1], idx[1:], np.diff(self.ell[idx]))
+
+    @property
+    def tie_pairs(self) -> list:
+        """(x_i, x_j) of consecutive front nodes that ignite at the same time."""
+        return [(float(self.x[a]), float(self.x[b]))
+                for a, b, d in self._increments() if d == 0.0]
+
+    @property
+    def monotonicity_violations(self) -> list:
+        """(x_i, x_j, ell_j - ell_i) of consecutive front nodes where ell decreases."""
+        return [(float(self.x[a]), float(self.x[b]), float(d))
+                for a, b, d in self._increments() if d < 0.0]
+
     def tie_fraction(self) -> float:
         n = self.indices.size
         return len(self.tie_pairs) / n if n else 0.0
@@ -72,55 +81,13 @@ class FrontFunction:
         ends = np.concatenate((breaks, [idx.size - 1]))
         return [(int(idx[s]), int(idx[e])) for s, e in zip(starts, ends)]
 
-    @staticmethod
-    def from_arrays(x, ell, dx: float, dt: float, u_star: float = np.nan) -> "FrontFunction":
-        """Construct a synthetic front directly from coordinate/time arrays."""
-        x = np.asarray(x, dtype=float)
-        ell = np.asarray(ell, dtype=float)
-        f = FrontFunction(x=x, ell=ell, dx=dx, dt=dt, u_star=u_star,
-                          residuals=np.full(x.shape, np.nan), residual_max=0.0,
-                          front_tol=np.inf, residual_ok=True)
-        _scan_monotonicity(f)
-        return f
 
-
-def _scan_monotonicity(front: FrontFunction) -> None:
-    idx = front.indices
-    front.tie_pairs = []
-    front.monotonicity_violations = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        d = front.ell[b] - front.ell[a]
-        if d == 0.0:
-            front.tie_pairs.append((float(front.x[a]), float(front.x[b])))
-        elif d < 0.0:
-            front.monotonicity_violations.append((float(front.x[a]), float(front.x[b]), float(d)))
-
-
-def default_front_tol(grid: GridSpec) -> float:
-    return 10.0 * (grid.dx + grid.dt / grid.dx)
-
-
-def extract_front(record: SolutionRecord, front_tol: float | None = None) -> FrontFunction:
-    """Front function from recorded ignition times.
-
-    Also verifies the threshold residual |u(x, ell(x)) - u_star| at every
-    front node against ``front_tol`` (default ``10*(dx + dt/dx)``) and scans
-    for monotonicity violations and grid ties.
-    """
+def extract_front(record: SolutionRecord) -> FrontFunction:
+    """Front function from recorded ignition times."""
     ell = record.ignition_time
     if not np.isfinite(ell).any():
         raise EmptyFront("no node ignited in this record")
-    if front_tol is None:
-        front_tol = default_front_tol(record.grid)
-    residuals = np.abs(record.ignition_u - record.params.u_star)
-    residual_max = float(np.nanmax(residuals))
-    front = FrontFunction(
-        x=record.x, ell=ell.copy(), dx=record.grid.dx, dt=record.grid.dt,
-        u_star=record.params.u_star, residuals=residuals, residual_max=residual_max,
-        front_tol=front_tol, residual_ok=bool(residual_max <= front_tol),
-    )
-    _scan_monotonicity(front)
-    return front
+    return FrontFunction(x=record.x, ell=ell.copy(), dx=record.grid.dx)
 
 
 # -- ring segmentation ------------------------------------------------------
@@ -316,8 +283,16 @@ def reconstruct_p(front: FrontFunction, times: np.ndarray) -> np.ndarray:
 def front_report(record: SolutionRecord, measure_tol: float = 0.0,
                  jump_factor: float = DEFAULT_JUMP_FACTOR,
                  front_tol: float | None = None) -> dict:
-    """Everything the ``analyze`` subcommand emits, as one JSON-ready dict."""
-    front = extract_front(record, front_tol=front_tol)
+    """Everything the ``analyze`` subcommand emits, as one JSON-ready dict.
+
+    Includes the threshold residual ``max |u(x, ell(x)) - u_star|`` over the
+    front nodes, checked against ``front_tol`` (default ``10*(dx + dt/dx)``).
+    """
+    front = extract_front(record)
+    grid = record.grid
+    if front_tol is None:
+        front_tol = 10.0 * (grid.dx + grid.dt / grid.dx)
+    residual_max = float(np.nanmax(np.abs(record.ignition_u - record.params.u_star)))
     seg = segment_rings(record, measure_tol=measure_tol)
     cls = classify_boundary(front, record.params, record.grid, jump_factor=jump_factor,
                             segmentation=seg)
@@ -335,8 +310,7 @@ def front_report(record: SolutionRecord, measure_tol: float = 0.0,
         "X_star": seg.X_star,
         "classification": cls.histogram,
         "ring_start_checks": [list(c) for c in cls.ring_start_checks],
-        "residuals": {"max": front.residual_max, "tol": front.front_tol,
-                      "ok": front.residual_ok},
+        "residuals": {"max": residual_max, "tol": front_tol, "ok": residual_max <= front_tol},
         "ties": {"count": len(front.tie_pairs), "fraction": front.tie_fraction()},
         "monotonicity_violations": [list(v) for v in front.monotonicity_violations],
         "slope_bound": slope,

@@ -14,6 +14,7 @@ solution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ class ToyConfig:
     def __post_init__(self):
         if self.forcing not in (CONSTANT, LINEAR):
             raise ValueError(f"forcing must be '{CONSTANT}' or '{LINEAR}'")
-        if not (self.horizon > 0 and self.dt > 0):
-            raise ValueError("horizon and dt must be positive")
+        if not (0 < self.horizon < math.inf and 0 < self.dt < math.inf):
+            raise ValueError(f"horizon and dt must be finite and positive, got "
+                             f"{self.horizon!r} and {self.dt!r}")
 
     def f(self, t: float) -> float:
         return 0.5 if self.forcing == CONSTANT else t

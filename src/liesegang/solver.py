@@ -313,18 +313,16 @@ class Stepper:
         self.tail: ModalTail | None = None
 
         self.step_index = 0
-        self.t = 0.0
         self.state = RelayState.create(self.x[: self.m], params)
         self._dt_p = np.zeros(self.mc)  # dt * p, zero past the window
         self._refactor = True  # p changed since the step matrix was factored
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
-        # Rows [_lo, _hi) of the buffers are the steps since the last relay
-        # update: their time and u on the first ``mc`` nodes.  The rows before
-        # them in the u buffer are the look-back steps (NaN before step 1).
+        # Rows [_lo, _hi) of the buffer are the steps since the last relay
+        # update, the last one ``step_index``: u on the first ``mc`` nodes.
+        # The rows before them are the look-back steps (NaN before step 1).
         lookback = max(BACK_OFFSETS)
-        self._t_buf = np.empty(lookback + TAIL_BLOCK_STEPS)
-        self._u_buf = np.full((self._t_buf.size, self.mc), np.nan)
+        self._u_buf = np.full((lookback + TAIL_BLOCK_STEPS, self.mc), np.nan)
         self._lo = self._hi = lookback
         self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
         # mollified: the window nodes in the smoothstep band, a slice when contiguous
@@ -349,9 +347,8 @@ class Stepper:
             self.u = self._split(model.psi(self.x, grid.dt, params))
             self._advance = Stepper._advance_deposition
             self._field_name = "concentration"
-            self.step_index, self.t = 1, grid.dt
+            self.step_index = 1
             self._u_buf[self._hi] = self.u[: self.mc]
-            self._t_buf[self._hi] = self.t
             self._hi += 1
             self._update_relay()
         elif scheme == "synthetic":
@@ -369,15 +366,18 @@ class Stepper:
         u_win = self._u_buf[j]
         self._advance(self, t_new, u_win)
         self.step_index += 1
-        self.t = t_new
-        self._t_buf[j] = t_new
         self._hi = j + 1
         if self._band_size:
             self._step_band(u_win)
         # NaN fails <=, so a non-finite buffered value ends the block at once
-        if self._hi == self._t_buf.size or np.count_nonzero(u_win <= self._threshold) < self.mc:
+        if self._hi == len(self._u_buf) or np.count_nonzero(u_win <= self._threshold) < self.mc:
             self._update_relay()
         return self
+
+    @property
+    def t(self) -> float:
+        """Time of the last step taken."""
+        return self.step_index * self.grid.dt
 
     def snapshot(self) -> tuple:
         """(t, w, accumulator) on the whole grid; records derive ``p`` from the accumulator."""
@@ -430,7 +430,7 @@ class Stepper:
         lo, hi = self._lo, self._hi
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
             raise NonFiniteField(f"non-finite {self._field_name} at step "
-                                 f"{self.step_index}, t={self._t_buf[hi - 1]}")
+                                 f"{self.step_index}, t={self.t}")
         if not self.force_zero_p:
             self.relay_updates += 1
             state = self.state
@@ -438,7 +438,8 @@ class Stepper:
             if self._band_size:  # the band's rows were added step by step
                 block = block.copy()
                 block[:, self._band] = -np.inf
-            nodes, rows = accumulate(state, block, self.grid.dt, self._t_buf[lo:hi],
+            steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
+            nodes, rows = accumulate(state, block, self.grid.dt, steps * self.grid.dt,
                                      self.relay_kind)
             if nodes.size:
                 self._log_ignitions(nodes.tolist(), (lo + rows).tolist())

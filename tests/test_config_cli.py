@@ -65,6 +65,8 @@ class TestParseConfig:
         ({"alpha": math.nan}, "alpha", math.nan),
         ({"x_max": 10**400}, "x_max", 10**400),  # an int no float can hold
         ({"tolerances": {"measure_tol": -math.inf}}, "measure_tol", -math.inf),
+        ({"probes": [[math.nan, 0.1]]}, "probes[0]", [math.nan, 0.1]),
+        ({"probes": [[0.1, 0.02], [0.2, math.inf]]}, "probes[1]", [0.2, math.inf]),
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, data, key, value):
         with pytest.raises(config.ValidationError) as exc:
@@ -174,6 +176,53 @@ class TestCli:
         assert self.run_cli(*argv, "--output-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("probe", [[math.nan, 0.03], [0.1, math.inf]], ids=["nan_x", "inf_t"])
+    def test_non_finite_probe_is_a_config_error(self, tmp_path, capsys, probe):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", path, "-o", "rec") == 0
+        bad = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), probes=[probe]),
+                           name="bad.json")
+        capsys.readouterr()
+        assert self.run_cli("diagnose", "-c", bad, "-r", str(tmp_path / "rec")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "probes[0] must be finite" in err
+        assert not (tmp_path / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--toy-dt"])
+    def test_toy_rejects_an_infinite_horizon_or_step(self, capsys, flag):
+        assert self.run_cli("toy", flag, "inf") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_output_dir_honoured_without_config(self, tmp_path, monkeypatch, source):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), dx=0.01, dt=2e-5,
+                                           x_max=4.0, t_max=0.26, snapshot_stride=50))
+        assert self.run_cli("simulate", "-c", path, "-o", "a") == 0
+        assert self.run_cli("simulate", "-c", path, "--relay", "mollified",
+                            "--epsilon", "1e-3", "-o", "b") == 0
+        out = tmp_path / "reports"
+        if source == "env":  # the variable wins over the flag
+            monkeypatch.setenv(config.ENV_OUTPUT_DIR, str(out))
+            flag = ["--output-dir", str(tmp_path / "ignored")]
+        else:
+            monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+            flag = ["--output-dir", str(out)]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert self.run_cli("analyze", "-r", a, *flag) == 0
+        assert self.run_cli("diagnose", "-r", a, "--csv", "diag.csv", *flag) == 0
+        assert self.run_cli("compare", "--rec1", a, "--rec2", b, "--agreement-tol", "0.05",
+                            "--csv", "cmp.csv", *flag) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cmp.csv", "comparison.json", "diag.csv", "diagnostics.json", "front_report.json"]
+        for name in ("comparison.json", "diagnostics.json", "front_report.json"):
+            assert "effective_config" not in json.loads((out / name).read_text())
+        assert not any(cwd.iterdir()) and not (tmp_path / "ignored").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a record with no ignition makes `analyze` fail numerically (exit 2)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 
 import liesegang as lg
 from liesegang import duhamel, fronts, model
+from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
+from util import make_record
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
 
@@ -192,15 +196,14 @@ class TestF1:
 class TestF2:
     def test_empty_domain_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.01, dt=1e-4, x_max=1.0, t_max=1.0)
-        f = fronts.FrontFunction.from_arrays(grid.x, np.full(grid.x.size, np.nan),
-                                             dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(grid.x, np.full(grid.x.size, np.nan), grid.dx)
         assert duhamel.eval_F2(f, 0.3, 0.5) == 0.0
 
     def test_parabolic_front_against_quadrature_oracle(self):
         dx = 1e-3
         x = np.arange(0, 1001) * dx
         ell = x**2
-        f = fronts.FrontFunction.from_arrays(x, ell, dx=dx, dt=1e-6)
+        f = fronts.FrontFunction(x, ell, dx)
         xe, te = 0.2, 0.06
 
         def integrand(y, xx):
@@ -219,7 +222,7 @@ class TestF2:
         x = np.arange(0, 4000) * dx
         x0, t0 = 0.1, 0.05
         ell = t0 - (x - x0) * np.abs(x - x0)
-        f = fronts.FrontFunction.from_arrays(x, ell, dx=dx, dt=1e-8)
+        f = fronts.FrontFunction(x, ell, dx)
         assert duhamel.eval_F2(f, x0, t0) == math.inf
 
     def test_removing_front_nodes_never_increases(self, rec_coarse_sharp):
@@ -228,15 +231,13 @@ class TestF2:
         full = duhamel.eval_F2(front, x, t)
         # truncate deep inside the contributing region (keep the inner third);
         # the removed mass includes the singular crossing cell
-        cut = fronts.FrontFunction.from_arrays(front.x, front.ell.copy(),
-                                               dx=front.dx, dt=front.dt)
+        cut = fronts.FrontFunction(front.x, front.ell.copy(), front.dx)
         idx = cut.indices
         cut.ell[idx[idx.size // 3:]] = np.nan
         truncated = duhamel.eval_F2(cut, x, t)
         assert truncated < full
         # drop an interior node
-        cut2 = fronts.FrontFunction.from_arrays(front.x, front.ell.copy(),
-                                                dx=front.dx, dt=front.dt)
+        cut2 = fronts.FrontFunction(front.x, front.ell.copy(), front.dx)
         cut2.ell[idx[idx.size // 2]] = np.nan
         assert duhamel.eval_F2(cut2, x, t) <= full + 1e-6 * full
 
@@ -254,8 +255,7 @@ class TestIdentity:
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=3.0, t_max=0.1)
         rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20,
                      force_zero_p=True)
-        f = fronts.FrontFunction.from_arrays(rec.x, np.full(rec.x.size, np.nan),
-                                             dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(rec.x, np.full(rec.x.size, np.nan), grid.dx)
         rows = duhamel.check_ut_identity(rec, f, [(1.2, 0.05), (0.8, 0.08)])
         for r in rows:
             assert r.F1 == 0.0 and r.F2 == 0.0
@@ -291,20 +291,52 @@ class TestIdentity:
         assert maxima[1] / maxima[2] >= 2.0
 
 
+def node(rec, x):
+    return int(round(x / rec.grid.dx))
+
+
+def per_node_reference(record):
+    """The transversality formulas evaluated one ignited node at a time: NaN
+    where a node never ignited, ignited before 10*dt or lacks the samples."""
+    dx, dt = record.grid.dx, record.grid.dt
+    u_x_plus = np.full(record.x.size, np.nan)
+    u_t_minus = np.full(record.x.size, np.nan)
+    for i in np.flatnonzero(np.isfinite(record.ignition_time)):
+        vals = record.ignition_u_right[i]
+        if np.isfinite(vals[:3]).all():
+            u_x_plus[i] = float((-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dx))
+        elif np.isfinite(vals[:2]).all():
+            u_x_plus[i] = float((vals[1] - vals[0]) / dx)
+        back = record.ignition_u_back[i]
+        rates = [(record.ignition_u[i] - back[j]) / (k * dt)
+                 for j, k in enumerate(BACK_OFFSETS) if np.isfinite(back[j])]
+        if record.ignition_time[i] >= 10.0 * dt and rates:
+            u_t_minus[i] = float(max(rates))
+    return u_x_plus, u_t_minus
+
+
+def assert_same_bits(got, want):
+    """NaN at the same nodes, and every other value equal bit for bit."""
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+N_NODES = 9  # x_max 0.8 at dx 0.1
+
+
 class TestTransversality:
     def test_spatial_slope_on_linear_profile(self):
         c = 0.7
         rec = synthetic_record(
             lambda x, t: PARAMS.u_star + 0.2 * t - c * (np.asarray(x) - 0.0))
-        front = fronts.extract_front(rec)
-        flag, value = duhamel.transversality_spatial(rec, front, 0.2)
-        assert flag and value == pytest.approx(-c, rel=1e-9)
+        value = duhamel.transversality(rec)[0][node(rec, 0.2)]
+        assert value < -duhamel.DEFAULT_SLOPE_FLOOR and value == pytest.approx(-c, rel=1e-9)
 
     def test_spatial_flat_profile_not_flagged(self):
         rec = synthetic_record(lambda x, t: np.full(np.shape(x), PARAMS.u_star + 1e-12 * t))
-        front = fronts.extract_front(rec)
-        flag, value = duhamel.transversality_spatial(rec, front, 0.2)
-        assert not flag and abs(value) < 1e-10
+        value = duhamel.transversality(rec)[0][node(rec, 0.2)]
+        assert not value < -duhamel.DEFAULT_SLOPE_FLOOR and abs(value) < 1e-10
 
     def test_temporal_rate_on_unit_ramp(self):
         # u = u_star - (ell0(x) - t): rate exactly 1 at ignition
@@ -312,29 +344,56 @@ class TestTransversality:
             return PARAMS.u_star - ((np.asarray(x) ** 2 + 0.2) - t)
 
         rec = synthetic_record(u_fn)
-        front = fronts.extract_front(rec)
-        flag, value = duhamel.transversality_temporal(rec, front, 0.3)
-        assert flag and value == pytest.approx(1.0, rel=1e-9)
+        value = duhamel.transversality(rec)[1][node(rec, 0.3)]
+        assert value > duhamel.DEFAULT_RATE_FLOOR and value == pytest.approx(1.0, rel=1e-9)
 
     def test_temporal_constant_before_ignition_not_flagged(self):
         def u_fn(x, t):
             return np.full(np.shape(x), PARAMS.u_star + (1e-12 if t >= 0.5 else 0.0))
 
         rec = synthetic_record(u_fn)
-        front = fronts.extract_front(rec)
-        flag, value = duhamel.transversality_temporal(rec, front, 0.2)
-        assert not flag and abs(value) < 1e-8
+        value = duhamel.transversality(rec)[1][node(rec, 0.2)]
+        assert not value > duhamel.DEFAULT_RATE_FLOOR and abs(value) < 1e-8
 
     def test_temporal_under_resolved_node_rejected(self):
         rec = synthetic_record(lambda x, t: np.full(np.shape(x), PARAMS.u_star + t))
-        front = fronts.extract_front(rec)
+        assert np.isnan(duhamel.transversality(rec)[1][node(rec, 0.2)])  # ignites at first step
         with pytest.raises(ValueError):
-            duhamel.transversality_temporal(rec, front, 0.2)  # ignites at first step
+            duhamel.front_derivative_estimate(rec, 0.2)
 
     def test_not_a_front_node_rejected(self, rec_coarse_sharp):
-        front = fronts.extract_front(rec_coarse_sharp)
+        i = node(rec_coarse_sharp, 3.5)
+        assert np.isnan(rec_coarse_sharp.ignition_time[i])
+        u_x_plus, u_t_minus = duhamel.transversality(rec_coarse_sharp)
+        assert np.isnan(u_x_plus[i]) and np.isnan(u_t_minus[i])
         with pytest.raises(ValueError):
-            duhamel.transversality_spatial(rec_coarse_sharp, front, 3.5)
+            duhamel.front_derivative_estimate(rec_coarse_sharp, 3.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.integers(1, 30)),
+                    min_size=N_NODES, max_size=N_NODES),
+           st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(math.nan)),
+                    min_size=N_NODES * (RIGHT_CELLS + len(BACK_OFFSETS)),
+                    max_size=N_NODES * (RIGHT_CELLS + len(BACK_OFFSETS))))
+    def test_arrays_match_the_per_node_formulas(self, steps, values):
+        # a node ignites at a drawn step (None: never), burn-in below step 10;
+        # it holds fewer right samples near the grid end, no look-back sample
+        # from before step 1, and any sample may be missing (NaN)
+        grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=0.8, t_max=0.3)
+        assert grid.x.size == N_NODES
+        rec = make_record(PARAMS, grid, [0.0, grid.t_max])
+        vals = np.array(values).reshape(N_NODES, -1)
+        for i, step in enumerate(steps):
+            if step is None:
+                continue
+            rec.ignition_time[i] = step * grid.dt
+            m = min(RIGHT_CELLS, N_NODES - i)
+            rec.ignition_u_right[i, :m] = vals[i, :m]
+            for j, k in enumerate(BACK_OFFSETS):
+                if k < step:
+                    rec.ignition_u_back[i, j] = vals[i, RIGHT_CELLS + j]
+        for got, want in zip(duhamel.transversality(rec), per_node_reference(rec)):
+            assert_same_bits(got, want)
 
 
 class TestFrontDerivative:
@@ -345,9 +404,8 @@ class TestFrontDerivative:
             return PARAMS.u_star + r * (t - np.asarray(x) ** 2)
 
         rec = synthetic_record(u_fn, dx=0.02, dt=1e-3)
-        front = fronts.extract_front(rec)
         x = 0.4
-        est = duhamel.front_derivative_estimate(front, rec, x)
+        est = duhamel.front_derivative_estimate(rec, x)
         assert est.value == pytest.approx(2 * x, rel=0.1)
         assert est.rel_gap <= 0.1
 
@@ -356,9 +414,8 @@ class TestFrontDerivative:
             return np.full(np.shape(x), PARAMS.u_star + (1e-12 if t >= 0.5 else 0.0))
 
         rec = synthetic_record(u_fn)
-        front = fronts.extract_front(rec)
         with pytest.raises(duhamel.DegenerateRate):
-            duhamel.front_derivative_estimate(front, rec, 0.2)
+            duhamel.front_derivative_estimate(rec, 0.2)
 
     def test_measured_front_slope_gap_small_on_fine_grid(self, rec_halved, constants):
         front = fronts.extract_front(rec_halved)
@@ -367,7 +424,7 @@ class TestFrontDerivative:
             x = rec_halved.x[i]
             ell = rec_halved.ignition_time[i]
             if 0.05 <= x <= 0.3 and ell >= 10 * rec_halved.grid.dt and ell < constants.T_unique:
-                gaps.append(duhamel.front_derivative_estimate(front, rec_halved, x).rel_gap)
+                gaps.append(duhamel.front_derivative_estimate(rec_halved, x).rel_gap)
         assert gaps and np.median(gaps) <= 0.2
         assert np.max(gaps) <= 0.2
 

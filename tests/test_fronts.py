@@ -25,18 +25,19 @@ class TestExtractFront:
         assert front.ell[0] <= rec_coarse_sharp.grid.dt + 1e-15
 
     def test_residual_reported(self, rec_coarse_sharp):
-        front = fronts.extract_front(rec_coarse_sharp)
+        residuals = fronts.front_report(rec_coarse_sharp)["residuals"]
         grid = rec_coarse_sharp.grid
-        assert front.front_tol == pytest.approx(10 * (grid.dx + grid.dt / grid.dx))
-        assert front.residual_max >= 0
-        assert np.isfinite(front.residuals[front.mask]).all()
+        assert residuals["tol"] == pytest.approx(10 * (grid.dx + grid.dt / grid.dx))
+        assert residuals["max"] >= 0
+        front = fronts.extract_front(rec_coarse_sharp)
+        assert np.isfinite(rec_coarse_sharp.ignition_u[front.mask]).all()
 
     def test_segments_and_ties_on_synthetic_front(self):
         grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=1.0, t_max=1.0)
         ell = np.full(11, np.nan)
         ell[0:3] = [0.01, 0.02, 0.02]   # one tie
         ell[5:8] = [0.30, 0.35, 0.40]
-        f = fronts.FrontFunction.from_arrays(grid.x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(grid.x, ell, grid.dx)
         assert f.segments() == [(0, 2), (5, 7)]
         assert len(f.tie_pairs) == 1
         assert f.tie_fraction() == pytest.approx(1 / 6)
@@ -104,7 +105,7 @@ class TestClassifyBoundary:
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=1.0, t_max=1.0)
         x = grid.x
         ell = (x / PARAMS.alpha) ** 2
-        f = fronts.FrontFunction.from_arrays(x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(x, ell, grid.dx)
         cls = fronts.classify_boundary(f, PARAMS, grid)
         assert cls.histogram["degenerate"] == x.size
         assert cls.histogram["jump"] == 0
@@ -115,7 +116,7 @@ class TestClassifyBoundary:
         ell = 0.05 + 0.2 * x          # off the parabola, uniform increments
         k = 25
         ell[k:] += 100 * 0.2 * grid.dx  # step of 100x the median increment
-        f = fronts.FrontFunction.from_arrays(x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(x, ell, grid.dx)
         cls = fronts.classify_boundary(f, PARAMS, grid)
         labels = cls.labels
         assert labels[k] == fronts.JUMP
@@ -136,7 +137,7 @@ class TestFrontSlopeCheck:
         grid = lg.GridSpec.make(dx=0.005, dt=1e-4, x_max=1.0, t_max=1.0)
         x = grid.x
         ell = (x / PARAMS.alpha) ** 2
-        f = fronts.FrontFunction.from_arrays(x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(x, ell, grid.dx)
         rep = fronts.front_slope_check(f, constants)
         # bound holds iff C_ell <= 1/alpha^2
         assert constants.C_ell <= 1.0 / PARAMS.alpha**2
@@ -149,14 +150,14 @@ class TestFrontSlopeCheck:
         grid = lg.GridSpec.make(dx=0.01, dt=1e-4, x_max=1.0, t_max=1.0)
         ell = np.full(grid.x.size, np.nan)
         ell[3], ell[4] = 0.001, 0.002
-        f = fronts.FrontFunction.from_arrays(grid.x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(grid.x, ell, grid.dx)
         rep = fronts.front_slope_check(f, constants)
         assert rep.n_pairs == 1
 
     def test_empty_selection_is_vacuous(self, constants):
         grid = lg.GridSpec.make(dx=0.01, dt=1e-4, x_max=1.0, t_max=1.0)
         ell = np.full(grid.x.size, np.nan)
-        f = fronts.FrontFunction.from_arrays(grid.x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(grid.x, ell, grid.dx)
         rep = fronts.front_slope_check(f, constants)
         assert rep.holds and rep.n_pairs == 0
 
@@ -166,7 +167,7 @@ class TestReconstruction:
         grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=1.0, t_max=1.0)
         ell = np.full(11, np.nan)
         ell[2], ell[3] = 0.2, 0.4
-        f = fronts.FrontFunction.from_arrays(grid.x, ell, dx=grid.dx, dt=grid.dt)
+        f = fronts.FrontFunction(grid.x, ell, grid.dx)
         times = np.array([0.0, 0.2, 0.3, 0.5])
         p = fronts.reconstruct_p(f, times)
         assert p.shape == (4, 11)
