@@ -59,6 +59,25 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
+# The flags a saved record fixes: without -c, commands on records reject them.
+_RECORD_FIXED_FLAGS = ("alpha", "beta", "u_star", "u_star_fraction", "dx", "dt", "x_max",
+                       "t_max", "relay", "epsilon", "scheme", "stride")
+
+
+def _record_config(args) -> RunConfig | None:
+    """The config of a command on saved records: ``-c`` with the flags over
+    it, else None.  Without ``-c`` only ``--output-dir`` is read, so any flag
+    the records fix is an error rather than silently ignored."""
+    if args.config:
+        return _config_from_args(args)
+    given = [f"--{name.replace('_', '-')}" for name in _RECORD_FIXED_FLAGS
+             if getattr(args, name) is not None]
+    if given:
+        raise ValidationError([f"{', '.join(given)}: read only with -c/--config; "
+                               "without it the saved record fixes these settings"])
+    return None
+
+
 def _out_path(cfg: RunConfig | None, args, name: str) -> Path:
     """``name`` in the output directory (created): the config's or, without
     one, ``LIESEGANG_OUTPUT_DIR``, then ``--output-dir``, then the current
@@ -146,7 +165,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config_from_args(args) if args.config else None
+    cfg = _record_config(args)
     record = SolutionRecord.load(args.record)
     tol = cfg.tolerances if cfg else Tolerances()
     report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
@@ -158,7 +177,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _config_from_args(args) if args.config else None
+    cfg = _record_config(args)
     record = SolutionRecord.load(args.record)
     front = fronts.extract_front(record)
     tol = cfg.tolerances if cfg else Tolerances()
@@ -191,9 +210,9 @@ def cmd_toy(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.rec1 and args.rec2:
+        cfg = _record_config(args)
         rec1 = SolutionRecord.load(args.rec1)
         rec2 = SolutionRecord.load(args.rec2)
-        cfg = _config_from_args(args) if args.config else None
         tol = args.agreement_tol
         if tol is None:
             raise ValidationError(["--agreement-tol is required when comparing saved records"])

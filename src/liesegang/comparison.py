@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import solver
 from .grids import GridSpec
@@ -131,8 +130,8 @@ def _entanglement(x: np.ndarray, sign: np.ndarray) -> tuple[bool, tuple | None]:
 def _report_from_fields(x, times, u1, u2, ell1, ell2, dt, agreement_tol) -> ComparisonReport:
     diff = u1 - u2
     sup_diff = np.max(np.abs(diff), axis=1)
-    energy = trapezoid(np.maximum(diff, 0.0) ** 2, x, axis=1)
-    energy_rev = trapezoid(np.maximum(-diff, 0.0) ** 2, x, axis=1)
+    energy = np.trapezoid(np.maximum(diff, 0.0) ** 2, x, axis=1)
+    energy_rev = np.trapezoid(np.maximum(-diff, 0.0) ** 2, x, axis=1)
     front_sign = _front_signs(ell1, ell2, dt)
     entangled, window = _entanglement(x, front_sign)
     over = np.flatnonzero(sup_diff > agreement_tol)

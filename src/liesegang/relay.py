@@ -105,7 +105,8 @@ def smoothstep(s):
 
 def smoothstep_array(s) -> np.ndarray:
     """:func:`smoothstep` of an array with at least one dimension, in place
-    on one copy: the path :func:`evaluate` and the stepper's band update take."""
+    on one copy: the path :func:`evaluate` takes, and whose arithmetic the
+    stepper's band update repeats."""
     s = np.maximum(s, 0.0)
     np.minimum(s, 1.0, out=s)
     out = np.multiply(s, s)

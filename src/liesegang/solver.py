@@ -38,11 +38,14 @@ every step, and the rest of its window goes through the block path.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
-(under the mollified relay, while any node is inside its smoothstep band:
-every step).  Both schemes therefore LU-factor it only when ``p`` changed
-(LAPACK ``gttrf``) and solve each step with the stored factors (``gttrs``);
-the factors and the solution are bit-identical to a fresh ``gtsv``
-elimination on every step.
+and, under the mollified relay, on the smoothstep band's columns after every
+step a node spends in it.  :class:`StepMatrix` keeps the diagonal as state:
+a relay update rebuilds it and a band step rewrites the band's columns.
+After an update it is LU-factored once (LAPACK ``gttrf``) and each step of a
+switch-free block is solved with the stored factors (``gttrs``); after a
+band step, since the diagonal changes again one step later, the next solve
+is a single ``gtsv`` elimination.  Every path is bit-identical to a fresh
+``gtsv`` elimination on every step.
 
 A second scheme integrates ``u`` directly, depositing the singular source
 ``(alpha*beta / (2 sqrt t)) * delta(x - alpha sqrt t)`` onto the grid with
@@ -73,8 +76,7 @@ from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
-from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
-                    smoothstep_array)
+from .relay import MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate
 
 WINDOW_MARGIN_CELLS = 16
 # Grids that would leave fewer tail nodes are solved whole, with the Neumann
@@ -124,15 +126,20 @@ def _check_domain(grid: GridSpec, constants: ModelConstants | None) -> None:
 
 
 class StepMatrix:
-    """LU factors of the interior step matrix ``I - mu*D2 + dt*diag(p)``.
+    """The interior step matrix ``I - mu*D2 + dt*diag(p)`` and its solve.
 
     Row 0 is the mirrored Neumann row.  The last row is the mirrored Neumann
     row at ``x_max`` when the interior is the whole grid (``tail_h0`` None);
     otherwise it couples to a :class:`ModalTail`, which adds ``-mu*tail_h0``
-    to its diagonal and keeps the ``-mu`` towards the interior.  :meth:`factor`
-    LU-factors it (a full ``gttrf``) for ``dt*p`` on the leading nodes and
-    counts the factorizations (``factorizations``); :meth:`solve` reuses the
-    factors until the next :meth:`factor`.
+    to its diagonal and keeps the ``-mu`` towards the interior.  The diagonal
+    ``diag = main_base + dt*p`` is state: :meth:`set_p` rebuilds it for
+    ``dt*p`` on the leading nodes, and :meth:`set_band` rewrites it on the
+    mollified relay's smoothstep band, which changes it again after the next
+    step.  :meth:`solve` is every step's solve and picks the LAPACK path:
+    after a band write, one ``gtsv`` elimination; otherwise a ``gttrf`` on
+    the first solve after a change (counted in ``factorizations``) and a
+    ``gttrs`` with the stored factors on every solve.  Both paths give the
+    solution of a fresh ``gtsv`` bit for bit.
     """
 
     def __init__(self, n: int, mu: float, tail_h0: float | None = None):
@@ -144,20 +151,37 @@ class StepMatrix:
             self.dl[-1] = -2.0 * mu
         else:
             self.main_base[-1] -= mu * tail_h0
-        self.factors: tuple = ()
+        self.diag = self.main_base.copy()
+        self.factors: tuple = ()  # LU factors of diag; empty after it changed
+        self.band_written = False  # set_band changed diag since the last solve
         self.factorizations = 0
 
-    def factor(self, dt_p: np.ndarray) -> None:
-        d = self.main_base.copy()
-        d[: dt_p.size] += dt_p
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(self.dl, d, self.du, overwrite_d=1)
-        if info != 0:
-            raise LinAlgError(f"singular step matrix (gttrf info={info})")
-        self.factors = (dl, d, du, du2, ipiv)
-        self.factorizations += 1
+    def set_p(self, dt_p: np.ndarray) -> None:
+        """The diagonal for ``dt*p`` on the leading nodes."""
+        np.add(self.main_base[: dt_p.size], dt_p, out=self.diag[: dt_p.size])
+        self.factors = ()
+
+    def set_band(self, band: slice | np.ndarray, dt_p: np.ndarray) -> None:
+        """The diagonal on the band's columns for their ``dt*p``."""
+        self.diag[band] = self.main_base[band] + dt_p
+        self.factors = ()
+        self.band_written = True
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgttrs(*self.factors, rhs)
+        """The solution, written over ``rhs``."""
+        if not self.factors:
+            if self.band_written:
+                self.band_written = False
+                *_, x, info = lapack.dgtsv(self.dl, self.diag, self.du, rhs, overwrite_b=1)
+                if info != 0:
+                    raise LinAlgError(f"singular step matrix (gtsv info={info})")
+                return x
+            *factors, info = lapack.dgttrf(self.dl, self.diag, self.du)
+            if info != 0:
+                raise LinAlgError(f"singular step matrix (gttrf info={info})")
+            self.factors = tuple(factors)
+            self.factorizations += 1
+        x, info = lapack.dgttrs(*self.factors, rhs, overwrite_b=1)
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
         return x
@@ -282,8 +306,10 @@ class Stepper:
     inside a block stays in it, with ``p`` exactly 1.  Between updates the
     other accumulators lag (ignition times do not); :meth:`snapshot` brings
     them up to date.  ``p`` can change only at an update in which a node
-    ignited and at a band step, so only after those is the step matrix
-    refactored, before the next solve.
+    ignited and at a band step.  After such an update the step matrix's
+    diagonal is rebuilt before the next solve, which factors it; a band step
+    rewrites only the band's columns, and the next solve eliminates in one
+    LAPACK call (:class:`StepMatrix`).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -315,7 +341,7 @@ class Stepper:
         self.step_index = 0
         self.state = RelayState.create(self.x[: self.m], params)
         self._dt_p = np.zeros(self.mc)  # dt * p, zero past the window
-        self._refactor = True  # p changed since the step matrix was factored
+        self._refactor = True  # p changed since the step matrix's diagonal was set
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
         # Rows [_lo, _hi) of the buffer are the steps since the last relay
@@ -335,19 +361,20 @@ class Stepper:
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
         self._w_now = Stepper._w_from_u
+        self._psi_prefactor = model.psi_prefactor(params)
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
-            self._psi_prefactor = model.psi_prefactor(params)
             self._psi_block = np.empty((0, self.mc))
             self._psi_from = 0
             self._advance = Stepper._advance_deficit
             self._w_now = Stepper._w_whole
             self._field_name = "deficit field"
         elif scheme == "deposition":
-            self.u = self._split(model.psi(self.x, grid.dt, params))
+            self.u = self._split(self._psi(self.x, [grid.dt])[0])
             self._advance = Stepper._advance_deposition
             self._field_name = "concentration"
             self.step_index = 1
+            self._source_at = params.alpha * math.sqrt(self.t)  # the source's position
             self._u_buf[self._hi] = self.u[: self.mc]
             self._hi += 1
             self._update_relay()
@@ -359,6 +386,10 @@ class Stepper:
             raise ValueError(f"unknown scheme {scheme!r}")
         tail_h0 = None if self.tail is None else self.tail.h0
         self.matrix = StepMatrix(self.J, self.mu, tail_h0)
+        # the explicit half-step writes the right-hand side into the spare and
+        # the solve overwrites it with the new field; the old field is the next spare
+        self._spare = np.empty(self.J)
+        self._pairs = np.empty(self.J - 2)
 
     def step(self) -> "Stepper":
         t_new = (self.step_index + 1) * self.grid.dt
@@ -404,19 +435,25 @@ class Stepper:
         return out
 
     def _explicit_half_step(self, field: np.ndarray) -> np.ndarray:
+        """``field`` times ``I + mu*D2`` with its Neumann and tail rows, written
+        into the spare buffer; the end rows add on Python floats (the same
+        IEEE adds) in place of numpy scalars."""
         mu = self.mu
-        rhs = (1.0 - 2.0 * mu) * field
-        rhs[1:-1] += mu * (field[:-2] + field[2:])
-        rhs[0] += 2.0 * mu * field[1]
+        rhs, self._spare = self._spare, field
+        np.multiply(field, 1.0 - 2.0 * mu, rhs)
+        pairs = np.add(field[:-2], field[2:], self._pairs)
+        pairs *= mu
+        rhs[1:-1] += pairs
+        rhs[0] = rhs.item(0) + 2.0 * mu * field.item(1)
         if self.tail is None:
-            rhs[-1] += 2.0 * mu * field[-2]
+            rhs[-1] = rhs.item(-1) + 2.0 * mu * field.item(-2)
         else:
-            rhs[-1] += mu * (field[-2] + self.tail.coupling())
+            rhs[-1] = rhs.item(-1) + mu * (field.item(-2) + self.tail.coupling())
         return rhs
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._refactor:
-            self.matrix.factor(self._dt_p)
+            self.matrix.set_p(self._dt_p)
             self._refactor = False
         out = self.matrix.solve(rhs)
         if self.tail is not None:
@@ -454,14 +491,26 @@ class Stepper:
 
     def _step_band(self, u_win: np.ndarray) -> None:
         """Add this step's rectangle to the band's accumulators (the one add
-        :func:`accumulate` makes) and re-evaluate their ``p``."""
-        band, a = self._band, self.state.accumulator
-        inc = u_win[band] - self.state.u_star
-        np.maximum(inc, 0.0, out=inc)
-        inc *= self.grid.dt
-        a[band] += inc
-        self._dt_p[band] = self.grid.dt * smoothstep_array(a[band] / self.relay_kind.epsilon)
-        self._refactor = True
+        :func:`accumulate` makes) and re-evaluate their ``dt*p`` and the step
+        matrix's diagonal there.
+
+        :func:`relay.smoothstep_array`'s arithmetic, in place, without its
+        clamp at 0, which band nodes (``a > 0``) never reach.
+        """
+        band, a, dt = self._band, self.state.accumulator, self.grid.dt
+        s = u_win[band] - self.state.u_star
+        np.maximum(s, 0.0, out=s)
+        s *= dt
+        a[band] += s
+        np.divide(a[band], self.relay_kind.epsilon, out=s)
+        np.minimum(s, 1.0, out=s)
+        dt_p = s * s
+        s *= 2.0
+        np.subtract(3.0, s, out=s)
+        dt_p *= s
+        dt_p *= dt
+        self._dt_p[band] = dt_p
+        self.matrix.set_band(band, dt_p)
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:
         """Capture ``u`` right of each node that ignited, and at the look-back
@@ -487,23 +536,35 @@ class Stepper:
                 band = slice(int(band[0]), int(band[-1]) + 1)
             self._band = band
 
-    def _psi_window(self) -> np.ndarray:
-        """psi on the first ``mc`` nodes at the end of the coming step.
+    def _psi(self, x: np.ndarray, t) -> np.ndarray:
+        """psi(x, t) = Psi(x / sqrt(t)) on increasing nodes ``x >= 0``, one row
+        per time of the increasing times ``t > 0``.
 
-        psi(x, t) = Psi(x / sqrt(t)) for x >= 0 and t > 0, with
-        model.capital_psi's arithmetic done in place, for ``TAIL_BLOCK_STEPS``
-        steps at a time.
+        model.capital_psi's arithmetic, done in place.  Columns with
+        ``x / sqrt(t[0]) <= alpha`` lie behind the source at every time, on
+        the plateau Psi(alpha), which one erfc call gives them all; erfc runs
+        only on the columns ahead.
         """
+        alpha = self.params.alpha
+        root = np.sqrt(t)[:, None]
+        behind = np.count_nonzero(x / root[0] <= alpha)
+        psi = np.empty((root.size, x.size))
+        psi[:, :behind] = erfc(alpha / 2.0)
+        ahead = np.divide(x[behind:], root, out=psi[:, behind:])
+        np.maximum(ahead, alpha, out=ahead)
+        ahead /= 2.0
+        erfc(ahead, out=ahead)
+        psi *= self._psi_prefactor
+        return psi
+
+    def _psi_window(self) -> np.ndarray:
+        """psi on the first ``mc`` nodes at the end of the coming step, for
+        ``TAIL_BLOCK_STEPS`` steps at a time."""
         r = self.step_index - self._psi_from
         if r == len(self._psi_block):
             self._psi_from, r = self.step_index, 0
             t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
-            psi = np.divide(self.x[: self.mc], np.sqrt(t)[:, None])
-            np.maximum(psi, self.params.alpha, out=psi)
-            psi /= 2.0
-            erfc(psi, out=psi)
-            psi *= self._psi_prefactor
-            self._psi_block = psi
+            self._psi_block = self._psi(self.x[: self.mc], t)
         return self._psi_block[r]
 
     def _advance_deficit(self, t_new: float, u_win: np.ndarray) -> None:
@@ -515,9 +576,8 @@ class Stepper:
 
     def _advance_deposition(self, t_new: float, u_win: np.ndarray) -> None:
         rhs = self._explicit_half_step(self.u)
-        a = self.params.alpha
-        _deposit_swept_source(rhs, self.params.beta, a * math.sqrt(self.t), a * math.sqrt(t_new),
-                              self.grid.dx)
+        start, self._source_at = self._source_at, self.params.alpha * math.sqrt(t_new)
+        _deposit_swept_source(rhs, self.params.beta, start, self._source_at, self.grid.dx)
         self.u = self._solve(rhs)
         u_win[:] = self.u[: self.mc]
 
@@ -530,7 +590,10 @@ class Stepper:
 
     def _w_from_u(self) -> np.ndarray:
         w = self._whole(self.u)
-        w -= model.psi(self.x, self.t, self.params)
+        if self.step_index:
+            w -= self._psi(self.x, [self.t])[0]
+        else:  # a prescribed field's first snapshot: psi's similarity limit at t = 0
+            w -= model.psi(self.x, 0.0, self.params)
         return w
 
 

@@ -224,6 +224,28 @@ class TestCli:
             assert "effective_config" not in json.loads((out / name).read_text())
         assert not any(cwd.iterdir()) and not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("command", [["analyze", "-r", "{a}"], ["diagnose", "-r", "{a}"],
+                                         ["compare", "--rec1", "{a}", "--rec2", "{a}",
+                                          "--agreement-tol", "0.05"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("flags, named", [
+        (["--alpha", "2", "--relay", "mollified", "--epsilon", "1e-3"],
+         "--alpha, --relay, --epsilon:"),
+        (["--u-star", "0.4", "--x-max", "3", "--stride", "5", "--scheme", "deposition"],
+         "--u-star, --x-max, --scheme, --stride:"),
+    ])
+    def test_saved_record_commands_reject_flags_they_would_ignore(self, tmp_path, capsys,
+                                                                  command, flags, named):
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", path, "-o", "a") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [arg.format(a=tmp_path / "a") for arg in command]
+        assert self.run_cli(*argv, *flags, "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a record with no ignition makes `analyze` fail numerically (exit 2)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),
@@ -457,10 +479,24 @@ class TestCli:
         assert "0.43651308861203764" in text  # u_star at full precision
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def src_env():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # numpy.trapezoid replaced its one use; importing it also loaded scipy.optimize
+    code = ("import sys, liesegang.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = src_env()
     done = subprocess.run([sys.executable, "-m", "liesegang", "--help"], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 import liesegang as lg
 from liesegang import cli, model, relay, solver
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+RELAYS = (lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p())
 
 
 def coarse_grid(t_max=0.05, dx=0.02, dt=1e-4, x_max=2.0):
@@ -117,10 +118,10 @@ class TestStepMatrix:
                     rng.uniform(0.0, 1.0, self.M)]
         matrix = solver.StepMatrix(self.N, self.MU)
         for p_win in patterns + patterns[:1]:
-            matrix.factor(self.DT * p_win)
+            matrix.set_p(self.DT * p_win)
             for _ in range(2):  # the second solve reuses the factors
                 rhs = rng.normal(size=self.N)
-                x = matrix.solve(rhs)
+                x = matrix.solve(rhs.copy())
                 assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
         assert matrix.factorizations == 4
 
@@ -137,11 +138,44 @@ class TestStepMatrix:
             # the relay is irreversible: p never decreases at any node
             new = np.maximum(p_win, draw)
             if i == 0 or not np.array_equal(new, p_win):
-                matrix.factor(self.DT * new)
+                matrix.set_p(self.DT * new)
             p_win = new
             rhs = rng.normal(size=self.N)
-            assert np.array_equal(matrix.solve(rhs),
+            assert np.array_equal(matrix.solve(rhs.copy()),
                                   banded_solve(self.MU, self.DT, p_win, rhs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("keep", "set_p", "band")),
+                              st.integers(1, 2**M - 1), st.booleans()),
+                    min_size=1, max_size=10),
+           st.integers(0, 2**32 - 1))
+    def test_band_eliminations_mixed_with_factored_solves(self, ops, seed):
+        # band writes (one gtsv) between full rebuilds and solves that keep
+        # the diagonal (gttrf once, then gttrs), on slice and index-array bands
+        rng = np.random.default_rng(seed)
+        matrix = solver.StepMatrix(self.N, self.MU)
+        p_win, changed, banded, factorizations = np.zeros(self.M), True, False, 0
+        for op, bits, as_slice in ops:
+            if op == "set_p":
+                p_win = rng.uniform(0.0, 1.0, self.M)
+                matrix.set_p(self.DT * p_win)
+                changed = True
+            elif op == "band":
+                cols = np.flatnonzero([(bits >> i) & 1 for i in range(self.M)])
+                contiguous = cols[-1] - cols[0] == cols.size - 1
+                band = slice(cols[0], cols[-1] + 1) if contiguous and as_slice else cols
+                p_win[band] = rng.uniform(0.0, 1.0, cols.size)
+                matrix.set_band(band, self.DT * p_win[band])
+                changed = banded = True
+            if banded:
+                banded = False
+            elif changed:
+                factorizations += 1
+                changed = False
+            rhs = rng.normal(size=self.N)
+            assert np.array_equal(matrix.solve(rhs.copy()),
+                                  banded_solve(self.MU, self.DT, p_win, rhs))
+            assert matrix.factorizations == factorizations
 
     def test_sharp_run_refactors_once_per_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
@@ -160,6 +194,81 @@ class TestStepMatrix:
         for _ in range(grid.n_t):
             stepper.step()
         assert stepper.matrix.factorizations == 1
+
+    class LapackSpy:
+        """``solver.lapack`` with the name of every routine called logged."""
+
+        def __init__(self):
+            self.calls = []
+
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+
+            def logged(*args, **kwargs):
+                self.calls.append(name)
+                return routine(*args, **kwargs)
+            return logged
+
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    def test_lapack_calls_per_step(self, monkeypatch, kind, scheme):
+        # a solve after a band step is one gtsv; any other solve is a gttrs,
+        # after a gttrf only when p changed
+        spy = self.LapackSpy()
+        monkeypatch.setattr(solver, "lapack", spy)
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        stepper = solver.Stepper(PARAMS, grid, kind, scheme=scheme)
+        first, band_steps, follows_band = stepper.step_index, 0, False
+        while stepper.step_index < grid.n_t:
+            before, band_step = len(spy.calls), stepper._band_size > 0
+            stepper.step()
+            calls = spy.calls[before:]
+            if follows_band:
+                assert calls == ["dgtsv"]
+            else:
+                assert calls in (["dgttrs"], ["dgttrf", "dgttrs"])
+            band_steps += band_step
+            follows_band = band_step
+        assert spy.calls.count("dgttrf") == stepper.matrix.factorizations
+        if kind.variant == "mollified":
+            assert band_steps > grid.n_t // 2
+            assert spy.calls.count("dgtsv") == band_steps - follows_band
+        else:
+            ign = stepper.state.ignition_time
+            steps = np.unique(np.round(ign[np.isfinite(ign)] / grid.dt).astype(int))
+            assert spy.calls.count("dgtsv") == 0
+            # p changes after each ignition step; the next solve refactors
+            assert stepper.matrix.factorizations == 1 + np.count_nonzero(
+                (steps > first) & (steps < grid.n_t))
+
+
+class TestPsiRows:
+    """The stepper's in-place psi equals model.psi bit for bit."""
+
+    GRID = coarse_grid(t_max=0.26, x_max=4.0)
+
+    def test_window_block_straddling_the_source(self):
+        stepper = solver.Stepper(PARAMS, self.GRID, RELAYS[0])
+        while stepper.step_index < 1000:
+            stepper.step()
+        x, dt = stepper.x[: stepper.mc], self.GRID.dt
+        psi_win = stepper._psi_window()
+        assert np.array_equal(psi_win, model.psi(x, (stepper.step_index + 1) * dt, PARAMS))
+        block = stepper._psi_block
+        times = (stepper._psi_from + np.arange(1, len(block) + 1)) * dt
+        # the source passes a node inside the block: plateau columns, then erfc ones
+        behind = [np.count_nonzero(x / math.sqrt(t) <= PARAMS.alpha) for t in times[[0, -1]]]
+        assert 0 < behind[0] < behind[1] < x.size
+        for row, t in zip(block, times):
+            assert np.array_equal(row, model.psi(x, t, PARAMS))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, GRID.n_t), st.integers(1, solver.TAIL_BLOCK_STEPS))
+    def test_rows_on_the_whole_grid(self, first, rows):
+        stepper = solver.Stepper(PARAMS, self.GRID, RELAYS[0], scheme="deposition")
+        times = (first + np.arange(1, rows + 1)) * self.GRID.dt
+        for row, t in zip(stepper._psi(stepper.x, times), times):
+            assert np.array_equal(row, model.psi(stepper.x, t, PARAMS))
 
 
 def tail_operators(n, mu):
@@ -337,7 +446,6 @@ class PerStepRelay(solver.Stepper):
 
 
 RECORD_ARRAYS = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
-RELAYS = (lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p())
 
 
 def with_oracle(monkeypatch, build):
