@@ -59,22 +59,23 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-# The flags a saved record fixes: without -c, commands on records reject them.
+# The flags a saved record fixes: commands on records reject them.
 _RECORD_FIXED_FLAGS = ("alpha", "beta", "u_star", "u_star_fraction", "dx", "dt", "x_max",
                        "t_max", "relay", "epsilon", "scheme", "stride")
 
 
 def _record_config(args) -> RunConfig | None:
-    """The config of a command on saved records: ``-c`` with the flags over
-    it, else None.  Without ``-c`` only ``--output-dir`` is read, so any flag
-    the records fix is an error rather than silently ignored."""
-    if args.config:
-        return _config_from_args(args)
+    """The config of a command on saved records: ``-c`` with ``--output-dir``
+    over it, else None.  The records fix the model, grid, relay, scheme and
+    stride, so a flag for any of them is an error, with or without ``-c``,
+    rather than echoed into the report or silently ignored."""
     given = [f"--{name.replace('_', '-')}" for name in _RECORD_FIXED_FLAGS
              if getattr(args, name) is not None]
     if given:
-        raise ValidationError([f"{', '.join(given)}: read only with -c/--config; "
-                               "without it the saved record fixes these settings"])
+        raise ValidationError([f"{', '.join(given)}: not accepted by commands on saved "
+                               "records, which fix these settings"])
+    if args.config:
+        return parse_config(args.config, {"output_dir": args.output_dir})
     return None
 
 

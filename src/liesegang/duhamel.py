@@ -12,9 +12,9 @@ integrals extend over the even reflection across x = 0.
 F1's space-time mass ``p u_t ds`` does not depend on the probe.  It is
 tabulated once per record, per snapshot cell and only on the columns where p
 is ever non-zero (:func:`f1_mass_table`, cached on the record), so each probe
-costs one kernel-matrix contraction over that table.  ``p`` is evaluated
-from the accumulator on those columns only, and u_t only on the snapshot
-rows a probe reads (:func:`ut_table`), so neither is built on the whole
+costs one kernel-matrix contraction over that table.  ``p`` and ``u`` are
+derived on those columns only, and u_t, with its ``u``, only on the snapshot
+rows a probe reads (:func:`ut_table`), so none of them is built on the whole
 record.
 
 F2's integrand has an integrable ``1/sqrt(t - ell)`` singularity where the
@@ -60,23 +60,26 @@ class DegenerateRate(ValueError):
 
 def ut_table(record: SolutionRecord, k: int) -> np.ndarray:
     """Discrete u_t at snapshot ``k``: centered differences, one-sided at the
-    record ends and around each node's ignition time."""
-    u = record.u
+    record ends and around each node's ignition time.  u is derived on the
+    snapshot rows the stencil reads only."""
     t = record.times
     if k == 0:
+        u = record.u_on(slice(0, 2))
         return (u[1] - u[0]) / (t[1] - t[0])
     if k == t.size - 1:
-        return (u[-1] - u[-2]) / (t[-1] - t[-2])
-    row = (u[k + 1] - u[k - 1]) / (t[k + 1] - t[k - 1])
+        u = record.u_on(slice(k - 1, k + 1))
+        return (u[1] - u[0]) / (t[-1] - t[-2])
+    before, now, after = record.u_on(slice(k - 1, k + 2))
+    row = (after - before) / (t[k + 1] - t[k - 1])
     # A centered stencil that straddles a node's ignition time switches to the
     # one-sided difference taken on its own side of the front: backward when
     # the ignition lies in (t_k, t_k+1], forward when it lies in (t_k-1, t_k].
     ignited = np.flatnonzero(np.isfinite(record.ignition_time))
     k_up = np.searchsorted(t, record.ignition_time[ignited])
     back = ignited[k_up == k + 1]
-    row[back] = (u[k, back] - u[k - 1, back]) / (t[k] - t[k - 1])
+    row[back] = (now[back] - before[back]) / (t[k] - t[k - 1])
     fwd = ignited[k_up == k]
-    row[fwd] = (u[k + 1, fwd] - u[k, fwd]) / (t[k + 1] - t[k])
+    row[fwd] = (after[fwd] - now[fwd]) / (t[k + 1] - t[k])
     return row
 
 
@@ -98,10 +101,10 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     if record._f1_mass_cache is not None:
         return record._f1_mass_cache
     # The accumulator never decreases, so p is ever non-zero exactly where it
-    # is non-zero at the last snapshot.
+    # is non-zero at the last snapshot (a stored column: p is zero past them).
     cols = np.flatnonzero(evaluate(record.accum[-1], record.relay_kind) > 0.0)
     p = evaluate(record.accum[:, cols], record.relay_kind)
-    u = record.u[:, cols]
+    u = record.u_on(cols=cols)
     ell = record.ignition_time[cols]
     times = record.times[:, None]
     # NaN (never ignited) compares false, so such a column has no crossing cell.
@@ -159,8 +162,7 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
         row[cols] = mass[k]
         total += _interp_node(xg, row, x)
 
-    p_K = evaluate(record.accum[K], record.relay_kind)
-    total += (t - times[K]) * _interp_node(xg, p_K * ut_table(record, K), x)
+    total += (t - times[K]) * _interp_node(xg, record.p_on(K) * ut_table(record, K), x)
     return float(total)
 
 

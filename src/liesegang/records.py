@@ -2,8 +2,13 @@
 
 A :class:`SolutionRecord` stores the deficit field ``w = u - psi`` and the
 relay accumulator at snapshot times, and exact per-node ignition data.  The
+accumulator is stored on the leading grid columns only, the relay window
+``[0, m)`` of the run: no node past it can ignite, so it is zero there.  The
 concentration ``u = w + psi`` and the precipitation field
-``p = relay.evaluate(accum)`` are derived on first use and cached.
+``p = relay.evaluate(accum)`` (zero past the stored columns) are derived on
+the whole record on first use and cached; :meth:`SolutionRecord.u_on` and
+:meth:`SolutionRecord.p_on` derive them on the rows and columns a reader
+asks for, equal bit for bit to the matching entries.
 
 Ignition data captured at full step resolution (independent of the snapshot
 stride):
@@ -14,9 +19,12 @@ stride):
   0 is ``ignition_u[i]``),
 * ``ignition_u_back[i]``   -- u at node i at 1, 2, 4 and 8 steps earlier.
 
-Older files also hold ``p`` and ``ignition_u``; they load, as unnamed arrays are
+Records carry their own schema version, ``RECORD_SCHEMA_VERSION`` (configs
+and reports keep ``jsonio.SCHEMA_VERSION``).  Version 1 files store ``accum``
+on the whole grid; they still load, with the same derived values.  Older
+files also hold ``p`` and ``ignition_u``; they load, as unnamed arrays are
 not read, and derive the stored values bit for bit.  Older readers reject newer
-files (exit 1), naming the missing arrays.
+files (exit 1), naming the schema version or the missing arrays.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from . import jsonio, model
 from .grids import GridSpec
@@ -33,6 +42,8 @@ from .relay import RelayKind, evaluate
 
 BACK_OFFSETS = (1, 2, 4, 8)
 RIGHT_CELLS = 5
+# 1: ``accum`` on the whole grid; 2: on the leading columns only, zero past them.
+RECORD_SCHEMA_VERSION = 2
 _ARRAY_NAMES = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
 
 
@@ -75,13 +86,13 @@ class SolutionRecord:
     scheme: str
     times: np.ndarray
     w: np.ndarray
-    accum: np.ndarray
+    accum: np.ndarray  # the leading columns; zero on the grid past them
     ignition_time: np.ndarray
     ignition_u_right: np.ndarray
     ignition_u_back: np.ndarray
     constants: ModelConstants | None = None
     # Derived-data caches, filled on first use: u = w + psi, p and the F1
-    # cell-mass table (``liesegang.duhamel``, which builds neither p nor u_t on
+    # cell-mass table (``liesegang.duhamel``, which builds neither p nor u on
     # the whole record).
     _u_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _p_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -96,15 +107,15 @@ class SolutionRecord:
     def u(self) -> np.ndarray:
         """Concentration u = w + psi at every stored snapshot."""
         if self._u_cache is None:
-            psi_vals = model.psi(self.x[None, :], self.times[:, None], self.params)
-            self._u_cache = self.w + psi_vals
+            self._u_cache = self.u_on()
         return self._u_cache
 
     @property
     def p(self) -> np.ndarray:
-        """Precipitation field ``relay.evaluate(accum)`` at every stored snapshot."""
+        """Precipitation field ``relay.evaluate(accum)`` at every stored
+        snapshot, on the whole grid."""
         if self._p_cache is None:
-            self._p_cache = evaluate(self.accum, self.relay_kind)
+            self._p_cache = self.p_on()
         return self._p_cache
 
     @property
@@ -112,14 +123,47 @@ class SolutionRecord:
         """u at each node at its ignition time: a view of ``ignition_u_right[:, 0]``."""
         return self.ignition_u_right[:, 0]
 
+    def u_on(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """u = w + psi on snapshot ``rows`` (an int, a slice or an index array)
+        and grid columns ``cols`` (a slice or an index array) only.
+
+        ``model.psi`` acts element by element, so every value is bit-equal to
+        the matching entry of :attr:`u`.
+        """
+        t = self.times[rows]
+        if np.ndim(t):
+            t = t[:, None]
+        return self.w[rows][..., cols] + model.psi(self.x[cols], t, self.params)
+
+    def p_on(self, rows=slice(None), stop: int | None = None) -> np.ndarray:
+        """p on snapshot ``rows`` (an int, a slice or an index array) and grid
+        columns ``[0, stop)`` (default: the whole grid), evaluated on the
+        stored accumulator columns among them and zero past those."""
+        stop = self.x.size if stop is None else stop
+        accum = self.accum[rows][..., :stop]
+        out = np.zeros(accum.shape[:-1] + (stop,))
+        out[..., : accum.shape[-1]] = evaluate(accum, self.relay_kind)
+        return out
+
     # -- serialization ----------------------------------------------------
 
     def save(self, prefix) -> tuple[Path, Path]:
-        """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar)."""
+        """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar).
+
+        The archive is the one ``np.savez`` writes, byte for byte, but each
+        member is written as its ``.npy`` header and then the array's own
+        buffer, with no staging copy.
+        """
         npz_path, json_path = _paths(prefix)
-        np.savez(npz_path, **{name: getattr(self, name) for name in _ARRAY_NAMES})
+        with zipfile.ZipFile(npz_path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for name in _ARRAY_NAMES:
+                array = np.ascontiguousarray(getattr(self, name))
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    npformat.write_array_header_1_0(
+                        member, npformat.header_data_from_array_1_0(array))
+                    member.write(array.data)
         sidecar = {
-            "schema_version": jsonio.SCHEMA_VERSION,
+            "schema_version": RECORD_SCHEMA_VERSION,
             "kind": "solution_record",
             "scheme": self.scheme,
             "params": {"alpha": self.params.alpha, "beta": self.params.beta,
@@ -136,12 +180,13 @@ class SolutionRecord:
 
     @classmethod
     def load(cls, prefix) -> "SolutionRecord":
-        """Read a record written by :meth:`save`.
+        """Read a record written by :meth:`save`, of schema version 1 or 2.
 
         Raises ValueError naming the offending file for an unreadable (e.g.
         truncated) sidecar, a sidecar of another kind or schema version or with
         a missing field, an unreadable array file, a missing array, or array
-        shapes that do not match the grid and times.
+        shapes that do not match the grid and times (an ``accum`` wider than
+        the grid, or, in version 1, narrower).
         """
         npz_path, json_path = _paths(prefix)
         try:
@@ -150,9 +195,10 @@ class SolutionRecord:
             raise ValueError(f"{json_path}: unreadable sidecar ({exc})") from exc
         if not isinstance(meta, dict) or meta.get("kind") != "solution_record":
             raise ValueError(f"{json_path}: not a solution record sidecar")
-        if meta.get("schema_version") != jsonio.SCHEMA_VERSION:
-            raise ValueError(f"{json_path}: unsupported schema_version "
-                             f"{meta.get('schema_version')!r} (expected {jsonio.SCHEMA_VERSION})")
+        version = meta.get("schema_version")
+        if version not in (1, RECORD_SCHEMA_VERSION):
+            raise ValueError(f"{json_path}: unsupported schema_version {version!r} "
+                             f"(expected 1 or {RECORD_SCHEMA_VERSION})")
         try:
             fields = _sidecar_fields(meta)
         except (KeyError, TypeError, ValueError) as exc:
@@ -167,8 +213,12 @@ class SolutionRecord:
         if missing:
             raise ValueError(f"{npz_path}: missing arrays {', '.join(missing)}")
         n_snap, n_nodes = arrays["times"].size, fields["grid"].n_x + 1
+        # version 2 stores the accumulator's leading columns, up to the grid's
+        accum_cols = n_nodes
+        if version == RECORD_SCHEMA_VERSION and arrays["accum"].ndim == 2:
+            accum_cols = min(arrays["accum"].shape[1], n_nodes)
         expected = {
-            "times": (n_snap,), "w": (n_snap, n_nodes), "accum": (n_snap, n_nodes),
+            "times": (n_snap,), "w": (n_snap, n_nodes), "accum": (n_snap, accum_cols),
             "ignition_time": (n_nodes,), "ignition_u_right": (n_nodes, RIGHT_CELLS),
             "ignition_u_back": (n_nodes, len(BACK_OFFSETS)),
         }

@@ -411,10 +411,11 @@ class Stepper:
         return self.step_index * self.grid.dt
 
     def snapshot(self) -> tuple:
-        """(t, w, accumulator) on the whole grid; records derive ``p`` from the accumulator."""
+        """(t, w on the whole grid, a copy of the accumulator on the relay
+        window); past the window the accumulator is zero."""
         if self._hi > self._lo:
             self._update_relay()
-        return self.t, self._w_now(self), self._full(self.state.accumulator)
+        return self.t, self._w_now(self), self.state.accumulator.copy()
 
     def _split(self, field: np.ndarray) -> np.ndarray:
         """Hand the nodes past the interior to a new tail; return the interior."""
@@ -609,10 +610,11 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     stepper = Stepper(params, grid, relay_kind, **options)
     steps = np.arange(stepper.step_index + 1, grid.n_t + 1)
     taken = (steps % snapshot_stride == 0) | (steps == grid.n_t)
-    # filled in place: stacking a list of snapshots would hold each one twice
+    # filled in place: stacking a list of snapshots would hold each one twice;
+    # the accumulator is stored on the relay window, as it is zero past it
     times = np.empty(1 + np.count_nonzero(taken))
     w = np.empty((times.size, stepper.n))
-    accum = np.empty_like(w)
+    accum = np.empty((times.size, stepper.m))
     times[0], w[0], accum[0] = stepper.snapshot()
     k = 1
     for take in taken.tolist():

@@ -246,6 +246,36 @@ class TestCli:
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["analyze", "-r", "{a}"], ["diagnose", "-r", "{a}"],
+                                         ["compare", "--rec1", "{a}", "--rec2", "{a}",
+                                          "--agreement-tol", "0.05"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("flags, named", [
+        (["--beta", "1.2", "--relay", "mollified", "--epsilon", "1e-3"],
+         "--beta, --relay, --epsilon:"),
+        # a domain-rule violation of a value that would never be used
+        (["--alpha", "2"], "--alpha:"),
+    ])
+    def test_saved_record_commands_reject_those_flags_with_a_config(self, tmp_path, capsys,
+                                                                    monkeypatch, command,
+                                                                    flags, named):
+        monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+        path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
+                                           t_max=0.26))
+        assert self.run_cli("simulate", "-c", path, "-o", "a") == 0
+        argv = [arg.format(a=tmp_path / "a") for arg in command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run_cli(*argv, "-c", path, *flags, "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert "domain" not in err and not out.exists()
+        # the config file and --output-dir still apply
+        assert self.run_cli(*argv, "-c", path, "--output-dir", str(out)) == 0
+        report = json.loads(next(out.glob("*.json")).read_text())
+        assert report["effective_config"]["output_dir"] == str(out)
+        assert report["effective_config"]["dx"] == TINY["dx"]
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a record with no ignition makes `analyze` fail numerically (exit 2)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),
@@ -296,7 +326,7 @@ class TestCli:
         assert len(lines) == 11
 
     @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema",
-                                        "corrupt_sidecar", "non_utf8_sidecar"])
+                                        "corrupt_sidecar", "non_utf8_sidecar", "wide_accum"])
     def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
         import numpy as np
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
@@ -309,18 +339,25 @@ class TestCli:
                 arrays = {k: data[k] for k in data.files}
             arrays["accum"] = arrays["accum"][:-1]
             np.savez(npz_path, **arrays)
+        elif damage == "wide_accum":  # one column more than the grid has
+            with np.load(npz_path) as data:
+                arrays = {k: data[k] for k in data.files}
+            n_nodes = arrays["w"].shape[1]
+            arrays["accum"] = np.zeros((arrays["times"].size, n_nodes + 1))
+            np.savez(npz_path, **arrays)
         elif damage == "corrupt_sidecar":
             json_path.write_bytes(json_path.read_bytes()[:30])
         elif damage == "non_utf8_sidecar":
             json_path.write_bytes(b"\xff" + json_path.read_bytes())
         else:
-            json_path.write_text(json_path.read_text().replace('"schema_version": 1',
-                                                               '"schema_version": 2'))
+            version = lg.records.RECORD_SCHEMA_VERSION
+            json_path.write_text(json_path.read_text().replace(
+                f'"schema_version": {version}', f'"schema_version": {version + 1}'))
         capsys.readouterr()
         assert self.run_cli("diagnose", "-c", path, "-r", str(tmp_path / "rec")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if damage in ("truncated", "mis_shaped"):
+        if damage in ("truncated", "mis_shaped", "wide_accum"):
             assert "rec.npz" in err
         else:
             assert "rec.json" in err

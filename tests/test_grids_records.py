@@ -1,6 +1,8 @@
 """Grid consistency, record serialization, synthetic record construction."""
+import dataclasses
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -159,14 +161,7 @@ class TestSerialization:
         old = lg.SolutionRecord.load(tmp_path / "old")
         assert np.array_equal(old.p, stored_p) and old.p.any()
         assert np.array_equal(old.ignition_u, stored_ignition_u, equal_nan=True)
-
-        def reports(record):
-            front = fronts.extract_front(record)
-            probes = default_probe_ladder(record.constants, record.params.alpha)
-            return (jsonio.dumps(fronts.front_report(record)),
-                    jsonio.dumps(duhamel.diagnostics_report(record, front, probes)))
-
-        assert reports(old) == reports(rec)
+        assert reports_of(old) == reports_of(rec)
 
     def test_csv_dump_header_and_rows(self, tiny_record, tmp_path):
         path = tmp_path / "snapshots.csv"
@@ -271,3 +266,140 @@ def test_from_fields_round_trip_reproduces_every_array(kind, rate, slope, offset
         assert np.array_equal(getattr(back, name), getattr(rec, name), equal_nan=True), name
     assert np.array_equal(back.p, lg.evaluate(back.accum, kind))
     assert np.array_equal(back.ignition_u, back.ignition_u_right[:, 0], equal_nan=True)
+
+
+# -- record schema versions -----------------------------------------------------
+
+def whole_grid_accum(record):
+    """``record.accum`` zero-padded to every grid column, as version 1 stored it."""
+    return np.pad(record.accum, ((0, 0), (0, record.x.size - record.accum.shape[1])))
+
+
+def write_v1(record, prefix):
+    """Write ``record`` as a schema version 1 file: ``accum`` on the whole grid."""
+    npz_path, json_path = record.save(prefix)
+    arrays = {name: getattr(record, name) for name in records._ARRAY_NAMES}
+    np.savez(npz_path, **dict(arrays, accum=whole_grid_accum(record)))
+    meta = jsonio.load_json(json_path)
+    meta["schema_version"] = 1
+    jsonio.dump_json(meta, json_path)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def window_records(draw):
+    """Records of random arrays whose accumulator covers a random number of
+    leading columns, from none to the whole grid."""
+    n_x = draw(st.integers(1, 12))
+    n_snap = draw(st.integers(2, 6))
+    width = draw(st.integers(0, n_x + 1))
+    kind = draw(RELAY_KINDS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    grid = lg.GridSpec.make(dx=0.25, dt=0.01, x_max=0.25 * n_x, t_max=0.01 * (n_snap - 1))
+    n = n_x + 1
+    ignition_time = np.where(rng.random(n) < 0.5, rng.random(n), np.nan)
+    # increments of zero or of the mollified band's scale, so p takes 0, 1
+    # and values in between
+    steps = rng.choice([0.0, 1e-4, 1e-3, 0.1], size=(n_snap, width))
+    return lg.SolutionRecord(
+        params=params, grid=grid, relay_kind=kind, snapshot_stride=1, scheme="deficit",
+        times=np.linspace(0.0, grid.t_max, n_snap), w=-rng.random((n_snap, n)),
+        accum=np.cumsum(steps, axis=0), ignition_time=ignition_time,
+        ignition_u_right=rng.random((n, records.RIGHT_CELLS)),
+        ignition_u_back=rng.random((n, len(records.BACK_OFFSETS))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rec=window_records(), data=st.data())
+def test_window_accum_round_trip_and_whole_grid_derivations(rec, data):
+    whole = dataclasses.replace(rec, accum=whole_grid_accum(rec))
+    with tempfile.TemporaryDirectory() as tmp:
+        rec.save(Path(tmp) / "v2")
+        back = lg.SolutionRecord.load(Path(tmp) / "v2")
+        write_v1(rec, Path(tmp) / "v1")
+        old = lg.SolutionRecord.load(Path(tmp) / "v1")
+        version = json.loads((Path(tmp) / "v2.json").read_text())["schema_version"]
+    assert version == records.RECORD_SCHEMA_VERSION == 2
+    for name in records._ARRAY_NAMES:
+        assert np.array_equal(getattr(back, name), getattr(rec, name), equal_nan=True), name
+    assert same_bits(old.accum, whole.accum)
+    for loaded in (back, old):
+        assert same_bits(loaded.p, whole.p) and same_bits(loaded.u, whole.u)
+    # the restricted derivations give the matching entries bit for bit
+    n_snap, n = rec.times.size, rec.x.size
+    rows = np.array(data.draw(st.lists(st.integers(0, n_snap - 1), max_size=4)), dtype=int)
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=5)), dtype=int)
+    k = data.draw(st.integers(0, n_snap - 1))
+    stop = data.draw(st.integers(0, n))
+    assert same_bits(rec.u_on(rows, cols), whole.u[rows][:, cols])
+    assert same_bits(rec.u_on(k), whole.u[k])
+    assert same_bits(rec.u_on(slice(k, k + 2), cols), whole.u[k:k + 2, cols])
+    assert same_bits(rec.p_on(stop=stop), whole.p[:, :stop])
+    assert same_bits(rec.p_on(k), whole.p[k])
+
+
+class TestRecordSchema:
+    def test_run_stores_the_accumulator_on_the_relay_window(self, tiny_record):
+        from liesegang import solver
+        m = solver._relay_window(tiny_record.params, tiny_record.grid, tiny_record.constants)
+        assert m < tiny_record.x.size
+        assert tiny_record.accum.shape == (tiny_record.times.size, m)
+        assert not tiny_record.p[:, m:].any()
+
+    def test_save_writes_the_bytes_np_savez_writes(self, tiny_record, tmp_path, monkeypatch):
+        # the zip members carry their write time: fix it for both files
+        monkeypatch.setattr(time, "time", lambda: 1.7e9)
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        np.savez(tmp_path / "ref.npz",
+                 **{name: getattr(tiny_record, name) for name in records._ARRAY_NAMES})
+        assert npz_path.read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+    def test_non_contiguous_arrays_are_saved_by_value(self, tiny_record, tmp_path):
+        rec = dataclasses.replace(tiny_record, w=np.asfortranarray(tiny_record.w),
+                                  accum=whole_grid_accum(tiny_record)[:, ::2])
+        rec.save(tmp_path / "rec")
+        back = lg.SolutionRecord.load(tmp_path / "rec")
+        assert np.array_equal(back.w, rec.w) and np.array_equal(back.accum, rec.accum)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_accum_wider_than_the_grid_rejected(self, tiny_record, tmp_path, version):
+        wide = dataclasses.replace(tiny_record, accum=np.zeros(
+            (tiny_record.times.size, tiny_record.x.size + 1)))
+        npz_path, json_path = wide.save(tmp_path / "rec")
+        if version == 1:
+            meta = jsonio.load_json(json_path)
+            meta["schema_version"] = 1
+            jsonio.dump_json(meta, json_path)
+        with pytest.raises(ValueError, match="rec.npz: .*accum"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_version_1_accum_must_cover_the_grid(self, tiny_record, tmp_path):
+        _, json_path = tiny_record.save(tmp_path / "rec")  # a window-wide accum
+        meta = jsonio.load_json(json_path)
+        meta["schema_version"] = 1
+        jsonio.dump_json(meta, json_path)
+        with pytest.raises(ValueError, match="rec.npz: .*accum"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_reports_from_version_1_and_2_files_are_identical(self, rec_coarse_sharp,
+                                                              tmp_path):
+        rec_coarse_sharp.save(tmp_path / "v2")
+        write_v1(rec_coarse_sharp, tmp_path / "v1")
+        v1 = lg.SolutionRecord.load(tmp_path / "v1")
+        v2 = lg.SolutionRecord.load(tmp_path / "v2")
+        assert reports_of(v1) == reports_of(v2) == reports_of(rec_coarse_sharp)
+        # neither report built a whole-record u or p
+        assert all(r._u_cache is None and r._p_cache is None for r in (v1, v2))
+
+
+def reports_of(record):
+    """The ``front_report`` and ``diagnostics_report`` bodies, as written."""
+    front = fronts.extract_front(record)
+    probes = default_probe_ladder(record.constants, record.params.alpha)
+    return (jsonio.dumps(fronts.front_report(record)),
+            jsonio.dumps(duhamel.diagnostics_report(record, front, probes)))

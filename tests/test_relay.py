@@ -180,3 +180,32 @@ def test_sharp_irreversibility_on_simulated_history(params):
     for n in range(2, 50):
         lg.accumulate(state, low, 0.01, n * 0.01, kind)
         assert np.all(lg.evaluate(state.accumulator, kind) == 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3),
+                             lg.RelayKind.property_p()]),
+       blocks=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_relay_is_irreversible_on_random_non_negative_blocks(kind, blocks, seed):
+    # blocks of random concentrations u >= 0 on both sides of u_star, past
+    # some nodes' parabola times
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    rng = np.random.default_rng(seed)
+    state, x = make_state(params, n=9, dx=0.1)
+    dt, step = 0.004, 0
+    accum = state.accumulator.copy()
+    ignition = state.ignition_time.copy()
+    p = lg.evaluate(accum, kind)
+    for rows in blocks:
+        u = params.u_star * rng.uniform(0.0, 1.5, size=(rows, x.size))
+        u[rng.uniform(size=u.shape) < 0.2] = params.u_star
+        times = dt * np.arange(step + 1, step + rows + 1)
+        step += rows
+        lg.accumulate(state, u, dt, times, kind)
+        assert np.all(state.accumulator >= accum)
+        set_before = np.isfinite(ignition)
+        assert np.array_equal(state.ignition_time[set_before], ignition[set_before])
+        p_now = lg.evaluate(state.accumulator, kind)
+        assert np.all((p_now >= 0.0) & (p_now <= 1.0)) and np.all(p_now >= p)
+        accum, ignition, p = state.accumulator.copy(), state.ignition_time.copy(), p_now

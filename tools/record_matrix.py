@@ -5,7 +5,9 @@
 Run it in two checkouts and ``diff`` the outputs: equal lines mean
 bit-identical records.  Each line is ``<run> <array> <sha256>``; the script
 puts the ``src`` directory next to it on the import path, so it measures the
-checkout it sits in.
+checkout it sits in.  ``accum`` is hashed zero-padded to the ``n_x + 1`` grid
+columns, so records that store it on the relay window only (schema version
+2) hash as those that stored it on the whole grid.
 
 The matrix (71 runs, then two more default-grid ones):
 
@@ -127,7 +129,10 @@ def main(argv=None) -> int:
     for label, build in runs:
         rec = build()
         for name in _ARRAY_NAMES:
-            digest = hashlib.sha256(np.ascontiguousarray(getattr(rec, name)).tobytes())
+            array = getattr(rec, name)
+            if name == "accum":
+                array = np.pad(array, ((0, 0), (0, rec.grid.n_x + 1 - array.shape[1])))
+            digest = hashlib.sha256(np.ascontiguousarray(array).tobytes())
             print(f"{label} {name} {digest.hexdigest()}", flush=True)
     return 0
 
