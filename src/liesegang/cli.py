@@ -19,15 +19,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
-from .config import (
-    ENV_OUTPUT_DIR,
-    ParseError,
-    RunConfig,
-    Tolerances,
-    ValidationError,
-    default_probe_ladder,
-    parse_config,
-)
+from .config import (ENV_OUTPUT_DIR, KEYS, ParseError, RunConfig, Tolerances, ValidationError,
+                     default_probe_ladder, parse_config)
 from .fronts import EmptyFront
 from .model import compute_constants
 from .odetoy import ToyConfig, enumerate_policies
@@ -41,27 +34,7 @@ _NUMERICAL_ERRORS = (NonFiniteField, EmptyFront, duhamel.InsufficientSnapshots,
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "u_star": args.u_star,
-        "u_star_fraction": args.u_star_fraction,
-        "dx": args.dx,
-        "dt": args.dt,
-        "x_max": args.x_max,
-        "t_max": args.t_max,
-        "relay": args.relay,
-        "epsilon": args.epsilon,
-        "scheme": args.scheme,
-        "snapshot_stride": args.stride,
-        "output_dir": args.output_dir,
-    }
-    return parse_config(args.config, overrides)
-
-
-# The flags a saved record fixes: commands on records reject them.
-_RECORD_FIXED_FLAGS = ("alpha", "beta", "u_star", "u_star_fraction", "dx", "dt", "x_max",
-                       "t_max", "relay", "epsilon", "scheme", "stride")
+    return parse_config(args.config, {k.name: getattr(args, k.name) for k in KEYS if k.flag})
 
 
 def _record_config(args) -> RunConfig | None:
@@ -69,8 +42,7 @@ def _record_config(args) -> RunConfig | None:
     over it, else None.  The records fix the model, grid, relay, scheme and
     stride, so a flag for any of them is an error, with or without ``-c``,
     rather than echoed into the report or silently ignored."""
-    given = [f"--{name.replace('_', '-')}" for name in _RECORD_FIXED_FLAGS
-             if getattr(args, name) is not None]
+    given = [k.flag for k in KEYS if k.record_fixed and getattr(args, k.name) is not None]
     if given:
         raise ValidationError([f"{', '.join(given)}: not accepted by commands on saved "
                                "records, which fix these settings"])
@@ -264,19 +236,13 @@ def cmd_sweep(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-c", "--config", help="JSON config file")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--u-star", dest="u_star", type=float)
-    p.add_argument("--u-star-fraction", dest="u_star_fraction", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--relay", choices=["sharp", "mollified", "property_p"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--scheme", choices=["deficit", "deposition"])
-    p.add_argument("--stride", dest="stride", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+    for key in (k for k in KEYS if k.flag):
+        if isinstance(key.domain, tuple):
+            p.add_argument(key.flag, dest=key.name, choices=key.domain)
+        else:
+            # the metavar is named after the flag, not the key: "--stride STRIDE"
+            p.add_argument(key.flag, dest=key.name, type=key.domain,
+                           metavar=key.flag[2:].upper().replace("-", "_"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -127,11 +127,14 @@ def _entanglement(x: np.ndarray, sign: np.ndarray) -> tuple[bool, tuple | None]:
     return True, (float(x[nz[j]]), float(x[nz[j + 1]]))
 
 
-def _report_from_fields(x, times, u1, u2, ell1, ell2, dt, agreement_tol) -> ComparisonReport:
-    diff = u1 - u2
-    sup_diff = np.max(np.abs(diff), axis=1)
-    energy = np.trapezoid(np.maximum(diff, 0.0) ** 2, x, axis=1)
-    energy_rev = np.trapezoid(np.maximum(-diff, 0.0) ** 2, x, axis=1)
+def _report_from_rows(x, times, rows, ell1, ell2, dt, agreement_tol) -> ComparisonReport:
+    """``rows`` yields the pair ``(u1, u2)`` on ``x`` at each of ``times``."""
+    sup_diff, energy, energy_rev = (np.empty(times.size) for _ in range(3))
+    for k, (u1, u2) in enumerate(rows):
+        diff = u1 - u2
+        sup_diff[k] = np.max(np.abs(diff))
+        energy[k] = np.trapezoid(np.maximum(diff, 0.0) ** 2, x)
+        energy_rev[k] = np.trapezoid(np.maximum(-diff, 0.0) ** 2, x)
     front_sign = _front_signs(ell1, ell2, dt)
     entangled, window = _entanglement(x, front_sign)
     over = np.flatnonzero(sup_diff > agreement_tol)
@@ -151,23 +154,21 @@ def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) ->
     if rec1.times.shape != rec2.times.shape or not np.allclose(rec1.times, rec2.times,
                                                                rtol=0, atol=1e-12):
         raise GridMismatch("snapshot schedules differ")
-    return _report_from_fields(rec1.x, rec1.times, rec1.u, rec2.u,
-                               rec1.ignition_time, rec2.ignition_time,
-                               g1.dt, agreement_tol)
+    rows = ((rec1.u_on(k), rec2.u_on(k)) for k in range(rec1.times.size))
+    return _report_from_rows(rec1.x, rec1.times, rows, rec1.ignition_time, rec2.ignition_time,
+                             g1.dt, agreement_tol)
 
 
-def _aligned_u(record: SolutionRecord, times: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u of ``record`` sampled at the given snapshot times and nodes (linear)."""
+def _aligned_u(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
+    """Rows of u of ``record`` sampled at the given snapshot times and nodes
+    (linear), each from the two stored snapshots around its time."""
     src_t = record.times
-    src_u = record.u
-    out = np.empty((times.size, x.size))
-    for k, t in enumerate(times):
+    for t in times:
         j = min(max(int(np.searchsorted(src_t, t)) - 1, 0), src_t.size - 2)
         frac = (t - src_t[j]) / (src_t[j + 1] - src_t[j])
         frac = min(max(frac, 0.0), 1.0)
-        row = (1.0 - frac) * src_u[j] + frac * src_u[j + 1]
-        out[k] = np.interp(x, record.x, row)
-    return out
+        lo, hi = record.u_on(slice(j, j + 2))
+        yield np.interp(x, record.x, (1.0 - frac) * lo + frac * hi)
 
 
 def _aligned_ell(record: SolutionRecord, x: np.ndarray) -> np.ndarray:
@@ -200,8 +201,9 @@ def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
     ell_c = coarse.ignition_time
     ell_f = _aligned_ell(fine, x)
     if coarse is rec1:
-        return _report_from_fields(x, times, u_c, u_f, ell_c, ell_f, coarse.grid.dt, agreement_tol)
-    return _report_from_fields(x, times, u_f, u_c, ell_f, ell_c, coarse.grid.dt, agreement_tol)
+        return _report_from_rows(x, times, zip(u_c, u_f), ell_c, ell_f, coarse.grid.dt,
+                                 agreement_tol)
+    return _report_from_rows(x, times, zip(u_f, u_c), ell_f, ell_c, coarse.grid.dt, agreement_tol)
 
 
 @dataclass
@@ -280,7 +282,7 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             others = list(pool.map(_run_for_sweep, jobs))
     else:
         others = [_run_for_sweep(job) for job in jobs]

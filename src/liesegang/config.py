@@ -1,13 +1,14 @@
 """Run configuration: JSON schema (version 1), validation, defaults.
 
-A config file is a flat JSON object; unknown keys are rejected.  Every key
-has a documented default, so ``{}`` is a valid config, and every number,
-tolerances and probe coordinates included, must be finite.  ``u_star`` may
-be given directly or through ``u_star_fraction`` (fraction of the plateau
-value Psi(alpha)); the threshold must be supercritical.  ``t_max`` defaults to
-twice the F2-horizon T2.  ``dt`` is adjusted downward so that the step count
-is integral; the adjusted value is what ``effective_config`` reports, and
-re-parsing an emitted effective config reproduces the same configuration.
+A config file is a flat JSON object; unknown keys are rejected.  :data:`KEYS`
+declares every key once, with its default, so ``{}`` is a valid config, and
+every number, tolerances and probe coordinates included, must be finite.
+``u_star`` may be given directly or through ``u_star_fraction`` (fraction of
+the plateau value Psi(alpha)); the threshold must be supercritical.  ``t_max``
+defaults to twice the F2-horizon T2.  ``dt`` is lowered so that the step
+count is integral, or raised by at most a relative 1e-9 (:meth:`GridSpec.make`);
+the adjusted value is what ``effective_config`` reports, and re-parsing an
+emitted effective config reproduces the same configuration.
 """
 from __future__ import annotations
 
@@ -23,30 +24,69 @@ from .grids import DEFAULT_DT, DEFAULT_DX, DEFAULT_X_MAX, GridSpec
 from .jsonio import SCHEMA_VERSION
 from .model import (ModelConstants, ModelParams, NotSupercritical, RootNotBracketed,
                     compute_constants)
-from .relay import MOLLIFIED, RelayKind
+from .relay import MOLLIFIED, SHARP, VARIANTS, RelayKind
 
 ENV_OUTPUT_DIR = "LIESEGANG_OUTPUT_DIR"
 
-_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "u_star": None,
-    "u_star_fraction": 0.8,
-    "dx": DEFAULT_DX,
-    "dt": DEFAULT_DT,
-    "x_max": DEFAULT_X_MAX,
-    "t_max": None,
-    "relay": "sharp",
-    "epsilon": None,
-    "scheme": "deficit",
-    "snapshot_stride": 100,
-    "probes": [],
-    "output_dir": ".",
-    "tolerances": {},
-}
 
-_SCHEMES = ("deficit", "deposition")
+@dataclass(frozen=True)
+class Key:
+    """One top-level config key.
+
+    ``domain`` is ``float`` (a finite number > 0), ``int`` (an integer > 0),
+    a tuple of accepted values, or None for a key :func:`parse_config`
+    checks on its own; ``nullable`` lets a key with a domain be ``null``.
+    ``flag`` is the command-line flag that overrides the key, and
+    ``record_fixed`` marks a setting that commands on saved records reject.
+    """
+
+    name: str
+    default: object
+    domain: type | tuple | None = None
+    flag: str | None = None
+    nullable: bool = False
+    record_fixed: bool = False
+
+    def check(self, val, violations: list[str]):
+        """``val`` as the key's type, or None after appending a violation."""
+        if self.domain is None or (val is None and self.nullable):
+            return val
+        if val is None:
+            violations.append(f"{self.name} must not be null")
+        elif not isinstance(self.domain, tuple):
+            return _require_number(self.name, val, violations, integer=self.domain is int)
+        elif val in self.domain:
+            return val
+        else:
+            violations.append(f"{self.name} must be one of {self.domain}, got {val!r}")
+        return None
+
+
+# Every top-level key, in emission order.
+KEYS = (
+    Key("schema_version", SCHEMA_VERSION),
+    Key("alpha", 1.0, float, "--alpha", record_fixed=True),
+    Key("beta", 1.0, float, "--beta", record_fixed=True),
+    Key("u_star", None, float, "--u-star", nullable=True, record_fixed=True),
+    Key("u_star_fraction", 0.8, float, "--u-star-fraction", nullable=True, record_fixed=True),
+    Key("dx", DEFAULT_DX, float, "--dx", record_fixed=True),
+    Key("dt", DEFAULT_DT, float, "--dt", record_fixed=True),
+    Key("x_max", DEFAULT_X_MAX, float, "--x-max", record_fixed=True),
+    Key("t_max", None, float, "--t-max", nullable=True, record_fixed=True),
+    Key("relay", SHARP, VARIANTS, "--relay", record_fixed=True),
+    Key("epsilon", None, float, "--epsilon", nullable=True, record_fixed=True),
+    Key("scheme", "deficit", ("deficit", "deposition"), "--scheme", record_fixed=True),
+    Key("snapshot_stride", 100, int, "--stride", record_fixed=True),
+    Key("probes", []),
+    Key("output_dir", ".", flag="--output-dir"),
+    Key("tolerances", {}),
+)
+
+_DEFAULTS = {k.name: k.default for k in KEYS}
+
+# Largest stored deficit field w a config may ask for: about (t_max/(dt*stride)
+# + 2) x (x_max/dx + 1) float64 values; the default run stores 20.3 MB.
+MAX_W_BYTES = 16 * 2**30
 
 
 class ParseError(ValueError):
@@ -100,25 +140,17 @@ class RunConfig:
 
     def effective_config(self) -> dict:
         """All keys materialized; parsing this dict reproduces the config."""
-        tol = {k: getattr(self.tolerances, k) for k in _TOLERANCE_DEFAULTS}
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "u_star": self.params.u_star,
-            "u_star_fraction": None,
-            "dx": self.grid.dx,
-            "dt": self.grid.dt,
-            "x_max": self.grid.x_max,
-            "t_max": self.grid.t_max,
-            "relay": self.relay_kind.variant,
-            "epsilon": self.relay_kind.epsilon,
-            "scheme": self.scheme,
-            "snapshot_stride": self.snapshot_stride,
-            "probes": [list(p) for p in self.probes],
-            "output_dir": self.output_dir,
-            "tolerances": tol,
+        params, grid, relay = self.params, self.grid, self.relay_kind
+        parsed = {
+            "schema_version": SCHEMA_VERSION, "alpha": params.alpha, "beta": params.beta,
+            "u_star": params.u_star, "u_star_fraction": None,  # folded into u_star
+            "dx": grid.dx, "dt": grid.dt, "x_max": grid.x_max, "t_max": grid.t_max,
+            "relay": relay.variant, "epsilon": relay.epsilon,
+            "probes": [list(p) for p in self.probes], "tolerances": asdict(self.tolerances),
         }
+        # the other keys are fields of the same name
+        return {k.name: parsed[k.name] if k.name in parsed else getattr(self, k.name)
+                for k in KEYS}
 
 
 def _finite(val: int | float) -> bool:
@@ -128,34 +160,27 @@ def _finite(val: int | float) -> bool:
         return False
 
 
-def _require_number(raw: dict, key: str, violations: list[str], *, positive: bool = False,
-                    allow_none: bool = False, integer: bool = False):
-    val = raw[key]
-    if val is None:
-        if allow_none:
-            return None
-        violations.append(f"{key} must not be null")
-        return None
+def _require_number(key: str, val, violations: list[str], *, positive: bool = True,
+                    integer: bool = False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         violations.append(f"{key} must be a number, got {val!r}")
-        return None
-    if not _finite(val):
+    elif not _finite(val):
         violations.append(f"{key} must be finite, got {val!r}")
-        return None
-    if integer and int(val) != val:
+    elif integer and int(val) != val:
         violations.append(f"{key} must be an integer, got {val!r}")
-        return None
-    if positive and not (val > 0):
+    elif positive and not (val > 0):
         violations.append(f"{key} must be positive, got {val!r}")
-        return None
-    return int(val) if integer else float(val)
+    else:
+        return int(val) if integer else float(val)
+    return None
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load and validate a config file, with optional flat-key overrides.
 
     Raises ParseError for malformed input and ValidationError (with every
-    violation listed) for schema or model violations.
+    violation listed, the per-key ones in :data:`KEYS` order) for schema or
+    model violations.
     """
     raw = {}
     if path is not None:
@@ -169,45 +194,26 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
-    violations: list[str] = []
-    for key in raw:
-        if key not in _DEFAULTS:
-            violations.append(f"unknown key {key!r}")
+    violations = [f"unknown key {key!r}" for key in raw if key not in _DEFAULTS]
     merged = {**_DEFAULTS, **{k: v for k, v in raw.items() if k in _DEFAULTS}}
 
     tol_raw = merged["tolerances"] or {}
     if not isinstance(tol_raw, dict):
         violations.append("tolerances must be an object")
         tol_raw = {}
-    for key in tol_raw:
-        if key not in _TOLERANCE_DEFAULTS:
-            violations.append(f"unknown tolerance key {key!r}")
-    tol_merged = {**_TOLERANCE_DEFAULTS, **{k: v for k, v in tol_raw.items()
-                                            if k in _TOLERANCE_DEFAULTS}}
+    violations += [f"unknown tolerance key {k!r}" for k in tol_raw if k not in _TOLERANCE_DEFAULTS]
 
     if merged["schema_version"] != SCHEMA_VERSION:
         violations.append(f"unsupported schema_version {merged['schema_version']!r}")
+    val = {k.name: k.check(merged[k.name], violations) for k in KEYS}
+    alpha, beta, u_star, dx, dt, x_max, t_max, epsilon, stride = (
+        val[k] for k in ("alpha", "beta", "u_star", "dx", "dt", "x_max", "t_max", "epsilon",
+                         "snapshot_stride"))
 
-    alpha = _require_number(merged, "alpha", violations, positive=True)
-    beta = _require_number(merged, "beta", violations, positive=True)
-    u_star = _require_number(merged, "u_star", violations, positive=True, allow_none=True)
-    fraction = _require_number(merged, "u_star_fraction", violations, positive=True,
-                               allow_none=True)
-    dx = _require_number(merged, "dx", violations, positive=True)
-    dt = _require_number(merged, "dt", violations, positive=True)
-    x_max = _require_number(merged, "x_max", violations, positive=True)
-    t_max = _require_number(merged, "t_max", violations, positive=True, allow_none=True)
-    stride = _require_number(merged, "snapshot_stride", violations, positive=True, integer=True)
-
-    if merged["relay"] not in ("sharp", "mollified", "property_p"):
-        violations.append(f"relay must be sharp|mollified|property_p, got {merged['relay']!r}")
-    epsilon = _require_number(merged, "epsilon", violations, positive=True, allow_none=True)
     if merged["relay"] == MOLLIFIED and epsilon is None:
         violations.append("mollified relay requires epsilon")
     if merged["relay"] != MOLLIFIED and epsilon is not None:
         violations.append("epsilon is only valid for the mollified relay")
-    if merged["scheme"] not in _SCHEMES:
-        violations.append(f"scheme must be one of {_SCHEMES}, got {merged['scheme']!r}")
 
     probes = merged["probes"]
     if not isinstance(probes, list) or any(
@@ -223,19 +229,18 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     tol_kwargs = {}
     for key, default in _TOLERANCE_DEFAULTS.items():
-        val = tol_merged[key]
-        if val is None:
-            tol_kwargs[key] = None if default is None else default
-        else:
-            num = _require_number(tol_merged, key, violations, positive=(key != "measure_tol"))
-            tol_kwargs[key] = num if num is not None else default
+        num = None
+        if tol_raw.get(key) is not None:
+            num = _require_number(key, tol_raw[key], violations, positive=(key != "measure_tol"))
+        tol_kwargs[key] = default if num is None else num
 
     params = constants = None
     if not violations and alpha and beta:
-        # the fraction's default applies only when u_star is not given
+        # the fraction (its default, if null) applies only when u_star is not given
         if u_star is not None and raw.get("u_star_fraction") is not None:
             violations.append("u_star and u_star_fraction are mutually exclusive")
         else:
+            fraction = val["u_star_fraction"] or _DEFAULTS["u_star_fraction"]
             try:
                 if u_star is not None:
                     params = ModelParams(alpha, beta, u_star)
@@ -254,23 +259,29 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     grid = None
     if not violations and constants is not None:
         eff_t_max = t_max if t_max is not None else 2.0 * constants.T2
-        grid = GridSpec.make(dx, dt, x_max, eff_t_max)
-        required = grid.required_x_max(constants.alpha_star)
-        if grid.x_max < required:
-            violations.append(
-                f"x_max = {grid.x_max} too small for t_max = {eff_t_max:.6g}: "
-                f"need >= alpha_star*sqrt(t_max) + 6*sqrt(t_max) = {required:.6g}"
-            )
+        # checked on the requested values, before GridSpec.make counts steps
+        w_bytes = 8.0 * (eff_t_max / (dt * stride) + 2.0) * (x_max / dx + 1.0)
+        if w_bytes > MAX_W_BYTES:
+            violations.append(f"grid too large: dx = {dx:g}, x_max = {x_max:g}, dt = {dt:g}, "
+                              f"t_max = {eff_t_max:.6g} and snapshot_stride = {stride} store "
+                              f"{w_bytes:.3g} bytes of w, over the limit of {MAX_W_BYTES}")
+        else:
+            grid = GridSpec.make(dx, dt, x_max, eff_t_max)
+            required = grid.required_x_max(constants.alpha_star)
+            if grid.x_max < required:
+                violations.append(
+                    f"x_max = {grid.x_max} too small for t_max = {eff_t_max:.6g}: "
+                    f"need >= alpha_star*sqrt(t_max) + 6*sqrt(t_max) = {required:.6g}"
+                )
 
     if violations:
         raise ValidationError(violations)
 
     output_dir = os.environ.get(ENV_OUTPUT_DIR, merged["output_dir"])
-    relay = RelayKind(merged["relay"], epsilon)
     return RunConfig(
-        params=params, constants=constants, grid=grid, relay_kind=relay,
-        scheme=merged["scheme"], snapshot_stride=stride,
-        probes=tuple((float(p[0]), float(p[1])) for p in probes),
+        params=params, constants=constants, grid=grid,
+        relay_kind=RelayKind(merged["relay"], epsilon), scheme=merged["scheme"],
+        snapshot_stride=stride, probes=tuple((float(p[0]), float(p[1])) for p in probes),
         tolerances=Tolerances(**tol_kwargs), output_dir=str(output_dir),
     )
 

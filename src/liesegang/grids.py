@@ -35,9 +35,12 @@ class GridSpec:
 
     @staticmethod
     def make(dx: float, dt: float, x_max: float, t_max: float) -> "GridSpec":
-        """Build a grid, adjusting dt downward so the step count is integral.
+        """Build a grid of ``n_t = ceil(t_max/dt - _REL_TOL)`` steps of ``t_max/n_t``.
 
-        ``x_max`` must already be an integer multiple of ``dx``.
+        dt is lowered so that the step count is integral, or raised by at most
+        a relative ``_REL_TOL`` where ``t_max/dt`` is that close to an integer
+        (so 0.05/1e-4 gives 500 steps, not 501).  ``x_max`` must already be an
+        integer multiple of ``dx``.
         """
         if not (dx > 0 and dt > 0 and x_max > 0 and t_max > 0):
             raise ValueError("dx, dt, x_max, t_max must all be positive")

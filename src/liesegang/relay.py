@@ -26,7 +26,7 @@ from .model import ModelParams
 SHARP = "sharp"
 MOLLIFIED = "mollified"
 PROPERTY_P = "property_p"
-_VARIANTS = (SHARP, MOLLIFIED, PROPERTY_P)
+VARIANTS = (SHARP, MOLLIFIED, PROPERTY_P)
 _NO_NODES = np.empty(0, dtype=np.intp)
 
 
@@ -40,8 +40,8 @@ class RelayKind:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown relay variant {self.variant!r}; expected one of {_VARIANTS}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown relay variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == MOLLIFIED:
             if self.epsilon is None or not (self.epsilon > 0):
                 raise ValueError("mollified relay requires epsilon > 0")

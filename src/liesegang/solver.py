@@ -699,7 +699,6 @@ def measure_t1(record: SolutionRecord, tol: float = 0.0) -> float:
     astar = constants.alpha_star
     x = record.x
     dx = record.grid.dx
-    u = record.u
     holds_until = 0.0
     for k, t in enumerate(record.times):
         if t <= 0:
@@ -711,7 +710,8 @@ def measure_t1(record: SolutionRecord, tol: float = 0.0) -> float:
         if inner.size == 0:
             holds_until = t
             continue
-        u_x = (u[k, inner + 1] - u[k, inner - 1]) / (2.0 * dx)
+        u = record.u_on(k)
+        u_x = (u[inner + 1] - u[inner - 1]) / (2.0 * dx)
         bound = -(a * b / (4.0 * math.sqrt(t))) * math.exp(0.25 * (a * a - astar * astar))
         if np.max(u_x - bound) > tol:
             return holds_until

@@ -1,4 +1,5 @@
 """Two-solution comparison harness."""
+import concurrent.futures
 import math
 
 import numpy as np
@@ -160,6 +161,31 @@ def test_sweep_rows_and_worker_fanout_equivalence(constants):
     for row in serial:
         assert math.isnan(row.divergence_time) or row.divergence_time >= row.T_unique
     assert serial[0].energy_monotone_before_T_unique
+
+
+def test_sweep_starts_no_more_worker_processes_than_runs(monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size; starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
+    perts = [lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p()]
+    rows = comparison.perturbation_sweep(PARAMS, grid, lg.RelayKind.sharp(), perts,
+                                         agreement_tol=0.05, snapshot_stride=10, workers=8)
+    assert started == [2]
+    assert [r.label for r in rows] == ["relay=mollified(eps=0.001)", "relay=property_p"]
 
 
 def test_cross_grid_perturbation_stays_within_refinement_envelope(constants):

@@ -1,12 +1,18 @@
 """Configuration schema, validation, CLI subcommands, report determinism."""
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import liesegang as lg
@@ -130,6 +136,19 @@ class TestParseConfig:
             '"measure_tol": 0.0, "front_tol": null, "agreement_tol": null, '
             '"t1_ceiling": null}')
 
+    @pytest.mark.parametrize("overrides", [{"x_max": 1e6, "dx": 1e-9}, {"dt": 5e-324},
+                                           {"t_max": 1e6, "snapshot_stride": 1}])
+    def test_oversized_grid_rejected_naming_its_keys(self, overrides):
+        with pytest.raises(config.ValidationError) as exc:
+            config.parse_config(None, overrides)
+        [violation] = exc.value.violations
+        assert violation.startswith("grid too large: ")
+        for key in ("dx", "x_max", "dt", "t_max", "snapshot_stride"):
+            assert f"{key} = " in violation
+
+    def test_null_fraction_selects_its_default(self):
+        assert config.parse_config(None, {"u_star_fraction": None}) == config.parse_config(None)
+
     def test_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, dict(TINY))
         cfg = config.parse_config(path, overrides={"dx": 0.04})
@@ -170,7 +189,10 @@ class TestCli:
         ("constants", "--u-star", "1e-300"),  # the alpha_star bracket holds no root
         ("constants", "-c", {"snapshot_stride": math.inf}),
         ("simulate", "--dx", "inf"),
-    ], ids=["t_max", "alpha", "beta", "u_star", "stride_file", "dx"])
+        ("simulate", "--x-max", "1e6", "--dx", "1e-9"),  # GridSpec.x alone is 7.11 PiB
+        ("simulate", "--dt", "5e-324"),  # t_max/dt overflows to inf
+    ], ids=["t_max", "alpha", "beta", "u_star", "stride_file", "dx", "huge_grid",
+            "subnormal_dt"])
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, argv):
         argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
         assert self.run_cli(*argv, "--output-dir", str(tmp_path)) == 1
@@ -547,3 +569,143 @@ def test_default_probe_ladder_is_interior(constants):
     for x, t in probes:
         assert 0 < t < constants.T2
         assert t > (x / 1.0) ** 2  # above the parabola, inside the first ring
+
+
+# Property tests over config.KEYS: each draws its keys and their domains
+# from the table, so a key added there without a strategy here fails.
+
+VALID = {  # values inside each key's domain where the cross-key rules hold
+    "schema_version": st.just(config.SCHEMA_VERSION),
+    "alpha": st.floats(0.5, 2.0) | st.integers(1, 2),
+    "beta": st.floats(0.25, 4.0),
+    "u_star": st.floats(0.3, 0.95),  # a fraction of Psi(alpha); see valid_configs
+    "u_star_fraction": st.floats(0.3, 0.95),
+    "dx": st.floats(0.01, 0.1),
+    "dt": st.floats(1e-4, 1e-2),
+    "x_max": st.floats(15.0, 40.0),
+    "t_max": st.floats(0.05, 1.0),
+    "epsilon": st.floats(1e-4, 1e-2),
+    "snapshot_stride": st.integers(1, 500),
+    "probes": st.lists(st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2), max_size=3),
+    "output_dir": st.text("ab/_.", min_size=1, max_size=8),
+    "tolerances": st.fixed_dictionaries({}, optional={
+        f.name: st.none() | st.floats(1e-6, 1.0) for f in dataclasses.fields(config.Tolerances)}),
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """A config file: each key of config.KEYS absent, null where nullable, or
+    drawn from its domain, with the cross-key rules kept."""
+    raw = {}
+    for key in config.KEYS:
+        values = st.sampled_from(key.domain) if isinstance(key.domain, tuple) else VALID[key.name]
+        if key.nullable:
+            values = st.none() | values
+        # the domain-length and w-size rules bind the grid keys together
+        if key.name in ("dx", "dt", "x_max") or draw(st.booleans()):
+            raw[key.name] = draw(values)
+    if raw.get("u_star") is not None:  # a supercritical threshold, exclusive of the fraction
+        raw["u_star"] = lg.ModelParams.from_fraction(
+            raw.get("alpha", 1.0), raw.get("beta", 1.0), raw["u_star"]).u_star
+        raw.pop("u_star_fraction", None)
+    if raw.get("relay") == "mollified":
+        raw["epsilon"] = draw(VALID["epsilon"])
+    elif raw.get("epsilon") is not None:
+        del raw["epsilon"]
+    return raw
+
+
+def parse_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        return config.parse_config(write_config(Path(tmp), data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=valid_configs())
+def test_effective_config_round_trip_over_the_table(raw):
+    cfg = parse_file(raw)
+    eff = cfg.effective_config()
+    assert list(eff) == [key.name for key in config.KEYS]
+    for name in ("alpha", "beta", "dx", "t_max", "relay", "epsilon", "scheme",
+                 "snapshot_stride", "probes"):
+        if raw.get(name) is not None:
+            assert eff[name] == raw[name]
+    again = parse_file(json.loads(json.dumps(eff)))
+    assert again == cfg
+    assert again.effective_config() == eff
+
+
+def violations_of(key):
+    """Values outside ``key``'s domain in the table."""
+    bad = [st.sampled_from(["1", [1.0], {"a": 1}, True])]  # wrong type
+    if not key.nullable:
+        bad.append(st.none())
+    if isinstance(key.domain, tuple):
+        bad.append(st.text(max_size=12).filter(lambda v: v not in key.domain))
+    else:
+        bad += [st.floats(max_value=0.0, allow_nan=False) | st.integers(max_value=0),
+                st.sampled_from([math.nan, math.inf, -math.inf])]
+        if key.domain is int:
+            bad.append(st.floats(0.01, 1e6).filter(lambda v: v != int(v)))
+    return st.one_of(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_key_violation_exits_1_naming_the_key(data):
+    key = data.draw(st.sampled_from([k for k in config.KEYS if k.domain is not None]))
+    value = data.draw(violations_of(key))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = cli.main(["constants", "-c", write_config(Path(tmp), {key.name: value}),
+                         "--output-dir", tmp])
+    assert code == 1
+    text = err.getvalue()
+    assert text.startswith("error: ") and "Traceback" not in text
+    assert any(line.startswith(f"  - {key.name} ") for line in text.splitlines())
+
+
+FLAG_VALUES = {"alpha": "1.1", "beta": "0.9", "u_star": "0.4", "u_star_fraction": "0.7",
+               "dx": "0.004", "dt": "2e-6", "x_max": "7", "t_max": "0.4", "relay": "property_p",
+               "epsilon": "0.002", "scheme": "deposition", "snapshot_stride": "7",
+               "output_dir": "{tmp}"}
+FLAG_NEEDS = {"epsilon": ["--relay", "mollified"], "dt": ["--t-max", "0.4"]}
+
+
+@pytest.mark.parametrize("key", [k for k in config.KEYS if k.flag], ids=lambda k: k.name)
+def test_every_flag_lands_in_the_effective_config(tmp_path, monkeypatch, key):
+    monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    value = FLAG_VALUES[key.name].format(tmp=tmp_path)
+    argv = ["constants", key.flag, value, *FLAG_NEEDS.get(key.name, []), "-o", "c.json",
+            "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    eff = json.loads((tmp_path / "c.json").read_text())["effective_config"]
+    landed = eff[key.name]
+    if key.name == "u_star_fraction":  # folded into u_star
+        assert landed is None
+        assert eff["u_star"] == lg.ModelParams.from_fraction(1.0, 1.0, float(value)).u_star
+    elif key.domain is float:
+        assert landed == pytest.approx(float(value), rel=1e-9)
+    else:
+        assert landed == (int(value) if key.domain is int else value)
+
+
+@pytest.fixture(scope="module")
+def saved_record(tmp_path_factory, rec_coarse_sharp):
+    prefix = tmp_path_factory.mktemp("saved") / "rec"
+    rec_coarse_sharp.save(prefix)
+    return prefix
+
+
+@pytest.mark.parametrize("key", [k for k in config.KEYS if k.record_fixed],
+                         ids=lambda k: k.name)
+def test_analyze_rejects_every_record_fixed_flag(tmp_path, capsys, saved_record, key):
+    value = FLAG_VALUES[key.name]
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "-r", str(saved_record), key.flag, value,
+                     "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"  - {key.flag}: not accepted by commands on saved records" in err
+    assert not out.exists()

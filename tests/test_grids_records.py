@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
 from liesegang import duhamel, fronts, jsonio, records
 from liesegang.config import default_probe_ladder
+from liesegang.grids import _REL_TOL
 
 
 class TestGridSpec:
@@ -51,6 +52,18 @@ class TestGridSpec:
     def test_x_nodes(self):
         g = lg.GridSpec.make(dx=0.25, dt=0.1, x_max=1.0, t_max=1.0)
         assert np.allclose(g.x, [0, 0.25, 0.5, 0.75, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(dx=st.floats(1e-4, 1.0), n_x=st.integers(1, 10**5), dt=st.floats(1e-7, 1.0),
+           t_max=st.floats(1e-3, 100.0))
+    @example(dx=0.02, n_x=100, dt=1e-4, t_max=5.0000000001e-4)  # dt rises by 2e-11
+    @example(dx=0.02, n_x=100, dt=1e-4, t_max=0.05)  # 500 steps, not 501
+    def test_make_fits_the_domain_and_raises_dt_by_at_most_rel_tol(self, dx, n_x, dt, t_max):
+        g = lg.GridSpec.make(dx=dx, dt=dt, x_max=n_x * dx, t_max=t_max)
+        assert g.n_x == n_x
+        assert abs(g.n_x * g.dx - n_x * dx) <= _REL_TOL * max(1.0, n_x * dx)
+        assert abs(g.n_t * g.dt - t_max) <= _REL_TOL * max(1.0, t_max)
+        assert g.dt <= np.nextafter(dt * (1.0 + _REL_TOL), np.inf)
 
 
 @pytest.fixture()
