@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +18,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
-from .config import (ENV_OUTPUT_DIR, KEYS, ParseError, RunConfig, Tolerances, ValidationError,
-                     default_probe_ladder, parse_config)
+from .config import (KEYS, RunConfig, Tolerances, ValidationError, default_probe_ladder,
+                     parse_config, resolve_output_dir)
 from .fronts import EmptyFront
 from .model import compute_constants
 from .odetoy import ToyConfig, enumerate_policies
@@ -53,13 +52,12 @@ def _record_config(args) -> RunConfig | None:
 
 def _out_path(cfg: RunConfig | None, args, name: str) -> Path:
     """``name`` in the output directory (created): the config's or, without
-    one, ``LIESEGANG_OUTPUT_DIR``, then ``--output-dir``, then the current
-    directory, as :func:`parse_config` orders them.  ``toy`` has no output
-    directory: it passes no ``args`` and writes ``name`` as given."""
+    one, :func:`resolve_output_dir` of ``--output-dir``.  ``toy`` has no
+    output directory: it passes no ``args`` and writes ``name`` as given."""
     if cfg is not None:
         out = Path(cfg.output_dir)
     elif args is not None:
-        out = Path(os.environ.get(ENV_OUTPUT_DIR, args.output_dir or "."))
+        out = Path(resolve_output_dir(args.output_dir))
     else:
         return Path(name)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,21 +88,6 @@ def _configured_agreement_tol(cfg: RunConfig, args) -> float | None:
     if getattr(args, "agreement_tol", None) is not None:
         return args.agreement_tol
     return cfg.tolerances.agreement_tol
-
-
-def _agreement_tol(cfg: RunConfig, args, base: SolutionRecord,
-                   epsilon: float | None = None) -> float:
-    """Explicit tolerance, or the measured default: 10x the self-refinement
-    error of ``base`` (the run of ``cfg``) at T_unique plus, for a mollified
-    pairing, its width envelope."""
-    tol = _configured_agreement_tol(cfg, args)
-    if tol is not None:
-        return tol
-    t_u = base.constants.T_unique
-    refine_err = comparison.measure_refinement_error(base, t_u)
-    rate = comparison.median_ignition_rate(base, t_max=t_u) if epsilon is not None else None
-    return comparison.default_agreement_tol(refine_err, epsilon=epsilon,
-                                            u_star=cfg.params.u_star, ignition_rate=rate)
 
 
 def cmd_constants(args) -> int:
@@ -195,7 +178,9 @@ def cmd_compare(args) -> int:
             raise ValidationError(["provide --rec1/--rec2, or --epsilon2 for a sharp-vs-"
                                    "mollified pair"])
         rec1 = _run_from_config(cfg)
-        tol = _agreement_tol(cfg, args, rec1, epsilon=args.epsilon2)
+        tol = _configured_agreement_tol(cfg, args)
+        if tol is None:
+            (tol,) = comparison.measured_agreement_tols(rec1, [args.epsilon2])
         rec2 = _run_from_config(replace(cfg, relay_kind=RelayKind.mollified(args.epsilon2)))
     report = comparison.compare(rec1, rec2, tol)
     path = _write_report(cfg, args, "comparison_report", report.to_json_dict(), args.output)
@@ -313,15 +298,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:  # ParseError and ValidationError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,20 +39,6 @@ def median_ignition_rate(record: SolutionRecord, t_max: float | None = None) -> 
     return float(np.median(rates))
 
 
-def measure_refinement_error(base: SolutionRecord, t: float) -> float:
-    """Self-refinement error of ``base`` at ``t``.
-
-    Reruns the configuration of ``base`` (same scheme, relay and stride) with
-    ``dx`` and ``dt`` halved and returns the sup difference of ``u`` at the
-    base snapshot nearest ``t``, after interpolation onto the base grid.
-    """
-    fine = solver.runner(base.scheme)(base.params, base.grid.refined(2, 2), base.relay_kind,
-                                      snapshot_stride=base.snapshot_stride)
-    rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
-    k = int(np.argmin(np.abs(rep.times - t)))
-    return float(rep.sup_diff[k])
-
-
 def default_agreement_tol(refinement_error: float, *, epsilon: float | None = None,
                           u_star: float | None = None,
                           ignition_rate: float | None = None) -> float:
@@ -72,6 +58,24 @@ def default_agreement_tol(refinement_error: float, *, epsilon: float | None = No
             raise ValueError("mollified tolerance needs u_star and a positive ignition_rate")
         tol += u_star * math.sqrt(2.0 * epsilon / ignition_rate)
     return tol
+
+
+def measured_agreement_tols(base: SolutionRecord, epsilons) -> list[float]:
+    """:func:`default_agreement_tol` of ``base`` for each relay width in
+    ``epsilons`` (None: a perturbation without one), with the median ignition
+    rate up to T_unique and one measured self-refinement error: the sup
+    difference of ``u`` at the snapshot nearest T_unique from a rerun of
+    ``base`` (same scheme, relay and stride) with ``dx`` and ``dt`` halved."""
+    fine = solver.runner(base.scheme)(base.params, base.grid.refined(2, 2), base.relay_kind,
+                                      snapshot_stride=base.snapshot_stride)
+    rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
+    t_unique = base.constants.T_unique if base.constants else math.nan
+    refinement_error = float(rep.sup_diff[int(np.argmin(np.abs(rep.times - t_unique)))])
+    rate = None
+    if any(eps is not None for eps in epsilons):
+        rate = median_ignition_rate(base, t_max=t_unique)
+    return [default_agreement_tol(refinement_error, epsilon=eps, u_star=base.params.u_star,
+                                  ignition_rate=rate) for eps in epsilons]
 
 
 @dataclass
@@ -162,11 +166,8 @@ def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) ->
 def _aligned_u(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
     """Rows of u of ``record`` sampled at the given snapshot times and nodes
     (linear), each from the two stored snapshots around its time."""
-    src_t = record.times
     for t in times:
-        j = min(max(int(np.searchsorted(src_t, t)) - 1, 0), src_t.size - 2)
-        frac = (t - src_t[j]) / (src_t[j + 1] - src_t[j])
-        frac = min(max(frac, 0.0), 1.0)
+        j, frac = record.bracket(t)
         lo, hi = record.u_on(slice(j, j + 2))
         yield np.interp(x, record.x, (1.0 - frac) * lo + frac * hi)
 
@@ -266,10 +267,12 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
         return []
     base = solver.runner(scheme)(params, grid, base_relay, snapshot_stride=snapshot_stride)
     t_unique = base.constants.T_unique if base.constants else math.nan
-    refinement_error = rate = None
     if agreement_tol is None:
-        refinement_error = measure_refinement_error(base, t_unique)
-        rate = median_ignition_rate(base, t_max=t_unique)
+        tols = measured_agreement_tols(
+            base, [pert.epsilon if isinstance(pert, RelayKind) else None
+                   for pert in perturbations])
+    else:
+        tols = [agreement_tol] * len(perturbations)
 
     jobs = []
     for pert in perturbations:
@@ -288,16 +291,11 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
         others = [_run_for_sweep(job) for job in jobs]
 
     rows = []
-    for pert, other in zip(perturbations, others):
+    for pert, other, tol in zip(perturbations, others, tols):
         if isinstance(pert, RelayKind):
-            tol = agreement_tol if agreement_tol is not None else default_agreement_tol(
-                refinement_error, epsilon=pert.epsilon, u_star=params.u_star,
-                ignition_rate=rate)
             report = compare(base, other, tol)
             label = f"relay={pert.label()}"
         else:
-            tol = agreement_tol if agreement_tol is not None else default_agreement_tol(
-                refinement_error)
             report = compare_cross_grid(base, other, tol)
             label = f"grid=dx{pert.dx:g}/dt{pert.dt:g}"
         window = (0.0, t_unique)

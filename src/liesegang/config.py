@@ -78,7 +78,7 @@ KEYS = (
     Key("scheme", "deficit", ("deficit", "deposition"), "--scheme", record_fixed=True),
     Key("snapshot_stride", 100, int, "--stride", record_fixed=True),
     Key("probes", []),
-    Key("output_dir", ".", flag="--output-dir"),
+    Key("output_dir", ".", flag="--output-dir"),  # a string; null selects "."
     Key("tolerances", {}),
 )
 
@@ -227,6 +227,10 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not all(_finite(v) for v in p):
             violations.append(f"probes[{j}] must be finite, got {list(p)!r}")
 
+    output_dir = merged["output_dir"]
+    if not isinstance(output_dir, (str, type(None))):
+        violations.append(f"output_dir must be a string, got {output_dir!r}")
+
     tol_kwargs = {}
     for key, default in _TOLERANCE_DEFAULTS.items():
         num = None
@@ -277,13 +281,18 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     if violations:
         raise ValidationError(violations)
 
-    output_dir = os.environ.get(ENV_OUTPUT_DIR, merged["output_dir"])
     return RunConfig(
         params=params, constants=constants, grid=grid,
         relay_kind=RelayKind(merged["relay"], epsilon), scheme=merged["scheme"],
         snapshot_stride=stride, probes=tuple((float(p[0]), float(p[1])) for p in probes),
-        tolerances=Tolerances(**tol_kwargs), output_dir=str(output_dir),
+        tolerances=Tolerances(**tol_kwargs), output_dir=resolve_output_dir(output_dir),
     )
+
+
+def resolve_output_dir(given: str | None) -> str:
+    """The output directory: ``LIESEGANG_OUTPUT_DIR`` when set, else ``given``
+    (the config's ``output_dir`` or ``--output-dir``), else the current one."""
+    return os.environ.get(ENV_OUTPUT_DIR, "." if given is None else given)
 
 
 def default_probe_ladder(constants: ModelConstants, alpha: float, n: int = 10) -> list:

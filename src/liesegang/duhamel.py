@@ -83,10 +83,6 @@ def ut_table(record: SolutionRecord, k: int) -> np.ndarray:
     return row
 
 
-def _interp_node(x_grid: np.ndarray, values_row: np.ndarray, x: float) -> float:
-    return float(np.interp(x, x_grid, values_row))
-
-
 # -- F1 ------------------------------------------------------------------------
 
 def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +156,9 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     row = np.zeros(xg.size)
     for k in range(n_far, K):
         row[cols] = mass[k]
-        total += _interp_node(xg, row, x)
+        total += float(np.interp(x, xg, row))
 
-    total += (t - times[K]) * _interp_node(xg, record.p_on(K) * ut_table(record, K), x)
+    total += (t - times[K]) * float(np.interp(x, xg, record.p_on(K) * ut_table(record, K)))
     return float(total)
 
 
@@ -252,22 +248,15 @@ def _off_front_guard(front: FrontFunction, x: float, t: float, dx: float, dt: fl
         )
 
 
-def _ut_at(record: SolutionRecord, x: float, t: float) -> float:
-    times = record.times
-    k = min(max(int(np.searchsorted(times, t)) - 1, 0), times.size - 2)
-    frac = (t - times[k]) / (times[k + 1] - times[k])
-    frac = min(max(frac, 0.0), 1.0)
-    row = (1.0 - frac) * ut_table(record, k) + frac * ut_table(record, k + 1)
-    return _interp_node(record.x, row, x)
-
-
 def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
                       slope_floor: float = DEFAULT_SLOPE_FLOOR) -> list[ProbeRow]:
     """Residual u_t - psi_t + F1 + u_star*F2 at each probe point."""
     rows = []
     for (x, t) in probes:
         _off_front_guard(front, x, t, record.grid.dx, record.grid.dt)
-        u_t = _ut_at(record, x, t)
+        k, frac = record.bracket(t)
+        u_t = float(np.interp(x, record.x, (1.0 - frac) * ut_table(record, k)
+                              + frac * ut_table(record, k + 1)))
         p_t = model.psi_t(x, t, record.params)
         f1 = eval_F1(record, x, t)
         f2 = eval_F2(front, x, t, slope_floor=slope_floor)

@@ -7,6 +7,8 @@ relay sink.  Without the sink the equation has the self-similar solution
 together with the standard heat kernel and every derived constant used by the
 analysis tools (threshold similarity coordinate ``alpha_star``, first-ring
 width, gradient bounds, the uniqueness horizon ``T_unique``, ...).
+:func:`psi` is the only implementation of the profile: the solvers' time
+loops and the record readers all call it, and erfc runs only past the plateau.
 """
 from __future__ import annotations
 
@@ -68,43 +70,46 @@ class ModelParams:
         return replace(probe, u_star=u_star_fraction * probe.psi_alpha)
 
 
-def psi_prefactor(params: ModelParams) -> float:
-    """The factor (alpha*beta*sqrt(pi)/2) * exp(alpha^2/4) of :func:`capital_psi`."""
-    a = params.alpha
-    return 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
-
-
 def capital_psi(eta, params: ModelParams):
     """Self-similar profile Psi(eta) of the source-only solution.
 
     Psi(eta) = (alpha*beta*sqrt(pi)/2) * exp(alpha^2/4) * erfc(max(eta, alpha)/2):
     constant at its plateau value for eta <= alpha, an erfc tail beyond.
-    Continuous and non-increasing on the whole real line.
+    Continuous and non-increasing on the whole real line; NaN for NaN.
     """
-    eta_arr = np.asarray(eta, dtype=float)
-    out = psi_prefactor(params) * erfc(np.maximum(eta_arr, params.alpha) / 2.0)
-    if np.isscalar(eta) or eta_arr.ndim == 0:
-        return float(out)
-    return out
+    out = _capital_psi_over(np.array(eta, dtype=float), params)
+    return float(out) if np.ndim(eta) == 0 else out
+
+
+def _capital_psi_over(eta: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`capital_psi` of ``eta``, written over it.  erfc runs only on the
+    entries past the plateau; NaN, not ``<= alpha``, counts as past it."""
+    a = params.alpha
+    ahead = ~(eta <= a)
+    tail = eta[ahead]
+    tail /= 2.0
+    erfc(tail, out=tail)
+    eta[...] = erfc(a / 2.0)
+    eta[ahead] = tail
+    eta *= 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
+    return eta
 
 
 def psi(x, t, params: ModelParams):
-    """Source-only solution psi(x, t) = Psi(x / sqrt(t)).
+    """Source-only solution psi(x, t) = Psi(x / sqrt(t)), element by element
+    over the broadcast of ``x`` and ``t``.
 
     For t = 0 the similarity limit is used: 0 for x > 0, and the plateau
     value Psi(alpha) at the origin (the limit along the parabola).
     """
-    x_arr = np.asarray(x, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = x_arr.ndim == 0 and t_arr.ndim == 0
-    x_arr, t_arr = np.broadcast_arrays(x_arr, t_arr)
+    x_arr, t_arr = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(t_arr > 0, np.abs(x_arr) / np.sqrt(np.where(t_arr > 0, t_arr, 1.0)), np.inf)
-    eta = np.where((t_arr <= 0) & (x_arr == 0), params.alpha, eta)
-    out = capital_psi(eta, params)
-    if scalar:
-        return float(out)
-    return out
+        eta = np.asarray(np.abs(x_arr) / np.sqrt(t_arr))
+    if not (t_arr > 0).all():
+        eta = np.where(t_arr > 0, eta, np.inf)
+        eta[(t_arr <= 0) & (x_arr == 0)] = params.alpha
+    out = _capital_psi_over(eta, params)
+    return float(out) if out.ndim == 0 else out
 
 
 def psi_t(x, t, params: ModelParams):

@@ -21,6 +21,8 @@ import numpy as np
 
 CONSTANT = "constant"
 LINEAR = "linear"
+# Most RK4 steps, 100x the default 10^4: each policy's t, u, v take 8 MB apiece.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ class ToyConfig:
         if not (0 < self.horizon < math.inf and 0 < self.dt < math.inf):
             raise ValueError(f"horizon and dt must be finite and positive, got "
                              f"{self.horizon!r} and {self.dt!r}")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise ValueError(f"horizon = {self.horizon!r} and dt = {self.dt!r} take "
+                             f"{self.horizon / self.dt:.3g} steps, over the limit of {MAX_STEPS}")
 
     def f(self, t: float) -> float:
         return 0.5 if self.forcing == CONSTANT else t

@@ -135,6 +135,14 @@ class SolutionRecord:
             t = t[:, None]
         return self.w[rows][..., cols] + model.psi(self.x[cols], t, self.params)
 
+    def bracket(self, t: float) -> tuple[int, float]:
+        """``(k, frac)``: time ``t`` interpolates snapshots ``k`` and ``k + 1``
+        with weights ``1 - frac`` and ``frac``, ``frac`` clamped to [0, 1]."""
+        times = self.times
+        k = min(max(int(np.searchsorted(times, t)) - 1, 0), times.size - 2)
+        frac = (t - times[k]) / (times[k + 1] - times[k])
+        return k, min(max(frac, 0.0), 1.0)
+
     def p_on(self, rows=slice(None), stop: int | None = None) -> np.ndarray:
         """p on snapshot ``rows`` (an int, a slice or an index array) and grid
         columns ``[0, stop)`` (default: the whole grid), evaluated on the

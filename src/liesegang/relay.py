@@ -11,7 +11,8 @@ step of its block at which each did, rather than storing them.
 Three variants are supported:
 
 * ``sharp``       -- p = 1 as soon as a > 0 (with the convention p = 0 at a = 0),
-* ``mollified``   -- p = S(a / eps) for a monotone C^1 smoothstep S,
+* ``mollified``   -- p = S(a / eps) for a monotone C^1 smoothstep S
+  (:func:`smoothstep_array`, also the solver's per-step band update),
 * ``property_p``  -- sharp, but a node stops accumulating once t exceeds its
   parabola time x^2/alpha^2, so the value above the parabola is frozen.
 """
@@ -97,17 +98,18 @@ class RelayState:
 
 
 def smoothstep(s):
-    """Cubic smoothstep: 0 for s <= 0, 1 for s >= 1, 3s^2 - 2s^3 between."""
+    """Cubic smoothstep: 0 for s <= 0, 1 for s >= 1, 3s^2 - 2s^3 between.
+    The argument is left unchanged."""
     if np.ndim(s) == 0:
         return float(smoothstep_array(np.array([s], dtype=float))[0])
-    return smoothstep_array(s)
+    return smoothstep_array(np.array(s, dtype=float))
 
 
-def smoothstep_array(s) -> np.ndarray:
-    """:func:`smoothstep` of an array with at least one dimension, in place
-    on one copy: the path :func:`evaluate` takes, and whose arithmetic the
-    stepper's band update repeats."""
-    s = np.maximum(s, 0.0)
+def smoothstep_array(s: np.ndarray) -> np.ndarray:
+    """:func:`smoothstep` of a float array with at least one dimension, which
+    it overwrites: the one implementation, which :func:`evaluate` and the
+    stepper's band update call on arrays of their own."""
+    np.maximum(s, 0.0, out=s)
     np.minimum(s, 1.0, out=s)
     out = np.multiply(s, s)
     s *= 2.0

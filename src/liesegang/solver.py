@@ -5,9 +5,10 @@ The primary scheme evolves the deficit ``w = u - psi``, which satisfies
     w_t = w_xx - p * (w + psi),      w(x, 0) = 0,
 
 with homogeneous Neumann conditions at both ends.  The moving point source
-never appears: it is absorbed exactly by the closed-form ``psi``, so the
-scheme only sees the smooth sink forcing.  Diffusion is advanced with the
-trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
+never appears: it is absorbed exactly by the closed-form ``psi``
+(:func:`model.psi`, on the relay window once per ``TAIL_BLOCK_STEPS`` steps),
+so the scheme only sees the smooth sink forcing.  Diffusion is advanced with
+the trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
 taken implicitly in ``u`` with the precipitation field lagged by one step,
 and the relay accumulator is updated from the newly computed ``u``.
 
@@ -54,8 +55,8 @@ linear (hat) weights and the exact per-step source mass.  Substituting
 uniform line density ``beta`` along the swept segment
 ``[xi(t_n), xi(t_{n+1})]``, so the hat weights are integrated exactly over
 that segment; the deposit then varies smoothly as the source crosses cells.
-The scheme exists as a cross-validation path; it starts at ``t0 = dt``
-because the source strength is singular at t = 0.
+The scheme exists as a cross-validation path; it starts at ``t0 = dt`` from
+:func:`model.psi`, because the source strength is singular at t = 0.
 
 Both schemes, and the prescribed fields of ``SolutionRecord.from_fields``
 (scheme ``synthetic``), are stepped by one :class:`Stepper` and recorded by
@@ -70,13 +71,13 @@ import numpy as np
 from scipy.fft import dst, prev_fast_len
 from scipy.linalg import LinAlgError, lapack
 from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing.py wraps it
-from scipy.special import erfc
 
 from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
-from .relay import MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate
+from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
+                    smoothstep_array)
 
 WINDOW_MARGIN_CELLS = 16
 # Grids that would leave fewer tail nodes are solved whole, with the Neumann
@@ -361,7 +362,6 @@ class Stepper:
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
         self._w_now = Stepper._w_from_u
-        self._psi_prefactor = model.psi_prefactor(params)
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
             self._psi_block = np.empty((0, self.mc))
@@ -370,7 +370,7 @@ class Stepper:
             self._w_now = Stepper._w_whole
             self._field_name = "deficit field"
         elif scheme == "deposition":
-            self.u = self._split(self._psi(self.x, [grid.dt])[0])
+            self.u = self._split(model.psi(self.x, grid.dt, params))
             self._advance = Stepper._advance_deposition
             self._field_name = "concentration"
             self.step_index = 1
@@ -493,22 +493,14 @@ class Stepper:
     def _step_band(self, u_win: np.ndarray) -> None:
         """Add this step's rectangle to the band's accumulators (the one add
         :func:`accumulate` makes) and re-evaluate their ``dt*p`` and the step
-        matrix's diagonal there.
-
-        :func:`relay.smoothstep_array`'s arithmetic, in place, without its
-        clamp at 0, which band nodes (``a > 0``) never reach.
-        """
+        matrix's diagonal there."""
         band, a, dt = self._band, self.state.accumulator, self.grid.dt
         s = u_win[band] - self.state.u_star
         np.maximum(s, 0.0, out=s)
         s *= dt
         a[band] += s
         np.divide(a[band], self.relay_kind.epsilon, out=s)
-        np.minimum(s, 1.0, out=s)
-        dt_p = s * s
-        s *= 2.0
-        np.subtract(3.0, s, out=s)
-        dt_p *= s
+        dt_p = smoothstep_array(s)
         dt_p *= dt
         self._dt_p[band] = dt_p
         self.matrix.set_band(band, dt_p)
@@ -537,27 +529,6 @@ class Stepper:
                 band = slice(int(band[0]), int(band[-1]) + 1)
             self._band = band
 
-    def _psi(self, x: np.ndarray, t) -> np.ndarray:
-        """psi(x, t) = Psi(x / sqrt(t)) on increasing nodes ``x >= 0``, one row
-        per time of the increasing times ``t > 0``.
-
-        model.capital_psi's arithmetic, done in place.  Columns with
-        ``x / sqrt(t[0]) <= alpha`` lie behind the source at every time, on
-        the plateau Psi(alpha), which one erfc call gives them all; erfc runs
-        only on the columns ahead.
-        """
-        alpha = self.params.alpha
-        root = np.sqrt(t)[:, None]
-        behind = np.count_nonzero(x / root[0] <= alpha)
-        psi = np.empty((root.size, x.size))
-        psi[:, :behind] = erfc(alpha / 2.0)
-        ahead = np.divide(x[behind:], root, out=psi[:, behind:])
-        np.maximum(ahead, alpha, out=ahead)
-        ahead /= 2.0
-        erfc(ahead, out=ahead)
-        psi *= self._psi_prefactor
-        return psi
-
     def _psi_window(self) -> np.ndarray:
         """psi on the first ``mc`` nodes at the end of the coming step, for
         ``TAIL_BLOCK_STEPS`` steps at a time."""
@@ -565,7 +536,7 @@ class Stepper:
         if r == len(self._psi_block):
             self._psi_from, r = self.step_index, 0
             t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
-            self._psi_block = self._psi(self.x[: self.mc], t)
+            self._psi_block = model.psi(self.x[: self.mc], t[:, None], self.params)
         return self._psi_block[r]
 
     def _advance_deficit(self, t_new: float, u_win: np.ndarray) -> None:
@@ -591,10 +562,7 @@ class Stepper:
 
     def _w_from_u(self) -> np.ndarray:
         w = self._whole(self.u)
-        if self.step_index:
-            w -= self._psi(self.x, [self.t])[0]
-        else:  # a prescribed field's first snapshot: psi's similarity limit at t = 0
-            w -= model.psi(self.x, 0.0, self.params)
+        w -= model.psi(self.x, self.t, self.params)
         return w
 
 

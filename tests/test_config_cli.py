@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import liesegang as lg
-from liesegang import cli, config
+from liesegang import cli, config, odetoy
 
 TINY = {
     "alpha": 1.0,
@@ -191,11 +191,16 @@ class TestCli:
         ("simulate", "--dx", "inf"),
         ("simulate", "--x-max", "1e6", "--dx", "1e-9"),  # GridSpec.x alone is 7.11 PiB
         ("simulate", "--dt", "5e-324"),  # t_max/dt overflows to inf
+        ("toy", "--toy-dt", "1e-12"),  # 10^12 steps
+        ("toy", "--toy-dt", "1e-300"),
+        ("toy", "--horizon", "1e300"),
     ], ids=["t_max", "alpha", "beta", "u_star", "stride_file", "dx", "huge_grid",
-            "subnormal_dt"])
+            "subnormal_dt", "toy_tiny_dt", "toy_tinier_dt", "toy_huge_horizon"])
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, argv):
         argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
-        assert self.run_cli(*argv, "--output-dir", str(tmp_path)) == 1
+        if argv[0] != "toy":  # toy writes no report and takes no output directory
+            argv += ["--output-dir", str(tmp_path)]
+        assert self.run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
@@ -210,6 +215,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "probes[0] must be finite" in err
         assert not (tmp_path / "diagnostics.json").exists()
+
+    def test_toy_names_horizon_and_dt_when_over_its_step_cap(self, capsys):
+        assert self.run_cli("toy", "--horizon", "2", "--toy-dt", "1e-6") == 1
+        err = capsys.readouterr().err
+        assert "horizon = 2.0 and dt = 1e-06" in err and str(odetoy.MAX_STEPS) in err
+        odetoy.ToyConfig(horizon=1.0, dt=1e-6)  # at the cap
+
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_output_dir_is_a_string_or_null(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+        path = write_config(tmp_path, dict(TINY, output_dir=value))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = self.run_cli("constants", "-c", path)
+        err = capsys.readouterr().err
+        if value is None:  # null selects the current directory
+            assert code == 0 and [p.name for p in cwd.iterdir()] == ["constants.json"]
+        else:
+            assert code == 1 and err.startswith("error: ") and "output_dir" in err
+            assert not any(cwd.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cwd"]
 
     @pytest.mark.parametrize("flag", ["--horizon", "--toy-dt"])
     def test_toy_rejects_an_infinite_horizon_or_step(self, capsys, flag):

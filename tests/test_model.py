@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import liesegang as lg
@@ -73,6 +75,29 @@ class TestPsi:
         x, t, h = 2.0, 1.0, 1e-6
         fd = (model.psi(x, t + h, params) - model.psi(x, t - h, params)) / (2 * h)
         assert model.psi_t(x, t, params) == pytest.approx(fd, abs=1e-6)
+
+
+    def test_capital_psi_of_nan_is_nan(self, params):
+        assert math.isnan(model.capital_psi(math.nan, params))
+        assert np.isnan(model.capital_psi([math.nan, 0.0], params)[0])
+
+    # x: the origin, negatives, NaN and nodes past the source; t: the t = 0
+    # limit, NaN, negatives, and times putting x on either side of the plateau
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, math.nan]) | st.floats(-3.0, 3.0),
+                    min_size=1, max_size=6),
+           st.lists(st.sampled_from([0.0, math.nan]) | st.floats(-1.0, 0.0)
+                    | st.floats(1e-6, 0.5) | st.floats(0.5, 20.0), min_size=1, max_size=5))
+    def test_block_entries_equal_scalar_calls_bit_for_bit(self, x, t):
+        params = lg.ModelParams.from_fraction(ALPHA, BETA, 0.8)
+        x_arr, t_col = np.array(x), np.array(t)[:, None]
+        block = model.psi(x_arr, t_col, params)
+        scalars = np.array([[model.psi(xi, tj, params) for xi in x] for tj in t])
+        assert block.shape == scalars.shape
+        assert block.view(np.int64).tolist() == scalars.view(np.int64).tolist()
+        # the caller's arrays are left as they were
+        assert x_arr.tobytes() == np.array(x).tobytes()
+        assert t_col.tobytes() == np.array(t).tobytes()
 
 
 class TestHeatKernel:

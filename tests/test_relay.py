@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
+from liesegang import relay
 from liesegang.relay import MOLLIFIED, SHARP
 
 
@@ -167,6 +168,17 @@ def test_smoothstep_shape():
     s = np.linspace(-0.5, 1.5, 400)
     vals = lg.smoothstep(s)
     assert np.all(np.diff(vals) >= 0)
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0, -np.inf, np.inf]) | st.floats(-2.0, 3.0)
+                | st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_smoothstep_array_equals_the_scalar_smoothstep(values):
+    s = np.array(values)
+    before = s.copy()
+    vals = lg.smoothstep(s)
+    assert np.array_equal(s, before)  # smoothstep copies its argument
+    assert vals.tolist() == [lg.smoothstep(v) for v in values]
+    assert relay.smoothstep_array(s).tolist() == vals.tolist()
 
 
 def test_sharp_irreversibility_on_simulated_history(params):

@@ -265,10 +265,10 @@ class TestPsiRows:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, GRID.n_t), st.integers(1, solver.TAIL_BLOCK_STEPS))
     def test_rows_on_the_whole_grid(self, first, rows):
-        stepper = solver.Stepper(PARAMS, self.GRID, RELAYS[0], scheme="deposition")
+        x = self.GRID.x
         times = (first + np.arange(1, rows + 1)) * self.GRID.dt
-        for row, t in zip(stepper._psi(stepper.x, times), times):
-            assert np.array_equal(row, model.psi(stepper.x, t, PARAMS))
+        for row, t in zip(model.psi(x, times[:, None], PARAMS), times):
+            assert np.array_equal(row, model.psi(x, t, PARAMS))
 
 
 def tail_operators(n, mu):

@@ -6,13 +6,14 @@ silently read zero in the per-layer metrics instead of failing.  These tests
 read the tracer's span table; they never modify ``perfbench/``.
 """
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liesegang as lg
-from liesegang import solver
+from liesegang import model, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -114,3 +115,17 @@ def test_prescribed_fields_update_the_relay_through_the_solver_namespace(monkeyp
     assert 0 < stepper.relay_updates < grid.n_t
     assert len(calls["accumulate"]) == stepper.relay_updates
     assert len(calls["evaluate"]) == stepper.relay_updates
+
+
+# psi comes from ``model.psi`` only: the deficit scheme evaluates it on the
+# relay window once per block of TAIL_BLOCK_STEPS steps, the deposition scheme
+# once for its initial field and once per snapshot.
+@pytest.mark.parametrize("relay", [lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3)])
+def test_time_loops_call_psi_through_the_model_namespace(monkeypatch, relay):
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
+    calls = spy_on(model, "psi", monkeypatch)
+    lg.run(PARAMS, grid, relay, snapshot_stride=20)
+    assert len(calls) == math.ceil(grid.n_t / solver.TAIL_BLOCK_STEPS) > 1
+    calls.clear()
+    record = lg.source_deposition_run(PARAMS, grid, relay, snapshot_stride=20)
+    assert len(calls) == 1 + record.times.size
