@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,12 +205,8 @@ def cmd_sweep(args) -> int:
                                          agreement_tol=_configured_agreement_tol(cfg, args),
                                          snapshot_stride=cfg.snapshot_stride,
                                          workers=args.workers, scheme=cfg.scheme)
-    body = {"rows": [{"label": r.label, "divergence_time": r.divergence_time,
-                      "T_unique": r.T_unique,
-                      "max_sup_diff_before_T_unique": r.max_sup_diff_before_T_unique,
-                      "energy_monotone_before_T_unique": r.energy_monotone_before_T_unique}
-                     for r in rows]}
-    path = _write_report(cfg, args, "sweep_report", body, args.output)
+    path = _write_report(cfg, args, "sweep_report", {"rows": [asdict(r) for r in rows]},
+                         args.output)
     print(f"{'label':<28}{'divergence_time':<18}{'T_unique':<12}")
     for r in rows:
         div = "never" if math.isnan(r.divergence_time) else f"{r.divergence_time:.6g}"

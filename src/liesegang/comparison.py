@@ -178,16 +178,12 @@ def _aligned_ell(record: SolutionRecord, x: np.ndarray) -> np.ndarray:
     if not mask.any():
         return np.full(x.shape, np.nan)
     xs = record.x[mask]
-    es = ell[mask]
-    out = np.interp(x, xs, es, left=np.nan, right=np.nan)
-    inside = (x >= xs[0]) & (x <= xs[-1])
+    out = np.interp(x, xs, ell[mask], left=np.nan, right=np.nan)
     # keep gaps between rings unset: a target node counts only if its
     # bracketing source nodes are both precipitated
-    idx = np.searchsorted(record.x, x)
-    for k in np.flatnonzero(inside):
-        i = min(max(idx[k], 1), record.x.size - 1)
-        if not (np.isfinite(ell[i - 1]) and np.isfinite(ell[min(i, ell.size - 1)])):
-            out[k] = np.nan
+    i = np.clip(np.searchsorted(record.x, x), 1, record.x.size - 1)
+    gap = (x >= xs[0]) & (x <= xs[-1]) & ~(mask[i - 1] & mask[i])
+    out[gap] = np.nan
     return out
 
 
@@ -197,14 +193,10 @@ def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
     coarse, fine = (rec1, rec2) if rec1.grid.dx >= rec2.grid.dx else (rec2, rec1)
     x = coarse.x
     times = coarse.times[coarse.times <= fine.times[-1] * (1 + 1e-12)]
-    u_c = _aligned_u(coarse, times, x)
-    u_f = _aligned_u(fine, times, x)
-    ell_c = coarse.ignition_time
-    ell_f = _aligned_ell(fine, x)
-    if coarse is rec1:
-        return _report_from_rows(x, times, zip(u_c, u_f), ell_c, ell_f, coarse.grid.dt,
-                                 agreement_tol)
-    return _report_from_rows(x, times, zip(u_f, u_c), ell_f, ell_c, coarse.grid.dt, agreement_tol)
+    sides = [(_aligned_u(coarse, times, x), coarse.ignition_time),
+             (_aligned_u(fine, times, x), _aligned_ell(fine, x))]
+    (u1, ell1), (u2, ell2) = sides if coarse is rec1 else sides[::-1]
+    return _report_from_rows(x, times, zip(u1, u2), ell1, ell2, coarse.grid.dt, agreement_tol)
 
 
 @dataclass
@@ -215,15 +207,15 @@ class MonotonicityVerdict:
     n_checked: int
 
 
-def energy_monotonicity_check(report: ComparisonReport, window: tuple[float, float],
-                              reverse: bool = False) -> MonotonicityVerdict:
+def energy_monotonicity_check(report: ComparisonReport,
+                              window: tuple[float, float]) -> MonotonicityVerdict:
     """Verify the energy trace is non-increasing inside the window, up to the
     per-step tolerance 1e-10 + 1e-6*energy."""
     t_a, t_b = window
     sel = np.flatnonzero((report.times >= t_a) & (report.times <= t_b))
     if sel.size < 3:
         raise ValueError(f"need >= 3 snapshots in window [{t_a}, {t_b}], found {sel.size}")
-    e = (report.energy_rev if reverse else report.energy)[sel]
+    e = report.energy[sel]
     t = report.times[sel]
     for k in range(e.size - 1):
         allowed = 1e-10 + 1e-6 * e[k]
@@ -263,25 +255,25 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
     runs share no state and fan out over ``workers`` processes when
     workers > 1; the table is identical either way.
     """
-    if not perturbations:
+    # each perturbation's run, comparison, label and relay width, before any run
+    jobs, plans = [], []
+    for pert in perturbations:
+        if isinstance(pert, RelayKind):
+            jobs.append((scheme, params, grid, pert, snapshot_stride))
+            plans.append((compare, f"relay={pert.label()}", pert.epsilon))
+        elif isinstance(pert, GridSpec):
+            jobs.append((scheme, params, pert, base_relay, snapshot_stride))
+            plans.append((compare_cross_grid, f"grid=dx{pert.dx:g}/dt{pert.dt:g}", None))
+        else:
+            raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
+    if not jobs:
         return []
     base = solver.runner(scheme)(params, grid, base_relay, snapshot_stride=snapshot_stride)
     t_unique = base.constants.T_unique if base.constants else math.nan
     if agreement_tol is None:
-        tols = measured_agreement_tols(
-            base, [pert.epsilon if isinstance(pert, RelayKind) else None
-                   for pert in perturbations])
+        tols = measured_agreement_tols(base, [eps for _cmp, _label, eps in plans])
     else:
-        tols = [agreement_tol] * len(perturbations)
-
-    jobs = []
-    for pert in perturbations:
-        if isinstance(pert, RelayKind):
-            jobs.append((scheme, params, grid, pert, snapshot_stride))
-        elif isinstance(pert, GridSpec):
-            jobs.append((scheme, params, pert, base_relay, snapshot_stride))
-        else:
-            raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
+        tols = [agreement_tol] * len(jobs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -291,18 +283,12 @@ def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbati
         others = [_run_for_sweep(job) for job in jobs]
 
     rows = []
-    for pert, other, tol in zip(perturbations, others, tols):
-        if isinstance(pert, RelayKind):
-            report = compare(base, other, tol)
-            label = f"relay={pert.label()}"
-        else:
-            report = compare_cross_grid(base, other, tol)
-            label = f"grid=dx{pert.dx:g}/dt{pert.dt:g}"
-        window = (0.0, t_unique)
+    for (cmp, label, _eps), other, tol in zip(plans, others, tols):
+        report = cmp(base, other, tol)
         in_window = report.times <= t_unique
         max_sup = float(np.max(report.sup_diff[in_window])) if in_window.any() else math.nan
         try:
-            mono = energy_monotonicity_check(report, window).monotone
+            mono = energy_monotonicity_check(report, (0.0, t_unique)).monotone
         except ValueError:
             mono = True
         rows.append(SweepRow(label=label, divergence_time=report.divergence_time,

@@ -34,7 +34,7 @@ class Key:
     """One top-level config key.
 
     ``domain`` is ``float`` (a finite number > 0), ``int`` (an integer > 0),
-    a tuple of accepted values, or None for a key :func:`parse_config`
+    ``str``, a tuple of accepted values, or None for a key :func:`parse_config`
     checks on its own; ``nullable`` lets a key with a domain be ``null``.
     ``flag`` is the command-line flag that overrides the key, and
     ``record_fixed`` marks a setting that commands on saved records reject.
@@ -53,6 +53,10 @@ class Key:
             return val
         if val is None:
             violations.append(f"{self.name} must not be null")
+        elif self.domain is str:
+            if isinstance(val, str):
+                return val
+            violations.append(f"{self.name} must be a string, got {val!r}")
         elif not isinstance(self.domain, tuple):
             return _require_number(self.name, val, violations, integer=self.domain is int)
         elif val in self.domain:
@@ -78,7 +82,7 @@ KEYS = (
     Key("scheme", "deficit", ("deficit", "deposition"), "--scheme", record_fixed=True),
     Key("snapshot_stride", 100, int, "--stride", record_fixed=True),
     Key("probes", []),
-    Key("output_dir", ".", flag="--output-dir"),  # a string; null selects "."
+    Key("output_dir", ".", str, "--output-dir", nullable=True),  # null selects "."
     Key("tolerances", {}),
 )
 
@@ -87,20 +91,16 @@ _DEFAULTS = {k.name: k.default for k in KEYS}
 # Largest stored deficit field w a config may ask for: about (t_max/(dt*stride)
 # + 2) x (x_max/dx + 1) float64 values; the default run stores 20.3 MB.
 MAX_W_BYTES = 16 * 2**30
+# Probes in the default ladder of ``diagnose``.
+PROBE_LADDER_SIZE = 10
 
 
 class ParseError(ValueError):
-    """Config file is not well-formed; carries line / key context."""
+    """Config file is not well-formed; carries the line, when known."""
 
-    def __init__(self, message: str, line: int | None = None, key: str | None = None):
-        ctx = []
-        if line is not None:
-            ctx.append(f"line {line}")
-        if key is not None:
-            ctx.append(f"key {key!r}")
-        super().__init__(f"{message}" + (f" ({', '.join(ctx)})" if ctx else ""))
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.key = key
 
 
 class ValidationError(ValueError):
@@ -227,10 +227,6 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not all(_finite(v) for v in p):
             violations.append(f"probes[{j}] must be finite, got {list(p)!r}")
 
-    output_dir = merged["output_dir"]
-    if not isinstance(output_dir, (str, type(None))):
-        violations.append(f"output_dir must be a string, got {output_dir!r}")
-
     tol_kwargs = {}
     for key, default in _TOLERANCE_DEFAULTS.items():
         num = None
@@ -285,7 +281,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         params=params, constants=constants, grid=grid,
         relay_kind=RelayKind(merged["relay"], epsilon), scheme=merged["scheme"],
         snapshot_stride=stride, probes=tuple((float(p[0]), float(p[1])) for p in probes),
-        tolerances=Tolerances(**tol_kwargs), output_dir=resolve_output_dir(output_dir),
+        tolerances=Tolerances(**tol_kwargs), output_dir=resolve_output_dir(val["output_dir"]),
     )
 
 
@@ -295,15 +291,15 @@ def resolve_output_dir(given: str | None) -> str:
     return os.environ.get(ENV_OUTPUT_DIR, "." if given is None else given)
 
 
-def default_probe_ladder(constants: ModelConstants, alpha: float, n: int = 10) -> list:
+def default_probe_ladder(constants: ModelConstants, alpha: float) -> list:
     """Deterministic interior probes inside the first ring, off front and parabola.
 
-    Probe j sits above the parabola at x_j = alpha*sqrt((0.1 + 0.05 j) * T2)
-    and time t_j = parabola time + 0.3*T2 < T2.
+    Probe j < PROBE_LADDER_SIZE sits above the parabola at
+    x_j = alpha*sqrt((0.1 + 0.05 j) * T2) and time t_j = parabola time + 0.3*T2 < T2.
     """
     t2 = constants.T2
     probes = []
-    for j in range(n):
+    for j in range(PROBE_LADDER_SIZE):
         t_par = (0.1 + 0.05 * j) * t2
         probes.append((alpha * math.sqrt(t_par), t_par + 0.3 * t2))
     return probes

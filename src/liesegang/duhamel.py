@@ -27,7 +27,7 @@ whose local slope falls below ``slope_floor`` is reported as divergent
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -298,10 +298,9 @@ class EllPrimeEstimate:
     u_t_minus: float
 
 
-def front_derivative_estimate(record: SolutionRecord, x: float,
-                              rate_floor: float = DEFAULT_RATE_FLOOR) -> EllPrimeEstimate:
-    """Front slope from the transversal ratio -u_x+/u_t-, compared with the
-    discrete slope of ell."""
+def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstimate:
+    """Front slope from the transversal ratio -u_x+/u_t- (u_t- above
+    ``DEFAULT_RATE_FLOOR``), compared with the discrete slope of ell."""
     i = int(round(x / record.grid.dx))
     if not 0 <= i < record.x.size:
         raise ValueError(f"x = {x} is not a grid node")
@@ -309,7 +308,7 @@ def front_derivative_estimate(record: SolutionRecord, x: float,
     if math.isnan(u_t_minus):
         raise ValueError(f"no temporal rate at x = {x}: not ignited, ignited before 10*dt, "
                          f"or no look-back samples stored")
-    if not u_t_minus > rate_floor:
+    if not u_t_minus > DEFAULT_RATE_FLOOR:
         raise DegenerateRate(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
     if math.isnan(u_x_plus):
         raise ValueError(f"no rightward samples stored at node x = {x}")
@@ -357,8 +356,7 @@ def diagnostics_report(record: SolutionRecord, front: FrontFunction, probes,
         })
 
     return {
-        "probes": [{"x": r.x, "t": r.t, "u_t": r.u_t, "psi_t": r.psi_t, "F1": r.F1,
-                    "F2": r.F2, "residual": r.residual} for r in rows],
+        "probes": [asdict(r) for r in rows],
         "max_abs_residual": max((abs(r.residual) for r in rows), default=0.0),
         "front_nodes": node_rows,
         "bounds": {"F1_upper": f1_bound, "F2_upper": f2_bound,

@@ -8,7 +8,7 @@ with interrings starting from a ring at x = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,14 +141,9 @@ def segment_rings(record: SolutionRecord, measure_tol: float = 0.0) -> RingSegme
     classes = _node_classes(record, i_max)
     analyzed_x_max = record.x[i_max]
 
-    runs = []  # (class, i0, i1)
-    j = 0
-    while j <= i_max:
-        k = j
-        while k + 1 <= i_max and classes[k + 1] == classes[j]:
-            k += 1
-        runs.append([int(classes[j]), j, k])
-        j = k + 1
+    starts = np.flatnonzero(np.diff(classes, prepend=-2))
+    ends = np.append(starts[1:] - 1, i_max)
+    runs = [[int(classes[i0]), int(i0), int(i1)] for i0, i1 in zip(starts, ends)]
 
     if measure_tol > 0.0 and len(runs) >= 3:
         min_nodes = math.ceil(measure_tol * analyzed_x_max / dx)
@@ -164,10 +159,8 @@ def segment_rings(record: SolutionRecord, measure_tol: float = 0.0) -> RingSegme
                     del runs[r:r + 2]
                     merged = True
                     break
-        rebuilt = np.full(i_max + 1, UNDETERMINED, dtype=np.int8)
-        for cls, i0, i1 in runs:
-            rebuilt[i0:i1 + 1] = cls
-        classes = rebuilt
+        classes = np.repeat(np.array([cls for cls, _, _ in runs], dtype=np.int8),
+                            [i1 - i0 + 1 for _, i0, i1 in runs])
 
     rings, interrings = [], []
     X_star = 0.0
@@ -298,10 +291,7 @@ def front_report(record: SolutionRecord, measure_tol: float = 0.0,
                             segmentation=seg)
     slope = None
     if record.constants is not None:
-        rep = front_slope_check(front, record.constants)
-        slope = {"holds": rep.holds, "worst_margin": rep.worst_margin,
-                 "worst_pair": list(rep.worst_pair) if rep.worst_pair else None,
-                 "n_pairs": rep.n_pairs, "C_ell": rep.C_ell}
+        slope = asdict(front_slope_check(front, record.constants))
     return {
         "I_ranges": [[float(record.x[a]), float(record.x[b])] for a, b in front.segments()],
         "ell": front.ell,

@@ -6,6 +6,7 @@ byte-identical files.  Non-finite values use the Python ``json`` tokens
 """
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -48,9 +49,7 @@ def _encode(obj, indent: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
@@ -63,8 +62,6 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    import json
-
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 

@@ -210,6 +210,13 @@ class ModelConstants:
             "psi_alpha": self.psi_alpha,
         }
 
+    @classmethod
+    def from_json_dict(cls, d: dict, ring_width_alt: float) -> "ModelConstants":
+        """The constants :meth:`to_json_dict` exported, with the ``ring_width_alt``
+        it leaves out; a missing or unknown key raises KeyError or TypeError."""
+        d = dict(d)
+        return cls(ring_width_L=d.pop("L"), ring_width_alt=ring_width_alt, **d)
+
 
 def _bisect_alpha_star(params: ModelParams, u_star: float) -> float:
     lo = params.alpha

@@ -15,7 +15,7 @@ solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class Feasibility:
     violation: tuple | None = None  # (component, t, value) of the first violating sample
 
 
-def feasible(traj: Trajectories, policy: SwitchPolicy, tol: float | None = None) -> Feasibility:
-    """Relay-condition check for both components.
+def feasible(traj: Trajectories, policy: SwitchPolicy) -> Feasibility:
+    """Relay-condition check for both components, within ``tol = 1e-9*T``.
 
     A component that never switched must keep its running positive-part
     integral at zero (within tol): otherwise its accumulator is positive and
@@ -107,8 +107,7 @@ def feasible(traj: Trajectories, policy: SwitchPolicy, tol: float | None = None)
     long as the threshold was actually touched there, i.e. its value at the
     switch is >= -tol.
     """
-    if tol is None:
-        tol = 1e-9 * traj.t[-1]
+    tol = 1e-9 * traj.t[-1]
     dt = traj.t[1] - traj.t[0]
     for name, y, switched in (("u", traj.u, policy.pu_switches_at_zero),
                               ("v", traj.v, policy.pv_switches_at_zero)):
@@ -144,16 +143,9 @@ class PolicyTable:
 
     def to_json_dict(self) -> dict:
         return {
-            "forcing": self.config.forcing,
-            "horizon": self.config.horizon,
-            "dt": self.config.dt,
-            "policies": [
-                {"pu_switches_at_zero": p.pu_switches_at_zero,
-                 "pv_switches_at_zero": p.pv_switches_at_zero,
-                 "feasible": f.ok,
-                 "violation": list(f.violation) if f.violation else None}
-                for p, f in self.rows
-            ],
+            **asdict(self.config),
+            "policies": [{**asdict(p), "feasible": f.ok, "violation": f.violation}
+                         for p, f in self.rows],
             "verdict": self.verdict,
         }
 
@@ -167,9 +159,9 @@ class PolicyTable:
         return "\n".join(lines)
 
 
-def enumerate_policies(config: ToyConfig, tol: float | None = None) -> PolicyTable:
+def enumerate_policies(config: ToyConfig) -> PolicyTable:
     """Feasibility of all four binary policies and the uniqueness verdict."""
-    rows = [(p, feasible(integrate(config, p), p, tol=tol)) for p in ALL_POLICIES]
+    rows = [(p, feasible(integrate(config, p), p)) for p in ALL_POLICIES]
     n_ok = sum(1 for _p, f in rows if f.ok)
     verdict = "unique" if n_ok == 1 else ("non-unique" if n_ok > 1 else "none")
     return PolicyTable(config=config, rows=rows, verdict=verdict)

@@ -29,7 +29,7 @@ files (exit 1), naming the schema version or the missing arrays.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,26 +54,25 @@ def _paths(prefix) -> tuple[Path, Path]:
     return prefix.parent / (prefix.name + ".npz"), prefix.parent / (prefix.name + ".json")
 
 
+def _exactly(cls, d: dict):
+    """``cls(**d)``, where ``d`` names every field of ``cls`` (defaulted ones
+    too) and no other key."""
+    obj = cls(**d)
+    if d.keys() != asdict(obj).keys():
+        raise KeyError(f"{cls.__name__} needs keys {list(asdict(obj))}, got {list(d)}")
+    return obj
+
+
 def _sidecar_fields(meta: dict) -> dict:
     """The non-array SolutionRecord fields stored in a sidecar."""
-    g = meta["grid"]
-    constants = None
-    if meta.get("constants"):
-        c = meta["constants"]
-        constants = ModelConstants(
-            psi_alpha=c["psi_alpha"], alpha_star=c["alpha_star"], t_star=c["t_star"],
-            ring_width_L=c["L"], ring_width_alt=meta["ring_width_alt"],
-            C_psi=c["C_psi"], c_psi=c["c_psi"], C_ell=c["C_ell"],
-            T1=c["T1"], T2=c["T2"], T_unique=c["T_unique"],
-        )
+    c = meta["constants"]
     return {
-        "params": ModelParams(**meta["params"]),
-        "grid": GridSpec(dx=g["dx"], dt=g["dt"], x_max=g["x_max"], t_max=g["t_max"],
-                         n_x=g["n_x"], n_t=g["n_t"]),
-        "relay_kind": RelayKind(meta["relay"]["variant"], meta["relay"]["epsilon"]),
+        "params": _exactly(ModelParams, meta["params"]),
+        "grid": _exactly(GridSpec, meta["grid"]),
+        "relay_kind": _exactly(RelayKind, meta["relay"]),
         "snapshot_stride": meta["snapshot_stride"],
         "scheme": meta["scheme"],
-        "constants": constants,
+        "constants": ModelConstants.from_json_dict(c, meta["ring_width_alt"]) if c else None,
     }
 
 
@@ -174,11 +173,9 @@ class SolutionRecord:
             "schema_version": RECORD_SCHEMA_VERSION,
             "kind": "solution_record",
             "scheme": self.scheme,
-            "params": {"alpha": self.params.alpha, "beta": self.params.beta,
-                       "u_star": self.params.u_star},
-            "grid": {"dx": self.grid.dx, "dt": self.grid.dt, "x_max": self.grid.x_max,
-                     "t_max": self.grid.t_max, "n_x": self.grid.n_x, "n_t": self.grid.n_t},
-            "relay": {"variant": self.relay_kind.variant, "epsilon": self.relay_kind.epsilon},
+            "params": asdict(self.params),
+            "grid": asdict(self.grid),
+            "relay": asdict(self.relay_kind),
             "snapshot_stride": self.snapshot_stride,
             "constants": self.constants.to_json_dict() if self.constants else None,
             "ring_width_alt": self.constants.ring_width_alt if self.constants else None,
@@ -238,9 +235,10 @@ class SolutionRecord:
         return cls(**fields, **arrays)
 
     def write_csv(self, path) -> None:
-        """Snapshot dump: header row, then one row per snapshot (t, u per node)."""
+        """Snapshot dump: header row, then one row per snapshot (t, u per node),
+        each row derived on its own (:meth:`u_on`), so ``u`` is not built."""
         header = ["t"] + [f"u_x{jsonio.format_float(xi)}" for xi in self.x]
-        rows = ([float(t)] + [float(v) for v in row] for t, row in zip(self.times, self.u))
+        rows = ([t] + self.u_on(k).tolist() for k, t in enumerate(self.times.tolist()))
         jsonio.write_csv(path, header, rows)
 
     # -- synthetic construction -------------------------------------------

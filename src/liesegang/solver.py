@@ -429,12 +429,6 @@ class Stepper:
             return interior.copy()
         return np.concatenate((interior, self.tail.values()))
 
-    def _full(self, win: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """A relay-window array extended to the whole grid with ``fill``."""
-        out = np.full(self.n, fill)
-        out[: self.m] = win
-        return out
-
     def _explicit_half_step(self, field: np.ndarray) -> np.ndarray:
         """``field`` times ``I + mu*D2`` with its Neumann and tail rows, written
         into the spare buffer; the end rows add on Python floats (the same
@@ -593,7 +587,8 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
         scheme=stepper.scheme, times=times, w=w, accum=accum,
-        ignition_time=stepper._full(stepper.state.ignition_time, np.nan),
+        ignition_time=np.concatenate((stepper.state.ignition_time,
+                                      np.full(stepper.n - stepper.m, np.nan))),
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
         constants=stepper.constants,
     )
@@ -651,7 +646,7 @@ def runner(scheme: str):
     return {"deficit": run, "deposition": source_deposition_run}[scheme]
 
 
-def measure_t1(record: SolutionRecord, tol: float = 0.0) -> float:
+def measure_t1(record: SolutionRecord) -> float:
     """Measured horizon of the essential-domain gradient bound.
 
     Scans the record for the first snapshot where the one-sided bound
@@ -681,7 +676,7 @@ def measure_t1(record: SolutionRecord, tol: float = 0.0) -> float:
         u = record.u_on(k)
         u_x = (u[inner + 1] - u[inner - 1]) / (2.0 * dx)
         bound = -(a * b / (4.0 * math.sqrt(t))) * math.exp(0.25 * (a * a - astar * astar))
-        if np.max(u_x - bound) > tol:
+        if np.max(u_x - bound) > 0.0:
             return holds_until
         holds_until = t
     return holds_until

@@ -1,9 +1,12 @@
 """Two-solution comparison harness."""
 import concurrent.futures
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liesegang as lg
 from liesegang import comparison
@@ -204,3 +207,47 @@ def test_median_ignition_rate_from_ladder(rec_coarse_sharp):
     rate = comparison.median_ignition_rate(rec_coarse_sharp,
                                            t_max=rec_coarse_sharp.constants.T_unique)
     assert rate > 0
+
+
+def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lg.solver, "run", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(lg.solver, "source_deposition_run", lambda *a, **k: calls.append(a))
+    for scheme in ("deficit", "deposition"):
+        with pytest.raises(TypeError, match="RelayKind or GridSpec"):
+            comparison.perturbation_sweep(PARAMS, GRID, lg.RelayKind.sharp(),
+                                          [lg.RelayKind.mollified(1e-3), "dx/2"],
+                                          scheme=scheme)
+    assert calls == []
+
+
+# -- the index loops the array expressions replaced, kept as oracles -----------
+
+def aligned_ell_loop(record, x):
+    ell = record.ignition_time
+    mask = np.isfinite(ell)
+    if not mask.any():
+        return np.full(x.shape, np.nan)
+    xs = record.x[mask]
+    es = ell[mask]
+    out = np.interp(x, xs, es, left=np.nan, right=np.nan)
+    inside = (x >= xs[0]) & (x <= xs[-1])
+    idx = np.searchsorted(record.x, x)
+    for k in np.flatnonzero(inside):
+        i = min(max(idx[k], 1), record.x.size - 1)
+        if not (np.isfinite(ell[i - 1]) and np.isfinite(ell[min(i, ell.size - 1)])):
+            out[k] = np.nan
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(ell=st.lists(st.none() | st.floats(0.0, 1.0), min_size=1, max_size=40),
+       n_target=st.integers(1, 60), x_hi=st.floats(0.1, 3.0))
+def test_aligned_ell_matches_the_loop(ell, n_target, x_hi):
+    # ignition times with gaps (None) on a dx 0.05 grid, read on another grid
+    source = types.SimpleNamespace(
+        x=np.arange(len(ell)) * 0.05,
+        ignition_time=np.array([np.nan if e is None else e for e in ell]))
+    x = np.linspace(0.0, x_hi, n_target)
+    np.testing.assert_array_equal(comparison._aligned_ell(source, x),
+                                  aligned_ell_loop(source, x))

@@ -1,9 +1,13 @@
 """Front extraction, ring segmentation, boundary classification, slope bound."""
 import dataclasses
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liesegang as lg
 from liesegang import fronts
@@ -183,3 +187,73 @@ def test_front_report_shape(rec_coarse_sharp):
         assert key in report
     assert report["rings"]
     assert report["residuals"]["max"] >= 0
+
+
+# -- the run-length loop segment_rings replaced, kept as an oracle --------------
+
+def segment_rings_loop(classes, x, dx, measure_tol):
+    """``segment_rings`` on node classes over all of ``x``, with index loops."""
+    i_max = x.size - 1
+    analyzed_x_max = x[i_max]
+    runs = []  # (class, i0, i1)
+    j = 0
+    while j <= i_max:
+        k = j
+        while k + 1 <= i_max and classes[k + 1] == classes[j]:
+            k += 1
+        runs.append([int(classes[j]), j, k])
+        j = k + 1
+    if measure_tol > 0.0 and len(runs) >= 3:
+        min_nodes = math.ceil(measure_tol * analyzed_x_max / dx)
+        merged = True
+        while merged:
+            merged = False
+            for r in range(1, len(runs) - 1):
+                cls, i0, i1 = runs[r]
+                if cls == fronts.UNDETERMINED or i1 - i0 + 1 >= min_nodes:
+                    continue
+                if runs[r - 1][0] == runs[r + 1][0] != fronts.UNDETERMINED:
+                    runs[r - 1][2] = runs[r + 1][2]
+                    del runs[r:r + 2]
+                    merged = True
+                    break
+        rebuilt = np.full(i_max + 1, fronts.UNDETERMINED, dtype=np.int8)
+        for cls, i0, i1 in runs:
+            rebuilt[i0:i1 + 1] = cls
+        classes = rebuilt
+    rings, interrings = [], []
+    X_star = 0.0
+    expected = fronts.RING
+    for cls, i0, i1 in runs:
+        if cls != expected:
+            break
+        left = 0.0 if i0 == 0 else x[i0] - 0.5 * dx
+        right = x[i1] + 0.5 * dx if i1 < i_max else analyzed_x_max
+        if cls == fronts.RING:
+            rings.append((float(left), float(right)))
+        else:
+            if i1 == i_max:
+                right = math.inf
+            interrings.append((float(left), float(right)))
+        X_star = analyzed_x_max if i1 == i_max else x[i1] + 0.5 * dx
+        expected = fronts.INTERRING if cls == fronts.RING else fronts.RING
+    return rings, interrings, float(X_star), classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from([fronts.RING, fronts.INTERRING,
+                                                 fronts.UNDETERMINED]),
+                               st.integers(1, 8)), min_size=1, max_size=15),
+       measure_tol=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]))
+def test_segment_rings_matches_the_loop(runs, measure_tol):
+    classes = np.repeat(np.array([c for c, _ in runs], dtype=np.int8), [n for _, n in runs])
+    n_x, dx = classes.size - 1, 0.1
+    # t_max puts every node's parabola time inside the record
+    grid = lg.GridSpec(dx=dx, dt=1.0, x_max=n_x * dx, t_max=1e6, n_x=n_x, n_t=10**6)
+    record = types.SimpleNamespace(params=PARAMS, grid=grid, x=grid.x)
+    with mock.patch.object(fronts, "_node_classes", lambda rec, i_max: classes.copy()):
+        seg = fronts.segment_rings(record, measure_tol=measure_tol)
+    rings, interrings, X_star, node_class = segment_rings_loop(classes, grid.x, dx, measure_tol)
+    assert (seg.rings, seg.interrings, seg.X_star) == (rings, interrings, X_star)
+    assert seg.node_class.dtype == node_class.dtype
+    np.testing.assert_array_equal(seg.node_class, node_class)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
-from liesegang import duhamel, fronts, jsonio, records
+from liesegang import cli, duhamel, fronts, jsonio, records
 from liesegang.config import default_probe_ladder
 from liesegang.grids import _REL_TOL
 
@@ -416,3 +416,83 @@ def reports_of(record):
     probes = default_probe_ladder(record.constants, record.params.alpha)
     return (jsonio.dumps(fronts.front_report(record)),
             jsonio.dumps(duhamel.diagnostics_report(record, front, probes)))
+
+
+# -- sidecar fields ---------------------------------------------------------------
+
+def field_bits(obj):
+    """Each field of dataclass ``obj``, numbers as their float64 bytes."""
+    return [np.float64(v).tobytes() if isinstance(v, (int, float)) else v
+            for v in dataclasses.astuple(obj)]
+
+
+# jsonio writes -0.0 as "-0", which JSON reads as the integer 0; adding 0.0
+# turns a drawn -0.0 into 0.0
+NUMBERS = st.floats(allow_nan=False).map(lambda v: v + 0.0)
+POSITIVE = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def sidecar_records(draw):
+    """Records of random params, grid, relay and constants, with small arrays."""
+    n_x = draw(st.integers(1, 6))
+    dx = draw(POSITIVE)
+    grid = lg.GridSpec(dx=dx, dt=1.0, x_max=n_x * dx, t_max=float(10**6), n_x=n_x,
+                       n_t=10**6)
+    constants = draw(st.none() | st.builds(
+        lambda values: lg.ModelConstants(*values), st.lists(NUMBERS, min_size=11, max_size=11)))
+    n = n_x + 1
+    return lg.SolutionRecord(
+        params=lg.ModelParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)),
+        grid=grid, relay_kind=draw(RELAY_KINDS | st.builds(lg.RelayKind.mollified, POSITIVE)),
+        snapshot_stride=draw(st.integers(1, 10**6)),
+        scheme=draw(st.sampled_from(["deficit", "deposition", "synthetic"])),
+        times=np.array([0.0, grid.t_max]), w=np.zeros((2, n)), accum=np.zeros((2, n)),
+        ignition_time=np.full(n, np.nan), ignition_u_right=np.zeros((n, records.RIGHT_CELLS)),
+        ignition_u_back=np.zeros((n, len(records.BACK_OFFSETS))), constants=constants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rec=sidecar_records())
+def test_sidecar_round_trip_is_bit_equal(rec):
+    with tempfile.TemporaryDirectory() as tmp:
+        _, json_path = rec.save(Path(tmp) / "rec")
+        back = lg.SolutionRecord.load(Path(tmp) / "rec")
+        _, again = back.save(Path(tmp) / "again")
+        assert again.read_bytes() == json_path.read_bytes()
+    for name in ("params", "grid", "relay_kind"):
+        assert field_bits(getattr(back, name)) == field_bits(getattr(rec, name))
+    assert (back.constants is None) == (rec.constants is None)
+    if rec.constants is not None:
+        assert field_bits(back.constants) == field_bits(rec.constants)
+    assert (back.snapshot_stride, back.scheme) == (rec.snapshot_stride, rec.scheme)
+
+
+@pytest.mark.parametrize("section, change", [
+    (section, change) for section in ("params", "grid", "relay", "constants")
+    for change in ("unknown", "missing")])
+def test_sidecar_with_an_unknown_or_missing_key_is_malformed(tiny_record, tmp_path, capsys,
+                                                              section, change):
+    _, json_path = tiny_record.save(tmp_path / "rec")
+    meta = json.loads(json_path.read_text())
+    if change == "unknown":
+        meta[section]["extra"] = 1.0
+    else:  # the last key: the relay's epsilon has a default
+        del meta[section][list(meta[section])[-1]]
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="rec.json: malformed sidecar"):
+        lg.SolutionRecord.load(tmp_path / "rec")
+    assert cli.main(["analyze", "-r", str(tmp_path / "rec"), "--output-dir",
+                     str(tmp_path)]) == 1
+    assert "malformed sidecar" in capsys.readouterr().err
+    assert not (tmp_path / "front_report.json").exists()
+
+
+def test_csv_is_written_row_by_row_with_the_same_bytes(tiny_record, tmp_path):
+    tiny_record.write_csv(tmp_path / "rows.csv")
+    assert tiny_record._u_cache is None
+    header = ["t"] + [f"u_x{jsonio.format_float(xi)}" for xi in tiny_record.x]
+    jsonio.write_csv(tmp_path / "whole.csv", header,
+                     ([float(t)] + [float(v) for v in row]
+                      for t, row in zip(tiny_record.times, tiny_record.u)))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

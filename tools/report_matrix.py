@@ -1,0 +1,138 @@
+"""Print the sha256 of every file the command line writes for three coarse configs.
+
+    python3 tools/report_matrix.py [--workdir DIR] > reports.txt
+
+Run it in two checkouts and ``diff`` the outputs: equal lines mean
+byte-identical reports, CSV files, record sidecars and record arrays.  Each
+line is ``<file> <sha256>``, or ``<file> <array> <sha256>`` for each array of
+a ``.npz`` record (the archive itself holds write timestamps), or
+``[<command>] stdout <sha256>``.  The script puts the ``src`` directory next to
+it on the import path, so it measures the checkout it sits in.
+
+The three configs share the coarse grid of ``tools/record_matrix.py`` (dx
+0.02, dt 1e-4, x_max 4, t_max 0.26, snapshot stride 7): the sharp relay with
+the deficit scheme, the mollified relay (eps 1e-3) with the deposition
+scheme, and the ``property_p`` relay with the deficit scheme.  For each one
+the script runs, in-process, ``constants`` (with and without
+``--measure-t1``), ``simulate --csv``, ``analyze`` (with the default
+``measure_tol``, with 0.05 and without a config), ``diagnose --csv`` (also
+without a config), ``compare --epsilon2`` and ``sweep --halved-grid``; then
+``compare`` on the saved sharp and ``property_p`` records and ``toy`` for
+both forcings.  Every command must
+exit 0.  Outputs go to one subdirectory per config, given in the configs as
+relative paths, so the reports do not depend on ``--workdir`` (default: a
+temporary directory, removed at the end).  About 7 s on 2 vCPUs.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import zipfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from liesegang import cli  # noqa: E402
+from liesegang.config import ENV_OUTPUT_DIR  # noqa: E402
+
+COARSE = {"alpha": 1.0, "beta": 1.0, "u_star_fraction": 0.8, "dx": 0.02, "dt": 1e-4,
+          "x_max": 4.0, "t_max": 0.26, "snapshot_stride": 7}
+CONFIGS = {
+    "sharp_deficit": {},
+    "mollified_deposition": {"relay": "mollified", "epsilon": 1e-3, "scheme": "deposition"},
+    "property_p_deficit": {"relay": "property_p"},
+}
+
+
+def commands(name: str) -> list[list[str]]:
+    """The commands run on config ``name``; they write into directory ``name``."""
+    cfg, tol_cfg = f"{name}.json", f"{name}_measure_tol.json"
+    rec = f"{name}/record"
+    return [
+        ["constants", "-c", cfg],
+        ["constants", "-c", cfg, "--measure-t1", "-o", "constants_t1.json"],
+        ["simulate", "-c", cfg, "--csv", "snapshots.csv"],
+        ["analyze", "-c", cfg, "-r", rec],
+        ["analyze", "-c", tol_cfg, "-r", rec, "-o", "front_report_measure_tol.json"],
+        ["analyze", "-r", rec, "--output-dir", name, "-o", "front_report_bare.json"],
+        ["diagnose", "-c", cfg, "-r", rec, "--csv", "probes.csv"],
+        ["diagnose", "-r", rec, "--output-dir", name, "-o", "diagnostics_bare.json"],
+        ["compare", "-c", cfg, "--epsilon2", "1e-3"],
+        ["sweep", "-c", cfg, "--epsilons", "1e-3", "--halved-grid"],
+    ]
+
+
+def final_commands() -> list[list[str]]:
+    return [
+        ["compare", "--rec1", "sharp_deficit/record", "--rec2", "property_p_deficit/record",
+         "--agreement-tol", "1e-3", "--output-dir", "pairs", "--csv", "compare.csv"],
+        ["toy", "-o", "toy_constant.json"],
+        ["toy", "--forcing", "linear", "-o", "toy_linear.json"],
+    ]
+
+
+def run(argv: list[str]) -> str:
+    """Run one command in-process; return its stdout, failing on a non-zero exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"liesegang {' '.join(argv)} exited {code}: {err.getvalue()}")
+    return out.getvalue()
+
+
+def hashes(root: Path):
+    """``(label, sha256)`` of every file under ``root``, per array for records."""
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        if path.suffix == ".npz":
+            with zipfile.ZipFile(path) as archive:
+                names = archive.namelist()
+            with np.load(path) as data:
+                for member in names:
+                    array = data[member.removesuffix(".npy")]
+                    digest = hashlib.sha256(np.ascontiguousarray(array).tobytes())
+                    yield f"{rel} {member} {array.dtype}{array.shape}", digest.hexdigest()
+        else:
+            yield rel, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workdir", help="run in this (empty) directory and keep the outputs")
+    args = p.parse_args(argv)
+    os.environ.pop(ENV_OUTPUT_DIR, None)
+    with contextlib.ExitStack() as stack:
+        workdir = args.workdir or stack.enter_context(tempfile.TemporaryDirectory())
+        root = Path(workdir).resolve()
+        root.mkdir(parents=True, exist_ok=True)
+        cwd = os.getcwd()
+        os.chdir(root)
+        stack.callback(os.chdir, cwd)
+        stdout = []
+        for name, overrides in CONFIGS.items():
+            cfg = {**COARSE, **overrides, "output_dir": name}
+            Path(f"{name}.json").write_text(json.dumps(cfg))
+            Path(f"{name}_measure_tol.json").write_text(
+                json.dumps({**cfg, "tolerances": {"measure_tol": 0.05}}))
+            for argv in commands(name):
+                stdout.append((" ".join(argv), run(argv)))
+        for argv in final_commands():
+            stdout.append((" ".join(argv), run(argv)))
+        for label, digest in hashes(root):
+            print(f"{label} {digest}")
+        for label, text in stdout:
+            print(f"[{label}] stdout {hashlib.sha256(text.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
