@@ -22,7 +22,7 @@ from .config import (KEYS, RunConfig, Tolerances, ValidationError, default_probe
                      parse_config, resolve_output_dir)
 from .fronts import EmptyFront
 from .model import compute_constants
-from .odetoy import ToyConfig, enumerate_policies
+from .odetoy import CONSTANT, LINEAR, ToyConfig, enumerate_policies
 from .records import SolutionRecord
 from .relay import RelayKind
 from .solver import NonFiniteField, measure_t1
@@ -79,15 +79,15 @@ def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str)
 
 
 def _run_from_config(cfg: RunConfig) -> SolutionRecord:
-    return solver.runner(cfg.scheme)(cfg.params, cfg.grid, cfg.relay_kind,
-                                     snapshot_stride=cfg.snapshot_stride)
+    """The config's run, with the config's constants (``t1_ceiling`` included)."""
+    record = solver.runner(cfg.scheme)(cfg.params, cfg.grid, cfg.relay_kind,
+                                       snapshot_stride=cfg.snapshot_stride)
+    return replace(record, constants=cfg.constants)
 
 
 def _configured_agreement_tol(cfg: RunConfig, args) -> float | None:
     """``--agreement-tol``, else the config's ``tolerances.agreement_tol``."""
-    if getattr(args, "agreement_tol", None) is not None:
-        return args.agreement_tol
-    return cfg.tolerances.agreement_tol
+    return cfg.tolerances.agreement_tol if args.agreement_tol is None else args.agreement_tol
 
 
 def cmd_constants(args) -> int:
@@ -200,11 +200,9 @@ def cmd_sweep(args) -> int:
     perturbations: list = [RelayKind.mollified(e) for e in epsilons]
     if args.halved_grid:
         perturbations.append(cfg.grid.refined(2, 1))
-    rows = comparison.perturbation_sweep(cfg.params, cfg.grid, cfg.relay_kind,
-                                         perturbations,
+    rows = comparison.perturbation_sweep(_run_from_config(cfg), perturbations,
                                          agreement_tol=_configured_agreement_tol(cfg, args),
-                                         snapshot_stride=cfg.snapshot_stride,
-                                         workers=args.workers, scheme=cfg.scheme)
+                                         workers=args.workers)
     path = _write_report(cfg, args, "sweep_report", {"rows": [asdict(r) for r in rows]},
                          args.output)
     print(f"{'label':<28}{'divergence_time':<18}{'T_unique':<12}")
@@ -258,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("toy", help="two-ODE switching-policy enumeration")
-    p.add_argument("--forcing", choices=["constant", "linear"], default="constant")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--toy-dt", dest="toy_dt", type=float, default=1e-4)
+    p.add_argument("--forcing", choices=[CONSTANT, LINEAR], default=ToyConfig.forcing)
+    p.add_argument("--horizon", type=float, default=ToyConfig.horizon)
+    p.add_argument("--toy-dt", dest="toy_dt", type=float, default=ToyConfig.dt)
     p.add_argument("-o", "--output", help="optional JSON output path")
     p.set_defaults(func=cmd_toy)
 

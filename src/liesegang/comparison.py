@@ -216,12 +216,11 @@ def energy_monotonicity_check(report: ComparisonReport,
     if sel.size < 3:
         raise ValueError(f"need >= 3 snapshots in window [{t_a}, {t_b}], found {sel.size}")
     e = report.energy[sel]
-    t = report.times[sel]
-    for k in range(e.size - 1):
-        allowed = 1e-10 + 1e-6 * e[k]
-        if e[k + 1] > e[k] + allowed:
-            return MonotonicityVerdict(False, float(t[k + 1]), float(e[k + 1] - e[k]),
-                                       int(sel.size))
+    over = np.flatnonzero(e[1:] > e[:-1] + (1e-10 + 1e-6 * e[:-1]))
+    if over.size:
+        k = int(over[0])
+        return MonotonicityVerdict(False, float(report.times[sel[k + 1]]),
+                                   float(e[k + 1] - e[k]), int(sel.size))
     return MonotonicityVerdict(True, None, None, int(sel.size))
 
 
@@ -239,36 +238,35 @@ def _run_for_sweep(args):
     return solver.runner(scheme)(params, grid, relay, snapshot_stride=stride)
 
 
-def perturbation_sweep(params, grid: GridSpec, base_relay: RelayKind, perturbations, *,
+def perturbation_sweep(base: SolutionRecord, perturbations, *,
                        agreement_tol: float | None = None,
-                       snapshot_stride: int = 100, workers: int = 1,
-                       scheme: str = "deficit") -> list[SweepRow]:
-    """Run the base configuration against each perturbation and tabulate the
-    divergence time next to the uniqueness horizon.
+                       workers: int = 1) -> list[SweepRow]:
+    """Run ``base``'s configuration against each perturbation and tabulate the
+    divergence time next to ``base``'s uniqueness horizon.
 
     Each perturbation is a ``RelayKind`` (same grid) or a ``GridSpec`` (same
-    relay, comparison interpolated onto the coarser grid).  When no explicit
-    ``agreement_tol`` is given, the per-row default combines 10x the
-    self-refinement error (measured with one simultaneous halving) with the
-    mollification envelope of the row's relay width.
-    Every run uses ``scheme`` (``deficit`` or ``deposition``).  Perturbed
-    runs share no state and fan out over ``workers`` processes when
-    workers > 1; the table is identical either way.
+    relay, comparison interpolated onto the coarser grid); every run takes
+    the params, grid, relay, snapshot stride and scheme of ``base`` that the
+    perturbation leaves.  When no explicit ``agreement_tol`` is given, the
+    per-row default combines 10x the self-refinement error (measured with
+    one simultaneous halving) with the mollification envelope of the row's
+    relay width.  Perturbed runs share no state and fan out over ``workers``
+    processes when workers > 1; the table is identical either way.
     """
     # each perturbation's run, comparison, label and relay width, before any run
+    scheme, params, stride = base.scheme, base.params, base.snapshot_stride
     jobs, plans = [], []
     for pert in perturbations:
         if isinstance(pert, RelayKind):
-            jobs.append((scheme, params, grid, pert, snapshot_stride))
+            jobs.append((scheme, params, base.grid, pert, stride))
             plans.append((compare, f"relay={pert.label()}", pert.epsilon))
         elif isinstance(pert, GridSpec):
-            jobs.append((scheme, params, pert, base_relay, snapshot_stride))
+            jobs.append((scheme, params, pert, base.relay_kind, stride))
             plans.append((compare_cross_grid, f"grid=dx{pert.dx:g}/dt{pert.dt:g}", None))
         else:
             raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
     if not jobs:
         return []
-    base = solver.runner(scheme)(params, grid, base_relay, snapshot_stride=snapshot_stride)
     t_unique = base.constants.T_unique if base.constants else math.nan
     if agreement_tol is None:
         tols = measured_agreement_tols(base, [eps for _cmp, _label, eps in plans])

@@ -246,7 +246,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                     params = ModelParams(alpha, beta, u_star)
                 else:
                     params = ModelParams.from_fraction(alpha, beta, fraction)
-                constants = compute_constants(params, t1_ceiling=tol_kwargs["t1_ceiling"])
+                constants = compute_constants(params, t1=tol_kwargs["t1_ceiling"])
             except NotSupercritical:
                 violations.append(
                     f"threshold u_star = {params.u_star:.6g} is not supercritical "
@@ -267,12 +267,10 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                               f"{w_bytes:.3g} bytes of w, over the limit of {MAX_W_BYTES}")
         else:
             grid = GridSpec.make(dx, dt, x_max, eff_t_max)
-            required = grid.required_x_max(constants.alpha_star)
-            if grid.x_max < required:
-                violations.append(
-                    f"x_max = {grid.x_max} too small for t_max = {eff_t_max:.6g}: "
-                    f"need >= alpha_star*sqrt(t_max) + 6*sqrt(t_max) = {required:.6g}"
-                )
+            try:
+                grid.check_domain(constants.alpha_star)
+            except ValueError as exc:
+                violations.append(str(exc))
 
     if violations:
         raise ValidationError(violations)

@@ -59,3 +59,12 @@ class GridSpec:
     def required_x_max(self, alpha_star: float) -> float:
         """Truncation length keeping boundary effects below the tail tolerance."""
         return alpha_star * math.sqrt(self.t_max) + 6.0 * math.sqrt(self.t_max)
+
+    def check_domain(self, alpha_star: float) -> None:
+        """Raise ValueError when ``x_max`` is below :meth:`required_x_max`."""
+        required = self.required_x_max(alpha_star)
+        if self.x_max < required:
+            raise ValueError(
+                f"x_max = {self.x_max} too small for t_max = {self.t_max:.6g}: "
+                f"need >= alpha_star*sqrt(t_max) + 6*sqrt(t_max) = {required:.6g}"
+            )

@@ -112,47 +112,47 @@ def psi(x, t, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _on_positive_t(x, t, formula):
+    """``formula(x, t)`` element by element over the broadcast of ``x`` and
+    ``t`` where t > 0, and 0 elsewhere (NaN t included).  ``formula`` sees
+    NaN in place of every other t, so it raises no warning there."""
+    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    positive = t_arr > 0
+    out = np.where(positive, formula(x_arr, np.where(positive, t_arr, np.nan)), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def psi_t(x, t, params: ModelParams):
     """Time derivative of psi; zero on the plateau region eta <= alpha.
 
     For eta > alpha:  psi_t = (alpha*beta / (4t)) * exp(alpha^2/4) * eta * exp(-eta^2/4).
     """
     a = params.alpha
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    scalar = x_arr.ndim == 0
-    tt = np.where(t_arr > 0, t_arr, np.nan)
-    eta = np.abs(x_arr) / np.sqrt(tt)
-    val = (a * params.beta / (4.0 * tt)) * np.exp(0.25 * (a * a - eta * eta)) * eta
-    out = np.where(eta > a, val, 0.0)
-    if scalar:
-        return float(out)
-    return out
+
+    def formula(x, t):
+        eta = np.abs(x) / np.sqrt(t)
+        val = (a * params.beta / (4.0 * t)) * np.exp(0.25 * (a * a - eta * eta)) * eta
+        return np.where(eta > a, val, 0.0)
+
+    return _on_positive_t(x, t, formula)
 
 
 def psi_x(x, t, params: ModelParams):
     """Spatial derivative of psi for x >= 0; zero on the plateau region."""
     a = params.alpha
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    scalar = x_arr.ndim == 0
-    tt = np.where(t_arr > 0, t_arr, np.nan)
-    eta = x_arr / np.sqrt(tt)
-    val = -(a * params.beta / 2.0) * np.exp(0.25 * (a * a - eta * eta)) / np.sqrt(tt)
-    out = np.where(eta > a, val, 0.0)
-    if scalar:
-        return float(out)
-    return out
+
+    def formula(x, t):
+        eta = x / np.sqrt(t)
+        val = -(a * params.beta / 2.0) * np.exp(0.25 * (a * a - eta * eta)) / np.sqrt(t)
+        return np.where(eta > a, val, 0.0)
+
+    return _on_positive_t(x, t, formula)
 
 
 def heat_kernel(x, t):
     """Standard heat kernel (4*pi*t)^(-1/2) * exp(-x^2/(4t)); zero for t <= 0."""
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    scalar = x_arr.ndim == 0
-    tt = np.where(t_arr > 0, t_arr, 1.0)
-    val = np.exp(-x_arr * x_arr / (4.0 * tt)) / np.sqrt(4.0 * math.pi * tt)
-    out = np.where(t_arr > 0, val, 0.0)
-    if scalar:
-        return float(out)
-    return out
+    return _on_positive_t(x, t, lambda x, t: np.exp(-x * x / (4.0 * t))
+                          / np.sqrt(4.0 * math.pi * t))
 
 
 def heat_kernel_time_integral(x, t):
@@ -162,15 +162,12 @@ def heat_kernel_time_integral(x, t):
     t > 0, and 0 otherwise.  Used by the singular quadratures, where the
     kernel is integrated exactly in time across a cell.
     """
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    scalar = x_arr.ndim == 0
-    tt = np.where(t_arr > 0, t_arr, 1.0)
-    ax = np.abs(x_arr)
-    val = np.sqrt(tt / math.pi) * np.exp(-ax * ax / (4.0 * tt)) - 0.5 * ax * erfc(ax / (2.0 * np.sqrt(tt)))
-    out = np.where(t_arr > 0, val, 0.0)
-    if scalar:
-        return float(out)
-    return out
+    def formula(x, t):
+        ax = np.abs(x)
+        return (np.sqrt(t / math.pi) * np.exp(-ax * ax / (4.0 * t))
+                - 0.5 * ax * erfc(ax / (2.0 * np.sqrt(t))))
+
+    return _on_positive_t(x, t, formula)
 
 
 @dataclass(frozen=True)
@@ -239,18 +236,14 @@ def _bisect_alpha_star(params: ModelParams, u_star: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def compute_constants(
-    params: ModelParams,
-    t1: float | None = None,
-    t1_ceiling: float | None = None,
-) -> ModelConstants:
+def compute_constants(params: ModelParams, t1: float | None = None) -> ModelConstants:
     """Compute every derived constant for a supercritical parameter set.
 
     ``alpha_star`` solves Psi(alpha_star) = u_star by bisection on
     (alpha, alpha+50).  T1, the horizon of the essential-domain gradient
-    bound, has no closed form: pass a measured value via ``t1`` (see
-    :func:`liesegang.solver.measure_t1`), or it falls back to
-    ``t1_ceiling`` (default (L/alpha_star)^2, where it never binds T2).
+    bound, has no closed form: pass a measured value (see
+    :func:`liesegang.solver.measure_t1`) or a ceiling via ``t1``; by default
+    it is (L/alpha_star)^2, where it never binds T2.
 
     Raises NotSupercritical when u_star >= Psi(alpha).
     """
@@ -278,8 +271,7 @@ def compute_constants(
     C_ell = (a * b / (8.0 * alpha_star * C_psi)) * math.exp(0.25 * (a * a - alpha_star**2))
 
     t2_cap = (ring_width_L / alpha_star) ** 2
-    if t1 is None:
-        t1 = t1_ceiling if t1_ceiling is not None else t2_cap
+    t1 = t2_cap if t1 is None else t1
     T2 = min(t2_cap, t1)
     T_unique = min(
         T2,

@@ -115,17 +115,6 @@ def _constants_or_none(params: ModelParams) -> ModelConstants | None:
         return None
 
 
-def _check_domain(grid: GridSpec, constants: ModelConstants | None) -> None:
-    if constants is None:
-        return
-    required = grid.required_x_max(constants.alpha_star)
-    if grid.x_max < required:
-        raise ValueError(
-            f"x_max={grid.x_max} too small for t_max={grid.t_max}: "
-            f"need at least alpha_star*sqrt(t_max) + 6*sqrt(t_max) = {required:.3f}"
-        )
-
-
 class StepMatrix:
     """The interior step matrix ``I - mu*D2 + dt*diag(p)`` and its solve.
 
@@ -329,7 +318,8 @@ class Stepper:
             self.m = n
         else:
             self.constants = constants if constants is not None else _constants_or_none(params)
-            _check_domain(grid, self.constants)
+            if self.constants is not None:
+                grid.check_domain(self.constants.alpha_star)
             self.m = _relay_window(params, grid, self.constants)
         self.mu = grid.dt / (2.0 * grid.dx**2)
         # the tail's snapshot DST is slow on lengths with a large prime factor

@@ -140,7 +140,8 @@ class TestCrossGrid:
 
 
 def test_empty_perturbation_list_is_empty_table():
-    rows = comparison.perturbation_sweep(PARAMS, GRID, lg.RelayKind.sharp(), [],
+    grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
+    rows = comparison.perturbation_sweep(lg.run(PARAMS, grid, lg.RelayKind.sharp()), [],
                                          agreement_tol=1e-3)
     assert rows == []
 
@@ -148,11 +149,9 @@ def test_empty_perturbation_list_is_empty_table():
 def test_sweep_rows_and_worker_fanout_equivalence(constants):
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=4.0, t_max=2 * constants.T2)
     perts = [lg.RelayKind.mollified(1e-3), grid.refined(2, 1)]
-    serial = comparison.perturbation_sweep(PARAMS, grid, lg.RelayKind.sharp(), perts,
-                                           agreement_tol=0.05, snapshot_stride=50)
-    fanned = comparison.perturbation_sweep(PARAMS, grid, lg.RelayKind.sharp(), perts,
-                                           agreement_tol=0.05, snapshot_stride=50,
-                                           workers=2)
+    base = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=50)
+    serial = comparison.perturbation_sweep(base, perts, agreement_tol=0.05)
+    fanned = comparison.perturbation_sweep(base, perts, agreement_tol=0.05, workers=2)
     assert len(serial) == 2
     assert serial[0].label.startswith("relay=mollified")
     assert serial[1].label.startswith("grid=")
@@ -185,8 +184,8 @@ def test_sweep_starts_no_more_worker_processes_than_runs(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
     perts = [lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p()]
-    rows = comparison.perturbation_sweep(PARAMS, grid, lg.RelayKind.sharp(), perts,
-                                         agreement_tol=0.05, snapshot_stride=10, workers=8)
+    base = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=10)
+    rows = comparison.perturbation_sweep(base, perts, agreement_tol=0.05, workers=8)
     assert started == [2]
     assert [r.label for r in rows] == ["relay=mollified(eps=0.001)", "relay=property_p"]
 
@@ -210,14 +209,16 @@ def test_median_ignition_rate_from_ladder(rec_coarse_sharp):
 
 
 def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
+    grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
+    bases = {scheme: lg.solver.runner(scheme)(PARAMS, grid, lg.RelayKind.sharp())
+             for scheme in ("deficit", "deposition")}
     calls = []
     monkeypatch.setattr(lg.solver, "run", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(lg.solver, "source_deposition_run", lambda *a, **k: calls.append(a))
     for scheme in ("deficit", "deposition"):
         with pytest.raises(TypeError, match="RelayKind or GridSpec"):
-            comparison.perturbation_sweep(PARAMS, GRID, lg.RelayKind.sharp(),
-                                          [lg.RelayKind.mollified(1e-3), "dx/2"],
-                                          scheme=scheme)
+            comparison.perturbation_sweep(bases[scheme],
+                                          [lg.RelayKind.mollified(1e-3), "dx/2"])
     assert calls == []
 
 
@@ -251,3 +252,29 @@ def test_aligned_ell_matches_the_loop(ell, n_target, x_hi):
     x = np.linspace(0.0, x_hi, n_target)
     np.testing.assert_array_equal(comparison._aligned_ell(source, x),
                                   aligned_ell_loop(source, x))
+
+
+def energy_monotonicity_loop(report, window):
+    t_a, t_b = window
+    sel = np.flatnonzero((report.times >= t_a) & (report.times <= t_b))
+    e = report.energy[sel]
+    t = report.times[sel]
+    for k in range(e.size - 1):
+        allowed = 1e-10 + 1e-6 * e[k]
+        if e[k + 1] > e[k] + allowed:
+            return comparison.MonotonicityVerdict(False, float(t[k + 1]),
+                                                  float(e[k + 1] - e[k]), int(sel.size))
+    return comparison.MonotonicityVerdict(True, None, None, int(sel.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(energy=st.lists(st.sampled_from([0.0, 1e-10, 1e-6, math.nan, math.inf])
+                       | st.floats(0.0, 1.0), min_size=9, max_size=30),
+       window=st.tuples(st.floats(-0.1, 0.3), st.floats(0.7, 1.1)))
+def test_energy_monotonicity_check_matches_the_loop(energy, window):
+    # energies near the tolerance 1e-10 + 1e-6*e, with NaN and inf, in a window
+    # holding at least [0.3, 0.7], three snapshots or more
+    times = np.linspace(0.0, 1.0, len(energy))
+    report = types.SimpleNamespace(times=times, energy=np.array(energy))
+    assert (comparison.energy_monotonicity_check(report, window)
+            == energy_monotonicity_loop(report, window))

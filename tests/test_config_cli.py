@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,17 @@ class TestParseConfig:
         with pytest.raises(config.ValidationError) as exc:
             config.parse_config(write_config(tmp_path, bad))
         assert any("x_max" in m for m in exc.value.violations)
+
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    @pytest.mark.parametrize("x_max, t_max", [(1.0, 1.0), (2.0, 0.26)])
+    def test_solver_states_the_domain_rule_of_parse_config(self, scheme, x_max, t_max):
+        grid_keys = dict(dx=0.02, dt=1e-4, x_max=x_max, t_max=t_max)
+        params = config.parse_config(None).params  # the config's defaults
+        with pytest.raises(ValueError) as ran:
+            lg.solver.runner(scheme)(params, lg.GridSpec.make(**grid_keys), lg.RelayKind.sharp())
+        with pytest.raises(config.ValidationError) as parsed:
+            config.parse_config(None, grid_keys)
+        assert parsed.value.violations == [str(ran.value)]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(config.ENV_OUTPUT_DIR, str(tmp_path / "elsewhere"))
@@ -740,3 +752,66 @@ def test_analyze_rejects_every_record_fixed_flag(tmp_path, capsys, saved_record,
     assert err.startswith("error: ")
     assert f"  - {key.flag}: not accepted by commands on saved records" in err
     assert not out.exists()
+
+
+# -- tolerances.t1_ceiling reaches the records and every report ---------------
+
+COARSE = dict(TINY, x_max=4.0, t_max=0.26, snapshot_stride=7)
+T1_CEILING = 0.01
+
+
+@pytest.fixture(scope="module")
+def ceiling_runs(tmp_path_factory):
+    """Output directories of constants, simulate, analyze, diagnose and sweep
+    on the coarse config without and with ``tolerances.t1_ceiling``."""
+    dirs = {}
+    for name, tol in (("plain", {}), ("ceiling", {"t1_ceiling": T1_CEILING})):
+        out = tmp_path_factory.mktemp(name)
+        path = write_config(out, dict(COARSE, output_dir=str(out), tolerances=tol))
+        rec = str(out / "record")
+        for argv in (["constants", "-c", path], ["simulate", "-c", path],
+                     ["analyze", "-c", path, "-r", rec], ["diagnose", "-c", path, "-r", rec],
+                     ["sweep", "-c", path, "--epsilons", "1e-3", "--agreement-tol", "0.05"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        dirs[name] = out
+    return dirs
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def test_t1_ceiling_reaches_the_record_and_every_report(ceiling_runs):
+    out = ceiling_runs["ceiling"]
+    exported = read_json(out / "constants.json")["constants"]
+    assert exported["T1"] == exported["T2"] == exported["T_unique"] == T1_CEILING
+    assert read_json(out / "record.json")["constants"] == exported
+    assert [row["T_unique"] for row in read_json(out / "sweep.json")["rows"]] == [T1_CEILING]
+    # the slope bound reads the front nodes with ell <= T2 (and x <= L)
+    rec = lg.SolutionRecord.load(out / "record")
+    front = lg.extract_front(rec)
+    k = int(np.sum(front.mask & (front.x <= rec.constants.ring_width_L)
+                   & (front.ell <= T1_CEILING)))
+    slope = read_json(out / "front_report.json")["slope_bound"]
+    plain_slope = read_json(ceiling_runs["plain"] / "front_report.json")["slope_bound"]
+    assert slope["n_pairs"] == k * (k - 1) // 2 < plain_slope["n_pairs"]
+    # the default probe ladder ends at 0.85*T2
+    probe_t = [row["t"] for row in read_json(out / "diagnostics.json")["probes"]]
+    assert max(probe_t) == pytest.approx(0.85 * T1_CEILING, rel=1e-12)
+
+
+def test_t1_ceiling_changes_only_t1_t2_and_t_unique_of_a_record(ceiling_runs):
+    plain, ceiling = (read_json(ceiling_runs[name] / "record.json")
+                      for name in ("plain", "ceiling"))
+    plain["constants"].update(T1=T1_CEILING, T2=T1_CEILING, T_unique=T1_CEILING)
+    assert ceiling == plain
+    # the solver reads only alpha_star of the constants
+    plain, ceiling = (np.load(ceiling_runs[name] / "record.npz")
+                      for name in ("plain", "ceiling"))
+    with plain, ceiling:
+        assert sorted(plain.files) == sorted(ceiling.files)
+        for name in plain.files:
+            a, b = plain[name], ceiling[name]
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name

@@ -1,12 +1,14 @@
 """Closed forms and derived constants against independent oracles."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 import liesegang as lg
 from liesegang import model
@@ -122,6 +124,94 @@ class TestHeatKernel:
             assert model.heat_kernel_time_integral(z, 0.3) == pytest.approx(direct, abs=1e-10)
         assert model.heat_kernel_time_integral(1.0, 0.0) == 0.0
         assert model.heat_kernel_time_integral(1.0, -2.0) == 0.0
+
+
+# -- the closed forms as they were before their t > 0 guard was shared --------
+
+def psi_t_before(x, t, params):
+    a = params.alpha
+    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    scalar = x_arr.ndim == 0
+    tt = np.where(t_arr > 0, t_arr, np.nan)
+    eta = np.abs(x_arr) / np.sqrt(tt)
+    val = (a * params.beta / (4.0 * tt)) * np.exp(0.25 * (a * a - eta * eta)) * eta
+    out = np.where(eta > a, val, 0.0)
+    if scalar:
+        return float(out)
+    return out
+
+
+def psi_x_before(x, t, params):
+    a = params.alpha
+    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    scalar = x_arr.ndim == 0
+    tt = np.where(t_arr > 0, t_arr, np.nan)
+    eta = x_arr / np.sqrt(tt)
+    val = -(a * params.beta / 2.0) * np.exp(0.25 * (a * a - eta * eta)) / np.sqrt(tt)
+    out = np.where(eta > a, val, 0.0)
+    if scalar:
+        return float(out)
+    return out
+
+
+def heat_kernel_before(x, t):
+    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    scalar = x_arr.ndim == 0
+    tt = np.where(t_arr > 0, t_arr, 1.0)
+    val = np.exp(-x_arr * x_arr / (4.0 * tt)) / np.sqrt(4.0 * math.pi * tt)
+    out = np.where(t_arr > 0, val, 0.0)
+    if scalar:
+        return float(out)
+    return out
+
+
+def heat_kernel_time_integral_before(x, t):
+    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    scalar = x_arr.ndim == 0
+    tt = np.where(t_arr > 0, t_arr, 1.0)
+    ax = np.abs(x_arr)
+    val = np.sqrt(tt / math.pi) * np.exp(-ax * ax / (4.0 * tt)) - 0.5 * ax * erfc(ax / (2.0 * np.sqrt(tt)))
+    out = np.where(t_arr > 0, val, 0.0)
+    if scalar:
+        return float(out)
+    return out
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+# x: specials, negatives and nodes past the source; t: specials, negatives and
+# times putting x on either side of the plateau
+X_VALUES = SPECIAL | st.floats(-3.0, 3.0) | st.floats(-50.0, 50.0)
+T_VALUES = SPECIAL | st.floats(-1.0, 0.0) | st.floats(1e-6, 0.5) | st.floats(0.5, 20.0)
+
+
+def _called(fn, *args):
+    """``fn(*args)`` and the warning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {str(w.message) for w in caught}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["psi_t", "psi_x", "heat_kernel", "heat_kernel_time_integral"]),
+       X_VALUES | st.lists(X_VALUES, min_size=1, max_size=6),
+       T_VALUES | st.lists(T_VALUES, min_size=1, max_size=5))
+@example("psi_t", math.inf, -1.0)  # psi_t(inf, 1.0) warns: NaN stands in for t <= 0
+def test_closed_forms_equal_their_unshared_guards_bit_for_bit(name, x, t):
+    # a list of t is a column, so two lists broadcast to a block
+    x_in = np.array(x) if isinstance(x, list) else x
+    t_in = np.array(t)[:, None] if isinstance(t, list) else t
+    params = lg.ModelParams.from_fraction(ALPHA, BETA, 0.8)
+    extra = (params,) if name.startswith("psi") else ()
+    before = globals()[f"{name}_before"]
+    old, old_warnings = _called(before, x_in, t_in, *extra)
+    new, new_warnings = _called(getattr(model, name), x_in, t_in, *extra)
+    assert new_warnings <= old_warnings
+    if np.ndim(x_in) == 0 and np.ndim(t_in) == 0:
+        assert type(new) is float and type(old) is float
+    assert np.shape(new) == np.shape(old)
+    assert (np.asarray(new, dtype=float).view(np.int64).tolist()
+            == np.asarray(old, dtype=float).view(np.int64).tolist())
 
 
 class TestParams:

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the command line writes for three coarse configs.
+"""Print the sha256 of every file the command line writes for four coarse configs.
 
     python3 tools/report_matrix.py [--workdir DIR] > reports.txt
 
@@ -9,10 +9,11 @@ a ``.npz`` record (the archive itself holds write timestamps), or
 ``[<command>] stdout <sha256>``.  The script puts the ``src`` directory next to
 it on the import path, so it measures the checkout it sits in.
 
-The three configs share the coarse grid of ``tools/record_matrix.py`` (dx
+The four configs share the coarse grid of ``tools/record_matrix.py`` (dx
 0.02, dt 1e-4, x_max 4, t_max 0.26, snapshot stride 7): the sharp relay with
 the deficit scheme, the mollified relay (eps 1e-3) with the deposition
-scheme, and the ``property_p`` relay with the deficit scheme.  For each one
+scheme, the ``property_p`` relay with the deficit scheme, and the sharp
+relay with the deficit scheme and ``tolerances.t1_ceiling`` 0.01.  For each one
 the script runs, in-process, ``constants`` (with and without
 ``--measure-t1``), ``simulate --csv``, ``analyze`` (with the default
 ``measure_tol``, with 0.05 and without a config), ``diagnose --csv`` (also
@@ -21,7 +22,7 @@ without a config), ``compare --epsilon2`` and ``sweep --halved-grid``; then
 both forcings.  Every command must
 exit 0.  Outputs go to one subdirectory per config, given in the configs as
 relative paths, so the reports do not depend on ``--workdir`` (default: a
-temporary directory, removed at the end).  About 7 s on 2 vCPUs.
+temporary directory, removed at the end).  About 9 s on 2 vCPUs.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ CONFIGS = {
     "sharp_deficit": {},
     "mollified_deposition": {"relay": "mollified", "epsilon": 1e-3, "scheme": "deposition"},
     "property_p_deficit": {"relay": "property_p"},
+    "sharp_deficit_t1_ceiling": {"tolerances": {"t1_ceiling": 0.01}},
 }
 
 
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
             cfg = {**COARSE, **overrides, "output_dir": name}
             Path(f"{name}.json").write_text(json.dumps(cfg))
             Path(f"{name}_measure_tol.json").write_text(
-                json.dumps({**cfg, "tolerances": {"measure_tol": 0.05}}))
+                json.dumps({**cfg, "tolerances": {**cfg.get("tolerances", {}),
+                                                  "measure_tol": 0.05}}))
             for argv in commands(name):
                 stdout.append((" ".join(argv), run(argv)))
         for argv in final_commands():
