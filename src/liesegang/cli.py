@@ -80,8 +80,8 @@ def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str)
 
 def _run_from_config(cfg: RunConfig) -> SolutionRecord:
     """The config's run, with the config's constants (``t1_ceiling`` included)."""
-    record = solver.runner(cfg.scheme)(cfg.params, cfg.grid, cfg.relay_kind,
-                                       snapshot_stride=cfg.snapshot_stride)
+    record = solver.run(cfg.params, cfg.grid, cfg.relay_kind,
+                        snapshot_stride=cfg.snapshot_stride, scheme=cfg.scheme)
     return replace(record, constants=cfg.constants)
 
 
@@ -97,7 +97,9 @@ def cmd_constants(args) -> int:
     if args.measure_t1:
         record = _run_from_config(cfg)
         measured_t1 = measure_t1(record)
-        constants = compute_constants(cfg.params, t1=measured_t1)
+        ceiling = cfg.tolerances.t1_ceiling
+        constants = compute_constants(cfg.params, t1=measured_t1 if ceiling is None
+                                      else min(measured_t1, ceiling))
     body = {"constants": constants.to_json_dict(), "ring_width_alt": constants.ring_width_alt,
             "t1_measured": measured_t1}
     path = _write_report(cfg, args, "constants_report", body, args.output)

@@ -10,6 +10,7 @@ some x-window.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,14 +26,12 @@ class GridMismatch(ValueError):
     """Records live on different grids or snapshot schedules."""
 
 
-def median_ignition_rate(record: SolutionRecord, t_max: float | None = None) -> float:
-    """Median one-step rate of increase of u at ignition over front nodes
-    (restricted to ignition times <= t_max when given).  This is the scale
-    at which the accumulator grows past the threshold."""
+def median_ignition_rate(record: SolutionRecord, t_max: float) -> float:
+    """Median one-step rate of increase of u at ignition over the front nodes
+    that ignite by ``t_max``.  This is the scale at which the accumulator
+    grows past the threshold."""
     ign = record.ignition_time
-    sel = np.isfinite(ign) & np.isfinite(record.ignition_u_back[:, 0])
-    if t_max is not None:
-        sel &= ign <= t_max
+    sel = (ign <= t_max) & np.isfinite(record.ignition_u_back[:, 0])
     if not sel.any():
         raise ValueError("record has no usable ignition data")
     rates = (record.ignition_u[sel] - record.ignition_u_back[sel, 0]) / record.grid.dt
@@ -66,8 +65,8 @@ def measured_agreement_tols(base: SolutionRecord, epsilons) -> list[float]:
     rate up to T_unique and one measured self-refinement error: the sup
     difference of ``u`` at the snapshot nearest T_unique from a rerun of
     ``base`` (same scheme, relay and stride) with ``dx`` and ``dt`` halved."""
-    fine = solver.runner(base.scheme)(base.params, base.grid.refined(2, 2), base.relay_kind,
-                                      snapshot_stride=base.snapshot_stride)
+    fine = solver.run(base.params, base.grid.refined(2, 2), base.relay_kind,
+                      snapshot_stride=base.snapshot_stride, scheme=base.scheme)
     rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
     t_unique = base.constants.T_unique if base.constants else math.nan
     refinement_error = float(rep.sup_diff[int(np.argmin(np.abs(rep.times - t_unique)))])
@@ -233,11 +232,6 @@ class SweepRow:
     energy_monotone_before_T_unique: bool
 
 
-def _run_for_sweep(args):
-    scheme, params, grid, relay, stride = args
-    return solver.runner(scheme)(params, grid, relay, snapshot_stride=stride)
-
-
 def perturbation_sweep(base: SolutionRecord, perturbations, *,
                        agreement_tol: float | None = None,
                        workers: int = 1) -> list[SweepRow]:
@@ -253,15 +247,14 @@ def perturbation_sweep(base: SolutionRecord, perturbations, *,
     relay width.  Perturbed runs share no state and fan out over ``workers``
     processes when workers > 1; the table is identical either way.
     """
-    # each perturbation's run, comparison, label and relay width, before any run
-    scheme, params, stride = base.scheme, base.params, base.snapshot_stride
+    # each perturbation's grid, relay, comparison, label and relay width, before any run
     jobs, plans = [], []
     for pert in perturbations:
         if isinstance(pert, RelayKind):
-            jobs.append((scheme, params, base.grid, pert, stride))
+            jobs.append((base.grid, pert))
             plans.append((compare, f"relay={pert.label()}", pert.epsilon))
         elif isinstance(pert, GridSpec):
-            jobs.append((scheme, params, pert, base.relay_kind, stride))
+            jobs.append((pert, base.relay_kind))
             plans.append((compare_cross_grid, f"grid=dx{pert.dx:g}/dt{pert.dt:g}", None))
         else:
             raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
@@ -272,13 +265,15 @@ def perturbation_sweep(base: SolutionRecord, perturbations, *,
         tols = measured_agreement_tols(base, [eps for _cmp, _label, eps in plans])
     else:
         tols = [agreement_tol] * len(jobs)
+    run = functools.partial(solver.run, base.params, snapshot_stride=base.snapshot_stride,
+                            scheme=base.scheme)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            others = list(pool.map(_run_for_sweep, jobs))
+            others = list(pool.map(run, *zip(*jobs)))
     else:
-        others = [_run_for_sweep(job) for job in jobs]
+        others = list(map(run, *zip(*jobs)))
 
     rows = []
     for (cmp, label, _eps), other, tol in zip(plans, others, tols):

@@ -5,10 +5,10 @@ relay accumulator at snapshot times, and exact per-node ignition data.  The
 accumulator is stored on the leading grid columns only, the relay window
 ``[0, m)`` of the run: no node past it can ignite, so it is zero there.  The
 concentration ``u = w + psi`` and the precipitation field
-``p = relay.evaluate(accum)`` (zero past the stored columns) are derived on
-the whole record on first use and cached; :meth:`SolutionRecord.u_on` and
-:meth:`SolutionRecord.p_on` derive them on the rows and columns a reader
-asks for, equal bit for bit to the matching entries.
+``p = relay.evaluate(accum)`` (zero past the stored columns) are derived, not
+stored: :meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` derive
+them on the rows and columns a reader asks for, and ``u`` and ``p`` on the
+whole record, anew on every read.
 
 Ignition data captured at full step resolution (independent of the snapshot
 stride):
@@ -29,7 +29,7 @@ files (exit 1), naming the schema version or the missing arrays.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,11 +90,7 @@ class SolutionRecord:
     ignition_u_right: np.ndarray
     ignition_u_back: np.ndarray
     constants: ModelConstants | None = None
-    # Derived-data caches, filled on first use: u = w + psi, p and the F1
-    # cell-mass table (``liesegang.duhamel``, which builds neither p nor u on
-    # the whole record).
-    _u_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _p_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The F1 cell-mass table of ``liesegang.duhamel``, built on first use.
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
@@ -104,18 +100,14 @@ class SolutionRecord:
 
     @property
     def u(self) -> np.ndarray:
-        """Concentration u = w + psi at every stored snapshot."""
-        if self._u_cache is None:
-            self._u_cache = self.u_on()
-        return self._u_cache
+        """Concentration u = w + psi at every stored snapshot (a new array)."""
+        return self.u_on()
 
     @property
     def p(self) -> np.ndarray:
         """Precipitation field ``relay.evaluate(accum)`` at every stored
-        snapshot, on the whole grid."""
-        if self._p_cache is None:
-            self._p_cache = self.p_on()
-        return self._p_cache
+        snapshot, on the whole grid (a new array)."""
+        return self.p_on()
 
     @property
     def ignition_u(self) -> np.ndarray:
@@ -258,5 +250,5 @@ class SolutionRecord:
         """
         from . import solver  # the solver imports this module
 
-        return solver._record(params, grid, relay_kind, snapshot_stride, scheme="synthetic",
-                              u_fn=u_fn, constants=constants)
+        return replace(solver._record(params, grid, relay_kind, snapshot_stride,
+                                      scheme="synthetic", u_fn=u_fn), constants=constants)

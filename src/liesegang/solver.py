@@ -303,8 +303,7 @@ class Stepper:
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-                 force_zero_p: bool = False, constants: ModelConstants | None = None, *,
-                 scheme: str = "deficit", u_fn=None):
+                 force_zero_p: bool = False, *, scheme: str = "deficit", u_fn=None):
         self.params = params
         self.grid = grid
         self.relay_kind = relay_kind
@@ -313,14 +312,11 @@ class Stepper:
         n = grid.n_x + 1
         self.n = n
         self.x = grid.x
-        if scheme == "synthetic":
-            self.constants = constants
-            self.m = n
-        else:
-            self.constants = constants if constants is not None else _constants_or_none(params)
-            if self.constants is not None:
-                grid.check_domain(self.constants.alpha_star)
-            self.m = _relay_window(params, grid, self.constants)
+        # a prescribed field has no constants, so its relay covers the whole grid
+        self.constants = None if scheme == "synthetic" else _constants_or_none(params)
+        if self.constants is not None:
+            grid.check_domain(self.constants.alpha_star)
+        self.m = _relay_window(params, grid, self.constants)
         self.mu = grid.dt / (2.0 * grid.dx**2)
         # the tail's snapshot DST is slow on lengths with a large prime factor
         tail = n - self.m - RIGHT_CELLS
@@ -585,12 +581,18 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
 
 
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-        snapshot_stride: int = 100, *, force_zero_p: bool = False) -> SolutionRecord:
-    """Full deficit-formulation run with snapshots every ``snapshot_stride`` steps.
+        snapshot_stride: int = 100, *, scheme: str = "deficit",
+        force_zero_p: bool = False) -> SolutionRecord:
+    """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
+    ``deficit``, the deficit formulation, or ``deposition``, the same record as
+    :func:`source_deposition_run`.
 
     Deterministic: identical inputs produce bit-identical records.
     """
-    return _record(params, grid, relay_kind, snapshot_stride, force_zero_p=force_zero_p)
+    if scheme not in ("deficit", "deposition"):
+        raise ValueError(f"run takes scheme 'deficit' or 'deposition', not {scheme!r}")
+    return _record(params, grid, relay_kind, snapshot_stride, scheme=scheme,
+                   force_zero_p=force_zero_p)
 
 
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:
@@ -628,22 +630,15 @@ def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: Relay
                    scheme="deposition")
 
 
-def runner(scheme: str):
-    """The run function of a scheme, ``deficit`` or ``deposition``.
-
-    Looked up when called, so a wrapped or patched ``run`` is the one used.
-    """
-    return {"deficit": run, "deposition": source_deposition_run}[scheme]
-
-
 def measure_t1(record: SolutionRecord) -> float:
     """Measured horizon of the essential-domain gradient bound.
 
     Scans the record for the first snapshot where the one-sided bound
     ``u_x <= -(alpha*beta / (4 sqrt t)) * exp((alpha^2 - alpha_star^2)/4)``
     fails at some interior node of ES(t) = {alpha*sqrt(t) < x < alpha_star*
-    sqrt(t)}; returns the last snapshot time before that failure (or the
-    final record time if the bound never fails).
+    sqrt(t)}; returns the last snapshot time before that failure.  If the
+    bound never fails, it returns the record's last time, which is then only
+    a lower bound on T1.
     """
     constants = record.constants
     if constants is None:

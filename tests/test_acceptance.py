@@ -91,11 +91,12 @@ def test_criterion_03_invariant_suite(rec_sharp):
     mono_excess = float(np.max(np.diff(w, axis=0) - 1e-8 * (1.0 + np.abs(w[:-1]))))
 
     confined = True
+    p = rec_sharp.p
     for k, t in enumerate(rec_sharp.times):
         if t <= 0:
             continue
         beyond = rec_sharp.x > c.alpha_star * math.sqrt(t) + g.dx
-        if rec_sharp.p[k, beyond].any():
+        if p[k, beyond].any():
             confined = False
             break
 
@@ -203,11 +204,12 @@ def test_criterion_08_desk_scale_uniqueness(params, constants, rec_sharp, rec_mo
 def test_criterion_09_property_p_frozen_above_parabola(rec_property_p):
     cap = (rec_property_p.x / rec_property_p.params.alpha) ** 2
     times = rec_property_p.times
+    p = rec_property_p.p
     bad = 0
     for j in range(rec_property_p.x.size):
         rows = np.flatnonzero(times > cap[j])
         if rows.size >= 2:
-            col = rec_property_p.p[rows, j]
+            col = p[rows, j]
             if not np.all(col == col[0]):
                 bad += 1
     verdict(9, "property-(P) freeze above the parabola", bad == 0,

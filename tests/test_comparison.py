@@ -178,8 +178,8 @@ def test_sweep_starts_no_more_worker_processes_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
@@ -210,7 +210,7 @@ def test_median_ignition_rate_from_ladder(rec_coarse_sharp):
 
 def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
-    bases = {scheme: lg.solver.runner(scheme)(PARAMS, grid, lg.RelayKind.sharp())
+    bases = {scheme: lg.solver.run(PARAMS, grid, lg.RelayKind.sharp(), scheme=scheme)
              for scheme in ("deficit", "deposition")}
     calls = []
     monkeypatch.setattr(lg.solver, "run", lambda *a, **k: calls.append(a))

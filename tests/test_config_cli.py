@@ -125,7 +125,8 @@ class TestParseConfig:
         grid_keys = dict(dx=0.02, dt=1e-4, x_max=x_max, t_max=t_max)
         params = config.parse_config(None).params  # the config's defaults
         with pytest.raises(ValueError) as ran:
-            lg.solver.runner(scheme)(params, lg.GridSpec.make(**grid_keys), lg.RelayKind.sharp())
+            lg.solver.run(params, lg.GridSpec.make(**grid_keys), lg.RelayKind.sharp(),
+                          scheme=scheme)
         with pytest.raises(config.ValidationError) as parsed:
             config.parse_config(None, grid_keys)
         assert parsed.value.violations == [str(ran.value)]
@@ -484,21 +485,13 @@ class TestCli:
     def test_compare_epsilon2_runs_each_configuration_once(self, tmp_path, monkeypatch, scheme):
         # base, refined base (for the measured tolerance) and mollified run,
         # all with the configured scheme
-        grids = []
-        for name in ("run", "source_deposition_run"):
-            real = getattr(lg.solver, name)
-
-            def counted(params, grid, *args, _real=real, _name=name, **kwargs):
-                grids.append((_name, grid.dx))
-                return _real(params, grid, *args, **kwargs)
-
-            monkeypatch.setattr(lg.solver, name, counted)
+        runs = self.count_runs(monkeypatch)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
                                            t_max=0.26, scheme=scheme))
         out = tmp_path / "cmp.json"
         assert self.run_cli("compare", "-c", path, "--epsilon2", "1e-3", "-o", str(out)) == 0
-        runner = "run" if scheme == "deficit" else "source_deposition_run"
-        assert sorted(grids) == [(runner, 0.01), (runner, 0.02), (runner, 0.02)]
+        assert sorted(runs) == [("run", scheme, 0.01), ("run", scheme, 0.02),
+                                ("run", scheme, 0.02)]
         data = json.loads(out.read_text())
         assert list(data) == ["schema_version", "kind", "effective_config", "agreement_tol",
                               "divergence_time", "entangled", "witness_window",
@@ -511,13 +504,13 @@ class TestCli:
 
     @staticmethod
     def count_runs(monkeypatch):
-        """(runner name, dx) of every solver run, in call order."""
+        """(entry point, ``scheme=`` keyword, dx) of every solver run, in call order."""
         runs = []
         for name in ("run", "source_deposition_run"):
             real = getattr(lg.solver, name)
 
             def counted(params, grid, *args, _real=real, _name=name, **kwargs):
-                runs.append((_name, grid.dx))
+                runs.append((_name, kwargs.get("scheme"), grid.dx))
                 return _real(params, grid, *args, **kwargs)
 
             monkeypatch.setattr(lg.solver, name, counted)
@@ -530,8 +523,8 @@ class TestCli:
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
                                            t_max=0.26, scheme=scheme))
         assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", "-o", "sweep.json") == 0
-        runner = "run" if scheme == "deficit" else "source_deposition_run"
-        assert sorted(runs) == [(runner, 0.01), (runner, 0.02), (runner, 0.02)]
+        assert sorted(runs) == [("run", scheme, 0.01), ("run", scheme, 0.02),
+                                ("run", scheme, 0.02)]
         data = json.loads((tmp_path / "sweep.json").read_text())
         assert data["effective_config"]["scheme"] == scheme
         assert [row["label"] for row in data["rows"]] == ["relay=mollified(eps=0.001)"]
@@ -552,7 +545,7 @@ class TestCli:
                                            t_max=0.26, tolerances={"agreement_tol": 0.05}))
         assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", *flag,
                             "-o", "sweep.json") == 0
-        assert runs == [("run", 0.02), ("run", 0.02)]
+        assert runs == [("run", "deficit", 0.02), ("run", "deficit", 0.02)]
         assert tol_seen == [0.07 if flag else 0.05]
 
     @pytest.mark.parametrize("scheme, steps", [("deficit", 500), ("deposition", 499)])
@@ -815,3 +808,16 @@ def test_t1_ceiling_changes_only_t1_t2_and_t_unique_of_a_record(ceiling_runs):
             a, b = plain[name], ceiling[name]
             assert a.dtype == b.dtype
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
+    path = write_config(tmp_path, dict(COARSE, output_dir=str(tmp_path),
+                                       tolerances={"t1_ceiling": T1_CEILING}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["constants", "-c", path, "--measure-t1",
+                         "-o", "constants_t1.json"]) == 0
+    report = read_json(tmp_path / "constants_t1.json")
+    assert report["constants"]["T1"] == report["constants"]["T2"] == T1_CEILING
+    cfg = config.parse_config(path)
+    measured = lg.measure_t1(lg.run(cfg.params, cfg.grid, cfg.relay_kind, cfg.snapshot_stride))
+    assert report["t1_measured"] == measured > T1_CEILING

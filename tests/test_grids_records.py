@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
-from liesegang import cli, duhamel, fronts, jsonio, records
+from liesegang import cli, comparison, duhamel, fronts, jsonio, records, solver
 from liesegang.config import default_probe_ladder
 from liesegang.grids import _REL_TOL
+from util import no_whole_record_reads
 
 
 class TestGridSpec:
@@ -405,9 +406,8 @@ class TestRecordSchema:
         write_v1(rec_coarse_sharp, tmp_path / "v1")
         v1 = lg.SolutionRecord.load(tmp_path / "v1")
         v2 = lg.SolutionRecord.load(tmp_path / "v2")
-        assert reports_of(v1) == reports_of(v2) == reports_of(rec_coarse_sharp)
-        # neither report built a whole-record u or p
-        assert all(r._u_cache is None and r._p_cache is None for r in (v1, v2))
+        with no_whole_record_reads():  # neither report builds a whole-record u or p
+            assert reports_of(v1) == reports_of(v2) == reports_of(rec_coarse_sharp)
 
 
 def reports_of(record):
@@ -489,10 +489,36 @@ def test_sidecar_with_an_unknown_or_missing_key_is_malformed(tiny_record, tmp_pa
 
 
 def test_csv_is_written_row_by_row_with_the_same_bytes(tiny_record, tmp_path):
-    tiny_record.write_csv(tmp_path / "rows.csv")
-    assert tiny_record._u_cache is None
+    with no_whole_record_reads():
+        tiny_record.write_csv(tmp_path / "rows.csv")
     header = ["t"] + [f"u_x{jsonio.format_float(xi)}" for xi in tiny_record.x]
     jsonio.write_csv(tmp_path / "whole.csv", header,
                      ([float(t)] + [float(v) for v in row]
                       for t, row in zip(tiny_record.times, tiny_record.u)))
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_u_and_p_are_derived_on_every_read(tiny_record):
+    assert tiny_record.u is not tiny_record.u
+    assert tiny_record.p is not tiny_record.p
+    assert same_bits(tiny_record.u, tiny_record.u_on())
+    assert same_bits(tiny_record.p, tiny_record.p_on())
+
+
+READERS = {
+    "front_report": lambda rec, tmp: fronts.front_report(rec),
+    "diagnostics_report": lambda rec, tmp: duhamel.diagnostics_report(
+        rec, fronts.extract_front(rec), default_probe_ladder(rec.constants, rec.params.alpha)),
+    "write_csv": lambda rec, tmp: rec.write_csv(tmp / "rec.csv"),
+    "compare": lambda rec, tmp: comparison.compare(rec, rec, 1e-3),
+    "compare_cross_grid": lambda rec, tmp: comparison.compare_cross_grid(rec, rec, 1e-3),
+    "measure_t1": lambda rec, tmp: solver.measure_t1(rec),
+    "f1_mass_table": lambda rec, tmp: duhamel.f1_mass_table(rec),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_never_derive_whole_record_fields(rec_coarse_sharp, tmp_path, reader):
+    rec = dataclasses.replace(rec_coarse_sharp, _f1_mass_cache=None)
+    with no_whole_record_reads():
+        READERS[reader](rec, tmp_path)

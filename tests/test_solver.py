@@ -83,6 +83,20 @@ class TestDeficitScheme:
         with pytest.raises(ValueError, match="unknown scheme"):
             solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp(), scheme="implicit")
 
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    def test_run_of_the_deposition_scheme_is_the_deposition_run(self, kind):
+        grid = coarse_grid(t_max=0.26, x_max=4.0)
+        rec = lg.run(PARAMS, grid, kind, snapshot_stride=20, scheme="deposition")
+        ref = lg.source_deposition_run(PARAMS, grid, kind, snapshot_stride=20)
+        assert rec.scheme == ref.scheme == "deposition"
+        assert np.isfinite(ref.ignition_time).any()
+        assert_same_record(rec, ref)
+
+    @pytest.mark.parametrize("scheme", ["synthetic", "implicit"])
+    def test_run_takes_only_the_deficit_and_deposition_schemes(self, scheme):
+        with pytest.raises(ValueError, match=f"not '{scheme}'"):
+            lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), scheme=scheme)
+
     def test_domain_truncation_validated(self):
         c = lg.compute_constants(PARAMS)
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=1.0, t_max=1.0)
@@ -496,9 +510,8 @@ class TestBlockRelay:
     @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
     def test_runs_match_the_per_step_update(self, monkeypatch, kind, scheme, force_zero_p):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
-        runner = solver.runner(scheme)
         rec, ref, stepper = with_oracle(
-            monkeypatch, lambda: runner(PARAMS, grid, kind, snapshot_stride=10,
+            monkeypatch, lambda: lg.run(PARAMS, grid, kind, snapshot_stride=10, scheme=scheme,
                                         force_zero_p=force_zero_p))
         assert_same_record(rec, ref)
         ignited = np.isfinite(rec.ignition_time).sum()
@@ -672,7 +685,7 @@ class TestBlockRelay:
         self.poison_solve(monkeypatch, 35)
         bad = 35 + first_step - 1
         with pytest.raises(lg.NonFiniteField, match=f"at step {bad}, t={bad * grid.dt}$"):
-            solver.runner(scheme)(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20)
+            lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20, scheme=scheme)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, coarse_grid().n_t - 1), st.sampled_from(("first", "window", "last")),
@@ -689,8 +702,8 @@ class TestBlockRelay:
         with pytest.MonkeyPatch.context() as patch, pytest.raises(lg.NonFiniteField,
                                                                   match=message):
             self.poison_solve(patch, call, row, value)
-            solver.runner(scheme)(PARAMS, grid, kind, snapshot_stride=20,
-                                  force_zero_p=force_zero_p)
+            lg.run(PARAMS, grid, kind, snapshot_stride=20, scheme=scheme,
+                   force_zero_p=force_zero_p)
 
     def test_nan_inside_a_block_fails_the_cli_with_status_2(self, tmp_path, monkeypatch, capsys):
         self.poison_solve(monkeypatch, 35)

@@ -1,5 +1,8 @@
-"""Hand-built records for fixture-style tests."""
+"""Hand-built records for fixture-style tests, and a guard on whole-record reads."""
+import contextlib
+
 import numpy as np
+import pytest
 
 import liesegang as lg
 from liesegang import model
@@ -36,3 +39,18 @@ def make_record(params, grid, times, u=None, p=None, ignition_time=None):
         ignition_u_back=np.full((n, len(BACK_OFFSETS)), np.nan),
         constants=None,
     )
+
+
+@contextlib.contextmanager
+def no_whole_record_reads():
+    """Inside the block, reading ``SolutionRecord.u`` or ``.p`` raises: a
+    reader must derive them only where it reads (``u_on``, ``p_on``)."""
+    def forbidden(name):
+        def read(self):
+            raise AssertionError(f"SolutionRecord.{name} read on the whole record")
+        return property(read)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("u", "p"):
+            patch.setattr(lg.SolutionRecord, name, forbidden(name))
+        yield

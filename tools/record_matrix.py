@@ -72,8 +72,8 @@ def coarse_runs():
                 for stride in (1, 7, 100):
                     yield (f"coarse/{relay}/{scheme}/zero_p={zero}/stride={stride}",
                            lambda kind=kind, scheme=scheme, zero=zero, stride=stride:
-                           solver.runner(scheme)(PARAMS, COARSE, kind, stride,
-                                                 force_zero_p=zero))
+                           solver.run(PARAMS, COARSE, kind, stride, scheme=scheme,
+                                      force_zero_p=zero))
     for relay, kind in RELAYS.items():
         for scheme in SCHEMES:
             yield (f"no_margin/{relay}/{scheme}",
@@ -88,18 +88,18 @@ def coarse_runs():
             for scheme in SCHEMES:
                 yield (f"tail={tail_nodes}/{relay}/{scheme}",
                        lambda kind=kind, scheme=scheme, tail_nodes=tail_nodes:
-                       solver.runner(scheme)(PARAMS, tail_grid(tail_nodes), kind, 5))
+                       solver.run(PARAMS, tail_grid(tail_nodes), kind, 5, scheme=scheme))
     for scheme in SCHEMES:
         yield (f"u_star_inf/{scheme}",
-               lambda scheme=scheme: solver.runner(scheme)(
-                   lg.ModelParams(1.0, 1.0, math.inf), COARSE, RELAYS["sharp"], 7))
+               lambda scheme=scheme: solver.run(
+                   lg.ModelParams(1.0, 1.0, math.inf), COARSE, RELAYS["sharp"], 7, scheme=scheme))
 
 
 def no_margin(scheme, kind):
     saved = solver.WINDOW_MARGIN_CELLS
     solver.WINDOW_MARGIN_CELLS = 0
     try:
-        return solver.runner(scheme)(PARAMS, COARSE, kind, 7)
+        return solver.run(PARAMS, COARSE, kind, 7, scheme=scheme)
     finally:
         solver.WINDOW_MARGIN_CELLS = saved
 
@@ -114,8 +114,8 @@ def default_runs():
             ("deficit_mollified_5e-4", {"relay": "mollified", "epsilon": 5e-4})):
         cfg = parse_config(None, overrides)
         yield (f"default/{name}",
-               lambda cfg=cfg: solver.runner(cfg.scheme)(cfg.params, cfg.grid, cfg.relay_kind,
-                                                         cfg.snapshot_stride))
+               lambda cfg=cfg: solver.run(cfg.params, cfg.grid, cfg.relay_kind,
+                                          cfg.snapshot_stride, scheme=cfg.scheme))
 
 
 def main(argv=None) -> int:
