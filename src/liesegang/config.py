@@ -266,8 +266,9 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                               f"t_max = {eff_t_max:.6g} and snapshot_stride = {stride} store "
                               f"{w_bytes:.3g} bytes of w, over the limit of {MAX_W_BYTES}")
         else:
-            grid = GridSpec.make(dx, dt, x_max, eff_t_max)
             try:
+                grid = GridSpec.make(dx, dt, x_max, eff_t_max)
+                grid.check_nodes()
                 grid.check_domain(constants.alpha_star)
             except ValueError as exc:
                 violations.append(str(exc))

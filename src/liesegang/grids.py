@@ -56,6 +56,12 @@ class GridSpec:
         """Same domain with dx/space_factor and dt/time_factor."""
         return GridSpec.make(self.dx / space_factor, self.dt / time_factor, self.x_max, self.t_max)
 
+    def check_nodes(self) -> None:
+        """Raise ValueError when the grid has fewer than the 3 nodes a step needs."""
+        if self.n_x < 2:
+            raise ValueError(f"dx = {self.dx:g} and x_max = {self.x_max:g} give {self.n_x + 1} "
+                             "grid nodes; a run needs at least 3")
+
     def required_x_max(self, alpha_star: float) -> float:
         """Truncation length keeping boundary effects below the tail tolerance."""
         return alpha_star * math.sqrt(self.t_max) + 6.0 * math.sqrt(self.t_max)

@@ -20,7 +20,8 @@ def format_float(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
 
 
 def _encode(obj, indent: int) -> str:

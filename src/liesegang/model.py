@@ -91,7 +91,10 @@ def _capital_psi_over(eta: np.ndarray, params: ModelParams) -> np.ndarray:
     erfc(tail, out=tail)
     eta[...] = erfc(a / 2.0)
     eta[ahead] = tail
-    eta *= 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
+    scale = 0.5 * a * params.beta * SQRT_PI * math.exp(0.25 * a * a)
+    if not math.isfinite(scale):  # a*a can overflow to inf, and exp(inf) does not raise
+        raise OverflowError("Psi(alpha) is not finite")
+    eta *= scale
     return eta
 
 

@@ -24,9 +24,9 @@ interior solve as one diagonal correction and one right-hand-side term on
 row ``J - 1``, so only ``J`` rows are solved per step (289 of 2,401 at the
 default grid), and ignition capture never reads past them.  Nothing is
 truncated: up to rounding, the split step is the whole-grid step.  When
-fewer than ``MIN_TAIL_NODES`` tail nodes would remain (no supercritical
-threshold, or a grid barely wider than the window) the interior is the whole
-grid with its mirrored Neumann row, and there is no tail.
+fewer than ``MIN_TAIL_NODES`` tail nodes would remain (a grid barely wider
+than the window, or a prescribed field, whose window is the whole grid) the
+interior is the whole grid with its mirrored Neumann row, and there is no tail.
 
 The relay is a distributed non-ideal relay: it switches only at isolated
 ignition events, and between them the field obeys a linear equation with a
@@ -98,21 +98,13 @@ def _relay_window(params: ModelParams, grid: GridSpec,
     """Number of leading nodes on which the relay can possibly switch.
 
     Ignition requires u > u_star, and u <= psi + (scheme noise), so nodes
-    beyond alpha_star*sqrt(t_max) plus a margin never switch.  Without a
-    supercritical threshold the relay never switches anywhere, and the
-    window degenerates to the full grid for simplicity.
+    beyond alpha_star*sqrt(t_max) plus a margin never switch.  Without ring
+    constants u_star >= Psi(alpha), the largest value psi takes, so only scheme
+    noise on the plateau can cross it: the window is the source's reach,
+    alpha*sqrt(t_max), plus the margin.
     """
-    if constants is None:
-        return grid.n_x + 1
-    reach = constants.alpha_star * math.sqrt(grid.t_max)
+    reach = (params.alpha if constants is None else constants.alpha_star) * math.sqrt(grid.t_max)
     return min(grid.n_x + 1, int(math.ceil(reach / grid.dx)) + WINDOW_MARGIN_CELLS)
-
-
-def _constants_or_none(params: ModelParams) -> ModelConstants | None:
-    try:
-        return compute_constants(params)
-    except NotSupercritical:
-        return None
 
 
 class StepMatrix:
@@ -265,9 +257,7 @@ class Stepper:
 
     The scheme (``deficit``, ``deposition`` or ``synthetic``; see the module
     docstring), fixed at construction, picks the initial field and time, the
-    advance of one step and the snapshot ``w``; all else is shared.
-    ``force_zero_p`` pins the precipitation field to zero for the whole run
-    (the trajectory is then bit-identical to a run with u_star = inf).  The
+    advance of one step and the snapshot ``w``; all else is shared.  The
     stepped field (``w`` or ``u``) holds the ``J`` interior nodes; the rest of
     the grid is the ``tail`` (a :class:`ModalTail`, or None when the interior
     is the whole grid).
@@ -303,20 +293,21 @@ class Stepper:
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-                 force_zero_p: bool = False, *, scheme: str = "deficit", u_fn=None):
+                 *, scheme: str = "deficit", u_fn=None):
         self.params = params
         self.grid = grid
         self.relay_kind = relay_kind
-        self.force_zero_p = force_zero_p
         self.scheme = scheme
         n = grid.n_x + 1
         self.n = n
         self.x = grid.x
-        # a prescribed field has no constants, so its relay covers the whole grid
-        self.constants = None if scheme == "synthetic" else _constants_or_none(params)
-        if self.constants is not None:
+        grid.check_nodes()
+        # a prescribed field has no constants and may cross u_star at any node
+        self.constants = None
+        if scheme != "synthetic" and params.supercritical:
+            self.constants = compute_constants(params)
             grid.check_domain(self.constants.alpha_star)
-        self.m = _relay_window(params, grid, self.constants)
+        self.m = n if scheme == "synthetic" else _relay_window(params, grid, self.constants)
         self.mu = grid.dt / (2.0 * grid.dx**2)
         # the tail's snapshot DST is slow on lengths with a large prime factor
         tail = n - self.m - RIGHT_CELLS
@@ -342,8 +333,7 @@ class Stepper:
         self._band: slice | np.ndarray = slice(0, 0)
         self._band_size = 0
         self.relay_updates = 0
-        if not force_zero_p:
-            self._find_live()
+        self._find_live()
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
@@ -449,22 +439,21 @@ class Stepper:
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
             raise NonFiniteField(f"non-finite {self._field_name} at step "
                                  f"{self.step_index}, t={self.t}")
-        if not self.force_zero_p:
-            self.relay_updates += 1
-            state = self.state
-            block = self._u_buf[lo:hi, : self.m]
-            if self._band_size:  # the band's rows were added step by step
-                block = block.copy()
-                block[:, self._band] = -np.inf
-            steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
-            nodes, rows = accumulate(state, block, self.grid.dt, steps * self.grid.dt,
-                                     self.relay_kind)
-            if nodes.size:
-                self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
-                self._refactor = True
-            np.multiply(self.grid.dt, evaluate(state.accumulator, self.relay_kind),
-                        out=self._dt_p[: self.m])
-            self._find_live()
+        self.relay_updates += 1
+        state = self.state
+        block = self._u_buf[lo:hi, : self.m]
+        if self._band_size:  # the band's rows were added step by step
+            block = block.copy()
+            block[:, self._band] = -np.inf
+        steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
+        nodes, rows = accumulate(state, block, self.grid.dt, steps * self.grid.dt,
+                                 self.relay_kind)
+        if nodes.size:
+            self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
+            self._refactor = True
+        np.multiply(self.grid.dt, evaluate(state.accumulator, self.relay_kind),
+                    out=self._dt_p[: self.m])
+        self._find_live()
         # keep the look-back rows at the front, drop the rest
         keep = max(BACK_OFFSETS)
         self._u_buf[:keep] = self._u_buf[hi - keep: hi]
@@ -581,8 +570,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
 
 
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-        snapshot_stride: int = 100, *, scheme: str = "deficit",
-        force_zero_p: bool = False) -> SolutionRecord:
+        snapshot_stride: int = 100, *, scheme: str = "deficit") -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
     ``deficit``, the deficit formulation, or ``deposition``, the same record as
     :func:`source_deposition_run`.
@@ -591,8 +579,7 @@ def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
     """
     if scheme not in ("deficit", "deposition"):
         raise ValueError(f"run takes scheme 'deficit' or 'deposition', not {scheme!r}")
-    return _record(params, grid, relay_kind, snapshot_stride, scheme=scheme,
-                   force_zero_p=force_zero_p)
+    return _record(params, grid, relay_kind, snapshot_stride, scheme=scheme)
 
 
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:
@@ -616,8 +603,7 @@ def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: 
 
 
 def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-                          snapshot_stride: int = 100, *,
-                          force_zero_p: bool = False) -> SolutionRecord:
+                          snapshot_stride: int = 100) -> SolutionRecord:
     """Cross-validation scheme integrating ``u`` with the source on the grid.
 
     Per step the exact source mass ``alpha*beta*(sqrt(t_{n+1}) - sqrt(t_n))``
@@ -626,8 +612,7 @@ def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: Relay
     The run starts at ``t0 = dt`` from the closed-form profile; the relay
     bootstraps with one rectangle over [0, dt].
     """
-    return _record(params, grid, relay_kind, snapshot_stride, force_zero_p=force_zero_p,
-                   scheme="deposition")
+    return _record(params, grid, relay_kind, snapshot_stride, scheme="deposition")
 
 
 def measure_t1(record: SolutionRecord) -> float:

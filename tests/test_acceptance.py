@@ -51,15 +51,15 @@ def test_criterion_01_ode_dichotomy():
 
 def test_criterion_02_solver_fidelity(params, constants):
     t0 = time.perf_counter()
-    # (a) p forced to zero: the deficit scheme reproduces psi exactly; the
+    # (a) u_star = inf, so p is zero: the deficit scheme reproduces psi exactly; the
     # delta-deposition scheme (which actually discretizes the source) stays
     # within 1e-3 of the closed form on t in [0.25, 1] at the default dx.
     grid_w = lg.GridSpec.make(dx=2.5e-3, dt=2.5e-5, x_max=8.0, t_max=1.0)
-    rec_w = lg.run(params, grid_w, lg.RelayKind.sharp(), snapshot_stride=1000,
-                   force_zero_p=True)
+    no_rings = lg.ModelParams(params.alpha, params.beta, math.inf)
+    rec_w = lg.run(no_rings, grid_w, lg.RelayKind.sharp(), snapshot_stride=1000)
     err_w = float(np.abs(rec_w.w[rec_w.times >= 0.25]).max())
-    rec_d = lg.source_deposition_run(params, grid_w, lg.RelayKind.sharp(),
-                                     snapshot_stride=400, force_zero_p=True)
+    rec_d = lg.source_deposition_run(no_rings, grid_w, lg.RelayKind.sharp(),
+                                     snapshot_stride=400)
     err_d = float(np.abs(rec_d.w[rec_d.times >= 0.25]).max())
 
     # (b) refinement of the primary scheme with precipitation on: sup-difference

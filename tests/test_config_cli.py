@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,20 @@ class TestCli:
         assert self.run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        # a two-node grid once reached LAPACK's gttrf and failed there, naming no key
+        (["--dx", "4", "--x-max", "4"], "dx = 4 and x_max = 4 give 2 grid nodes"),
+        # alpha*alpha overflows to inf, and exp(inf) is inf, not an OverflowError
+        (["--alpha", "1e308"], "no ring constants for alpha = 1e+308, beta = 1"),
+    ], ids=["two_nodes", "huge_alpha"])
+    def test_bad_input_names_its_keys_without_warnings(self, tmp_path, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli("simulate", *argv, "--output-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert not caught and "Warning" not in err and "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("probe", [[math.nan, 0.03], [0.1, math.inf]], ids=["nan_x", "inf_t"])
     def test_non_finite_probe_is_a_config_error(self, tmp_path, capsys, probe):

@@ -154,8 +154,8 @@ class TestF1:
 
     def test_zero_precipitation_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
-        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=5,
-                     force_zero_p=True)
+        rec = lg.run(lg.ModelParams(1.0, 1.0, math.inf), grid, lg.RelayKind.sharp(),
+                     snapshot_stride=5)
         assert duhamel.f1_mass_table(rec)[0].size == 0
         for x, t in ((0.3, 0.04), (0.0, 10.0 * grid.dt * (1.0 + 1e-9)), (1.0, 0.05)):
             f1 = duhamel.eval_F1(rec, x, t)
@@ -252,8 +252,9 @@ class TestF2:
 class TestIdentity:
     def test_zero_precipitation_residual_is_scheme_noise(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=3.0, t_max=0.1)
-        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20,
-                     force_zero_p=True)
+        # subcritical, not inf: F2 weighs u_star by a zero rate, and inf * 0 is NaN
+        sub = lg.ModelParams(1.0, 1.0, 1.1 * PARAMS.psi_alpha)
+        rec = lg.run(sub, grid, lg.RelayKind.sharp(), snapshot_stride=20)
         f = fronts.FrontFunction(rec.x, np.full(rec.x.size, np.nan), grid.dx)
         rows = duhamel.check_ut_identity(rec, f, [(1.2, 0.05), (0.8, 0.08)])
         for r in rows:

@@ -19,8 +19,8 @@ PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
 class TestExtractFront:
     def test_empty_front_raises(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
-        rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
-                     force_zero_p=True)
+        rec = lg.run(lg.ModelParams(1.0, 1.0, math.inf), grid, lg.RelayKind.sharp(),
+                     snapshot_stride=100)
         with pytest.raises(lg.EmptyFront):
             fronts.extract_front(rec)
 

@@ -16,6 +16,7 @@ from liesegang import cli, model, relay, solver
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+NO_RINGS = lg.ModelParams(1.0, 1.0, math.inf)  # the relay never switches
 RELAYS = (lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p())
 
 
@@ -25,19 +26,17 @@ def coarse_grid(t_max=0.05, dx=0.02, dt=1e-4, x_max=2.0):
 
 class TestDeficitScheme:
     def test_zero_precipitation_reproduces_psi_exactly(self):
-        rec = lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=100,
-                     force_zero_p=True)
+        rec = lg.run(NO_RINGS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=100)
         assert np.all(rec.w == 0.0)
         assert np.all(rec.p == 0.0)
 
-    def test_infinite_threshold_is_bit_identical_to_forced_zero(self):
+    def test_infinite_threshold_is_bit_identical_to_a_subcritical_one(self):
         grid = coarse_grid()
-        inf_params = lg.ModelParams(1.0, 1.0, math.inf)
-        a = lg.run(inf_params, grid, lg.RelayKind.sharp(), snapshot_stride=100)
-        b = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
-                   force_zero_p=True)
-        np.testing.assert_array_equal(a.w, b.w)
-        np.testing.assert_array_equal(a.p, b.p)
+        sub = lg.ModelParams(1.0, 1.0, 1.1 * PARAMS.psi_alpha)
+        a = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100)
+        b = lg.run(sub, grid, lg.RelayKind.sharp(), snapshot_stride=100)
+        for name in ("w", "accum", "ignition_time"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
         assert not np.isfinite(a.ignition_time).any()
 
     def test_subcritical_threshold_never_precipitates(self):
@@ -202,9 +201,9 @@ class TestStepMatrix:
         # p changes after each ignition step; the next solve refactors
         assert stepper.matrix.factorizations == 1 + np.count_nonzero(steps < grid.n_t)
 
-    def test_forced_zero_p_factors_once(self):
+    def test_infinite_threshold_factors_once(self):
         grid = coarse_grid()
-        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp(), force_zero_p=True)
+        stepper = lg.DeficitStepper(NO_RINGS, grid, lg.RelayKind.sharp())
         for _ in range(grid.n_t):
             stepper.step()
         assert stepper.matrix.factorizations == 1
@@ -379,14 +378,36 @@ class TestModalTail:
         assert np.max(np.abs(rec.w - ref.w)) <= 1e-15
         assert np.array_equal(rec.ignition_time, ref.ignition_time, equal_nan=True)
 
-    def test_infinite_threshold_solves_the_whole_grid(self):
-        # test_infinite_threshold_is_bit_identical_to_forced_zero compares a
-        # run without a tail against one with a tail
+    def test_thresholds_without_ring_constants_window_the_source_reach(self):
         grid = coarse_grid()
-        inf_params = lg.ModelParams(1.0, 1.0, math.inf)
-        assert lg.DeficitStepper(inf_params, grid, lg.RelayKind.sharp()).tail is None
-        forced = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp(), force_zero_p=True)
-        assert forced.tail is not None
+        reach = math.ceil(PARAMS.alpha * math.sqrt(grid.t_max) / grid.dx)
+        for u_star in (math.inf, PARAMS.psi_alpha):
+            stepper = lg.DeficitStepper(lg.ModelParams(1.0, 1.0, u_star), grid,
+                                        lg.RelayKind.sharp())
+            assert stepper.constants is None and isinstance(stepper.tail, solver.ModalTail)
+            assert stepper.m == reach + solver.WINDOW_MARGIN_CELLS
+        # a prescribed field may cross u_star at any node
+        rec = lg.SolutionRecord.from_fields(stepped_field, PARAMS, FIELD_GRID,
+                                            lg.RelayKind.sharp())
+        assert rec.accum.shape[1] == FIELD_GRID.n_x + 1
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.001])
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+    @pytest.mark.parametrize("grid", [coarse_grid(t_max=0.26, x_max=4.0),
+                                      coarse_grid(t_max=0.01, dx=0.01, dt=5e-6)],
+                             ids=["dx0.02", "dx0.01"])
+    def test_subcritical_ignitions_match_the_whole_grid_window(self, monkeypatch, grid, kind,
+                                                               scheme, fraction):
+        # only scheme noise can cross u_star >= Psi(alpha); at dx 0.01 the
+        # deposition overshoot ignites node 0
+        params = lg.ModelParams(1.0, 1.0, fraction * PARAMS.psi_alpha)
+        rec = lg.run(params, grid, kind, snapshot_stride=50, scheme=scheme)
+        monkeypatch.setattr(solver, "_relay_window", lambda params, grid, constants: grid.n_x + 1)
+        ref = lg.run(params, grid, kind, snapshot_stride=50, scheme=scheme)
+        assert np.array_equal(rec.ignition_time, ref.ignition_time, equal_nan=True)
+        if grid.dx == 0.01 and scheme == "deposition" and kind.variant != "property_p":
+            assert np.isfinite(rec.ignition_time[0])
 
     def test_stepper_is_not_a_reference_cycle(self):
         # a stepper alive until the cycle collector runs holds its arrays
@@ -438,23 +459,22 @@ class PerStepRelay(solver.Stepper):
         u_win = self._u_buf[j, : self.m].copy()
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[j]).all():
             raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
-        if not self.force_zero_p:
-            newly = per_row_accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
-            for i in newly:
-                hi = min(i + RIGHT_CELLS, self.n)
-                if hi <= self.m:
-                    vals = u_win[i:hi]
-                elif self.scheme == "deficit":
-                    vals = self.w[i:hi] + model.psi(self.x[i:hi], self.t, self.params)
-                else:
-                    vals = self.u[i:hi]
-                self.ignition_u_right[i, : hi - i] = vals
-                for c, k in enumerate(BACK_OFFSETS):
-                    if k <= len(self.past_u):
-                        self.ignition_u_back[i, c] = self.past_u[-k][i]
-            self._dt_p[: self.m] = self.grid.dt * relay.evaluate(self.state.accumulator,
-                                                                 self.relay_kind)
-            self._refactor = True  # whether or not p changed
+        newly = per_row_accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
+        for i in newly:
+            hi = min(i + RIGHT_CELLS, self.n)
+            if hi <= self.m:
+                vals = u_win[i:hi]
+            elif self.scheme == "deficit":
+                vals = self.w[i:hi] + model.psi(self.x[i:hi], self.t, self.params)
+            else:
+                vals = self.u[i:hi]
+            self.ignition_u_right[i, : hi - i] = vals
+            for c, k in enumerate(BACK_OFFSETS):
+                if k <= len(self.past_u):
+                    self.ignition_u_back[i, c] = self.past_u[-k][i]
+        self._dt_p[: self.m] = self.grid.dt * relay.evaluate(self.state.accumulator,
+                                                             self.relay_kind)
+        self._refactor = True  # whether or not p changed
         self.past_u.append(u_win)
         self._lo = self._hi = max(BACK_OFFSETS)
 
@@ -505,19 +525,20 @@ class TestBlockRelay:
     """The relay is updated once per block of steps in which no node can
     switch; every record array must equal the per-step update's."""
 
-    @pytest.mark.parametrize("force_zero_p", [False, True])
+    @pytest.mark.parametrize("no_rings", [False, True])
     @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
     @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
-    def test_runs_match_the_per_step_update(self, monkeypatch, kind, scheme, force_zero_p):
+    def test_runs_match_the_per_step_update(self, monkeypatch, kind, scheme, no_rings):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
+        params = NO_RINGS if no_rings else PARAMS
         rec, ref, stepper = with_oracle(
-            monkeypatch, lambda: lg.run(PARAMS, grid, kind, snapshot_stride=10, scheme=scheme,
-                                        force_zero_p=force_zero_p))
+            monkeypatch, lambda: lg.run(params, grid, kind, snapshot_stride=10, scheme=scheme))
         assert_same_record(rec, ref)
         ignited = np.isfinite(rec.ignition_time).sum()
-        assert ignited == 0 if force_zero_p else ignited > 10
-        if force_zero_p:
-            assert stepper.relay_updates == 0
+        assert ignited == 0 if no_rings else ignited > 10
+        if no_rings:
+            # one update per snapshot after the first, and deposition's bootstrap
+            assert stepper.relay_updates == rec.times.size - 1 + (scheme == "deposition")
         else:
             # blocks end at snapshots and ignition steps, not at every step
             assert stepper.relay_updates < grid.n_t // 4
@@ -690,10 +711,10 @@ class TestBlockRelay:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, coarse_grid().n_t - 1), st.sampled_from(("first", "window", "last")),
            st.sampled_from((math.nan, math.inf, -math.inf)),
-           st.sampled_from(("deficit", "deposition")), st.sampled_from(RELAYS), st.booleans())
-    def test_non_finite_rhs_row_names_its_step(self, call, where, value, scheme, kind,
-                                               force_zero_p):
-        # with force_zero_p no node is live, so only the non-finite row ends the block
+           st.sampled_from(("deficit", "deposition")), st.sampled_from(RELAYS),
+           st.sampled_from((PARAMS, NO_RINGS)))
+    def test_non_finite_rhs_row_names_its_step(self, call, where, value, scheme, kind, params):
+        # with u_star = inf no node is live, so only the non-finite row ends the block
         grid = coarse_grid()
         m = solver._relay_window(PARAMS, grid, lg.compute_constants(PARAMS))
         row = {"first": 0, "window": m // 2, "last": -1}[where]
@@ -702,8 +723,7 @@ class TestBlockRelay:
         with pytest.MonkeyPatch.context() as patch, pytest.raises(lg.NonFiniteField,
                                                                   match=message):
             self.poison_solve(patch, call, row, value)
-            lg.run(PARAMS, grid, kind, snapshot_stride=20, scheme=scheme,
-                   force_zero_p=force_zero_p)
+            lg.run(params, grid, kind, snapshot_stride=20, scheme=scheme)
 
     def test_nan_inside_a_block_fails_the_cli_with_status_2(self, tmp_path, monkeypatch, capsys):
         self.poison_solve(monkeypatch, 35)
@@ -761,15 +781,15 @@ class TestInvariants:
 class TestDepositionScheme:
     def test_starts_at_dt_with_closed_form_bootstrap(self):
         grid = coarse_grid()
-        rec = lg.source_deposition_run(PARAMS, grid, lg.RelayKind.sharp(),
-                                       snapshot_stride=100, force_zero_p=True)
+        rec = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
+                                       snapshot_stride=100)
         assert rec.times[0] == pytest.approx(grid.dt)
         assert np.allclose(rec.w[0], 0.0, atol=1e-15)
 
     def test_mass_balance_against_exact_source_integral(self):
         grid = lg.GridSpec.make(dx=5e-3, dt=2e-4, x_max=8.0, t_max=1.0)
-        rec = lg.source_deposition_run(PARAMS, grid, lg.RelayKind.sharp(),
-                                       snapshot_stride=100, force_zero_p=True)
+        rec = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
+                                       snapshot_stride=100)
         from scipy.integrate import trapezoid
         k1, k2 = 10, 40
         added = trapezoid(rec.u[k2] - rec.u[k1], rec.x)
@@ -778,10 +798,9 @@ class TestDepositionScheme:
 
     def test_agrees_with_deficit_formulation_when_p_zero(self):
         grid = lg.GridSpec.make(dx=5e-3, dt=2e-4, x_max=8.0, t_max=1.0)
-        depo = lg.source_deposition_run(PARAMS, grid, lg.RelayKind.sharp(),
-                                        snapshot_stride=100, force_zero_p=True)
-        defi = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
-                      force_zero_p=True)
+        depo = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
+                                        snapshot_stride=100)
+        defi = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100)
         sel_d = depo.times >= 0.25
         sel_w = np.isin(np.round(defi.times, 12), np.round(depo.times[sel_d], 12))
         gap = np.abs(depo.u[sel_d] - defi.u[sel_w]).max()

@@ -13,7 +13,9 @@ The matrix (71 runs, then two more default-grid ones):
 
 * the coarse grid (dx 0.02, dt 1e-4, x_max 4, t_max 0.26) for the sharp,
   mollified (eps 1e-3) and property_p relays x the deficit and deposition
-  schemes x ``force_zero_p`` off and on x snapshot strides 1, 7 and 100 (36);
+  schemes x precipitation on and off (``zero_p=True`` runs ``u_star = inf``,
+  under the label of older checkouts' forced-zero runs, so their lines pair
+  up) x snapshot strides 1, 7 and 100 (36);
 * both schemes x three relays with ``WINDOW_MARGIN_CELLS = 0``, where
   ignition capture reads past the relay window (6);
 * ``SolutionRecord.from_fields`` per relay at strides 1 and 7 (6);
@@ -45,6 +47,7 @@ from liesegang.config import parse_config  # noqa: E402
 from liesegang.records import RIGHT_CELLS, _ARRAY_NAMES  # noqa: E402
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+NO_RINGS = lg.ModelParams(1.0, 1.0, math.inf)
 COARSE = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=4.0, t_max=0.26)
 FIELD_GRID = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
 RELAYS = {"sharp": lg.RelayKind.sharp(), "mollified": lg.RelayKind.mollified(1e-3),
@@ -72,8 +75,8 @@ def coarse_runs():
                 for stride in (1, 7, 100):
                     yield (f"coarse/{relay}/{scheme}/zero_p={zero}/stride={stride}",
                            lambda kind=kind, scheme=scheme, zero=zero, stride=stride:
-                           solver.run(PARAMS, COARSE, kind, stride, scheme=scheme,
-                                      force_zero_p=zero))
+                           solver.run(NO_RINGS if zero else PARAMS, COARSE, kind, stride,
+                                      scheme=scheme))
     for relay, kind in RELAYS.items():
         for scheme in SCHEMES:
             yield (f"no_margin/{relay}/{scheme}",
@@ -91,8 +94,8 @@ def coarse_runs():
                        solver.run(PARAMS, tail_grid(tail_nodes), kind, 5, scheme=scheme))
     for scheme in SCHEMES:
         yield (f"u_star_inf/{scheme}",
-               lambda scheme=scheme: solver.run(
-                   lg.ModelParams(1.0, 1.0, math.inf), COARSE, RELAYS["sharp"], 7, scheme=scheme))
+               lambda scheme=scheme: solver.run(NO_RINGS, COARSE, RELAYS["sharp"], 7,
+                                                scheme=scheme))
 
 
 def no_margin(scheme, kind):
