@@ -42,11 +42,10 @@ from .model import (
     heat_kernel_time_integral,
     psi,
     psi_t,
-    psi_x,
 )
 from .odetoy import SwitchPolicy, ToyConfig, enumerate_policies, feasible, integrate
 from .records import SolutionRecord
 from .relay import LengthMismatch, RelayKind, RelayState, accumulate, evaluate, smoothstep
-from .solver import DeficitStepper, NonFiniteField, measure_t1, run, source_deposition_run
+from .solver import NonFiniteField, measure_t1, run, source_deposition_run
 
 __version__ = "0.1.0"

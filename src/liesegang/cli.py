@@ -85,9 +85,11 @@ def _run_from_config(cfg: RunConfig) -> SolutionRecord:
     return replace(record, constants=cfg.constants)
 
 
-def _configured_agreement_tol(cfg: RunConfig, args) -> float | None:
-    """``--agreement-tol``, else the config's ``tolerances.agreement_tol``."""
-    return cfg.tolerances.agreement_tol if args.agreement_tol is None else args.agreement_tol
+def _configured_agreement_tol(cfg: RunConfig | None, args) -> float | None:
+    """``--agreement-tol``, else the config's ``tolerances.agreement_tol``, else None."""
+    if args.agreement_tol is None and cfg is not None:
+        return cfg.tolerances.agreement_tol
+    return args.agreement_tol
 
 
 def cmd_constants(args) -> int:
@@ -171,9 +173,10 @@ def cmd_compare(args) -> int:
         cfg = _record_config(args)
         rec1 = SolutionRecord.load(args.rec1)
         rec2 = SolutionRecord.load(args.rec2)
-        tol = args.agreement_tol
+        tol = _configured_agreement_tol(cfg, args)
         if tol is None:
-            raise ValidationError(["--agreement-tol is required when comparing saved records"])
+            raise ValidationError(["comparing saved records needs --agreement-tol or the "
+                                   "config's tolerances.agreement_tol"])
     else:
         cfg = _config_from_args(args)
         if args.epsilon2 is None:

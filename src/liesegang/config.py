@@ -25,6 +25,7 @@ from .jsonio import SCHEMA_VERSION
 from .model import (ModelConstants, ModelParams, NotSupercritical, RootNotBracketed,
                     compute_constants)
 from .relay import MOLLIFIED, SHARP, VARIANTS, RelayKind
+from .solver import SCHEMES
 
 ENV_OUTPUT_DIR = "LIESEGANG_OUTPUT_DIR"
 
@@ -79,7 +80,7 @@ KEYS = (
     Key("t_max", None, float, "--t-max", nullable=True, record_fixed=True),
     Key("relay", SHARP, VARIANTS, "--relay", record_fixed=True),
     Key("epsilon", None, float, "--epsilon", nullable=True, record_fixed=True),
-    Key("scheme", "deficit", ("deficit", "deposition"), "--scheme", record_fixed=True),
+    Key("scheme", "deficit", SCHEMES, "--scheme", record_fixed=True),
     Key("snapshot_stride", 100, int, "--stride", record_fixed=True),
     Key("probes", []),
     Key("output_dir", ".", str, "--output-dir", nullable=True),  # null selects "."

@@ -34,7 +34,6 @@ import numpy as np
 from . import model
 from .fronts import FrontFunction
 from .records import BACK_OFFSETS, SolutionRecord
-from .relay import evaluate
 
 DEFAULT_SLOPE_FLOOR = 1e-4
 DEFAULT_RATE_FLOOR = 1e-4
@@ -97,9 +96,9 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     if record._f1_mass_cache is not None:
         return record._f1_mass_cache
     # The accumulator never decreases, so p is ever non-zero exactly where it
-    # is non-zero at the last snapshot (a stored column: p is zero past them).
-    cols = np.flatnonzero(evaluate(record.accum[-1], record.relay_kind) > 0.0)
-    p = evaluate(record.accum[:, cols], record.relay_kind)
+    # is non-zero at the last snapshot.
+    cols = np.flatnonzero(record.p_on(-1) > 0.0)
+    p = record.p_on(cols=cols)
     u = record.u_on(cols=cols)
     ell = record.ignition_time[cols]
     times = record.times[:, None]
@@ -166,30 +165,29 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
 
 def _f2_cells(xs: np.ndarray, ells: np.ndarray, x: float, t: float,
               slope_floor: float, include_left_half: bool = True) -> float:
-    """Sum of cell contributions for one contiguous front segment (plus its
-    even mirror).  Returns +inf when a flat crossing cell is met."""
-    dx = xs[1] - xs[0] if xs.size > 1 else 0.0
+    """Sum of cell contributions for one contiguous front segment of two or more
+    nodes (plus its even mirror).  Returns +inf when a flat crossing cell is met."""
+    dx = xs[1] - xs[0]
     total = 0.0
-    if xs.size > 1:
-        ell_a, ell_b = ells[:-1], ells[1:]
-        tau_hi = t - np.minimum(ell_a, ell_b)
-        tau_lo = t - np.maximum(ell_a, ell_b)
-        slope = (ell_b - ell_a) / dx
-        y_mid = 0.5 * (xs[:-1] + xs[1:])
-        live = tau_hi > 0.0
-        crossing = live & (tau_lo <= 0.0)
-        if np.any(crossing & (np.abs(slope) < slope_floor)):
-            return math.inf
-        flat = live & ~crossing & (np.abs(slope) * dx <= _FLAT_CELL_REL * np.maximum(tau_lo, 1e-300))
-        exact = live & ~flat
-        for z in (x - y_mid, x + y_mid):
-            if np.any(exact):
-                hi = model.heat_kernel_time_integral(z[exact], tau_hi[exact])
-                lo = model.heat_kernel_time_integral(z[exact], np.maximum(tau_lo[exact], 0.0))
-                total += float(np.sum((hi - lo) / np.abs(slope[exact])))
-            if np.any(flat):
-                tau_mid = t - 0.5 * (ell_a[flat] + ell_b[flat])
-                total += float(np.sum(model.heat_kernel(z[flat], tau_mid) * dx))
+    ell_a, ell_b = ells[:-1], ells[1:]
+    tau_hi = t - np.minimum(ell_a, ell_b)
+    tau_lo = t - np.maximum(ell_a, ell_b)
+    slope = (ell_b - ell_a) / dx
+    y_mid = 0.5 * (xs[:-1] + xs[1:])
+    live = tau_hi > 0.0
+    crossing = live & (tau_lo <= 0.0)
+    if np.any(crossing & (np.abs(slope) < slope_floor)):
+        return math.inf
+    flat = live & ~crossing & (np.abs(slope) * dx <= _FLAT_CELL_REL * np.maximum(tau_lo, 1e-300))
+    exact = live & ~flat
+    for z in (x - y_mid, x + y_mid):
+        if np.any(exact):
+            hi = model.heat_kernel_time_integral(z[exact], tau_hi[exact])
+            lo = model.heat_kernel_time_integral(z[exact], np.maximum(tau_lo[exact], 0.0))
+            total += float(np.sum((hi - lo) / np.abs(slope[exact])))
+        if np.any(flat):
+            tau_mid = t - 0.5 * (ell_a[flat] + ell_b[flat])
+            total += float(np.sum(model.heat_kernel(z[flat], tau_mid) * dx))
     # Half cells at the segment ends (the set I extends half a cell past the
     # outermost precipitated nodes).  A segment anchored at the origin has no
     # material to its left beyond the even mirror, so its left half is skipped.
@@ -198,7 +196,7 @@ def _f2_cells(xs: np.ndarray, ells: np.ndarray, x: float, t: float,
         ends.append((xs[0], ells[0], -1.0))
     for y_end, ell_end, sgn in ends:
         tau = t - ell_end
-        if tau > 0.0 and dx > 0.0:
+        if tau > 0.0:
             y_c = y_end + sgn * 0.25 * dx
             total += float(model.heat_kernel(x - y_c, tau) + model.heat_kernel(x + y_c, tau)) * 0.5 * dx
     return total

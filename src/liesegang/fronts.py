@@ -117,7 +117,7 @@ def _node_classes(record: SolutionRecord, i_max: int) -> np.ndarray:
     x = record.x[: i_max + 1]
     cap = (x / record.params.alpha) ** 2
     times = record.times
-    p = record.p_on(stop=i_max + 1)
+    p = record.p_on(cols=slice(0, i_max + 1))
     classes = np.full(i_max + 1, UNDETERMINED, dtype=np.int8)
     never = (p <= 0.0).all(axis=0)
     classes[never] = INTERRING

@@ -39,12 +39,14 @@ class GridSpec:
 
         dt is lowered so that the step count is integral, or raised by at most
         a relative ``_REL_TOL`` where ``t_max/dt`` is that close to an integer
-        (so 0.05/1e-4 gives 500 steps, not 501).  ``x_max`` must already be an
-        integer multiple of ``dx``.
+        (so 0.05/1e-4 gives 500 steps, not 501).  ``x_max/dx`` must be an
+        integer to a relative ``_REL_TOL``; the grid stores ``x_max = n_x*dx``.
         """
         if not (dx > 0 and dt > 0 and x_max > 0 and t_max > 0):
             raise ValueError("dx, dt, x_max, t_max must all be positive")
         n_x = int(round(x_max / dx))
+        if abs(x_max / dx - n_x) > _REL_TOL * max(1.0, x_max / dx):
+            raise ValueError(f"x_max = {x_max} is not a whole number of cells of dx = {dx}")
         n_t = max(1, int(math.ceil(t_max / dt - _REL_TOL)))
         return GridSpec(dx=dx, dt=t_max / n_t, x_max=n_x * dx, t_max=t_max, n_x=n_x, n_t=n_t)
 

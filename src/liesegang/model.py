@@ -140,18 +140,6 @@ def psi_t(x, t, params: ModelParams):
     return _on_positive_t(x, t, formula)
 
 
-def psi_x(x, t, params: ModelParams):
-    """Spatial derivative of psi for x >= 0; zero on the plateau region."""
-    a = params.alpha
-
-    def formula(x, t):
-        eta = x / np.sqrt(t)
-        val = -(a * params.beta / 2.0) * np.exp(0.25 * (a * a - eta * eta)) / np.sqrt(t)
-        return np.where(eta > a, val, 0.0)
-
-    return _on_positive_t(x, t, formula)
-
-
 def heat_kernel(x, t):
     """Standard heat kernel (4*pi*t)^(-1/2) * exp(-x^2/(4t)); zero for t <= 0."""
     return _on_positive_t(x, t, lambda x, t: np.exp(-x * x / (4.0 * t))

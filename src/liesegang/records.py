@@ -29,7 +29,7 @@ files (exit 1), naming the schema version or the missing arrays.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +115,8 @@ class SolutionRecord:
         return self.ignition_u_right[:, 0]
 
     def u_on(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        """u = w + psi on snapshot ``rows`` (an int, a slice or an index array)
-        and grid columns ``cols`` (a slice or an index array) only.
+        """u = w + psi on snapshot ``rows`` and grid columns ``cols`` (each an
+        int, a slice or an index array) only.
 
         ``model.psi`` acts element by element, so every value is bit-equal to
         the matching entry of :attr:`u`.
@@ -134,14 +134,17 @@ class SolutionRecord:
         frac = (t - times[k]) / (times[k + 1] - times[k])
         return k, min(max(frac, 0.0), 1.0)
 
-    def p_on(self, rows=slice(None), stop: int | None = None) -> np.ndarray:
-        """p on snapshot ``rows`` (an int, a slice or an index array) and grid
-        columns ``[0, stop)`` (default: the whole grid), evaluated on the
-        stored accumulator columns among them and zero past those."""
-        stop = self.x.size if stop is None else stop
-        accum = self.accum[rows][..., :stop]
-        out = np.zeros(accum.shape[:-1] + (stop,))
-        out[..., : accum.shape[-1]] = evaluate(accum, self.relay_kind)
+    def p_on(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """p on snapshot ``rows`` and grid columns ``cols`` (each an int, a slice
+        or an index array) only: ``relay.evaluate`` on the stored accumulator
+        columns among ``cols``, bit-equal to :attr:`p`, and zero on the others."""
+        cols = np.arange(self.x.size)[cols]
+        stored = cols < self.accum.shape[1]
+        accum = self.accum[rows]
+        if cols.ndim and stored.all():  # no zero to add: evaluate's array is the result
+            return evaluate(accum[..., cols], self.relay_kind)
+        out = np.zeros(accum.shape[:-1] + cols.shape)
+        out[..., stored] = evaluate(accum[..., cols[stored]], self.relay_kind)
         return out
 
     # -- serialization ----------------------------------------------------
@@ -237,8 +240,8 @@ class SolutionRecord:
 
     @classmethod
     def from_fields(cls, u_fn, params: ModelParams, grid: GridSpec,
-                    relay_kind: RelayKind = RelayKind.sharp(), snapshot_stride: int = 1,
-                    constants: ModelConstants | None = None) -> "SolutionRecord":
+                    relay_kind: RelayKind = RelayKind.sharp(),
+                    snapshot_stride: int = 1) -> "SolutionRecord":
         """Build a record from a prescribed field ``u_fn(x_array, t) -> array``.
 
         The solvers' stepper records it (scheme ``synthetic``) with ``u_fn`` in
@@ -250,5 +253,5 @@ class SolutionRecord:
         """
         from . import solver  # the solver imports this module
 
-        return replace(solver._record(params, grid, relay_kind, snapshot_stride,
-                                      scheme="synthetic", u_fn=u_fn), constants=constants)
+        return solver._record(params, grid, relay_kind, snapshot_stride,
+                              scheme="synthetic", u_fn=u_fn)

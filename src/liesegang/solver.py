@@ -87,6 +87,8 @@ MIN_TAIL_NODES = 2
 # steps a Stepper takes between relay updates.  The tail's table of lam**r,
 # r <= TAIL_BLOCK_STEPS, is 2.2 MB on the default grid's 2,112 tail nodes.
 TAIL_BLOCK_STEPS = 128
+# The schemes :func:`run` takes; the config's ``scheme`` key accepts the same.
+SCHEMES = ("deficit", "deposition")
 
 
 class NonFiniteField(FloatingPointError):
@@ -337,13 +339,11 @@ class Stepper:
 
         # The deficit scheme holds w, the others u.  Per-scheme methods are kept
         # unbound: bound ones would make the stepper a reference cycle.
-        self._w_now = Stepper._w_from_u
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
             self._psi_block = np.empty((0, self.mc))
             self._psi_from = 0
             self._advance = Stepper._advance_deficit
-            self._w_now = Stepper._w_whole
             self._field_name = "deficit field"
         elif scheme == "deposition":
             self.u = self._split(model.psi(self.x, grid.dt, params))
@@ -387,11 +387,17 @@ class Stepper:
         return self.step_index * self.grid.dt
 
     def snapshot(self) -> tuple:
-        """(t, w on the whole grid, a copy of the accumulator on the relay
-        window); past the window the accumulator is zero."""
+        """``(w, accum)`` after the last step taken: ``w`` on the whole grid
+        (a new array) and a copy of the accumulator on the relay window, past
+        which it is zero.  The snapshot's time is ``step_index * dt``."""
         if self._hi > self._lo:
             self._update_relay()
-        return self.t, self._w_now(self), self.state.accumulator.copy()
+        if self.scheme == "deficit":
+            w = self._whole(self.w)
+        else:
+            w = self._whole(self.u)
+            w -= model.psi(self.x, self.t, self.params)
+        return w, self.state.accumulator.copy()
 
     def _split(self, field: np.ndarray) -> np.ndarray:
         """Hand the nodes past the interior to a new tail; return the interior."""
@@ -526,14 +532,6 @@ class Stepper:
         self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
         u_win[:] = self.u
 
-    def _w_whole(self) -> np.ndarray:
-        return self._whole(self.w)
-
-    def _w_from_u(self) -> np.ndarray:
-        w = self._whole(self.u)
-        w -= model.psi(self.x, self.t, self.params)
-        return w
-
 
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span
 
@@ -541,23 +539,25 @@ DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step
 def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot_stride: int,
             **options) -> SolutionRecord:
     """Step a :class:`Stepper` to ``t_max`` with snapshots every ``snapshot_stride``
-    steps (and at the last step) and return the record."""
+    steps (and at the last step) and return the record.  The snapshot times are
+    fixed before the first step, the first at the stepper's start (0, or ``dt``)."""
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     stepper = Stepper(params, grid, relay_kind, **options)
-    steps = np.arange(stepper.step_index + 1, grid.n_t + 1)
+    steps = np.arange(stepper.step_index, grid.n_t + 1)
     taken = (steps % snapshot_stride == 0) | (steps == grid.n_t)
+    taken[0] = True
+    times = steps[taken] * grid.dt
     # filled in place: stacking a list of snapshots would hold each one twice;
     # the accumulator is stored on the relay window, as it is zero past it
-    times = np.empty(1 + np.count_nonzero(taken))
     w = np.empty((times.size, stepper.n))
     accum = np.empty((times.size, stepper.m))
-    times[0], w[0], accum[0] = stepper.snapshot()
+    w[0], accum[0] = stepper.snapshot()
     k = 1
-    for take in taken.tolist():
+    for take in taken[1:].tolist():
         stepper.step()
         if take:
-            times[k], w[k], accum[k] = stepper.snapshot()
+            w[k], accum[k] = stepper.snapshot()
             k += 1
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
@@ -577,8 +577,8 @@ def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
 
     Deterministic: identical inputs produce bit-identical records.
     """
-    if scheme not in ("deficit", "deposition"):
-        raise ValueError(f"run takes scheme 'deficit' or 'deposition', not {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"run takes scheme {' or '.join(map(repr, SCHEMES))}, not {scheme!r}")
     return _record(params, grid, relay_kind, snapshot_stride, scheme=scheme)
 
 

@@ -223,7 +223,10 @@ class TestCli:
         (["--dx", "4", "--x-max", "4"], "dx = 4 and x_max = 4 give 2 grid nodes"),
         # alpha*alpha overflows to inf, and exp(inf) is inf, not an OverflowError
         (["--alpha", "1e308"], "no ring constants for alpha = 1e+308, beta = 1"),
-    ], ids=["two_nodes", "huge_alpha"])
+        # x_max was once rounded to 3.9, a whole number of cells, without a word
+        (["--dx", "0.3", "--x-max", "4", "--t-max", "0.01"],
+         "x_max = 4.0 is not a whole number of cells of dx = 0.3"),
+    ], ids=["two_nodes", "huge_alpha", "x_max_off_grid"])
     def test_bad_input_names_its_keys_without_warnings(self, tmp_path, capsys, argv, named):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -472,13 +475,32 @@ class TestCli:
         lines = (tmp_path / "cmp.csv").read_text().splitlines()
         assert lines[0] == "t,sup_diff,energy"
 
-    def compare_two_records(self, tmp_path, *args):
+    def compare_two_records(self, tmp_path, *args, tol=("--agreement-tol", "0.05")):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
         assert self.run_cli("simulate", "-c", path, "-o", "a") == 0
         assert self.run_cli("simulate", "-c", path, "--relay", "mollified",
                             "--epsilon", "1e-3", "-o", "b") == 0
         return self.run_cli("compare", "--rec1", str(tmp_path / "a"),
-                            "--rec2", str(tmp_path / "b"), "--agreement-tol", "0.05", *args)
+                            "--rec2", str(tmp_path / "b"), *tol, *args)
+
+    @pytest.mark.parametrize("flag, tol", [([], 0.04), (["--agreement-tol", "0.07"], 0.07)])
+    def test_compare_on_saved_records_takes_the_configured_agreement_tol(self, tmp_path,
+                                                                         flag, tol):
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),
+                                          tolerances={"agreement_tol": 0.04}), name="tol.json")
+        assert self.compare_two_records(tmp_path, "-c", cfg, "-o", "cmp.json", tol=flag) == 0
+        assert json.loads((tmp_path / "cmp.json").read_text())["agreement_tol"] == tol
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_compare_on_saved_records_needs_an_agreement_tol(self, tmp_path, capsys,
+                                                             with_config):
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)), name="tol.json")
+        args = ["-c", cfg] if with_config else ["--output-dir", str(tmp_path)]
+        assert self.compare_two_records(tmp_path, *args, "-o", "cmp.json", tol=()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "--agreement-tol" in err and "tolerances.agreement_tol" in err
+        assert not (tmp_path / "cmp.json").exists()
 
     def test_compare_without_config_omits_effective_config(self, tmp_path):
         out = tmp_path / "cmp.json"
@@ -629,7 +651,7 @@ VALID = {  # values inside each key's domain where the cross-key rules hold
     "u_star_fraction": st.floats(0.3, 0.95),
     "dx": st.floats(0.01, 0.1),
     "dt": st.floats(1e-4, 1e-2),
-    "x_max": st.floats(15.0, 40.0),
+    "x_max": st.floats(15.0, 40.0),  # a whole number of cells of dx; see valid_configs
     "t_max": st.floats(0.05, 1.0),
     "epsilon": st.floats(1e-4, 1e-2),
     "snapshot_stride": st.integers(1, 500),
@@ -652,6 +674,10 @@ def valid_configs(draw):
         # the domain-length and w-size rules bind the grid keys together
         if key.name in ("dx", "dt", "x_max") or draw(st.booleans()):
             raw[key.name] = draw(values)
+    # x_max is a whole number k of cells of dx, with k*dx kept in [15, 40]
+    dx = raw["dx"]
+    k = min(max(round(raw["x_max"] / dx), math.ceil(15.0 / dx)), math.floor(40.0 / dx))
+    raw["x_max"] = k * dx
     if raw.get("u_star") is not None:  # a supercritical threshold, exclusive of the fraction
         raw["u_star"] = lg.ModelParams.from_fraction(
             raw.get("alpha", 1.0), raw.get("beta", 1.0), raw["u_star"]).u_star

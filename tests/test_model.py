@@ -68,11 +68,6 @@ class TestPsi:
         assert model.psi(0.5, 0.0, params) == 0.0
         assert model.psi(0.0, 0.0, params) == pytest.approx(params.psi_alpha)
 
-    def test_psi_x_matches_central_difference(self, params):
-        x, t, h = 2.0, 1.0, 1e-6
-        fd = (model.psi(x + h, t, params) - model.psi(x - h, t, params)) / (2 * h)
-        assert model.psi_x(x, t, params) == pytest.approx(fd, abs=1e-6)
-
     def test_psi_t_matches_central_difference(self, params):
         x, t, h = 2.0, 1.0, 1e-6
         fd = (model.psi(x, t + h, params) - model.psi(x, t - h, params)) / (2 * h)
@@ -141,19 +136,6 @@ def psi_t_before(x, t, params):
     return out
 
 
-def psi_x_before(x, t, params):
-    a = params.alpha
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    scalar = x_arr.ndim == 0
-    tt = np.where(t_arr > 0, t_arr, np.nan)
-    eta = x_arr / np.sqrt(tt)
-    val = -(a * params.beta / 2.0) * np.exp(0.25 * (a * a - eta * eta)) / np.sqrt(tt)
-    out = np.where(eta > a, val, 0.0)
-    if scalar:
-        return float(out)
-    return out
-
-
 def heat_kernel_before(x, t):
     x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     scalar = x_arr.ndim == 0
@@ -193,7 +175,7 @@ def _called(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["psi_t", "psi_x", "heat_kernel", "heat_kernel_time_integral"]),
+@given(st.sampled_from(["psi_t", "heat_kernel", "heat_kernel_time_integral"]),
        X_VALUES | st.lists(X_VALUES, min_size=1, max_size=6),
        T_VALUES | st.lists(T_VALUES, min_size=1, max_size=5))
 @example("psi_t", math.inf, -1.0)  # psi_t(inf, 1.0) warns: NaN stands in for t <= 0

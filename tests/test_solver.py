@@ -56,7 +56,7 @@ class TestDeficitScheme:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_non_finite_guard(self):
-        stepper = lg.DeficitStepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
+        stepper = solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
         stepper.step()
         stepper.w[0] = math.nan
         with pytest.raises(lg.NonFiniteField):
@@ -192,7 +192,7 @@ class TestStepMatrix:
 
     def test_sharp_run_refactors_once_per_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
-        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp())
+        stepper = solver.Stepper(PARAMS, grid, lg.RelayKind.sharp())
         for _ in range(grid.n_t):
             stepper.step()
         ign = stepper.state.ignition_time
@@ -203,7 +203,7 @@ class TestStepMatrix:
 
     def test_infinite_threshold_factors_once(self):
         grid = coarse_grid()
-        stepper = lg.DeficitStepper(NO_RINGS, grid, lg.RelayKind.sharp())
+        stepper = solver.Stepper(NO_RINGS, grid, lg.RelayKind.sharp())
         for _ in range(grid.n_t):
             stepper.step()
         assert stepper.matrix.factorizations == 1
@@ -369,7 +369,7 @@ class TestModalTail:
         m = math.ceil(c.alpha_star * math.sqrt(t_max) / dx) + solver.WINDOW_MARGIN_CELLS
         grid = lg.GridSpec.make(dx=dx, dt=1e-3, x_max=dx * (m + lg.records.RIGHT_CELLS - 1 +
                                                             tail_nodes), t_max=t_max)
-        stepper = lg.DeficitStepper(PARAMS, grid, lg.RelayKind.sharp())
+        stepper = solver.Stepper(PARAMS, grid, lg.RelayKind.sharp())
         assert stepper.m == m and stepper.n == m + lg.records.RIGHT_CELLS + tail_nodes
         assert (stepper.tail is None) == (tail_nodes < solver.MIN_TAIL_NODES)
         rec = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=5)
@@ -382,8 +382,8 @@ class TestModalTail:
         grid = coarse_grid()
         reach = math.ceil(PARAMS.alpha * math.sqrt(grid.t_max) / grid.dx)
         for u_star in (math.inf, PARAMS.psi_alpha):
-            stepper = lg.DeficitStepper(lg.ModelParams(1.0, 1.0, u_star), grid,
-                                        lg.RelayKind.sharp())
+            stepper = solver.Stepper(lg.ModelParams(1.0, 1.0, u_star), grid,
+                                     lg.RelayKind.sharp())
             assert stepper.constants is None and isinstance(stepper.tail, solver.ModalTail)
             assert stepper.m == reach + solver.WINDOW_MARGIN_CELLS
         # a prescribed field may cross u_star at any node
@@ -412,7 +412,7 @@ class TestModalTail:
     def test_stepper_is_not_a_reference_cycle(self):
         # a stepper alive until the cycle collector runs holds its arrays
         # past the run
-        stepper = lg.DeficitStepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
+        stepper = solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
         for _ in range(solver.TAIL_BLOCK_STEPS + 3):
             stepper.step()
         stepper.snapshot()
