@@ -46,6 +46,6 @@ from .model import (
 from .odetoy import SwitchPolicy, ToyConfig, enumerate_policies, feasible, integrate
 from .records import SolutionRecord
 from .relay import LengthMismatch, RelayKind, RelayState, accumulate, evaluate, smoothstep
-from .solver import NonFiniteField, measure_t1, run, source_deposition_run
+from .solver import NonFiniteField, measure_t1, run
 
 __version__ = "0.1.0"

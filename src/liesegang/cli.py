@@ -50,6 +50,23 @@ def _record_config(args) -> RunConfig | None:
     return None
 
 
+# The settings of a run, as fields of both RunConfig and SolutionRecord.
+_RUN_FIELDS = ("params", "constants", "grid", "relay_kind", "scheme", "snapshot_stride")
+
+
+def _load_record(cfg: RunConfig | None, args) -> SolutionRecord:
+    """The record ``-r``.  A config that describes another run (``t1_ceiling``
+    is part of its constants) is an error, rather than echoed into a report
+    computed from the record's own settings."""
+    record = SolutionRecord.load(args.record)
+    if cfg is not None:
+        differ = [name for name in _RUN_FIELDS if getattr(cfg, name) != getattr(record, name)]
+        if differ:
+            raise ValidationError([f"{args.config} describes another run than the record "
+                                   f"{args.record}: its {', '.join(differ)} differ"])
+    return record
+
+
 def _out_path(cfg: RunConfig | None, args, name: str) -> Path:
     """``name`` in the output directory (created): the config's or, without
     one, :func:`resolve_output_dir` of ``--output-dir``.  ``toy`` has no
@@ -102,7 +119,7 @@ def cmd_constants(args) -> int:
         ceiling = cfg.tolerances.t1_ceiling
         constants = compute_constants(cfg.params, t1=measured_t1 if ceiling is None
                                       else min(measured_t1, ceiling))
-    body = {"constants": constants.to_json_dict(), "ring_width_alt": constants.ring_width_alt,
+    body = {"constants": asdict(constants), "ring_width_alt": constants.ring_width_alt,
             "t1_measured": measured_t1}
     path = _write_report(cfg, args, "constants_report", body, args.output)
     print(f"constants written to {path}")
@@ -126,7 +143,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _record_config(args)
-    record = SolutionRecord.load(args.record)
+    record = _load_record(cfg, args)
     tol = cfg.tolerances if cfg else Tolerances()
     report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
                                       jump_factor=tol.jump_factor, front_tol=tol.front_tol)
@@ -138,7 +155,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _record_config(args)
-    record = SolutionRecord.load(args.record)
+    record = _load_record(cfg, args)
     front = fronts.extract_front(record)
     tol = cfg.tolerances if cfg else Tolerances()
     probes = list(cfg.probes) if (cfg and cfg.probes) else None

@@ -247,7 +247,7 @@ class SlopeReport:
 def front_slope_check(front: FrontFunction, constants: ModelConstants) -> SlopeReport:
     """Quadratic growth bound ell(y2)-ell(y1) >= C_ell*(y2^2-y1^2) across all
     node pairs of the front restricted to x <= L and ell <= T2."""
-    sel = front.mask & (front.x <= constants.ring_width_L) & (front.ell <= constants.T2)
+    sel = front.mask & (front.x <= constants.L) & (front.ell <= constants.T2)
     xs = front.x[sel]
     ells = front.ell[sel]
     if xs.size < 2:

@@ -165,45 +165,28 @@ def heat_kernel_time_integral(x, t):
 class ModelConstants:
     """Derived constants of a supercritical parameter set.
 
-    ``ring_width_L`` is alpha*sqrt(t_star); ``ring_width_alt`` is the
-    alternative expression sqrt(t_star) that appears without the alpha
+    ``L`` is the first-ring width alpha*sqrt(t_star); :attr:`ring_width_alt`
+    is the alternative expression sqrt(t_star) that appears without the alpha
     factor.  Both are reported; the canonical value used by the tools is
-    ``ring_width_L``.
+    ``L``.  The fields, in order, are the JSON layout of the constants in
+    record sidecars and constants reports.
     """
 
-    psi_alpha: float
     alpha_star: float
     t_star: float
-    ring_width_L: float
-    ring_width_alt: float
+    L: float
     C_psi: float
     c_psi: float
     C_ell: float
     T1: float
     T2: float
     T_unique: float
+    psi_alpha: float
 
-    def to_json_dict(self) -> dict:
-        """Flat export with exactly the documented key set."""
-        return {
-            "alpha_star": self.alpha_star,
-            "t_star": self.t_star,
-            "L": self.ring_width_L,
-            "C_psi": self.C_psi,
-            "c_psi": self.c_psi,
-            "C_ell": self.C_ell,
-            "T1": self.T1,
-            "T2": self.T2,
-            "T_unique": self.T_unique,
-            "psi_alpha": self.psi_alpha,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, ring_width_alt: float) -> "ModelConstants":
-        """The constants :meth:`to_json_dict` exported, with the ``ring_width_alt``
-        it leaves out; a missing or unknown key raises KeyError or TypeError."""
-        d = dict(d)
-        return cls(ring_width_L=d.pop("L"), ring_width_alt=ring_width_alt, **d)
+    @property
+    def ring_width_alt(self) -> float:
+        """sqrt(t_star), the first-ring width without the alpha factor."""
+        return math.sqrt(self.t_star)
 
 
 def _bisect_alpha_star(params: ModelParams, u_star: float) -> float:
@@ -248,8 +231,7 @@ def compute_constants(params: ModelParams, t1: float | None = None) -> ModelCons
 
     alpha_star = _bisect_alpha_star(params, u_star)
     t_star = (psi_alpha - u_star) / psi_alpha
-    ring_width_L = a * math.sqrt(t_star)
-    ring_width_alt = math.sqrt(t_star)
+    L = a * math.sqrt(t_star)
 
     # sup_z z*exp(-z^2/4) = sqrt(2)*exp(-1/2), attained at z = sqrt(2);
     # min over [alpha, alpha_star] of the same unimodal profile sits at an endpoint.
@@ -261,7 +243,7 @@ def compute_constants(params: ModelParams, t1: float | None = None) -> ModelCons
 
     C_ell = (a * b / (8.0 * alpha_star * C_psi)) * math.exp(0.25 * (a * a - alpha_star**2))
 
-    t2_cap = (ring_width_L / alpha_star) ** 2
+    t2_cap = (L / alpha_star) ** 2
     t1 = t2_cap if t1 is None else t1
     T2 = min(t2_cap, t1)
     T_unique = min(
@@ -269,15 +251,14 @@ def compute_constants(params: ModelParams, t1: float | None = None) -> ModelCons
         c_psi / (alpha_star * C_psi * SQRT_PI + 0.5 * u_star * math.sqrt(math.pi / C_ell)),
     )
     return ModelConstants(
-        psi_alpha=psi_alpha,
         alpha_star=alpha_star,
         t_star=t_star,
-        ring_width_L=ring_width_L,
-        ring_width_alt=ring_width_alt,
+        L=L,
         C_psi=C_psi,
         c_psi=c_psi,
         C_ell=C_ell,
         T1=t1,
         T2=T2,
         T_unique=T_unique,
+        psi_alpha=psi_alpha,
     )

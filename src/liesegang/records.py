@@ -72,7 +72,7 @@ def _sidecar_fields(meta: dict) -> dict:
         "relay_kind": _exactly(RelayKind, meta["relay"]),
         "snapshot_stride": meta["snapshot_stride"],
         "scheme": meta["scheme"],
-        "constants": ModelConstants.from_json_dict(c, meta["ring_width_alt"]) if c else None,
+        "constants": _exactly(ModelConstants, c) if c else None,
     }
 
 
@@ -172,7 +172,7 @@ class SolutionRecord:
             "grid": asdict(self.grid),
             "relay": asdict(self.relay_kind),
             "snapshot_stride": self.snapshot_stride,
-            "constants": self.constants.to_json_dict() if self.constants else None,
+            "constants": asdict(self.constants) if self.constants else None,
             "ring_width_alt": self.constants.ring_width_alt if self.constants else None,
         }
         jsonio.dump_json(sidecar, json_path)

@@ -87,6 +87,8 @@ MIN_TAIL_NODES = 2
 # steps a Stepper takes between relay updates.  The tail's table of lam**r,
 # r <= TAIL_BLOCK_STEPS, is 2.2 MB on the default grid's 2,112 tail nodes.
 TAIL_BLOCK_STEPS = 128
+# Rows of a Stepper's buffer before each block: the steps ignition capture looks back to.
+LOOKBACK = max(BACK_OFFSETS)
 # The schemes :func:`run` takes; the config's ``scheme`` key accepts the same.
 SCHEMES = ("deficit", "deposition")
 
@@ -116,10 +118,11 @@ class StepMatrix:
     row at ``x_max`` when the interior is the whole grid (``tail_h0`` None);
     otherwise it couples to a :class:`ModalTail`, which adds ``-mu*tail_h0``
     to its diagonal and keeps the ``-mu`` towards the interior.  The diagonal
-    ``diag = main_base + dt*p`` is state: :meth:`set_p` rebuilds it for
-    ``dt*p`` on the leading nodes, and :meth:`set_band` rewrites it on the
-    mollified relay's smoothstep band, which changes it again after the next
-    step.  :meth:`solve` is every step's solve and picks the LAPACK path:
+    ``diag = main_base + dt*p`` is state, ``main_base`` (p = 0) when built:
+    :meth:`set_p` rebuilds it for ``dt*p`` on the leading nodes, and
+    :meth:`set_band` rewrites it on the mollified relay's smoothstep band,
+    which changes it again after the next step.  :meth:`solve` is every
+    step's solve and picks the LAPACK path:
     after a band write, one ``gtsv`` elimination; otherwise a ``gttrf`` on
     the first solve after a change (counted in ``factorizations``) and a
     ``gttrs`` with the stored factors on every solve.  Both paths give the
@@ -212,11 +215,10 @@ class ModalTail:
         self.v0 = math.sqrt(2.0 / n) * np.sin(angle)
         self.b = mu * self.v0 / (1.0 - mu * theta)
         self.h0 = float(self.v0 @ self.b)
-        self.block = TAIL_BLOCK_STEPS
-        self.powers = self.lam ** np.arange(self.block + 1)[:, None]
+        self.powers = self.lam ** np.arange(TAIL_BLOCK_STEPS + 1)[:, None]
         h = self.powers @ (self.v0 * self.b)
         self._h_pairs = h[:-1] + h[1:]
-        self._drives = np.zeros(self.block)
+        self._drives = np.zeros(TAIL_BLOCK_STEPS)
         self._scale = math.sqrt(0.5 / n)
         self.q = self._scale * dst(values, type=3)
         self.g = g
@@ -229,15 +231,15 @@ class ModalTail:
         r = self.r
         c = self._F[r] + self._F[r + 1] + self.h0 * self.g
         if r:
-            c += self._h_pairs[:r].dot(self._drives[self.block - r:])
+            c += self._h_pairs[:r].dot(self._drives[TAIL_BLOCK_STEPS - r:])
         return c
 
     def advance(self, g_new: float) -> None:
         """Take the step whose new interface value is ``g_new``."""
-        self._drives[self.block - 1 - self.r] = self.g + g_new
+        self._drives[TAIL_BLOCK_STEPS - 1 - self.r] = self.g + g_new
         self.g = g_new
         self.r += 1
-        if self.r == self.block:
+        if self.r == TAIL_BLOCK_STEPS:
             self._flush()
 
     def values(self) -> np.ndarray:
@@ -248,7 +250,7 @@ class ModalTail:
     def _flush(self) -> None:
         r = self.r
         if r:
-            drives = self._drives[self.block - r:]
+            drives = self._drives[TAIL_BLOCK_STEPS - r:]
             self.q = self.powers[r] * self.q + self.b * (drives @ self.powers[:r])
             self._F = (self.powers @ (self.v0 * self.q)).tolist()
             self.r = 0
@@ -266,7 +268,7 @@ class Stepper:
 
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
-    ``max(BACK_OFFSETS)`` look-back rows, NaN before the first step) and
+    ``LOOKBACK`` look-back rows, NaN before the first step) and
     checks only whether a live node, one that can still ignite, has
     ``u > u_star`` (or the row holds a NaN).  The relay is updated for the
     whole block of steps since the last update (:meth:`_update_relay`: a
@@ -288,10 +290,10 @@ class Stepper:
     inside a block stays in it, with ``p`` exactly 1.  Between updates the
     other accumulators lag (ignition times do not); :meth:`snapshot` brings
     them up to date.  ``p`` can change only at an update in which a node
-    ignited and at a band step.  After such an update the step matrix's
-    diagonal is rebuilt before the next solve, which factors it; a band step
-    rewrites only the band's columns, and the next solve eliminates in one
-    LAPACK call (:class:`StepMatrix`).
+    ignited and at a band step.  Such an update rebuilds the step matrix's
+    diagonal, and the next solve factors it; a band step rewrites only the
+    band's columns, and the next solve eliminates in one LAPACK call
+    (:class:`StepMatrix`).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -321,15 +323,13 @@ class Stepper:
         self.step_index = 0
         self.state = RelayState.create(self.x[: self.m], params)
         self._dt_p = np.zeros(self.mc)  # dt * p, zero past the window
-        self._refactor = True  # p changed since the step matrix's diagonal was set
         self.ignition_u_right = np.full((n, RIGHT_CELLS), np.nan)
         self.ignition_u_back = np.full((n, len(BACK_OFFSETS)), np.nan)
-        # Rows [_lo, _hi) of the buffer are the steps since the last relay
+        # Rows [LOOKBACK, _hi) of the buffer are the steps since the last relay
         # update, the last one ``step_index``: u on the first ``mc`` nodes.
         # The rows before them are the look-back steps (NaN before step 1).
-        lookback = max(BACK_OFFSETS)
-        self._u_buf = np.full((lookback + TAIL_BLOCK_STEPS, self.mc), np.nan)
-        self._lo = self._hi = lookback
+        self._u_buf = np.full((LOOKBACK + TAIL_BLOCK_STEPS, self.mc), np.nan)
+        self._hi = LOOKBACK
         self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
         # mollified: the window nodes in the smoothstep band, a slice when contiguous
         self._band: slice | np.ndarray = slice(0, 0)
@@ -351,9 +351,6 @@ class Stepper:
             self._field_name = "concentration"
             self.step_index = 1
             self._source_at = params.alpha * math.sqrt(self.t)  # the source's position
-            self._u_buf[self._hi] = self.u[: self.mc]
-            self._hi += 1
-            self._update_relay()
         elif scheme == "synthetic":
             self.u_fn = u_fn
             self.u = np.asarray(u_fn(self.x, 0.0), dtype=float)
@@ -366,6 +363,10 @@ class Stepper:
         # the solve overwrites it with the new field; the old field is the next spare
         self._spare = np.empty(self.J)
         self._pairs = np.empty(self.J - 2)
+        if scheme == "deposition":  # the relay bootstraps with one rectangle over [0, dt]
+            self._u_buf[self._hi] = self.u[: self.mc]
+            self._hi += 1
+            self._update_relay()
 
     def step(self) -> "Stepper":
         t_new = (self.step_index + 1) * self.grid.dt
@@ -390,7 +391,7 @@ class Stepper:
         """``(w, accum)`` after the last step taken: ``w`` on the whole grid
         (a new array) and a copy of the accumulator on the relay window, past
         which it is zero.  The snapshot's time is ``step_index * dt``."""
-        if self._hi > self._lo:
+        if self._hi > LOOKBACK:
             self._update_relay()
         if self.scheme == "deficit":
             w = self._whole(self.w)
@@ -429,9 +430,6 @@ class Stepper:
         return rhs
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._refactor:
-            self.matrix.set_p(self._dt_p)
-            self._refactor = False
         out = self.matrix.solve(rhs)
         if self.tail is not None:
             self.tail.advance(out[-1])
@@ -440,8 +438,8 @@ class Stepper:
     def _update_relay(self) -> None:
         """Check the last step of the block since the last update for
         non-finite values, accumulate the block, log its ignitions and
-        re-evaluate p."""
-        lo, hi = self._lo, self._hi
+        re-evaluate p, and the step matrix's diagonal if a node ignited."""
+        lo, hi = LOOKBACK, self._hi
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
             raise NonFiniteField(f"non-finite {self._field_name} at step "
                                  f"{self.step_index}, t={self.t}")
@@ -454,16 +452,15 @@ class Stepper:
         steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
         nodes, rows = accumulate(state, block, self.grid.dt, steps * self.grid.dt,
                                  self.relay_kind)
-        if nodes.size:
-            self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
-            self._refactor = True
         np.multiply(self.grid.dt, evaluate(state.accumulator, self.relay_kind),
                     out=self._dt_p[: self.m])
+        if nodes.size:
+            self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
+            self.matrix.set_p(self._dt_p)
         self._find_live()
         # keep the look-back rows at the front, drop the rest
-        keep = max(BACK_OFFSETS)
-        self._u_buf[:keep] = self._u_buf[hi - keep: hi]
-        self._lo = self._hi = keep
+        self._u_buf[:LOOKBACK] = self._u_buf[hi - LOOKBACK: hi]
+        self._hi = LOOKBACK
 
     def _step_band(self, u_win: np.ndarray) -> None:
         """Add this step's rectangle to the band's accumulators (the one add

@@ -58,8 +58,8 @@ def test_criterion_02_solver_fidelity(params, constants):
     no_rings = lg.ModelParams(params.alpha, params.beta, math.inf)
     rec_w = lg.run(no_rings, grid_w, lg.RelayKind.sharp(), snapshot_stride=1000)
     err_w = float(np.abs(rec_w.w[rec_w.times >= 0.25]).max())
-    rec_d = lg.source_deposition_run(no_rings, grid_w, lg.RelayKind.sharp(),
-                                     snapshot_stride=400)
+    rec_d = lg.run(no_rings, grid_w, lg.RelayKind.sharp(), snapshot_stride=400,
+                   scheme="deposition")
     err_d = float(np.abs(rec_d.w[rec_d.times >= 0.25]).max())
 
     # (b) refinement of the primary scheme with precipitation on: sup-difference

@@ -825,7 +825,7 @@ def test_t1_ceiling_reaches_the_record_and_every_report(ceiling_runs):
     # the slope bound reads the front nodes with ell <= T2 (and x <= L)
     rec = lg.SolutionRecord.load(out / "record")
     front = lg.extract_front(rec)
-    k = int(np.sum(front.mask & (front.x <= rec.constants.ring_width_L)
+    k = int(np.sum(front.mask & (front.x <= rec.constants.L)
                    & (front.ell <= T1_CEILING)))
     slope = read_json(out / "front_report.json")["slope_bound"]
     plain_slope = read_json(ceiling_runs["plain"] / "front_report.json")["slope_bound"]
@@ -862,3 +862,32 @@ def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
     cfg = config.parse_config(path)
     measured = lg.measure_t1(lg.run(cfg.params, cfg.grid, cfg.relay_kind, cfg.snapshot_stride))
     assert report["t1_measured"] == measured > T1_CEILING
+
+
+# -- a config of another run is rejected, not echoed --------------------------
+
+@pytest.mark.parametrize("command", ["analyze", "diagnose"])
+@pytest.mark.parametrize("change, named", [
+    ({"alpha": 1.2, "tolerances": {"t1_ceiling": 0.001}}, "its params, constants differ"),
+    ({"tolerances": {"t1_ceiling": 0.001}}, "its constants differ"),
+    ({"relay": "mollified", "epsilon": 1e-3, "scheme": "deposition", "snapshot_stride": 5},
+     "its relay_kind, scheme, snapshot_stride differ"),
+    ({"dx": 0.01}, "its grid differ"),
+], ids=["alpha_and_t1_ceiling", "t1_ceiling", "relay_scheme_stride", "dx"])
+def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, monkeypatch,
+                                                              ceiling_runs, command, change,
+                                                              named):
+    monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    rec = ceiling_runs["plain"] / "record"
+    out = tmp_path / "out"
+    other = write_config(tmp_path, dict(COARSE, output_dir=str(out), **change), "other.json")
+    assert cli.main([command, "-c", other, "-r", str(rec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:") and "Traceback" not in err
+    assert f"  - {other} describes another run than the record {rec}: {named}\n" in err
+    assert not out.exists()
+    # the record's own config
+    own = write_config(tmp_path, dict(COARSE, output_dir=str(out)), "own.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "-c", own, "-r", str(rec)]) == 0
+    assert read_json(next(out.glob("*.json")))["effective_config"]["alpha"] == COARSE["alpha"]

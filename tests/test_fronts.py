@@ -101,7 +101,7 @@ class TestSegmentRings:
         assert seg.rings
         assert seg.rings[0][0] == 0.0
         c = rec_coarse_sharp.constants
-        assert seg.rings[0][1] >= c.ring_width_L - 2 * rec_coarse_sharp.grid.dx
+        assert seg.rings[0][1] >= c.L - 2 * rec_coarse_sharp.grid.dx
 
 
 class TestClassifyBoundary:

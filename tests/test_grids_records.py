@@ -452,8 +452,9 @@ def sidecar_records(draw):
     dx = draw(POSITIVE)
     grid = lg.GridSpec(dx=dx, dt=1.0, x_max=n_x * dx, t_max=float(10**6), n_x=n_x,
                        n_t=10**6)
+    # t_star in [0, 1], as for real constants: ring_width_alt is sqrt(t_star)
     constants = draw(st.none() | st.builds(
-        lambda values: lg.ModelConstants(*values), st.lists(NUMBERS, min_size=11, max_size=11)))
+        lg.ModelConstants, NUMBERS, st.floats(0, 1), *[NUMBERS] * 8))
     n = n_x + 1
     return lg.SolutionRecord(
         params=lg.ModelParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)),

@@ -1,4 +1,5 @@
 """Closed forms and derived constants against independent oracles."""
+import dataclasses
 import json
 import math
 import warnings
@@ -258,11 +259,11 @@ class TestConstants:
         c = lg.compute_constants(params)
         assert c.alpha_star > params.alpha
         assert c.t_star == pytest.approx((params.psi_alpha - params.u_star) / params.psi_alpha)
-        assert c.ring_width_L == pytest.approx(params.alpha * math.sqrt(c.t_star))
+        assert c.L == pytest.approx(params.alpha * math.sqrt(c.t_star))
         assert c.ring_width_alt == pytest.approx(math.sqrt(c.t_star))
         assert c.c_psi > 0 and c.C_psi > 0 and c.C_ell > 0
-        assert 0 < c.T_unique <= c.T2 <= (c.ring_width_L / c.alpha_star) ** 2 + 1e-15
-        assert c.T2 == pytest.approx(min((c.ring_width_L / c.alpha_star) ** 2, c.T1))
+        assert 0 < c.T_unique <= c.T2 <= (c.L / c.alpha_star) ** 2 + 1e-15
+        assert c.T2 == pytest.approx(min((c.L / c.alpha_star) ** 2, c.T1))
 
     def test_t1_override_binds_t2(self, params):
         c = lg.compute_constants(params, t1=1e-3)
@@ -276,7 +277,7 @@ class TestConstants:
         assert a == b
 
     def test_flat_json_key_set_is_exact(self, params):
-        d = lg.compute_constants(params).to_json_dict()
+        d = dataclasses.asdict(lg.compute_constants(params))
         assert list(d) == ["alpha_star", "t_star", "L", "C_psi", "c_psi", "C_ell",
                            "T1", "T2", "T_unique", "psi_alpha"]
         json.dumps(d)

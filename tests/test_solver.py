@@ -62,7 +62,7 @@ class TestDeficitScheme:
         with pytest.raises(lg.NonFiniteField):
             stepper.step()
 
-    @pytest.mark.parametrize("runner", [lg.run, lg.source_deposition_run])
+    @pytest.mark.parametrize("runner", [lg.run, solver.source_deposition_run])
     def test_ignition_capture_reads_past_the_relay_window(self, monkeypatch, runner):
         # Without a margin, nodes near the window end ignite, and their
         # right-neighbour values come from the whole-grid field.
@@ -86,7 +86,7 @@ class TestDeficitScheme:
     def test_run_of_the_deposition_scheme_is_the_deposition_run(self, kind):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
         rec = lg.run(PARAMS, grid, kind, snapshot_stride=20, scheme="deposition")
-        ref = lg.source_deposition_run(PARAMS, grid, kind, snapshot_stride=20)
+        ref = solver.source_deposition_run(PARAMS, grid, kind, snapshot_stride=20)
         assert rec.scheme == ref.scheme == "deposition"
         assert np.isfinite(ref.ignition_time).any()
         assert_same_record(rec, ref)
@@ -349,7 +349,7 @@ class TestModalTail:
     ])
     def test_whole_run_matches_neumann_reference(self, monkeypatch, scheme, relay):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
-        runner = lg.source_deposition_run if scheme == "deposition" else lg.run
+        runner = solver.source_deposition_run if scheme == "deposition" else lg.run
         stepper = solver.Stepper(PARAMS, grid, relay, scheme=scheme)
         assert stepper.tail is not None and stepper.tail.q.size > stepper.J
         rec = runner(PARAMS, grid, relay, snapshot_stride=10)
@@ -450,12 +450,12 @@ class PerStepRelay(solver.Stepper):
 
     def step(self):
         super().step()
-        if self._hi > self._lo:
+        if self._hi > solver.LOOKBACK:
             self._update_relay()
         return self
 
     def _update_relay(self):
-        (j,) = range(self._lo, self._hi)
+        (j,) = range(solver.LOOKBACK, self._hi)
         u_win = self._u_buf[j, : self.m].copy()
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[j]).all():
             raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
@@ -474,9 +474,9 @@ class PerStepRelay(solver.Stepper):
                     self.ignition_u_back[i, c] = self.past_u[-k][i]
         self._dt_p[: self.m] = self.grid.dt * relay.evaluate(self.state.accumulator,
                                                              self.relay_kind)
-        self._refactor = True  # whether or not p changed
+        self.matrix.set_p(self._dt_p)  # whether or not p changed
         self.past_u.append(u_win)
-        self._lo = self._hi = max(BACK_OFFSETS)
+        self._hi = solver.LOOKBACK
 
 
 RECORD_ARRAYS = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
@@ -554,7 +554,7 @@ class TestBlockRelay:
             stepper.step()
             if step % stride == 0 or step == grid.n_t:
                 stepper.snapshot()
-            elif stepper._hi == stepper._lo:
+            elif stepper._hi == solver.LOOKBACK:
                 ignition_steps.add(step)
         times = np.round(stepper.state.ignition_time / grid.dt)
         off_snapshot = {int(s) for s in times[np.isfinite(times)] if s % stride}
@@ -781,15 +781,15 @@ class TestInvariants:
 class TestDepositionScheme:
     def test_starts_at_dt_with_closed_form_bootstrap(self):
         grid = coarse_grid()
-        rec = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
-                                       snapshot_stride=100)
+        rec = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
+                     scheme="deposition")
         assert rec.times[0] == pytest.approx(grid.dt)
         assert np.allclose(rec.w[0], 0.0, atol=1e-15)
 
     def test_mass_balance_against_exact_source_integral(self):
         grid = lg.GridSpec.make(dx=5e-3, dt=2e-4, x_max=8.0, t_max=1.0)
-        rec = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
-                                       snapshot_stride=100)
+        rec = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
+                     scheme="deposition")
         from scipy.integrate import trapezoid
         k1, k2 = 10, 40
         added = trapezoid(rec.u[k2] - rec.u[k1], rec.x)
@@ -798,8 +798,8 @@ class TestDepositionScheme:
 
     def test_agrees_with_deficit_formulation_when_p_zero(self):
         grid = lg.GridSpec.make(dx=5e-3, dt=2e-4, x_max=8.0, t_max=1.0)
-        depo = lg.source_deposition_run(NO_RINGS, grid, lg.RelayKind.sharp(),
-                                        snapshot_stride=100)
+        depo = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
+                      scheme="deposition")
         defi = lg.run(NO_RINGS, grid, lg.RelayKind.sharp(), snapshot_stride=100)
         sel_d = depo.times >= 0.25
         sel_w = np.isin(np.round(defi.times, 12), np.round(depo.times[sel_d], 12))
@@ -809,7 +809,8 @@ class TestDepositionScheme:
     def test_with_precipitation_tracks_deficit_scheme(self):
         c = lg.compute_constants(PARAMS)
         grid = lg.GridSpec.make(dx=0.01, dt=5e-5, x_max=4.0, t_max=2 * c.T2)
-        depo = lg.source_deposition_run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100)
+        depo = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100,
+                      scheme="deposition")
         defi = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=100)
         common = np.intersect1d(np.round(depo.times, 12), np.round(defi.times, 12))
         sel_d = np.isin(np.round(depo.times, 12), common)
@@ -833,4 +834,4 @@ class TestMeasureT1:
         t1 = solver.measure_t1(rec_coarse_sharp)
         c = lg.compute_constants(PARAMS, t1=t1)
         assert c.T1 == t1
-        assert c.T2 == pytest.approx(min((c.ring_width_L / c.alpha_star) ** 2, t1))
+        assert c.T2 == pytest.approx(min((c.L / c.alpha_star) ** 2, t1))

@@ -51,7 +51,8 @@ def capture_steppers(monkeypatch) -> list:
 # not once per step: one accumulate and one evaluate per update.  The
 # deposition scheme's bootstrap over [0, dt] is an update made before its
 # first step.
-@pytest.mark.parametrize("runner, updates_at_start", [(lg.run, 0), (lg.source_deposition_run, 1)])
+@pytest.mark.parametrize("runner, updates_at_start",
+                         [(lg.run, 0), (solver.source_deposition_run, 1)])
 @pytest.mark.parametrize("relay", [lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3)])
 def test_time_loops_call_the_relay_through_the_solver_namespace(monkeypatch, runner,
                                                                 updates_at_start, relay):
@@ -95,7 +96,7 @@ def spy_on(owner, name, monkeypatch):
 
 # The deposition scheme's bootstrap over [0, dt] stands in for its first step,
 # so only the traced per-step function runs on every later step.
-@pytest.mark.parametrize("runner, missing_steps", [(lg.run, 0), (lg.source_deposition_run, 1)])
+@pytest.mark.parametrize("runner, missing_steps", [(lg.run, 0), (solver.source_deposition_run, 1)])
 def test_both_schemes_step_through_the_traced_step(monkeypatch, runner, missing_steps):
     steps = spy_on(solver.DeficitStepper, "step", monkeypatch)
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
@@ -127,5 +128,5 @@ def test_time_loops_call_psi_through_the_model_namespace(monkeypatch, relay):
     lg.run(PARAMS, grid, relay, snapshot_stride=20)
     assert len(calls) == math.ceil(grid.n_t / solver.TAIL_BLOCK_STEPS) > 1
     calls.clear()
-    record = lg.source_deposition_run(PARAMS, grid, relay, snapshot_stride=20)
+    record = solver.source_deposition_run(PARAMS, grid, relay, snapshot_stride=20)
     assert len(calls) == 1 + record.times.size

@@ -1,25 +1,32 @@
-"""Diff the record and report matrices of this checkout against a git revision.
+"""Diff the record and report matrices and the ``--help`` texts of this checkout
+against a git revision.
 
     python3 tools/compare_checkouts.py [REV] [--coarse-only]
 
 Extracts ``REV`` (default ``HEAD``) into a temporary directory with
 ``git archive``, so no worktree or other git metadata is written, and runs
 each checkout's own ``tools/record_matrix.py`` and ``tools/report_matrix.py``
-(``--coarse-only`` is passed to ``record_matrix.py``).  Prints a unified diff
-of each pair of outputs, ``REV`` first, and exits 1 if any pair differs or a
-script fails, else 0.  The uncommitted changes of this checkout are part of
-the comparison; the revision is taken as committed.
+(``--coarse-only`` is passed to ``record_matrix.py``) and
+``python -m liesegang [COMMAND] --help`` for the program and each of its
+subcommands, with the checkout's ``src`` on ``PYTHONPATH`` and ``COLUMNS=80``.
+Prints a unified diff of each pair of outputs, ``REV`` first, and exits 1 if
+any pair differs or a command fails, else 0.  It also prints the line count of
+``src/liesegang`` in both trees, for information.  The uncommitted changes of
+this checkout are part of the comparison; the revision is taken as committed.
 """
 from __future__ import annotations
 
 import argparse
 import difflib
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The program ("") and its subcommands, whose --help texts are compared.
+COMMANDS = ("", "constants", "simulate", "analyze", "diagnose", "toy", "compare", "sweep")
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -29,15 +36,33 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def output(checkout: Path, script: str, options: list[str]) -> list[str] | None:
-    """The lines ``script`` of ``checkout`` prints, or None if it fails."""
-    proc = subprocess.run([sys.executable, str(checkout / "tools" / script), *options],
-                          cwd=checkout, capture_output=True, text=True)
+def output(checkout: Path, argv: list[str], env: dict | None = None) -> list[str] | None:
+    """The lines ``argv``, run in ``checkout``, prints, or None if it fails."""
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        print(f"{checkout / 'tools' / script} exited {proc.returncode}:\n{proc.stderr}",
+        print(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}",
               file=sys.stderr)
         return None
     return proc.stdout.splitlines(keepends=True)
+
+
+def help_text(checkout: Path, options: list[str]) -> list[str] | None:
+    """What ``liesegang OPTIONS`` of ``checkout`` prints, 80 columns wide."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
+    return output(checkout, [sys.executable, "-m", "liesegang", *options], env)
+
+
+def differs(old: list[str], new: list[str], name: str, rev: str) -> bool:
+    """Print the unified diff of ``rev``'s and this checkout's ``name``; True if any."""
+    diff = list(difflib.unified_diff(old, new, f"{rev}/{name}", f"checkout/{name}"))
+    sys.stdout.writelines(diff)
+    return bool(diff)
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines of the package's modules, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "liesegang").glob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -48,21 +73,32 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     scripts = {"record_matrix.py": ["--coarse-only"] if args.coarse_only else [],
                "report_matrix.py": []}
-    differ = False
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp)
         extract(args.rev, other)
         for script, options in scripts.items():
-            old, new = output(other, script, options), output(ROOT, script, options)
+            old, new = (output(tree, [sys.executable, str(tree / "tools" / script), *options])
+                        for tree in (other, ROOT))
             if old is None or new is None:
-                differ = True
+                failed = True
                 continue
-            diff = list(difflib.unified_diff(old, new, f"{args.rev}/tools/{script}",
-                                             f"checkout/tools/{script}"))
-            sys.stdout.writelines(diff)
-            print(f"{script}: {len(new)} lines, {'different' if diff else 'identical'}")
-            differ |= bool(diff)
-    return 1 if differ else 0
+            changed = differs(old, new, f"tools/{script}", args.rev)
+            print(f"{script}: {len(new)} lines, {'different' if changed else 'identical'}")
+            failed |= changed
+        helps_differ = False
+        for command in COMMANDS:
+            options = [*command.split(), "--help"]
+            old, new = help_text(other, options), help_text(ROOT, options)
+            if old is None or new is None:
+                helps_differ = True
+                continue
+            helps_differ |= differs(old, new, " ".join(["liesegang", *options]), args.rev)
+        print(f"help: {len(COMMANDS)} commands, {'different' if helps_differ else 'identical'}")
+        failed |= helps_differ
+        print(f"src/liesegang: {source_lines(other)} lines at {args.rev}, "
+              f"{source_lines(ROOT)} lines in this checkout")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
