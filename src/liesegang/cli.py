@@ -95,10 +95,11 @@ def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str)
     return path
 
 
-def _run_from_config(cfg: RunConfig) -> SolutionRecord:
-    """The config's run, with the config's constants (``t1_ceiling`` included)."""
+def _run_from_config(cfg: RunConfig, output=None) -> SolutionRecord:
+    """The config's run, with the config's constants (``t1_ceiling`` included),
+    streamed into ``<output>.npz`` when given an ``output`` prefix."""
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind,
-                        snapshot_stride=cfg.snapshot_stride, scheme=cfg.scheme)
+                        snapshot_stride=cfg.snapshot_stride, scheme=cfg.scheme, output=output)
     return replace(record, constants=cfg.constants)
 
 
@@ -128,8 +129,9 @@ def cmd_constants(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    record = _run_from_config(cfg)
     prefix = _out_path(cfg, args, args.output)
+    # the run writes each snapshot of w into the archive; save finishes it
+    record = _run_from_config(cfg, output=prefix)
     npz_path, json_path = record.save(prefix)
     if args.csv:
         record.write_csv(_out_path(cfg, args, args.csv))

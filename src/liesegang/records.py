@@ -25,9 +25,23 @@ on the whole grid; they still load, with the same derived values.  Older
 files also hold ``p`` and ``ignition_u``; they load, as unnamed arrays are
 not read, and derive the stored values bit for bit.  Older readers reject newer
 files (exit 1), naming the schema version or the missing arrays.
+
+The archive is written by one :class:`RecordWriter`, under a temporary name
+that is renamed over ``<prefix>.npz`` once the archive is complete: ``save``
+feeds it a record's whole ``w`` at once, and a run given an output prefix
+(``solver.run(output=)``) each snapshot row of ``w`` as it is taken.
+``load`` maps ``w`` and ``accum`` copy-on-write from the file, so a reader
+pages in only the rows and columns it reads.
 """
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
+import os
+import secrets
+import struct
+import weakref
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,6 +59,14 @@ RIGHT_CELLS = 5
 # 1: ``accum`` on the whole grid; 2: on the leading columns only, zero past them.
 RECORD_SCHEMA_VERSION = 2
 _ARRAY_NAMES = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
+# The arrays load maps from the file instead of reading them.
+_MAPPED = ("w", "accum")
+# A zip member's local header (``zipfile.structFileHeader``): signature, ...,
+# flag bits [3], ..., compressed size [8], size [9], name and extra lengths.
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_DATA_DESCRIPTOR_FLAG = 0x08  # sizes follow the data, not in the local header
+# load checks a mapped member's CRC by reading it through a buffer of this size.
+_CRC_CHUNK_BYTES = 1 << 18
 
 
 def _paths(prefix) -> tuple[Path, Path]:
@@ -52,6 +74,174 @@ def _paths(prefix) -> tuple[Path, Path]:
     prefixes containing dots (e.g. ``eps_0.0005``) stay intact."""
     prefix = Path(prefix)
     return prefix.parent / (prefix.name + ".npz"), prefix.parent / (prefix.name + ".json")
+
+
+def _map(fh, offset: int, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """The array stored at ``offset`` of the open file ``fh``, a plain ndarray
+    over a copy-on-write map: pages are read as they are touched, and writes
+    stay private to the process."""
+    start = offset - offset % mmap.ALLOCATIONGRANULARITY
+    count = math.prod(shape)
+    buf = mmap.mmap(fh.fileno(), offset - start + count * dtype.itemsize,
+                    access=mmap.ACCESS_COPY, offset=start)
+    return np.frombuffer(buf, dtype, count, offset - start).reshape(shape)
+
+
+def _local_sizes(header: tuple, extra: bytes) -> tuple[int, int]:
+    """``(compressed size, size)`` from a local header and its extra field,
+    whose ZIP64 record holds them when the header's own read 0xFFFFFFFF."""
+    sizes = header[8], header[9]
+    while 0xFFFFFFFF in sizes and len(extra) >= 4:
+        tag, length = struct.unpack_from("<HH", extra)
+        if tag == 1 and length >= 16:
+            size, compressed = struct.unpack_from("<QQ", extra, 4)
+            return compressed, size
+        extra = extra[4 + length:]
+    return sizes
+
+
+def _mapped_member(fh, info: zipfile.ZipInfo) -> np.ndarray | None:
+    """The ``.npy`` member ``info`` of the archive open as ``fh``, mapped
+    (:func:`_map`), or None for a member to read whole: a compressed one, or
+    one that is not a plain C-order array.
+
+    Raises ValueError unless the member's local header states the sizes in
+    the central directory and its stored size is its ``.npy`` header plus the
+    data that header implies, all within the file: so no read of the map can
+    fault past the end of the file.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
+        return None
+    fh.seek(info.header_offset)
+    raw = fh.read(_LOCAL_HEADER.size)
+    if len(raw) < _LOCAL_HEADER.size or raw[:4] != b"PK\x03\x04":
+        raise ValueError(f"{info.filename}: bad local header")
+    header = _LOCAL_HEADER.unpack(raw)
+    local = _local_sizes(header, fh.read(header[10] + header[11])[header[10]:])
+    central = info.compress_size, info.file_size
+    if not header[3] & _DATA_DESCRIPTOR_FLAG and local != central:
+        raise ValueError(f"{info.filename}: local header sizes {local} != {central} "
+                         "in the central directory")
+    start = fh.tell()
+    read_header = {(1, 0): npformat.read_array_header_1_0,
+                   (2, 0): npformat.read_array_header_2_0}.get(npformat.read_magic(fh))
+    if read_header is None:
+        return None
+    shape, fortran_order, dtype = read_header(fh)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if fortran_order or dtype.hasobject or not nbytes:
+        return None
+    offset = fh.tell()
+    if offset - start + nbytes != info.file_size or \
+            offset + nbytes > os.fstat(fh.fileno()).st_size:
+        raise ValueError(f"{info.filename}: stored size {info.file_size} != "
+                         f"{offset - start + nbytes} for a {dtype} array of shape {shape}, "
+                         f"or past the end of the file")
+    return _map(fh, offset, shape, dtype)
+
+
+def _read(fh, data, name: str) -> np.ndarray:
+    """Array ``name`` of the record archive open as ``fh`` and as the NpzFile
+    ``data``: ``w`` and ``accum`` mapped, after their CRC is checked by a read
+    through a small buffer, and any other array read whole."""
+    member = name + ".npy"
+    if name in _MAPPED and member in data.zip.namelist():
+        info = data.zip.getinfo(member)
+        array = _mapped_member(fh, info)
+        if array is not None:
+            with data.zip.open(info) as stream:  # raises BadZipFile on a CRC mismatch
+                while stream.read(_CRC_CHUNK_BYTES):
+                    pass
+            return array
+    return data[name]
+
+
+def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """``name.npy``: its ``.npy`` header, then the array's own buffer."""
+    array = np.ascontiguousarray(array)
+    with archive.open(name + ".npy", "w", force_zip64=True) as member:
+        npformat.write_array_header_1_0(member, npformat.header_data_from_array_1_0(array))
+        member.write(array.data)
+
+
+def _discard(handles: list, tmp: Path) -> None:
+    """Close ``handles`` in order and delete the file ``tmp`` they write.  The
+    file goes, so an error while its end is written does not matter."""
+    for handle in handles:
+        with contextlib.suppress(OSError, ValueError):
+            handle.close()
+    tmp.unlink(missing_ok=True)
+
+
+class RecordWriter:
+    """The archive ``<prefix>.npz`` of a record, byte for byte the one
+    ``np.savez`` writes, but member by member from the arrays' own buffers.
+
+    It writes ``times`` and the ``.npy`` header of ``w``, then takes the rows
+    of ``w`` in order, one or many at a time (:meth:`append`), and in
+    :meth:`finish` the other arrays of a record.  Until then the file has a
+    temporary name in the target directory, ending in ``.tmp``, never
+    ``.npz``; :meth:`finish` renames it over the target, so no reader sees a
+    partial archive and one that mapped the old file keeps its arrays (its
+    inode survives).  :meth:`discard`, or dropping the writer unfinished,
+    deletes the file.
+    """
+
+    def __init__(self, prefix, times: np.ndarray, w_shape: tuple, w_dtype=float):
+        self.path = _paths(prefix)[0]
+        self.tmp = self.path.with_name(f"{self.path.name}.{secrets.token_hex(4)}.tmp")
+        self.times, self.w = times, None
+        self._file = open(self.tmp, "xb")
+        self._zip = zipfile.ZipFile(self._file, "w", zipfile.ZIP_STORED, allowZip64=True)
+        handles = [self._zip, self._file]
+        self._finalizer = weakref.finalize(self, _discard, handles, self.tmp)
+        _write_member(self._zip, "times", times)
+        self._rows = self._zip.open("w.npy", "w", force_zip64=True)
+        handles.insert(0, self._rows)
+        npformat.write_array_header_1_0(self._rows, {
+            "descr": npformat.dtype_to_descr(np.dtype(w_dtype)), "fortran_order": False,
+            "shape": tuple(w_shape)})
+
+    def append(self, rows: np.ndarray) -> None:
+        """Write the next row of ``w``, or the next block of rows."""
+        self._rows.write(np.ascontiguousarray(rows).data)
+
+    def close_rows(self) -> np.ndarray:
+        """End ``w`` and return it over a copy-on-write map of the file,
+        read-only until :meth:`finish`: the archive already holds its rows."""
+        self._rows.close()
+        self._file.flush()
+        with open(self.tmp, "rb") as fh:
+            self.w = _mapped_member(fh, self._zip.getinfo("w.npy"))
+        self.w.flags.writeable = False
+        return self.w
+
+    def holds(self, record: "SolutionRecord", npz_path: Path) -> bool:
+        """Whether this unfinished archive of ``npz_path`` holds the ``times``
+        and the mapped ``w`` of ``record``."""
+        return (self._finalizer.alive and self.path == npz_path
+                and record.times is self.times and record.w is self.w)
+
+    def finish(self, record: "SolutionRecord") -> None:
+        """Write ``record``'s arrays after ``w``, complete the archive and
+        rename it to ``<prefix>.npz``; on any error, delete it instead."""
+        try:
+            self._rows.close()
+            for name in _ARRAY_NAMES[2:]:
+                _write_member(self._zip, name, getattr(record, name))
+            self._zip.close()
+            self._file.close()
+            os.replace(self.tmp, self.path)
+            self._finalizer.detach()
+        finally:
+            self.discard()
+
+    def discard(self) -> None:
+        """Delete the archive unless it is finished.  The mapped ``w`` becomes
+        writable (copy-on-write): no write can now be lost from the archive."""
+        self._finalizer()
+        if self.w is not None:
+            self.w.flags.writeable = True
 
 
 def _exactly(cls, d: dict):
@@ -93,6 +283,9 @@ class SolutionRecord:
     # The F1 cell-mass table of ``liesegang.duhamel``, built on first use.
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+    # The unfinished archive a run streamed ``times`` and ``w`` into; ``save``
+    # to its prefix finishes it.
+    _archive: RecordWriter | None = field(default=None, repr=False, compare=False)
 
     @property
     def x(self) -> np.ndarray:
@@ -152,18 +345,19 @@ class SolutionRecord:
     def save(self, prefix) -> tuple[Path, Path]:
         """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar).
 
-        The archive is the one ``np.savez`` writes, byte for byte, but each
-        member is written as its ``.npy`` header and then the array's own
-        buffer, with no staging copy.
+        The archive is written by a :class:`RecordWriter`: the one a run
+        streamed this record's ``times`` and ``w`` into, if it was given this
+        prefix, else a new one fed all of ``w`` at once.  Either way the bytes
+        are those ``np.savez`` writes.
         """
         npz_path, json_path = _paths(prefix)
-        with zipfile.ZipFile(npz_path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-            for name in _ARRAY_NAMES:
-                array = np.ascontiguousarray(getattr(self, name))
-                with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                    npformat.write_array_header_1_0(
-                        member, npformat.header_data_from_array_1_0(array))
-                    member.write(array.data)
+        archive, self._archive = self._archive, None
+        if archive is None or not archive.holds(self, npz_path):
+            if archive is not None:
+                archive.discard()
+            archive = RecordWriter(prefix, self.times, self.w.shape, self.w.dtype)
+            archive.append(self.w)
+        archive.finish(self)
         sidecar = {
             "schema_version": RECORD_SCHEMA_VERSION,
             "kind": "solution_record",
@@ -181,6 +375,10 @@ class SolutionRecord:
     @classmethod
     def load(cls, prefix) -> "SolutionRecord":
         """Read a record written by :meth:`save`, of schema version 1 or 2.
+
+        ``w`` and ``accum`` are mapped copy-on-write from the file when they
+        are stored uncompressed, as :meth:`save` writes them; the other arrays,
+        and any compressed one, are read whole.
 
         Raises ValueError naming the offending file for an unreadable (e.g.
         truncated) sidecar, a sidecar of another kind or schema version or with
@@ -206,7 +404,8 @@ class SolutionRecord:
         try:
             # our own handle: np.load leaves the file open when the zip is unreadable
             with open(npz_path, "rb") as fh, np.load(fh) as data:
-                arrays = {name: data[name] for name in _ARRAY_NAMES if name in data.files}
+                arrays = {name: _read(fh, data, name) for name in _ARRAY_NAMES
+                          if name in data.files}
         except (zipfile.BadZipFile, EOFError, ValueError) as exc:
             raise ValueError(f"{npz_path}: unreadable record arrays ({exc})") from exc
         missing = [name for name in _ARRAY_NAMES if name not in arrays]

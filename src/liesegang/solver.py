@@ -75,7 +75,7 @@ from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing
 from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
-from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord
+from .records import BACK_OFFSETS, RIGHT_CELLS, RecordWriter, SolutionRecord
 from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
                     smoothstep_array)
 
@@ -534,10 +534,16 @@ DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step
 
 
 def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot_stride: int,
-            **options) -> SolutionRecord:
+            output=None, **options) -> SolutionRecord:
     """Step a :class:`Stepper` to ``t_max`` with snapshots every ``snapshot_stride``
     steps (and at the last step) and return the record.  The snapshot times are
-    fixed before the first step, the first at the stepper's start (0, or ``dt``)."""
+    fixed before the first step, the first at the stepper's start (0, or ``dt``).
+
+    With an ``output`` prefix, each snapshot row of ``w`` goes into the archive
+    ``<output>.npz`` as it is taken (:class:`records.RecordWriter`), and the
+    record maps ``w`` from it; ``record.save(output)`` finishes the archive.
+    A run that raises deletes it.
+    """
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     stepper = Stepper(params, grid, relay_kind, **options)
@@ -545,38 +551,58 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     taken = (steps % snapshot_stride == 0) | (steps == grid.n_t)
     taken[0] = True
     times = steps[taken] * grid.dt
-    # filled in place: stacking a list of snapshots would hold each one twice;
-    # the accumulator is stored on the relay window, as it is zero past it
-    w = np.empty((times.size, stepper.n))
+    # w rows go to the archive or into an array filled in place: stacking a
+    # list of snapshots would hold each one twice; the accumulator is stored
+    # on the relay window, as it is zero past it
+    shape = (times.size, stepper.n)
+    archive = None if output is None else RecordWriter(output, times, shape)
+    w = np.empty(shape) if archive is None else None
     accum = np.empty((times.size, stepper.m))
-    w[0], accum[0] = stepper.snapshot()
-    k = 1
-    for take in taken[1:].tolist():
-        stepper.step()
-        if take:
-            w[k], accum[k] = stepper.snapshot()
-            k += 1
+
+    def snapshot(k: int) -> None:
+        row, accum[k] = stepper.snapshot()
+        if archive is None:
+            w[k] = row
+        else:
+            archive.append(row)
+
+    try:
+        snapshot(0)
+        k = 1
+        for take in taken[1:].tolist():
+            stepper.step()
+            if take:
+                snapshot(k)
+                k += 1
+        if archive is not None:
+            w = archive.close_rows()
+    except BaseException:
+        if archive is not None:
+            archive.discard()
+        raise
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
         scheme=stepper.scheme, times=times, w=w, accum=accum,
         ignition_time=np.concatenate((stepper.state.ignition_time,
                                       np.full(stepper.n - stepper.m, np.nan))),
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
-        constants=stepper.constants,
+        constants=stepper.constants, _archive=archive,
     )
 
 
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-        snapshot_stride: int = 100, *, scheme: str = "deficit") -> SolutionRecord:
+        snapshot_stride: int = 100, *, scheme: str = "deficit", output=None) -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
     ``deficit``, the deficit formulation, or ``deposition``, the same record as
-    :func:`source_deposition_run`.
+    :func:`source_deposition_run`.  With an ``output`` prefix the run streams
+    its record into ``<output>.npz``, which ``record.save(output)`` finishes
+    (see :func:`_record`).
 
     Deterministic: identical inputs produce bit-identical records.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"run takes scheme {' or '.join(map(repr, SCHEMES))}, not {scheme!r}")
-    return _record(params, grid, relay_kind, snapshot_stride, scheme=scheme)
+    return _record(params, grid, relay_kind, snapshot_stride, output, scheme=scheme)
 
 
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:

@@ -1,0 +1,239 @@
+"""Streamed and mapped records: ``simulate`` writes each snapshot row of ``w``
+into the archive as it is taken, and ``load`` maps ``w`` and ``accum``.
+
+The streamed archive is byte for byte the one ``save`` writes, it appears
+under its name only when complete, and a damaged one exits 1 rather than
+faulting when read.
+"""
+import json
+import mmap
+import os
+import struct
+import tracemalloc
+import zipfile
+
+import numpy as np
+import pytest
+
+import liesegang as lg
+from liesegang import cli, config, fronts, records, solver
+
+# The coarse grid of tools/record_matrix.py.
+COARSE = {"dx": 0.02, "dt": 1e-4, "x_max": 4.0, "t_max": 0.26}
+ARRAYS = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
+
+
+def write_config(tmp_path, **keys) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(COARSE, output_dir=str(tmp_path), **keys)))
+    return str(path)
+
+
+def simulate(cfg: str, prefix: str = "rec") -> int:
+    return cli.main(["simulate", "-c", cfg, "-o", prefix])
+
+
+def mapped(array: np.ndarray) -> bool:
+    """Whether ``array`` is a plain ndarray over a memory map."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(array) is np.ndarray and isinstance(getattr(base, "obj", None), mmap.mmap)
+
+
+def arrays_equal(a, b) -> bool:
+    return all(np.array_equal(getattr(a, n), getattr(b, n), equal_nan=True) for n in ARRAYS)
+
+
+@pytest.fixture()
+def fixed_clock(monkeypatch):
+    """zipfile stamps each member with the time it was opened."""
+    monkeypatch.setattr(zipfile.time, "time", lambda: 1.6e9)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+def test_streamed_archive_is_the_saved_archive(tmp_path, fixed_clock, scheme, stride):
+    cfg_path = write_config(tmp_path, scheme=scheme, snapshot_stride=stride)
+    assert simulate(cfg_path, "streamed") == 0
+    cfg = config.parse_config(cfg_path)
+    in_memory = solver.run(cfg.params, cfg.grid, cfg.relay_kind, stride, scheme=scheme)
+    npz_path, _ = in_memory.save(tmp_path / "saved")
+    assert (tmp_path / "streamed.npz").read_bytes() == npz_path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "saved.json", "saved.npz", "streamed.json", "streamed.npz"]
+    back = lg.SolutionRecord.load(tmp_path / "streamed")
+    assert mapped(back.w) and mapped(back.accum) and not mapped(back.times)
+    assert arrays_equal(back, in_memory)
+
+
+def test_run_with_an_output_maps_its_w_read_only_until_saved(tmp_path):
+    cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+    record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "rec")
+    in_memory = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
+    assert mapped(record.w) and not record.w.flags.writeable
+    assert arrays_equal(record, in_memory)
+    # the archive is pending under its temporary name only
+    (pending,) = tmp_path.glob("rec.npz.*.tmp")
+    assert not (tmp_path / "rec.npz").exists()
+    record.save(tmp_path / "rec")
+    assert not pending.exists() and (tmp_path / "rec.npz").exists()
+    assert record.w.flags.writeable
+    assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), in_memory)
+
+
+def test_a_streamed_run_saved_elsewhere_is_written_anew(tmp_path, fixed_clock):
+    cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+    record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "a")
+    record.save(tmp_path / "b")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.npz", "cfg.json"]
+    assert record.w.flags.writeable
+    solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7).save(tmp_path / "c")
+    assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
+
+
+def test_a_run_never_saved_leaves_no_file(tmp_path):
+    cfg = config.parse_config(write_config(tmp_path))
+    record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 50, output=tmp_path / "rec")
+    assert list(tmp_path.glob("rec.npz.*.tmp"))
+    del record
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("layout", ["version_1", "with_p_and_ignition_u"])
+def test_older_layouts_load_mapped_and_equal(tmp_path, layout):
+    cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+    rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
+    npz_path, json_path = rec.save(tmp_path / "old")
+    with np.load(npz_path) as data:
+        stored = {k: data[k] for k in data.files}
+    if layout == "version_1":  # accum on the whole grid
+        stored["accum"] = np.pad(rec.accum, ((0, 0), (0, rec.x.size - rec.accum.shape[1])))
+        meta = json.loads(json_path.read_text())
+        meta["schema_version"] = 1
+        json_path.write_text(json.dumps(meta))
+    else:
+        stored.update(p=rec.p, ignition_u=rec.ignition_u.copy())
+    np.savez(npz_path, **stored)
+    old = lg.SolutionRecord.load(tmp_path / "old")
+    assert mapped(old.w) and mapped(old.accum)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(old, name), stored[name], equal_nan=True), name
+    assert np.array_equal(old.p, rec.p)
+
+
+def test_compressed_archives_are_read_whole(tmp_path):
+    cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+    rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
+    npz_path, _ = rec.save(tmp_path / "rec")
+    with np.load(npz_path) as data:
+        np.savez_compressed(npz_path, **{k: data[k] for k in data.files})
+    back = lg.SolutionRecord.load(tmp_path / "rec")
+    assert not mapped(back.w) and arrays_equal(back, rec)
+
+
+# tracemalloc sees numpy's buffers but not a memory map.
+def traced_peak(action) -> int:
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_load_hold_no_whole_w(tmp_path):
+    cfg = write_config(tmp_path, snapshot_stride=1)
+    assert traced_peak(lambda: simulate(cfg)) < 0.5 * (2601 * 201 * 8)
+    rec = lg.SolutionRecord.load(tmp_path / "rec")
+    assert rec.w.shape == (2601, 201)
+    del rec
+    peak = traced_peak(lambda: fronts.front_report(lg.SolutionRecord.load(tmp_path / "rec")))
+    assert peak < 2601 * 201 * 8
+
+
+class TestAtomicWrites:
+    def test_failed_run_leaves_the_old_record_and_no_stray_file(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        cfg = write_config(tmp_path, snapshot_stride=7)
+        assert simulate(cfg) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        step, seen = solver.Stepper.step, []
+
+        def failing_step(self):
+            if self.step_index == 1000:
+                seen.extend(p.name for p in tmp_path.iterdir() if p.name not in before)
+                raise solver.NonFiniteField("non-finite field at step 1000")
+            return step(self)
+
+        monkeypatch.setattr(solver.Stepper, "step", failing_step)
+        assert simulate(cfg) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        # while it ran, the archive had a temporary name, not ending in .npz
+        assert len(seen) == 1 and seen[0].startswith("rec.npz.") and seen[0].endswith(".tmp")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_failed_save_removes_its_temporary_file(self, tmp_path, monkeypatch, streamed):
+        cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+        rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7,
+                         output=tmp_path / "rec" if streamed else None)
+        write = records._write_member
+
+        def failing_write(archive, name, array):
+            if name == "ignition_time":
+                raise OSError("No space left on device")
+            write(archive, name, array)
+
+        monkeypatch.setattr(records, "_write_member", failing_write)
+        with pytest.raises(OSError, match="No space"):
+            rec.save(tmp_path / "rec")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_resaving_a_mapped_record_keeps_its_arrays(self, tmp_path):
+        cfg = write_config(tmp_path, snapshot_stride=7)
+        assert simulate(cfg) == 0
+        old = lg.SolutionRecord.load(tmp_path / "rec")
+        w, accum = old.w.copy(), old.accum.copy()
+        other = solver.run(old.params, old.grid, lg.RelayKind.mollified(1e-3), 3)
+        other.save(tmp_path / "rec")
+        assert np.array_equal(old.w, w) and np.array_equal(old.accum, accum)
+        assert lg.SolutionRecord.load(tmp_path / "rec").times.size == other.times.size
+        old.save(tmp_path / "rec")  # the mapped record can be written back over it
+        assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), old)
+
+
+def member_spans(npz_path) -> dict:
+    """(start, end) in the file of each member's data, and of the central directory."""
+    spans = {}
+    with open(npz_path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+        for info in archive.infolist():
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            start = info.header_offset + 30 + name_len + extra_len
+            spans[info.filename[:-4]] = (start, start + info.compress_size)
+        spans["central directory"] = (archive.start_dir, os.path.getsize(npz_path))
+    return spans
+
+
+@pytest.mark.parametrize("damage", ["times", "w", "accum", "central directory",
+                                    "w local size", "w flipped byte"])
+def test_damaged_archive_exits_1_naming_the_file(tmp_path, capsys, damage):
+    assert simulate(write_config(tmp_path, snapshot_stride=7)) == 0
+    npz_path = tmp_path / "rec.npz"
+    data = bytearray(npz_path.read_bytes())
+    spans = member_spans(npz_path)
+    if damage == "w local size":  # the stored size in w's ZIP64 local extra field
+        info_offset = spans["w"][0] - 20
+        (stored,) = struct.unpack_from("<Q", data, info_offset + 12)
+        struct.pack_into("<Q", data, info_offset + 12, stored - 8)
+    elif damage == "w flipped byte":
+        data[sum(spans["w"]) // 2] ^= 0x40
+    else:  # truncated inside the member's data or the central directory
+        del data[sum(spans[damage]) // 2:]
+    npz_path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main(["analyze", "-r", str(tmp_path / "rec")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "rec.npz: unreadable record arrays" in err

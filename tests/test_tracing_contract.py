@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import liesegang as lg
-from liesegang import model, solver
+from liesegang import cli, model, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -130,3 +130,34 @@ def test_time_loops_call_psi_through_the_model_namespace(monkeypatch, relay):
     calls.clear()
     record = solver.source_deposition_run(PARAMS, grid, relay, snapshot_stride=20)
     assert len(calls) == 1 + record.times.size
+
+
+def simulate(tmp_path) -> lg.SolutionRecord:
+    argv = ["simulate", "--dx", "0.02", "--dt", "1e-4", "--x-max", "2", "--t-max", "0.05",
+            "--stride", "20", "--output-dir", str(tmp_path), "-o", "rec"]
+    assert cli.main(argv) == 0
+    return lg.SolutionRecord.load(tmp_path / "rec")
+
+
+# The tracer's ``solver.run`` and ``records.save`` spans, and their hooks,
+# count a run and its record once per simulate.
+def test_cli_simulate_runs_once_and_saves_once(tmp_path, monkeypatch):
+    runs = spy_on(solver, "run", monkeypatch)
+    saves = spy_on(lg.SolutionRecord, "save", monkeypatch)
+    simulate(tmp_path)
+    assert len(runs) == 1 and len(saves) == 1
+
+
+# perfbench/smoke.py checks that a record without ignitions is counted as a
+# failed output check, by patching ``save`` this way: the streamed archive
+# must still take ``ignition_time`` from the record that ``save`` is given.
+def test_a_save_that_blanks_the_ignitions_writes_a_record_without_them(tmp_path, monkeypatch):
+    assert np.isfinite(simulate(tmp_path).ignition_time).any()
+    save = lg.SolutionRecord.save
+
+    def save_without_ignitions(self, prefix):
+        self.ignition_time[:] = np.inf
+        return save(self, prefix)
+
+    monkeypatch.setattr(lg.SolutionRecord, "save", save_without_ignitions)
+    assert not np.isfinite(simulate(tmp_path).ignition_time).any()
