@@ -14,8 +14,9 @@ tabulated once per record, per snapshot cell and only on the columns where p
 is ever non-zero (:func:`f1_mass_table`, cached on the record), so each probe
 costs one kernel-matrix contraction over that table.  ``p`` and ``u`` are
 derived on those columns only, and u_t, with its ``u``, only on the snapshot
-rows a probe reads (:func:`ut_table`), so none of them is built on the whole
-record.
+rows and the two columns around the probe that it reads (:func:`ut_table`), so
+none of them is built on the whole record.  The table and the contraction go
+in blocks of rows whose temporaries stay within ``_BLOCK_BYTES``.
 
 F2's integrand has an integrable ``1/sqrt(t - ell)`` singularity where the
 front crosses the evaluation time.  Each grid cell is integrated with the
@@ -41,6 +42,9 @@ DEFAULT_RATE_FLOOR = 1e-4
 # convolution is replaced by its nascent-delta limit.
 _SMOOTH_TAU_CELLS = 9.0
 _FLAT_CELL_REL = 1e-6
+# Bytes of one block of rows of the F1 table's and kernel contraction's
+# temporaries; a block this small is reused from the cache, not faulted in anew.
+_BLOCK_BYTES = 1 << 17
 
 
 class InsufficientSnapshots(ValueError):
@@ -57,29 +61,47 @@ class DegenerateRate(ValueError):
 
 # -- u_t from snapshots -------------------------------------------------------
 
-def ut_table(record: SolutionRecord, k: int) -> np.ndarray:
-    """Discrete u_t at snapshot ``k``: centered differences, one-sided at the
-    record ends and around each node's ignition time.  u is derived on the
-    snapshot rows the stencil reads only."""
+def ut_table(record: SolutionRecord, k: int, cols=slice(None)) -> np.ndarray:
+    """Discrete u_t at snapshot ``k`` on grid columns ``cols`` (a slice or an
+    index array): centered differences, one-sided at the record ends and
+    around each node's ignition time.  u is derived on the snapshot rows the
+    stencil reads and on ``cols`` only."""
     t = record.times
     if k == 0:
-        u = record.u_on(slice(0, 2))
+        u = record.u_on(slice(0, 2), cols)
         return (u[1] - u[0]) / (t[1] - t[0])
     if k == t.size - 1:
-        u = record.u_on(slice(k - 1, k + 1))
+        u = record.u_on(slice(k - 1, k + 1), cols)
         return (u[1] - u[0]) / (t[-1] - t[-2])
-    before, now, after = record.u_on(slice(k - 1, k + 2))
+    before, now, after = record.u_on(slice(k - 1, k + 2), cols)
     row = (after - before) / (t[k + 1] - t[k - 1])
     # A centered stencil that straddles a node's ignition time switches to the
     # one-sided difference taken on its own side of the front: backward when
     # the ignition lies in (t_k, t_k+1], forward when it lies in (t_k-1, t_k].
-    ignited = np.flatnonzero(np.isfinite(record.ignition_time))
-    k_up = np.searchsorted(t, record.ignition_time[ignited])
+    ignition_time = record.ignition_time[cols]
+    ignited = np.flatnonzero(np.isfinite(ignition_time))
+    k_up = np.searchsorted(t, ignition_time[ignited])
     back = ignited[k_up == k + 1]
     row[back] = (now[back] - before[back]) / (t[k] - t[k - 1])
     fwd = ignited[k_up == k]
     row[fwd] = (after[fwd] - now[fwd]) / (t[k + 1] - t[k])
     return row
+
+
+def _around(xg: np.ndarray, x: float) -> slice:
+    """The two grid columns ``np.interp`` reads at ``x``: the nodes that
+    bracket it, or the two end nodes when it is at or past an end.  On them
+    ``np.interp`` gives the float it gives on the whole grid."""
+    j = int(np.searchsorted(xg, x, side="right"))
+    lo = max(min(j - 1, xg.size - 2), 0)
+    return slice(lo, lo + 2)
+
+
+def _rows_per_block(n_cols: int, n_rows: int) -> int:
+    """Rows in one block of an (n_rows x n_cols) float table.  numpy sums a
+    single column pairwise, not row after row, so it is taken in one block:
+    the blocked sum keeps the bits of one sum over all the rows."""
+    return max(_BLOCK_BYTES // (8 * n_cols), 1) if n_cols > 1 else max(n_rows, 1)
 
 
 # -- F1 ------------------------------------------------------------------------
@@ -98,14 +120,19 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     # The accumulator never decreases, so p is ever non-zero exactly where it
     # is non-zero at the last snapshot.
     cols = np.flatnonzero(record.p_on(-1) > 0.0)
-    p = record.p_on(cols=cols)
-    u = record.u_on(cols=cols)
     ell = record.ignition_time[cols]
     times = record.times[:, None]
-    # NaN (never ignited) compares false, so such a column has no crossing cell.
-    crossing = (ell > times[:-1]) & (ell <= times[1:])
-    mass = np.where(crossing, p[1:] * (u[1:] - record.params.u_star),
-                    0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1]))
+    n_cells = times.size - 1
+    mass = np.empty((n_cells, cols.size))
+    step = _rows_per_block(cols.size, n_cells)
+    for lo in range(0, n_cells, step):
+        hi = min(lo + step, n_cells)
+        p = record.p_on(slice(lo, hi + 1), cols)
+        u = record.u_on(slice(lo, hi + 1), cols)
+        # NaN (never ignited) compares false, so such a column has no crossing cell.
+        crossing = (ell > times[lo:hi]) & (ell <= times[lo + 1:hi + 1])
+        mass[lo:hi] = np.where(crossing, p[1:] * (u[1:] - record.params.u_star),
+                               0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1]))
     record._f1_mass_cache = (cols, mass)
     return record._f1_mass_cache
 
@@ -128,6 +155,10 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     nascent-delta limit of the convolution, and the final sub-step [t_K, t]
     uses the exact kernel time integral, which is (t - t_K) for the frozen
     integrand.
+
+    The contraction runs over blocks of cells, each block's first row
+    seeded with the sum of the rows before it: the rows are added in the
+    order of one sum over all of them, so the float is the same.
     """
     dt = record.grid.dt
     if t < 10.0 * dt:
@@ -147,17 +178,27 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     # tau_mid decreases with k, so the resolved cells are a prefix.
     n_far = int(np.count_nonzero(tau_mid >= _SMOOTH_TAU_CELLS * dx * dx))
     y = xg[cols]
-    tau = tau_mid[:n_far, None]
-    kern = model.heat_kernel(x - y, tau) + model.heat_kernel(x + y, tau)
+    cell_sum = np.zeros(cols.size)
+    step = _rows_per_block(cols.size, n_far)
+    for lo in range(0, n_far, step):
+        hi = min(lo + step, n_far)
+        tau = tau_mid[lo:hi, None]
+        kern = model.heat_kernel(x - y, tau) + model.heat_kernel(x + y, tau)
+        kern *= mass[lo:hi]
+        if lo:
+            kern[0] += cell_sum
+        cell_sum = np.sum(kern, axis=0)
     weights = np.where((cols == 0) | (cols == xg.size - 1), 0.5 * dx, dx)
-    total = float(np.sum(kern * mass[:n_far], axis=0) @ weights)
+    total = float(cell_sum @ weights)
 
     row = np.zeros(xg.size)
     for k in range(n_far, K):
         row[cols] = mass[k]
         total += float(np.interp(x, xg, row))
 
-    total += (t - times[K]) * float(np.interp(x, xg, record.p_on(K) * ut_table(record, K)))
+    near = _around(xg, x)
+    total += (t - times[K]) * float(np.interp(x, xg[near], record.p_on(K, near)
+                                              * ut_table(record, K, near)))
     return float(total)
 
 
@@ -253,8 +294,9 @@ def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
     for (x, t) in probes:
         _off_front_guard(front, x, t, record.grid.dx, record.grid.dt)
         k, frac = record.bracket(t)
-        u_t = float(np.interp(x, record.x, (1.0 - frac) * ut_table(record, k)
-                              + frac * ut_table(record, k + 1)))
+        near = _around(record.x, x)
+        u_t = float(np.interp(x, record.x[near], (1.0 - frac) * ut_table(record, k, near)
+                              + frac * ut_table(record, k + 1, near)))
         p_t = model.psi_t(x, t, record.params)
         f1 = eval_F1(record, x, t)
         f2 = eval_F2(front, x, t, slope_floor=slope_floor)

@@ -118,10 +118,21 @@ def psi(x, t, params: ModelParams):
 def _on_positive_t(x, t, formula):
     """``formula(x, t)`` element by element over the broadcast of ``x`` and
     ``t`` where t > 0, and 0 elsewhere (NaN t included).  ``formula`` sees
-    NaN in place of every other t, so it raises no warning there."""
-    x_arr, t_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    NaN in place of every other t, so it raises no warning there.
+
+    When every t is positive and no x is NaN, ``formula`` gets ``x`` and
+    ``t`` unbroadcast, and gives the same bits: the only NaN it can meet is
+    the one the hardware makes, whose bits are fixed.  A NaN in ``x`` may
+    come out with another sign bit when the operands of a loop differ in
+    shape, so it takes the broadcast path.
+    """
+    x_arr, t_arr = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     positive = t_arr > 0
-    out = np.where(positive, formula(x_arr, np.where(positive, t_arr, np.nan)), 0.0)
+    if positive.all() and not np.isnan(x_arr).any():
+        out = np.asarray(formula(x_arr, t_arr))
+    else:
+        x_arr, t_arr, positive = np.broadcast_arrays(x_arr, t_arr, positive)
+        out = np.where(positive, formula(x_arr, np.where(positive, t_arr, np.nan)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -557,6 +557,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     shape = (times.size, stepper.n)
     archive = None if output is None else RecordWriter(output, times, shape)
     w = np.empty(shape) if archive is None else None
+    w_rows = None
     accum = np.empty((times.size, stepper.m))
 
     def snapshot(k: int) -> None:
@@ -575,7 +576,8 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
                 snapshot(k)
                 k += 1
         if archive is not None:
-            w = archive.close_rows()
+            w_rows = archive.close_rows()
+            w = w_rows.array
     except BaseException:
         if archive is not None:
             archive.discard()
@@ -586,7 +588,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
         ignition_time=np.concatenate((stepper.state.ignition_time,
                                       np.full(stepper.n - stepper.m, np.nan))),
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
-        constants=stepper.constants, _archive=archive,
+        constants=stepper.constants, _archive=archive, _w_rows=w_rows,
     )
 
 

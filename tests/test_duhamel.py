@@ -100,6 +100,27 @@ class TestUtTable:
             for k in range(rec.times.size):
                 assert np.array_equal(duhamel.ut_table(rec, k), ref[k]), k
 
+    def test_columns_around_x_give_the_whole_grid_interpolation(self, rec_oracle):
+        rec, xg = rec_oracle, rec_oracle.x
+        x_values = {"node": xg[7], "zero": 0.0, "x_max": xg[-1], "between": 0.5 * (xg[3] + xg[4]),
+                    "front": rec.x[np.flatnonzero(np.isfinite(rec.ignition_time))[-1]] + 1e-3}
+        assert x_values["x_max"] == rec.grid.x_max
+        for name, x in x_values.items():
+            near = duhamel._around(xg, x)
+            assert near.stop - near.start == 2 and xg[near][0] <= x <= xg[near][-1], name
+            for k in range(rec.times.size):
+                ut = duhamel.ut_table(rec, k)
+                ut_near = duhamel.ut_table(rec, k, near)
+                assert np.array_equal(ut_near, ut[near]), (name, k)
+                assert (np.float64(np.interp(x, xg[near], ut_near)).tobytes()
+                        == np.float64(np.interp(x, xg, ut)).tobytes()), (name, k)
+
+    def test_rows_on_index_columns_match_the_whole_row(self, rec_oracle):
+        cols = np.array([0, 5, 2, rec_oracle.x.size - 1])
+        for k in range(rec_oracle.times.size):
+            assert np.array_equal(duhamel.ut_table(rec_oracle, k, cols),
+                                  duhamel.ut_table(rec_oracle, k)[cols]), k
+
     def test_diagnostics_report_does_not_build_p(self, rec_coarse_sharp):
         from liesegang.config import default_probe_ladder
         rec = dataclasses.replace(rec_coarse_sharp, _f1_mass_cache=None)
@@ -151,6 +172,28 @@ class TestF1:
                     & (rec.ignition_time[cols] <= rec.times[1:, None]))
         np.testing.assert_array_equal(mass, np.where(
             crossing, p[1:] * (u[1:] - rec.params.u_star), 0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1])))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 50])
+    def test_blocks_of_rows_keep_the_bits_of_one_block(self, rec_oracle, monkeypatch, rows):
+        probes = list(oracle_probes(rec_oracle).values())
+
+        def table_and_f1(block_bytes):
+            monkeypatch.setattr(duhamel, "_BLOCK_BYTES", block_bytes)
+            rec = dataclasses.replace(rec_oracle, _f1_mass_cache=None)
+            cols, mass = duhamel.f1_mass_table(rec)
+            return cols.size, mass, [duhamel.eval_F1(rec, x, t) for x, t in probes]
+
+        n_cols, whole, f1_whole = table_and_f1(1 << 40)
+        assert n_cols > 1
+        _, blocked, f1_blocked = table_and_f1(8 * n_cols * rows)
+        assert whole.tobytes() == blocked.tobytes()
+        assert np.array(f1_whole).tobytes() == np.array(f1_blocked).tobytes()
+
+    def test_one_column_is_one_block(self):
+        # numpy sums a single column pairwise, so blocks of it would change the bits
+        assert duhamel._rows_per_block(1, 5000) == 5000
+        assert duhamel._rows_per_block(0, 0) == 1
+        assert duhamel._rows_per_block(2, 5000) == duhamel._BLOCK_BYTES // 16
 
     def test_zero_precipitation_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)

@@ -180,6 +180,9 @@ def _called(fn, *args):
        X_VALUES | st.lists(X_VALUES, min_size=1, max_size=6),
        T_VALUES | st.lists(T_VALUES, min_size=1, max_size=5))
 @example("psi_t", math.inf, -1.0)  # psi_t(inf, 1.0) warns: NaN stands in for t <= 0
+# a NaN x against positive t: numpy's loops keep its sign bit only on broadcast operands
+@example("heat_kernel_time_integral", math.nan, [0.5])
+@example("heat_kernel", [0.3, 0.3, math.nan], [0.5, 2.0, 3.0])
 def test_closed_forms_equal_their_unshared_guards_bit_for_bit(name, x, t):
     # a list of t is a column, so two lists broadcast to a block
     x_in = np.array(x) if isinstance(x, list) else x
