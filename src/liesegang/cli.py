@@ -100,7 +100,8 @@ def _run_from_config(cfg: RunConfig, output=None) -> SolutionRecord:
     streamed into ``<output>.npz`` when given an ``output`` prefix."""
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind,
                         snapshot_stride=cfg.snapshot_stride, scheme=cfg.scheme, output=output)
-    return replace(record, constants=cfg.constants)
+    record.constants = cfg.constants  # not ``replace``, which would read a stored ``w`` whole
+    return record
 
 
 def _configured_agreement_tol(cfg: RunConfig | None, args) -> float | None:

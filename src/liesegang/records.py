@@ -30,17 +30,17 @@ The archive is written by one :class:`RecordWriter`, under a temporary name
 that is renamed over ``<prefix>.npz`` once the archive is complete: ``save``
 feeds it a record's whole ``w`` at once, and a run given an output prefix
 (``solver.run(output=)``) each snapshot row of ``w`` as it is taken.
-``load`` maps ``w`` and ``accum`` copy-on-write from the file, ``w``
-read-only, as is the ``w`` of a streamed record until it is saved.
-:meth:`SolutionRecord.u_on` reads such a ``w`` with positioned reads of the
-rows and the column span it asks for (:class:`StoredRows`), not through the
-map: touching a map pages in far more than the bytes touched.
+``load`` leaves ``w`` and ``accum`` in the file when they are stored
+uncompressed, as is the ``w`` of a streamed record (:class:`StoredRows`).
+:meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` read such an
+array with positioned reads of the rows and the column span they ask for; the
+first access to the attribute itself reads it whole into memory, where it
+stays, so the record's own array is always a plain ``ndarray``.
 """
 from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import secrets
 import struct
@@ -62,13 +62,13 @@ RIGHT_CELLS = 5
 # 1: ``accum`` on the whole grid; 2: on the leading columns only, zero past them.
 RECORD_SCHEMA_VERSION = 2
 _ARRAY_NAMES = ("times", "w", "accum", "ignition_time", "ignition_u_right", "ignition_u_back")
-# The arrays load maps from the file instead of reading them.
-_MAPPED = ("w", "accum")
+# The arrays load leaves in the file, to be read as they are used.
+_STORED = ("w", "accum")
 # A zip member's local header (``zipfile.structFileHeader``): signature, ...,
 # flag bits [3], ..., compressed size [8], size [9], name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _DATA_DESCRIPTOR_FLAG = 0x08  # sizes follow the data, not in the local header
-# load checks a mapped member's CRC by reading it through a buffer of this size.
+# load checks a stored member's CRC by reading it through a buffer of this size.
 _CRC_CHUNK_BYTES = 1 << 18
 
 
@@ -77,17 +77,6 @@ def _paths(prefix) -> tuple[Path, Path]:
     prefixes containing dots (e.g. ``eps_0.0005``) stay intact."""
     prefix = Path(prefix)
     return prefix.parent / (prefix.name + ".npz"), prefix.parent / (prefix.name + ".json")
-
-
-def _map(fh, offset: int, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """The array stored at ``offset`` of the open file ``fh``, a plain ndarray
-    over a copy-on-write map: pages are read as they are touched, and writes
-    stay private to the process."""
-    start = offset - offset % mmap.ALLOCATIONGRANULARITY
-    count = math.prod(shape)
-    buf = mmap.mmap(fh.fileno(), offset - start + count * dtype.itemsize,
-                    access=mmap.ACCESS_COPY, offset=start)
-    return np.frombuffer(buf, dtype, count, offset - start).reshape(shape)
 
 
 def _local_sizes(header: tuple, extra: bytes) -> tuple[int, int]:
@@ -111,8 +100,7 @@ def _member_layout(fh, info: zipfile.ZipInfo) -> tuple[int, tuple, np.dtype] | N
 
     Raises ValueError unless the member's local header states the sizes in
     the central directory and its stored size is its ``.npy`` header plus the
-    data that header implies, all within the file: so no read of a map of it
-    can fault past the end of the file.
+    data that header implies, all within the file.
     """
     if info.compress_type != zipfile.ZIP_STORED:
         return None
@@ -155,37 +143,34 @@ def _pread_into(fd: int, buf: np.ndarray, offset: int) -> None:
 
 
 class StoredRows:
-    """The 2-D C-order array stored at ``offset`` of an open file.
-
-    :attr:`array` maps it read-only (:func:`_map`); :meth:`read` reads part
-    of it with positioned reads on a duplicate of the file's descriptor,
-    which is closed once this object is dropped.  A read of the map pages in
-    whole runs of pages around the bytes it touches; a positioned read fills
-    a new buffer with those bytes only.
+    """The C-order array of ``shape`` and ``dtype`` stored at ``offset`` of an
+    open file, read with positioned reads on a duplicate of the file's
+    descriptor, which is closed once this object is dropped.  A reader of a
+    file since replaced or deleted keeps reading the old one.
     """
 
     def __init__(self, fh, offset: int, shape: tuple, dtype: np.dtype):
-        self.array = _map(fh, offset, shape, dtype)
-        self.array.flags.writeable = False
-        self.offset = offset
+        self.offset, self.shape, self.dtype = offset, shape, dtype
         self.fd = os.dup(fh.fileno())
         self.closer = weakref.finalize(self, os.close, self.fd)
 
-    def serves(self, w: np.ndarray) -> bool:
-        """Whether reads of ``w`` may go to the file: ``w`` is :attr:`array`,
-        still read-only, and the platform has positioned reads."""
-        return w is self.array and not w.flags.writeable and hasattr(os, "preadv")
+    def whole(self) -> np.ndarray:
+        """The whole array, a new array read from the file."""
+        out = np.empty(self.shape, self.dtype)
+        _pread_into(self.fd, out, self.offset)
+        return out
 
     def read(self, rows, cols) -> np.ndarray:
-        """``array[rows][..., cols]`` (each an int, a slice or an index array),
-        a new array read from the file: on each row, the columns from the
-        least to the greatest of ``cols``."""
-        n_rows, n_cols = self.array.shape
+        """``whole()[rows][..., cols]`` of a 2-D array (``rows`` and ``cols``
+        each an int, a slice or an index array), a new array read from the
+        file: on each row, the columns from the least to the greatest of
+        ``cols``."""
+        n_rows, n_cols = self.shape
         r, c = np.arange(n_rows)[rows], np.arange(n_cols)[cols]
         if not (r.size and c.size):
-            return np.empty(r.shape + c.shape, self.array.dtype)
+            return np.empty(r.shape + c.shape, self.dtype)
         lo = int(c.min())
-        block = np.empty((r.size, int(c.max()) + 1 - lo), self.array.dtype)
+        block = np.empty((r.size, int(c.max()) + 1 - lo), self.dtype)
         for buf, row in zip(block, r.ravel().tolist()):
             _pread_into(self.fd, buf, self.offset + (row * n_cols + lo) * block.itemsize)
         return block[:, c - lo].reshape(r.shape + c.shape)
@@ -193,18 +178,18 @@ class StoredRows:
 
 def _read(fh, data, name: str) -> np.ndarray | StoredRows:
     """Array ``name`` of the record archive open as ``fh`` and as the NpzFile
-    ``data``: ``w`` stored (:class:`StoredRows`) and ``accum`` mapped, after
+    ``data``: ``w`` and ``accum`` left in the file (:class:`StoredRows`) after
     their CRC is checked by a read through a small buffer, and any other
     array read whole."""
     member = name + ".npy"
-    if name in _MAPPED and member in data.zip.namelist():
+    if name in _STORED and member in data.zip.namelist():
         info = data.zip.getinfo(member)
         layout = _member_layout(fh, info)
         if layout is not None:
             with data.zip.open(info) as stream:  # raises BadZipFile on a CRC mismatch
                 while stream.read(_CRC_CHUNK_BYTES):
                     pass
-            return StoredRows(fh, *layout) if name == "w" else _map(fh, *layout)
+            return StoredRows(fh, *layout)
     return data[name]
 
 
@@ -234,7 +219,7 @@ class RecordWriter:
     :meth:`finish` the other arrays of a record.  Until then the file has a
     temporary name in the target directory, ending in ``.tmp``, never
     ``.npz``; :meth:`finish` renames it over the target, so no reader sees a
-    partial archive and one that mapped the old file keeps its arrays (its
+    partial archive and one that reads the old file keeps its arrays (its
     inode survives).  :meth:`discard`, or dropping the writer unfinished,
     deletes the file.
     """
@@ -242,7 +227,7 @@ class RecordWriter:
     def __init__(self, prefix, times: np.ndarray, w_shape: tuple, w_dtype=float):
         self.path = _paths(prefix)[0]
         self.tmp = self.path.with_name(f"{self.path.name}.{secrets.token_hex(4)}.tmp")
-        self.times, self.w = times, None
+        self.times, self.stored = times, None
         self._file = open(self.tmp, "xb")
         self._zip = zipfile.ZipFile(self._file, "w", zipfile.ZIP_STORED, allowZip64=True)
         handles = [self._zip, self._file]
@@ -259,20 +244,18 @@ class RecordWriter:
         self._rows.write(np.ascontiguousarray(rows).data)
 
     def close_rows(self) -> StoredRows:
-        """End ``w`` and return it as stored in the file, its array read-only
-        until :meth:`finish`: the archive already holds its rows."""
+        """End ``w`` and return it as stored in the file."""
         self._rows.close()
         self._file.flush()
         with open(self.tmp, "rb") as fh:
-            rows = StoredRows(fh, *_member_layout(fh, self._zip.getinfo("w.npy")))
-        self.w = rows.array
-        return rows
+            self.stored = StoredRows(fh, *_member_layout(fh, self._zip.getinfo("w.npy")))
+        return self.stored
 
     def holds(self, record: "SolutionRecord", npz_path: Path) -> bool:
         """Whether this unfinished archive of ``npz_path`` holds the ``times``
-        and the mapped ``w`` of ``record``."""
+        of ``record`` and its ``w``, still stored and not read into memory."""
         return (self._finalizer.alive and self.path == npz_path
-                and record.times is self.times and record.w is self.w)
+                and record.times is self.times and record._stored.get("w") is self.stored)
 
     def finish(self, record: "SolutionRecord") -> None:
         """Write ``record``'s arrays after ``w``, complete the archive and
@@ -289,11 +272,8 @@ class RecordWriter:
             self.discard()
 
     def discard(self) -> None:
-        """Delete the archive unless it is finished.  The mapped ``w`` becomes
-        writable (copy-on-write): no write can now be lost from the archive."""
+        """Delete the archive unless it is finished."""
         self._finalizer()
-        if self.w is not None:
-            self.w.flags.writeable = True
 
 
 def _exactly(cls, d: dict):
@@ -338,8 +318,30 @@ class SolutionRecord:
     # The unfinished archive a run streamed ``times`` and ``w`` into; ``save``
     # to its prefix finishes it.
     _archive: RecordWriter | None = field(default=None, repr=False, compare=False)
-    # The file ``w`` is mapped from, which ``u_on`` reads while ``w`` is read-only.
-    _w_rows: StoredRows | None = field(default=None, repr=False, compare=False)
+    # ``w`` or ``accum`` as stored in a file, until the attribute is read whole.
+    _stored: dict[str, StoredRows] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in _STORED:
+            if isinstance(vars(self)[name], StoredRows):
+                self._stored[name] = vars(self).pop(name)
+
+    def __getattr__(self, name: str):
+        """A stored array, read whole into memory on its first access."""
+        stored = vars(self).get("_stored", {})
+        if name not in stored:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, stored[name].whole())
+        del stored[name]
+        return vars(self)[name]
+
+    def _rows_of(self, name: str, rows, cols) -> np.ndarray:
+        """``getattr(self, name)[rows][..., cols]``, read from the file while
+        the array is stored there."""
+        stored = self._stored.get(name)
+        return (getattr(self, name)[rows][..., cols] if stored is None
+                else stored.read(rows, cols))
 
     @property
     def x(self) -> np.ndarray:
@@ -366,18 +368,13 @@ class SolutionRecord:
         int, a slice or an index array) only.
 
         ``model.psi`` acts element by element, so every value is bit-equal to
-        the matching entry of :attr:`u`.  A ``w`` that is read-only and
-        stored in a file (a loaded record's, or a streamed one's until it is
-        saved) is read from the file (:meth:`StoredRows.read`), not through
-        its map; any other ``w`` is sliced.
+        the matching entry of :attr:`u`.  A ``w`` still stored in a file is
+        read from it (:meth:`StoredRows.read`); one in memory is sliced.
         """
         x, t = self.x[cols], self.times[rows]
         if np.ndim(x) and np.ndim(t):
             t = t[..., None]
-        stored = self._w_rows
-        w = (stored.read(rows, cols) if stored is not None and stored.serves(self.w)
-             else self.w[rows][..., cols])
-        return w + model.psi(x, t, self.params)
+        return self._rows_of("w", rows, cols) + model.psi(x, t, self.params)
 
     def bracket(self, t: float) -> tuple[int, float]:
         """``(k, frac)``: time ``t`` interpolates snapshots ``k`` and ``k + 1``
@@ -390,14 +387,16 @@ class SolutionRecord:
     def p_on(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """p on snapshot ``rows`` and grid columns ``cols`` (each an int, a slice
         or an index array) only: ``relay.evaluate`` on the stored accumulator
-        columns among ``cols``, bit-equal to :attr:`p`, and zero on the others."""
+        columns among ``cols``, bit-equal to :attr:`p`, and zero on the others.
+        An ``accum`` still stored in a file is read from it, as ``w`` is by
+        :meth:`u_on`."""
         cols = np.arange(self.x.size)[cols]
-        stored = cols < self.accum.shape[1]
-        accum = self.accum[rows]
+        stored = cols < (self._stored.get("accum") or self.accum).shape[1]
         if cols.ndim and stored.all():  # no zero to add: evaluate's array is the result
-            return evaluate(accum[..., cols], self.relay_kind)
+            return evaluate(self._rows_of("accum", rows, cols), self.relay_kind)
+        accum = self._rows_of("accum", rows, cols[stored])
         out = np.zeros(accum.shape[:-1] + cols.shape)
-        out[..., stored] = evaluate(accum[..., cols[stored]], self.relay_kind)
+        out[..., stored] = evaluate(accum, self.relay_kind)
         return out
 
     # -- serialization ----------------------------------------------------
@@ -436,10 +435,11 @@ class SolutionRecord:
     def load(cls, prefix) -> "SolutionRecord":
         """Read a record written by :meth:`save`, of schema version 1 or 2.
 
-        ``w`` and ``accum`` are mapped copy-on-write from the file when they
-        are stored uncompressed, as :meth:`save` writes them, and ``w``
-        read-only (:class:`StoredRows`); the other arrays, and any compressed
-        one, are read whole.
+        ``w`` and ``accum`` stay in the file when they are stored
+        uncompressed, as :meth:`save` writes them (:class:`StoredRows`):
+        :meth:`u_on` and :meth:`p_on` read the rows and columns they need, and
+        the first access to ``record.w`` or ``record.accum`` reads it whole.
+        The other arrays, and any compressed one, are read whole here.
 
         Raises ValueError naming the offending file for an unreadable (e.g.
         truncated) sidecar, a sidecar of another kind or schema version or with
@@ -469,18 +469,13 @@ class SolutionRecord:
                           if name in data.files}
         except (zipfile.BadZipFile, EOFError, ValueError) as exc:
             raise ValueError(f"{npz_path}: unreadable record arrays ({exc})") from exc
-        w_rows = arrays.get("w")
-        if isinstance(w_rows, StoredRows):
-            arrays["w"] = w_rows.array
-        else:
-            w_rows = None
         missing = [name for name in _ARRAY_NAMES if name not in arrays]
         if missing:
             raise ValueError(f"{npz_path}: missing arrays {', '.join(missing)}")
         n_snap, n_nodes = arrays["times"].size, fields["grid"].n_x + 1
         # version 2 stores the accumulator's leading columns, up to the grid's
         accum_cols = n_nodes
-        if version == RECORD_SCHEMA_VERSION and arrays["accum"].ndim == 2:
+        if version == RECORD_SCHEMA_VERSION and len(arrays["accum"].shape) == 2:
             accum_cols = min(arrays["accum"].shape[1], n_nodes)
         expected = {
             "times": (n_snap,), "w": (n_snap, n_nodes), "accum": (n_snap, accum_cols),
@@ -492,7 +487,7 @@ class SolutionRecord:
         if bad:
             raise ValueError(f"{npz_path}: array shapes do not match the grid and times: "
                              + "; ".join(bad))
-        return cls(**fields, **arrays, _w_rows=w_rows)
+        return cls(**fields, **arrays)
 
     def write_csv(self, path) -> None:
         """Snapshot dump: header row, then one row per snapshot (t, u per node),

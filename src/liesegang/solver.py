@@ -541,7 +541,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
 
     With an ``output`` prefix, each snapshot row of ``w`` goes into the archive
     ``<output>.npz`` as it is taken (:class:`records.RecordWriter`), and the
-    record maps ``w`` from it; ``record.save(output)`` finishes the archive.
+    record reads ``w`` from it; ``record.save(output)`` finishes the archive.
     A run that raises deletes it.
     """
     if snapshot_stride < 1:
@@ -557,7 +557,6 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     shape = (times.size, stepper.n)
     archive = None if output is None else RecordWriter(output, times, shape)
     w = np.empty(shape) if archive is None else None
-    w_rows = None
     accum = np.empty((times.size, stepper.m))
 
     def snapshot(k: int) -> None:
@@ -576,8 +575,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
                 snapshot(k)
                 k += 1
         if archive is not None:
-            w_rows = archive.close_rows()
-            w = w_rows.array
+            w = archive.close_rows()
     except BaseException:
         if archive is not None:
             archive.discard()
@@ -588,7 +586,7 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
         ignition_time=np.concatenate((stepper.state.ignition_time,
                                       np.full(stepper.n - stepper.m, np.nan))),
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
-        constants=stepper.constants, _archive=archive, _w_rows=w_rows,
+        constants=stepper.constants, _archive=archive,
     )
 
 

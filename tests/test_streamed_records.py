@@ -1,12 +1,12 @@
-"""Streamed and mapped records: ``simulate`` writes each snapshot row of ``w``
-into the archive as it is taken, and ``load`` maps ``w`` and ``accum``.
+"""Streamed and stored records: ``simulate`` writes each snapshot row of ``w``
+into the archive as it is taken, and ``load`` leaves ``w`` and ``accum`` in
+the file, to be read as they are used.
 
 The streamed archive is byte for byte the one ``save`` writes, it appears
 under its name only when complete, and a damaged one exits 1 rather than
 faulting when read.
 """
 import json
-import mmap
 import os
 import struct
 import tracemalloc
@@ -33,12 +33,9 @@ def simulate(cfg: str, prefix: str = "rec") -> int:
     return cli.main(["simulate", "-c", cfg, "-o", prefix])
 
 
-def mapped(array: np.ndarray) -> bool:
-    """Whether ``array`` is a plain ndarray over a memory map."""
-    base = array
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return type(array) is np.ndarray and isinstance(getattr(base, "obj", None), mmap.mmap)
+def stored(record) -> set:
+    """The arrays of ``record`` still read from its file, not yet read whole."""
+    return set(record._stored)
 
 
 def arrays_equal(a, b) -> bool:
@@ -63,22 +60,24 @@ def test_streamed_archive_is_the_saved_archive(tmp_path, fixed_clock, scheme, st
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cfg.json", "saved.json", "saved.npz", "streamed.json", "streamed.npz"]
     back = lg.SolutionRecord.load(tmp_path / "streamed")
-    assert mapped(back.w) and mapped(back.accum) and not mapped(back.times)
+    assert stored(back) == {"w", "accum"}
     assert arrays_equal(back, in_memory)
+    assert not stored(back) and type(back.w) is np.ndarray and type(back.accum) is np.ndarray
 
 
-def test_run_with_an_output_maps_its_w_read_only_until_saved(tmp_path):
+def test_run_with_an_output_reads_its_w_from_the_archive(tmp_path):
     cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "rec")
     in_memory = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
-    assert mapped(record.w) and not record.w.flags.writeable
-    assert arrays_equal(record, in_memory)
+    assert stored(record) == {"w"}
+    assert np.array_equal(record.u_on(), in_memory.u_on())
     # the archive is pending under its temporary name only
     (pending,) = tmp_path.glob("rec.npz.*.tmp")
     assert not (tmp_path / "rec.npz").exists()
     record.save(tmp_path / "rec")
     assert not pending.exists() and (tmp_path / "rec.npz").exists()
-    assert record.w.flags.writeable
+    assert stored(record) == {"w"}  # now read from the renamed archive
+    assert arrays_equal(record, in_memory)
     assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), in_memory)
 
 
@@ -87,7 +86,7 @@ def test_a_streamed_run_saved_elsewhere_is_written_anew(tmp_path, fixed_clock):
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "a")
     record.save(tmp_path / "b")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.npz", "cfg.json"]
-    assert record.w.flags.writeable
+    assert not stored(record)  # w was read whole to be written anew
     solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7).save(tmp_path / "c")
     assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
 
@@ -101,25 +100,26 @@ def test_a_run_never_saved_leaves_no_file(tmp_path):
 
 
 @pytest.mark.parametrize("layout", ["version_1", "with_p_and_ignition_u"])
-def test_older_layouts_load_mapped_and_equal(tmp_path, layout):
+def test_older_layouts_load_stored_and_equal(tmp_path, layout):
     cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
     rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
     npz_path, json_path = rec.save(tmp_path / "old")
     with np.load(npz_path) as data:
-        stored = {k: data[k] for k in data.files}
+        arrays = {k: data[k] for k in data.files}
     if layout == "version_1":  # accum on the whole grid
-        stored["accum"] = np.pad(rec.accum, ((0, 0), (0, rec.x.size - rec.accum.shape[1])))
+        arrays["accum"] = np.pad(rec.accum, ((0, 0), (0, rec.x.size - rec.accum.shape[1])))
         meta = json.loads(json_path.read_text())
         meta["schema_version"] = 1
         json_path.write_text(json.dumps(meta))
     else:
-        stored.update(p=rec.p, ignition_u=rec.ignition_u.copy())
-    np.savez(npz_path, **stored)
+        arrays.update(p=rec.p, ignition_u=rec.ignition_u.copy())
+    np.savez(npz_path, **arrays)
     old = lg.SolutionRecord.load(tmp_path / "old")
-    assert mapped(old.w) and mapped(old.accum)
+    assert stored(old) == {"w", "accum"}
+    assert np.array_equal(old.p, rec.p)  # read from the file
     for name in ARRAYS:
-        assert np.array_equal(getattr(old, name), stored[name], equal_nan=True), name
-    assert np.array_equal(old.p, rec.p)
+        assert np.array_equal(getattr(old, name), arrays[name], equal_nan=True), name
+    assert np.array_equal(old.p, rec.p)  # derived in memory
 
 
 def test_compressed_archives_are_read_whole(tmp_path):
@@ -129,10 +129,10 @@ def test_compressed_archives_are_read_whole(tmp_path):
     with np.load(npz_path) as data:
         np.savez_compressed(npz_path, **{k: data[k] for k in data.files})
     back = lg.SolutionRecord.load(tmp_path / "rec")
-    assert not mapped(back.w) and arrays_equal(back, rec)
+    assert not stored(back) and arrays_equal(back, rec)
 
 
-# tracemalloc sees numpy's buffers but not a memory map.
+# tracemalloc sees numpy's buffers, so a whole read of a stored array too.
 def traced_peak(action) -> int:
     tracemalloc.start()
     try:
@@ -190,16 +190,19 @@ class TestAtomicWrites:
             rec.save(tmp_path / "rec")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    def test_resaving_a_mapped_record_keeps_its_arrays(self, tmp_path):
+    def test_resaving_a_stored_record_keeps_its_arrays(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_stride=7)
         assert simulate(cfg) == 0
-        old = lg.SolutionRecord.load(tmp_path / "rec")
-        w, accum = old.w.copy(), old.accum.copy()
+        old, copy = (lg.SolutionRecord.load(tmp_path / "rec") for _ in range(2))
+        u, p, w, accum = old.u_on(), old.p_on(), copy.w, copy.accum
         other = solver.run(old.params, old.grid, lg.RelayKind.mollified(1e-3), 3)
         other.save(tmp_path / "rec")
+        # still read from the replaced file, in part and then whole
+        assert np.array_equal(old.u_on(), u) and np.array_equal(old.p_on(), p)
+        assert stored(old) == {"w", "accum"}
         assert np.array_equal(old.w, w) and np.array_equal(old.accum, accum)
         assert lg.SolutionRecord.load(tmp_path / "rec").times.size == other.times.size
-        old.save(tmp_path / "rec")  # the mapped record can be written back over it
+        old.save(tmp_path / "rec")  # the stored record can be written back over it
         assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), old)
 
 

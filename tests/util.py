@@ -6,7 +6,7 @@ import pytest
 
 import liesegang as lg
 from liesegang import model
-from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
+from liesegang.records import BACK_OFFSETS, RIGHT_CELLS, StoredRows
 
 
 def make_record(params, grid, times, u=None, p=None, ignition_time=None):
@@ -43,14 +43,19 @@ def make_record(params, grid, times, u=None, p=None, ignition_time=None):
 
 @contextlib.contextmanager
 def no_whole_record_reads():
-    """Inside the block, reading ``SolutionRecord.u`` or ``.p`` raises: a
-    reader must derive them only where it reads (``u_on``, ``p_on``)."""
+    """Inside the block, reading ``SolutionRecord.u`` or ``.p``, or a ``w`` or
+    ``accum`` stored in a record file whole, raises: a reader must derive and
+    read them only where it reads (``u_on``, ``p_on``)."""
     def forbidden(name):
         def read(self):
             raise AssertionError(f"SolutionRecord.{name} read on the whole record")
         return property(read)
 
+    def whole(stored):
+        raise AssertionError(f"a stored record array of shape {stored.shape} read whole")
+
     with pytest.MonkeyPatch.context() as patch:
         for name in ("u", "p"):
             patch.setattr(lg.SolutionRecord, name, forbidden(name))
+        patch.setattr(StoredRows, "whole", whole)
         yield

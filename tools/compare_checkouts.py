@@ -11,7 +11,8 @@ each checkout's own ``tools/record_matrix.py`` and ``tools/report_matrix.py``
 subcommands, with the checkout's ``src`` on ``PYTHONPATH`` and ``COLUMNS=80``.
 Prints a unified diff of each pair of outputs, ``REV`` first, and exits 1 if
 any pair differs or a command fails, else 0.  It also prints the line count of
-``src/liesegang`` in both trees, for information.  The uncommitted changes of
+``src/liesegang`` in both trees, and of each of its modules that differs
+between them, for information.  The uncommitted changes of
 this checkout are part of the comparison; the revision is taken as committed.
 """
 from __future__ import annotations
@@ -59,10 +60,15 @@ def differs(old: list[str], new: list[str], name: str, rev: str) -> bool:
     return bool(diff)
 
 
-def source_lines(checkout: Path) -> int:
-    """Lines of the package's modules, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (checkout / "src" / "liesegang").glob("*.py"))
+def sources(checkout: Path) -> dict[str, bytes]:
+    """The package's modules, by file name."""
+    return {path.name: path.read_bytes()
+            for path in (checkout / "src" / "liesegang").glob("*.py")}
+
+
+def lines(source: bytes) -> int:
+    """Lines of ``source``, as ``wc -l`` counts them."""
+    return source.count(b"\n")
 
 
 def main(argv=None) -> int:
@@ -96,8 +102,13 @@ def main(argv=None) -> int:
             helps_differ |= differs(old, new, " ".join(["liesegang", *options]), args.rev)
         print(f"help: {len(COMMANDS)} commands, {'different' if helps_differ else 'identical'}")
         failed |= helps_differ
-        print(f"src/liesegang: {source_lines(other)} lines at {args.rev}, "
-              f"{source_lines(ROOT)} lines in this checkout")
+        before, after = sources(other), sources(ROOT)
+        print(f"src/liesegang: {sum(map(lines, before.values()))} lines at {args.rev}, "
+              f"{sum(map(lines, after.values()))} lines in this checkout")
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                print(f"  {name}: {lines(before.get(name, b''))} -> "
+                      f"{lines(after.get(name, b''))}")
     return 1 if failed else 0
 
 
