@@ -29,13 +29,15 @@ files (exit 1), naming the schema version or the missing arrays.
 The archive is written by one :class:`RecordWriter`, under a temporary name
 that is renamed over ``<prefix>.npz`` once the archive is complete: ``save``
 feeds it a record's whole ``w`` at once, and a run given an output prefix
-(``solver.run(output=)``) each snapshot row of ``w`` as it is taken.
-``load`` leaves ``w`` and ``accum`` in the file when they are stored
-uncompressed, as is the ``w`` of a streamed record (:class:`StoredRows`).
-:meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` read such an
-array with positioned reads of the rows and the column span they ask for; the
-first access to the attribute itself reads it whole into memory, where it
-stays, so the record's own array is always a plain ``ndarray``.
+(``solver.run(output=)``) each snapshot row of ``w`` and of ``accum`` as it
+is taken.  ``load`` leaves ``w`` and ``accum`` in the file when they are
+stored uncompressed, as are the ``w`` and ``accum`` of a streamed record
+(:class:`StoredRows`).  :meth:`SolutionRecord.u_on` and
+:meth:`SolutionRecord.p_on` read such an array with positioned reads of the
+rows and the column span they ask for, and ``save`` copies it into a new
+archive in blocks of rows; the first access to the attribute itself reads it
+whole into memory, where it stays, so the record's own array is always a
+plain ``ndarray``.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ import math
 import os
 import secrets
 import struct
+import tempfile
 import weakref
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -68,8 +71,9 @@ _STORED = ("w", "accum")
 # flag bits [3], ..., compressed size [8], size [9], name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _DATA_DESCRIPTOR_FLAG = 0x08  # sizes follow the data, not in the local header
-# load checks a stored member's CRC by reading it through a buffer of this size.
-_CRC_CHUNK_BYTES = 1 << 18
+# load checks a stored member's CRC by reading it through a buffer of this
+# size, and a stored array is copied into an archive in blocks of rows no larger.
+_BLOCK_BYTES = 1 << 18
 
 
 def _paths(prefix) -> tuple[Path, Path]:
@@ -151,13 +155,19 @@ class StoredRows:
 
     def __init__(self, fh, offset: int, shape: tuple, dtype: np.dtype):
         self.offset, self.shape, self.dtype = offset, shape, dtype
+        self.row_bytes = math.prod(shape[1:]) * dtype.itemsize
         self.fd = os.dup(fh.fileno())
         self.closer = weakref.finalize(self, os.close, self.fd)
 
     def whole(self) -> np.ndarray:
         """The whole array, a new array read from the file."""
-        out = np.empty(self.shape, self.dtype)
-        _pread_into(self.fd, out, self.offset)
+        return self.rows(0, self.shape[0])
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` (``0 <= start <= stop <= shape[0]``), a
+        new array read from the file."""
+        out = np.empty((stop - start,) + self.shape[1:], self.dtype)
+        _pread_into(self.fd, out, self.offset + start * self.row_bytes)
         return out
 
     def read(self, rows, cols) -> np.ndarray:
@@ -187,18 +197,36 @@ def _read(fh, data, name: str) -> np.ndarray | StoredRows:
         layout = _member_layout(fh, info)
         if layout is not None:
             with data.zip.open(info) as stream:  # raises BadZipFile on a CRC mismatch
-                while stream.read(_CRC_CHUNK_BYTES):
+                while stream.read(_BLOCK_BYTES):
                     pass
             return StoredRows(fh, *layout)
     return data[name]
 
 
-def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
-    """``name.npy``: its ``.npy`` header, then the array's own buffer."""
-    array = np.ascontiguousarray(array)
+def _write_header(out, shape: tuple, dtype) -> None:
+    """The ``.npy`` header of a C-order array of ``shape`` and ``dtype``."""
+    npformat.write_array_header_1_0(out, {
+        "descr": npformat.dtype_to_descr(np.dtype(dtype)), "fortran_order": False,
+        "shape": tuple(shape)})
+
+
+def _write_rows(out, array: np.ndarray | StoredRows) -> None:
+    """The bytes of ``array``: an array's own buffer, or a stored array's rows
+    copied from its file in blocks of at most ``_BLOCK_BYTES`` (of one row,
+    if a row is larger)."""
+    if not isinstance(array, StoredRows):
+        out.write(np.ascontiguousarray(array).data)
+        return
+    step = max(1, _BLOCK_BYTES // array.row_bytes)
+    for start in range(0, array.shape[0], step):
+        out.write(array.rows(start, min(start + step, array.shape[0])).data)
+
+
+def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray | StoredRows) -> None:
+    """``name.npy``: its ``.npy`` header, then the array's bytes (:func:`_write_rows`)."""
     with archive.open(name + ".npy", "w", force_zip64=True) as member:
-        npformat.write_array_header_1_0(member, npformat.header_data_from_array_1_0(array))
-        member.write(array.data)
+        _write_header(member, array.shape, array.dtype)
+        _write_rows(member, array)
 
 
 def _discard(handles: list, tmp: Path) -> None:
@@ -212,19 +240,27 @@ def _discard(handles: list, tmp: Path) -> None:
 
 class RecordWriter:
     """The archive ``<prefix>.npz`` of a record, byte for byte the one
-    ``np.savez`` writes, but member by member from the arrays' own buffers.
+    ``np.savez`` writes, but member by member from the arrays' own buffers,
+    or from the file of an array still stored in one.
 
     It writes ``times`` and the ``.npy`` header of ``w``, then takes the rows
     of ``w`` in order, one or many at a time (:meth:`append`), and in
-    :meth:`finish` the other arrays of a record.  Until then the file has a
-    temporary name in the target directory, ending in ``.tmp``, never
-    ``.npz``; :meth:`finish` renames it over the target, so no reader sees a
-    partial archive and one that reads the old file keeps its arrays (its
-    inode survives).  :meth:`discard`, or dropping the writer unfinished,
-    deletes the file.
+    :meth:`finish` the other arrays of a record.  Given ``accum_cols``, it
+    takes each row of ``w`` with the matching row of ``accum`` (that many
+    columns), and writes those to an unnamed temporary file in the target
+    directory, as the ``.npy`` file of ``accum``: a zip archive has one
+    member open for writing at a time.  :meth:`close_rows` returns both as
+    stored, and :meth:`finish` copies ``accum`` into the archive after ``w``.
+
+    Until then the archive has a temporary name in the target directory,
+    ending in ``.tmp``, never ``.npz``; :meth:`finish` renames it over the
+    target, so no reader sees a partial archive and one that reads the old
+    file keeps its arrays (its inode survives).  :meth:`discard`, or dropping
+    the writer unfinished, deletes the file and closes the temporary one.
     """
 
-    def __init__(self, prefix, times: np.ndarray, w_shape: tuple, w_dtype=float):
+    def __init__(self, prefix, times: np.ndarray, w_shape: tuple, w_dtype=float,
+                 accum_cols: int | None = None):
         self.path = _paths(prefix)[0]
         self.tmp = self.path.with_name(f"{self.path.name}.{secrets.token_hex(4)}.tmp")
         self.times, self.stored = times, None
@@ -232,24 +268,36 @@ class RecordWriter:
         self._zip = zipfile.ZipFile(self._file, "w", zipfile.ZIP_STORED, allowZip64=True)
         handles = [self._zip, self._file]
         self._finalizer = weakref.finalize(self, _discard, handles, self.tmp)
+        self._accum = None
+        if accum_cols is not None:
+            self._accum = tempfile.TemporaryFile(dir=self.path.parent)
+            handles.append(self._accum)
+            shape = (w_shape[0], accum_cols)
+            _write_header(self._accum, shape, float)
+            self._accum_layout = (self._accum.tell(), shape, np.dtype(float))
         _write_member(self._zip, "times", times)
         self._rows = self._zip.open("w.npy", "w", force_zip64=True)
         handles.insert(0, self._rows)
-        npformat.write_array_header_1_0(self._rows, {
-            "descr": npformat.dtype_to_descr(np.dtype(w_dtype)), "fortran_order": False,
-            "shape": tuple(w_shape)})
+        _write_header(self._rows, w_shape, w_dtype)
 
-    def append(self, rows: np.ndarray) -> None:
-        """Write the next row of ``w``, or the next block of rows."""
-        self._rows.write(np.ascontiguousarray(rows).data)
+    def append(self, rows: np.ndarray | StoredRows, accum_rows: np.ndarray | None = None) -> None:
+        """Write the next row of ``w``, or the next block of rows, and the
+        matching rows of ``accum`` when the writer takes them."""
+        _write_rows(self._rows, rows)
+        if self._accum is not None:
+            _write_rows(self._accum, accum_rows)
 
-    def close_rows(self) -> StoredRows:
-        """End ``w`` and return it as stored in the file."""
+    def close_rows(self) -> tuple[StoredRows, StoredRows]:
+        """End ``w`` and ``accum`` (of a writer given ``accum_cols``) and
+        return them as stored in their files."""
         self._rows.close()
         self._file.flush()
         with open(self.tmp, "rb") as fh:
             self.stored = StoredRows(fh, *_member_layout(fh, self._zip.getinfo("w.npy")))
-        return self.stored
+        self._accum.flush()
+        accum = StoredRows(self._accum, *self._accum_layout)
+        self._accum.close()
+        return self.stored, accum
 
     def holds(self, record: "SolutionRecord", npz_path: Path) -> bool:
         """Whether this unfinished archive of ``npz_path`` holds the ``times``
@@ -258,12 +306,13 @@ class RecordWriter:
                 and record.times is self.times and record._stored.get("w") is self.stored)
 
     def finish(self, record: "SolutionRecord") -> None:
-        """Write ``record``'s arrays after ``w``, complete the archive and
-        rename it to ``<prefix>.npz``; on any error, delete it instead."""
+        """Write ``record``'s arrays after ``w``, a stored one copied from its
+        file, complete the archive and rename it to ``<prefix>.npz``; on any
+        error, delete it instead."""
         try:
             self._rows.close()
             for name in _ARRAY_NAMES[2:]:
-                _write_member(self._zip, name, getattr(record, name))
+                _write_member(self._zip, name, record._held(name))
             self._zip.close()
             self._file.close()
             os.replace(self.tmp, self.path)
@@ -315,8 +364,8 @@ class SolutionRecord:
     # The F1 cell-mass table of ``liesegang.duhamel``, built on first use.
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
-    # The unfinished archive a run streamed ``times`` and ``w`` into; ``save``
-    # to its prefix finishes it.
+    # The unfinished archive a run streamed ``times``, ``w`` and ``accum``
+    # into; ``save`` to its prefix finishes it.
     _archive: RecordWriter | None = field(default=None, repr=False, compare=False)
     # ``w`` or ``accum`` as stored in a file, until the attribute is read whole.
     _stored: dict[str, StoredRows] = field(
@@ -335,6 +384,10 @@ class SolutionRecord:
         setattr(self, name, stored[name].whole())
         del stored[name]
         return vars(self)[name]
+
+    def _held(self, name: str) -> np.ndarray | StoredRows:
+        """Array ``name`` as the record holds it: stored in a file, or in memory."""
+        return self._stored.get(name) or getattr(self, name)
 
     def _rows_of(self, name: str, rows, cols) -> np.ndarray:
         """``getattr(self, name)[rows][..., cols]``, read from the file while
@@ -391,7 +444,7 @@ class SolutionRecord:
         An ``accum`` still stored in a file is read from it, as ``w`` is by
         :meth:`u_on`."""
         cols = np.arange(self.x.size)[cols]
-        stored = cols < (self._stored.get("accum") or self.accum).shape[1]
+        stored = cols < self._held("accum").shape[1]
         if cols.ndim and stored.all():  # no zero to add: evaluate's array is the result
             return evaluate(self._rows_of("accum", rows, cols), self.relay_kind)
         accum = self._rows_of("accum", rows, cols[stored])
@@ -405,17 +458,19 @@ class SolutionRecord:
         """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar).
 
         The archive is written by a :class:`RecordWriter`: the one a run
-        streamed this record's ``times`` and ``w`` into, if it was given this
-        prefix, else a new one fed all of ``w`` at once.  Either way the bytes
-        are those ``np.savez`` writes.
+        streamed this record's ``times``, ``w`` and ``accum`` into, if it was
+        given this prefix, else a new one fed all of ``w`` at once.  An array
+        still stored in a file is copied from it in blocks of rows, and stays
+        stored.  Either way the bytes are those ``np.savez`` writes.
         """
         npz_path, json_path = _paths(prefix)
         archive, self._archive = self._archive, None
         if archive is None or not archive.holds(self, npz_path):
             if archive is not None:
                 archive.discard()
-            archive = RecordWriter(prefix, self.times, self.w.shape, self.w.dtype)
-            archive.append(self.w)
+            w = self._held("w")
+            archive = RecordWriter(prefix, self.times, w.shape, w.dtype)
+            archive.append(w)
         archive.finish(self)
         sidecar = {
             "schema_version": RECORD_SCHEMA_VERSION,

@@ -533,49 +533,53 @@ class Stepper:
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span
 
 
+def _snapshot_steps(start: int, n_t: int, stride: int):
+    """The steps a run of ``n_t`` steps from step ``start`` takes snapshots at,
+    in order: ``start``, each multiple of ``stride`` after it, and ``n_t``."""
+    yield start
+    yield from range(start - start % stride + stride, n_t, stride)
+    if n_t > start:
+        yield n_t
+
+
 def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot_stride: int,
             output=None, **options) -> SolutionRecord:
     """Step a :class:`Stepper` to ``t_max`` with snapshots every ``snapshot_stride``
-    steps (and at the last step) and return the record.  The snapshot times are
-    fixed before the first step, the first at the stepper's start (0, or ``dt``).
+    steps (and at the last step) and return the record.  The snapshot steps
+    are computed, not tabulated (:func:`_snapshot_steps`), the first at the
+    stepper's start (0, or 1); each snapshot's time is its step times ``dt``.
 
-    With an ``output`` prefix, each snapshot row of ``w`` goes into the archive
-    ``<output>.npz`` as it is taken (:class:`records.RecordWriter`), and the
-    record reads ``w`` from it; ``record.save(output)`` finishes the archive.
-    A run that raises deletes it.
+    With an ``output`` prefix, each snapshot row of ``w`` and of the
+    accumulator goes into the archive ``<output>.npz`` as it is taken
+    (:class:`records.RecordWriter`), and the record reads both from there, so
+    the run holds nothing that grows with its step or snapshot count but
+    ``times``; ``record.save(output)`` finishes the archive.  A run that
+    raises deletes it.
     """
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     stepper = Stepper(params, grid, relay_kind, **options)
-    steps = np.arange(stepper.step_index, grid.n_t + 1)
-    taken = (steps % snapshot_stride == 0) | (steps == grid.n_t)
-    taken[0] = True
-    times = steps[taken] * grid.dt
-    # w rows go to the archive or into an array filled in place: stacking a
-    # list of snapshots would hold each one twice; the accumulator is stored
-    # on the relay window, as it is zero past it
+    schedule = (stepper.step_index, grid.n_t, snapshot_stride)
+    times = np.fromiter(_snapshot_steps(*schedule), np.int64) * grid.dt
+    # rows go to the archive or into arrays filled in place: stacking a list
+    # of snapshots would hold each one twice; the accumulator is stored on the
+    # relay window, as it is zero past it
     shape = (times.size, stepper.n)
-    archive = None if output is None else RecordWriter(output, times, shape)
-    w = np.empty(shape) if archive is None else None
-    accum = np.empty((times.size, stepper.m))
-
-    def snapshot(k: int) -> None:
-        row, accum[k] = stepper.snapshot()
-        if archive is None:
-            w[k] = row
-        else:
-            archive.append(row)
-
+    archive = None if output is None else RecordWriter(output, times, shape,
+                                                       accum_cols=stepper.m)
+    if archive is None:
+        w, accum = np.empty(shape), np.empty((times.size, stepper.m))
     try:
-        snapshot(0)
-        k = 1
-        for take in taken[1:].tolist():
-            stepper.step()
-            if take:
-                snapshot(k)
-                k += 1
+        for k, step in enumerate(_snapshot_steps(*schedule)):
+            for _ in range(step - stepper.step_index):
+                stepper.step()
+            w_row, accum_row = stepper.snapshot()
+            if archive is None:
+                w[k], accum[k] = w_row, accum_row
+            else:
+                archive.append(w_row, accum_row)
         if archive is not None:
-            w = archive.close_rows()
+            w, accum = archive.close_rows()
     except BaseException:
         if archive is not None:
             archive.discard()

@@ -52,7 +52,7 @@ def records(tmp_path_factory):
             "in_memory": run()}
 
 
-STORED = {"loaded": {"w", "accum"}, "streamed": {"w"}, "in_memory": set()}
+STORED = {"loaded": {"w", "accum"}, "streamed": {"w", "accum"}, "in_memory": set()}
 
 
 @pytest.mark.parametrize("kind", ["loaded", "streamed", "in_memory"])
@@ -104,9 +104,10 @@ def test_a_stored_array_is_read_from_the_file_until_accessed_whole(tmp_path, nam
 def test_a_saved_streamed_record_is_still_read_from_its_file(tmp_path):
     rec = run(output=tmp_path / "rec")
     before = rec.u_on()
+    p = rec.p_on()
     rec.save(tmp_path / "rec")
-    assert set(rec._stored) == {"w"}
-    assert np.array_equal(rec.u_on(), before)
+    assert set(rec._stored) == {"w", "accum"}
+    assert np.array_equal(rec.u_on(), before) and np.array_equal(rec.p_on(), p)
 
 
 @pytest.mark.parametrize("kind", ["loaded", "streamed"])

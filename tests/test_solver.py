@@ -108,6 +108,25 @@ class TestDeficitScheme:
             lg.run(PARAMS, coarse_grid(), lg.RelayKind.sharp(), snapshot_stride=0)
 
 
+# 700 steps is a multiple of 7 and of 100, 703 of neither.
+@pytest.mark.parametrize("n_t", [700, 703])
+@pytest.mark.parametrize("stride", [1, 7, 100, "n_t", "n_t + 5"])
+@pytest.mark.parametrize("scheme, start", [("deficit", 0), ("deposition", 1)])
+def test_snapshot_times_are_the_tabulated_schedule(scheme, start, stride, n_t):
+    """The computed schedule is the table of every step from the start,
+    masked to the multiples of the stride and the last step, the first kept."""
+    stride = {"n_t": n_t, "n_t + 5": n_t + 5}.get(stride, stride)
+    grid = coarse_grid(t_max=n_t * 1e-4)
+    assert grid.n_t == n_t
+    steps = np.arange(start, n_t + 1)
+    taken = (steps % stride == 0) | (steps == n_t)
+    taken[0] = True
+    rec = solver._record(PARAMS, grid, lg.RelayKind.sharp(), stride, scheme=scheme)
+    assert rec.times.dtype == np.float64
+    assert np.array_equal(rec.times, steps[taken] * grid.dt)
+    assert rec.w.shape[0] == rec.accum.shape[0] == rec.times.size
+
+
 def banded_solve(mu, dt, p_win, rhs):
     """The per-step elimination the factored solve replaces."""
     n = rhs.size

@@ -1,16 +1,18 @@
 """Streamed and stored records: ``simulate`` writes each snapshot row of ``w``
-into the archive as it is taken, and ``load`` leaves ``w`` and ``accum`` in
-the file, to be read as they are used.
+into the archive, and of ``accum`` into a temporary file, as it is taken, and
+``load`` leaves ``w`` and ``accum`` in the file, to be read as they are used.
 
 The streamed archive is byte for byte the one ``save`` writes, it appears
 under its name only when complete, and a damaged one exits 1 rather than
 faulting when read.
 """
+import gc
 import json
 import os
 import struct
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,14 +71,15 @@ def test_run_with_an_output_reads_its_w_from_the_archive(tmp_path):
     cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "rec")
     in_memory = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7)
-    assert stored(record) == {"w"}
+    assert stored(record) == {"w", "accum"}
     assert np.array_equal(record.u_on(), in_memory.u_on())
-    # the archive is pending under its temporary name only
+    assert np.array_equal(record.p_on(), in_memory.p_on())
+    # the archive is pending under its temporary name only; accum's file has none
     (pending,) = tmp_path.glob("rec.npz.*.tmp")
-    assert not (tmp_path / "rec.npz").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", pending.name]
     record.save(tmp_path / "rec")
     assert not pending.exists() and (tmp_path / "rec.npz").exists()
-    assert stored(record) == {"w"}  # now read from the renamed archive
+    assert stored(record) == {"w", "accum"}  # w now read from the renamed archive
     assert arrays_equal(record, in_memory)
     assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), in_memory)
 
@@ -86,7 +89,7 @@ def test_a_streamed_run_saved_elsewhere_is_written_anew(tmp_path, fixed_clock):
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "a")
     record.save(tmp_path / "b")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.npz", "cfg.json"]
-    assert not stored(record)  # w was read whole to be written anew
+    assert stored(record) == {"w", "accum"}  # copied from their files in blocks of rows
     solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7).save(tmp_path / "c")
     assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
 
@@ -152,26 +155,92 @@ def test_simulate_and_load_hold_no_whole_w(tmp_path):
     assert peak < 2601 * 201 * 8
 
 
+@pytest.mark.parametrize("source", ["loaded", "streamed"])
+def test_resaving_a_stored_record_copies_its_arrays_in_blocks(tmp_path, fixed_clock, source):
+    cfg = write_config(tmp_path, snapshot_stride=1)
+    assert simulate(cfg) == 0
+    if source == "loaded":
+        rec = lg.SolutionRecord.load(tmp_path / "rec")
+    else:  # streamed into one prefix, saved to another
+        c = config.parse_config(cfg)
+        rec = solver.run(c.params, c.grid, c.relay_kind, 1, output=tmp_path / "other")
+    w_bytes = 2601 * 201 * 8
+    assert rec._stored["w"].shape == (2601, 201)
+    assert traced_peak(lambda: rec.save(tmp_path / "again")) < 0.5 * w_bytes
+    assert stored(rec) == {"w", "accum"}
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "rec.npz").read_bytes()
+
+
+def test_a_streamed_run_holds_nothing_that_grows_with_its_length(tmp_path):
+    configs = {}
+    for t_max in (0.13, 0.26):
+        (tmp_path / str(t_max)).mkdir()
+        configs[t_max] = write_config(tmp_path / str(t_max), snapshot_stride=1, t_max=t_max)
+    assert simulate(configs[0.13]) == 0  # the first run's imports and caches are not counted
+    peaks = {t_max: traced_peak(lambda: simulate(cfg)) for t_max, cfg in configs.items()}
+    accum = lg.SolutionRecord.load(tmp_path / "0.26" / "rec").accum
+    assert accum.shape[0] == 2601
+    assert abs(peaks[0.26] - peaks[0.13]) < accum.nbytes / 4, (peaks, accum.nbytes)
+
+
+def open_files() -> list:
+    """What this process's descriptors refer to, or skip where
+    ``/proc/self/fd`` is missing."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("no /proc/self/fd")
+    gc.collect()  # a dropped record closes its descriptors
+    links = []
+    for fd in os.listdir(fd_dir):
+        try:
+            links.append(os.readlink(fd_dir / fd))
+        except OSError:  # the descriptor listdir read the directory with
+            pass
+    return sorted(links)
+
+
+def fail_at_step_1000(monkeypatch, watch):
+    """Make the stepper raise at step 1000, after calling ``watch()``."""
+    step = solver.Stepper.step
+
+    def failing_step(self):
+        if self.step_index == 1000:
+            watch()
+            raise solver.NonFiniteField("non-finite field at step 1000")
+        return step(self)
+
+    monkeypatch.setattr(solver.Stepper, "step", failing_step)
+
+
 class TestAtomicWrites:
     def test_failed_run_leaves_the_old_record_and_no_stray_file(self, tmp_path, monkeypatch,
                                                                  capsys):
         cfg = write_config(tmp_path, snapshot_stride=7)
         assert simulate(cfg) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rec.json", "rec.npz"]
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        step, seen = solver.Stepper.step, []
-
-        def failing_step(self):
-            if self.step_index == 1000:
-                seen.extend(p.name for p in tmp_path.iterdir() if p.name not in before)
-                raise solver.NonFiniteField("non-finite field at step 1000")
-            return step(self)
-
-        monkeypatch.setattr(solver.Stepper, "step", failing_step)
+        seen = []
+        fail_at_step_1000(monkeypatch, lambda: seen.extend(
+            p.name for p in tmp_path.iterdir() if p.name not in before))
         assert simulate(cfg) == 2
         assert "numerical failure" in capsys.readouterr().err
-        # while it ran, the archive had a temporary name, not ending in .npz
+        # while it ran, the archive had a temporary name, not ending in .npz,
+        # and accum's temporary file none
         assert len(seen) == 1 and seen[0].startswith("rec.npz.") and seen[0].endswith(".tmp")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_run_closes_its_temporary_files(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, snapshot_stride=7)
+        before, during = open_files(), []
+        fail_at_step_1000(monkeypatch, lambda: during.extend(open_files()))
+        assert simulate(cfg) == 2
+        # the archive and accum's unnamed file, both in the output directory
+        opened = [link for link in during if link not in before]
+        assert len(opened) == 2, opened
+        assert all(link.startswith(os.path.realpath(tmp_path) + os.sep) for link in opened)
+        assert sum(".npz." in link for link in opened) == 1
+        assert open_files() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("streamed", [False, True])
     def test_failed_save_removes_its_temporary_file(self, tmp_path, monkeypatch, streamed):

@@ -1,7 +1,8 @@
 """Diff the record and report matrices and the ``--help`` texts of this checkout
-against a git revision.
+against a git revision, or benchmark the two.
 
     python3 tools/compare_checkouts.py [REV] [--coarse-only]
+    python3 tools/compare_checkouts.py [REV] --bench PAIRS --pr N
 
 Extracts ``REV`` (default ``HEAD``) into a temporary directory with
 ``git archive``, so no worktree or other git metadata is written, and runs
@@ -14,18 +15,38 @@ any pair differs or a command fails, else 0.  It also prints the line count of
 ``src/liesegang`` in both trees, and of each of its modules that differs
 between them, for information.  The uncommitted changes of
 this checkout are part of the comparison; the revision is taken as committed.
+
+With ``--bench PAIRS`` it compares the benchmark of BENCHMARK.json instead.
+``REV`` and a copy of this checkout (its tracked files and the untracked ones
+git does not ignore, as they are in the working tree) go into two sibling
+directories, ``parent`` and ``change``, whose paths have equal length, so
+the paths the runs write into their records are of equal length too.  For
+each workload of BENCHMARK.json it runs ``PAIRS`` pairs of
+``perfbench/run.py --trace 0``, one in each tree with the same seed (the
+pair's number, from 1), the parent first in odd pairs and the change first
+in even ones.  It writes ``BENCH_<N>.json`` at the top of this
+checkout: per workload and end-to-end metric, each pair's two values, both
+sides' medians and quartiles (``perfbench/steadiness.py``'s ``summarize``),
+the parent's quartile spread, the pairs the change won and the verdict
+against the metric's bound (:func:`summarize_pairs`).  Exits 1 if a verdict
+is ``worse`` or a run fails, else 0.
 """
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
+import platform
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from steadiness import RUN_TIMEOUT_S, summarize  # noqa: E402
 # The program ("") and its subcommands, whose --help texts are compared.
 COMMANDS = ("", "constants", "simulate", "analyze", "diagnose", "toy", "compare", "sweep")
 
@@ -35,6 +56,17 @@ def extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def snapshot(dest: Path) -> None:
+    """Copy this checkout's tracked files, and the untracked ones git does not
+    ignore, as they are in the working tree, into ``dest``."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, os.fsdecode(names).split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is not
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def output(checkout: Path, argv: list[str], env: dict | None = None) -> list[str] | None:
@@ -71,12 +103,127 @@ def lines(source: bytes) -> int:
     return source.count(b"\n")
 
 
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run of ``perfbench/run.py --trace 0`` in ``tree``, in the form
+    ``steadiness.summarize`` takes: its seed, result line and info line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr}")
+    info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
+    return {"seed": seed, "result": json.loads(lines[-1]), "info": info}
+
+
+def summarize_pairs(pairs: list, end_to_end: list) -> dict:
+    """Per end-to-end metric (an entry of BENCHMARK.json's ``end_to_end``),
+    over ``pairs`` of ``(parent run, change run)`` (as :func:`bench_run`
+    returns them): each pair's values, parent first; each side's median and
+    quartiles; the parent's quartile spread ``parent_iqr``; ``wins``, the
+    pairs in which the change reads better (a tie counts for neither side);
+    and the verdict:
+
+    * ``better``: the change won at least nine tenths of the pairs, and its
+      median is better than the parent's by more than ``parent_iqr``;
+    * ``worse``: its median is worse than the parent's by more than the
+      metric's bound, a share of the parent's median;
+    * ``unresolved``: neither, but ``parent_iqr`` is wider than the bound,
+      and some run of the change does not read better than every run of the
+      parent;
+    * ``within bound``: otherwise.
+    """
+    sides = [summarize([pair[i] for pair in pairs], False) for i in (0, 1)]
+    out = {}
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "lower" else -1  # sign * (parent - change) > 0: better
+        values = [[run["result"]["metrics"][name]["value"] for run in pair] for pair in pairs]
+        parent, change = (side[name] for side in sides)
+        iqr = parent["q3"] - parent["q1"]
+        gain = sign * (parent["median"] - change["median"])
+        wins = sum(sign * (a - b) > 0 for a, b in values)
+        scale = abs(parent["median"])
+        if wins >= 0.9 * len(pairs) and gain > iqr:
+            verdict = "better"
+        elif -gain > bound * scale:
+            verdict = "worse"
+        elif iqr > bound * scale and not all(sign * (a - b) > 0 for a, _ in values
+                                             for _, b in values):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
+        out[name] = {
+            "unit": parent["unit"], "better": metric["better"], "bound": bound,
+            "pairs": values,
+            "parent": {k: parent[k] for k in ("median", "q1", "q3")},
+            "change": {k: change[k] for k in ("median", "q1", "q3")},
+            "parent_iqr": iqr, "wins": wins, "verdict": verdict,
+        }
+    return out
+
+
+def bench(rev: str, n_pairs: int, out_path: Path) -> int:
+    """Run ``n_pairs`` alternating pairs per workload and write ``out_path``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    head, parent = (subprocess.run(["git", "-C", str(ROOT), "rev-parse", name], check=True,
+                                   capture_output=True, text=True).stdout.strip()
+                    for name in ("HEAD", rev))
+    report = {"parent": parent, "change": f"working tree on {head}", "pairs": n_pairs,
+              "run_seconds": seconds,
+              "host": {"machine": platform.machine(), "platform": platform.platform()},
+              "workloads": {}}
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        extract(rev, trees["parent"])
+        snapshot(trees["change"])
+        for workload in (w["name"] for w in spec["workloads"]):
+            pairs = []
+            for i in range(n_pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs = {side: bench_run(trees[side], workload, i + 1, seconds) for side in order}
+                pairs.append((runs["parent"], runs["change"]))
+                shown = {side: runs[side]["result"]["metrics"] for side in trees}
+                print(f"{workload} pair {i + 1} ({order[0]} first): " + ", ".join(
+                    f"{name} {shown['parent'][name]['value']:.6g} -> "
+                    f"{shown['change'][name]['value']:.6g}" for name in shown["parent"]),
+                    flush=True)
+            report["host"].update({k: pairs[0][0]["info"].get(k)
+                                   for k in ("nproc", "python", "numpy", "scipy")})
+            summary = summarize_pairs(pairs, spec["end_to_end"])
+            report["workloads"][workload] = summary
+            for name, row in summary.items():
+                print(f"  {name:<13} {row['parent']['median']:>14.6g} -> "
+                      f"{row['change']['median']:<14.6g} iqr {row['parent_iqr']:<10.3g} "
+                      f"won {row['wins']}/{n_pairs}  {row['verdict']}", flush=True)
+                failed |= row["verdict"] == "worse"
+    out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"written to {out_path}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
     p.add_argument("--coarse-only", action="store_true",
                    help="pass --coarse-only to record_matrix.py")
+    p.add_argument("--bench", type=int, metavar="PAIRS",
+                   help="run PAIRS alternating pairs of each benchmark workload instead")
+    p.add_argument("--pr", type=int, help="with --bench: write BENCH_<PR>.json")
     args = p.parse_args(argv)
+    if args.bench is not None:
+        if args.bench < 1 or args.pr is None:
+            p.error("--bench takes PAIRS >= 1 and needs --pr")
+        try:
+            return bench(args.rev, args.bench, ROOT / f"BENCH_{args.pr}.json")
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     scripts = {"record_matrix.py": ["--coarse-only"] if args.coarse_only else [],
                "report_matrix.py": []}
     failed = False
