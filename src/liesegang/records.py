@@ -32,12 +32,12 @@ feeds it a record's whole ``w`` at once, and a run given an output prefix
 (``solver.run(output=)``) each snapshot row of ``w`` and of ``accum`` as it
 is taken.  ``load`` leaves ``w`` and ``accum`` in the file when they are
 stored uncompressed, as are the ``w`` and ``accum`` of a streamed record
-(:class:`StoredRows`).  :meth:`SolutionRecord.u_on` and
-:meth:`SolutionRecord.p_on` read such an array with positioned reads of the
-rows and the column span they ask for, and ``save`` copies it into a new
-archive in blocks of rows; the first access to the attribute itself reads it
-whole into memory, where it stays, so the record's own array is always a
-plain ``ndarray``.
+(:class:`StoredRows`), read from the archive once ``save`` has written it.
+:meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` read such an
+array with positioned reads of the rows and the column span they ask for,
+and ``save`` copies it into a new archive in blocks of rows; the first
+access to the attribute itself reads it whole into memory, where it stays,
+so the record's own array is always a plain ``ndarray``.
 """
 from __future__ import annotations
 
@@ -308,15 +308,20 @@ class RecordWriter:
     def finish(self, record: "SolutionRecord") -> None:
         """Write ``record``'s arrays after ``w``, a stored one copied from its
         file, complete the archive and rename it to ``<prefix>.npz``; on any
-        error, delete it instead."""
+        error, delete it instead.  The record then reads its stored arrays
+        from the archive, and lets go of the files they were in."""
         try:
             self._rows.close()
             for name in _ARRAY_NAMES[2:]:
                 _write_member(self._zip, name, record._held(name))
             self._zip.close()
             self._file.close()
+            with open(self.tmp, "rb") as fh:
+                stored = {name: StoredRows(fh, *_member_layout(fh, self._zip.getinfo(name + ".npy")))
+                          for name in record._stored}
             os.replace(self.tmp, self.path)
             self._finalizer.detach()
+            record._stored.update(stored)
         finally:
             self.discard()
 
@@ -461,7 +466,8 @@ class SolutionRecord:
         streamed this record's ``times``, ``w`` and ``accum`` into, if it was
         given this prefix, else a new one fed all of ``w`` at once.  An array
         still stored in a file is copied from it in blocks of rows, and stays
-        stored.  Either way the bytes are those ``np.savez`` writes.
+        stored, read from the new archive from then on.  Either way the bytes
+        are those ``np.savez`` writes.
         """
         npz_path, json_path = _paths(prefix)
         archive, self._archive = self._archive, None

@@ -126,11 +126,11 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
     corresponding time, or a ``(k, n)`` block of ``k`` consecutive steps
     with their ``k`` times.  The rows are added in order, seeded with the
     current accumulator (``np.add.accumulate``), so a block gives bit for bit
-    what ``k`` one-row calls give.  For the property_p variant, nodes whose
-    parabola time lies below a row's time are frozen and receive no
-    increment from it.  Returns ``(nodes, rows)``: the nodes that ignited in
-    this call, in increasing order, and the row of the block at which each
-    did (0 for a single field).
+    what ``k`` one-row calls give; no other function writes an accumulator.
+    For the property_p variant, nodes whose parabola time lies below a row's
+    time are frozen and receive no increment from it.  Returns ``(nodes,
+    rows)``: the nodes that ignited in this call, in increasing order, and
+    the row of the block at which each did (0 for a single field).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -34,8 +34,8 @@ known forcing.  So the relay is not updated after every step but once per
 block of steps in which no node can switch (:class:`Stepper`): each step
 only checks whether a node that can still ignite has ``u > u_star``.  The
 mollified relay's ``p`` also moves on every step a node spends in its
-smoothstep band ``0 < a < eps``; only those few nodes are updated after
-every step, and the rest of its window goes through the block path.
+smoothstep band ``0 < a < eps``; only those few nodes' ``p`` is updated after
+every step, and the accumulator goes through the block path on all nodes.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
@@ -65,6 +65,7 @@ are written once for all three.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -282,18 +283,19 @@ class Stepper:
     non-finite.  While no live node exceeds ``u_star``, no node ignites, so
     deferring the update changes nothing: the accumulator sums the same rows
     in the same order, and every node ignites at the step that fires the
-    check.  Under the mollified relay a node's ``p`` also changes on every
-    step it spends inside the smoothstep band ``0 < a < eps``: each step adds
-    its rectangle to the band's accumulators and re-evaluates their ``p``
-    (:meth:`_step_band`), and the block update gives the band a zero
-    increment.  The band is fixed at each update; a node that saturates
-    inside a block stays in it, with ``p`` exactly 1.  Between updates the
-    other accumulators lag (ignition times do not); :meth:`snapshot` brings
-    them up to date.  ``p`` can change only at an update in which a node
-    ignited and at a band step.  Such an update rebuilds the step matrix's
-    diagonal, and the next solve factors it; a band step rewrites only the
-    band's columns, and the next solve eliminates in one LAPACK call
-    (:class:`StepMatrix`).
+    check.  The accumulator has one writer, :func:`relay.accumulate`, which
+    the update calls on every window column.  Under the mollified relay a
+    node's ``p`` also changes on every step it spends inside the smoothstep
+    band ``0 < a < eps``: the update takes the band and a copy of its
+    accumulators, to which each step adds its rectangle, in the update's
+    order, to re-evaluate the band's ``p`` (:meth:`_step_band`); once the
+    whole band has reached ``eps``, ``p`` is 1 there for good and the band
+    ends.  Between updates the accumulators lag (ignition times do not);
+    :meth:`snapshot` brings them up to date.  ``p`` can change only at an
+    update in which a node ignited and at a band step.  Such an update
+    rebuilds the step matrix's diagonal, and the next solve factors it; a
+    band step rewrites only the band's columns, and the next solve
+    eliminates in one LAPACK call (:class:`StepMatrix`).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -444,15 +446,10 @@ class Stepper:
             raise NonFiniteField(f"non-finite {self._field_name} at step "
                                  f"{self.step_index}, t={self.t}")
         self.relay_updates += 1
-        state = self.state
-        block = self._u_buf[lo:hi, : self.m]
-        if self._band_size:  # the band's rows were added step by step
-            block = block.copy()
-            block[:, self._band] = -np.inf
         steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
-        nodes, rows = accumulate(state, block, self.grid.dt, steps * self.grid.dt,
-                                 self.relay_kind)
-        np.multiply(self.grid.dt, evaluate(state.accumulator, self.relay_kind),
+        nodes, rows = accumulate(self.state, self._u_buf[lo:hi, : self.m], self.grid.dt,
+                                 steps * self.grid.dt, self.relay_kind)
+        np.multiply(self.grid.dt, evaluate(self.state.accumulator, self.relay_kind),
                     out=self._dt_p[: self.m])
         if nodes.size:
             self._log_ignitions(nodes.tolist(), (lo + rows).tolist())
@@ -463,19 +460,21 @@ class Stepper:
         self._hi = LOOKBACK
 
     def _step_band(self, u_win: np.ndarray) -> None:
-        """Add this step's rectangle to the band's accumulators (the one add
-        :func:`accumulate` makes) and re-evaluate their ``dt*p`` and the step
-        matrix's diagonal there."""
-        band, a, dt = self._band, self.state.accumulator, self.grid.dt
+        """Add this step's rectangle to the copy of the band's accumulators
+        and re-evaluate their ``dt*p`` and the step matrix's diagonal there;
+        end the band once all of it has reached ``eps``."""
+        band, a, dt, eps = self._band, self._band_acc, self.grid.dt, self.relay_kind.epsilon
         s = u_win[band] - self.state.u_star
         np.maximum(s, 0.0, out=s)
         s *= dt
-        a[band] += s
-        np.divide(a[band], self.relay_kind.epsilon, out=s)
+        a += s
+        np.divide(a, eps, out=s)
         dt_p = smoothstep_array(s)
         dt_p *= dt
         self._dt_p[band] = dt_p
         self.matrix.set_band(band, dt_p)
+        if a.min() >= eps:  # p is 1 on the band, and the accumulators only grow
+            self._band_size = 0
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:
         """Capture ``u`` right of each node that ignited, and at the look-back
@@ -488,7 +487,8 @@ class Stepper:
     def _find_live(self) -> None:
         """Set the threshold the live check compares each step's buffer row
         with: ``u_star`` on unignited window nodes that can still ignite, inf
-        elsewhere; under the mollified relay, also find the band."""
+        elsewhere; under the mollified relay, also find the band and copy its
+        accumulators."""
         a = self.state.accumulator
         live = a == 0.0
         if self.relay_kind.variant == PROPERTY_P:
@@ -497,6 +497,7 @@ class Stepper:
         if self.relay_kind.variant == MOLLIFIED:
             band = np.flatnonzero(~live & (a < self.relay_kind.epsilon))
             self._band_size = band.size
+            self._band_acc = a[band]
             if band.size and band[-1] - band[0] == band.size - 1:
                 band = slice(int(band[0]), int(band[-1]) + 1)
             self._band = band
@@ -597,10 +598,10 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
         snapshot_stride: int = 100, *, scheme: str = "deficit", output=None) -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
-    ``deficit``, the deficit formulation, or ``deposition``, the same record as
-    :func:`source_deposition_run`.  With an ``output`` prefix the run streams
-    its record into ``<output>.npz``, which ``record.save(output)`` finishes
-    (see :func:`_record`).
+    ``deficit``, the deficit formulation, or ``deposition``, the source
+    deposition scheme.  With an ``output`` prefix the run streams its record
+    into ``<output>.npz``, which ``record.save(output)`` finishes (see
+    :func:`_record`).
 
     Deterministic: identical inputs produce bit-identical records.
     """
@@ -629,17 +630,7 @@ def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: 
         rhs[j + 1] = rhs.item(j + 1) + beta * right / dx
 
 
-def source_deposition_run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-                          snapshot_stride: int = 100) -> SolutionRecord:
-    """Cross-validation scheme integrating ``u`` with the source on the grid.
-
-    Per step the exact source mass ``alpha*beta*(sqrt(t_{n+1}) - sqrt(t_n))``
-    is deposited as a uniform line density along the segment swept by the
-    source position, with hat weights integrated exactly over the segment.
-    The run starts at ``t0 = dt`` from the closed-form profile; the relay
-    bootstraps with one rectangle over [0, dt].
-    """
-    return _record(params, grid, relay_kind, snapshot_stride, scheme="deposition")
+source_deposition_run = functools.partial(run, scheme="deposition")
 
 
 def measure_t1(record: SolutionRecord) -> float:

@@ -1,4 +1,6 @@
-"""The pair summary of ``tools/compare_checkouts.py --bench`` on canned runs."""
+"""``tools/compare_checkouts.py`` on canned runs and outputs: the pair summary of
+``--bench``, and the matrix verdicts and line counts it writes."""
+import json
 import sys
 from pathlib import Path
 
@@ -75,3 +77,76 @@ def test_a_change_better_in_every_run_is_not_unresolved():
     # 10 wins, but the median gain of 1.05 s is not beyond the parent's spread
     assert wall["wins"] == 10 and wall["parent_iqr"] > 1.05
     assert wall["verdict"] == "within bound"
+
+
+# -- the matrix verdicts and line counts, on canned outputs --------------------
+
+def canned_outputs(**changes) -> dict:
+    """What :func:`compare_checkouts.outputs` returns for a tree, with the
+    outputs named in ``changes`` (``record``, ``report`` or ``help``, the
+    ``simulate --help`` text) replaced."""
+    out = {"record_matrix.py": [f"run{i} w {i:064x}\n" for i in range(3)],
+           "report_matrix.py": ["report a 1\n", "report b 2\n"]}
+    for command in compare_checkouts.COMMANDS:
+        out[" ".join(["liesegang", *command.split(), "--help"])] = [f"usage: {command}\n"]
+    names = {"record": "record_matrix.py", "report": "report_matrix.py",
+             "help": "liesegang simulate --help"}
+    out.update({names[k]: v for k, v in changes.items()})
+    return out
+
+
+def tree(root, name: str, modules: dict) -> object:
+    """A checkout at ``root/name`` whose ``src/liesegang`` holds ``modules``
+    (file name to number of lines)."""
+    package = root / name / "src" / "liesegang"
+    package.mkdir(parents=True)
+    for module, n in modules.items():
+        (package / module).write_text("x = 1\n" * n)
+    return root / name
+
+
+@pytest.mark.parametrize("changes, verdicts", [
+    ({}, ("identical", "identical", "identical")),
+    ({"record": ["run0 w 0\n"]}, ("different", "identical", "identical")),
+    ({"report": None}, ("identical", "failed", "identical")),
+    ({"help": ["usage: other\n"]}, ("identical", "identical", "different")),
+    ({"help": None}, ("identical", "identical", "failed")),
+])
+def test_the_tree_comparison_gives_each_matrix_a_verdict(tmp_path, monkeypatch, capsys,
+                                                         changes, verdicts):
+    old = tree(tmp_path, "parent", {"a.py": 10, "b.py": 5})
+    new = tree(tmp_path, "change", {"a.py": 7, "c.py": 1})
+    monkeypatch.setattr(compare_checkouts, "outputs", lambda checkout, coarse_only: (
+        canned_outputs(**changes) if checkout == new else canned_outputs()))
+    result = compare_checkouts.compare_trees(old, new, "HEAD")
+    matrices = result["matrices"]
+    assert tuple(matrices[name]["verdict"] for name in (
+        "record_matrix.py", "report_matrix.py", "help")) == verdicts
+    assert matrices["record_matrix.py"]["lines"] == len(changes.get("record", "abc"))
+    assert matrices["help"]["commands"] == len(compare_checkouts.COMMANDS)
+    assert result["src_lines"] == {"parent": 15, "change": 8}
+    printed = capsys.readouterr().out
+    assert f"help: 8 commands, {verdicts[2]}" in printed
+    assert "src/liesegang: 15 lines at HEAD, 8 lines in this checkout" in printed
+    assert "  b.py: 5 -> 0" in printed and "  c.py: 0 -> 1" in printed
+    assert ("--- HEAD/record_matrix.py" in printed) == (verdicts[0] == "different")
+
+
+@pytest.mark.parametrize("verdict, status", [("identical", 0), ("different", 1)])
+def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monkeypatch,
+                                                                  verdict, status):
+    runs = canned(dict(wall_s=3.0, peak_rss_mb=72.0, record_bytes=8_650_000, ok_share=1.0))
+    compared = {"matrices": {"record_matrix.py": {"lines": 438, "verdict": verdict},
+                             "report_matrix.py": {"lines": 127, "verdict": "identical"},
+                             "help": {"commands": 8, "verdict": "identical"}},
+                "src_lines": {"parent": 3709, "change": 3700}}
+    monkeypatch.setattr(compare_checkouts, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(compare_checkouts, "snapshot", lambda dest: None)
+    monkeypatch.setattr(compare_checkouts, "bench_run", lambda *args: runs)
+    monkeypatch.setattr(compare_checkouts, "compare_trees", lambda old, new, rev: compared)
+    monkeypatch.setattr(compare_checkouts, "summarize_pairs", lambda pairs, end_to_end: {})
+    out = tmp_path / "BENCH_0.json"
+    assert compare_checkouts.bench("HEAD", 2, out) == status
+    written = json.loads(out.read_text())
+    assert written["matrices"] == compared["matrices"]
+    assert written["src_lines"] == compared["src_lines"]

@@ -694,14 +694,53 @@ class TestBlockRelay:
         stepper = solver.Stepper(PARAMS, FIELD_GRID, kind, scheme="synthetic", u_fn=field)
         for step in range(1, 8):
             stepper.step()
+            if step == 3:  # the update of the ignition step
+                accum = stepper.state.accumulator.copy()
             if step >= 3:
+                # the band's copy runs ahead of the accumulator, which waits
+                # for the next update; the band ends once it saturates
                 assert stepper._band == slice(node, node + 1)
-            saturated = stepper.state.accumulator[node] >= kind.epsilon
-            assert saturated == (step >= 4)
-            assert (stepper._dt_p[node] == FIELD_GRID.dt) == saturated
+                assert np.array_equal(stepper.state.accumulator, accum)
+                assert (stepper._band_acc[0] >= kind.epsilon) == (step >= 4)
+                assert stepper._band_size == (step == 3)
+            assert (stepper._dt_p[node] == FIELD_GRID.dt) == (step >= 4)
         stepper.snapshot()  # the next update
         assert stepper._dt_p[node] == FIELD_GRID.dt and stepper._band_size == 0
         assert stepper._threshold[node] == np.inf and stepper.relay_updates == 2
+
+    @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+    def test_band_steps_leave_the_accumulator_to_the_update(self, monkeypatch, scheme):
+        # On this dx 0.1 grid, whole bands saturate between updates (the
+        # record matrix's tail grids).  Each step, the block stepper and the
+        # per-step oracle advance side by side: a band step writes only the
+        # band's copy, every update agrees with the oracle's accumulator and
+        # p bit for bit, and no band step starts saturated.
+        dx, t_max = 0.1, 0.05
+        m = (math.ceil(lg.compute_constants(PARAMS).alpha_star * math.sqrt(t_max) / dx)
+             + solver.WINDOW_MARGIN_CELLS)
+        grid = lg.GridSpec.make(dx=dx, dt=1e-3, x_max=dx * (m + RIGHT_CELLS + 1), t_max=t_max)
+        kind = lg.RelayKind.mollified(1e-3)
+        stepper = solver.Stepper(PARAMS, grid, kind, scheme=scheme)
+        oracle = PerStepRelay(PARAMS, grid, kind, scheme=scheme)
+        assert stepper.tail is not None
+        band_steps = ended = 0
+        while stepper.step_index < grid.n_t:
+            accum, in_band = stepper.state.accumulator.copy(), stepper._band_size
+            if in_band:
+                assert stepper._band_acc.min() < kind.epsilon
+            stepper.step()
+            oracle.step()
+            band_steps += bool(in_band)
+            if stepper._hi == solver.LOOKBACK:  # an update ended the step
+                assert np.array_equal(stepper.state.accumulator, oracle.state.accumulator)
+                assert np.array_equal(stepper._dt_p, oracle._dt_p)
+            else:
+                assert np.array_equal(stepper.state.accumulator, accum)
+                ended += bool(in_band) and not stepper._band_size
+        assert band_steps > 10 and ended > 0
+        rec, ref, _ = with_oracle(monkeypatch, lambda: lg.run(PARAMS, grid, kind, 5,
+                                                              scheme=scheme))
+        assert_same_record(rec, ref)
 
     @staticmethod
     def poison_solve(monkeypatch, call, row=-1, value=np.nan):

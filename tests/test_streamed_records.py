@@ -199,6 +199,22 @@ def open_files() -> list:
     return sorted(links)
 
 
+def test_a_saved_streamed_record_reads_from_its_archive(tmp_path):
+    # accum's unnamed temporary file, its spool, is let go once save has
+    # copied it into the archive: the record reads both arrays from there
+    cfg = config.parse_config(write_config(tmp_path, snapshot_stride=1))
+    before = open_files()
+    rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 1, output=tmp_path / "rec")
+    (spool,) = (link for link in open_files() if link not in before and "(deleted)" in link)
+    assert spool.startswith(os.path.realpath(tmp_path) + os.sep)
+    u, p = rec.u_on(), rec.p_on()
+    rec.save(tmp_path / "rec")
+    archive = os.path.realpath(tmp_path / "rec.npz")
+    assert [link for link in open_files() if link not in before] == [archive, archive]
+    assert stored(rec) == {"w", "accum"}
+    assert rec.u_on().tobytes() == u.tobytes() and rec.p_on().tobytes() == p.tobytes()
+
+
 def fail_at_step_1000(monkeypatch, watch):
     """Make the stepper raise at step 1000, after calling ``watch()``."""
     step = solver.Stepper.step
@@ -258,6 +274,22 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="No space"):
             rec.save(tmp_path / "rec")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_failed_rename_leaves_a_streamed_record_on_its_own_files(self, tmp_path,
+                                                                      monkeypatch):
+        cfg = config.parse_config(write_config(tmp_path, snapshot_stride=7))
+        rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=tmp_path / "rec")
+        held, u, p = dict(rec._stored), rec.u_on(), rec.p_on()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(records.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            rec.save(tmp_path / "rec")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert all(rec._stored[name] is held[name] for name in held)
+        assert rec.u_on().tobytes() == u.tobytes() and rec.p_on().tobytes() == p.tobytes()
 
     def test_resaving_a_stored_record_keeps_its_arrays(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_stride=7)

@@ -28,8 +28,11 @@ in even ones.  It writes ``BENCH_<N>.json`` at the top of this
 checkout: per workload and end-to-end metric, each pair's two values, both
 sides' medians and quartiles (``perfbench/steadiness.py``'s ``summarize``),
 the parent's quartile spread, the pairs the change won and the verdict
-against the metric's bound (:func:`summarize_pairs`).  Exits 1 if a verdict
-is ``worse`` or a run fails, else 0.
+against the metric's bound (:func:`summarize_pairs`).  It then compares the
+two trees as above (the full record matrix) and adds to the file the verdict
+of each matrix and of the ``--help`` texts, and both line counts of
+``src/liesegang`` (:func:`compare_trees`).  Exits 1 if a verdict is
+``worse``, a matrix or help text is not ``identical``, or a run fails, else 0.
 """
 from __future__ import annotations
 
@@ -49,6 +52,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from steadiness import RUN_TIMEOUT_S, summarize  # noqa: E402
 # The program ("") and its subcommands, whose --help texts are compared.
 COMMANDS = ("", "constants", "simulate", "analyze", "diagnose", "toy", "compare", "sweep")
+# The scripts in tools/ whose outputs are compared.
+MATRICES = ("record_matrix.py", "report_matrix.py")
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -101,6 +106,52 @@ def sources(checkout: Path) -> dict[str, bytes]:
 def lines(source: bytes) -> int:
     """Lines of ``source``, as ``wc -l`` counts them."""
     return source.count(b"\n")
+
+
+def outputs(tree: Path, coarse_only: bool) -> dict[str, list[str] | None]:
+    """What ``tree``'s matrix scripts and ``liesegang [COMMAND] --help`` print,
+    by script name and by command line (None for a run that failed)."""
+    out = {}
+    for script in MATRICES:
+        options = ["--coarse-only"] if coarse_only and script == "record_matrix.py" else []
+        out[script] = output(tree, [sys.executable, str(tree / "tools" / script), *options])
+    for command in COMMANDS:
+        options = [*command.split(), "--help"]
+        out[" ".join(["liesegang", *options])] = help_text(tree, options)
+    return out
+
+
+def compare_trees(old_tree: Path, new_tree: Path, rev: str, coarse_only: bool = False) -> dict:
+    """Compare the :func:`outputs` of two trees, printing each diff and a line
+    per matrix and for the help texts.  Returns ``matrices``: per script its
+    lines in ``new_tree`` and verdict, and for the help texts the number of
+    commands and one verdict, each ``identical``, ``different`` or
+    ``failed`` (some run exited non-zero); and ``src_lines``: the line
+    counts of ``src/liesegang`` in ``old_tree`` (``parent``) and ``new_tree``
+    (``change``)."""
+    old, new = outputs(old_tree, coarse_only), outputs(new_tree, coarse_only)
+
+    def verdict(names) -> str:
+        ran = [name for name in names if old[name] is not None and new[name] is not None]
+        changed = [differs(old[name], new[name], name, rev) for name in ran]
+        return "failed" if len(ran) < len(names) else "different" if any(changed) else "identical"
+
+    matrices = {script: {"lines": len(new[script] or ()), "verdict": verdict([script])}
+                for script in MATRICES}
+    helps = [name for name in new if name not in MATRICES]
+    matrices["help"] = {"commands": len(helps), "verdict": verdict(helps)}
+    for script in MATRICES:
+        print(f"{script}: {matrices[script]['lines']} lines, {matrices[script]['verdict']}")
+    print(f"help: {len(helps)} commands, {matrices['help']['verdict']}")
+    before, after = sources(old_tree), sources(new_tree)
+    src_lines = {"parent": sum(map(lines, before.values())),
+                 "change": sum(map(lines, after.values()))}
+    print(f"src/liesegang: {src_lines['parent']} lines at {rev}, "
+          f"{src_lines['change']} lines in this checkout")
+    for name in sorted(before.keys() | after.keys()):
+        if before.get(name) != after.get(name):
+            print(f"  {name}: {lines(before.get(name, b''))} -> {lines(after.get(name, b''))}")
+    return {"matrices": matrices, "src_lines": src_lines}
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -202,6 +253,8 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
                       f"{row['change']['median']:<14.6g} iqr {row['parent_iqr']:<10.3g} "
                       f"won {row['wins']}/{n_pairs}  {row['verdict']}", flush=True)
                 failed |= row["verdict"] == "worse"
+        report.update(compare_trees(trees["parent"], trees["change"], rev))
+        failed |= any(m["verdict"] != "identical" for m in report["matrices"].values())
     out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"written to {out_path}")
     return 1 if failed else 0
@@ -224,39 +277,11 @@ def main(argv=None) -> int:
         except (RuntimeError, subprocess.TimeoutExpired) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    scripts = {"record_matrix.py": ["--coarse-only"] if args.coarse_only else [],
-               "report_matrix.py": []}
-    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp)
         extract(args.rev, other)
-        for script, options in scripts.items():
-            old, new = (output(tree, [sys.executable, str(tree / "tools" / script), *options])
-                        for tree in (other, ROOT))
-            if old is None or new is None:
-                failed = True
-                continue
-            changed = differs(old, new, f"tools/{script}", args.rev)
-            print(f"{script}: {len(new)} lines, {'different' if changed else 'identical'}")
-            failed |= changed
-        helps_differ = False
-        for command in COMMANDS:
-            options = [*command.split(), "--help"]
-            old, new = help_text(other, options), help_text(ROOT, options)
-            if old is None or new is None:
-                helps_differ = True
-                continue
-            helps_differ |= differs(old, new, " ".join(["liesegang", *options]), args.rev)
-        print(f"help: {len(COMMANDS)} commands, {'different' if helps_differ else 'identical'}")
-        failed |= helps_differ
-        before, after = sources(other), sources(ROOT)
-        print(f"src/liesegang: {sum(map(lines, before.values()))} lines at {args.rev}, "
-              f"{sum(map(lines, after.values()))} lines in this checkout")
-        for name in sorted(before.keys() | after.keys()):
-            if before.get(name) != after.get(name):
-                print(f"  {name}: {lines(before.get(name, b''))} -> "
-                      f"{lines(after.get(name, b''))}")
-    return 1 if failed else 0
+        matrices = compare_trees(other, ROOT, args.rev, args.coarse_only)["matrices"]
+    return 0 if all(m["verdict"] == "identical" for m in matrices.values()) else 1
 
 
 if __name__ == "__main__":
