@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands: constants, simulate, analyze, diagnose, toy, compare, sweep.
-Exit status: 0 success, 1 configuration/validation failure, 2 numerical
-failure.  All reports embed the effective configuration and a schema version;
-floats are written with 17 significant digits so identical inputs give
-byte-identical files.
+Exit status: 0 success, 1 configuration/validation failure (usage errors
+included), 2 numerical failure.  All reports embed the effective configuration
+and a schema version; floats are written with 17 significant digits so
+identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
-from .config import (KEYS, RunConfig, Tolerances, ValidationError, default_probe_ladder,
-                     parse_config, resolve_output_dir)
+from .config import (KEYS, ParseError, RunConfig, Tolerances, ValidationError,
+                     default_probe_ladder, parse_config, resolve_output_dir)
 from .fronts import EmptyFront
 from .model import compute_constants
 from .odetoy import CONSTANT, LINEAR, ToyConfig, enumerate_policies
@@ -30,6 +30,11 @@ from .solver import NonFiniteField, measure_t1
 _NUMERICAL_ERRORS = (NonFiniteField, EmptyFront, duhamel.InsufficientSnapshots,
                      duhamel.ProbeOnFront, duhamel.DegenerateRate, FloatingPointError,
                      LinAlgError)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage and exit 2
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -250,8 +255,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="liesegang",
-                                     description="Liesegang precipitation model toolkit")
+    parser = _Parser(prog="liesegang", description="Liesegang precipitation model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="derived constants table")
@@ -314,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -97,7 +97,7 @@ PROBE_LADDER_SIZE = 10
 
 
 class ParseError(ValueError):
-    """Config file is not well-formed; carries the line, when known."""
+    """Config file or command line is not well-formed; carries the line, when known."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"{message} (line {line})")

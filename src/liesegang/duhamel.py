@@ -16,7 +16,7 @@ costs one kernel-matrix contraction over that table.  ``p`` and ``u`` are
 derived on those columns only, and u_t, with its ``u``, only on the snapshot
 rows and the two columns around the probe that it reads (:func:`ut_table`), so
 none of them is built on the whole record.  The table and the contraction go
-in blocks of rows whose temporaries stay within ``_BLOCK_BYTES``.
+in blocks of rows whose temporaries stay within ``records.BLOCK_BYTES``.
 
 F2's integrand has an integrable ``1/sqrt(t - ell)`` singularity where the
 front crosses the evaluation time.  Each grid cell is integrated with the
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import model
+from . import model, records
 from .fronts import FrontFunction
 from .records import BACK_OFFSETS, SolutionRecord
 
@@ -42,9 +42,6 @@ DEFAULT_RATE_FLOOR = 1e-4
 # convolution is replaced by its nascent-delta limit.
 _SMOOTH_TAU_CELLS = 9.0
 _FLAT_CELL_REL = 1e-6
-# Bytes of one block of rows of the F1 table's and kernel contraction's
-# temporaries; a block this small is reused from the cache, not faulted in anew.
-_BLOCK_BYTES = 1 << 17
 
 
 class InsufficientSnapshots(ValueError):
@@ -101,7 +98,7 @@ def _rows_per_block(n_cols: int, n_rows: int) -> int:
     """Rows in one block of an (n_rows x n_cols) float table.  numpy sums a
     single column pairwise, not row after row, so it is taken in one block:
     the blocked sum keeps the bits of one sum over all the rows."""
-    return max(_BLOCK_BYTES // (8 * n_cols), 1) if n_cols > 1 else max(n_rows, 1)
+    return max(records.BLOCK_BYTES // (8 * n_cols), 1) if n_cols > 1 else max(n_rows, 1)
 
 
 # -- F1 ------------------------------------------------------------------------

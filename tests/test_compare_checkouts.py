@@ -1,5 +1,6 @@
 """``tools/compare_checkouts.py`` on canned runs and outputs: the pair summary of
-``--bench``, and the matrix verdicts and line counts it writes."""
+``--bench``, the per-layer metrics of its traced runs, and the matrix verdicts
+and line counts it writes."""
 import json
 import sys
 from pathlib import Path
@@ -136,13 +137,16 @@ def test_the_tree_comparison_gives_each_matrix_a_verdict(tmp_path, monkeypatch, 
 def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monkeypatch,
                                                                   verdict, status):
     runs = canned(dict(wall_s=3.0, peak_rss_mb=72.0, record_bytes=8_650_000, ok_share=1.0))
+    traced = {"seed": 1, "info": {}, "result": {"metrics": {
+        "solver.steps": {"value": 6500, "unit": "count"}}}}
     compared = {"matrices": {"record_matrix.py": {"lines": 438, "verdict": verdict},
                              "report_matrix.py": {"lines": 127, "verdict": "identical"},
                              "help": {"commands": 8, "verdict": "identical"}},
                 "src_lines": {"parent": 3709, "change": 3700}}
     monkeypatch.setattr(compare_checkouts, "extract", lambda rev, dest: None)
     monkeypatch.setattr(compare_checkouts, "snapshot", lambda dest: None)
-    monkeypatch.setattr(compare_checkouts, "bench_run", lambda *args: runs)
+    monkeypatch.setattr(compare_checkouts, "bench_run",
+                        lambda tree, workload, seed, seconds, trace=0: traced if trace else runs)
     monkeypatch.setattr(compare_checkouts, "compare_trees", lambda old, new, rev: compared)
     monkeypatch.setattr(compare_checkouts, "summarize_pairs", lambda pairs, end_to_end: {})
     out = tmp_path / "BENCH_0.json"
@@ -150,3 +154,19 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
     written = json.loads(out.read_text())
     assert written["matrices"] == compared["matrices"]
     assert written["src_lines"] == compared["src_lines"]
+    # one traced run per side and workload, its per-layer metrics under "layers"
+    workloads = json.loads((compare_checkouts.ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert written["layers"] == {w["name"]: {"solver.steps": {
+        "unit": "count", "parent": 6500, "change": 6500}} for w in workloads}
+
+
+def test_the_layer_table_holds_both_traced_runs():
+    parent = {"result": {"metrics": {"solver.steps": {"value": 6500, "unit": "count"},
+                                     "model.psi_s": {"value": 0.25, "unit": "s"}}}}
+    change = {"result": {"metrics": {"solver.steps": {"value": 6500, "unit": "count"},
+                                     "records.load_s": {"value": 0.01, "unit": "s"}}}}
+    assert compare_checkouts.layer_table(parent, change) == {
+        "solver.steps": {"unit": "count", "parent": 6500, "change": 6500},
+        "model.psi_s": {"unit": "s", "parent": 0.25, "change": None},
+        "records.load_s": {"unit": "s", "parent": None, "change": 0.01},
+    }

@@ -218,6 +218,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--dx", "abc"),
+        ("simulate", "--no-such-flag"),
+        ("analyze",),
+        (),
+        ("toy", "--forcing", "cubic"),
+    ], ids=["bad_value", "unknown_flag", "missing_record", "no_subcommand", "bad_choice"])
+    def test_usage_errors_exit_1_with_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                     argv):
+        # argparse's own exit status, 2, is that of a numerical failure
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+        assert self.run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: liesegang"), lines
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, named", [
         # a two-node grid once reached LAPACK's gttrf and failed there, naming no key
         (["--dx", "4", "--x-max", "4"], "dx = 4 and x_max = 4 give 2 grid nodes"),

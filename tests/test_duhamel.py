@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 
 import liesegang as lg
-from liesegang import duhamel, fronts, model
+from liesegang import duhamel, fronts, model, records
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 from util import make_record, no_whole_record_reads
 
@@ -178,7 +178,7 @@ class TestF1:
         probes = list(oracle_probes(rec_oracle).values())
 
         def table_and_f1(block_bytes):
-            monkeypatch.setattr(duhamel, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(records, "BLOCK_BYTES", block_bytes)
             rec = dataclasses.replace(rec_oracle, _f1_mass_cache=None)
             cols, mass = duhamel.f1_mass_table(rec)
             return cols.size, mass, [duhamel.eval_F1(rec, x, t) for x, t in probes]
@@ -193,7 +193,7 @@ class TestF1:
         # numpy sums a single column pairwise, so blocks of it would change the bits
         assert duhamel._rows_per_block(1, 5000) == 5000
         assert duhamel._rows_per_block(0, 0) == 1
-        assert duhamel._rows_per_block(2, 5000) == duhamel._BLOCK_BYTES // 16
+        assert duhamel._rows_per_block(2, 5000) == records.BLOCK_BYTES // 16
 
     def test_zero_precipitation_gives_zero(self):
         grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)

@@ -1,6 +1,9 @@
 """Grid consistency, record serialization, synthetic record construction."""
+import contextlib
 import dataclasses
+import gc
 import json
+import os
 import tempfile
 import time
 import warnings
@@ -85,6 +88,17 @@ def tiny_record():
     return lg.run(params, grid, lg.RelayKind.sharp(), snapshot_stride=20)
 
 
+def open_descriptors() -> set:
+    """The process's open file descriptors; the one that lists them is closed
+    once they are listed, and left out."""
+    fds = set()
+    for name in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):
+            os.fstat(int(name))
+            fds.add(int(name))
+    return fds
+
+
 class TestSerialization:
     def test_save_load_roundtrip_bitwise(self, tiny_record, tmp_path):
         prefix = tmp_path / "rec"
@@ -109,22 +123,33 @@ class TestSerialization:
         back = lg.SolutionRecord.load(prefix)
         np.testing.assert_array_equal(back.w, tiny_record.w)
 
-    def test_load_closes_the_npz_file(self, tiny_record, tmp_path, monkeypatch):
+    def test_load_closes_the_npz_file(self, tiny_record, tmp_path):
+        # Only the duplicates that read the stored w and accum stay open.
+        if not Path("/proc/self/fd").is_dir():
+            pytest.skip("no /proc/self/fd to list the open descriptors")
         tiny_record.save(tmp_path / "rec")
-        opened = []
-        real_load = np.load
-
-        def spy(*args, **kwargs):
-            opened.append(real_load(*args, **kwargs))
-            return opened[-1]
-
-        monkeypatch.setattr(np, "load", spy)
+        gc.collect()  # so no earlier record's descriptor closes during load
+        before = open_descriptors()
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             back = lg.SolutionRecord.load(tmp_path / "rec")
-        assert len(opened) == 1
-        assert opened[0].fid is None  # closed before load returned
+        opened = open_descriptors() - before
+        assert opened == {rows.fd for rows in back._stored.values()}
+        assert len(opened) == 2
+        for fd in opened:
+            assert os.readlink(f"/proc/self/fd/{fd}") == str((tmp_path / "rec.npz").resolve())
         np.testing.assert_array_equal(back.w, tiny_record.w)
+
+    def test_integral_floats_load_as_floats(self, tiny_record, tmp_path):
+        # the sidecar writes alpha = 1.0 and x_max = 2.0 as 1 and 2
+        _, json_path = tiny_record.save(tmp_path / "rec")
+        assert '"alpha": 1,' in json_path.read_text()
+        back = lg.SolutionRecord.load(tmp_path / "rec")
+        for obj in (back.params, back.grid, back.constants):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                assert type(value) is (float if f.type == "float" else int), (f.name, value)
+        assert back.params == tiny_record.params and back.grid == tiny_record.grid
 
     def test_truncated_array_file_rejected(self, tiny_record, tmp_path):
         npz_path, _ = tiny_record.save(tmp_path / "rec")

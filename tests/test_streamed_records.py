@@ -320,15 +320,16 @@ def member_spans(npz_path) -> dict:
     return spans
 
 
-@pytest.mark.parametrize("damage", ["times", "w", "accum", "central directory",
-                                    "w local size", "w flipped byte"])
+@pytest.mark.parametrize("damage", [
+    "times", "w", "accum", "central directory", "w flipped byte",
+    *(f"{name} local size" for name in records._ARRAY_NAMES)])
 def test_damaged_archive_exits_1_naming_the_file(tmp_path, capsys, damage):
     assert simulate(write_config(tmp_path, snapshot_stride=7)) == 0
     npz_path = tmp_path / "rec.npz"
     data = bytearray(npz_path.read_bytes())
     spans = member_spans(npz_path)
-    if damage == "w local size":  # the stored size in w's ZIP64 local extra field
-        info_offset = spans["w"][0] - 20
+    if damage.endswith(" local size"):  # the stored size in a ZIP64 local extra field
+        info_offset = spans[damage.split()[0]][0] - 20
         (stored,) = struct.unpack_from("<Q", data, info_offset + 12)
         struct.pack_into("<Q", data, info_offset + 12, stored - 8)
     elif damage == "w flipped byte":

@@ -28,7 +28,10 @@ in even ones.  It writes ``BENCH_<N>.json`` at the top of this
 checkout: per workload and end-to-end metric, each pair's two values, both
 sides' medians and quartiles (``perfbench/steadiness.py``'s ``summarize``),
 the parent's quartile spread, the pairs the change won and the verdict
-against the metric's bound (:func:`summarize_pairs`).  It then compares the
+against the metric's bound (:func:`summarize_pairs`).  After the pairs of a
+workload it runs ``perfbench/run.py --trace 1`` once in each tree, with seed
+1, and writes the per-layer metrics of both runs under ``layers``
+(:func:`layer_table`).  It then compares the
 two trees as above (the full record matrix) and adds to the file the verdict
 of each matrix and of the ``--help`` texts, and both line counts of
 ``src/liesegang`` (:func:`compare_trees`).  Exits 1 if a verdict is
@@ -154,11 +157,11 @@ def compare_trees(old_tree: Path, new_tree: Path, rev: str, coarse_only: bool = 
     return {"matrices": matrices, "src_lines": src_lines}
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run of ``perfbench/run.py --trace 0`` in ``tree``, in the form
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run of ``perfbench/run.py --trace TRACE`` in ``tree``, in the form
     ``steadiness.summarize`` takes: its seed, result line and info line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -215,6 +218,17 @@ def summarize_pairs(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def layer_table(parent: dict, change: dict) -> dict:
+    """Per metric of two ``--trace 1`` runs (as :func:`bench_run` returns
+    them): its unit and each side's value, None on a side that lacks it."""
+    table = {}
+    for side, run in (("parent", parent), ("change", change)):
+        for name, metric in run["result"]["metrics"].items():
+            row = table.setdefault(name, {"unit": metric["unit"], "parent": None, "change": None})
+            row[side] = metric["value"]
+    return table
+
+
 def bench(rev: str, n_pairs: int, out_path: Path) -> int:
     """Run ``n_pairs`` alternating pairs per workload and write ``out_path``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -225,7 +239,7 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
     report = {"parent": parent, "change": f"working tree on {head}", "pairs": n_pairs,
               "run_seconds": seconds,
               "host": {"machine": platform.machine(), "platform": platform.platform()},
-              "workloads": {}}
+              "workloads": {}, "layers": {}}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -253,6 +267,10 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
                       f"{row['change']['median']:<14.6g} iqr {row['parent_iqr']:<10.3g} "
                       f"won {row['wins']}/{n_pairs}  {row['verdict']}", flush=True)
                 failed |= row["verdict"] == "worse"
+            traced = {side: bench_run(trees[side], workload, 1, seconds, 1) for side in trees}
+            report["layers"][workload] = layer_table(traced["parent"], traced["change"])
+            print(f"  layers: {len(report['layers'][workload])} metrics of one --trace 1 run "
+                  "per side", flush=True)
         report.update(compare_trees(trees["parent"], trees["change"], rev))
         failed |= any(m["verdict"] != "identical" for m in report["matrices"].values())
     out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
