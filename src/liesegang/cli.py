@@ -102,7 +102,7 @@ def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str)
 
 def _run_from_config(cfg: RunConfig, output=None) -> SolutionRecord:
     """The config's run, with the config's constants (``t1_ceiling`` included),
-    streamed into ``<output>.npz`` when given an ``output`` prefix."""
+    its rows spooled beside ``output`` when given that prefix (see ``solver.run``)."""
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind,
                         snapshot_stride=cfg.snapshot_stride, scheme=cfg.scheme, output=output)
     record.constants = cfg.constants  # not ``replace``, which would read a stored ``w`` whole
@@ -136,7 +136,7 @@ def cmd_constants(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     prefix = _out_path(cfg, args, args.output)
-    # the run writes each snapshot of w into the archive; save finishes it
+    # the run spools each snapshot of w and accum beside the prefix; save copies them
     record = _run_from_config(cfg, output=prefix)
     npz_path, json_path = record.save(prefix)
     if args.csv:
@@ -226,8 +226,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    epsilons = [float(s) for s in args.epsilons.split(",") if s]
-    perturbations: list = [RelayKind.mollified(e) for e in epsilons]
+    perturbations: list = [RelayKind.mollified(e) for e in args.epsilons]
     if args.halved_grid:
         perturbations.append(cfg.grid.refined(2, 1))
     rows = comparison.perturbation_sweep(_run_from_config(cfg), perturbations,
@@ -241,6 +240,23 @@ def cmd_sweep(args) -> int:
         print(f"{r.label:<28}{div:<18}{r.T_unique:<12.6g}")
     print(f"sweep written to {path}")
     return 0
+
+
+def _positive(text: str) -> float:
+    """A flag's number, finite and positive, as the config requires of
+    ``epsilon`` and ``tolerances.agreement_tol``."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return val
+
+
+def _positives(text: str) -> list[float]:
+    """A comma-separated list of :func:`_positive` numbers."""
+    return [_positive(s) for s in text.split(",") if s]
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -295,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--rec1", help="first record path prefix")
     p.add_argument("--rec2", help="second record path prefix")
-    p.add_argument("--epsilon2", type=float, help="mollifier width for a sharp-vs-"
-                                                  "mollified pair from the config")
-    p.add_argument("--agreement-tol", dest="agreement_tol", type=float,
+    p.add_argument("--epsilon2", type=_positive, help="mollifier width for a sharp-vs-"
+                                                      "mollified pair from the config")
+    p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive,
                    help="override the measured-refinement default")
     p.add_argument("-o", "--output", default="comparison.json")
     p.add_argument("--csv", help="also dump (t, sup_diff, energy) time series")
@@ -305,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="divergence-time table over perturbations")
     _add_config_flags(p)
-    p.add_argument("--epsilons", default="1e-3,5e-4,2.5e-4",
+    p.add_argument("--epsilons", type=_positives, default="1e-3,5e-4,2.5e-4",
                    help="comma-separated mollifier widths")
     p.add_argument("--halved-grid", action="store_true",
                    help="also include a dx-halved grid perturbation")
-    p.add_argument("--agreement-tol", dest="agreement_tol", type=float)
+    p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive)
     p.add_argument("--workers", type=int, default=1,
                    help="fan perturbation runs out over this many processes")
     p.add_argument("-o", "--output", default="sweep.json")

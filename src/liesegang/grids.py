@@ -28,6 +28,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.dx > 0 and self.dt > 0):
             raise ValueError("dx and dt must be positive")
+        if not all(map(math.isfinite, (self.dx, self.dt, self.x_max, self.t_max))):
+            raise ValueError(f"dx, dt, x_max and t_max must be finite, got {self}")
         if abs(self.n_x * self.dx - self.x_max) > _REL_TOL * max(1.0, self.x_max):
             raise ValueError(f"n_x*dx = {self.n_x * self.dx} inconsistent with x_max = {self.x_max}")
         if abs(self.n_t * self.dt - self.t_max) > _REL_TOL * max(1.0, self.t_max):

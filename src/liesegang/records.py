@@ -26,22 +26,22 @@ files also hold ``p`` and ``ignition_u``; they load, as unnamed arrays are
 not read, and derive the stored values bit for bit.  Older readers reject newer
 files (exit 1), naming the schema version or the missing arrays.
 
-The archive is written by one :class:`RecordWriter`, under a temporary name
-that is renamed over ``<prefix>.npz`` once the archive is complete: ``save``
-feeds it a record's whole ``w`` at once, and a run given an output prefix
-(``solver.run(output=)``) each snapshot row of ``w`` and of ``accum`` as it
-is taken.  ``load`` checks every member (:func:`_read`) and leaves ``w`` and
-``accum`` in the file when stored uncompressed, as are those of a streamed
-record (:class:`StoredRows`), read from the archive once ``save`` wrote it.
-:meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` read such an
-array with positioned reads of the rows and the column span they ask for,
-and ``save`` copies it into a new archive in blocks of rows; the first
-access to the attribute itself reads it whole into memory, where it stays,
-so the record's own array is always a plain ``ndarray``.
+``save`` alone writes an archive, under a temporary name that is renamed
+over ``<prefix>.npz`` once the archive is complete.  A run given an output
+prefix (``solver.run(output=)``) writes each snapshot row of ``w`` and of
+``accum`` as it is taken to its own unnamed temporary file in the output
+directory (:func:`spool`), and ``save`` copies both into the archive.
+``load`` checks every member (:func:`_read`) and leaves ``w`` and ``accum``
+in the file when stored uncompressed.  Such an array, of a loaded or a
+streamed record (:class:`StoredRows`), is read from the archive once ``save``
+wrote it.  :meth:`SolutionRecord.u_on` and :meth:`SolutionRecord.p_on` read
+it with positioned reads of the rows and the column span they ask for, and
+``save`` copies it into a new archive in blocks of rows; the first access to
+the attribute itself reads it whole into memory, where it stays, so the
+record's own array is always a plain ``ndarray``.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import secrets
@@ -136,11 +136,12 @@ def _member_layout(fh, info: zipfile.ZipInfo) -> tuple[int, tuple, np.dtype] | N
     return offset, shape, dtype
 
 
-def _pread_into(fd: int, buf: np.ndarray, offset: int) -> None:
-    """Fill the contiguous array ``buf`` with the bytes of ``fd`` from ``offset``."""
+def _positioned(io, fd: int, buf: np.ndarray, offset: int) -> None:
+    """Read (``io`` ``os.preadv``) or write (``os.pwritev``) the bytes of the
+    contiguous array ``buf`` at ``offset`` of the file ``fd``."""
     view = memoryview(buf).cast("B")
     while view:
-        n = os.preadv(fd, [view], offset)
+        n = io(fd, [view], offset)
         if not n:
             raise EOFError(f"record file ends at byte {offset}")
         view, offset = view[n:], offset + n
@@ -148,9 +149,10 @@ def _pread_into(fd: int, buf: np.ndarray, offset: int) -> None:
 
 class StoredRows:
     """The C-order array of ``shape`` and ``dtype`` stored at ``offset`` of an
-    open file, read with positioned reads on a duplicate of the file's
-    descriptor, which is closed once this object is dropped.  A reader of a
-    file since replaced or deleted keeps reading the old one.
+    open file, read (and, in a :func:`spool`, written) with positioned reads
+    and writes on a duplicate of the file's descriptor, which is closed once
+    this object is dropped.  A reader of a file since replaced or deleted
+    keeps reading the old one.
     """
 
     def __init__(self, fh, offset: int, shape: tuple, dtype: np.dtype):
@@ -167,8 +169,13 @@ class StoredRows:
         """Rows ``start`` to ``stop`` (``0 <= start <= stop <= shape[0]``), a
         new array read from the file."""
         out = np.empty((stop - start,) + self.shape[1:], self.dtype)
-        _pread_into(self.fd, out, self.offset + start * self.row_bytes)
+        _positioned(os.preadv, self.fd, out, self.offset + start * self.row_bytes)
         return out
+
+    def __setitem__(self, row: int, values) -> None:
+        """Write row ``row``."""
+        values = np.ascontiguousarray(values, self.dtype).reshape(self.shape[1:])
+        _positioned(os.pwritev, self.fd, values, self.offset + row * self.row_bytes)
 
     def read(self, rows, cols) -> np.ndarray:
         """``whole()[rows][..., cols]`` of a 2-D array (``rows`` and ``cols``
@@ -182,7 +189,8 @@ class StoredRows:
         lo = int(c.min())
         block = np.empty((r.size, int(c.max()) + 1 - lo), self.dtype)
         for buf, row in zip(block, r.ravel().tolist()):
-            _pread_into(self.fd, buf, self.offset + (row * n_cols + lo) * block.itemsize)
+            offset = self.offset + (row * n_cols + lo) * block.itemsize
+            _positioned(os.preadv, self.fd, buf, offset)
         return block[:, c - lo].reshape(r.shape + c.shape)
 
 
@@ -207,6 +215,17 @@ def _write_header(out, shape: tuple, dtype) -> None:
         "shape": tuple(shape)})
 
 
+def spool(directory, shape: tuple) -> StoredRows:
+    """A float array of ``shape`` stored as the ``.npy`` file of an unnamed
+    temporary file in ``directory``, which no listing shows and which goes
+    once the array is dropped.  Its rows are written in place
+    (``rows[k] = row``) and read as those of any stored array."""
+    with tempfile.TemporaryFile(dir=directory) as fh:
+        _write_header(fh, shape, float)
+        fh.flush()
+        return StoredRows(fh, fh.tell(), shape, np.dtype(float))
+
+
 def _write_rows(out, array: np.ndarray | StoredRows) -> None:
     """The bytes of ``array``: an array's own buffer, or a stored array's rows
     copied from its file in blocks of at most ``BLOCK_BYTES`` (of one row,
@@ -226,127 +245,41 @@ def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray | Store
         _write_rows(member, array)
 
 
-def _discard(handles: list, tmp: Path) -> None:
-    """Close ``handles`` in order and delete the file ``tmp`` they write.  The
-    file goes, so an error while its end is written does not matter."""
-    for handle in handles:
-        with contextlib.suppress(OSError, ValueError):
-            handle.close()
-    tmp.unlink(missing_ok=True)
-
-
-class RecordWriter:
-    """The archive ``<prefix>.npz`` of a record, byte for byte the one
-    ``np.savez`` writes, but member by member from the arrays' own buffers,
-    or from the file of an array still stored in one.
-
-    It writes ``times`` and the ``.npy`` header of ``w``, then takes the rows
-    of ``w`` in order, one or many at a time (:meth:`append`), and in
-    :meth:`finish` the other arrays of a record.  Given ``accum_cols``, it
-    takes each row of ``w`` with the matching row of ``accum`` (that many
-    columns), and writes those to an unnamed temporary file in the target
-    directory, as the ``.npy`` file of ``accum``: a zip archive has one
-    member open for writing at a time.  :meth:`close_rows` returns both as
-    stored, and :meth:`finish` copies ``accum`` into the archive after ``w``.
-
-    Until then the archive has a temporary name in the target directory,
-    ending in ``.tmp``, never ``.npz``; :meth:`finish` renames it over the
-    target, so no reader sees a partial archive and one that reads the old
-    file keeps its arrays (its inode survives).  :meth:`discard`, or dropping
-    the writer unfinished, deletes the file and closes the temporary one.
-    """
-
-    def __init__(self, prefix, times: np.ndarray, w_shape: tuple, w_dtype=float,
-                 accum_cols: int | None = None):
-        self.path = _paths(prefix)[0]
-        self.tmp = self.path.with_name(f"{self.path.name}.{secrets.token_hex(4)}.tmp")
-        self.times, self.stored = times, None
-        self._file = open(self.tmp, "xb")
-        self._zip = zipfile.ZipFile(self._file, "w", zipfile.ZIP_STORED, allowZip64=True)
-        handles = [self._zip, self._file]
-        self._finalizer = weakref.finalize(self, _discard, handles, self.tmp)
-        self._accum = None
-        if accum_cols is not None:
-            self._accum = tempfile.TemporaryFile(dir=self.path.parent)
-            handles.append(self._accum)
-            shape = (w_shape[0], accum_cols)
-            _write_header(self._accum, shape, float)
-            self._accum_layout = (self._accum.tell(), shape, np.dtype(float))
-        _write_member(self._zip, "times", times)
-        self._rows = self._zip.open("w.npy", "w", force_zip64=True)
-        handles.insert(0, self._rows)
-        _write_header(self._rows, w_shape, w_dtype)
-
-    def append(self, rows: np.ndarray | StoredRows, accum_rows: np.ndarray | None = None) -> None:
-        """Write the next row of ``w``, or the next block of rows, and the
-        matching rows of ``accum`` when the writer takes them."""
-        _write_rows(self._rows, rows)
-        if self._accum is not None:
-            _write_rows(self._accum, accum_rows)
-
-    def close_rows(self) -> tuple[StoredRows, StoredRows]:
-        """End ``w`` and ``accum`` (of a writer given ``accum_cols``) and
-        return them as stored in their files."""
-        self._rows.close()
-        self._file.flush()
-        with open(self.tmp, "rb") as fh:
-            self.stored = StoredRows(fh, *_member_layout(fh, self._zip.getinfo("w.npy")))
-        self._accum.flush()
-        accum = StoredRows(self._accum, *self._accum_layout)
-        self._accum.close()
-        return self.stored, accum
-
-    def holds(self, record: "SolutionRecord", npz_path: Path) -> bool:
-        """Whether this unfinished archive of ``npz_path`` holds the ``times``
-        of ``record`` and its ``w``, still stored and not read into memory."""
-        return (self._finalizer.alive and self.path == npz_path
-                and record.times is self.times and record._stored.get("w") is self.stored)
-
-    def finish(self, record: "SolutionRecord") -> None:
-        """Write ``record``'s arrays after ``w``, a stored one copied from its
-        file, complete the archive and rename it to ``<prefix>.npz``; on any
-        error, delete it instead.  The record then reads its stored arrays
-        from the archive, and lets go of the files they were in."""
-        try:
-            self._rows.close()
-            for name in _ARRAY_NAMES[2:]:
-                _write_member(self._zip, name, record._held(name))
-            self._zip.close()
-            self._file.close()
-            with open(self.tmp, "rb") as fh:
-                stored = {name: StoredRows(fh, *_member_layout(fh, self._zip.getinfo(name + ".npy")))
-                          for name in record._stored}
-            os.replace(self.tmp, self.path)
-            self._finalizer.detach()
-            record._stored.update(stored)
-        finally:
-            self.discard()
-
-    def discard(self) -> None:
-        """Delete the archive unless it is finished."""
-        self._finalizer()
+# The JSON values a sidecar field of each annotation takes (``bool`` is no number).
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
 
 
 def _exactly(cls, d: dict):
     """``cls(**d)``, where ``d`` names every field of ``cls`` (defaulted ones
-    too) and no other key.  An integer for a field annotated ``float`` becomes
-    a float: a sidecar writes the float 1.0 as ``1``."""
+    too) and no other key, each a value of its annotated type (``| None``:
+    or null).  An integer for a ``float`` field becomes a float: a sidecar
+    writes the float 1.0 as ``1``."""
     types = {f.name: f.type for f in fields(cls)}
     if not isinstance(d, dict) or d.keys() != types.keys():
         raise KeyError(f"{cls.__name__} needs keys {list(types)}, got {d!r}")
-    return cls(**{k: float(v) if type(v) is int and types[k] in ("float", "float | None") else v
+    for k, v in d.items():
+        kind = types[k].removesuffix(" | None")
+        if type(v) not in _JSON_TYPES[kind] and not (v is None and kind != types[k]):
+            raise TypeError(f"{cls.__name__}.{k} must be {types[k]}, got {v!r}")
+    return cls(**{k: float(v) if type(v) is int and types[k].startswith("float") else v
                   for k, v in d.items()})
 
 
 def _sidecar_fields(meta: dict) -> dict:
     """The non-array SolutionRecord fields stored in a sidecar."""
-    c = meta["constants"]
+    from .solver import SCHEMES  # the solver imports this module
+
+    c, stride, scheme = meta["constants"], meta["snapshot_stride"], meta["scheme"]
+    if type(stride) is not int or stride < 1:
+        raise ValueError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
+    if scheme not in (*SCHEMES, "synthetic"):
+        raise ValueError(f"scheme must be one of {(*SCHEMES, 'synthetic')}, got {scheme!r}")
     return {
         "params": _exactly(ModelParams, meta["params"]),
         "grid": _exactly(GridSpec, meta["grid"]),
         "relay_kind": _exactly(RelayKind, meta["relay"]),
-        "snapshot_stride": meta["snapshot_stride"],
-        "scheme": meta["scheme"],
+        "snapshot_stride": stride,
+        "scheme": scheme,
         "constants": _exactly(ModelConstants, c) if c else None,
     }
 
@@ -368,9 +301,6 @@ class SolutionRecord:
     # The F1 cell-mass table of ``liesegang.duhamel``, built on first use.
     _f1_mass_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
-    # The unfinished archive a run streamed ``times``, ``w`` and ``accum``
-    # into; ``save`` to its prefix finishes it.
-    _archive: RecordWriter | None = field(default=None, repr=False, compare=False)
     # ``w`` or ``accum`` as stored in a file, until the attribute is read whole.
     _stored: dict[str, StoredRows] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -461,22 +391,30 @@ class SolutionRecord:
     def save(self, prefix) -> tuple[Path, Path]:
         """Write <prefix>.npz (arrays) and <prefix>.json (metadata sidecar).
 
-        The archive is written by a :class:`RecordWriter`: the one a run
-        streamed this record's ``times``, ``w`` and ``accum`` into, if it was
-        given this prefix, else a new one fed all of ``w`` at once.  An array
-        still stored in a file is copied from it in blocks of rows, and stays
-        stored, read from the new archive from then on.  Either way the bytes
-        are those ``np.savez`` writes.
+        The archive holds the bytes ``np.savez`` writes, member by member from
+        the arrays' own buffers, or from the file of an array still stored in
+        one, copied in blocks of rows (:func:`_write_rows`).  It is written
+        under a temporary name in the target directory, ending in ``.tmp``,
+        never ``.npz``, and renamed over ``<prefix>.npz`` once complete, so no
+        reader sees a partial archive and one that reads the old file keeps
+        its arrays (its inode survives); on any error it is deleted instead.
+        Arrays still stored are then read from the new archive, and the files
+        they were in are let go.
         """
         npz_path, json_path = _paths(prefix)
-        archive, self._archive = self._archive, None
-        if archive is None or not archive.holds(self, npz_path):
-            if archive is not None:
-                archive.discard()
-            w = self._held("w")
-            archive = RecordWriter(prefix, self.times, w.shape, w.dtype)
-            archive.append(w)
-        archive.finish(self)
+        tmp = npz_path.with_name(f"{npz_path.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            with open(tmp, "xb+") as fh:
+                with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+                    for name in _ARRAY_NAMES:
+                        _write_member(archive, name, self._held(name))
+                stored = {name: StoredRows(fh, *_member_layout(fh, archive.getinfo(name + ".npy")))
+                          for name in self._stored}
+            os.replace(tmp, npz_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self._stored.update(stored)
         sidecar = {
             "schema_version": RECORD_SCHEMA_VERSION,
             "kind": "solution_record",
@@ -503,7 +441,9 @@ class SolutionRecord:
 
         Raises ValueError naming the offending file for an unreadable (e.g.
         truncated) sidecar, a sidecar of another kind or schema version or with
-        a missing field, an unreadable array file, a missing array, or array
+        a missing field or one of the wrong type (a ``bool`` for a number, a
+        float for an integer, a stride below 1, an unknown scheme), an
+        unreadable array file, a missing array, or array
         shapes that do not match the grid and times (an ``accum`` wider than
         the grid, or, in version 1, narrower).
         """

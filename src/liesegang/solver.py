@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.fft import dst, prev_fast_len
@@ -76,7 +77,7 @@ from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing
 from . import model
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
-from .records import BACK_OFFSETS, RIGHT_CELLS, RecordWriter, SolutionRecord
+from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord, spool
 from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
                     smoothstep_array)
 
@@ -551,47 +552,37 @@ def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot
     stepper's start (0, or 1); each snapshot's time is its step times ``dt``.
 
     With an ``output`` prefix, each snapshot row of ``w`` and of the
-    accumulator goes into the archive ``<output>.npz`` as it is taken
-    (:class:`records.RecordWriter`), and the record reads both from there, so
-    the run holds nothing that grows with its step or snapshot count but
-    ``times``; ``record.save(output)`` finishes the archive.  A run that
-    raises deletes it.
+    accumulator is written as it is taken to its own unnamed temporary file
+    in the output directory (:func:`records.spool`), and the record reads
+    both from there, so the run holds nothing that grows with its step or
+    snapshot count but ``times``; ``record.save`` copies them into the
+    archive.  The files go once the record, or the run that raised, is
+    dropped, and no name is ever written in the directory.
     """
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     stepper = Stepper(params, grid, relay_kind, **options)
     schedule = (stepper.step_index, grid.n_t, snapshot_stride)
     times = np.fromiter(_snapshot_steps(*schedule), np.int64) * grid.dt
-    # rows go to the archive or into arrays filled in place: stacking a list
-    # of snapshots would hold each one twice; the accumulator is stored on the
+    # rows go into arrays or spools filled in place: stacking a list of
+    # snapshots would hold each one twice; the accumulator is stored on the
     # relay window, as it is zero past it
-    shape = (times.size, stepper.n)
-    archive = None if output is None else RecordWriter(output, times, shape,
-                                                       accum_cols=stepper.m)
-    if archive is None:
-        w, accum = np.empty(shape), np.empty((times.size, stepper.m))
-    try:
-        for k, step in enumerate(_snapshot_steps(*schedule)):
-            for _ in range(step - stepper.step_index):
-                stepper.step()
-            w_row, accum_row = stepper.snapshot()
-            if archive is None:
-                w[k], accum[k] = w_row, accum_row
-            else:
-                archive.append(w_row, accum_row)
-        if archive is not None:
-            w, accum = archive.close_rows()
-    except BaseException:
-        if archive is not None:
-            archive.discard()
-        raise
+    shapes = (times.size, stepper.n), (times.size, stepper.m)
+    if output is None:
+        w, accum = (np.empty(shape) for shape in shapes)
+    else:
+        w, accum = (spool(Path(output).parent, shape) for shape in shapes)
+    for k, step in enumerate(_snapshot_steps(*schedule)):
+        for _ in range(step - stepper.step_index):
+            stepper.step()
+        w[k], accum[k] = stepper.snapshot()
     return SolutionRecord(
         params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
         scheme=stepper.scheme, times=times, w=w, accum=accum,
         ignition_time=np.concatenate((stepper.state.ignition_time,
                                       np.full(stepper.n - stepper.m, np.nan))),
         ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
-        constants=stepper.constants, _archive=archive,
+        constants=stepper.constants,
     )
 
 
@@ -599,9 +590,9 @@ def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
         snapshot_stride: int = 100, *, scheme: str = "deficit", output=None) -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
     ``deficit``, the deficit formulation, or ``deposition``, the source
-    deposition scheme.  With an ``output`` prefix the run streams its record
-    into ``<output>.npz``, which ``record.save(output)`` finishes (see
-    :func:`_record`).
+    deposition scheme.  With an ``output`` prefix the run spools the rows of
+    its ``w`` and accumulator to unnamed files in the output directory, which
+    ``record.save`` copies into the archive (see :func:`_record`).
 
     Deterministic: identical inputs produce bit-identical records.
     """

@@ -1,6 +1,6 @@
 """``tools/compare_checkouts.py`` on canned runs and outputs: the pair summary of
-``--bench``, the per-layer metrics of its traced runs, and the matrix verdicts
-and line counts it writes."""
+``--bench``, the per-layer metrics of its traced runs, the tier-1 counts and
+times, and the matrix verdicts and line counts it writes."""
 import json
 import sys
 from pathlib import Path
@@ -143,17 +143,24 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
                              "report_matrix.py": {"lines": 127, "verdict": "identical"},
                              "help": {"commands": 8, "verdict": "identical"}},
                 "src_lines": {"parent": 3709, "change": 3700}}
+    # no git: tier-1 also runs in trees extracted without git metadata
+    monkeypatch.setattr(compare_checkouts, "commit", lambda rev: f"{rev} commit")
     monkeypatch.setattr(compare_checkouts, "extract", lambda rev, dest: None)
     monkeypatch.setattr(compare_checkouts, "snapshot", lambda dest: None)
     monkeypatch.setattr(compare_checkouts, "bench_run",
                         lambda tree, workload, seed, seconds, trace=0: traced if trace else runs)
     monkeypatch.setattr(compare_checkouts, "compare_trees", lambda old, new, rev: compared)
+    tier1 = {"parent": {"passed": 587, "failed": 0, "wall_s": 113.8},
+             "change": {"passed": 582, "failed": 5, "wall_s": 110.2}}
+    monkeypatch.setattr(compare_checkouts, "tier1_run", lambda tree: tier1[tree.name])
     monkeypatch.setattr(compare_checkouts, "summarize_pairs", lambda pairs, end_to_end: {})
     out = tmp_path / "BENCH_0.json"
     assert compare_checkouts.bench("HEAD", 2, out) == status
     written = json.loads(out.read_text())
     assert written["matrices"] == compared["matrices"]
     assert written["src_lines"] == compared["src_lines"]
+    assert written["tier1"] == tier1  # reported, not a failure of the tool
+    assert written["parent"] == "HEAD commit"
     # one traced run per side and workload, its per-layer metrics under "layers"
     workloads = json.loads((compare_checkouts.ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert written["layers"] == {w["name"]: {"solver.steps": {
@@ -170,3 +177,14 @@ def test_the_layer_table_holds_both_traced_runs():
         "model.psi_s": {"unit": "s", "parent": 0.25, "change": None},
         "records.load_s": {"unit": "s", "parent": None, "change": 0.01},
     }
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("....\n587 passed in 113.77s (0:01:53)\n", (587, 0)),
+    ("F.\nFAILED tests/t.py::x - 3 passed\n582 passed, 5 failed in 98.10s\n", (582, 5)),
+    ("E\n1 failed, 580 passed, 2 errors in 99.0s\n", (580, 3)),
+    ("no tests ran in 0.01s\n", (0, 0)),
+    ("", (0, 0)),
+], ids=["all_pass", "failures", "errors", "none", "no_output"])
+def test_tier1_counts_read_the_summary_line(output, counts):
+    assert compare_checkouts.tier1_counts(output) == dict(zip(("passed", "failed"), counts))

@@ -521,6 +521,35 @@ class TestCli:
         assert "--agreement-tol" in err and "tolerances.agreement_tol" in err
         assert not (tmp_path / "cmp.json").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("compare", "--rec1", "{rec}", "--rec2", "{rec}", "--agreement-tol", "nan"),
+         "--agreement-tol"),
+        (("compare", "--rec1", "{rec}", "--rec2", "{rec}", "--agreement-tol", "-1"),
+         "--agreement-tol"),
+        (("sweep", "-c", "{cfg}", "--epsilons", "1e-3", "--agreement-tol", "-2"),
+         "--agreement-tol"),
+        (("sweep", "-c", "{cfg}", "--epsilons", "inf"), "--epsilons"),
+        (("compare", "-c", "{cfg}", "--epsilon2", "-1"), "--epsilon2"),
+    ], ids=["compare_tol_nan", "compare_tol_negative", "sweep_tol_negative",
+            "sweep_epsilon_inf", "epsilon2_negative"])
+    def test_flag_numbers_are_finite_and_positive(self, tmp_path, monkeypatch, capsys, argv,
+                                                  flag):
+        # each once exited 0 (a NaN tolerance never diverged, a negative one
+        # diverged at t = 0, an infinite epsilon gave a mollified(eps=inf)
+        # row) or, for epsilon2, 1 with a "math domain error" naming no flag
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("simulate", "-c", cfg, "-o", "rec") == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        argv = [a.format(rec=tmp_path / "rec", cfg=cfg) for a in argv]
+        assert self.run_cli(*argv, "--output-dir", str(tmp_path), "-o", "out.json") == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: liesegang"), lines
+        assert f"argument {flag}: must be a finite positive number" in lines[0]
+        assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_compare_without_config_omits_effective_config(self, tmp_path):
         out = tmp_path / "cmp.json"
         assert self.compare_two_records(tmp_path, "-o", str(out)) == 0

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import gc
 import json
+import math
 import os
 import tempfile
 import time
@@ -507,23 +508,45 @@ def test_sidecar_round_trip_is_bit_equal(rec):
     assert (back.snapshot_stride, back.scheme) == (rec.snapshot_stride, rec.scheme)
 
 
+# Values of a wrong type or out of range, by the section they go into (None:
+# the top level); a callable maps the value the sidecar holds.
+WRONG_VALUES = {
+    "alpha_true": ("params", {"alpha": True}),
+    "epsilon_true": ("relay", {"variant": "mollified", "epsilon": True}),
+    "n_x_float": ("grid", {"n_x": float}),
+    "n_t_float": ("grid", {"n_t": float}),
+    "x_max_inf": ("grid", {"x_max": math.inf}),  # once passed the n_x*dx check
+    "t_max_inf": ("grid", {"t_max": math.inf}),  # once a traceback in analyze
+    "stride_string": (None, {"snapshot_stride": "abc"}),
+    "stride_true": (None, {"snapshot_stride": True}),
+    "stride_negative": (None, {"snapshot_stride": -3}),
+    "scheme_unknown": (None, {"scheme": "nonsense"}),
+}
+
+
 @pytest.mark.parametrize("section, change", [
-    (section, change) for section in ("params", "grid", "relay", "constants")
-    for change in ("unknown", "missing")])
+    *((section, change) for section in ("params", "grid", "relay", "constants")
+      for change in ("unknown", "missing")),
+    *(pytest.param(*edit, id=name) for name, edit in WRONG_VALUES.items())])
 def test_sidecar_with_an_unknown_or_missing_key_is_malformed(tiny_record, tmp_path, capsys,
                                                               section, change):
     _, json_path = tiny_record.save(tmp_path / "rec")
     meta = json.loads(json_path.read_text())
     if change == "unknown":
         meta[section]["extra"] = 1.0
-    else:  # the last key: the relay's epsilon has a default
+    elif change == "missing":  # the last key: the relay's epsilon has a default
         del meta[section][list(meta[section])[-1]]
+    else:
+        edited = meta[section] if section else meta
+        edited.update({k: v(edited[k]) if callable(v) else v for k, v in change.items()})
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="rec.json: malformed sidecar"):
         lg.SolutionRecord.load(tmp_path / "rec")
     assert cli.main(["analyze", "-r", str(tmp_path / "rec"), "--output-dir",
                      str(tmp_path)]) == 1
-    assert "malformed sidecar" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed sidecar" in err and "rec.json" in err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not (tmp_path / "front_report.json").exists()
 
 

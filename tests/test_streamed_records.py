@@ -1,10 +1,11 @@
 """Streamed and stored records: ``simulate`` writes each snapshot row of ``w``
-into the archive, and of ``accum`` into a temporary file, as it is taken, and
-``load`` leaves ``w`` and ``accum`` in the file, to be read as they are used.
+and of ``accum`` as it is taken to an unnamed temporary file, which ``save``
+copies into the archive, and ``load`` leaves ``w`` and ``accum`` in the file,
+to be read as they are used.
 
-The streamed archive is byte for byte the one ``save`` writes, it appears
-under its name only when complete, and a damaged one exits 1 rather than
-faulting when read.
+The streamed archive is byte for byte the one ``save`` writes for a record in
+memory, it appears under its name only when complete, no other name ever
+appears, and a damaged one exits 1 rather than faulting when read.
 """
 import gc
 import json
@@ -74,12 +75,13 @@ def test_run_with_an_output_reads_its_w_from_the_archive(tmp_path):
     assert stored(record) == {"w", "accum"}
     assert np.array_equal(record.u_on(), in_memory.u_on())
     assert np.array_equal(record.p_on(), in_memory.p_on())
-    # the archive is pending under its temporary name only; accum's file has none
-    (pending,) = tmp_path.glob("rec.npz.*.tmp")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", pending.name]
+    # the rows are spooled to unnamed files: no name appears before save
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
     record.save(tmp_path / "rec")
-    assert not pending.exists() and (tmp_path / "rec.npz").exists()
-    assert stored(record) == {"w", "accum"}  # w now read from the renamed archive
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rec.json", "rec.npz"]
+    assert stored(record) == {"w", "accum"}  # both now read from the archive
+    inode = os.stat(tmp_path / "rec.npz")
+    assert all(os.path.samestat(os.fstat(rows.fd), inode) for rows in record._stored.values())
     assert arrays_equal(record, in_memory)
     assert arrays_equal(lg.SolutionRecord.load(tmp_path / "rec"), in_memory)
 
@@ -94,11 +96,24 @@ def test_a_streamed_run_saved_elsewhere_is_written_anew(tmp_path, fixed_clock):
     assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
 
 
-def test_a_run_never_saved_leaves_no_file(tmp_path):
+def test_a_run_never_saved_leaves_no_file(tmp_path, monkeypatch):
     cfg = config.parse_config(write_config(tmp_path))
+    seen, snapshot = set(), solver.Stepper.snapshot
+
+    def listed_snapshot(self):  # the directory as each snapshot is taken
+        seen.update(p.name for p in tmp_path.iterdir())
+        return snapshot(self)
+
+    monkeypatch.setattr(solver.Stepper, "snapshot", listed_snapshot)
+    before = open_files()
     record = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 50, output=tmp_path / "rec")
-    assert list(tmp_path.glob("rec.npz.*.tmp"))
+    seen.update(p.name for p in tmp_path.iterdir())
+    assert seen == {"cfg.json"}
+    spools = [link for link in open_files() if link not in before]
+    assert len(spools) == 2, spools
+    assert all(link.startswith(os.path.realpath(tmp_path) + os.sep) for link in spools)
     del record
+    assert open_files() == before  # no descriptor into the directory is left
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -200,13 +215,15 @@ def open_files() -> list:
 
 
 def test_a_saved_streamed_record_reads_from_its_archive(tmp_path):
-    # accum's unnamed temporary file, its spool, is let go once save has
-    # copied it into the archive: the record reads both arrays from there
+    # the unnamed temporary files of w and accum, their spools, are let go
+    # once save has copied them into the archive: the record reads both
+    # arrays from there
     cfg = config.parse_config(write_config(tmp_path, snapshot_stride=1))
     before = open_files()
     rec = solver.run(cfg.params, cfg.grid, cfg.relay_kind, 1, output=tmp_path / "rec")
-    (spool,) = (link for link in open_files() if link not in before and "(deleted)" in link)
-    assert spool.startswith(os.path.realpath(tmp_path) + os.sep)
+    spools = [link for link in open_files() if link not in before]
+    assert len(spools) == 2 and all("(deleted)" in link for link in spools), spools
+    assert all(link.startswith(os.path.realpath(tmp_path) + os.sep) for link in spools)
     u, p = rec.u_on(), rec.p_on()
     rec.save(tmp_path / "rec")
     archive = os.path.realpath(tmp_path / "rec.npz")
@@ -240,9 +257,9 @@ class TestAtomicWrites:
             p.name for p in tmp_path.iterdir() if p.name not in before))
         assert simulate(cfg) == 2
         assert "numerical failure" in capsys.readouterr().err
-        # while it ran, the archive had a temporary name, not ending in .npz,
-        # and accum's temporary file none
-        assert len(seen) == 1 and seen[0].startswith("rec.npz.") and seen[0].endswith(".tmp")
+        # while it ran, no name appeared: the rows of w and accum go to
+        # unnamed temporary files, and only save writes an archive
+        assert seen == []
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_failed_run_closes_its_temporary_files(self, tmp_path, monkeypatch, capsys):
@@ -250,11 +267,11 @@ class TestAtomicWrites:
         before, during = open_files(), []
         fail_at_step_1000(monkeypatch, lambda: during.extend(open_files()))
         assert simulate(cfg) == 2
-        # the archive and accum's unnamed file, both in the output directory
+        # the unnamed files of w and accum, both in the output directory
         opened = [link for link in during if link not in before]
         assert len(opened) == 2, opened
         assert all(link.startswith(os.path.realpath(tmp_path) + os.sep) for link in opened)
-        assert sum(".npz." in link for link in opened) == 1
+        assert all("(deleted)" in link and ".npz." not in link for link in opened)
         assert open_files() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 

@@ -149,8 +149,8 @@ def test_cli_simulate_runs_once_and_saves_once(tmp_path, monkeypatch):
 
 
 # perfbench/smoke.py checks that a record without ignitions is counted as a
-# failed output check, by patching ``save`` this way: the streamed archive
-# must still take ``ignition_time`` from the record that ``save`` is given.
+# failed output check, by patching ``save`` this way: the archive must take
+# ``ignition_time`` from the record that ``save`` is given.
 def test_a_save_that_blanks_the_ignitions_writes_a_record_without_them(tmp_path, monkeypatch):
     assert np.isfinite(simulate(tmp_path).ignition_time).any()
     save = lg.SolutionRecord.save

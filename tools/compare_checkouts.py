@@ -31,11 +31,14 @@ the parent's quartile spread, the pairs the change won and the verdict
 against the metric's bound (:func:`summarize_pairs`).  After the pairs of a
 workload it runs ``perfbench/run.py --trace 1`` once in each tree, with seed
 1, and writes the per-layer metrics of both runs under ``layers``
-(:func:`layer_table`).  It then compares the
-two trees as above (the full record matrix) and adds to the file the verdict
-of each matrix and of the ``--help`` texts, and both line counts of
-``src/liesegang`` (:func:`compare_trees`).  Exits 1 if a verdict is
-``worse``, a matrix or help text is not ``identical``, or a run fails, else 0.
+(:func:`layer_table`).  It then runs tier-1 once in each tree and writes
+each side's passed and failed test counts and wall time under ``tier1``
+(:func:`tier1_run`), compares the two trees as above (the full record
+matrix) and adds to the file the verdict of each matrix and of the
+``--help`` texts, and both line counts of ``src/liesegang``
+(:func:`compare_trees`).  Exits 1 if a verdict is ``worse``, a matrix or
+help text is not ``identical``, or a run fails, else 0; a failing tier-1
+test is reported, not a failure of the tool.
 """
 from __future__ import annotations
 
@@ -44,10 +47,12 @@ import difflib
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +62,9 @@ from steadiness import RUN_TIMEOUT_S, summarize  # noqa: E402
 COMMANDS = ("", "constants", "simulate", "analyze", "diagnose", "toy", "compare", "sweep")
 # The scripts in tools/ whose outputs are compared.
 MATRICES = ("record_matrix.py", "report_matrix.py")
+# The tier-1 command of ROADMAP.md, run in a tree with its ``src`` on PYTHONPATH.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_TIMEOUT_S = 1800
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -64,6 +72,12 @@ def extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def commit(rev: str) -> str:
+    """The commit that ``rev`` names in this checkout."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def snapshot(dest: Path) -> None:
@@ -229,17 +243,34 @@ def layer_table(parent: dict, change: dict) -> dict:
     return table
 
 
+def tier1_counts(output: str) -> dict:
+    """``passed`` and ``failed`` (failures and errors) from the summary line,
+    the last, of ``pytest -q``'s ``output``; 0 for a count it does not show."""
+    last = (output.strip().splitlines() or [""])[-1]
+    counts = {word.rstrip("s"): int(n)
+              for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", last)}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
+
+
+def tier1_run(tree: Path) -> dict:
+    """One tier-1 run in ``tree``: :func:`tier1_counts` and its wall time."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=TIER1_TIMEOUT_S)
+    return {**tier1_counts(proc.stdout), "wall_s": time.perf_counter() - start}
+
+
 def bench(rev: str, n_pairs: int, out_path: Path) -> int:
     """Run ``n_pairs`` alternating pairs per workload and write ``out_path``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    head, parent = (subprocess.run(["git", "-C", str(ROOT), "rev-parse", name], check=True,
-                                   capture_output=True, text=True).stdout.strip()
-                    for name in ("HEAD", rev))
+    head, parent = commit("HEAD"), commit(rev)
     report = {"parent": parent, "change": f"working tree on {head}", "pairs": n_pairs,
               "run_seconds": seconds,
               "host": {"machine": platform.machine(), "platform": platform.platform()},
-              "workloads": {}, "layers": {}}
+              "workloads": {}, "layers": {}, "tier1": {}}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -271,6 +302,10 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
             report["layers"][workload] = layer_table(traced["parent"], traced["change"])
             print(f"  layers: {len(report['layers'][workload])} metrics of one --trace 1 run "
                   "per side", flush=True)
+        for side, tree in trees.items():
+            report["tier1"][side] = row = tier1_run(tree)
+            print(f"tier1 {side}: {row['passed']} passed, {row['failed']} failed "
+                  f"in {row['wall_s']:.1f} s", flush=True)
         report.update(compare_trees(trees["parent"], trees["change"], rev))
         failed |= any(m["verdict"] != "identical" for m in report["matrices"].values())
     out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
