@@ -59,16 +59,16 @@ def _record_config(args) -> RunConfig | None:
 _RUN_FIELDS = ("params", "constants", "grid", "relay_kind", "scheme", "snapshot_stride")
 
 
-def _load_record(cfg: RunConfig | None, args) -> SolutionRecord:
-    """The record ``-r``.  A config that describes another run (``t1_ceiling``
-    is part of its constants) is an error, rather than echoed into a report
-    computed from the record's own settings."""
-    record = SolutionRecord.load(args.record)
+def _load_record(cfg: RunConfig | None, args, prefix: str) -> SolutionRecord:
+    """The record at ``prefix``.  A config that describes another run
+    (``t1_ceiling`` is part of its constants) is an error, rather than echoed
+    into a report computed from the record's own settings."""
+    record = SolutionRecord.load(prefix)
     if cfg is not None:
         differ = [name for name in _RUN_FIELDS if getattr(cfg, name) != getattr(record, name)]
         if differ:
             raise ValidationError([f"{args.config} describes another run than the record "
-                                   f"{args.record}: its {', '.join(differ)} differ"])
+                                   f"{prefix}: its {', '.join(differ)} differ"])
     return record
 
 
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _record_config(args)
-    record = _load_record(cfg, args)
+    record = _load_record(cfg, args, args.record)
     tol = cfg.tolerances if cfg else Tolerances()
     report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
                                       jump_factor=tol.jump_factor, front_tol=tol.front_tol)
@@ -163,8 +163,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _record_config(args)
-    record = _load_record(cfg, args)
-    front = fronts.extract_front(record)
+    record = _load_record(cfg, args, args.record)
     tol = cfg.tolerances if cfg else Tolerances()
     probes = list(cfg.probes) if (cfg and cfg.probes) else None
     if not probes:
@@ -172,6 +171,12 @@ def cmd_diagnose(args) -> int:
         if consts is None:
             raise ValidationError(["record has no constants; provide probes in the config"])
         probes = default_probe_ladder(consts, record.params.alpha)
+    horizon = record.times[-1]  # with the slack duhamel allows past it
+    late = [f"probe ({x}, {t}) is past the record's last time {horizon}"
+            for x, t in probes if t > horizon * (1.0 + 1e-12)]
+    if late:
+        raise ValidationError(late)
+    front = fronts.extract_front(record)
     report_body = duhamel.diagnostics_report(record, front, probes,
                                              slope_floor=tol.slope_floor,
                                              rate_floor=tol.rate_floor)
@@ -194,14 +199,21 @@ def cmd_toy(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.rec1 and args.rec2:
+    if args.rec1 is not None and args.rec2 is not None:
+        if args.epsilon2 is not None:
+            raise ValidationError(["--epsilon2: not accepted with --rec1/--rec2, which "
+                                   "compare two saved records"])
         cfg = _record_config(args)
-        rec1 = SolutionRecord.load(args.rec1)
+        rec1 = _load_record(cfg, args, args.rec1)
         rec2 = SolutionRecord.load(args.rec2)
         tol = _configured_agreement_tol(cfg, args)
         if tol is None:
             raise ValidationError(["comparing saved records needs --agreement-tol or the "
                                    "config's tolerances.agreement_tol"])
+    elif args.rec1 is not None or args.rec2 is not None:
+        alone = "--rec1" if args.rec2 is None else "--rec2"
+        raise ValidationError([f"{alone}: saved records are compared only in pairs, "
+                               "--rec1 with --rec2"])
     else:
         cfg = _config_from_args(args)
         if args.epsilon2 is None:

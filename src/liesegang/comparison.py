@@ -7,6 +7,14 @@ difference and the relative ordering of the two precipitation fronts.  Two
 fronts are *entangled* when neither stays ahead of the other: the sign of
 ``ell_1 - ell_2`` (beyond a one-step magnitude) takes both values inside
 some x-window.
+
+Every comparison samples both records on the nodes and snapshot times of the
+coarser one (the first on equal ``dx``), up to the shorter horizon.  A stored
+time reads its one row and a record's own nodes are taken as they are, so a
+same-grid pair is compared on its stored values; elsewhere ``u`` is linear in
+time, then in space.  A node is precipitated when it coincides with a
+precipitated node of the record or lies strictly between two, its ignition
+time linear between them; any other node has none (NaN).
 """
 from __future__ import annotations
 
@@ -130,23 +138,26 @@ def _entanglement(x: np.ndarray, sign: np.ndarray) -> tuple[bool, tuple | None]:
     return True, (float(x[nz[j]]), float(x[nz[j + 1]]))
 
 
-def _report_from_rows(x, times, rows, ell1, ell2, dt, agreement_tol) -> ComparisonReport:
-    """``rows`` yields the pair ``(u1, u2)`` on ``x`` at each of ``times``."""
-    sup_diff, energy, energy_rev = (np.empty(times.size) for _ in range(3))
-    for k, (u1, u2) in enumerate(rows):
-        diff = u1 - u2
-        sup_diff[k] = np.max(np.abs(diff))
-        energy[k] = np.trapezoid(np.maximum(diff, 0.0) ** 2, x)
-        energy_rev[k] = np.trapezoid(np.maximum(-diff, 0.0) ** 2, x)
-    front_sign = _front_signs(ell1, ell2, dt)
-    entangled, window = _entanglement(x, front_sign)
-    over = np.flatnonzero(sup_diff > agreement_tol)
-    divergence_time = float(times[over[0]]) if over.size else math.nan
-    return ComparisonReport(times=times, sup_diff=sup_diff, energy=energy,
-                            energy_rev=energy_rev, front_sign=front_sign,
-                            entangled=entangled, witness_window=window,
-                            divergence_time=divergence_time, agreement_tol=agreement_tol,
-                            x=x)
+def _sampled(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
+    """``(rows, ell)``: u of ``record`` at ``times`` on nodes ``x``, one row at a
+    time, and its ignition times at ``x``, aligned as the module says."""
+    own_x = x.shape == record.x.shape and np.array_equal(x, record.x)
+    k = np.minimum(np.searchsorted(record.times, times), record.times.size - 1)
+
+    def rows():
+        for t, j, stored in zip(times, k, record.times[k] == times):
+            if stored:
+                row = record.u_on(int(j))
+            else:
+                j, frac = record.bracket(t)
+                lo, hi = record.u_on(slice(j, j + 2))
+                row = (1.0 - frac) * lo + frac * hi
+            yield row if own_x else np.interp(x, record.x, row)
+
+    # np.interp is exact on a node and NaN beside an unset (NaN) neighbour
+    ell = (record.ignition_time if own_x else
+           np.interp(x, record.x, record.ignition_time, left=np.nan, right=np.nan))
+    return rows(), ell
 
 
 def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) -> ComparisonReport:
@@ -157,45 +168,31 @@ def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) ->
     if rec1.times.shape != rec2.times.shape or not np.allclose(rec1.times, rec2.times,
                                                                rtol=0, atol=1e-12):
         raise GridMismatch("snapshot schedules differ")
-    rows = ((rec1.u_on(k), rec2.u_on(k)) for k in range(rec1.times.size))
-    return _report_from_rows(rec1.x, rec1.times, rows, rec1.ignition_time, rec2.ignition_time,
-                             g1.dt, agreement_tol)
-
-
-def _aligned_u(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
-    """Rows of u of ``record`` sampled at the given snapshot times and nodes
-    (linear), each from the two stored snapshots around its time."""
-    for t in times:
-        j, frac = record.bracket(t)
-        lo, hi = record.u_on(slice(j, j + 2))
-        yield np.interp(x, record.x, (1.0 - frac) * lo + frac * hi)
-
-
-def _aligned_ell(record: SolutionRecord, x: np.ndarray) -> np.ndarray:
-    ell = record.ignition_time
-    mask = np.isfinite(ell)
-    if not mask.any():
-        return np.full(x.shape, np.nan)
-    xs = record.x[mask]
-    out = np.interp(x, xs, ell[mask], left=np.nan, right=np.nan)
-    # keep gaps between rings unset: a target node counts only if its
-    # bracketing source nodes are both precipitated
-    i = np.clip(np.searchsorted(record.x, x), 1, record.x.size - 1)
-    gap = (x >= xs[0]) & (x <= xs[-1]) & ~(mask[i - 1] & mask[i])
-    out[gap] = np.nan
-    return out
+    return compare_cross_grid(rec1, rec2, agreement_tol)
 
 
 def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
                        agreement_tol: float) -> ComparisonReport:
-    """Comparison after linear interpolation onto the coarser of the two grids."""
-    coarse, fine = (rec1, rec2) if rec1.grid.dx >= rec2.grid.dx else (rec2, rec1)
+    """Comparison of the two records as :func:`_sampled` aligns them."""
+    coarse = rec1 if rec1.grid.dx >= rec2.grid.dx else rec2
     x = coarse.x
-    times = coarse.times[coarse.times <= fine.times[-1] * (1 + 1e-12)]
-    sides = [(_aligned_u(coarse, times, x), coarse.ignition_time),
-             (_aligned_u(fine, times, x), _aligned_ell(fine, x))]
-    (u1, ell1), (u2, ell2) = sides if coarse is rec1 else sides[::-1]
-    return _report_from_rows(x, times, zip(u1, u2), ell1, ell2, coarse.grid.dt, agreement_tol)
+    times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + 1e-12)]
+    (rows1, ell1), (rows2, ell2) = _sampled(rec1, times, x), _sampled(rec2, times, x)
+    sup_diff, energy, energy_rev = (np.empty(times.size) for _ in range(3))
+    for k, (u1, u2) in enumerate(zip(rows1, rows2)):
+        diff = u1 - u2
+        sup_diff[k] = np.max(np.abs(diff))
+        energy[k] = np.trapezoid(np.maximum(diff, 0.0) ** 2, x)
+        energy_rev[k] = np.trapezoid(np.maximum(-diff, 0.0) ** 2, x)
+    front_sign = _front_signs(ell1, ell2, coarse.grid.dt)
+    entangled, window = _entanglement(x, front_sign)
+    over = np.flatnonzero(sup_diff > agreement_tol)
+    divergence_time = float(times[over[0]]) if over.size else math.nan
+    return ComparisonReport(times=times, sup_diff=sup_diff, energy=energy,
+                            energy_rev=energy_rev, front_sign=front_sign,
+                            entangled=entangled, witness_window=window,
+                            divergence_time=divergence_time, agreement_tol=agreement_tol,
+                            x=x)
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """Two-solution comparison harness."""
 import concurrent.futures
+import contextlib
+import dataclasses
+import io
 import math
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
-from liesegang import comparison
+from liesegang import cli, comparison
 from util import make_record
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -225,33 +228,107 @@ def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
 # -- the index loops the array expressions replaced, kept as oracles -----------
 
 def aligned_ell_loop(record, x):
-    ell = record.ignition_time
-    mask = np.isfinite(ell)
-    if not mask.any():
-        return np.full(x.shape, np.nan)
-    xs = record.x[mask]
-    es = ell[mask]
-    out = np.interp(x, xs, es, left=np.nan, right=np.nan)
-    inside = (x >= xs[0]) & (x <= xs[-1])
-    idx = np.searchsorted(record.x, x)
-    for k in np.flatnonzero(inside):
-        i = min(max(idx[k], 1), record.x.size - 1)
-        if not (np.isfinite(ell[i - 1]) and np.isfinite(ell[min(i, ell.size - 1)])):
-            out[k] = np.nan
+    # a node on a source node takes its value; one strictly between two
+    # precipitated source nodes is linear between them; any other is unset
+    xs, ell = record.x, record.ignition_time
+    out = np.full(x.shape, np.nan)
+    for k, xk in enumerate(x):
+        on = np.flatnonzero(xs == xk)
+        i = int(np.searchsorted(xs, xk))
+        if on.size:
+            out[k] = ell[on[0]]
+        elif 0 < i < xs.size and np.isfinite(ell[i - 1]) and np.isfinite(ell[i]):
+            slope = (ell[i] - ell[i - 1]) / (xs[i] - xs[i - 1])
+            out[k] = slope * (xk - xs[i - 1]) + ell[i - 1]
     return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(ell=st.lists(st.none() | st.floats(0.0, 1.0), min_size=1, max_size=40),
-       n_target=st.integers(1, 60), x_hi=st.floats(0.1, 3.0))
-def test_aligned_ell_matches_the_loop(ell, n_target, x_hi):
+       n_target=st.integers(1, 60), x_hi=st.floats(0.1, 3.0), stride=st.integers(1, 3))
+@example(ell=[0.0, None], n_target=1, x_hi=0.0, stride=3)  # was NaN: x = 0 sits on ell[0]
+def test_aligned_ell_matches_the_loop(ell, n_target, x_hi, stride):
     # ignition times with gaps (None) on a dx 0.05 grid, read on another grid
+    # that shares every stride-th node with it
     source = types.SimpleNamespace(
-        x=np.arange(len(ell)) * 0.05,
+        x=np.arange(len(ell)) * 0.05, times=np.zeros(1),
         ignition_time=np.array([np.nan if e is None else e for e in ell]))
-    x = np.linspace(0.0, x_hi, n_target)
-    np.testing.assert_array_equal(comparison._aligned_ell(source, x),
+    x = np.union1d(np.linspace(0.0, x_hi, n_target), source.x[::stride])
+    np.testing.assert_array_equal(comparison._sampled(source, source.times, x)[1],
                                   aligned_ell_loop(source, x))
+
+
+@settings(max_examples=50, deadline=None)
+@given(gaps=st.lists(st.booleans(), min_size=GRID.x.size, max_size=GRID.x.size),
+       shift=st.floats(-0.5, 0.5), data=st.data())
+def test_sampling_a_record_on_its_own_times_and_nodes_reads_its_values(gaps, shift, data):
+    x = GRID.x
+    ell = np.where(gaps, np.nan, 0.05 + 0.3 * x)
+    rec = record_with(lambda x, t: np.sin(x + t), ignition=ell)
+    rows, sampled_ell = comparison._sampled(rec, rec.times, rec.x)
+    for k, row in enumerate(rows):
+        assert row.tobytes() == rec.u_on(k).tobytes()
+    assert sampled_ell.tobytes() == rec.ignition_time.tobytes()
+    # a second record on the same grid: one path, field for field
+    other_gaps = np.array(data.draw(st.lists(st.booleans(), min_size=x.size,
+                                             max_size=x.size)))
+    other = record_with(lambda x, t: np.cos(x) * t,
+                        ignition=np.where(other_gaps, np.nan, ell + shift * GRID.dt * 20))
+    a = comparison.compare(rec, other, agreement_tol=0.5)
+    b = comparison.compare_cross_grid(rec, other, agreement_tol=0.5)
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        assert (va.tobytes() == vb.tobytes() if isinstance(va, np.ndarray)
+                else va == vb or (va != va and vb != vb)), field.name
+
+
+def test_a_refined_grid_pair_shows_the_entanglement_of_its_own_nodes():
+    # alpha = 3: the coarse run ignites x = 2.56 at t = 0.7282 and the
+    # dx-halved one does not; the fine run ignites the isolated x = 2.58 at
+    # t = 0.7396 and the coarse one does not.  Dropping the fine node 2.58
+    # because its neighbour 2.575 never ignited hid the flip.
+    params = lg.ModelParams.from_fraction(3.0, 1.0, 0.9)
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=18.0, t_max=0.75)
+    coarse = lg.run(params, grid, lg.RelayKind.sharp(), snapshot_stride=100)
+    fine = lg.run(params, grid.refined(2, 1), lg.RelayKind.sharp(), snapshot_stride=100)
+    i, j = np.searchsorted(coarse.x, 2.56 - 1e-9), np.searchsorted(fine.x, 2.56 - 1e-9)
+    assert coarse.ignition_time[i] == pytest.approx(0.7282)
+    assert math.isnan(coarse.ignition_time[i + 1])
+    assert math.isnan(fine.ignition_time[j]) and math.isnan(fine.ignition_time[j + 1])
+    assert fine.ignition_time[j + 2] == pytest.approx(0.7396)
+    assert math.isnan(fine.ignition_time[j + 3])
+    for rep in (comparison.compare_cross_grid(coarse, fine, agreement_tol=1e-3),
+                comparison.compare_cross_grid(fine, coarse, agreement_tol=1e-3)):
+        assert rep.entangled
+        assert rep.witness_window == pytest.approx((2.56, 2.58))
+
+
+def test_a_one_snapshot_pair_compares_as_before(tmp_path, monkeypatch):
+    # a deposition run of one step stores one snapshot: no time is bracketed
+    monkeypatch.chdir(tmp_path)
+    run = ["simulate", "--alpha", "1", "--beta", "1", "--u-star-fraction", "0.8",
+           "--dx", "0.02", "--dt", "1e-4", "--x-max", "2", "--t-max", "1e-4",
+           "--scheme", "deposition", "--output-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*run, "-o", "a"]) == 0
+        assert cli.main([*run[:4], "1.5", *run[5:], "-o", "b"]) == 0
+        assert cli.main(["compare", "--rec1", "a", "--rec2", "b", "--agreement-tol", "1e-3",
+                         "--output-dir", str(tmp_path), "-o", "ab.json"]) == 0
+    assert (tmp_path / "ab.json").read_text() == """{
+  "schema_version": 1,
+  "kind": "comparison_report",
+  "agreement_tol": 0.001,
+  "divergence_time": 0.0001,
+  "entangled": false,
+  "witness_window": null,
+  "max_sup_diff": 0.27282068038252361,
+  "max_energy": 0,
+  "times": [0.0001],
+  "sup_diff": [0.27282068038252361],
+  "energy": [0],
+  "energy_rev": [0.00090465205455081616]
+}
+"""
 
 
 def energy_monotonicity_loop(report, window):

@@ -914,7 +914,7 @@ def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
 
 # -- a config of another run is rejected, not echoed --------------------------
 
-@pytest.mark.parametrize("command", ["analyze", "diagnose"])
+@pytest.mark.parametrize("command", ["analyze", "diagnose", "compare"])
 @pytest.mark.parametrize("change, named", [
     ({"alpha": 1.2, "tolerances": {"t1_ceiling": 0.001}}, "its params, constants differ"),
     ({"tolerances": {"t1_ceiling": 0.001}}, "its constants differ"),
@@ -926,10 +926,13 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
                                                               ceiling_runs, command, change,
                                                               named):
     monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    # compare checks the config against --rec1, the run it describes
     rec = ceiling_runs["plain"] / "record"
+    records = (["--rec1", str(rec), "--rec2", str(ceiling_runs["ceiling"] / "record"),
+                "--agreement-tol", "1e-3"] if command == "compare" else ["-r", str(rec)])
     out = tmp_path / "out"
     other = write_config(tmp_path, dict(COARSE, output_dir=str(out), **change), "other.json")
-    assert cli.main([command, "-c", other, "-r", str(rec)]) == 1
+    assert cli.main([command, "-c", other, *records]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:") and "Traceback" not in err
     assert f"  - {other} describes another run than the record {rec}: {named}\n" in err
@@ -937,5 +940,53 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
     # the record's own config
     own = write_config(tmp_path, dict(COARSE, output_dir=str(out)), "own.json")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, "-c", own, "-r", str(rec)]) == 0
+        assert cli.main([command, "-c", own, *records]) == 0
     assert read_json(next(out.glob("*.json")))["effective_config"]["alpha"] == COARSE["alpha"]
+
+
+# -- inputs a command would drop or fail on late exit 1 ------------------------
+
+@pytest.mark.parametrize("probes, named", [
+    (None, "probe (0.11477337910434565, 0.05269171420411939) is past the record's last "
+           "time 0.05"),
+    ([[0.1, 0.06]], "probe (0.1, 0.06) is past the record's last time 0.05"),
+], ids=["default_ladder", "config_probe"])
+def test_diagnose_rejects_probes_past_the_record(tmp_path, capsys, monkeypatch, probes, named):
+    # the default ladder of a short record once exited 2 from the quadrature
+    # ("numerical failure: t = 0.0526... beyond record horizon 0.05")
+    monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    run = dict(TINY, snapshot_stride=7)
+    path = write_config(tmp_path, dict(run, output_dir=str(tmp_path)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0
+    out = tmp_path / "out"
+    args = ["-c", write_config(tmp_path, dict(run, output_dir=str(out), probes=probes),
+                               "probes.json")] if probes else ["--output-dir", str(out)]
+    capsys.readouterr()
+    assert cli.main(["diagnose", "-r", str(tmp_path / "rec"), *args]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"]
+    assert f"  - {named}\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--rec1", "{rec}", "--rec2", "{rec}", "--epsilon2", "5e-4"], "--epsilon2: "),
+    (["--rec1", "{rec}", "--epsilon2", "1e-3"], "--rec1: "),
+], ids=["epsilon2_with_records", "rec1_with_epsilon2"])
+def test_compare_rejects_the_flags_of_the_other_mode(tmp_path, capsys, argv, named):
+    # each once exited 0, dropping --epsilon2 or --rec1 without a word
+    path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0
+    capsys.readouterr()
+    argv = [a.format(rec=tmp_path / "rec") for a in argv]
+    out = tmp_path / "out"
+    assert cli.main(["compare", "-c", path, *argv, "--agreement-tol", "1e-3",
+                     "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"]
+    assert f"  - {named}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
