@@ -171,11 +171,14 @@ def cmd_diagnose(args) -> int:
         if consts is None:
             raise ValidationError(["record has no constants; provide probes in the config"])
         probes = default_probe_ladder(consts, record.params.alpha)
-    horizon = record.times[-1]  # with the slack duhamel allows past it
-    late = [f"probe ({x}, {t}) is past the record's last time {horizon}"
-            for x, t in probes if t > horizon * (1.0 + 1e-12)]
-    if late:
-        raise ValidationError(late)
+    # a probe past the grid's ends would read u_t at the clamped end node
+    horizon, end = record.times[-1], record.x[-1]
+    bad = [f"probe ({x}, {t}) is past the record's last time {horizon}"
+           for x, t in probes if t > horizon * (1.0 + 1e-12)]  # with the slack duhamel allows
+    bad += [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
+            for x, t in probes if not 0.0 <= x <= end]
+    if bad:
+        raise ValidationError(bad)
     front = fronts.extract_front(record)
     report_body = duhamel.diagnostics_report(record, front, probes,
                                              slope_floor=tol.slope_floor,
@@ -266,6 +269,17 @@ def _positive(text: str) -> float:
     return val
 
 
+def _positive_int(text: str) -> int:
+    """A flag's whole number, at least 1."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return val
+
+
 def _positives(text: str) -> list[float]:
     """A comma-separated list of :func:`_positive` numbers."""
     return [_positive(s) for s in text.split(",") if s]
@@ -338,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halved-grid", action="store_true",
                    help="also include a dx-halved grid perturbation")
     p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="fan perturbation runs out over this many processes")
     p.add_argument("-o", "--output", default="sweep.json")
     p.set_defaults(func=cmd_sweep)

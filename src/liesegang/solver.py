@@ -59,9 +59,9 @@ The scheme exists as a cross-validation path; it starts at ``t0 = dt`` from
 :func:`model.psi`, because the source strength is singular at t = 0.
 
 Both schemes, and the prescribed fields of ``SolutionRecord.from_fields``
-(scheme ``synthetic``), are stepped by one :class:`Stepper` and recorded by
-one snapshot loop, so the relay update, the ignition log and the snapshots
-are written once for all three.
+(scheme ``synthetic``), are stepped by one :meth:`Stepper.step` and recorded
+by one snapshot loop, so the step, the relay update, the ignition log and the
+snapshots are written once; the two schemes differ only in their forcing.
 """
 from __future__ import annotations
 
@@ -263,10 +263,12 @@ class Stepper:
 
     The scheme (``deficit``, ``deposition`` or ``synthetic``; see the module
     docstring), fixed at construction, picks the initial field and time, the
-    advance of one step and the snapshot ``w``; all else is shared.  The
-    stepped field (``w`` or ``u``) holds the ``J`` interior nodes; the rest of
-    the grid is the ``tail`` (a :class:`ModalTail`, or None when the interior
-    is the whole grid).
+    step's forcing (``-dt*p*psi``, ``psi`` on the window tabulated for
+    ``TAIL_BLOCK_STEPS`` steps at a time, or the swept source) and the
+    snapshot ``w``; all else is shared, but a prescribed field is evaluated,
+    not solved.  The stepped field (``w`` or ``u``) holds the ``J`` interior
+    nodes; the rest of the grid is the ``tail`` (a :class:`ModalTail`, or
+    None when the interior is the whole grid).
 
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
@@ -340,24 +342,18 @@ class Stepper:
         self.relay_updates = 0
         self._find_live()
 
-        # The deficit scheme holds w, the others u.  Per-scheme methods are kept
-        # unbound: bound ones would make the stepper a reference cycle.
+        # the deficit scheme holds w, the others u
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
             self._psi_block = np.empty((0, self.mc))
             self._psi_from = 0
-            self._advance = Stepper._advance_deficit
-            self._field_name = "deficit field"
         elif scheme == "deposition":
             self.u = self._split(model.psi(self.x, grid.dt, params))
-            self._advance = Stepper._advance_deposition
-            self._field_name = "concentration"
             self.step_index = 1
             self._source_at = params.alpha * math.sqrt(self.t)  # the source's position
         elif scheme == "synthetic":
             self.u_fn = u_fn
             self.u = np.asarray(u_fn(self.x, 0.0), dtype=float)
-            self._advance = Stepper._advance_prescribed
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         tail_h0 = None if self.tail is None else self.tail.h0
@@ -375,7 +371,45 @@ class Stepper:
         t_new = (self.step_index + 1) * self.grid.dt
         j = self._hi
         u_win = self._u_buf[j]
-        self._advance(self, t_new, u_win)
+        if self.scheme == "synthetic":
+            self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
+            u_win[:] = self.u
+        else:
+            deficit = self.scheme == "deficit"
+            field = self.w if deficit else self.u
+            # field times I + mu*D2 with its Neumann and tail rows, into the spare;
+            # the end rows add on Python floats (the same IEEE adds as numpy scalars)
+            mu, mc, tail = self.mu, self.mc, self.tail
+            rhs, self._spare = self._spare, field
+            np.multiply(field, 1.0 - 2.0 * mu, rhs)
+            pairs = np.add(field[:-2], field[2:], self._pairs)
+            pairs *= mu
+            rhs[1:-1] += pairs
+            rhs[0] = rhs.item(0) + 2.0 * mu * field.item(1)
+            if tail is None:
+                rhs[-1] = rhs.item(-1) + 2.0 * mu * field.item(-2)
+            else:
+                rhs[-1] = rhs.item(-1) + mu * (field.item(-2) + tail.coupling())
+            if deficit:  # the sink on psi, which is tabulated TAIL_BLOCK_STEPS steps at a time
+                r = self.step_index - self._psi_from
+                if r == len(self._psi_block):
+                    self._psi_from, r = self.step_index, 0
+                    t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
+                    self._psi_block = model.psi(self.x[:mc], t[:, None], self.params)
+                psi_win = self._psi_block[r]
+                rhs[:mc] -= self._dt_p * psi_win
+            else:  # the source swept during the step
+                start, self._source_at = self._source_at, self.params.alpha * math.sqrt(t_new)
+                _deposit_swept_source(rhs, self.params.beta, start, self._source_at, self.grid.dx)
+            field = self.matrix.solve(rhs)
+            if tail is not None:
+                tail.advance(field[-1])
+            u_win[:] = field[:mc]
+            if deficit:
+                u_win += psi_win
+                self.w = field
+            else:
+                self.u = field
         self.step_index += 1
         self._hi = j + 1
         if self._band_size:
@@ -415,37 +449,14 @@ class Stepper:
             return interior.copy()
         return np.concatenate((interior, self.tail.values()))
 
-    def _explicit_half_step(self, field: np.ndarray) -> np.ndarray:
-        """``field`` times ``I + mu*D2`` with its Neumann and tail rows, written
-        into the spare buffer; the end rows add on Python floats (the same
-        IEEE adds) in place of numpy scalars."""
-        mu = self.mu
-        rhs, self._spare = self._spare, field
-        np.multiply(field, 1.0 - 2.0 * mu, rhs)
-        pairs = np.add(field[:-2], field[2:], self._pairs)
-        pairs *= mu
-        rhs[1:-1] += pairs
-        rhs[0] = rhs.item(0) + 2.0 * mu * field.item(1)
-        if self.tail is None:
-            rhs[-1] = rhs.item(-1) + 2.0 * mu * field.item(-2)
-        else:
-            rhs[-1] = rhs.item(-1) + mu * (field.item(-2) + self.tail.coupling())
-        return rhs
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = self.matrix.solve(rhs)
-        if self.tail is not None:
-            self.tail.advance(out[-1])
-        return out
-
     def _update_relay(self) -> None:
         """Check the last step of the block since the last update for
         non-finite values, accumulate the block, log its ignitions and
         re-evaluate p, and the step matrix's diagonal if a node ignited."""
         lo, hi = LOOKBACK, self._hi
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
-            raise NonFiniteField(f"non-finite {self._field_name} at step "
-                                 f"{self.step_index}, t={self.t}")
+            field = "deficit field" if self.scheme == "deficit" else "concentration"
+            raise NonFiniteField(f"non-finite {field} at step {self.step_index}, t={self.t}")
         self.relay_updates += 1
         steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
         nodes, rows = accumulate(self.state, self._u_buf[lo:hi, : self.m], self.grid.dt,
@@ -502,34 +513,6 @@ class Stepper:
             if band.size and band[-1] - band[0] == band.size - 1:
                 band = slice(int(band[0]), int(band[-1]) + 1)
             self._band = band
-
-    def _psi_window(self) -> np.ndarray:
-        """psi on the first ``mc`` nodes at the end of the coming step, for
-        ``TAIL_BLOCK_STEPS`` steps at a time."""
-        r = self.step_index - self._psi_from
-        if r == len(self._psi_block):
-            self._psi_from, r = self.step_index, 0
-            t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
-            self._psi_block = model.psi(self.x[: self.mc], t[:, None], self.params)
-        return self._psi_block[r]
-
-    def _advance_deficit(self, t_new: float, u_win: np.ndarray) -> None:
-        psi_win = self._psi_window()
-        rhs = self._explicit_half_step(self.w)
-        rhs[: self.mc] -= self._dt_p * psi_win
-        self.w = self._solve(rhs)
-        np.add(self.w[: self.mc], psi_win, out=u_win)
-
-    def _advance_deposition(self, t_new: float, u_win: np.ndarray) -> None:
-        rhs = self._explicit_half_step(self.u)
-        start, self._source_at = self._source_at, self.params.alpha * math.sqrt(t_new)
-        _deposit_swept_source(rhs, self.params.beta, start, self._source_at, self.grid.dx)
-        self.u = self._solve(rhs)
-        u_win[:] = self.u[: self.mc]
-
-    def _advance_prescribed(self, t_new: float, u_win: np.ndarray) -> None:
-        self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
-        u_win[:] = self.u
 
 
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span

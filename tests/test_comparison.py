@@ -96,6 +96,17 @@ class TestCompare:
         with pytest.raises(comparison.GridMismatch):
             comparison.compare(r1, r2, agreement_tol=1.0)
 
+    def test_schedules_a_rounding_apart_mismatch(self):
+        # compare once took times within 1e-12 as equal; the sampler reads a
+        # stored row only on an equal time, so the report lost a time (10 of 11)
+        grid = lg.GridSpec.make(dx=0.05, dt=0.005, x_max=2.0, t_max=0.05)
+        times = np.linspace(0.0, 0.05, 11)
+        r1 = make_record(PARAMS, grid, times)
+        r2 = make_record(PARAMS, grid, times - 5e-13)
+        assert comparison.compare(r1, r1, agreement_tol=1.0).times.size == times.size
+        with pytest.raises(comparison.GridMismatch, match="snapshot schedules differ"):
+            comparison.compare(r1, r2, agreement_tol=1.0)
+
 
 class TestEnergyMonotonicity:
     def test_identical_runs_trivially_monotone(self):

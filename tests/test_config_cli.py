@@ -32,6 +32,9 @@ TINY = {
 }
 
 
+POSITIVE = "a finite positive number"
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -521,22 +524,25 @@ class TestCli:
         assert "--agreement-tol" in err and "tolerances.agreement_tol" in err
         assert not (tmp_path / "cmp.json").exists()
 
-    @pytest.mark.parametrize("argv, flag", [
+    @pytest.mark.parametrize("argv, flag, rule", [
         (("compare", "--rec1", "{rec}", "--rec2", "{rec}", "--agreement-tol", "nan"),
-         "--agreement-tol"),
+         "--agreement-tol", POSITIVE),
         (("compare", "--rec1", "{rec}", "--rec2", "{rec}", "--agreement-tol", "-1"),
-         "--agreement-tol"),
+         "--agreement-tol", POSITIVE),
         (("sweep", "-c", "{cfg}", "--epsilons", "1e-3", "--agreement-tol", "-2"),
-         "--agreement-tol"),
-        (("sweep", "-c", "{cfg}", "--epsilons", "inf"), "--epsilons"),
-        (("compare", "-c", "{cfg}", "--epsilon2", "-1"), "--epsilon2"),
+         "--agreement-tol", POSITIVE),
+        (("sweep", "-c", "{cfg}", "--epsilons", "inf"), "--epsilons", POSITIVE),
+        (("compare", "-c", "{cfg}", "--epsilon2", "-1"), "--epsilon2", POSITIVE),
+        (("sweep", "-c", "{cfg}", "--workers", "-3"), "--workers", "a positive integer"),
+        (("sweep", "-c", "{cfg}", "--workers", "0"), "--workers", "a positive integer"),
     ], ids=["compare_tol_nan", "compare_tol_negative", "sweep_tol_negative",
-            "sweep_epsilon_inf", "epsilon2_negative"])
+            "sweep_epsilon_inf", "epsilon2_negative", "workers_negative", "workers_zero"])
     def test_flag_numbers_are_finite_and_positive(self, tmp_path, monkeypatch, capsys, argv,
-                                                  flag):
+                                                  flag, rule):
         # each once exited 0 (a NaN tolerance never diverged, a negative one
         # diverged at t = 0, an infinite epsilon gave a mollified(eps=inf)
-        # row) or, for epsilon2, 1 with a "math domain error" naming no flag
+        # row, workers below 1 ran serially) or, for epsilon2, 1 with a "math
+        # domain error" naming no flag
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
         assert self.run_cli("simulate", "-c", cfg, "-o", "rec") == 0
@@ -547,7 +553,7 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: liesegang"), lines
-        assert f"argument {flag}: must be a finite positive number" in lines[0]
+        assert f"argument {flag}: must be {rule}" in lines[0]
         assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_compare_without_config_omits_effective_config(self, tmp_path):
@@ -950,12 +956,16 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
     (None, "probe (0.11477337910434565, 0.05269171420411939) is past the record's last "
            "time 0.05"),
     ([[0.1, 0.06]], "probe (0.1, 0.06) is past the record's last time 0.05"),
-], ids=["default_ladder", "config_probe"])
+    ([[-0.05, 0.03]], "probe (-0.05, 0.03) is off the grid, which ends at x = 4.0"),
+    ([[4.5, 0.03]], "probe (4.5, 0.03) is off the grid, which ends at x = 4.0"),
+], ids=["default_ladder", "config_probe", "config_probe_left_of_the_grid",
+        "config_probe_right_of_the_grid"])
 def test_diagnose_rejects_probes_past_the_record(tmp_path, capsys, monkeypatch, probes, named):
     # the default ladder of a short record once exited 2 from the quadrature
-    # ("numerical failure: t = 0.0526... beyond record horizon 0.05")
+    # ("numerical failure: t = 0.0526... beyond record horizon 0.05"), and a
+    # probe off the grid exited 0 with u_t from the clamped end node
     monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
-    run = dict(TINY, snapshot_stride=7)
+    run = dict(TINY, x_max=4.0, snapshot_stride=7)
     path = write_config(tmp_path, dict(run, output_dir=str(tmp_path)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0

@@ -284,9 +284,10 @@ class TestPsiRows:
         while stepper.step_index < 1000:
             stepper.step()
         x, dt = stepper.x[: stepper.mc], self.GRID.dt
-        psi_win = stepper._psi_window()
-        assert np.array_equal(psi_win, model.psi(x, (stepper.step_index + 1) * dt, PARAMS))
         block = stepper._psi_block
+        # the coming step's row, read as step reads it (1000 is inside a block)
+        psi_win = block[stepper.step_index - stepper._psi_from]
+        assert np.array_equal(psi_win, model.psi(x, (stepper.step_index + 1) * dt, PARAMS))
         times = (stepper._psi_from + np.arange(1, len(block) + 1)) * dt
         # the source passes a node inside the block: plateau columns, then erfc ones
         behind = [np.count_nonzero(x / math.sqrt(t) <= PARAMS.alpha) for t in times[[0, -1]]]
