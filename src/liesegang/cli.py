@@ -171,10 +171,11 @@ def cmd_diagnose(args) -> int:
         if consts is None:
             raise ValidationError(["record has no constants; provide probes in the config"])
         probes = default_probe_ladder(consts, record.params.alpha)
-    # a probe past the grid's ends would read u_t at the clamped end node
-    horizon, end = record.times[-1], record.x[-1]
-    bad = [f"probe ({x}, {t}) is past the record's last time {horizon}"
-           for x, t in probes if t > horizon * (1.0 + 1e-12)]  # with the slack duhamel allows
+    # a probe F1 cannot take would fail late; one past the grid's ends would
+    # read u_t at the clamped end node
+    end = record.x[-1]
+    bad = [f"probe ({x}, {t}) {unmet[1]}"
+           for x, t in probes if (unmet := duhamel.f1_unmet(record, t))]
     bad += [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
             for x, t in probes if not 0.0 <= x <= end]
     if bad:

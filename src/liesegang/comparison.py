@@ -26,7 +26,7 @@ import numpy as np
 
 from . import solver
 from .grids import GridSpec
-from .records import SolutionRecord
+from .records import HORIZON_SLACK, SolutionRecord
 from .relay import RelayKind
 
 
@@ -117,12 +117,9 @@ def _front_signs(ell1: np.ndarray, ell2: np.ndarray, dt: float) -> np.ndarray:
     e1 = np.where(np.isfinite(ell1), ell1, np.inf)
     e2 = np.where(np.isfinite(ell2), ell2, np.inf)
     sign = np.zeros(e1.shape, dtype=np.int8)
-    both_inf = np.isinf(e1) & np.isinf(e2)
-    with np.errstate(invalid="ignore"):
-        ahead1 = (e2 - e1 > dt) & ~both_inf   # front 1 ignites earlier
-        ahead2 = (e1 - e2 > dt) & ~both_inf
-    sign[ahead1] = -1
-    sign[ahead2] = 1
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN compares false
+        sign[e2 - e1 > dt] = -1   # front 1 ignites earlier
+        sign[e1 - e2 > dt] = 1
     return sign
 
 
@@ -175,7 +172,7 @@ def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
     """Comparison of the two records as :func:`_sampled` aligns them."""
     coarse = rec1 if rec1.grid.dx >= rec2.grid.dx else rec2
     x = coarse.x
-    times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + 1e-12)]
+    times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + HORIZON_SLACK)]
     (rows1, ell1), (rows2, ell2) = _sampled(rec1, times, x), _sampled(rec2, times, x)
     sup_diff, energy, energy_rev = (np.empty(times.size) for _ in range(3))
     for k, (u1, u2) in enumerate(zip(rows1, rows2)):

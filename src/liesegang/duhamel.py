@@ -42,6 +42,7 @@ DEFAULT_RATE_FLOOR = 1e-4
 # convolution is replaced by its nascent-delta limit.
 _SMOOTH_TAU_CELLS = 9.0
 _FLAT_CELL_REL = 1e-6
+BURN_IN_STEPS = 10  # F1 and the look-back rate u_t_minus need t >= BURN_IN_STEPS*dt
 
 
 class InsufficientSnapshots(ValueError):
@@ -134,6 +135,23 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     return record._f1_mass_cache
 
 
+def _snapshots_below(times: np.ndarray, t: float) -> int:
+    return int(np.count_nonzero(times < t - 1e-15 * max(t, 1.0)))
+
+
+def f1_unmet(record: SolutionRecord, t: float) -> tuple[type, str] | None:
+    """None if :func:`eval_F1` can evaluate F1 at time ``t``, else the error it
+    raises and why: ``t`` is before the burn-in, past the record's last
+    time, or has fewer than three snapshots below it."""
+    times, burn_in = record.times, BURN_IN_STEPS * record.grid.dt
+    if t < burn_in:
+        return ValueError, f"is before the {BURN_IN_STEPS}*dt burn-in, which ends at t = {burn_in}"
+    if t > times[-1] * (1.0 + records.HORIZON_SLACK):
+        return InsufficientSnapshots, f"is past the record's last time {times[-1]}"
+    n = _snapshots_below(times, t)
+    return (InsufficientSnapshots, f"has {n} snapshots below it; F1 needs 3") if n < 3 else None
+
+
 def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     """Space-time quadrature of Phi * (p u_t) up to time t, evaluated at x.
 
@@ -157,16 +175,10 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     seeded with the sum of the rows before it: the rows are added in the
     order of one sum over all of them, so the float is the same.
     """
-    dt = record.grid.dt
-    if t < 10.0 * dt:
-        raise ValueError(f"F1 requires t >= 10*dt = {10 * dt}, got t = {t}")
+    if unmet := f1_unmet(record, t):
+        raise unmet[0](f"t = {t} {unmet[1]}")
     times = record.times
-    if t > times[-1] * (1.0 + 1e-12):
-        raise InsufficientSnapshots(f"t = {t} beyond record horizon {times[-1]}")
-    rows = np.flatnonzero(times < t - 1e-15 * max(t, 1.0))
-    if rows.size < 3:
-        raise InsufficientSnapshots(f"only {rows.size} snapshots below t = {t}")
-    K = rows[-1]
+    K = _snapshots_below(times, t) - 1
     xg = record.x
     dx = record.grid.dx
     cols, mass = f1_mass_table(record)
@@ -322,7 +334,8 @@ def transversality(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     u_x_plus = np.where(np.isfinite(right[:, 2]), three, (right[:, 1] - right[:, 0]) / dx)
     rates = (record.ignition_u[:, None] - record.ignition_u_back) / (np.array(BACK_OFFSETS) * dt)
     # fmax skips the NaN of a missing look-back sample; all missing gives NaN
-    u_t_minus = np.where(record.ignition_time >= 10.0 * dt, np.fmax.reduce(rates, axis=1), np.nan)
+    u_t_minus = np.where(record.ignition_time >= BURN_IN_STEPS * dt,
+                         np.fmax.reduce(rates, axis=1), np.nan)
     return u_x_plus, u_t_minus
 
 

@@ -73,13 +73,14 @@ class FrontFunction:
 
     def segments(self) -> list[tuple[int, int]]:
         """Contiguous index ranges [i0, i1] of precipitated nodes."""
-        idx = self.indices
-        if idx.size == 0:
-            return []
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        return [(int(idx[s]), int(idx[e])) for s, e in zip(starts, ends)]
+        return [(i0, i1) for ignited, i0, i1 in _runs(self.mask) if ignited]
+
+
+def _runs(values: np.ndarray) -> list[list[int]]:
+    """``[value, i0, i1]`` of each maximal run of equal consecutive ``values``."""
+    starts = np.flatnonzero(np.diff(values, prepend=np.nan))
+    ends = np.append(starts[1:], values.size) - 1
+    return [[int(values[i0]), int(i0), int(i1)] for i0, i1 in zip(starts, ends)]
 
 
 def extract_front(record: SolutionRecord) -> FrontFunction:
@@ -101,7 +102,8 @@ class RingSegmentation:
 
     A trailing interring that reaches the end of the analyzed range is
     reported as open-ended ``(a, inf)``; ``X_star`` is where alternation
-    fails, or the analyzed data end.
+    fails, or the analyzed data end.  A ring's left edge ``a`` is 0 or half a
+    cell left of its first node, so that node is the first at or right of ``a``.
     """
 
     rings: list
@@ -141,45 +143,33 @@ def segment_rings(record: SolutionRecord, measure_tol: float = 0.0) -> RingSegme
     classes = _node_classes(record, i_max)
     analyzed_x_max = record.x[i_max]
 
-    starts = np.flatnonzero(np.diff(classes, prepend=-2))
-    ends = np.append(starts[1:] - 1, i_max)
-    runs = [[int(classes[i0]), int(i0), int(i1)] for i0, i1 in zip(starts, ends)]
-
-    if measure_tol > 0.0 and len(runs) >= 3:
-        min_nodes = math.ceil(measure_tol * analyzed_x_max / dx)
-        merged = True
-        while merged:
-            merged = False
-            for r in range(1, len(runs) - 1):
-                cls, i0, i1 = runs[r]
-                if cls == UNDETERMINED or i1 - i0 + 1 >= min_nodes:
-                    continue
-                if runs[r - 1][0] == runs[r + 1][0] != UNDETERMINED:
-                    runs[r - 1][2] = runs[r + 1][2]
-                    del runs[r:r + 2]
-                    merged = True
-                    break
-        classes = np.repeat(np.array([cls for cls, _, _ in runs], dtype=np.int8),
-                            [i1 - i0 + 1 for _, i0, i1 in runs])
-
-    rings, interrings = [], []
-    X_star = 0.0
-    expected = RING
-    x = record.x
-    for cls, i0, i1 in runs:
-        if cls != expected:
-            break
-        left = 0.0 if i0 == 0 else x[i0] - 0.5 * dx
-        right = x[i1] + 0.5 * dx if i1 < i_max else analyzed_x_max
-        if cls == RING:
-            rings.append((float(left), float(right)))
+    runs = _runs(classes)
+    # merge a short run into equal determined neighbours; a merge can make the
+    # run before it mergeable, so the pass steps back one run
+    min_nodes = math.ceil(measure_tol * analyzed_x_max / dx)
+    r = 1
+    while r < len(runs) - 1:
+        cls, i0, i1 = runs[r]
+        if (cls != UNDETERMINED and i1 - i0 + 1 < min_nodes
+                and runs[r - 1][0] == runs[r + 1][0] != UNDETERMINED):
+            runs[r - 1][2] = runs[r + 1][2]
+            del runs[r:r + 2]
+            r = max(r - 1, 1)
         else:
-            if i1 == i_max:
-                right = math.inf
-            interrings.append((float(left), float(right)))
+            r += 1
+    classes = np.repeat(np.array([cls for cls, _, _ in runs], dtype=np.int8),
+                        [i1 - i0 + 1 for _, i0, i1 in runs])
+
+    bands = {RING: [], INTERRING: []}  # alternating from a ring at x = 0
+    X_star = 0.0
+    x = record.x
+    for n, (cls, i0, i1) in enumerate(runs):
+        if cls != (RING, INTERRING)[n % 2]:
+            break
         X_star = analyzed_x_max if i1 == i_max else x[i1] + 0.5 * dx
-        expected = INTERRING if cls == RING else RING
-    return RingSegmentation(rings=rings, interrings=interrings, X_star=float(X_star),
+        right = math.inf if cls == INTERRING and i1 == i_max else X_star
+        bands[cls].append((float(x[i0] - 0.5 * dx if i0 else 0.0), float(right)))
+    return RingSegmentation(rings=bands[RING], interrings=bands[INTERRING], X_star=float(X_star),
                             node_class=classes, analyzed_x_max=float(analyzed_x_max))
 
 
@@ -202,34 +192,32 @@ def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
                       segmentation: RingSegmentation | None = None) -> BoundaryClass:
     """Label every front node Regular / Degenerate (on the parabola within
     grid tolerance) / Jump (discrete increment above ``jump_factor`` times the
-    local median increment; the node after the step is flagged)."""
+    local median increment; the node after the step is flagged).
+
+    With a ``segmentation``, each ring whose first node (the first node at or
+    right of the ring's left edge) ignited gets a ring-start check of that
+    node's on-parabola test: ``(x, ell, parabola time, tol, ok)``."""
     idx = front.indices
     xs = front.x[idx]
     ells = front.ell[idx]
+    parabola = (xs / params.alpha) ** 2
     tol = parabola_tol(xs, grid.dx, grid.dt, params.alpha)
-    labels = np.full(idx.size, REGULAR, dtype=np.int8)
-    labels[np.abs(ells - (xs / params.alpha) ** 2) <= tol] = DEGENERATE
+    on_parabola = np.abs(ells - parabola) <= tol
+    labels = np.where(on_parabola, DEGENERATE, REGULAR).astype(np.int8)
 
-    if idx.size >= 2:
-        incs = np.diff(ells)
-        half = JUMP_MEDIAN_WINDOW // 2
-        for j in range(incs.size):
-            lo, hi = max(0, j - half), min(incs.size, j + half + 1)
-            med = float(np.median(incs[lo:hi]))
-            if med > 0 and incs[j] > jump_factor * med and labels[j + 1] == REGULAR:
-                labels[j + 1] = JUMP
+    incs = np.diff(ells)
+    half = JUMP_MEDIAN_WINDOW // 2
+    for j in range(incs.size):
+        lo, hi = max(0, j - half), min(incs.size, j + half + 1)
+        med = float(np.median(incs[lo:hi]))
+        if med > 0 and incs[j] > jump_factor * med and labels[j + 1] == REGULAR:
+            labels[j + 1] = JUMP
 
     hist = {name: int(np.sum(labels == code)) for code, name in _LABEL_NAMES.items()}
-    ring_start_checks = []
-    if segmentation is not None:
-        for (a, _b) in segmentation.rings:
-            i = int(np.argmin(np.abs(front.x - a)))
-            if not np.isfinite(front.ell[i]):
-                continue
-            pt = (front.x[i] / params.alpha) ** 2
-            tol_i = float(parabola_tol(front.x[i], grid.dx, grid.dt, params.alpha))
-            ok = bool(abs(front.ell[i] - pt) <= tol_i)
-            ring_start_checks.append((float(front.x[i]), float(front.ell[i]), pt, tol_i, ok))
+    edges = [a for a, _b in segmentation.rings] if segmentation is not None else []
+    first = np.searchsorted(front.x, edges)  # each ring's first node
+    ring_start_checks = [(float(xs[k]), float(ells[k]), float(parabola[k]), float(tol[k]),
+                          bool(on_parabola[k])) for k in np.flatnonzero(np.isin(idx, first))]
     return BoundaryClass(labels=labels, histogram=hist, ring_start_checks=ring_start_checks)
 
 

@@ -74,6 +74,7 @@ _DATA_DESCRIPTOR_FLAG = 0x08  # sizes follow the data, not in the local header
 # The one budget of a pass over stored rows (load's CRC check, copies into an
 # archive, ``duhamel``'s blocks of rows), small enough to stay in the cache.
 BLOCK_BYTES = 1 << 17
+HORIZON_SLACK = 1e-12  # relative: a time this little past the last one is in the record
 
 
 def _paths(prefix) -> tuple[Path, Path]:

@@ -147,8 +147,13 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
     monkeypatch.setattr(compare_checkouts, "commit", lambda rev: f"{rev} commit")
     monkeypatch.setattr(compare_checkouts, "extract", lambda rev, dest: None)
     monkeypatch.setattr(compare_checkouts, "snapshot", lambda dest: None)
-    monkeypatch.setattr(compare_checkouts, "bench_run",
-                        lambda tree, workload, seed, seconds, trace=0: traced if trace else runs)
+    calls = []
+
+    def bench_run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        return traced if trace else runs
+
+    monkeypatch.setattr(compare_checkouts, "bench_run", bench_run)
     monkeypatch.setattr(compare_checkouts, "compare_trees", lambda old, new, rev: compared)
     tier1 = {"parent": {"passed": 587, "failed": 0, "wall_s": 113.8},
              "change": {"passed": 582, "failed": 5, "wall_s": 110.2}}
@@ -161,21 +166,36 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
     assert written["src_lines"] == compared["src_lines"]
     assert written["tier1"] == tier1  # reported, not a failure of the tool
     assert written["parent"] == "HEAD commit"
-    # one traced run per side and workload, its per-layer metrics under "layers"
+    # three traced runs per side and workload, alternating which side goes
+    # first, their per-layer medians and ranges under "layers"
     workloads = json.loads((compare_checkouts.ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert written["layers"] == {w["name"]: {"solver.steps": {
-        "unit": "count", "parent": 6500, "change": 6500}} for w in workloads}
+        "unit": "count", "parent": 6500, "change": 6500,
+        "parent_range": [6500, 6500], "change_range": [6500, 6500]}} for w in workloads}
+    for w in workloads:
+        assert [(side, seed) for side, workload, seed, trace in calls
+                if workload == w["name"] and trace] == [
+            ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+            ("parent", 3), ("change", 3)]
 
 
-def test_the_layer_table_holds_both_traced_runs():
-    parent = {"result": {"metrics": {"solver.steps": {"value": 6500, "unit": "count"},
-                                     "model.psi_s": {"value": 0.25, "unit": "s"}}}}
-    change = {"result": {"metrics": {"solver.steps": {"value": 6500, "unit": "count"},
-                                     "records.load_s": {"value": 0.01, "unit": "s"}}}}
+def traced_run(metrics: dict) -> dict:
+    """A ``--trace 1`` run with these per-layer ``{name: (value, unit)}``."""
+    return {"result": {"metrics": {name: {"value": value, "unit": unit}
+                                   for name, (value, unit) in metrics.items()}}}
+
+
+def test_the_layer_table_holds_each_sides_median_and_range():
+    steps = {"solver.steps": (6500, "count")}
+    parent = [traced_run(steps | {"model.psi_s": (v, "s")}) for v in (0.25, 0.31, 0.22)]
+    change = [traced_run(steps | {"records.load_s": (v, "s")}) for v in (0.01, 0.03, 0.02)]
     assert compare_checkouts.layer_table(parent, change) == {
-        "solver.steps": {"unit": "count", "parent": 6500, "change": 6500},
-        "model.psi_s": {"unit": "s", "parent": 0.25, "change": None},
-        "records.load_s": {"unit": "s", "parent": None, "change": 0.01},
+        "solver.steps": {"unit": "count", "parent": 6500, "change": 6500,
+                         "parent_range": [6500, 6500], "change_range": [6500, 6500]},
+        "model.psi_s": {"unit": "s", "parent": 0.25, "change": None,
+                        "parent_range": [0.22, 0.31], "change_range": None},
+        "records.load_s": {"unit": "s", "parent": None, "change": 0.02,
+                           "parent_range": None, "change_range": [0.01, 0.03]},
     }
 
 

@@ -958,12 +958,23 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
     ([[0.1, 0.06]], "probe (0.1, 0.06) is past the record's last time 0.05"),
     ([[-0.05, 0.03]], "probe (-0.05, 0.03) is off the grid, which ends at x = 4.0"),
     ([[4.5, 0.03]], "probe (4.5, 0.03) is off the grid, which ends at x = 4.0"),
+    ([[0.1, 0.0005]], "probe (0.1, 0.0005) is before the 10*dt burn-in, which ends at "
+                      "t = 0.001"),
+    ([[0.1, 0.0012]], "probe (0.1, 0.0012) has 2 snapshots below it; F1 needs 3"),
+    ([[0.1, 0.0005], [0.2, 0.0012], [0.3, 0.06]],
+     "probe (0.1, 0.0005) is before the 10*dt burn-in, which ends at t = 0.001\n"
+     "  - probe (0.2, 0.0012) has 2 snapshots below it; F1 needs 3\n"
+     "  - probe (0.3, 0.06) is past the record's last time 0.05"),
 ], ids=["default_ladder", "config_probe", "config_probe_left_of_the_grid",
-        "config_probe_right_of_the_grid"])
+        "config_probe_right_of_the_grid", "config_probe_in_the_burn_in",
+        "config_probe_with_two_snapshots_below", "config_probes_each_named"])
 def test_diagnose_rejects_probes_past_the_record(tmp_path, capsys, monkeypatch, probes, named):
     # the default ladder of a short record once exited 2 from the quadrature
     # ("numerical failure: t = 0.0526... beyond record horizon 0.05"), and a
-    # probe off the grid exited 0 with u_t from the clamped end node
+    # probe off the grid exited 0 with u_t from the clamped end node; a probe
+    # in the burn-in exited 1 with a bare "error: F1 requires t >= 10*dt", one
+    # with two snapshots below it exited 2, and of several bad probes only
+    # those past the record were named
     monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
     run = dict(TINY, x_max=4.0, snapshot_stride=7)
     path = write_config(tmp_path, dict(run, output_dir=str(tmp_path)))

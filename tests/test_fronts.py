@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liesegang as lg
@@ -135,6 +135,39 @@ class TestClassifyBoundary:
         x0, ell0, parab0, tol0, ok0 = cls.ring_start_checks[0]
         assert x0 == 0.0 and ok0
 
+    def test_every_ring_gets_its_start_check(self):
+        # the second ring's left edge lies halfway between its first node 4 and
+        # node 3 of the interring, which never ignited; the nearest node to the
+        # edge was once taken as the ring's first, node 3, and its check dropped
+        grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=1.0, t_max=1.0)
+        x = grid.x
+        pattern = np.array([1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0], dtype=bool)
+        ell = np.where(pattern, (x / PARAMS.alpha) ** 2, np.nan)
+        left = float(x[4] - 0.5 * grid.dx)
+        assert np.argmin(np.abs(x - left)) == 3
+        seg = fronts.RingSegmentation(
+            rings=[(0.0, 0.15), (left, 0.55)], interrings=[(0.15, left), (0.55, math.inf)],
+            X_star=1.0, node_class=pattern.astype(np.int8), analyzed_x_max=1.0)
+        cls = fronts.classify_boundary(fronts.FrontFunction(x, ell, grid.dx), PARAMS, grid,
+                                       segmentation=seg)
+        assert [c[0] for c in cls.ring_start_checks] == [0.0, x[4]]
+        x4, ell4, parab4, tol4, ok4 = cls.ring_start_checks[1]
+        assert ell4 == parab4 == (x[4] / PARAMS.alpha) ** 2 and ok4
+        assert tol4 == fronts.parabola_tol(x[4], grid.dx, grid.dt, PARAMS.alpha)
+
+    def test_a_two_ring_run_checks_both_ring_starts(self):
+        # once one check: the second ring's left edge tied toward the node before it
+        params = lg.ModelParams.from_fraction(3.0, 1.0, 0.9)
+        grid = lg.GridSpec.make(dx=0.005, dt=1e-4, x_max=18.0, t_max=0.75)
+        report = fronts.front_report(lg.run(params, grid, lg.RelayKind.sharp(),
+                                            snapshot_stride=100))
+        assert len(report["rings"]) == 2
+        checks = report["ring_start_checks"]
+        assert len(checks) == 2
+        assert checks[0][0] == 0.0
+        assert checks[1][0] == pytest.approx(2.57) and checks[1][4]
+        assert checks[1][0] == pytest.approx(report["rings"][1][0] + 0.5 * grid.dx)
+
 
 class TestFrontSlopeCheck:
     def test_parabola_front_margin_sign_follows_c_ell(self, constants):
@@ -187,6 +220,31 @@ def test_front_report_shape(rec_coarse_sharp):
         assert key in report
     assert report["rings"]
     assert report["residuals"]["max"] >= 0
+
+
+def segments_loop(mask):
+    """``FrontFunction.segments`` with index loops."""
+    out, i = [], 0
+    while i < len(mask):
+        j = i
+        while mask[i] and j + 1 < len(mask) and mask[j + 1]:
+            j += 1
+        if mask[i]:
+            out.append((i, j))
+        i = j + 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=40))
+@example(mask=[False] * 7)
+@example(mask=[True] * 7)
+@example(mask=[True, False, True, False, False, True])
+def test_segments_match_the_loop(mask):
+    ell = np.where(mask, 0.5, np.nan)
+    segments = fronts.FrontFunction(np.arange(len(mask)) * 0.1, ell, 0.1).segments()
+    assert segments == segments_loop(mask)
+    assert all(type(i) is int for segment in segments for i in segment)
 
 
 # -- the run-length loop segment_rings replaced, kept as an oracle --------------

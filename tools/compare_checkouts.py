@@ -29,9 +29,11 @@ checkout: per workload and end-to-end metric, each pair's two values, both
 sides' medians and quartiles (``perfbench/steadiness.py``'s ``summarize``),
 the parent's quartile spread, the pairs the change won and the verdict
 against the metric's bound (:func:`summarize_pairs`).  After the pairs of a
-workload it runs ``perfbench/run.py --trace 1`` once in each tree, with seed
-1, and writes the per-layer metrics of both runs under ``layers``
-(:func:`layer_table`).  It then runs tier-1 once in each tree and writes
+workload it runs ``perfbench/run.py --trace 1`` ``TRACED_RUNS`` times in each
+tree, alternating which tree goes first as the pairs do, with seeds from 1,
+and writes each per-layer metric's median and range on each side under
+``layers`` (:func:`layer_table`), since one traced run cannot tell a change
+from host noise.  It then runs tier-1 once in each tree and writes
 each side's passed and failed test counts and wall time under ``tier1``
 (:func:`tier1_run`), compares the two trees as above (the full record
 matrix) and adds to the file the verdict of each matrix and of the
@@ -49,6 +51,7 @@ import os
 import platform
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -65,6 +68,8 @@ MATRICES = ("record_matrix.py", "report_matrix.py")
 # The tier-1 command of ROADMAP.md, run in a tree with its ``src`` on PYTHONPATH.
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 TIER1_TIMEOUT_S = 1800
+# The ``--trace 1`` runs per tree and workload whose per-layer metrics are kept.
+TRACED_RUNS = 3
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -232,15 +237,28 @@ def summarize_pairs(pairs: list, end_to_end: list) -> dict:
     return out
 
 
-def layer_table(parent: dict, change: dict) -> dict:
-    """Per metric of two ``--trace 1`` runs (as :func:`bench_run` returns
-    them): its unit and each side's value, None on a side that lacks it."""
+def layer_table(parent: list, change: list) -> dict:
+    """Per metric of each side's ``--trace 1`` runs (as :func:`bench_run`
+    returns them): its unit, each side's median under ``parent`` and
+    ``change`` and ``[min, max]`` under ``parent_range`` and
+    ``change_range``, all None on a side whose runs lack it."""
     table = {}
-    for side, run in (("parent", parent), ("change", change)):
-        for name, metric in run["result"]["metrics"].items():
-            row = table.setdefault(name, {"unit": metric["unit"], "parent": None, "change": None})
-            row[side] = metric["value"]
+    for side, runs in (("parent", parent), ("change", change)):
+        values = {}
+        for run in runs:
+            for name, metric in run["result"]["metrics"].items():
+                table.setdefault(name, {"unit": metric["unit"], "parent": None, "change": None,
+                                        "parent_range": None, "change_range": None})
+                values.setdefault(name, []).append(metric["value"])
+        for name, seen in values.items():
+            table[name][side] = statistics.median(seen)
+            table[name][f"{side}_range"] = [min(seen), max(seen)]
     return table
+
+
+def run_order(i: int) -> tuple[str, str]:
+    """The side that runs first in the ``i``-th pair (from 0), and the other."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def tier1_counts(output: str) -> dict:
@@ -281,11 +299,11 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i in range(n_pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs = {side: bench_run(trees[side], workload, i + 1, seconds) for side in order}
+                runs = {side: bench_run(trees[side], workload, i + 1, seconds)
+                        for side in run_order(i)}
                 pairs.append((runs["parent"], runs["change"]))
                 shown = {side: runs[side]["result"]["metrics"] for side in trees}
-                print(f"{workload} pair {i + 1} ({order[0]} first): " + ", ".join(
+                print(f"{workload} pair {i + 1} ({run_order(i)[0]} first): " + ", ".join(
                     f"{name} {shown['parent'][name]['value']:.6g} -> "
                     f"{shown['change'][name]['value']:.6g}" for name in shown["parent"]),
                     flush=True)
@@ -298,10 +316,13 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
                       f"{row['change']['median']:<14.6g} iqr {row['parent_iqr']:<10.3g} "
                       f"won {row['wins']}/{n_pairs}  {row['verdict']}", flush=True)
                 failed |= row["verdict"] == "worse"
-            traced = {side: bench_run(trees[side], workload, 1, seconds, 1) for side in trees}
+            traced = {side: [] for side in trees}
+            for i in range(TRACED_RUNS):
+                for side in run_order(i):
+                    traced[side].append(bench_run(trees[side], workload, i + 1, seconds, 1))
             report["layers"][workload] = layer_table(traced["parent"], traced["change"])
-            print(f"  layers: {len(report['layers'][workload])} metrics of one --trace 1 run "
-                  "per side", flush=True)
+            print(f"  layers: {len(report['layers'][workload])} metrics, median and range of "
+                  f"{TRACED_RUNS} --trace 1 runs per side", flush=True)
         for side, tree in trees.items():
             report["tier1"][side] = row = tier1_run(tree)
             print(f"tier1 {side}: {row['passed']} passed, {row['failed']} failed "
