@@ -241,6 +241,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not (args.epsilons or args.halved_grid):
+        raise ValidationError(["--epsilons: nothing to sweep; give a width or --halved-grid"])
     cfg = _config_from_args(args)
     perturbations: list = [RelayKind.mollified(e) for e in args.epsilons]
     if args.halved_grid:

@@ -163,14 +163,17 @@ def _finite(val: int | float) -> bool:
 
 def _require_number(key: str, val, violations: list[str], *, positive: bool = True,
                     integer: bool = False):
+    """``val`` as a finite number, above 0 when ``positive`` and else at least
+    0, or None after appending a violation."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         violations.append(f"{key} must be a number, got {val!r}")
     elif not _finite(val):
         violations.append(f"{key} must be finite, got {val!r}")
     elif integer and int(val) != val:
         violations.append(f"{key} must be an integer, got {val!r}")
-    elif positive and not (val > 0):
-        violations.append(f"{key} must be positive, got {val!r}")
+    elif not (val > 0 or (val == 0 and not positive)):
+        violations.append(f"{key} must be {'positive' if positive else 'non-negative'}, "
+                          f"got {val!r}")
     else:
         return int(val) if integer else float(val)
     return None

@@ -61,28 +61,23 @@ class DegenerateRate(ValueError):
 
 def ut_table(record: SolutionRecord, k: int, cols=slice(None)) -> np.ndarray:
     """Discrete u_t at snapshot ``k`` on grid columns ``cols`` (a slice or an
-    index array): centered differences, one-sided at the record ends and
-    around each node's ignition time.  u is derived on the snapshot rows the
-    stencil reads and on ``cols`` only."""
+    index array): one difference over the rows k-1 to k+1 clamped to the
+    record, so centered inside it and one-sided at its ends.  At an interior
+    ``k`` a node whose ignition time the stencil straddles takes the one-sided
+    difference on its own side of the front: backward when the ignition lies
+    in (t_k, t_k+1], forward when it lies in (t_k-1, t_k].  u is derived on the
+    snapshot rows the stencil reads and on ``cols`` only."""
     t = record.times
-    if k == 0:
-        u = record.u_on(slice(0, 2), cols)
-        return (u[1] - u[0]) / (t[1] - t[0])
-    if k == t.size - 1:
-        u = record.u_on(slice(k - 1, k + 1), cols)
-        return (u[1] - u[0]) / (t[-1] - t[-2])
-    before, now, after = record.u_on(slice(k - 1, k + 2), cols)
-    row = (after - before) / (t[k + 1] - t[k - 1])
-    # A centered stencil that straddles a node's ignition time switches to the
-    # one-sided difference taken on its own side of the front: backward when
-    # the ignition lies in (t_k, t_k+1], forward when it lies in (t_k-1, t_k].
-    ignition_time = record.ignition_time[cols]
-    ignited = np.flatnonzero(np.isfinite(ignition_time))
-    k_up = np.searchsorted(t, ignition_time[ignited])
-    back = ignited[k_up == k + 1]
-    row[back] = (now[back] - before[back]) / (t[k] - t[k - 1])
-    fwd = ignited[k_up == k]
-    row[fwd] = (after[fwd] - now[fwd]) / (t[k + 1] - t[k])
+    lo, hi = max(k - 1, 0), min(k + 1, t.size - 1)
+    u = record.u_on(slice(lo, hi + 1), cols)
+    row = (u[-1] - u[0]) / (t[hi] - t[lo])
+    if lo < k < hi:
+        before, now, after = u
+        # a never-ignited node (NaN) sorts past every snapshot time
+        k_up = np.searchsorted(t, record.ignition_time[cols])
+        back, fwd = k_up == k + 1, k_up == k
+        row[back] = (now[back] - before[back]) / (t[k] - t[k - 1])
+        row[fwd] = (after[fwd] - now[fwd]) / (t[k + 1] - t[k])
     return row
 
 
@@ -118,17 +113,17 @@ def f1_mass_table(record: SolutionRecord) -> tuple[np.ndarray, np.ndarray]:
     # The accumulator never decreases, so p is ever non-zero exactly where it
     # is non-zero at the last snapshot.
     cols = np.flatnonzero(record.p_on(-1) > 0.0)
-    ell = record.ignition_time[cols]
-    times = record.times[:, None]
-    n_cells = times.size - 1
+    # Cell k, (t_k, t_k+1], holds an ignition time that t_k+1 is the first to
+    # reach.  NaN (never ignited) sorts past every time, so matches no cell.
+    ignition_cell = np.searchsorted(record.times, record.ignition_time[cols]) - 1
+    n_cells = record.times.size - 1
     mass = np.empty((n_cells, cols.size))
     step = _rows_per_block(cols.size, n_cells)
     for lo in range(0, n_cells, step):
         hi = min(lo + step, n_cells)
         p = record.p_on(slice(lo, hi + 1), cols)
         u = record.u_on(slice(lo, hi + 1), cols)
-        # NaN (never ignited) compares false, so such a column has no crossing cell.
-        crossing = (ell > times[lo:hi]) & (ell <= times[lo + 1:hi + 1])
+        crossing = ignition_cell == np.arange(lo, hi)[:, None]
         mass[lo:hi] = np.where(crossing, p[1:] * (u[1:] - record.params.u_star),
                                0.5 * (p[:-1] + p[1:]) * (u[1:] - u[:-1]))
     record._f1_mass_cache = (cols, mass)
@@ -350,7 +345,9 @@ class EllPrimeEstimate:
 
 def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstimate:
     """Front slope from the transversal ratio -u_x+/u_t- (u_t- above
-    ``DEFAULT_RATE_FLOOR``), compared with the discrete slope of ell."""
+    ``DEFAULT_RATE_FLOOR``), compared with the discrete slope of ell: the
+    difference of ell between the node's neighbours that ignited, else the
+    node itself, so centered, one-sided, or NaN when neither ignited."""
     i = int(round(x / record.grid.dx))
     if not 0 <= i < record.x.size:
         raise ValueError(f"x = {x} is not a grid node")
@@ -365,15 +362,9 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
     value = -u_x_plus / u_t_minus
 
     ell = record.ignition_time
-    dx = record.grid.dx
-    if 0 < i < ell.size - 1 and np.isfinite(ell[i - 1]) and np.isfinite(ell[i + 1]):
-        slope = (ell[i + 1] - ell[i - 1]) / (2.0 * dx)
-    elif i + 1 < ell.size and np.isfinite(ell[i + 1]):
-        slope = (ell[i + 1] - ell[i]) / dx
-    elif i >= 1 and np.isfinite(ell[i - 1]):
-        slope = (ell[i] - ell[i - 1]) / dx
-    else:
-        slope = math.nan
+    lo = i - 1 if i > 0 and np.isfinite(ell[i - 1]) else i
+    hi = i + 1 if i + 1 < ell.size and np.isfinite(ell[i + 1]) else i
+    slope = (ell[hi] - ell[lo]) / ((hi - lo) * record.grid.dx) if hi > lo else math.nan
     rel_gap = abs(value - slope) / max(abs(slope), 1e-300)
     return EllPrimeEstimate(value=float(value), discrete_slope=float(slope),
                             rel_gap=float(rel_gap), u_x_plus=u_x_plus, u_t_minus=u_t_minus)

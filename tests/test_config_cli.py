@@ -84,6 +84,14 @@ class TestParseConfig:
             config.parse_config(write_config(tmp_path, data))
         assert exc.value.violations == [f"{key} must be finite, got {value!r}"]
 
+    def test_negative_measure_tol_rejected(self):
+        # -5.0 was once accepted and echoed into the front report, exit 0
+        with pytest.raises(config.ValidationError) as exc:
+            config.parse_config(None, {"tolerances": {"measure_tol": -5.0}})
+        assert exc.value.violations == ["measure_tol must be non-negative, got -5.0"]
+        zero = config.parse_config(None, {"tolerances": {"measure_tol": 0}})
+        assert zero.tolerances.measure_tol == 0.0
+
     def test_mutually_exclusive_threshold_forms(self, tmp_path):
         with pytest.raises(config.ValidationError) as exc:
             config.parse_config(write_config(tmp_path, {"u_star": 0.4,
@@ -555,6 +563,28 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: liesegang"), lines
         assert f"argument {flag}: must be {rule}" in lines[0]
         assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("epsilons", [",", ""], ids=["comma", "empty"])
+    def test_sweep_with_nothing_to_sweep_is_rejected(self, tmp_path, monkeypatch, capsys,
+                                                     epsilons):
+        # each once ran the base simulation and wrote an empty table, exit 0
+        runs = self.count_runs(monkeypatch)
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
+        assert self.run_cli("sweep", "-c", cfg, "--epsilons", epsilons, "-o", "out.json") == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: invalid configuration:"]
+        assert "--epsilons: nothing to sweep; give a width or --halved-grid" in captured.err
+        assert runs == [] and captured.out == "" and not (tmp_path / "out.json").exists()
+
+    def test_sweep_of_the_halved_grid_alone_runs(self, tmp_path, monkeypatch):
+        runs = self.count_runs(monkeypatch)
+        cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path),
+                                          tolerances={"agreement_tol": 0.05}))
+        assert self.run_cli("sweep", "-c", cfg, "--epsilons", "", "--halved-grid",
+                            "-o", "out.json") == 0
+        assert runs == [("run", "deficit", 0.02), ("run", "deficit", 0.01)]
+        assert len(json.loads((tmp_path / "out.json").read_text())["rows"]) == 1
 
     def test_compare_without_config_omits_effective_config(self, tmp_path):
         out = tmp_path / "cmp.json"

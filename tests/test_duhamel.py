@@ -471,6 +471,39 @@ class TestFrontDerivative:
         assert gaps and np.median(gaps) <= 0.2
         assert np.max(gaps) <= 0.2
 
+    @pytest.mark.parametrize("i, missing", [
+        (4, ()), (4, (3,)), (0, ()), (4, (5,)), (8, ()), (4, (3, 5)), (0, (1,)), (8, (7,)),
+    ], ids=["both", "right_only", "right_only_at_node_0", "left_only",
+            "left_only_at_the_last_node", "neither", "neither_at_node_0",
+            "neither_at_the_last_node"])
+    def test_discrete_slope_takes_the_neighbours_that_ignited(self, i, missing):
+        # ell curves (node j ignites at step 10 + j + j^2), so the centered
+        # and the two one-sided slopes differ, and a wrong neighbour shows
+        grid = lg.GridSpec.make(dx=0.1, dt=0.01, x_max=0.8, t_max=1.0)
+        steps = 10.0 + np.arange(N_NODES) + np.arange(N_NODES) ** 2
+        ell = steps * grid.dt
+        ell[list(missing)] = np.nan
+        rec = make_record(PARAMS, grid, [0.0, grid.t_max], ignition_time=ell)
+        u_star = PARAMS.u_star
+        rec.ignition_u_right[:, :3] = [u_star, u_star - 0.1, u_star - 0.2]
+        rec.ignition_u_back[:, 0] = u_star - 0.01  # rate 1 over one step
+        est = duhamel.front_derivative_estimate(rec, rec.x[i])
+        assert est.u_t_minus > duhamel.DEFAULT_RATE_FLOOR
+        assert_same_bits(np.array([est.discrete_slope]),
+                         np.array([discrete_slope_reference(ell, i, grid.dx)]))
+
+
+def discrete_slope_reference(ell, i, dx):
+    """The discrete slope of ell at node i, case by case: centered between two
+    ignited neighbours, else one-sided toward the one that ignited, else NaN."""
+    if 0 < i < ell.size - 1 and np.isfinite(ell[i - 1]) and np.isfinite(ell[i + 1]):
+        return (ell[i + 1] - ell[i - 1]) / (2.0 * dx)
+    if i + 1 < ell.size and np.isfinite(ell[i + 1]):
+        return (ell[i + 1] - ell[i]) / dx
+    if i >= 1 and np.isfinite(ell[i - 1]):
+        return (ell[i] - ell[i - 1]) / dx
+    return math.nan
+
 
 def test_psi_t_lower_bound_on_essential_domain(constants):
     # analytic check of the c_psi/t bound at essential-domain sample points

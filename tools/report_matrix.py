@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the command line writes for four coarse configs.
+"""Print the sha256 of every file the command line writes for five configs.
 
     python3 tools/report_matrix.py [--workdir DIR] > reports.txt
 
@@ -19,10 +19,14 @@ the script runs, in-process, ``constants`` (with and without
 ``measure_tol``, with 0.05 and without a config), ``diagnose --csv`` (also
 without a config), ``compare --epsilon2`` and ``sweep --halved-grid``; then
 ``compare`` on the saved sharp and ``property_p`` records and ``toy`` for
-both forcings.  Every command must
+both forcings.  The fifth config is a run with two rings, so that what
+``analyze`` and ``diagnose`` report past the first ring is compared too:
+alpha 3, beta 1, ``u_star_fraction`` 0.9, dx 0.005, dt 1e-4, x_max 18, t_max
+0.75 and snapshot stride 100 (the second ring starts at x = 2.57); only
+``simulate``, ``analyze`` and ``diagnose`` run on it.  Every command must
 exit 0.  Outputs go to one subdirectory per config, given in the configs as
 relative paths, so the reports do not depend on ``--workdir`` (default: a
-temporary directory, removed at the end).  About 9 s on 2 vCPUs.
+temporary directory, removed at the end).  About 10 s on 2 vCPUs.
 """
 from __future__ import annotations
 
@@ -52,6 +56,8 @@ CONFIGS = {
     "property_p_deficit": {"relay": "property_p"},
     "sharp_deficit_t1_ceiling": {"tolerances": {"t1_ceiling": 0.01}},
 }
+MULTI_RING = {"alpha": 3.0, "beta": 1.0, "u_star_fraction": 0.9, "dx": 0.005, "dt": 1e-4,
+              "x_max": 18.0, "t_max": 0.75, "snapshot_stride": 100, "output_dir": "multi_ring"}
 
 
 def commands(name: str) -> list[list[str]]:
@@ -74,6 +80,9 @@ def commands(name: str) -> list[list[str]]:
 
 def final_commands() -> list[list[str]]:
     return [
+        ["simulate", "-c", "multi_ring.json"],
+        ["analyze", "-c", "multi_ring.json", "-r", "multi_ring/record"],
+        ["diagnose", "-c", "multi_ring.json", "-r", "multi_ring/record"],
         ["compare", "--rec1", "sharp_deficit/record", "--rec2", "property_p_deficit/record",
          "--agreement-tol", "1e-3", "--output-dir", "pairs", "--csv", "compare.csv"],
         ["toy", "-o", "toy_constant.json"],
@@ -128,6 +137,7 @@ def main(argv=None) -> int:
                                                   "measure_tol": 0.05}}))
             for argv in commands(name):
                 stdout.append((" ".join(argv), run(argv)))
+        Path("multi_ring.json").write_text(json.dumps(MULTI_RING))
         for argv in final_commands():
             stdout.append((" ".join(argv), run(argv)))
         for label, digest in hashes(root):
