@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from . import comparison, duhamel, fronts, jsonio, solver
 from .config import (KEYS, ParseError, RunConfig, Tolerances, ValidationError,

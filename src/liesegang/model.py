@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
+
+from ._scipy import erfc
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -23,6 +23,12 @@ CONSTANT = "constant"
 LINEAR = "linear"
 # Most RK4 steps, 100x the default 10^4: each policy's t, u, v take 8 MB apiece.
 MAX_STEPS = 10**6
+# Shortest horizon.  feasible() tolerates an accumulator of 1e-9*T, and a
+# component that never switches accumulates about T**2/4 by T under constant
+# forcing and T**3/6 under linear forcing: below T = 4e-9 (constant) or about
+# 8e-5 (linear) no violation can exceed the tolerance, and every policy reads
+# feasible.  At 1e-3 the accumulators are 2.5e5 and 167 times the tolerance.
+MIN_HORIZON = 1e-3
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,9 @@ class ToyConfig:
         if not (0 < self.horizon < math.inf and 0 < self.dt < math.inf):
             raise ValueError(f"horizon and dt must be finite and positive, got "
                              f"{self.horizon!r} and {self.dt!r}")
+        if self.horizon < MIN_HORIZON:
+            raise ValueError(f"horizon = {self.horizon!r} is below {MIN_HORIZON}, the shortest "
+                             f"on which the feasibility tolerance 1e-9*T can see a violation")
         if self.horizon / self.dt > MAX_STEPS:
             raise ValueError(f"horizon = {self.horizon!r} and dt = {self.dt!r} take "
                              f"{self.horizon / self.dt:.3g} steps, over the limit of {MAX_STEPS}")

@@ -444,9 +444,10 @@ class SolutionRecord:
         truncated) sidecar, a sidecar of another kind or schema version or with
         a missing field or one of the wrong type (a ``bool`` for a number, a
         float for an integer, a stride below 1, an unknown scheme), an
-        unreadable array file, a missing array, or array
+        unreadable array file, a missing array, array
         shapes that do not match the grid and times (an ``accum`` wider than
-        the grid, or, in version 1, narrower).
+        the grid, or, in version 1, narrower), or ``times`` that are not finite
+        and strictly increasing.
         """
         npz_path, json_path = _paths(prefix)
         try:
@@ -487,6 +488,9 @@ class SolutionRecord:
         if bad:
             raise ValueError(f"{npz_path}: array shapes do not match the grid and times: "
                              + "; ".join(bad))
+        times = arrays["times"]
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError(f"{npz_path}: times are not finite and strictly increasing")
         return cls(**fields, **arrays)
 
     def write_csv(self, path) -> None:

@@ -70,11 +70,10 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dst, prev_fast_len
-from scipy.linalg import LinAlgError, lapack
-from scipy.linalg import solve_banded  # noqa: F401  # unused; perfbench/tracing.py wraps it
+from numpy.linalg import LinAlgError
 
 from . import model
+from ._scipy import dst, lapack, prev_fast_len
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord, spool
@@ -93,6 +92,11 @@ TAIL_BLOCK_STEPS = 128
 LOOKBACK = max(BACK_OFFSETS)
 # The schemes :func:`run` takes; the config's ``scheme`` key accepts the same.
 SCHEMES = ("deficit", "deposition")
+
+
+def solve_banded(*args, **kwargs):  # unused; perfbench/tracing.py wraps it
+    from scipy.linalg import solve_banded
+    return solve_banded(*args, **kwargs)
 
 
 class NonFiniteField(FloatingPointError):
@@ -222,7 +226,7 @@ class ModalTail:
         self._h_pairs = h[:-1] + h[1:]
         self._drives = np.zeros(TAIL_BLOCK_STEPS)
         self._scale = math.sqrt(0.5 / n)
-        self.q = self._scale * dst(values, type=3)
+        self.q = self._scale * dst(values, 3)
         self.g = g
         self.r = 0
         self._F = (self.powers @ (self.v0 * self.q)).tolist()
@@ -247,7 +251,7 @@ class ModalTail:
     def values(self) -> np.ndarray:
         """The tail values at the current step (ends the block)."""
         self._flush()
-        return self._scale * dst(self.q, type=2)
+        return self._scale * dst(self.q, 2)
 
     def _flush(self) -> None:
         r = self.r

@@ -306,6 +306,24 @@ class TestCli:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert "verdict" not in captured.out
 
+    # Below MIN_HORIZON constant forcing read non-unique (4e-9, 1e-9), and under
+    # linear forcing the policy that never switches read feasible (5e-5).
+    @pytest.mark.parametrize("forcing, horizon, verdict", [
+        ("constant", "4e-9", "unique"), ("constant", "1e-9", "unique"),
+        ("linear", "5e-5", "non-unique")])
+    def test_toy_rejects_a_horizon_its_tolerance_cannot_resolve(self, capsys, forcing, horizon,
+                                                                verdict):
+        assert self.run_cli("toy", "--forcing", forcing, "--horizon", horizon) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("error:") == 1
+        assert f"horizon = {float(horizon)!r}" in captured.err
+        assert str(odetoy.MIN_HORIZON) in captured.err and "verdict" not in captured.out
+        assert self.run_cli("toy", "--forcing", forcing,
+                            "--horizon", str(odetoy.MIN_HORIZON)) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"verdict: {verdict}\n")
+        assert ("(pu=0, pv=0)      False" in out) and ("(pu=1, pv=1)      True" in out)
+
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_output_dir_honoured_without_config(self, tmp_path, monkeypatch, source):
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), dx=0.01, dt=2e-5,
@@ -698,9 +716,12 @@ def src_env():
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # numpy.trapezoid replaced its one use; importing it also loaded scipy.optimize
+    # numpy.trapezoid replaced its one use; importing it also loaded scipy.optimize.
+    # The kernels of scipy.linalg, scipy.special and scipy.fft are loaded without
+    # their packages (liesegang._scipy).
     code = ("import sys, liesegang.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+            "'scipy.special', 'scipy.fft', 'scipy._lib._array_api') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -89,6 +89,19 @@ def tiny_record():
     return lg.run(params, grid, lg.RelayKind.sharp(), snapshot_stride=20)
 
 
+def rewrite_times(npz_path: Path, corrupt: str) -> None:
+    """Rewrite the archive's ``times`` with a NaN or an infinity at snapshot 5,
+    or with snapshots 5 and 6 swapped."""
+    with np.load(npz_path) as data:
+        arrays = {k: data[k] for k in data.files}
+    times = arrays["times"]
+    if corrupt == "swapped":
+        times[[5, 6]] = times[[6, 5]]
+    else:
+        times[5] = {"nan": math.nan, "inf": math.inf}[corrupt]
+    np.savez(npz_path, **arrays)
+
+
 def open_descriptors() -> set:
     """The process's open file descriptors; the one that lists them is closed
     once they are listed, and left out."""
@@ -175,6 +188,13 @@ class TestSerialization:
         arrays[name] = arrays[name][..., :-1]
         np.savez(npz_path, **arrays)
         with pytest.raises(ValueError, match=f"rec.npz: .*{name}"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    @pytest.mark.parametrize("corrupt", ["nan", "swapped", "inf"])
+    def test_times_not_finite_and_increasing_rejected(self, tiny_record, tmp_path, corrupt):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        rewrite_times(npz_path, corrupt)
+        with pytest.raises(ValueError, match="rec.npz: times are not finite and strictly"):
             lg.SolutionRecord.load(tmp_path / "rec")
 
     def test_other_schema_version_rejected(self, tiny_record, tmp_path):
@@ -548,6 +568,31 @@ def test_sidecar_with_an_unknown_or_missing_key_is_malformed(tiny_record, tmp_pa
     assert "malformed sidecar" in err and "rec.json" in err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert not (tmp_path / "front_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def coarse_prefix(tmp_path_factory):
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=4.0, t_max=0.26)
+    prefix = tmp_path_factory.mktemp("coarse") / "rec"
+    lg.run(params, grid, lg.RelayKind.sharp(), snapshot_stride=7).save(prefix)
+    return prefix
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "swapped"])
+@pytest.mark.parametrize("command", ["analyze", "diagnose"])
+def test_corrupt_times_exit_1_naming_the_archive(coarse_prefix, tmp_path, capsys, command,
+                                                 corrupt):
+    for suffix in (".npz", ".json"):
+        (tmp_path / ("rec" + suffix)).write_bytes(
+            coarse_prefix.with_name(coarse_prefix.name + suffix).read_bytes())
+    rewrite_times(tmp_path / "rec.npz", corrupt)
+    out = tmp_path / "out"
+    assert cli.main([command, "-r", str(tmp_path / "rec"), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+    assert "rec.npz: times are not finite and strictly increasing" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_csv_is_written_row_by_row_with_the_same_bytes(tiny_record, tmp_path):
