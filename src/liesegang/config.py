@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -251,6 +252,11 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                 else:
                     params = ModelParams.from_fraction(alpha, beta, fraction)
                 constants = compute_constants(params, t1=tol_kwargs["t1_ceiling"])
+                # a tiny alpha or beta underflows T2 (the default t_max is 2*T2),
+                # c_psi or Psi(alpha) to 0 or to a subnormal float
+                tiny = [k for k, v in asdict(constants).items() if not v >= sys.float_info.min]
+                if tiny:
+                    raise ArithmeticError(f"{', '.join(tiny)} not positive normal floats")
             except NotSupercritical:
                 violations.append(
                     f"threshold u_star = {params.u_star:.6g} is not supercritical "

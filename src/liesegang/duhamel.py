@@ -208,11 +208,12 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
 
 # -- F2 ------------------------------------------------------------------------
 
-def _f2_cells(xs: np.ndarray, ells: np.ndarray, x: float, t: float,
+def _f2_cells(xs: np.ndarray, ells: np.ndarray, dx: float, x: float, t: float,
               slope_floor: float, include_left_half: bool = True) -> float:
-    """Sum of cell contributions for one contiguous front segment of two or more
-    nodes (plus its even mirror).  Returns +inf when a flat crossing cell is met."""
-    dx = xs[1] - xs[0]
+    """Sum of cell contributions for one contiguous front segment of nodes
+    ``dx`` apart, one node or more (plus its even mirror): the cells between
+    its nodes, none for a single node, and the half cells at its ends.
+    Returns +inf when a flat crossing cell is met."""
     total = 0.0
     ell_a, ell_b = ells[:-1], ells[1:]
     tau_hi = t - np.minimum(ell_a, ell_b)
@@ -249,17 +250,13 @@ def _f2_cells(xs: np.ndarray, ells: np.ndarray, x: float, t: float,
 
 def eval_F2(front: FrontFunction, x: float, t: float,
             slope_floor: float = DEFAULT_SLOPE_FLOOR) -> float:
-    """Kernel integral along the front; +inf signals a flat crossing cell."""
+    """Kernel integral along the front, one :func:`_f2_cells` sum per segment
+    (an isolated node's spacing is the grid's); +inf signals a flat crossing cell."""
     total = 0.0
     for i0, i1 in front.segments():
-        if i1 == i0:
-            # isolated node: one full cell width centered on it
-            tau = t - front.ell[i0]
-            if tau > 0.0:
-                total += float(model.heat_kernel(x - front.x[i0], tau)
-                               + model.heat_kernel(x + front.x[i0], tau)) * front.dx
-            continue
-        seg = _f2_cells(front.x[i0:i1 + 1], front.ell[i0:i1 + 1], x, t, slope_floor,
+        xs = front.x[i0:i1 + 1]
+        dx = xs[1] - xs[0] if i1 > i0 else front.dx
+        seg = _f2_cells(xs, front.ell[i0:i1 + 1], dx, x, t, slope_floor,
                         include_left_half=(i0 != 0))
         if math.isinf(seg):
             return math.inf

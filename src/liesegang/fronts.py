@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grids import GridSpec
-from .model import ModelConstants, ModelParams
+from .model import ModelConstants, ModelParams, parabola_time
 from .records import SolutionRecord
 
 REGULAR, DEGENERATE, JUMP = 0, 1, 2
@@ -117,7 +117,7 @@ def _node_classes(record: SolutionRecord, i_max: int) -> np.ndarray:
     """RING if p == 1 at every stored time above the node's parabola time
     (with one-step slack), INTERRING if p == 0 at all times, else UNDETERMINED."""
     x = record.x[: i_max + 1]
-    cap = (x / record.params.alpha) ** 2
+    cap = parabola_time(x, record.params.alpha)
     times = record.times
     p = record.p_on(cols=slice(0, i_max + 1))
     classes = np.full(i_max + 1, UNDETERMINED, dtype=np.int8)
@@ -183,8 +183,10 @@ class BoundaryClass:
 
 
 def parabola_tol(x, dx: float, dt: float, alpha: float):
-    """Propagated grid uncertainty of the parabola time x^2/alpha^2."""
-    return np.maximum(2.0 * dt, 4.0 * np.asarray(x) * dx / alpha**2)
+    """Propagated grid uncertainty of the parabola time x^2/alpha^2 (2*dt at
+    x = 0 also where a tiny ``alpha`` squares to 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(2.0 * dt, 4.0 * np.asarray(x) * dx / alpha**2)
 
 
 def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
@@ -200,7 +202,7 @@ def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
     idx = front.indices
     xs = front.x[idx]
     ells = front.ell[idx]
-    parabola = (xs / params.alpha) ** 2
+    parabola = parabola_time(xs, params.alpha)
     tol = parabola_tol(xs, grid.dx, grid.dt, params.alpha)
     on_parabola = np.abs(ells - parabola) <= tol
     labels = np.where(on_parabola, DEGENERATE, REGULAR).astype(np.int8)

@@ -116,6 +116,13 @@ def psi(x, t, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
+def parabola_time(x, alpha: float) -> np.ndarray:
+    """Time ``(x/alpha)^2`` at which the source passes each ``x``; inf where
+    that overflows (a tiny ``alpha``), without a warning."""
+    with np.errstate(over="ignore"):
+        return (np.asarray(x, dtype=float) / alpha) ** 2
+
+
 def _on_positive_t(x, t, formula):
     """``formula(x, t)`` element by element over the broadcast of ``x`` and
     ``t`` where t > 0, and 0 elsewhere (NaN t included).  ``formula`` sees

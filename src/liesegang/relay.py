@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, parabola_time
 
 SHARP = "sharp"
 MOLLIFIED = "mollified"
@@ -89,7 +89,7 @@ class RelayState:
             u_star=params.u_star,
             accumulator=np.zeros(n),
             ignition_time=np.full(n, np.nan),
-            cap_time=(np.asarray(x, dtype=float) / params.alpha) ** 2,
+            cap_time=parabola_time(x, params.alpha),
         )
 
     @property

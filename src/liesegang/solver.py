@@ -6,11 +6,12 @@ The primary scheme evolves the deficit ``w = u - psi``, which satisfies
 
 with homogeneous Neumann conditions at both ends.  The moving point source
 never appears: it is absorbed exactly by the closed-form ``psi``
-(:func:`model.psi`, on the relay window once per ``TAIL_BLOCK_STEPS`` steps),
-so the scheme only sees the smooth sink forcing.  Diffusion is advanced with
-the trapezoidal rule (unconditionally stable tridiagonal solve), the sink is
-taken implicitly in ``u`` with the precipitation field lagged by one step,
-and the relay accumulator is updated from the newly computed ``u``.
+(:func:`model.psi`, on the relay window once per tile of as many steps as fit
+in ``records.BLOCK_BYTES``), so the scheme only sees the smooth sink forcing.
+Diffusion is advanced with the trapezoidal rule (unconditionally stable
+tridiagonal solve), the sink is taken implicitly in ``u`` with the
+precipitation field lagged by one step, and the relay accumulator is updated
+from the newly computed ``u``.
 
 The grid is split at ``J >= m + RIGHT_CELLS`` nodes, ``m`` being the relay
 window, with ``J`` moved out so that the tail length ``n - J`` is
@@ -72,7 +73,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import model
+from . import model, records
 from ._scipy import dst, lapack, prev_fast_len
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
@@ -267,12 +268,12 @@ class Stepper:
 
     The scheme (``deficit``, ``deposition`` or ``synthetic``; see the module
     docstring), fixed at construction, picks the initial field and time, the
-    step's forcing (``-dt*p*psi``, ``psi`` on the window tabulated for
-    ``TAIL_BLOCK_STEPS`` steps at a time, or the swept source) and the
-    snapshot ``w``; all else is shared, but a prescribed field is evaluated,
-    not solved.  The stepped field (``w`` or ``u``) holds the ``J`` interior
-    nodes; the rest of the grid is the ``tail`` (a :class:`ModalTail`, or
-    None when the interior is the whole grid).
+    step's forcing (``-dt*p*psi``, ``psi`` on the window tabulated for as
+    many steps at a time as fit in ``records.BLOCK_BYTES``, or the swept
+    source) and the snapshot ``w``; all else is shared, but a prescribed
+    field is evaluated, not solved.  The stepped field (``w`` or ``u``)
+    holds the ``J`` interior nodes; the rest of the grid is the ``tail`` (a
+    :class:`ModalTail`, or None when the interior is the whole grid).
 
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
@@ -349,8 +350,9 @@ class Stepper:
         # the deficit scheme holds w, the others u
         if scheme == "deficit":
             self.w = self._split(np.zeros(n))
-            self._psi_block = np.empty((0, self.mc))
-            self._psi_from = 0
+            # psi on the window is tabulated in tiles of this many steps, kept
+            # below the row budget and so below glibc's mmap threshold
+            self._psi_rows = max((records.BLOCK_BYTES - 1) // (8 * self.mc), 1)
         elif scheme == "deposition":
             self.u = self._split(model.psi(self.x, grid.dt, params))
             self.step_index = 1
@@ -394,13 +396,12 @@ class Stepper:
                 rhs[-1] = rhs.item(-1) + 2.0 * mu * field.item(-2)
             else:
                 rhs[-1] = rhs.item(-1) + mu * (field.item(-2) + tail.coupling())
-            if deficit:  # the sink on psi, which is tabulated TAIL_BLOCK_STEPS steps at a time
-                r = self.step_index - self._psi_from
-                if r == len(self._psi_block):
-                    self._psi_from, r = self.step_index, 0
-                    t = (self.step_index + np.arange(1, TAIL_BLOCK_STEPS + 1)) * self.grid.dt
-                    self._psi_block = model.psi(self.x[:mc], t[:, None], self.params)
-                psi_win = self._psi_block[r]
+            if deficit:  # the sink on psi, which is tabulated one tile of steps at a time
+                r = self.step_index % self._psi_rows
+                if r == 0:
+                    t = (self.step_index + np.arange(1, self._psi_rows + 1)) * self.grid.dt
+                    self._psi_tile = model.psi(self.x[:mc], t[:, None], self.params)
+                psi_win = self._psi_tile[r]
                 rhs[:mc] -= self._dt_p * psi_win
             else:  # the source swept during the step
                 start, self._source_at = self._source_at, self.params.alpha * math.sqrt(t_new)

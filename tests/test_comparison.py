@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import types
 
@@ -366,3 +367,18 @@ def test_energy_monotonicity_check_matches_the_loop(energy, window):
     report = types.SimpleNamespace(times=times, energy=np.array(energy))
     assert (comparison.energy_monotonicity_check(report, window)
             == energy_monotonicity_loop(report, window))
+
+
+def test_compare_epsilon2_before_any_ignition_sample_exits_1(tmp_path, capsys):
+    # t_max = dt: the origin ignites at the only step, with no look-back
+    # sample, so no rate sets the measured agreement tolerance
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "u_star_fraction": 0.8, "dx": 0.02,
+                               "dt": 1e-4, "x_max": 4.0, "t_max": 0.26,
+                               "snapshot_stride": 7}))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "-c", str(cfg), "--t-max", "1e-4", "--epsilon2", "1e-3",
+                     "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: record has no usable ignition data\n"
+    assert captured.out == "" and not out.exists()

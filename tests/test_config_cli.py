@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -83,6 +84,21 @@ class TestParseConfig:
         with pytest.raises(config.ValidationError) as exc:
             config.parse_config(write_config(tmp_path, data))
         assert exc.value.violations == [f"{key} must be finite, got {value!r}"]
+
+    @pytest.mark.parametrize("data, violation", [
+        ({"tolerances": [1e-3]}, "tolerances must be an object"),
+        ({"schema_version": 2}, "unsupported schema_version 2"),
+        ({"probes": [[0.1, 0.02], [0.2]]}, "probes must be a list of [x, t] pairs"),
+        ({"probes": {"x": 0.1, "t": 0.02}}, "probes must be a list of [x, t] pairs"),
+    ], ids=["tolerances_list", "schema_version_2", "probe_of_one_number", "probes_object"])
+    def test_malformed_sections_rejected(self, tmp_path, data, violation):
+        with pytest.raises(config.ValidationError) as exc:
+            config.parse_config(write_config(tmp_path, data))
+        assert exc.value.violations == [violation]
+
+    def test_config_root_must_be_an_object(self, tmp_path):
+        with pytest.raises(config.ParseError, match="^config root must be an object, got list$"):
+            config.parse_config(write_config(tmp_path, [{"alpha": 1.0}]))
 
     def test_negative_measure_tol_rejected(self):
         # -5.0 was once accepted and echoed into the front report, exit 0
@@ -561,8 +577,11 @@ class TestCli:
         (("compare", "-c", "{cfg}", "--epsilon2", "-1"), "--epsilon2", POSITIVE),
         (("sweep", "-c", "{cfg}", "--workers", "-3"), "--workers", "a positive integer"),
         (("sweep", "-c", "{cfg}", "--workers", "0"), "--workers", "a positive integer"),
+        (("compare", "-c", "{cfg}", "--epsilon2", "abc"), "--epsilon2", POSITIVE),
+        (("sweep", "-c", "{cfg}", "--workers", "two"), "--workers", "a positive integer"),
     ], ids=["compare_tol_nan", "compare_tol_negative", "sweep_tol_negative",
-            "sweep_epsilon_inf", "epsilon2_negative", "workers_negative", "workers_zero"])
+            "sweep_epsilon_inf", "epsilon2_negative", "workers_negative", "workers_zero",
+            "epsilon2_not_a_number", "workers_not_a_number"])
     def test_flag_numbers_are_finite_and_positive(self, tmp_path, monkeypatch, capsys, argv,
                                                   flag, rule):
         # each once exited 0 (a NaN tolerance never diverged, a negative one
@@ -1062,3 +1081,43 @@ def test_compare_rejects_the_flags_of_the_other_mode(tmp_path, capsys, argv, nam
         "error: invalid configuration:"]
     assert f"  - {named}" in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+# -- ring constants that underflow ------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "1e-200"],
+    ["constants", "--alpha", "1e-200"],
+    ["simulate", "--alpha", "1e-160", "--dx", "0.05", "--x-max", "4"],
+], ids=["simulate_1e-200", "constants_1e-200", "simulate_1e-160"])
+def test_tiny_alpha_exits_1_naming_alpha(tmp_path, capsys, argv):
+    # at 1e-200 T2 underflowed to 0, so the default t_max = 2*T2 was blamed
+    # ("dx, dt, x_max, t_max must all be positive"); at 1e-160 T2 was
+    # subnormal and the run took one step of dt = 3e-320, exit 0
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"]
+    (violation,) = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert violation.startswith(f"  - no ring constants for alpha = {argv[2]}, beta = 1: ")
+    assert "T2" in violation and not out.exists()
+
+
+def test_analyze_of_a_record_with_tiny_alpha_warns_nothing(tmp_path, capsys, saved_record):
+    # the parabola times x^2/alpha^2 overflow: analyze printed three
+    # RuntimeWarnings (overflow, divide by zero, invalid value)
+    for suffix in (".npz", ".json"):
+        shutil.copyfile(saved_record.with_suffix(suffix), (tmp_path / "rec").with_suffix(suffix))
+    meta = read_json(tmp_path / "rec.json")
+    meta["params"]["alpha"] = 1e-300
+    (tmp_path / "rec.json").write_text(json.dumps(meta))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["analyze", "-r", str(tmp_path / "rec"),
+                         "--output-dir", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in capsys.readouterr().err
+    (check,) = read_json(tmp_path / "front_report.json")["ring_start_checks"]
+    # at x = 0 the tolerance is 2*dt, not 0/0
+    assert check[0] == 0.0 and check[3] == 2.0 * meta["grid"]["dt"]

@@ -1,5 +1,6 @@
 """F1/F2 quadratures, the derivative identity, and transversality probes."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 
 import liesegang as lg
-from liesegang import duhamel, fronts, model, records
+from liesegang import cli, duhamel, fronts, model, records
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 from util import make_record, no_whole_record_reads
 
@@ -283,6 +284,24 @@ class TestF2:
         cut2.ell[idx[idx.size // 2]] = np.nan
         assert duhamel.eval_F2(cut2, x, t) <= full + 1e-6 * full
 
+    @pytest.mark.parametrize("i", [0, 10], ids=["origin", "interior"])
+    def test_isolated_node_against_quadrature_oracle(self, i):
+        # an isolated node's cell is [y - dx/2, y + dx/2] cut at the origin,
+        # where the even mirror counts it once: the origin node's F2 was
+        # twice its half cell's
+        dx, x, t, tau = 0.01, 0.3, 0.1, 0.05
+        xg = np.arange(0, 101) * dx
+        ell = np.full(xg.size, np.nan)
+        ell[i] = t - tau
+        y = xg[i]
+
+        def integrand(yy):
+            return model.heat_kernel(x - yy, tau) + model.heat_kernel(x + yy, tau)
+
+        oracle = quad(integrand, max(y - 0.5 * dx, 0.0), y + 0.5 * dx)[0]
+        got = duhamel.eval_F2(fronts.FrontFunction(xg, ell, dx), x, t)
+        assert got == pytest.approx(oracle, rel=1e-3)
+
     def test_bounded_by_theory_below_t2(self, rec_coarse_sharp):
         c = rec_coarse_sharp.constants
         front = fronts.extract_front(rec_coarse_sharp)
@@ -319,6 +338,23 @@ class TestIdentity:
         probes = default_probe_ladder(c, rec_coarse_sharp.params.alpha)
         rows = duhamel.check_ut_identity(rec_coarse_sharp, front, probes)
         assert max(abs(r.residual) for r in rows) < 5e-3
+
+    def test_one_node_front_at_the_origin_through_the_cli(self, tmp_path, capsys):
+        # u_star just below Psi(alpha): only the origin ignites (at t = dt),
+        # so every probe's F2 is that one node's half cell; counted twice,
+        # max |residual| was 9.5e-3
+        cfg = {"alpha": 1.0, "beta": 1.0, "u_star_fraction": 0.99999, "dx": 0.02,
+               "dt": 1e-4, "x_max": 4.0, "t_max": 0.26, "snapshot_stride": 7,
+               "probes": [[0.1, 0.1], [0.3, 0.2], [0.05, 0.25], [0.5, 0.15]],
+               "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "-c", str(path), "-o", "rec"]) == 0
+        assert cli.main(["diagnose", "-c", str(path), "-r", str(tmp_path / "rec")]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert [(n["x"], n["ell"]) for n in report["front_nodes"]] == [(0.0, 1e-4)]
+        assert report["max_abs_residual"] < 1e-4
 
     def test_residual_vanishes_under_refinement_three_levels(self, params, constants):
         # residual shrinks by at least 2x per simultaneous halving, three levels

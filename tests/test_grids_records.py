@@ -8,6 +8,7 @@ import os
 import tempfile
 import time
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,38 @@ class TestSerialization:
         meta["schema_version"] = 99
         json_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="rec.json: unsupported schema_version 99"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_sidecar_of_another_kind_rejected(self, tiny_record, tmp_path):
+        _, json_path = tiny_record.save(tmp_path / "rec")
+        meta = json.loads(json_path.read_text())
+        meta["kind"] = "front_report"
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="rec.json: not a solution record sidecar"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_member_without_a_local_header_signature_rejected(self, tiny_record, tmp_path):
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        data = bytearray(npz_path.read_bytes())
+        with zipfile.ZipFile(npz_path) as archive:
+            offset = archive.getinfo("times.npy").header_offset
+        assert data[offset:offset + 4] == b"PK\x03\x04"
+        data[offset + 3] = 0x05
+        npz_path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="rec.npz: .*times.npy: bad local header"):
+            lg.SolutionRecord.load(tmp_path / "rec")
+
+    def test_npy_header_that_disagrees_with_the_stored_size_rejected(self, tiny_record,
+                                                                     tmp_path):
+        # times.npy's header claims one snapshot fewer than the member stores
+        npz_path, _ = tiny_record.save(tmp_path / "rec")
+        n = tiny_record.times.size
+        claim, less = f"'shape': ({n},)".encode(), f"'shape': ({n - 1},)".encode()
+        data = npz_path.read_bytes()
+        assert data.count(claim) == 1 and len(claim) == len(less)
+        npz_path.write_bytes(data.replace(claim, less))
+        with pytest.raises(ValueError, match=rf"rec.npz: .*times.npy: stored size {8 * n + 128} "
+                                             rf"!= {8 * n + 120} for a float64 array"):
             lg.SolutionRecord.load(tmp_path / "rec")
 
     def test_sidecar_missing_a_field_rejected(self, tiny_record, tmp_path):

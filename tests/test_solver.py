@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
 import liesegang as lg
-from liesegang import cli, model, relay, solver
+from liesegang import cli, model, records, relay, solver
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -279,20 +279,24 @@ class TestPsiRows:
 
     GRID = coarse_grid(t_max=0.26, x_max=4.0)
 
-    def test_window_block_straddling_the_source(self):
+    def test_window_tile_straddling_the_source(self):
         stepper = solver.Stepper(PARAMS, self.GRID, RELAYS[0])
         while stepper.step_index < 1000:
             stepper.step()
         x, dt = stepper.x[: stepper.mc], self.GRID.dt
-        block = stepper._psi_block
-        # the coming step's row, read as step reads it (1000 is inside a block)
-        psi_win = block[stepper.step_index - stepper._psi_from]
+        tile = stepper._psi_tile
+        # the tile holds whole rows within the row budget
+        assert len(tile) == stepper._psi_rows == (records.BLOCK_BYTES - 1) // (8 * x.size)
+        assert 1000 % len(tile) and tile.nbytes < records.BLOCK_BYTES
+        # the coming step's row, read as step reads it (1000 is inside a tile)
+        psi_win = tile[stepper.step_index % len(tile)]
         assert np.array_equal(psi_win, model.psi(x, (stepper.step_index + 1) * dt, PARAMS))
-        times = (stepper._psi_from + np.arange(1, len(block) + 1)) * dt
+        times = (stepper.step_index - stepper.step_index % len(tile)
+                 + np.arange(1, len(tile) + 1)) * dt
         # the source passes a node inside the block: plateau columns, then erfc ones
         behind = [np.count_nonzero(x / math.sqrt(t) <= PARAMS.alpha) for t in times[[0, -1]]]
         assert 0 < behind[0] < behind[1] < x.size
-        for row, t in zip(block, times):
+        for row, t in zip(tile, times):
             assert np.array_equal(row, model.psi(x, t, PARAMS))
 
     @settings(max_examples=40, deadline=None)
@@ -882,6 +886,17 @@ class TestMeasureT1:
     def test_gradient_bound_holds_through_coarse_record(self, rec_coarse_sharp):
         t1 = solver.measure_t1(rec_coarse_sharp)
         assert t1 == pytest.approx(rec_coarse_sharp.grid.t_max)
+
+    def test_returns_the_last_time_before_the_bound_fails(self):
+        # u falls steeply in x up to t = 0.1 and is flat from then on, where
+        # u_x = 0 is above the (negative) bound
+        grid = lg.GridSpec.make(dx=0.02, dt=1e-3, x_max=1.0, t_max=0.2)
+        rec = lg.SolutionRecord.from_fields(
+            lambda x, t: -1.0 - (10.0 * x if t < 0.1 - 1e-9 else 0.0 * x), PARAMS, grid,
+            snapshot_stride=10)
+        rec.constants = lg.compute_constants(PARAMS)
+        k = int(np.flatnonzero(rec.times >= 0.1 - 1e-9)[0])
+        assert solver.measure_t1(rec) == rec.times[k - 1] < rec.times[-1]
 
     def test_requires_constants(self):
         grid = coarse_grid()

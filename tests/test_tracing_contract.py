@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import liesegang as lg
-from liesegang import cli, model, solver
+from liesegang import cli, model, records, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -119,14 +119,17 @@ def test_prescribed_fields_update_the_relay_through_the_solver_namespace(monkeyp
 
 
 # psi comes from ``model.psi`` only: the deficit scheme evaluates it on the
-# relay window once per block of TAIL_BLOCK_STEPS steps, the deposition scheme
-# once for its initial field and once per snapshot.
+# relay window once per tile of steps, as many as fit in records.BLOCK_BYTES,
+# the deposition scheme once for its initial field and once per snapshot.
 @pytest.mark.parametrize("relay", [lg.RelayKind.sharp(), lg.RelayKind.mollified(1e-3)])
 def test_time_loops_call_psi_through_the_model_namespace(monkeypatch, relay):
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=2.0, t_max=0.05)
+    steppers = capture_steppers(monkeypatch)
     calls = spy_on(model, "psi", monkeypatch)
     lg.run(PARAMS, grid, relay, snapshot_stride=20)
-    assert len(calls) == math.ceil(grid.n_t / solver.TAIL_BLOCK_STEPS) > 1
+    ((stepper, _),) = steppers
+    rows = (records.BLOCK_BYTES - 1) // (8 * stepper.mc)
+    assert len(calls) == math.ceil(grid.n_t / rows) > 1
     calls.clear()
     record = solver.source_deposition_run(PARAMS, grid, relay, snapshot_stride=20)
     assert len(calls) == 1 + record.times.size

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the command line writes for five configs.
+"""Print the sha256 of every file the command line writes for six configs.
 
     python3 tools/report_matrix.py [--workdir DIR] > reports.txt
 
@@ -23,8 +23,10 @@ both forcings.  The fifth config is a run with two rings, so that what
 ``analyze`` and ``diagnose`` report past the first ring is compared too:
 alpha 3, beta 1, ``u_star_fraction`` 0.9, dx 0.005, dt 1e-4, x_max 18, t_max
 0.75 and snapshot stride 100 (the second ring starts at x = 2.57); only
-``simulate``, ``analyze`` and ``diagnose`` run on it.  Every command must
-exit 0.  Outputs go to one subdirectory per config, given in the configs as
+``simulate``, ``analyze`` and ``diagnose`` run on it.  The sixth is the
+coarse grid with ``u_star_fraction`` 0.99999, whose front is the one node
+x = 0, so that F2's rule for an isolated node is compared: ``simulate`` and
+``diagnose`` at four probes.  Every command must exit 0.  Outputs go to one subdirectory per config, given in the configs as
 relative paths, so the reports do not depend on ``--workdir`` (default: a
 temporary directory, removed at the end).  About 10 s on 2 vCPUs.
 """
@@ -58,6 +60,8 @@ CONFIGS = {
 }
 MULTI_RING = {"alpha": 3.0, "beta": 1.0, "u_star_fraction": 0.9, "dx": 0.005, "dt": 1e-4,
               "x_max": 18.0, "t_max": 0.75, "snapshot_stride": 100, "output_dir": "multi_ring"}
+ONE_NODE = {**COARSE, "u_star_fraction": 0.99999, "output_dir": "one_node",
+            "probes": [[0.1, 0.1], [0.3, 0.2], [0.05, 0.25], [0.5, 0.15]]}
 
 
 def commands(name: str) -> list[list[str]]:
@@ -83,6 +87,8 @@ def final_commands() -> list[list[str]]:
         ["simulate", "-c", "multi_ring.json"],
         ["analyze", "-c", "multi_ring.json", "-r", "multi_ring/record"],
         ["diagnose", "-c", "multi_ring.json", "-r", "multi_ring/record"],
+        ["simulate", "-c", "one_node.json"],
+        ["diagnose", "-c", "one_node.json", "-r", "one_node/record"],
         ["compare", "--rec1", "sharp_deficit/record", "--rec2", "property_p_deficit/record",
          "--agreement-tol", "1e-3", "--output-dir", "pairs", "--csv", "compare.csv"],
         ["toy", "-o", "toy_constant.json"],
@@ -138,6 +144,7 @@ def main(argv=None) -> int:
             for argv in commands(name):
                 stdout.append((" ".join(argv), run(argv)))
         Path("multi_ring.json").write_text(json.dumps(MULTI_RING))
+        Path("one_node.json").write_text(json.dumps(ONE_NODE))
         for argv in final_commands():
             stdout.append((" ".join(argv), run(argv)))
         for label, digest in hashes(root):
