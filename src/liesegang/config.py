@@ -5,8 +5,9 @@ declares every key once, with its default, so ``{}`` is a valid config, and
 every number, tolerances and probe coordinates included, must be finite.
 ``u_star`` may be given directly or through ``u_star_fraction`` (fraction of
 the plateau value Psi(alpha)); the threshold must be supercritical.  ``t_max``
-defaults to twice the F2-horizon T2.  ``dt`` is lowered so that the step
-count is integral, or raised by at most a relative 1e-9 (:meth:`GridSpec.make`);
+defaults to twice the F2-horizon T2, which must not be below ``dt``.  ``dt``
+is lowered so that the step count is integral, or raised by at most a
+relative 1e-9 (:meth:`GridSpec.make`);
 the adjusted value is what ``effective_config`` reports, and re-parsing an
 emitted effective config reproduces the same configuration.
 """
@@ -271,7 +272,17 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         eff_t_max = t_max if t_max is not None else 2.0 * constants.T2
         # checked on the requested values, before GridSpec.make counts steps
         w_bytes = 8.0 * (eff_t_max / (dt * stride) + 2.0) * (x_max / dx + 1.0)
-        if w_bytes > MAX_W_BYTES:
+        if t_max is None and eff_t_max < dt:
+            # GridSpec.make would lower dt to the horizon and take one step
+            if constants.T2 == tol_kwargs["t1_ceiling"]:
+                setters = f"t1_ceiling = {constants.T2:g}"
+            else:
+                setters = f"alpha = {alpha:g}, beta = {beta:g}, " + (
+                    f"u_star = {u_star:g}" if u_star is not None
+                    else f"u_star_fraction = {fraction!r}")
+            violations.append(f"default t_max = 2*T2 = {eff_t_max:.6g} is below dt = {dt:g}, "
+                              f"with T2 set by {setters}: give a smaller dt or a t_max")
+        elif w_bytes > MAX_W_BYTES:
             violations.append(f"grid too large: dx = {dx:g}, x_max = {x_max:g}, dt = {dt:g}, "
                               f"t_max = {eff_t_max:.6g} and snapshot_stride = {stride} store "
                               f"{w_bytes:.3g} bytes of w, over the limit of {MAX_W_BYTES}")

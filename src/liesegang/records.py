@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import struct
 import tempfile
 import weakref
@@ -403,7 +402,7 @@ class SolutionRecord:
         they were in are let go.
         """
         npz_path, json_path = _paths(prefix)
-        tmp = npz_path.with_name(f"{npz_path.name}.{secrets.token_hex(4)}.tmp")
+        tmp = npz_path.with_name(f"{npz_path.name}.{os.urandom(4).hex()}.tmp")
         try:
             with open(tmp, "xb+") as fh:
                 with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:

@@ -6,13 +6,15 @@ the accumulator is non-negative and non-decreasing, so the precipitation
 value is non-decreasing in time at every node.  :class:`RelayState` holds
 only the accumulators, ignition times and parabola times;
 :func:`accumulate` returns the nodes that ignited during the call, with the
-step of its block at which each did, rather than storing them.
+step of its block at which each did, rather than storing them.  The two
+per-step rules, :func:`rectangles` and :func:`evaluate`, live only here; the
+solver's band step calls both.
 
 Three variants are supported:
 
 * ``sharp``       -- p = 1 as soon as a > 0 (with the convention p = 0 at a = 0),
 * ``mollified``   -- p = S(a / eps) for a monotone C^1 smoothstep S
-  (:func:`smoothstep_array`, also the solver's per-step band update),
+  (:func:`smoothstep_array`), ``a`` clamped to ``eps`` so that nothing overflows,
 * ``property_p``  -- sharp, but a node stops accumulating once t exceeds its
   parabola time x^2/alpha^2, so the value above the parabola is frozen.
 """
@@ -107,8 +109,8 @@ def smoothstep(s):
 
 def smoothstep_array(s: np.ndarray) -> np.ndarray:
     """:func:`smoothstep` of a float array with at least one dimension, which
-    it overwrites: the one implementation, which :func:`evaluate` and the
-    stepper's band update call on arrays of their own."""
+    it overwrites: the one implementation, which :func:`evaluate` calls on an
+    array of its own."""
     np.maximum(s, 0.0, out=s)
     np.minimum(s, 1.0, out=s)
     out = np.multiply(s, s)
@@ -116,6 +118,14 @@ def smoothstep_array(s: np.ndarray) -> np.ndarray:
     np.subtract(3.0, s, out=s)
     out *= s
     return out
+
+
+def rectangles(u: np.ndarray, u_star: float, dt: float) -> np.ndarray:
+    """Left-endpoint rectangles ``dt*(u - u_star)_+`` of a field or block (a new array)."""
+    inc = np.subtract(u, u_star)
+    np.maximum(inc, 0.0, out=inc)
+    inc *= dt
+    return inc
 
 
 def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
@@ -138,11 +148,9 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
     if u_field.shape[-1] != state.size:
         raise LengthMismatch(f"field has {u_field.shape[-1]} nodes, state has {state.size}")
     times = np.asarray(t_new, dtype=float).reshape(-1, 1)
-    inc = u_field.reshape(-1, state.size) - state.u_star
+    inc = rectangles(u_field.reshape(-1, state.size), state.u_star, dt)
     if len(times) != len(inc):
         raise LengthMismatch(f"{len(inc)} field rows but {len(times)} times")
-    np.maximum(inc, 0.0, out=inc)
-    inc *= dt
     if kind.variant == PROPERTY_P:
         inc[times > state.cap_time] = 0.0
     fresh = (inc > 0.0) & np.isnan(state.ignition_time)
@@ -160,7 +168,8 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
 
 
 def evaluate(accumulator: np.ndarray, kind: RelayKind) -> np.ndarray:
-    """Precipitation value of an accumulator array, element by element."""
+    """Precipitation value of an accumulator array, element by element; the
+    mollified ``S(min(a, eps)/eps)`` is ``S(a/eps)`` bit for bit, but never overflows."""
     if kind.variant == MOLLIFIED:
-        return smoothstep_array(accumulator / kind.epsilon)
+        return smoothstep_array(np.minimum(accumulator, kind.epsilon) / kind.epsilon)
     return (accumulator > 0.0).astype(float)

@@ -73,13 +73,12 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import model, records
+from . import model, records, relay
 from ._scipy import dst, lapack, prev_fast_len
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, NotSupercritical, compute_constants
 from .records import BACK_OFFSETS, RIGHT_CELLS, SolutionRecord, spool
-from .relay import (MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate,
-                    smoothstep_array)
+from .relay import MOLLIFIED, PROPERTY_P, RelayKind, RelayState, accumulate, evaluate, rectangles
 
 WINDOW_MARGIN_CELLS = 16
 # Grids that would leave fewer tail nodes are solved whole, with the Neumann
@@ -270,10 +269,11 @@ class Stepper:
     docstring), fixed at construction, picks the initial field and time, the
     step's forcing (``-dt*p*psi``, ``psi`` on the window tabulated for as
     many steps at a time as fit in ``records.BLOCK_BYTES``, or the swept
-    source) and the snapshot ``w``; all else is shared, but a prescribed
-    field is evaluated, not solved.  The stepped field (``w`` or ``u``)
-    holds the ``J`` interior nodes; the rest of the grid is the ``tail`` (a
-    :class:`ModalTail`, or None when the interior is the whole grid).
+    source) and whether the snapshot subtracts ``psi``; all else is shared,
+    but a prescribed field is evaluated, not solved.  The stepped ``field``
+    (``w`` in the deficit scheme, else ``u``) holds the ``J`` interior
+    nodes; the rest of the grid is the ``tail`` (a :class:`ModalTail`, or
+    None when the interior is the whole grid).
 
     Each step writes ``u`` on the window and the ``RIGHT_CELLS`` nodes past it
     (``mc`` nodes) into a buffer of ``TAIL_BLOCK_STEPS`` rows (after
@@ -295,12 +295,12 @@ class Stepper:
     the update calls on every window column.  Under the mollified relay a
     node's ``p`` also changes on every step it spends inside the smoothstep
     band ``0 < a < eps``: the update takes the band and a copy of its
-    accumulators, to which each step adds its rectangle, in the update's
-    order, to re-evaluate the band's ``p`` (:meth:`_step_band`); once the
-    whole band has reached ``eps``, ``p`` is 1 there for good and the band
-    ends.  Between updates the accumulators lag (ignition times do not);
-    :meth:`snapshot` brings them up to date.  ``p`` can change only at an
-    update in which a node ignited and at a band step.  Such an update
+    accumulators, to which each step adds its rectangles, in the update's
+    order, to re-evaluate the band's ``p`` by the relay's own rules
+    (:meth:`_step_band`); once the whole band has reached ``eps``, ``p`` is 1
+    there for good and the band ends.  Between updates the accumulators lag
+    (ignition times do not); :meth:`snapshot` brings them up to date.  ``p``
+    can change only at an update in which a node ignited and at a band step.  Such an update
     rebuilds the step matrix's diagonal, and the next solve factors it; a
     band step rewrites only the band's columns, and the next solve
     eliminates in one LAPACK call (:class:`StepMatrix`).
@@ -347,19 +347,19 @@ class Stepper:
         self.relay_updates = 0
         self._find_live()
 
-        # the deficit scheme holds w, the others u
+        # the stepped field: w under the deficit scheme, u under the others
         if scheme == "deficit":
-            self.w = self._split(np.zeros(n))
+            self.field = self._split(np.zeros(n))
             # psi on the window is tabulated in tiles of this many steps, kept
             # below the row budget and so below glibc's mmap threshold
             self._psi_rows = max((records.BLOCK_BYTES - 1) // (8 * self.mc), 1)
         elif scheme == "deposition":
-            self.u = self._split(model.psi(self.x, grid.dt, params))
+            self.field = self._split(model.psi(self.x, grid.dt, params))
             self.step_index = 1
             self._source_at = params.alpha * math.sqrt(self.t)  # the source's position
         elif scheme == "synthetic":
             self.u_fn = u_fn
-            self.u = np.asarray(u_fn(self.x, 0.0), dtype=float)
+            self.field = np.asarray(u_fn(self.x, 0.0), dtype=float)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         tail_h0 = None if self.tail is None else self.tail.h0
@@ -369,7 +369,7 @@ class Stepper:
         self._spare = np.empty(self.J)
         self._pairs = np.empty(self.J - 2)
         if scheme == "deposition":  # the relay bootstraps with one rectangle over [0, dt]
-            self._u_buf[self._hi] = self.u[: self.mc]
+            self._u_buf[self._hi] = self.field[: self.mc]
             self._hi += 1
             self._update_relay()
 
@@ -378,14 +378,13 @@ class Stepper:
         j = self._hi
         u_win = self._u_buf[j]
         if self.scheme == "synthetic":
-            self.u = np.asarray(self.u_fn(self.x, t_new), dtype=float)
-            u_win[:] = self.u
+            self.field = np.asarray(self.u_fn(self.x, t_new), dtype=float)
+            u_win[:] = self.field
         else:
             deficit = self.scheme == "deficit"
-            field = self.w if deficit else self.u
             # field times I + mu*D2 with its Neumann and tail rows, into the spare;
             # the end rows add on Python floats (the same IEEE adds as numpy scalars)
-            mu, mc, tail = self.mu, self.mc, self.tail
+            field, mu, mc, tail = self.field, self.mu, self.mc, self.tail
             rhs, self._spare = self._spare, field
             np.multiply(field, 1.0 - 2.0 * mu, rhs)
             pairs = np.add(field[:-2], field[2:], self._pairs)
@@ -406,15 +405,13 @@ class Stepper:
             else:  # the source swept during the step
                 start, self._source_at = self._source_at, self.params.alpha * math.sqrt(t_new)
                 _deposit_swept_source(rhs, self.params.beta, start, self._source_at, self.grid.dx)
-            field = self.matrix.solve(rhs)
+            field = self.field = self.matrix.solve(rhs)
             if tail is not None:
                 tail.advance(field[-1])
-            u_win[:] = field[:mc]
-            if deficit:
-                u_win += psi_win
-                self.w = field
+            if deficit:  # u = w + psi on the window
+                np.add(field[:mc], psi_win, out=u_win)
             else:
-                self.u = field
+                u_win[:] = field[:mc]
         self.step_index += 1
         self._hi = j + 1
         if self._band_size:
@@ -435,10 +432,11 @@ class Stepper:
         which it is zero.  The snapshot's time is ``step_index * dt``."""
         if self._hi > LOOKBACK:
             self._update_relay()
-        if self.scheme == "deficit":
-            w = self._whole(self.w)
+        if self.tail is None:
+            w = self.field.copy()
         else:
-            w = self._whole(self.u)
+            w = np.concatenate((self.field, self.tail.values()))
+        if self.scheme != "deficit":
             w -= model.psi(self.x, self.t, self.params)
         return w, self.state.accumulator.copy()
 
@@ -447,12 +445,6 @@ class Stepper:
         if self.J < self.n:
             self.tail = ModalTail(field[self.J:], field[self.J - 1], self.mu)
         return field[: self.J]
-
-    def _whole(self, interior: np.ndarray) -> np.ndarray:
-        """The stepped field on the whole grid (a new array)."""
-        if self.tail is None:
-            return interior.copy()
-        return np.concatenate((interior, self.tail.values()))
 
     def _update_relay(self) -> None:
         """Check the last step of the block since the last update for
@@ -477,20 +469,17 @@ class Stepper:
         self._hi = LOOKBACK
 
     def _step_band(self, u_win: np.ndarray) -> None:
-        """Add this step's rectangle to the copy of the band's accumulators
+        """Add this step's rectangles to the copy of the band's accumulators
         and re-evaluate their ``dt*p`` and the step matrix's diagonal there;
         end the band once all of it has reached ``eps``."""
-        band, a, dt, eps = self._band, self._band_acc, self.grid.dt, self.relay_kind.epsilon
-        s = u_win[band] - self.state.u_star
-        np.maximum(s, 0.0, out=s)
-        s *= dt
-        a += s
-        np.divide(a, eps, out=s)
-        dt_p = smoothstep_array(s)
+        band, a, dt = self._band, self._band_acc, self.grid.dt
+        a += rectangles(u_win[band], self.state.u_star, dt)
+        # through the module: the solver's ``evaluate`` is the update's, one call per update
+        dt_p = relay.evaluate(a, self.relay_kind)
         dt_p *= dt
         self._dt_p[band] = dt_p
         self.matrix.set_band(band, dt_p)
-        if a.min() >= eps:  # p is 1 on the band, and the accumulators only grow
+        if a.min() >= self.relay_kind.epsilon:  # p is 1 on the band, and a only grows
             self._band_size = 0
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:

@@ -747,6 +747,18 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_hashlib():
+    # a saved record's temporary name came from secrets, whose hmac import loads
+    # _hashlib and with it OpenSSL's libcrypto
+    code = ("import sys, liesegang.cli; "
+            "print(sorted(m for m in ('_hashlib', 'hashlib', 'hmac', 'secrets') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = src_env()
     done = subprocess.run([sys.executable, "-m", "liesegang", "--help"], cwd=tmp_path, env=env,
@@ -810,6 +822,14 @@ def valid_configs(draw):
         raw["epsilon"] = draw(VALID["epsilon"])
     elif raw.get("epsilon") is not None:
         del raw["epsilon"]
+    if raw.get("t_max") is None:  # dt no larger than the default horizon 2*T2
+        alpha, beta = raw.get("alpha", 1.0), raw.get("beta", 1.0)
+        if raw.get("u_star") is not None:
+            params = lg.ModelParams(alpha, beta, raw["u_star"])
+        else:
+            params = lg.ModelParams.from_fraction(alpha, beta, raw.get("u_star_fraction") or 0.8)
+        ceiling = (raw.get("tolerances") or {}).get("t1_ceiling")
+        raw["dt"] = min(raw["dt"], 2.0 * lg.compute_constants(params, t1=ceiling).T2)
     return raw
 
 
@@ -1085,23 +1105,63 @@ def test_compare_rejects_the_flags_of_the_other_mode(tmp_path, capsys, argv, nam
 
 # -- ring constants that underflow ------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--alpha", "1e-200"],
-    ["constants", "--alpha", "1e-200"],
-    ["simulate", "--alpha", "1e-160", "--dx", "0.05", "--x-max", "4"],
-], ids=["simulate_1e-200", "constants_1e-200", "simulate_1e-160"])
-def test_tiny_alpha_exits_1_naming_alpha(tmp_path, capsys, argv):
+COARSE_X = ["--dx", "0.05", "--x-max", "4"]
+BELOW_DT = "default t_max = 2*T2 = {} is below dt = 2.5e-06, with T2 set by alpha = {}, beta = 1"
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["simulate", "--alpha", "1e-200"], "no ring constants for alpha = 1e-200, beta = 1: "),
+    (["constants", "--alpha", "1e-200"], "no ring constants for alpha = 1e-200, beta = 1: "),
+    (["simulate", "--alpha", "1e-160", *COARSE_X],
+     "no ring constants for alpha = 1e-160, beta = 1: "),
+    (["simulate", "--alpha", "1e-5", *COARSE_X], BELOW_DT.format("3.11586e-10", "1e-05")),
+    (["simulate", "--alpha", "1e-30", *COARSE_X], BELOW_DT.format("3.116e-60", "1e-30")),
+    (["simulate", "--u-star-fraction", "0.9999999999999999"],
+     BELOW_DT.format("4.06942e-16", "1") + ", u_star_fraction = 0.9999999999999999"),
+    (["simulate", "--u-star-fraction", "0.999999"],
+     BELOW_DT.format("2e-06", "1") + ", u_star_fraction = 0.999999"),
+], ids=["simulate_1e-200", "constants_1e-200", "simulate_1e-160", "horizon_alpha_1e-5",
+        "horizon_alpha_1e-30", "horizon_fraction_1-1e-16", "horizon_fraction_0.999999"])
+def test_tiny_alpha_exits_1_naming_alpha(tmp_path, capsys, argv, start):
     # at 1e-200 T2 underflowed to 0, so the default t_max = 2*T2 was blamed
     # ("dx, dt, x_max, t_max must all be positive"); at 1e-160 T2 was
-    # subnormal and the run took one step of dt = 3e-320, exit 0
+    # subnormal and the run took one step of dt = 3e-320, exit 0; where
+    # 2*T2 is a normal float below dt, the run lowered dt to it and took one step
     out = tmp_path / "out"
     assert cli.main([*argv, "--output-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: invalid configuration:"]
     (violation,) = [line for line in err.splitlines() if line.startswith("  - ")]
-    assert violation.startswith(f"  - no ring constants for alpha = {argv[2]}, beta = 1: ")
+    assert violation.startswith(f"  - {start}")
     assert "T2" in violation and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--relay", "mollified", "--epsilon", "1e-320"],
+    ["compare", "--epsilon2", "1e-320"],
+    ["sweep", "--epsilons", "1e-320", "--agreement-tol", "1"],
+    ["simulate", "--beta", "1e300", "--relay", "mollified", "--epsilon", "1e-20"],
+], ids=["simulate_eps_1e-320", "compare_eps2_1e-320", "sweep_eps_1e-320", "simulate_beta_1e300"])
+def test_a_tiny_mollifier_width_runs_without_overflow(tmp_path, capsys, argv):
+    # a/eps overflowed in relay.evaluate (RuntimeWarning, exit 0); pytest
+    # makes a warning an error
+    grid = ["--dx", "0.05", "--x-max", "4", "--dt", "1e-4", "--t-max", "0.26"]
+    assert cli.main([*argv, *grid, "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_explicit_t_max_below_dt_keeps_the_one_lowered_step():
+    cfg = config.parse_config(overrides={"u_star_fraction": 0.999999, "t_max": 1e-6})
+    assert (cfg.grid.n_t, cfg.grid.dt, cfg.grid.t_max) == (1, 1e-6, 1e-6)
+
+
+def test_a_t1_ceiling_below_dt_is_named_as_what_sets_t2():
+    with pytest.raises(config.ValidationError) as caught:
+        config.parse_config(overrides={"tolerances": {"t1_ceiling": 1e-6}})
+    assert caught.value.violations == [
+        "default t_max = 2*T2 = 2e-06 is below dt = 2.5e-06, with T2 set by "
+        "t1_ceiling = 1e-06: give a smaller dt or a t_max"]
 
 
 def test_analyze_of_a_record_with_tiny_alpha_warns_nothing(tmp_path, capsys, saved_record):

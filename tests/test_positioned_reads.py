@@ -207,7 +207,8 @@ def test_the_cli_reads_no_stored_array_whole(tmp_path):
 def test_only_records_reads_a_records_w():
     """Every reader of a record's ``w`` or ``accum`` goes through
     ``records.py`` (``u_on``, ``p_on``), which reads a stored one from its
-    file; the stepper's own ``self.w`` is its field, not a record's."""
+    file; an attribute of ``self`` is an object's own, not a record's (the
+    stepper's field is ``self.field``)."""
     readers = []
     for path in sorted((SRC / "liesegang").glob("*.py")):
         if path.name == "records.py":

@@ -162,6 +162,23 @@ class TestEvaluate:
         moll = lg.evaluate(state.accumulator, lg.RelayKind.mollified(eps))
         assert np.array_equal(sharp, moll)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(5e-324, 1e3, allow_subnormal=True),
+           st.lists(st.floats(0.0, 4.0) | st.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0)]),
+                    min_size=1, max_size=12),
+           st.lists(st.floats(0.0, 1e300), max_size=4))
+    def test_mollified_is_the_smoothstep_of_a_over_eps_wherever_that_is_finite(
+            self, eps, factors, others):
+        # accumulators below, at and above eps, and far above it, where a/eps
+        # overflows; evaluate clamps a to eps first, so it never overflows
+        a = np.concatenate((np.array(factors) * eps, others))
+        p = lg.evaluate(a, lg.RelayKind.mollified(eps))
+        with np.errstate(over="ignore"):
+            q = a / eps
+        finite = np.isfinite(q)
+        assert p[finite].tobytes() == relay.smoothstep_array(q[finite]).tobytes()
+        assert np.all(p[~finite] == 1.0)
+
 
 def test_smoothstep_shape():
     assert lg.smoothstep(-1.0) == 0.0

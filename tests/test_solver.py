@@ -58,7 +58,7 @@ class TestDeficitScheme:
     def test_non_finite_guard(self):
         stepper = solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
         stepper.step()
-        stepper.w[0] = math.nan
+        stepper.field[0] = math.nan
         with pytest.raises(lg.NonFiniteField):
             stepper.step()
 
@@ -489,9 +489,9 @@ class PerStepRelay(solver.Stepper):
             if hi <= self.m:
                 vals = u_win[i:hi]
             elif self.scheme == "deficit":
-                vals = self.w[i:hi] + model.psi(self.x[i:hi], self.t, self.params)
+                vals = self.field[i:hi] + model.psi(self.x[i:hi], self.t, self.params)
             else:
-                vals = self.u[i:hi]
+                vals = self.field[i:hi]
             self.ignition_u_right[i, : hi - i] = vals
             for c, k in enumerate(BACK_OFFSETS):
                 if k <= len(self.past_u):
