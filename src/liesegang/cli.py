@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +214,7 @@ def cmd_compare(args) -> int:
         if tol is None:
             raise ValidationError(["comparing saved records needs --agreement-tol or the "
                                    "config's tolerances.agreement_tol"])
+        report = comparison.compare(rec1, rec2, tol)
     elif args.rec1 is not None or args.rec2 is not None:
         alone = "--rec1" if args.rec2 is None else "--rec2"
         raise ValidationError([f"{alone}: saved records are compared only in pairs, "
@@ -223,12 +224,9 @@ def cmd_compare(args) -> int:
         if args.epsilon2 is None:
             raise ValidationError(["provide --rec1/--rec2, or --epsilon2 for a sharp-vs-"
                                    "mollified pair"])
-        rec1 = _run_from_config(cfg)
-        tol = _configured_agreement_tol(cfg, args)
-        if tol is None:
-            (tol,) = comparison.measured_agreement_tols(rec1, [args.epsilon2])
-        rec2 = _run_from_config(replace(cfg, relay_kind=RelayKind.mollified(args.epsilon2)))
-    report = comparison.compare(rec1, rec2, tol)
+        (report,) = comparison.perturb(_run_from_config(cfg),
+                                       [RelayKind.mollified(args.epsilon2)],
+                                       agreement_tol=_configured_agreement_tol(cfg, args))
     path = _write_report(cfg, args, "comparison_report", report.to_json_dict(), args.output)
     if args.csv:
         jsonio.write_csv(_out_path(cfg, args, args.csv), ["t", "sup_diff", "energy"],
@@ -252,10 +250,11 @@ def cmd_sweep(args) -> int:
                                          workers=args.workers)
     path = _write_report(cfg, args, "sweep_report", {"rows": [asdict(r) for r in rows]},
                          args.output)
-    print(f"{'label':<28}{'divergence_time':<18}{'T_unique':<12}")
+    width = max([28, *(len(r.label) + 1 for r in rows)])  # a label never meets its time
+    print(f"{'label':<{width}}{'divergence_time':<18}{'T_unique':<12}")
     for r in rows:
         div = "never" if math.isnan(r.divergence_time) else f"{r.divergence_time:.6g}"
-        print(f"{r.label:<28}{div:<18}{r.T_unique:<12.6g}")
+        print(f"{r.label:<{width}}{div:<18}{r.T_unique:<12.6g}")
     print(f"sweep written to {path}")
     return 0
 

@@ -8,13 +8,18 @@ fronts are *entangled* when neither stays ahead of the other: the sign of
 ``ell_1 - ell_2`` (beyond a one-step magnitude) takes both values inside
 some x-window.
 
-Every comparison samples both records on the nodes and snapshot times of the
-coarser one (the first on equal ``dx``), up to the shorter horizon.  A stored
-time reads its one row and a record's own nodes are taken as they are, so a
-same-grid pair is compared on its stored values; elsewhere ``u`` is linear in
-time, then in space.  A node is precipitated when it coincides with a
-precipitated node of the record or lies strictly between two, its ignition
-time linear between them; any other node has none (NaN).
+Every comparison samples both records, which must share the domain
+``[0, x_max]`` (else :class:`GridMismatch`), on the nodes and snapshot times
+of the coarser one (the first on equal ``dx``), up to the shorter horizon.  A
+stored time reads its one row and a record's own nodes are taken as they are,
+so a same-grid pair is compared on its stored values; elsewhere ``u`` is
+linear in time, then in space.  A node is precipitated when it coincides
+with a precipitated node of the record or lies strictly between two, its
+ignition time linear between them; any other node has none (NaN).
+
+:func:`perturb` reruns a record with one change and compares the pair:
+``compare --epsilon2`` is one relay perturbation and ``sweep`` tabulates
+several (:func:`perturbation_sweep`).
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .grids import GridSpec
+from .grids import _REL_TOL, GridSpec
 from .records import HORIZON_SLACK, SolutionRecord
 from .relay import RelayKind
 
@@ -65,24 +70,6 @@ def default_agreement_tol(refinement_error: float, *, epsilon: float | None = No
             raise ValueError("mollified tolerance needs u_star and a positive ignition_rate")
         tol += u_star * math.sqrt(2.0 * epsilon / ignition_rate)
     return tol
-
-
-def measured_agreement_tols(base: SolutionRecord, epsilons) -> list[float]:
-    """:func:`default_agreement_tol` of ``base`` for each relay width in
-    ``epsilons`` (None: a perturbation without one), with the median ignition
-    rate up to T_unique and one measured self-refinement error: the sup
-    difference of ``u`` at the snapshot nearest T_unique from a rerun of
-    ``base`` (same scheme, relay and stride) with ``dx`` and ``dt`` halved."""
-    fine = solver.run(base.params, base.grid.refined(2, 2), base.relay_kind,
-                      snapshot_stride=base.snapshot_stride, scheme=base.scheme)
-    rep = compare_cross_grid(base, fine, agreement_tol=math.inf)
-    t_unique = base.constants.T_unique if base.constants else math.nan
-    refinement_error = float(rep.sup_diff[int(np.argmin(np.abs(rep.times - t_unique)))])
-    rate = None
-    if any(eps is not None for eps in epsilons):
-        rate = median_ignition_rate(base, t_max=t_unique)
-    return [default_agreement_tol(refinement_error, epsilon=eps, u_star=base.params.u_star,
-                                  ignition_rate=rate) for eps in epsilons]
 
 
 @dataclass
@@ -170,6 +157,8 @@ def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) ->
 def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
                        agreement_tol: float) -> ComparisonReport:
     """Comparison of the two records as :func:`_sampled` aligns them."""
+    if not math.isclose(rec1.grid.x_max, rec2.grid.x_max, rel_tol=_REL_TOL):
+        raise GridMismatch(f"domains differ: x_max {rec1.grid.x_max} vs {rec2.grid.x_max}")
     coarse = rec1 if rec1.grid.dx >= rec2.grid.dx else rec2
     x = coarse.x
     times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + HORIZON_SLACK)]
@@ -216,46 +205,37 @@ def energy_monotonicity_check(report: ComparisonReport,
     return MonotonicityVerdict(True, None, None, int(sel.size))
 
 
-@dataclass
-class SweepRow:
-    label: str
-    divergence_time: float
-    T_unique: float
-    max_sup_diff_before_T_unique: float
-    energy_monotone_before_T_unique: bool
-
-
-def perturbation_sweep(base: SolutionRecord, perturbations, *,
-                       agreement_tol: float | None = None,
-                       workers: int = 1) -> list[SweepRow]:
-    """Run ``base``'s configuration against each perturbation and tabulate the
-    divergence time next to ``base``'s uniqueness horizon.
-
-    Each perturbation is a ``RelayKind`` (same grid) or a ``GridSpec`` (same
-    relay, comparison interpolated onto the coarser grid); every run takes
-    the params, grid, relay, snapshot stride and scheme of ``base`` that the
-    perturbation leaves.  When no explicit ``agreement_tol`` is given, the
-    per-row default combines 10x the self-refinement error (measured with
-    one simultaneous halving) with the mollification envelope of the row's
-    relay width.  Perturbed runs share no state and fan out over ``workers``
-    processes when workers > 1; the table is identical either way.
-    """
-    # each perturbation's grid, relay, comparison, label and relay width, before any run
-    jobs, plans = [], []
+def perturb(base: SolutionRecord, perturbations, *, agreement_tol: float | None = None,
+            workers: int = 1) -> list[ComparisonReport]:
+    """Rerun ``base`` once per perturbation, a ``RelayKind`` or a ``GridSpec``
+    that replaces its relay or grid (params, stride and scheme kept), and
+    compare each run with ``base`` (:func:`compare_cross_grid`).  Without
+    ``agreement_tol``, a report's tolerance is :func:`default_agreement_tol`
+    of its relay width, with ``base``'s median ignition rate up to T_unique
+    and, as refinement error, the sup difference nearest T_unique of one
+    perturbation by the dx- and dt-halved grid.  The runs fan out over
+    ``workers`` processes when workers > 1, with the same reports."""
+    # each perturbation's grid and relay, and its relay width, before any run
+    jobs, epsilons = [], []
     for pert in perturbations:
         if isinstance(pert, RelayKind):
             jobs.append((base.grid, pert))
-            plans.append((compare, f"relay={pert.label()}", pert.epsilon))
+            epsilons.append(pert.epsilon)
         elif isinstance(pert, GridSpec):
             jobs.append((pert, base.relay_kind))
-            plans.append((compare_cross_grid, f"grid=dx{pert.dx:g}/dt{pert.dt:g}", None))
+            epsilons.append(None)
         else:
             raise TypeError(f"perturbation must be RelayKind or GridSpec, got {type(pert)!r}")
     if not jobs:
         return []
-    t_unique = base.constants.T_unique if base.constants else math.nan
     if agreement_tol is None:
-        tols = measured_agreement_tols(base, [eps for _cmp, _label, eps in plans])
+        (fine,) = perturb(base, [base.grid.refined(2, 2)], agreement_tol=math.inf)
+        t_unique = base.constants.T_unique if base.constants else math.nan
+        refinement_error = float(fine.sup_diff[int(np.argmin(np.abs(fine.times - t_unique)))])
+        rate = (median_ignition_rate(base, t_max=t_unique)
+                if any(eps is not None for eps in epsilons) else None)
+        tols = [default_agreement_tol(refinement_error, epsilon=eps, u_star=base.params.u_star,
+                                      ignition_rate=rate) for eps in epsilons]
     else:
         tols = [agreement_tol] * len(jobs)
     run = functools.partial(solver.run, base.params, snapshot_stride=base.snapshot_stride,
@@ -267,16 +247,36 @@ def perturbation_sweep(base: SolutionRecord, perturbations, *,
             others = list(pool.map(run, *zip(*jobs)))
     else:
         others = list(map(run, *zip(*jobs)))
+    return [compare_cross_grid(base, other, tol) for other, tol in zip(others, tols)]
 
+
+@dataclass
+class SweepRow:
+    label: str
+    divergence_time: float
+    T_unique: float
+    max_sup_diff_before_T_unique: float
+    energy_monotone_before_T_unique: bool | None  # None: fewer than 3 snapshots to check
+
+
+def perturbation_sweep(base: SolutionRecord, perturbations, *,
+                       agreement_tol: float | None = None,
+                       workers: int = 1) -> list[SweepRow]:
+    """:func:`perturb`'s reports as labelled rows: the divergence time next to
+    ``base``'s T_unique, and the sup difference and energy monotonicity up to it."""
+    perturbations = list(perturbations)  # read twice: by perturb, then for the labels
+    reports = perturb(base, perturbations, agreement_tol=agreement_tol, workers=workers)
+    t_unique = base.constants.T_unique if base.constants else math.nan
     rows = []
-    for (cmp, label, _eps), other, tol in zip(plans, others, tols):
-        report = cmp(base, other, tol)
+    for pert, report in zip(perturbations, reports):
+        label = (f"relay={pert.label()}" if isinstance(pert, RelayKind)
+                 else f"grid=dx{pert.dx:g}/dt{pert.dt:g}")
         in_window = report.times <= t_unique
         max_sup = float(np.max(report.sup_diff[in_window])) if in_window.any() else math.nan
         try:
             mono = energy_monotonicity_check(report, (0.0, t_unique)).monotone
         except ValueError:
-            mono = True
+            mono = None
         rows.append(SweepRow(label=label, divergence_time=report.divergence_time,
                              T_unique=t_unique, max_sup_diff_before_T_unique=max_sup,
                              energy_monotone_before_T_unique=mono))

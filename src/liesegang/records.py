@@ -445,8 +445,8 @@ class SolutionRecord:
         float for an integer, a stride below 1, an unknown scheme), an
         unreadable array file, a missing array, array
         shapes that do not match the grid and times (an ``accum`` wider than
-        the grid, or, in version 1, narrower), or ``times`` that are not finite
-        and strictly increasing.
+        the grid, or, in version 1, narrower), or ``times`` that are empty or
+        not finite and strictly increasing.
         """
         npz_path, json_path = _paths(prefix)
         try:
@@ -488,8 +488,8 @@ class SolutionRecord:
             raise ValueError(f"{npz_path}: array shapes do not match the grid and times: "
                              + "; ".join(bad))
         times = arrays["times"]
-        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
-            raise ValueError(f"{npz_path}: times are not finite and strictly increasing")
+        if not (times.size and np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError(f"{npz_path}: times are not finite and strictly increasing, or empty")
         return cls(**fields, **arrays)
 
     def write_csv(self, path) -> None:

@@ -1,8 +1,9 @@
 """``tools/compare_checkouts.py`` on canned runs and outputs: the pair summary of
-``--bench``, the per-layer metrics of its traced runs, the tier-1 counts and
-times, and the matrix verdicts and line counts it writes."""
+``--bench``, the per-layer metrics of its traced runs, the tier-1 counts,
+failing test ids and times, and the matrix verdicts and line counts it writes."""
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -208,3 +209,26 @@ def test_the_layer_table_holds_each_sides_median_and_range():
 ], ids=["all_pass", "failures", "errors", "none", "no_output"])
 def test_tier1_counts_read_the_summary_line(output, counts):
     assert compare_checkouts.tier1_counts(output) == dict(zip(("passed", "failed"), counts))
+
+
+def test_tier1_run_keeps_the_failing_test_ids(monkeypatch, tmp_path):
+    # a -q run with one failure and one error: both ids, in the summary's
+    # order, without the message after " - "
+    output = """..F.E
+==================================== ERRORS ====================================
+________________ ERROR at setup of TestY.test_needs_fixture ____________________
+E       fixture 'nope' not found
+=================================== FAILURES ===================================
+______________________________ test_x[eps_1e-3] ________________________________
+E       AssertionError: ERROR FAILED - assert 1 == 2
+=========================== short test summary info ============================
+FAILED tests/test_a.py::test_x[eps_1e-3] - AssertionError: ERROR FAILED - assert 1 == 2
+ERROR tests/test_b.py::TestY::test_needs_fixture
+1 failed, 3 passed, 1 error in 0.12s
+"""
+    monkeypatch.setattr(compare_checkouts.subprocess, "run",
+                        lambda *a, **k: types.SimpleNamespace(stdout=output))
+    row = compare_checkouts.tier1_run(tmp_path)
+    assert row["failed_ids"] == ["tests/test_a.py::test_x[eps_1e-3]",
+                                 "tests/test_b.py::TestY::test_needs_fixture"]
+    assert (row["passed"], row["failed"]) == (3, 2)

@@ -223,6 +223,16 @@ def test_median_ignition_rate_from_ladder(rec_coarse_sharp):
     assert rate > 0
 
 
+def test_a_perturbation_on_another_domain_is_a_grid_mismatch():
+    # the dx 0.01 run stops at x = 4; it was once compared over [0, 8], its
+    # last value extended past its end
+    base = lg.run(PARAMS, lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=8.0, t_max=0.26),
+                  lg.RelayKind.sharp(), snapshot_stride=50)
+    short = lg.GridSpec.make(dx=0.01, dt=1e-4, x_max=4.0, t_max=0.26)
+    with pytest.raises(comparison.GridMismatch, match="domains differ: x_max 8.0 vs 4.0"):
+        comparison.perturbation_sweep(base, [short], agreement_tol=0.05)
+
+
 def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
     bases = {scheme: lg.solver.run(PARAMS, grid, lg.RelayKind.sharp(), scheme=scheme)

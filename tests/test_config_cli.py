@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -470,7 +471,8 @@ class TestCli:
         assert len(lines) == 11
 
     @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema",
-                                        "corrupt_sidecar", "non_utf8_sidecar", "wide_accum"])
+                                        "corrupt_sidecar", "non_utf8_sidecar", "wide_accum",
+                                        "no_snapshots"])
     def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
         import numpy as np
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
@@ -489,6 +491,12 @@ class TestCli:
             n_nodes = arrays["w"].shape[1]
             arrays["accum"] = np.zeros((arrays["times"].size, n_nodes + 1))
             np.savez(npz_path, **arrays)
+        elif damage == "no_snapshots":  # times, w and accum with zero rows
+            with np.load(npz_path) as data:
+                arrays = {k: data[k] for k in data.files}
+            for name in ("times", "w", "accum"):
+                arrays[name] = arrays[name][:0]
+            np.savez(npz_path, **arrays)
         elif damage == "corrupt_sidecar":
             json_path.write_bytes(json_path.read_bytes()[:30])
         elif damage == "non_utf8_sidecar":
@@ -501,11 +509,18 @@ class TestCli:
         assert self.run_cli("diagnose", "-c", path, "-r", str(tmp_path / "rec")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if damage in ("truncated", "mis_shaped", "wide_accum"):
+        if damage in ("truncated", "mis_shaped", "wide_accum", "no_snapshots"):
             assert "rec.npz" in err
         else:
             assert "rec.json" in err
             assert damage == "wrong_schema" or "unreadable sidecar" in err
+        if damage == "no_snapshots":  # compare once raised IndexError on it
+            rec = str(tmp_path / "rec")
+            assert self.run_cli("compare", "--rec1", rec, "--rec2", rec,
+                                "--agreement-tol", "1", "--output-dir", str(tmp_path)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("error:") == 1
+            assert "rec.npz: times are not finite and strictly increasing, or empty" in err
 
     def test_toy_subcommand(self, tmp_path, capsys):
         out = tmp_path / "toy.json"
@@ -692,13 +707,13 @@ class TestCli:
         # a configured (or flagged) tolerance needs no refined run to measure one
         runs = self.count_runs(monkeypatch)
         tol_seen = []
-        real_compare = lg.comparison.compare
+        real_compare = lg.comparison.compare_cross_grid
 
         def compare(rec1, rec2, agreement_tol):
             tol_seen.append(agreement_tol)
             return real_compare(rec1, rec2, agreement_tol)
 
-        monkeypatch.setattr(lg.comparison, "compare", compare)
+        monkeypatch.setattr(lg.comparison, "compare_cross_grid", compare)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
                                            t_max=0.26, tolerances={"agreement_tol": 0.05}))
         assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", *flag,
@@ -1148,7 +1163,12 @@ def test_a_tiny_mollifier_width_runs_without_overflow(tmp_path, capsys, argv):
     # makes a warning an error
     grid = ["--dx", "0.05", "--x-max", "4", "--dt", "1e-4", "--t-max", "0.26"]
     assert cli.main([*argv, *grid, "--output-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[0] == "sweep":  # the 34-character label once ran into its time: "...)never"
+        header, row = captured.out.splitlines()[:2]
+        assert re.fullmatch(r"relay=mollified\(eps=9\.99989e-321\)\s+never\s+\S+\s*", row)
+        assert header.index("divergence_time") == row.index("never")
 
 
 def test_explicit_t_max_below_dt_keeps_the_one_lowered_step():
@@ -1181,3 +1201,14 @@ def test_analyze_of_a_record_with_tiny_alpha_warns_nothing(tmp_path, capsys, sav
     (check,) = read_json(tmp_path / "front_report.json")["ring_start_checks"]
     # at x = 0 the tolerance is 2*dt, not 0/0
     assert check[0] == 0.0 and check[3] == 2.0 * meta["grid"]["dt"]
+
+
+def test_sweep_checking_no_energy_reports_null(tmp_path, capsys):
+    # stride 1000 leaves the snapshots at 0 and 0.1 below T_unique = 0.1317:
+    # too few to check, which once read as a monotone energy
+    assert cli.main(["sweep", "--dx", "0.05", "--x-max", "4", "--dt", "1e-4", "--t-max", "0.26",
+                     "--stride", "1000", "--epsilons", "1e-3", "--halved-grid",
+                     "--agreement-tol", "1e-9", "--output-dir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert [r["energy_monotone_before_T_unique"] for r in rows] == [None, None]
+    assert capsys.readouterr().err == ""

@@ -33,10 +33,10 @@ workload it runs ``perfbench/run.py --trace 1`` ``TRACED_RUNS`` times in each
 tree, alternating which tree goes first as the pairs do, with seeds from 1,
 and writes each per-layer metric's median and range on each side under
 ``layers`` (:func:`layer_table`), since one traced run cannot tell a change
-from host noise.  It then runs tier-1 once in each tree and writes
-each side's passed and failed test counts and wall time under ``tier1``
-(:func:`tier1_run`), compares the two trees as above (the full record
-matrix) and adds to the file the verdict of each matrix and of the
+from host noise.  It then runs tier-1 once in each tree and writes each
+side's passed and failed test counts, failing test ids and wall time under
+``tier1`` (:func:`tier1_run`), compares the two trees as above (the full
+record matrix) and adds to the file the verdict of each matrix and of the
 ``--help`` texts, and both line counts of ``src/liesegang``
 (:func:`compare_trees`).  Exits 1 if a verdict is ``worse``, a matrix or
 help text is not ``identical``, or a run fails, else 0; a failing tier-1
@@ -271,13 +271,21 @@ def tier1_counts(output: str) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
+def tier1_failed_ids(output: str) -> list[str]:
+    """The test ids of the ``FAILED`` and ``ERROR`` lines of pytest's short
+    test summary in ``output``, in their order."""
+    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", output, flags=re.MULTILINE)
+
+
 def tier1_run(tree: Path) -> dict:
-    """One tier-1 run in ``tree``: :func:`tier1_counts` and its wall time."""
+    """One tier-1 run in ``tree``: :func:`tier1_counts`, the failing test ids
+    (``failed_ids``, :func:`tier1_failed_ids`) and its wall time."""
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=TIER1_TIMEOUT_S)
-    return {**tier1_counts(proc.stdout), "wall_s": time.perf_counter() - start}
+    return {**tier1_counts(proc.stdout), "failed_ids": tier1_failed_ids(proc.stdout),
+            "wall_s": time.perf_counter() - start}
 
 
 def bench(rev: str, n_pairs: int, out_path: Path) -> int:
