@@ -246,8 +246,7 @@ def cmd_sweep(args) -> int:
     if args.halved_grid:
         perturbations.append(cfg.grid.refined(2, 1))
     rows = comparison.perturbation_sweep(_run_from_config(cfg), perturbations,
-                                         agreement_tol=_configured_agreement_tol(cfg, args),
-                                         workers=args.workers)
+                                         agreement_tol=_configured_agreement_tol(cfg, args))
     path = _write_report(cfg, args, "sweep_report", {"rows": [asdict(r) for r in rows]},
                          args.output)
     width = max([28, *(len(r.label) + 1 for r in rows)])  # a label never meets its time
@@ -268,17 +267,6 @@ def _positive(text: str) -> float:
         val = math.nan
     if not (math.isfinite(val) and val > 0):
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return val
-
-
-def _positive_int(text: str) -> int:
-    """A flag's whole number, at least 1."""
-    try:
-        val = int(text)
-    except ValueError:
-        val = 0
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return val
 
 
@@ -354,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halved-grid", action="store_true",
                    help="also include a dx-halved grid perturbation")
     p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="fan perturbation runs out over this many processes")
     p.add_argument("-o", "--output", default="sweep.json")
     p.set_defaults(func=cmd_sweep)
     return parser

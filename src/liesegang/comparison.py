@@ -19,7 +19,7 @@ ignition time linear between them; any other node has none (NaN).
 
 :func:`perturb` reruns a record with one change and compares the pair:
 ``compare --epsilon2`` is one relay perturbation and ``sweep`` tabulates
-several (:func:`perturbation_sweep`).
+several (:func:`perturbation_sweep`).  It makes every check before its first run.
 """
 from __future__ import annotations
 
@@ -41,12 +41,13 @@ class GridMismatch(ValueError):
 
 def median_ignition_rate(record: SolutionRecord, t_max: float) -> float:
     """Median one-step rate of increase of u at ignition over the front nodes
-    that ignite by ``t_max``.  This is the scale at which the accumulator
-    grows past the threshold."""
+    that ignite by ``t_max`` (T_unique, for the mollified agreement tolerance).
+    This is the scale at which the accumulator grows past the threshold."""
     ign = record.ignition_time
     sel = (ign <= t_max) & np.isfinite(record.ignition_u_back[:, 0])
     if not sel.any():
-        raise ValueError("record has no usable ignition data")
+        raise ValueError(f"no node ignited by T_unique = {t_max:.6g} has a one-step look-back "
+                         "sample; give --agreement-tol or tolerances.agreement_tol")
     rates = (record.ignition_u[sel] - record.ignition_u_back[sel, 0]) / record.grid.dt
     return float(np.median(rates))
 
@@ -144,12 +145,17 @@ def _sampled(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
     return rows(), ell
 
 
+def _check_domain(g1: GridSpec, g2: GridSpec) -> None:
+    if not math.isclose(g1.x_max, g2.x_max, rel_tol=_REL_TOL):
+        raise GridMismatch(f"domains differ: x_max {g1.x_max} vs {g2.x_max}")
+
+
 def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) -> ComparisonReport:
     """Compare two records on identical grids and snapshot schedules."""
     g1, g2 = rec1.grid, rec2.grid
     if (g1.dx, g1.x_max, g1.n_x) != (g2.dx, g2.x_max, g2.n_x):
         raise GridMismatch(f"spatial grids differ: {g1} vs {g2}")
-    if not np.array_equal(rec1.times, rec2.times):  # _sampled reads rows on equal times only
+    if not np.array_equal(rec1.times, rec2.times):  # unequal ones: compare_cross_grid
         raise GridMismatch("snapshot schedules differ")
     return compare_cross_grid(rec1, rec2, agreement_tol)
 
@@ -157,8 +163,7 @@ def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) ->
 def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
                        agreement_tol: float) -> ComparisonReport:
     """Comparison of the two records as :func:`_sampled` aligns them."""
-    if not math.isclose(rec1.grid.x_max, rec2.grid.x_max, rel_tol=_REL_TOL):
-        raise GridMismatch(f"domains differ: x_max {rec1.grid.x_max} vs {rec2.grid.x_max}")
+    _check_domain(rec1.grid, rec2.grid)
     coarse = rec1 if rec1.grid.dx >= rec2.grid.dx else rec2
     x = coarse.x
     times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + HORIZON_SLACK)]
@@ -205,23 +210,23 @@ def energy_monotonicity_check(report: ComparisonReport,
     return MonotonicityVerdict(True, None, None, int(sel.size))
 
 
-def perturb(base: SolutionRecord, perturbations, *, agreement_tol: float | None = None,
-            workers: int = 1) -> list[ComparisonReport]:
+def perturb(base: SolutionRecord, perturbations, *,
+            agreement_tol: float | None = None) -> list[ComparisonReport]:
     """Rerun ``base`` once per perturbation, a ``RelayKind`` or a ``GridSpec``
-    that replaces its relay or grid (params, stride and scheme kept), and
-    compare each run with ``base`` (:func:`compare_cross_grid`).  Without
-    ``agreement_tol``, a report's tolerance is :func:`default_agreement_tol`
+    on its domain that replaces its relay or grid (params, stride and scheme
+    kept), and compare each run with ``base`` (:func:`compare_cross_grid`).
+    Without ``agreement_tol``, a report's tolerance is :func:`default_agreement_tol`
     of its relay width, with ``base``'s median ignition rate up to T_unique
-    and, as refinement error, the sup difference nearest T_unique of one
-    perturbation by the dx- and dt-halved grid.  The runs fan out over
-    ``workers`` processes when workers > 1, with the same reports."""
-    # each perturbation's grid and relay, and its relay width, before any run
-    jobs, epsilons = [], []
+    and, as refinement error, the sup difference nearest T_unique of one more
+    run, on the dx- and dt-halved grid.  Every check comes before the first
+    run; the runs go one after another in the calling process, that one first."""
+    jobs, epsilons = [], []  # each run's grid and relay, each perturbation's width
     for pert in perturbations:
         if isinstance(pert, RelayKind):
             jobs.append((base.grid, pert))
             epsilons.append(pert.epsilon)
         elif isinstance(pert, GridSpec):
+            _check_domain(base.grid, pert)
             jobs.append((pert, base.relay_kind))
             epsilons.append(None)
         else:
@@ -229,25 +234,24 @@ def perturb(base: SolutionRecord, perturbations, *, agreement_tol: float | None 
     if not jobs:
         return []
     if agreement_tol is None:
-        (fine,) = perturb(base, [base.grid.refined(2, 2)], agreement_tol=math.inf)
         t_unique = base.constants.T_unique if base.constants else math.nan
-        refinement_error = float(fine.sup_diff[int(np.argmin(np.abs(fine.times - t_unique)))])
+        if not math.isfinite(t_unique):
+            raise ValueError("a measured agreement tolerance needs T_unique, and the base "
+                             "record has no ring constants; give agreement_tol")
         rate = (median_ignition_rate(base, t_max=t_unique)
                 if any(eps is not None for eps in epsilons) else None)
+        jobs.insert(0, (base.grid.refined(2, 2), base.relay_kind))
+    run = functools.partial(solver.run, base.params, snapshot_stride=base.snapshot_stride,
+                            scheme=base.scheme)
+    runs = (run(grid, relay) for grid, relay in jobs)  # each record is let go once compared
+    if agreement_tol is None:
+        fine = compare_cross_grid(base, next(runs), math.inf)
+        refinement_error = float(fine.sup_diff[int(np.argmin(np.abs(fine.times - t_unique)))])
         tols = [default_agreement_tol(refinement_error, epsilon=eps, u_star=base.params.u_star,
                                       ignition_rate=rate) for eps in epsilons]
     else:
-        tols = [agreement_tol] * len(jobs)
-    run = functools.partial(solver.run, base.params, snapshot_stride=base.snapshot_stride,
-                            scheme=base.scheme)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            others = list(pool.map(run, *zip(*jobs)))
-    else:
-        others = list(map(run, *zip(*jobs)))
-    return [compare_cross_grid(base, other, tol) for other, tol in zip(others, tols)]
+        tols = [agreement_tol] * len(epsilons)
+    return [compare_cross_grid(base, other, tol) for tol, other in zip(tols, runs)]
 
 
 @dataclass
@@ -260,12 +264,11 @@ class SweepRow:
 
 
 def perturbation_sweep(base: SolutionRecord, perturbations, *,
-                       agreement_tol: float | None = None,
-                       workers: int = 1) -> list[SweepRow]:
+                       agreement_tol: float | None = None) -> list[SweepRow]:
     """:func:`perturb`'s reports as labelled rows: the divergence time next to
     ``base``'s T_unique, and the sup difference and energy monotonicity up to it."""
     perturbations = list(perturbations)  # read twice: by perturb, then for the labels
-    reports = perturb(base, perturbations, agreement_tol=agreement_tol, workers=workers)
+    reports = perturb(base, perturbations, agreement_tol=agreement_tol)
     t_unique = base.constants.T_unique if base.constants else math.nan
     rows = []
     for pert, report in zip(perturbations, reports):

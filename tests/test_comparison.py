@@ -1,11 +1,13 @@
 """Two-solution comparison harness."""
-import concurrent.futures
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
+import multiprocessing.process
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -161,48 +163,63 @@ def test_empty_perturbation_list_is_empty_table():
     assert rows == []
 
 
-def test_sweep_rows_and_worker_fanout_equivalence(constants):
+def test_sweep_rows_label_and_bound_each_perturbation(constants):
     grid = lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=4.0, t_max=2 * constants.T2)
     perts = [lg.RelayKind.mollified(1e-3), grid.refined(2, 1)]
     base = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=50)
-    serial = comparison.perturbation_sweep(base, perts, agreement_tol=0.05)
-    fanned = comparison.perturbation_sweep(base, perts, agreement_tol=0.05, workers=2)
-    assert len(serial) == 2
-    assert serial[0].label.startswith("relay=mollified")
-    assert serial[1].label.startswith("grid=")
-    for a, b in zip(serial, fanned):
-        assert a == b
+    rows = comparison.perturbation_sweep(base, perts, agreement_tol=0.05)
+    assert len(rows) == 2
+    assert rows[0].label.startswith("relay=mollified")
+    assert rows[1].label.startswith("grid=")
     # no divergence before the uniqueness horizon at this scale; the energy
     # ordering statement applies to relay pairs on a common grid (the grid
     # row's trace is discretization noise, not a physical energy)
-    for row in serial:
+    for row in rows:
         assert math.isnan(row.divergence_time) or row.divergence_time >= row.T_unique
-    assert serial[0].energy_monotone_before_T_unique
+    assert rows[0].energy_monotone_before_T_unique
 
 
-def test_sweep_starts_no_more_worker_processes_than_runs(monkeypatch):
-    started = []
+def test_perturb_runs_every_rerun_in_this_process(monkeypatch):
+    # the measured tolerance's refined run first, then each perturbation; no
+    # process starts, so a script calling perturb needs no __main__ guard
+    def no_process(self):
+        raise AssertionError("perturb started a process")
 
-    class SerialPool:  # records the pool size; starts no process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
-    perts = [lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p()]
     base = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=10)
-    rows = comparison.perturbation_sweep(base, perts, agreement_tol=0.05, workers=8)
-    assert started == [2]
+    real, grids = lg.solver.run, []
+
+    def spy(params, grid, relay, **kwargs):
+        grids.append(grid)
+        return real(params, grid, relay, **kwargs)
+
+    monkeypatch.setattr(lg.solver, "run", spy)
+    perts = [lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p()]
+    rows = comparison.perturbation_sweep(base, perts)
+    assert grids == [grid.refined(2, 2), grid, grid]
     assert [r.label for r in rows] == ["relay=mollified(eps=0.001)", "relay=property_p"]
+
+
+def test_perturb_holds_at_most_one_compared_rerun(monkeypatch):
+    # every rerun was once held until the last was compared; the refined
+    # run's record is four times the base record
+    grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
+    base = lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=10)
+    real, records, alive = lg.solver.run, [], []
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        alive.append([k for k, ref in enumerate(records) if ref() is not None])
+        record = real(*args, **kwargs)
+        records.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(lg.solver, "run", spy)
+    perts = [lg.RelayKind.mollified(1e-3), lg.RelayKind.property_p(), lg.RelayKind.mollified(5e-4)]
+    assert len(comparison.perturb(base, perts)) == 3
+    assert len(alive) == 4 and alive[1] == []  # the refined run is let go first
+    assert all(len(held) <= 1 for held in alive)
 
 
 def test_cross_grid_perturbation_stays_within_refinement_envelope(constants):
@@ -223,22 +240,56 @@ def test_median_ignition_rate_from_ladder(rec_coarse_sharp):
     assert rate > 0
 
 
-def test_a_perturbation_on_another_domain_is_a_grid_mismatch():
+def spy_on_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lg.solver, "run", lambda *a, **k: calls.append(a))
+    return calls
+
+
+def test_a_perturbation_on_another_domain_is_a_grid_mismatch(monkeypatch):
     # the dx 0.01 run stops at x = 4; it was once compared over [0, 8], its
-    # last value extended past its end
+    # last value extended past its end, and later rejected only after it ran
     base = lg.run(PARAMS, lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=8.0, t_max=0.26),
                   lg.RelayKind.sharp(), snapshot_stride=50)
     short = lg.GridSpec.make(dx=0.01, dt=1e-4, x_max=4.0, t_max=0.26)
-    with pytest.raises(comparison.GridMismatch, match="domains differ: x_max 8.0 vs 4.0"):
-        comparison.perturbation_sweep(base, [short], agreement_tol=0.05)
+    calls = spy_on_runs(monkeypatch)
+    for tol in (0.05, None):
+        with pytest.raises(comparison.GridMismatch, match="domains differ: x_max 8.0 vs 4.0"):
+            comparison.perturbation_sweep(base, [lg.RelayKind.mollified(1e-3), short],
+                                          agreement_tol=tol)
+    assert calls == []
+
+
+def test_a_base_without_ignition_samples_fails_before_the_refined_run(monkeypatch):
+    # t_max = dt: the origin ignites at the only step, with no look-back sample
+    base = lg.run(PARAMS, lg.GridSpec.make(dx=0.02, dt=1e-4, x_max=4.0, t_max=1e-4),
+                  lg.RelayKind.sharp())
+    calls = spy_on_runs(monkeypatch)
+    with pytest.raises(ValueError, match="no node ignited by T_unique = 0.131729 has a "
+                                         "one-step look-back sample"):
+        comparison.perturb(base, [lg.RelayKind.mollified(1e-3)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("u_star", [0.6, math.inf], ids=["subcritical", "no_precipitation"])
+def test_a_measured_tolerance_needs_t_unique(monkeypatch, u_star):
+    # without ring constants T_unique was NaN, the refinement error was read
+    # at t = 0, where both runs agree, and the tolerance came out 0.0
+    grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.2)
+    base = lg.run(lg.ModelParams(1.0, 1.0, u_star), grid, lg.RelayKind.sharp(),
+                  snapshot_stride=10)
+    assert base.constants is None
+    calls = spy_on_runs(monkeypatch)
+    with pytest.raises(ValueError, match="needs T_unique.*give agreement_tol"):
+        comparison.perturb(base, [grid.refined(2, 1)])
+    assert calls == []
 
 
 def test_unknown_perturbation_type_fails_before_any_run(monkeypatch):
     grid = lg.GridSpec.make(dx=0.05, dt=1e-3, x_max=2.0, t_max=0.05)
     bases = {scheme: lg.solver.run(PARAMS, grid, lg.RelayKind.sharp(), scheme=scheme)
              for scheme in ("deficit", "deposition")}
-    calls = []
-    monkeypatch.setattr(lg.solver, "run", lambda *a, **k: calls.append(a))
+    calls = spy_on_runs(monkeypatch)
     monkeypatch.setattr(lg.solver, "source_deposition_run", lambda *a, **k: calls.append(a))
     for scheme in ("deficit", "deposition"):
         with pytest.raises(TypeError, match="RelayKind or GridSpec"):
@@ -379,6 +430,10 @@ def test_energy_monotonicity_check_matches_the_loop(energy, window):
             == energy_monotonicity_loop(report, window))
 
 
+NO_LOOK_BACK = ("error: no node ignited by T_unique = 0.131729 has a one-step look-back "
+                "sample; give --agreement-tol or tolerances.agreement_tol\n")
+
+
 def test_compare_epsilon2_before_any_ignition_sample_exits_1(tmp_path, capsys):
     # t_max = dt: the origin ignites at the only step, with no look-back
     # sample, so no rate sets the measured agreement tolerance
@@ -390,5 +445,15 @@ def test_compare_epsilon2_before_any_ignition_sample_exits_1(tmp_path, capsys):
     assert cli.main(["compare", "-c", str(cfg), "--t-max", "1e-4", "--epsilon2", "1e-3",
                      "--output-dir", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: record has no usable ignition data\n"
+    assert captured.err == NO_LOOK_BACK
+    assert captured.out == "" and not out.exists()
+
+
+def test_compare_epsilon2_with_an_ignition_but_no_look_back_exits_1(tmp_path, capsys):
+    # the record has an ignited node, so "no usable ignition data" misled
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--dx", "0.05", "--x-max", "4", "--t-max", "1e-5",
+                     "--epsilon2", "1e-3", "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == NO_LOOK_BACK
     assert captured.out == "" and not out.exists()

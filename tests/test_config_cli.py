@@ -590,19 +590,14 @@ class TestCli:
          "--agreement-tol", POSITIVE),
         (("sweep", "-c", "{cfg}", "--epsilons", "inf"), "--epsilons", POSITIVE),
         (("compare", "-c", "{cfg}", "--epsilon2", "-1"), "--epsilon2", POSITIVE),
-        (("sweep", "-c", "{cfg}", "--workers", "-3"), "--workers", "a positive integer"),
-        (("sweep", "-c", "{cfg}", "--workers", "0"), "--workers", "a positive integer"),
         (("compare", "-c", "{cfg}", "--epsilon2", "abc"), "--epsilon2", POSITIVE),
-        (("sweep", "-c", "{cfg}", "--workers", "two"), "--workers", "a positive integer"),
     ], ids=["compare_tol_nan", "compare_tol_negative", "sweep_tol_negative",
-            "sweep_epsilon_inf", "epsilon2_negative", "workers_negative", "workers_zero",
-            "epsilon2_not_a_number", "workers_not_a_number"])
+            "sweep_epsilon_inf", "epsilon2_negative", "epsilon2_not_a_number"])
     def test_flag_numbers_are_finite_and_positive(self, tmp_path, monkeypatch, capsys, argv,
                                                   flag, rule):
         # each once exited 0 (a NaN tolerance never diverged, a negative one
         # diverged at t = 0, an infinite epsilon gave a mollified(eps=inf)
-        # row, workers below 1 ran serially) or, for epsilon2, 1 with a "math
-        # domain error" naming no flag
+        # row) or, for epsilon2, 1 with a "math domain error" naming no flag
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
         assert self.run_cli("simulate", "-c", cfg, "-o", "rec") == 0
