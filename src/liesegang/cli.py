@@ -73,17 +73,17 @@ def _load_record(cfg: RunConfig | None, args, prefix: str) -> SolutionRecord:
 
 
 def _out_path(cfg: RunConfig | None, args, name: str) -> Path:
-    """``name`` in the output directory (created): the config's or, without
-    one, :func:`resolve_output_dir` of ``--output-dir``.  ``toy`` has no
-    output directory: it passes no ``args`` and writes ``name`` as given."""
-    if cfg is not None:
-        out = Path(cfg.output_dir)
-    elif args is not None:
-        out = Path(resolve_output_dir(args.output_dir))
+    """``name`` in the output directory, its own directory created: the
+    config's or, without one, :func:`resolve_output_dir` of ``--output-dir``.
+    ``toy`` has no output directory: it passes no ``args`` and writes ``name``
+    as given."""
+    if args is None:
+        path = Path(name)
     else:
-        return Path(name)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+        out = cfg.output_dir if cfg is not None else resolve_output_dir(args.output_dir)
+        path = Path(out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_report(cfg: RunConfig | None, args, kind: str, body: dict, name: str) -> Path:
@@ -270,6 +270,13 @@ def _positive(text: str) -> float:
     return val
 
 
+def _path(text: str) -> str:
+    """An output path: any but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return text
+
+
 def _positives(text: str) -> list[float]:
     """A comma-separated list of :func:`_positive` numbers."""
     return [_positive(s) for s in text.split(",") if s]
@@ -292,35 +299,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="derived constants table")
     _add_config_flags(p)
-    p.add_argument("-o", "--output", default="constants.json")
+    p.add_argument("-o", "--output", type=_path, default="constants.json")
     p.add_argument("--measure-t1", action="store_true",
                    help="run a reference simulation and measure T1 before exporting")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("simulate", help="run the solver and save a record")
     _add_config_flags(p)
-    p.add_argument("-o", "--output", default="record", help="record path prefix")
-    p.add_argument("--csv", help="also dump snapshots as CSV")
+    p.add_argument("-o", "--output", type=_path, default="record", help="record path prefix")
+    p.add_argument("--csv", type=_path, help="also dump snapshots as CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="front extraction and ring segmentation")
     _add_config_flags(p)
     p.add_argument("-r", "--record", required=True, help="record path prefix")
-    p.add_argument("-o", "--output", default="front_report.json")
+    p.add_argument("-o", "--output", type=_path, default="front_report.json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("diagnose", help="Duhamel identity and transversality report")
     _add_config_flags(p)
     p.add_argument("-r", "--record", required=True, help="record path prefix")
-    p.add_argument("-o", "--output", default="diagnostics.json")
-    p.add_argument("--csv", help="also dump per-probe rows as CSV")
+    p.add_argument("-o", "--output", type=_path, default="diagnostics.json")
+    p.add_argument("--csv", type=_path, help="also dump per-probe rows as CSV")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("toy", help="two-ODE switching-policy enumeration")
     p.add_argument("--forcing", choices=[CONSTANT, LINEAR], default=ToyConfig.forcing)
     p.add_argument("--horizon", type=float, default=ToyConfig.horizon)
     p.add_argument("--toy-dt", dest="toy_dt", type=float, default=ToyConfig.dt)
-    p.add_argument("-o", "--output", help="optional JSON output path")
+    p.add_argument("-o", "--output", type=_path, help="optional JSON output path")
     p.set_defaults(func=cmd_toy)
 
     p = sub.add_parser("compare", help="two-solution comparison report")
@@ -331,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                       "mollified pair from the config")
     p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive,
                    help="override the measured-refinement default")
-    p.add_argument("-o", "--output", default="comparison.json")
-    p.add_argument("--csv", help="also dump (t, sup_diff, energy) time series")
+    p.add_argument("-o", "--output", type=_path, default="comparison.json")
+    p.add_argument("--csv", type=_path, help="also dump (t, sup_diff, energy) time series")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="divergence-time table over perturbations")
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halved-grid", action="store_true",
                    help="also include a dx-halved grid perturbation")
     p.add_argument("--agreement-tol", dest="agreement_tol", type=_positive)
-    p.add_argument("-o", "--output", default="sweep.json")
+    p.add_argument("-o", "--output", type=_path, default="sweep.json")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -8,14 +8,15 @@ fronts are *entangled* when neither stays ahead of the other: the sign of
 ``ell_1 - ell_2`` (beyond a one-step magnitude) takes both values inside
 some x-window.
 
-Every comparison samples both records, which must share the domain
-``[0, x_max]`` (else :class:`GridMismatch`), on the nodes and snapshot times
-of the coarser one (the first on equal ``dx``), up to the shorter horizon.  A
-stored time reads its one row and a record's own nodes are taken as they are,
-so a same-grid pair is compared on its stored values; elsewhere ``u`` is
-linear in time, then in space.  A node is precipitated when it coincides
-with a precipitated node of the record or lies strictly between two, its
-ignition time linear between them; any other node has none (NaN).
+:func:`compare` takes two records on one domain ``[0, x_max]`` (else
+:class:`GridMismatch`), on any grids and snapshot schedules, saved or rerun,
+and samples both on the nodes and snapshot times of the coarser one (the first
+on equal ``dx``), from the later start (t = dt in a deposition run) up to the
+shorter horizon.  A stored time reads its one row and a record's own nodes are
+taken as they are, so a same-grid pair is compared on its stored values;
+elsewhere ``u`` is linear in time, then in space.  A node is precipitated when
+it is a precipitated node of the record or lies strictly between two, its
+ignition time linear between them; else it has none (NaN).
 
 :func:`perturb` reruns a record with one change and compares the pair:
 ``compare --epsilon2`` is one relay perturbation and ``sweep`` tabulates
@@ -36,7 +37,7 @@ from .relay import RelayKind
 
 
 class GridMismatch(ValueError):
-    """Records live on different grids or snapshot schedules."""
+    """Records live on different domains."""
 
 
 def median_ignition_rate(record: SolutionRecord, t_max: float) -> float:
@@ -151,22 +152,13 @@ def _check_domain(g1: GridSpec, g2: GridSpec) -> None:
 
 
 def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) -> ComparisonReport:
-    """Compare two records on identical grids and snapshot schedules."""
-    g1, g2 = rec1.grid, rec2.grid
-    if (g1.dx, g1.x_max, g1.n_x) != (g2.dx, g2.x_max, g2.n_x):
-        raise GridMismatch(f"spatial grids differ: {g1} vs {g2}")
-    if not np.array_equal(rec1.times, rec2.times):  # unequal ones: compare_cross_grid
-        raise GridMismatch("snapshot schedules differ")
-    return compare_cross_grid(rec1, rec2, agreement_tol)
-
-
-def compare_cross_grid(rec1: SolutionRecord, rec2: SolutionRecord,
-                       agreement_tol: float) -> ComparisonReport:
     """Comparison of the two records as :func:`_sampled` aligns them."""
     _check_domain(rec1.grid, rec2.grid)
     coarse = rec1 if rec1.grid.dx >= rec2.grid.dx else rec2
     x = coarse.x
-    times = coarse.times[coarse.times <= min(rec1.times[-1], rec2.times[-1]) * (1 + HORIZON_SLACK)]
+    start, end = max(rec1.times[0], rec2.times[0]), min(rec1.times[-1], rec2.times[-1])
+    times = coarse.times[(coarse.times >= start * (1 - HORIZON_SLACK))
+                         & (coarse.times <= end * (1 + HORIZON_SLACK))]
     (rows1, ell1), (rows2, ell2) = _sampled(rec1, times, x), _sampled(rec2, times, x)
     sup_diff, energy, energy_rev = (np.empty(times.size) for _ in range(3))
     for k, (u1, u2) in enumerate(zip(rows1, rows2)):
@@ -214,7 +206,7 @@ def perturb(base: SolutionRecord, perturbations, *,
             agreement_tol: float | None = None) -> list[ComparisonReport]:
     """Rerun ``base`` once per perturbation, a ``RelayKind`` or a ``GridSpec``
     on its domain that replaces its relay or grid (params, stride and scheme
-    kept), and compare each run with ``base`` (:func:`compare_cross_grid`).
+    kept), and compare each run with ``base`` (:func:`compare`).
     Without ``agreement_tol``, a report's tolerance is :func:`default_agreement_tol`
     of its relay width, with ``base``'s median ignition rate up to T_unique
     and, as refinement error, the sup difference nearest T_unique of one more
@@ -245,13 +237,13 @@ def perturb(base: SolutionRecord, perturbations, *,
                             scheme=base.scheme)
     runs = (run(grid, relay) for grid, relay in jobs)  # each record is let go once compared
     if agreement_tol is None:
-        fine = compare_cross_grid(base, next(runs), math.inf)
+        fine = compare(base, next(runs), math.inf)
         refinement_error = float(fine.sup_diff[int(np.argmin(np.abs(fine.times - t_unique)))])
         tols = [default_agreement_tol(refinement_error, epsilon=eps, u_star=base.params.u_star,
                                       ignition_rate=rate) for eps in epsilons]
     else:
         tols = [agreement_tol] * len(epsilons)
-    return [compare_cross_grid(base, other, tol) for tol, other in zip(tols, runs)]
+    return [compare(base, other, tol) for tol, other in zip(tols, runs)]
 
 
 @dataclass

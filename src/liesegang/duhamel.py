@@ -345,8 +345,9 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
     ``DEFAULT_RATE_FLOOR``), compared with the discrete slope of ell: the
     difference of ell between the node's neighbours that ignited, else the
     node itself, so centered, one-sided, or NaN when neither ignited."""
-    i = int(round(x / record.grid.dx))
-    if not 0 <= i < record.x.size:
+    cells = x / record.grid.dx
+    i = int(round(cells))
+    if not (0 <= i < record.x.size and abs(cells - i) <= 1e-9):  # 1e-9: rounding
         raise ValueError(f"x = {x} is not a grid node")
     u_x_plus, u_t_minus = (float(values[i]) for values in transversality(record))
     if math.isnan(u_t_minus):

@@ -507,14 +507,14 @@ class SolutionRecord:
                     snapshot_stride: int = 1) -> "SolutionRecord":
         """Build a record from a prescribed field ``u_fn(x_array, t) -> array``.
 
-        The solvers' stepper records it (scheme ``synthetic``) with ``u_fn`` in
-        place of a solve and the relay on every node, so ignition bookkeeping
-        matches what a real run would have recorded for that field.  ``u_fn``
-        is called on the whole grid ``n_t + 1`` times; look-back values are its
-        stored rows, so it must act node by node.  Used by tests and diagnostics
-        demos; the field need not solve anything.
+        A ``solver.Stepper`` of scheme ``synthetic`` records it, with ``u_fn``
+        in place of a solve and the relay on every node, so ignition
+        bookkeeping matches what a real run would have recorded for that
+        field.  ``u_fn`` is called on the whole grid ``n_t + 1`` times;
+        look-back values are its stored rows, so it must act node by node.
+        Used by tests and diagnostics demos; the field need not solve anything.
         """
         from . import solver  # the solver imports this module
 
-        return solver._record(params, grid, relay_kind, snapshot_stride,
-                              scheme="synthetic", u_fn=u_fn)
+        return solver.Stepper(params, grid, relay_kind, scheme="synthetic",
+                              u_fn=u_fn).record(snapshot_stride)

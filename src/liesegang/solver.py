@@ -61,8 +61,9 @@ The scheme exists as a cross-validation path; it starts at ``t0 = dt`` from
 
 Both schemes, and the prescribed fields of ``SolutionRecord.from_fields``
 (scheme ``synthetic``), are stepped by one :meth:`Stepper.step` and recorded
-by one snapshot loop, so the step, the relay update, the ignition log and the
-snapshots are written once; the two schemes differ only in their forcing.
+by one :meth:`Stepper.record`, so the step, the relay update, the ignition log
+and the snapshots are written once; the schemes differ only in their forcing.
+A stepper holds no record rows, so a ``copy.deepcopy`` of one continues its run.
 """
 from __future__ import annotations
 
@@ -440,6 +441,46 @@ class Stepper:
             w -= model.psi(self.x, self.t, self.params)
         return w, self.state.accumulator.copy()
 
+    def record(self, snapshot_stride: int, output=None) -> SolutionRecord:
+        """Step to ``t_max`` with snapshots every ``snapshot_stride`` steps
+        (and at the last step) and return the record.  The snapshot steps are
+        computed (:func:`_snapshot_steps`), the first at the step the stepper
+        is at, 0 or 1 on a new one; a snapshot's time is its step times ``dt``.
+
+        With an ``output`` prefix, each snapshot row of ``w`` and of the
+        accumulator is written as it is taken to its own unnamed temporary file
+        in the output directory (:func:`records.spool`), and the record reads
+        both from there, so the run holds nothing that grows with its step or
+        snapshot count but ``times`` and their steps; ``record.save`` copies
+        them into the archive.  The files go once the record, or the run that
+        raised, is dropped, and no name is ever written in the directory.
+        """
+        if snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
+        steps = np.fromiter(_snapshot_steps(self.step_index, self.grid.n_t, snapshot_stride),
+                            np.int64)
+        times = steps * self.grid.dt
+        # rows go into arrays or spools filled in place: stacking a list of
+        # snapshots would hold each one twice; the accumulator is stored on the
+        # relay window, as it is zero past it
+        shapes = (times.size, self.n), (times.size, self.m)
+        if output is None:
+            w, accum = (np.empty(shape) for shape in shapes)
+        else:
+            w, accum = (spool(Path(output).parent, shape) for shape in shapes)
+        for k, step in enumerate(steps):
+            for _ in range(step - self.step_index):
+                self.step()
+            w[k], accum[k] = self.snapshot()
+        return SolutionRecord(
+            params=self.params, grid=self.grid, relay_kind=self.relay_kind,
+            snapshot_stride=snapshot_stride, scheme=self.scheme, times=times, w=w, accum=accum,
+            ignition_time=np.concatenate((self.state.ignition_time,
+                                          np.full(self.n - self.m, np.nan))),
+            ignition_u_right=self.ignition_u_right, ignition_u_back=self.ignition_u_back,
+            constants=self.constants,
+        )
+
     def _split(self, field: np.ndarray) -> np.ndarray:
         """Hand the nodes past the interior to a new tail; return the interior."""
         if self.J < self.n:
@@ -521,61 +562,19 @@ def _snapshot_steps(start: int, n_t: int, stride: int):
         yield n_t
 
 
-def _record(params: ModelParams, grid: GridSpec, relay_kind: RelayKind, snapshot_stride: int,
-            output=None, **options) -> SolutionRecord:
-    """Step a :class:`Stepper` to ``t_max`` with snapshots every ``snapshot_stride``
-    steps (and at the last step) and return the record.  The snapshot steps
-    are computed, not tabulated (:func:`_snapshot_steps`), the first at the
-    stepper's start (0, or 1); each snapshot's time is its step times ``dt``.
-
-    With an ``output`` prefix, each snapshot row of ``w`` and of the
-    accumulator is written as it is taken to its own unnamed temporary file
-    in the output directory (:func:`records.spool`), and the record reads
-    both from there, so the run holds nothing that grows with its step or
-    snapshot count but ``times``; ``record.save`` copies them into the
-    archive.  The files go once the record, or the run that raised, is
-    dropped, and no name is ever written in the directory.
-    """
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-    stepper = Stepper(params, grid, relay_kind, **options)
-    schedule = (stepper.step_index, grid.n_t, snapshot_stride)
-    times = np.fromiter(_snapshot_steps(*schedule), np.int64) * grid.dt
-    # rows go into arrays or spools filled in place: stacking a list of
-    # snapshots would hold each one twice; the accumulator is stored on the
-    # relay window, as it is zero past it
-    shapes = (times.size, stepper.n), (times.size, stepper.m)
-    if output is None:
-        w, accum = (np.empty(shape) for shape in shapes)
-    else:
-        w, accum = (spool(Path(output).parent, shape) for shape in shapes)
-    for k, step in enumerate(_snapshot_steps(*schedule)):
-        for _ in range(step - stepper.step_index):
-            stepper.step()
-        w[k], accum[k] = stepper.snapshot()
-    return SolutionRecord(
-        params=params, grid=grid, relay_kind=relay_kind, snapshot_stride=snapshot_stride,
-        scheme=stepper.scheme, times=times, w=w, accum=accum,
-        ignition_time=np.concatenate((stepper.state.ignition_time,
-                                      np.full(stepper.n - stepper.m, np.nan))),
-        ignition_u_right=stepper.ignition_u_right, ignition_u_back=stepper.ignition_u_back,
-        constants=stepper.constants,
-    )
-
-
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
         snapshot_stride: int = 100, *, scheme: str = "deficit", output=None) -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
     ``deficit``, the deficit formulation, or ``deposition``, the source
     deposition scheme.  With an ``output`` prefix the run spools the rows of
     its ``w`` and accumulator to unnamed files in the output directory, which
-    ``record.save`` copies into the archive (see :func:`_record`).
+    ``record.save`` copies into the archive (see :meth:`Stepper.record`).
 
     Deterministic: identical inputs produce bit-identical records.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"run takes scheme {' or '.join(map(repr, SCHEMES))}, not {scheme!r}")
-    return _record(params, grid, relay_kind, snapshot_stride, output, scheme=scheme)
+    return Stepper(params, grid, relay_kind, scheme=scheme).record(snapshot_stride, output)
 
 
 def _deposit_swept_source(rhs: np.ndarray, beta: float, a: float, b: float, dx: float) -> None:

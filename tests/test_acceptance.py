@@ -180,7 +180,7 @@ def test_criterion_07_transversality(rec_sharp):
 
 def test_criterion_08_desk_scale_uniqueness(params, constants, rec_sharp, rec_mollified,
                                             rec_halved):
-    rep_ref = comparison.compare_cross_grid(rec_sharp, rec_halved, agreement_tol=math.inf)
+    rep_ref = comparison.compare(rec_sharp, rec_halved, agreement_tol=math.inf)
     k = int(np.argmin(np.abs(rep_ref.times - constants.T_unique)))
     refine_err = float(rep_ref.sup_diff[k])
     rate = comparison.median_ignition_rate(rec_sharp, t_max=constants.T_unique)

@@ -702,13 +702,13 @@ class TestCli:
         # a configured (or flagged) tolerance needs no refined run to measure one
         runs = self.count_runs(monkeypatch)
         tol_seen = []
-        real_compare = lg.comparison.compare_cross_grid
+        real_compare = lg.comparison.compare
 
         def compare(rec1, rec2, agreement_tol):
             tol_seen.append(agreement_tol)
             return real_compare(rec1, rec2, agreement_tol)
 
-        monkeypatch.setattr(lg.comparison, "compare_cross_grid", compare)
+        monkeypatch.setattr(lg.comparison, "compare", compare)
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path), x_max=4.0,
                                            t_max=0.26, tolerances={"agreement_tol": 0.05}))
         assert self.run_cli("sweep", "-c", path, "--epsilons", "1e-3", *flag,
@@ -1207,3 +1207,50 @@ def test_sweep_checking_no_energy_reports_null(tmp_path, capsys):
     rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
     assert [r["energy_monotone_before_T_unique"] for r in rows] == [None, None]
     assert capsys.readouterr().err == ""
+
+
+# -- output paths -------------------------------------------------------------
+
+# simulate once failed on its spool ("No such file or directory" naming the
+# spool's temporary file), and the others after all their work
+@pytest.mark.parametrize("command", [
+    ["constants"],
+    ["simulate", "-c", "{cfg}"],
+    ["analyze", "-r", "{rec}"],
+    ["diagnose", "-r", "{rec}"],
+    ["compare", "--rec1", "{rec}", "--rec2", "{rec}", "--agreement-tol", "0.05"],
+    ["sweep", "-c", "{cfg}", "--epsilons", "1e-3", "--agreement-tol", "0.05"],
+    ["toy"],
+], ids=lambda c: c[0])
+def test_output_into_a_new_subdirectory(tmp_path, monkeypatch, capsys, saved_record, command):
+    monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)  # toy writes its path as given
+    cfg = write_config(tmp_path, dict(COARSE, output_dir=str(tmp_path)))
+    argv = [arg.format(cfg=cfg, rec=saved_record) for arg in command]
+    out = [] if command[0] in ("toy", "simulate", "sweep") else ["--output-dir", str(tmp_path)]
+    # a record's prefix, else a report's name; the record's sidecar is x.json too
+    name = "sub/dir/x" if command[0] == "simulate" else "sub/dir/x.json"
+    assert cli.main([*argv, *out, "-o", name]) == 0, capsys.readouterr().err
+    assert (tmp_path / "sub" / "dir" / "x.json").is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "-o", ""],
+    ["simulate", "-o", ""],
+    ["simulate", "--csv", ""],
+    ["analyze", "-r", "rec", "-o", ""],
+    ["diagnose", "-r", "rec", "-o", ""],
+    ["diagnose", "-r", "rec", "--csv", ""],
+    ["toy", "-o", ""],
+    ["compare", "--rec1", "rec", "--rec2", "rec", "--agreement-tol", "1", "-o", ""],
+    ["compare", "--rec1", "rec", "--rec2", "rec", "--agreement-tol", "1", "--csv", ""],
+    ["sweep", "-o", ""],
+], ids=lambda a: f"{a[0]} {a[-2]}")
+def test_an_empty_output_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # simulate -o '' once wrote the hidden files .npz and .json
+    monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    flag = "-o/--output" if argv[-2] == "-o" else "--csv"
+    assert f"argument {flag}: must name a file, got ''" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -496,6 +496,14 @@ class TestFrontDerivative:
         with pytest.raises(duhamel.DegenerateRate):
             duhamel.front_derivative_estimate(rec, 0.2)
 
+    def test_a_point_between_nodes_is_rejected(self):
+        # x = 0.409 on dx 0.02 once returned node 0.4's estimate
+        rec = synthetic_record(lambda x, t: PARAMS.u_star + 3.0 * (t - np.asarray(x) ** 2),
+                               dx=0.02, dt=1e-3)
+        duhamel.front_derivative_estimate(rec, 0.4)
+        with pytest.raises(ValueError, match="x = 0.409 is not a grid node"):
+            duhamel.front_derivative_estimate(rec, 0.409)
+
     def test_measured_front_slope_gap_small_on_fine_grid(self, rec_halved, constants):
         front = fronts.extract_front(rec_halved)
         gaps = []

@@ -651,7 +651,6 @@ READERS = {
         rec, fronts.extract_front(rec), default_probe_ladder(rec.constants, rec.params.alpha)),
     "write_csv": lambda rec, tmp: rec.write_csv(tmp / "rec.csv"),
     "compare": lambda rec, tmp: comparison.compare(rec, rec, 1e-3),
-    "compare_cross_grid": lambda rec, tmp: comparison.compare_cross_grid(rec, rec, 1e-3),
     "measure_t1": lambda rec, tmp: solver.measure_t1(rec),
     "f1_mass_table": lambda rec, tmp: duhamel.f1_mass_table(rec),
 }

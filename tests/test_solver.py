@@ -1,4 +1,5 @@
 """Deficit scheme, deposition scheme, and their invariants at desk scale."""
+import copy
 import gc
 import math
 import re
@@ -121,10 +122,26 @@ def test_snapshot_times_are_the_tabulated_schedule(scheme, start, stride, n_t):
     steps = np.arange(start, n_t + 1)
     taken = (steps % stride == 0) | (steps == n_t)
     taken[0] = True
-    rec = solver._record(PARAMS, grid, lg.RelayKind.sharp(), stride, scheme=scheme)
+    rec = solver.Stepper(PARAMS, grid, lg.RelayKind.sharp(), scheme=scheme).record(stride)
     assert rec.times.dtype == np.float64
     assert np.array_equal(rec.times, steps[taken] * grid.dt)
     assert rec.w.shape[0] == rec.accum.shape[0] == rec.times.size
+
+
+# A stepper holds its whole state and no record rows, so a copy of one
+# continues its run: a fork with no force.  1,234 steps is no multiple of the
+# stride and ends inside a relay block.
+@pytest.mark.parametrize("scheme", ["deficit", "deposition"])
+@pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
+def test_a_copied_stepper_records_what_its_base_records(kind, scheme):
+    grid = coarse_grid(t_max=0.26, x_max=4.0)
+    base = solver.Stepper(PARAMS, grid, kind, scheme=scheme)
+    for _ in range(1234):
+        base.step()
+    fork = copy.deepcopy(base)
+    rec = fork.record(7)
+    assert rec.times[0] == base.t  # the step the copy was made at
+    assert_same_record(rec, base.record(7))
 
 
 def banded_solve(mu, dt, p_win, rhs):
