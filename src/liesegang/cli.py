@@ -152,9 +152,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _record_config(args)
     record = _load_record(cfg, args, args.record)
-    tol = cfg.tolerances if cfg else Tolerances()
-    report_body = fronts.front_report(record, measure_tol=tol.measure_tol,
-                                      jump_factor=tol.jump_factor, front_tol=tol.front_tol)
+    report_body = fronts.front_report(record, cfg.tolerances if cfg else Tolerances())
     out = _write_report(cfg, args, "front_report", report_body, args.output)
     print(f"front report written to {out} "
           f"(rings: {len(report_body['rings'])}, X_star: {report_body['X_star']:.4g})")
@@ -164,26 +162,17 @@ def cmd_analyze(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _record_config(args)
     record = _load_record(cfg, args, args.record)
-    tol = cfg.tolerances if cfg else Tolerances()
     probes = list(cfg.probes) if (cfg and cfg.probes) else None
     if not probes:
         consts = record.constants
         if consts is None:
             raise ValidationError(["record has no constants; provide probes in the config"])
         probes = default_probe_ladder(consts, record.params.alpha)
-    # a probe F1 cannot take would fail late; one past the grid's ends would
-    # read u_t at the clamped end node
-    end = record.x[-1]
-    bad = [f"probe ({x}, {t}) {unmet[1]}"
-           for x, t in probes if (unmet := duhamel.f1_unmet(record, t))]
-    bad += [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
-            for x, t in probes if not 0.0 <= x <= end]
-    if bad:
+    # a bad probe is a config error, named with every other one
+    if bad := duhamel.probe_faults(record, probes):
         raise ValidationError(bad)
-    front = fronts.extract_front(record)
-    report_body = duhamel.diagnostics_report(record, front, probes,
-                                             slope_floor=tol.slope_floor,
-                                             rate_floor=tol.rate_floor)
+    report_body = duhamel.diagnostics_report(record, probes,
+                                             cfg.tolerances if cfg else Tolerances())
     out = _write_report(cfg, args, "diagnostics_report", report_body, args.output)
     if args.csv:
         columns = ["x", "t", "u_t", "psi_t", "F1", "F2", "residual"]

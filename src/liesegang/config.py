@@ -20,8 +20,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .duhamel import DEFAULT_RATE_FLOOR, DEFAULT_SLOPE_FLOOR
-from .fronts import DEFAULT_JUMP_FACTOR
 from .grids import DEFAULT_DT, DEFAULT_DX, DEFAULT_X_MAX, GridSpec
 from .jsonio import SCHEMA_VERSION
 from .model import (ModelConstants, ModelParams, NotSupercritical, RootNotBracketed,
@@ -116,9 +114,10 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    slope_floor: float = DEFAULT_SLOPE_FLOOR
-    rate_floor: float = DEFAULT_RATE_FLOOR
-    jump_factor: float = DEFAULT_JUMP_FACTOR
+    """The analysis thresholds: the one declaration of their defaults."""
+    slope_floor: float = 1e-4
+    rate_floor: float = 1e-4
+    jump_factor: float = 50.0
     measure_tol: float = 0.0
     front_tol: float | None = None
     agreement_tol: float | None = None

@@ -32,12 +32,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import model, records
+from . import fronts, model, records
+from .config import Tolerances
 from .fronts import FrontFunction
 from .records import BACK_OFFSETS, SolutionRecord
 
-DEFAULT_SLOPE_FLOOR = 1e-4
-DEFAULT_RATE_FLOOR = 1e-4
 # Kernel width below which the spatial trapezoid under-resolves Phi and the
 # convolution is replaced by its nascent-delta limit.
 _SMOOTH_TAU_CELLS = 9.0
@@ -249,7 +248,7 @@ def _f2_cells(xs: np.ndarray, ells: np.ndarray, dx: float, x: float, t: float,
 
 
 def eval_F2(front: FrontFunction, x: float, t: float,
-            slope_floor: float = DEFAULT_SLOPE_FLOOR) -> float:
+            slope_floor: float = Tolerances.slope_floor) -> float:
     """Kernel integral along the front, one :func:`_f2_cells` sum per segment
     (an isolated node's spacing is the grid's); +inf signals a flat crossing cell."""
     total = 0.0
@@ -288,9 +287,22 @@ def _off_front_guard(front: FrontFunction, x: float, t: float, dx: float, dt: fl
         )
 
 
+def probe_faults(record: SolutionRecord, probes) -> list[str]:
+    """Why each probe that :func:`check_ut_identity` cannot take is bad: F1
+    cannot be taken at its time (:func:`f1_unmet`), or it is off the grid,
+    where u_t would be read at the clamped end node.  Empty if none is."""
+    end = record.x[-1]
+    bad = [f"probe ({x}, {t}) {unmet[1]}" for x, t in probes if (unmet := f1_unmet(record, t))]
+    return bad + [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
+                  for x, t in probes if not 0.0 <= x <= end]
+
+
 def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
-                      slope_floor: float = DEFAULT_SLOPE_FLOOR) -> list[ProbeRow]:
-    """Residual u_t - psi_t + F1 + u_star*F2 at each probe point."""
+                      slope_floor: float = Tolerances.slope_floor) -> list[ProbeRow]:
+    """Residual u_t - psi_t + F1 + u_star*F2 at each probe point; a
+    ValueError names every probe of :func:`probe_faults`."""
+    if bad := probe_faults(record, probes):
+        raise ValueError("\n".join(bad))
     rows = []
     for (x, t) in probes:
         _off_front_guard(front, x, t, record.grid.dx, record.grid.dt)
@@ -342,7 +354,7 @@ class EllPrimeEstimate:
 
 def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstimate:
     """Front slope from the transversal ratio -u_x+/u_t- (u_t- above
-    ``DEFAULT_RATE_FLOOR``), compared with the discrete slope of ell: the
+    ``Tolerances.rate_floor``), compared with the discrete slope of ell: the
     difference of ell between the node's neighbours that ignited, else the
     node itself, so centered, one-sided, or NaN when neither ignited."""
     cells = x / record.grid.dx
@@ -353,7 +365,7 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
     if math.isnan(u_t_minus):
         raise ValueError(f"no temporal rate at x = {x}: not ignited, ignited before 10*dt, "
                          f"or no look-back samples stored")
-    if not u_t_minus > DEFAULT_RATE_FLOOR:
+    if not u_t_minus > Tolerances.rate_floor:
         raise DegenerateRate(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
     if math.isnan(u_x_plus):
         raise ValueError(f"no rightward samples stored at node x = {x}")
@@ -370,12 +382,13 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
 
 # -- aggregated report -------------------------------------------------------------
 
-def diagnostics_report(record: SolutionRecord, front: FrontFunction, probes,
-                       slope_floor: float = DEFAULT_SLOPE_FLOOR,
-                       rate_floor: float = DEFAULT_RATE_FLOOR) -> dict:
+def diagnostics_report(record: SolutionRecord, probes, tol: Tolerances = Tolerances()) -> dict:
     """Probe residual table plus per-front-node transversality flags and the
-    global bound margins, as one JSON-ready dict."""
-    rows = check_ut_identity(record, front, probes, slope_floor=slope_floor)
+    global bound margins on the record's front, with ``tol``'s
+    ``slope_floor`` and ``rate_floor``, as one JSON-ready dict."""
+    # through the module, so that a wrapper of fronts.extract_front sees the call
+    front = fronts.extract_front(record)
+    rows = check_ut_identity(record, front, probes, slope_floor=tol.slope_floor)
     consts = record.constants
     f1_bound = f2_bound = None
     if consts is not None:
@@ -389,9 +402,9 @@ def diagnostics_report(record: SolutionRecord, front: FrontFunction, probes,
         node_rows.append({
             "x": float(record.x[i]), "ell": float(record.ignition_time[i]),
             "u_x_plus": None if math.isnan(s) else s,
-            "spatial_flag": None if math.isnan(s) else s < -slope_floor,
+            "spatial_flag": None if math.isnan(s) else s < -tol.slope_floor,
             "u_t_minus": None if math.isnan(r) else r,
-            "temporal_flag": None if math.isnan(r) else r > rate_floor,
+            "temporal_flag": None if math.isnan(r) else r > tol.rate_floor,
         })
 
     return {
@@ -401,6 +414,6 @@ def diagnostics_report(record: SolutionRecord, front: FrontFunction, probes,
         "bounds": {"F1_upper": f1_bound, "F2_upper": f2_bound,
                    "max_F1": max((r.F1 for r in rows), default=None),
                    "max_F2": max((r.F2 for r in rows), default=None)},
-        "slope_floor": slope_floor,
-        "rate_floor": rate_floor,
+        "slope_floor": tol.slope_floor,
+        "rate_floor": tol.rate_floor,
     }

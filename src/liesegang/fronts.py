@@ -12,13 +12,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import Tolerances
 from .grids import GridSpec
 from .model import ModelConstants, ModelParams, parabola_time
 from .records import SolutionRecord
 
 REGULAR, DEGENERATE, JUMP = 0, 1, 2
 _LABEL_NAMES = {REGULAR: "regular", DEGENERATE: "degenerate", JUMP: "jump"}
-DEFAULT_JUMP_FACTOR = 50.0
 JUMP_MEDIAN_WINDOW = 15
 
 
@@ -129,7 +129,8 @@ def _node_classes(record: SolutionRecord, i_max: int) -> np.ndarray:
     return classes
 
 
-def segment_rings(record: SolutionRecord, measure_tol: float = 0.0) -> RingSegmentation:
+def segment_rings(record: SolutionRecord,
+                  measure_tol: float = Tolerances.measure_tol) -> RingSegmentation:
     """Segment the precipitation pattern above the parabola into rings and gaps.
 
     Only nodes whose parabola time lies inside the record (x <= alpha*
@@ -190,7 +191,7 @@ def parabola_tol(x, dx: float, dt: float, alpha: float):
 
 
 def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
-                      jump_factor: float = DEFAULT_JUMP_FACTOR,
+                      jump_factor: float = Tolerances.jump_factor,
                       segmentation: RingSegmentation | None = None) -> BoundaryClass:
     """Label every front node Regular / Degenerate (on the parabola within
     grid tolerance) / Jump (discrete increment above ``jump_factor`` times the
@@ -263,21 +264,19 @@ def reconstruct_p(front: FrontFunction, times: np.ndarray) -> np.ndarray:
     return (times[:, None] > ell[None, :]).astype(float)
 
 
-def front_report(record: SolutionRecord, measure_tol: float = 0.0,
-                 jump_factor: float = DEFAULT_JUMP_FACTOR,
-                 front_tol: float | None = None) -> dict:
-    """Everything the ``analyze`` subcommand emits, as one JSON-ready dict.
+def front_report(record: SolutionRecord, tol: Tolerances = Tolerances()) -> dict:
+    """Everything the ``analyze`` subcommand emits, as one JSON-ready dict,
+    with ``tol``'s ``measure_tol``, ``jump_factor`` and ``front_tol``.
 
     Includes the threshold residual ``max |u(x, ell(x)) - u_star|`` over the
     front nodes, checked against ``front_tol`` (default ``10*(dx + dt/dx)``).
     """
     front = extract_front(record)
     grid = record.grid
-    if front_tol is None:
-        front_tol = 10.0 * (grid.dx + grid.dt / grid.dx)
+    front_tol = 10.0 * (grid.dx + grid.dt / grid.dx) if tol.front_tol is None else tol.front_tol
     residual_max = float(np.nanmax(np.abs(record.ignition_u - record.params.u_star)))
-    seg = segment_rings(record, measure_tol=measure_tol)
-    cls = classify_boundary(front, record.params, record.grid, jump_factor=jump_factor,
+    seg = segment_rings(record, measure_tol=tol.measure_tol)
+    cls = classify_boundary(front, record.params, record.grid, jump_factor=tol.jump_factor,
                             segmentation=seg)
     slope = None
     if record.constants is not None:

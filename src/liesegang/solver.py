@@ -453,10 +453,14 @@ class Stepper:
         both from there, so the run holds nothing that grows with its step or
         snapshot count but ``times`` and their steps; ``record.save`` copies
         them into the archive.  The files go once the record, or the run that
-        raised, is dropped, and no name is ever written in the directory.
+        raised, is dropped, and no name is ever written in the directory.  A
+        missing directory is named before the first step.
         """
         if snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if output is not None and not Path(output).parent.is_dir():
+            raise FileNotFoundError(f"no directory {Path(output).parent} for the output "
+                                    f"prefix {output}")
         steps = np.fromiter(_snapshot_steps(self.step_index, self.grid.n_t, snapshot_stride),
                             np.int64)
         times = steps * self.grid.dt

@@ -11,7 +11,7 @@ import numpy as np
 
 import liesegang as lg
 from liesegang import comparison, duhamel, fronts, odetoy
-from liesegang.config import default_probe_ladder
+from liesegang.config import Tolerances, default_probe_ladder
 
 
 def verdict(number, name, ok, detail=""):
@@ -169,8 +169,8 @@ def test_criterion_07_transversality(rec_sharp):
     nodes = [i for i in front.indices if rec_sharp.ignition_time[i] < c.T_unique]
     u_x_plus, u_t_minus = duhamel.transversality(rec_sharp)
     # NaN compares false: under-resolved burn-in nodes count as not flagged
-    n_spatial = int(np.count_nonzero(u_x_plus[nodes] < -duhamel.DEFAULT_SLOPE_FLOOR))
-    n_temporal = int(np.count_nonzero(u_t_minus[nodes] > duhamel.DEFAULT_RATE_FLOOR))
+    n_spatial = int(np.count_nonzero(u_x_plus[nodes] < -Tolerances.slope_floor))
+    n_temporal = int(np.count_nonzero(u_t_minus[nodes] > Tolerances.rate_floor))
     frac_s = n_spatial / len(nodes)
     frac_t = n_temporal / len(nodes)
     ok = frac_s >= 0.95 and frac_t >= 0.95

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import liesegang as lg
-from liesegang import cli, config, odetoy
+from liesegang import cli, config, duhamel, fronts, jsonio, odetoy
 
 TINY = {
     "alpha": 1.0,
@@ -166,11 +166,8 @@ class TestParseConfig:
         assert cfg.output_dir == str(tmp_path / "elsewhere")
 
     def test_tolerance_defaults_have_one_source(self, tmp_path):
-        from liesegang import duhamel, fronts
         tol = config.Tolerances()
-        assert tol.slope_floor == duhamel.DEFAULT_SLOPE_FLOOR
-        assert tol.rate_floor == duhamel.DEFAULT_RATE_FLOOR
-        assert tol.jump_factor == fronts.DEFAULT_JUMP_FACTOR
+        assert (tol.slope_floor, tol.rate_floor, tol.jump_factor) == (1e-4, 1e-4, 50.0)
         cfg = config.parse_config(write_config(tmp_path, dict(TINY)))
         assert cfg.tolerances == tol
         assert json.dumps(cfg.effective_config()["tolerances"]) == (
@@ -1016,6 +1013,55 @@ def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
     cfg = config.parse_config(path)
     measured = lg.measure_t1(lg.run(cfg.params, cfg.grid, cfg.relay_kind, cfg.snapshot_stride))
     assert report["t1_measured"] == measured > T1_CEILING
+
+
+# -- every tolerance a report reads reaches it from a config -------------------
+
+# Two rings on a cheap grid: the coarse run has one, which no measure_tol merges.
+MULTI_RING = dict(TINY, alpha=3.0, u_star_fraction=0.9, dx=0.02, dt=1e-3, x_max=18.0,
+                  t_max=0.75, snapshot_stride=20)
+
+
+@pytest.fixture(scope="module")
+def tolerance_runs(tmp_path_factory):
+    """Settings and record prefix of the coarse and the two-ring run."""
+    runs = {}
+    for name, settings in (("coarse", COARSE), ("multi_ring", MULTI_RING)):
+        out = tmp_path_factory.mktemp(name)
+        path = write_config(out, dict(settings, output_dir=str(out)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0
+        runs[name] = settings, str(out / "rec")
+    return runs
+
+
+@pytest.mark.parametrize("command, field, value, run", [
+    ("analyze", "measure_tol", 0.2, "multi_ring"),  # merges the second ring into the first
+    ("analyze", "jump_factor", 1.0, "coarse"),
+    ("analyze", "front_tol", 1e-3, "coarse"),
+    ("diagnose", "slope_floor", 1e3, "coarse"),
+    ("diagnose", "rate_floor", 1e3, "coarse"),
+])
+def test_each_report_tolerance_reaches_its_report(tolerance_runs, tmp_path, command, field,
+                                                  value, run):
+    settings, prefix = tolerance_runs[run]
+    path = write_config(tmp_path, dict(settings, output_dir=str(tmp_path),
+                                       tolerances={field: value}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "-c", path, "-r", prefix, "-o", "report.json"]) == 0
+    body = read_json(tmp_path / "report.json")
+    assert body.pop("effective_config")["tolerances"][field] == value
+    del body["schema_version"], body["kind"]
+    record = lg.SolutionRecord.load(prefix)
+    probes = config.default_probe_ladder(record.constants, record.params.alpha)
+
+    def written(tol):
+        if command == "analyze":
+            return jsonio.dumps(fronts.front_report(record, tol))
+        return jsonio.dumps(duhamel.diagnostics_report(record, probes, tol))
+
+    assert jsonio.dumps(body) == written(config.Tolerances(**{field: value}))
+    assert jsonio.dumps(body) != written(config.Tolerances())
 
 
 # -- a config of another run is rejected, not echoed --------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 
 import liesegang as lg
-from liesegang import cli, duhamel, fronts, model, records
+from liesegang import cli, config, duhamel, fronts, model, records
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
 from util import make_record, no_whole_record_reads
 
@@ -127,9 +127,8 @@ class TestUtTable:
         rec = dataclasses.replace(rec_coarse_sharp, _f1_mass_cache=None)
         probes = default_probe_ladder(rec.constants, rec.params.alpha)
         with no_whole_record_reads():
-            report = duhamel.diagnostics_report(rec, fronts.extract_front(rec), probes)
-        assert report == duhamel.diagnostics_report(
-            rec_coarse_sharp, fronts.extract_front(rec_coarse_sharp), probes)
+            report = duhamel.diagnostics_report(rec, probes)
+        assert report == duhamel.diagnostics_report(rec_coarse_sharp, probes)
 
 
 class TestF1:
@@ -331,6 +330,22 @@ class TestIdentity:
         with pytest.raises(duhamel.ProbeOnFront):
             duhamel.check_ut_identity(rec_coarse_sharp, front, [(x, t)])
 
+    def test_bad_probes_are_named_not_read_at_the_clamped_end(self, rec_coarse_sharp):
+        # a probe off the grid read u_t at the nearest end node and returned
+        # a residual, and one past the record failed on the first such probe
+        rec = rec_coarse_sharp
+        front, end, last = fronts.extract_front(rec), rec.x[-1], rec.times[-1]
+        probes = [(0.3, 0.5 * last), (-0.5, 0.2), (end + 0.5, 0.2), (0.3, 2.0 * last)]
+        named = [f"probe (0.3, {2.0 * last}) is past the record's last time {last}",
+                 f"probe (-0.5, 0.2) is off the grid, which ends at x = {end}",
+                 f"probe ({end + 0.5}, 0.2) is off the grid, which ends at x = {end}"]
+        assert duhamel.probe_faults(rec, probes) == named
+        with pytest.raises(ValueError) as raised:
+            duhamel.check_ut_identity(rec, front, probes)
+        assert type(raised.value) is ValueError and str(raised.value) == "\n".join(named)
+        with pytest.raises(ValueError, match="off the grid"):
+            duhamel.diagnostics_report(rec, [(end + 0.5, 0.2)])
+
     def test_interior_probes_have_small_residual(self, rec_coarse_sharp):
         from liesegang.config import default_probe_ladder
         c = rec_coarse_sharp.constants
@@ -410,12 +425,12 @@ class TestTransversality:
         rec = synthetic_record(
             lambda x, t: PARAMS.u_star + 0.2 * t - c * (np.asarray(x) - 0.0))
         value = duhamel.transversality(rec)[0][node(rec, 0.2)]
-        assert value < -duhamel.DEFAULT_SLOPE_FLOOR and value == pytest.approx(-c, rel=1e-9)
+        assert value < -config.Tolerances.slope_floor and value == pytest.approx(-c, rel=1e-9)
 
     def test_spatial_flat_profile_not_flagged(self):
         rec = synthetic_record(lambda x, t: np.full(np.shape(x), PARAMS.u_star + 1e-12 * t))
         value = duhamel.transversality(rec)[0][node(rec, 0.2)]
-        assert not value < -duhamel.DEFAULT_SLOPE_FLOOR and abs(value) < 1e-10
+        assert not value < -config.Tolerances.slope_floor and abs(value) < 1e-10
 
     def test_temporal_rate_on_unit_ramp(self):
         # u = u_star - (ell0(x) - t): rate exactly 1 at ignition
@@ -424,7 +439,7 @@ class TestTransversality:
 
         rec = synthetic_record(u_fn)
         value = duhamel.transversality(rec)[1][node(rec, 0.3)]
-        assert value > duhamel.DEFAULT_RATE_FLOOR and value == pytest.approx(1.0, rel=1e-9)
+        assert value > config.Tolerances.rate_floor and value == pytest.approx(1.0, rel=1e-9)
 
     def test_temporal_constant_before_ignition_not_flagged(self):
         def u_fn(x, t):
@@ -432,7 +447,7 @@ class TestTransversality:
 
         rec = synthetic_record(u_fn)
         value = duhamel.transversality(rec)[1][node(rec, 0.2)]
-        assert not value > duhamel.DEFAULT_RATE_FLOOR and abs(value) < 1e-8
+        assert not value > config.Tolerances.rate_floor and abs(value) < 1e-8
 
     def test_temporal_under_resolved_node_rejected(self):
         rec = synthetic_record(lambda x, t: np.full(np.shape(x), PARAMS.u_star + t))
@@ -532,7 +547,7 @@ class TestFrontDerivative:
         rec.ignition_u_right[:, :3] = [u_star, u_star - 0.1, u_star - 0.2]
         rec.ignition_u_back[:, 0] = u_star - 0.01  # rate 1 over one step
         est = duhamel.front_derivative_estimate(rec, rec.x[i])
-        assert est.u_t_minus > duhamel.DEFAULT_RATE_FLOOR
+        assert est.u_t_minus > config.Tolerances.rate_floor
         assert_same_bits(np.array([est.discrete_slope]),
                          np.array([discrete_slope_reference(ell, i, grid.dx)]))
 

@@ -506,10 +506,9 @@ class TestRecordSchema:
 
 def reports_of(record):
     """The ``front_report`` and ``diagnostics_report`` bodies, as written."""
-    front = fronts.extract_front(record)
     probes = default_probe_ladder(record.constants, record.params.alpha)
     return (jsonio.dumps(fronts.front_report(record)),
-            jsonio.dumps(duhamel.diagnostics_report(record, front, probes)))
+            jsonio.dumps(duhamel.diagnostics_report(record, probes)))
 
 
 # -- sidecar fields ---------------------------------------------------------------
@@ -648,7 +647,7 @@ def test_u_and_p_are_derived_on_every_read(tiny_record):
 READERS = {
     "front_report": lambda rec, tmp: fronts.front_report(rec),
     "diagnostics_report": lambda rec, tmp: duhamel.diagnostics_report(
-        rec, fronts.extract_front(rec), default_probe_ladder(rec.constants, rec.params.alpha)),
+        rec, default_probe_ladder(rec.constants, rec.params.alpha)),
     "write_csv": lambda rec, tmp: rec.write_csv(tmp / "rec.csv"),
     "compare": lambda rec, tmp: comparison.compare(rec, rec, 1e-3),
     "measure_t1": lambda rec, tmp: solver.measure_t1(rec),

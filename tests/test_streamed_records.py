@@ -96,6 +96,19 @@ def test_a_streamed_run_saved_elsewhere_is_written_anew(tmp_path, fixed_clock):
     assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
 
 
+def test_a_missing_output_directory_is_named_before_the_first_step(tmp_path, monkeypatch):
+    # the error named an unnamed spool file in it, '<dir>/missing/tmp...'
+    cfg = config.parse_config(write_config(tmp_path))
+    steps = []
+    monkeypatch.setattr(solver.Stepper, "step", lambda self: steps.append(None))
+    prefix = tmp_path / "missing" / "rec"
+    with pytest.raises(FileNotFoundError) as raised:
+        solver.run(cfg.params, cfg.grid, cfg.relay_kind, 7, output=prefix)
+    assert str(raised.value) == (f"no directory {tmp_path / 'missing'} for the output prefix "
+                                 f"{prefix}")
+    assert not steps and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_a_run_never_saved_leaves_no_file(tmp_path, monkeypatch):
     cfg = config.parse_config(write_config(tmp_path))
     seen, snapshot = set(), solver.Stepper.snapshot

@@ -6,6 +6,7 @@ silently read zero in the per-layer metrics instead of failing.  These tests
 read the tracer's span table; they never modify ``perfbench/``.
 """
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import liesegang as lg
-from liesegang import cli, model, records, solver
+from liesegang import cli, fronts, model, records, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -164,3 +165,17 @@ def test_a_save_that_blanks_the_ignitions_writes_a_record_without_them(tmp_path,
 
     monkeypatch.setattr(lg.SolutionRecord, "save", save_without_ignitions)
     assert not np.isfinite(simulate(tmp_path).ignition_time).any()
+
+
+# The tracer's ``fronts.extract_front`` span counts the front of a diagnose,
+# which ``diagnostics_report`` extracts itself: once, through ``fronts``.
+def test_cli_diagnose_extracts_the_front_once_through_the_fronts_namespace(tmp_path,
+                                                                         monkeypatch):
+    simulate(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dx": 0.02, "dt": 1e-4, "x_max": 2.0, "t_max": 0.05,
+                               "snapshot_stride": 20, "probes": [[0.3, 0.04]],
+                               "output_dir": str(tmp_path)}))
+    calls = spy_on(fronts, "extract_front", monkeypatch)
+    assert cli.main(["diagnose", "-c", str(cfg), "-r", str(tmp_path / "rec")]) == 0
+    assert len(calls) == 1

@@ -17,16 +17,19 @@ relay with the deficit scheme and ``tolerances.t1_ceiling`` 0.01.  For each one
 the script runs, in-process, ``constants`` (with and without
 ``--measure-t1``), ``simulate --csv``, ``analyze`` (with the default
 ``measure_tol``, with 0.05 and without a config), ``diagnose --csv`` (also
-without a config), ``compare --epsilon2`` and ``sweep --halved-grid``; then
-``compare`` on the saved sharp and ``property_p`` records and ``toy`` for
-both forcings.  The fifth config is a run with two rings, so that what
-``analyze`` and ``diagnose`` report past the first ring is compared too:
-alpha 3, beta 1, ``u_star_fraction`` 0.9, dx 0.005, dt 1e-4, x_max 18, t_max
-0.75 and snapshot stride 100 (the second ring starts at x = 2.57); only
-``simulate``, ``analyze`` and ``diagnose`` run on it.  The sixth is the
-coarse grid with ``u_star_fraction`` 0.99999, whose front is the one node
-x = 0, so that F2's rule for an isolated node is compared: ``simulate`` and
-``diagnose`` at four probes.  Every command must exit 0.  Outputs go to one subdirectory per config, given in the configs as
+without a config), ``analyze`` and ``diagnose`` with every tolerance they
+read off its default (:data:`REPORT_TOLERANCES`), ``compare --epsilon2``
+and ``sweep --halved-grid``; then ``compare`` on the saved sharp and
+``property_p`` records and ``toy`` for both forcings.  The fifth config is
+a run with two rings, so that what ``analyze`` and ``diagnose`` report past
+the first ring is compared too: alpha 3, beta 1, ``u_star_fraction`` 0.9,
+dx 0.005, dt 1e-4, x_max 18, t_max 0.75 and snapshot stride 100 (the second
+ring starts at x = 2.57); only ``simulate``, ``analyze`` (also with
+``measure_tol`` 0.2, which merges the two rings) and ``diagnose`` run on
+it.  The sixth is the coarse grid with ``u_star_fraction`` 0.99999, whose
+front is the one node x = 0, so that F2's rule for an isolated node is
+compared: ``simulate`` and ``diagnose`` at four probes.  Every command must
+exit 0.  Outputs go to one subdirectory per config, given in the configs as
 relative paths, so the reports do not depend on ``--workdir`` (default: a
 temporary directory, removed at the end).  About 10 s on 2 vCPUs.
 """
@@ -60,13 +63,18 @@ CONFIGS = {
 }
 MULTI_RING = {"alpha": 3.0, "beta": 1.0, "u_star_fraction": 0.9, "dx": 0.005, "dt": 1e-4,
               "x_max": 18.0, "t_max": 0.75, "snapshot_stride": 100, "output_dir": "multi_ring"}
+# Off their defaults, each changing the report bodies of the coarse configs but
+# measure_tol: the coarse grid has one ring, which no measure_tol merges, so the
+# two-ring config's measure_tol run shows a dropped one instead.
+REPORT_TOLERANCES = {"measure_tol": 0.05, "jump_factor": 1.0, "front_tol": 1e-3,
+                     "slope_floor": 1.0, "rate_floor": 1.0}
 ONE_NODE = {**COARSE, "u_star_fraction": 0.99999, "output_dir": "one_node",
             "probes": [[0.1, 0.1], [0.3, 0.2], [0.05, 0.25], [0.5, 0.15]]}
 
 
 def commands(name: str) -> list[list[str]]:
     """The commands run on config ``name``; they write into directory ``name``."""
-    cfg, tol_cfg = f"{name}.json", f"{name}_measure_tol.json"
+    cfg, tol_cfg, tols_cfg = (f"{name}{s}.json" for s in ("", "_measure_tol", "_tolerances"))
     rec = f"{name}/record"
     return [
         ["constants", "-c", cfg],
@@ -77,6 +85,8 @@ def commands(name: str) -> list[list[str]]:
         ["analyze", "-r", rec, "--output-dir", name, "-o", "front_report_bare.json"],
         ["diagnose", "-c", cfg, "-r", rec, "--csv", "probes.csv"],
         ["diagnose", "-r", rec, "--output-dir", name, "-o", "diagnostics_bare.json"],
+        ["analyze", "-c", tols_cfg, "-r", rec, "-o", "front_report_tolerances.json"],
+        ["diagnose", "-c", tols_cfg, "-r", rec, "-o", "diagnostics_tolerances.json"],
         ["compare", "-c", cfg, "--epsilon2", "1e-3"],
         ["sweep", "-c", cfg, "--epsilons", "1e-3", "--halved-grid"],
     ]
@@ -86,6 +96,8 @@ def final_commands() -> list[list[str]]:
     return [
         ["simulate", "-c", "multi_ring.json"],
         ["analyze", "-c", "multi_ring.json", "-r", "multi_ring/record"],
+        ["analyze", "-c", "multi_ring_measure_tol.json", "-r", "multi_ring/record",
+         "-o", "front_report_measure_tol.json"],
         ["diagnose", "-c", "multi_ring.json", "-r", "multi_ring/record"],
         ["simulate", "-c", "one_node.json"],
         ["diagnose", "-c", "one_node.json", "-r", "one_node/record"],
@@ -138,12 +150,16 @@ def main(argv=None) -> int:
         for name, overrides in CONFIGS.items():
             cfg = {**COARSE, **overrides, "output_dir": name}
             Path(f"{name}.json").write_text(json.dumps(cfg))
+            tolerances = cfg.get("tolerances", {})
             Path(f"{name}_measure_tol.json").write_text(
-                json.dumps({**cfg, "tolerances": {**cfg.get("tolerances", {}),
-                                                  "measure_tol": 0.05}}))
+                json.dumps({**cfg, "tolerances": {**tolerances, "measure_tol": 0.05}}))
+            Path(f"{name}_tolerances.json").write_text(
+                json.dumps({**cfg, "tolerances": {**tolerances, **REPORT_TOLERANCES}}))
             for argv in commands(name):
                 stdout.append((" ".join(argv), run(argv)))
         Path("multi_ring.json").write_text(json.dumps(MULTI_RING))
+        Path("multi_ring_measure_tol.json").write_text(
+            json.dumps({**MULTI_RING, "tolerances": {"measure_tol": 0.2}}))
         Path("one_node.json").write_text(json.dumps(ONE_NODE))
         for argv in final_commands():
             stdout.append((" ".join(argv), run(argv)))
