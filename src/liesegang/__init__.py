@@ -12,7 +12,6 @@ from .comparison import ComparisonReport, GridMismatch, compare, energy_monotoni
 from .duhamel import (
     DegenerateRate,
     InsufficientSnapshots,
-    ProbeOnFront,
     check_ut_identity,
     eval_F1,
     eval_F2,

@@ -28,8 +28,7 @@ from .relay import RelayKind
 from .solver import NonFiniteField, measure_t1
 
 _NUMERICAL_ERRORS = (NonFiniteField, EmptyFront, duhamel.InsufficientSnapshots,
-                     duhamel.ProbeOnFront, duhamel.DegenerateRate, FloatingPointError,
-                     LinAlgError)
+                     duhamel.DegenerateRate, FloatingPointError, LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +165,10 @@ def cmd_diagnose(args) -> int:
     if not probes:
         consts = record.constants
         if consts is None:
-            raise ValidationError(["record has no constants; provide probes in the config"])
+            raise ValidationError([f"record {args.record} has no ring constants, so no default "
+                                   "probe ladder, and no config can describe its synthetic or "
+                                   "subcritical run; evaluate it with "
+                                   "duhamel.diagnostics_report(record, probes)"])
         probes = default_probe_ladder(consts, record.params.alpha)
     # a bad probe is a config error, named with every other one
     if bad := duhamel.probe_faults(record, probes):

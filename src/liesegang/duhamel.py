@@ -48,10 +48,6 @@ class InsufficientSnapshots(ValueError):
     """Record does not store enough history below the evaluation time."""
 
 
-class ProbeOnFront(ValueError):
-    """Probe point violates the off-front margin."""
-
-
 class DegenerateRate(ValueError):
     """Temporal transversality fails; the front slope formula is undefined."""
 
@@ -276,25 +272,24 @@ class ProbeRow:
     residual: float
 
 
-def _off_front_guard(front: FrontFunction, x: float, t: float, dx: float, dt: float) -> None:
-    xs = front.ignited_x
-    ells = front.ignited_ell
-    near = (np.abs(xs - x) < 2.0 * dx) & (np.abs(ells - t) < 2.0 * dt)
-    if np.any(near):
-        j = int(np.flatnonzero(near)[0])
-        raise ProbeOnFront(
-            f"probe ({x}, {t}) within 2*dx and 2*dt of front node ({xs[j]}, {ells[j]})"
-        )
-
-
 def probe_faults(record: SolutionRecord, probes) -> list[str]:
     """Why each probe that :func:`check_ut_identity` cannot take is bad: F1
-    cannot be taken at its time (:func:`f1_unmet`), or it is off the grid,
-    where u_t would be read at the clamped end node.  Empty if none is."""
-    end = record.x[-1]
+    cannot be taken at its time (:func:`f1_unmet`), it is off the grid, where
+    u_t would be read at the clamped end node, or it is within ``2*dx`` and
+    ``2*dt`` of a front node, where the identity does not hold.  Empty if
+    none is."""
+    end, dx, dt = record.x[-1], record.grid.dx, record.grid.dt
+    lit = np.isfinite(record.ignition_time)
+    xs, ells = record.x[lit], record.ignition_time[lit]
     bad = [f"probe ({x}, {t}) {unmet[1]}" for x, t in probes if (unmet := f1_unmet(record, t))]
-    return bad + [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
-                  for x, t in probes if not 0.0 <= x <= end]
+    bad += [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
+            for x, t in probes if not 0.0 <= x <= end]
+    at = np.reshape(np.asarray(probes, dtype=float), (-1, 2))
+    near = (np.abs(xs - at[:, :1]) < 2.0 * dx) & (np.abs(ells - at[:, 1:]) < 2.0 * dt)
+    for i in np.flatnonzero(near.any(axis=1)):
+        (x, t), j = probes[i], near[i].argmax()
+        bad.append(f"probe ({x}, {t}) is within 2*dx and 2*dt of front node ({xs[j]}, {ells[j]})")
+    return bad
 
 
 def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
@@ -305,7 +300,6 @@ def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
         raise ValueError("\n".join(bad))
     rows = []
     for (x, t) in probes:
-        _off_front_guard(front, x, t, record.grid.dx, record.grid.dt)
         k, frac = record.bracket(t)
         near = _around(record.x, x)
         u_t = float(np.interp(x, record.x[near], (1.0 - frac) * ut_table(record, k, near)

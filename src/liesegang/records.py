@@ -83,6 +83,15 @@ def _paths(prefix) -> tuple[Path, Path]:
     return prefix.parent / (prefix.name + ".npz"), prefix.parent / (prefix.name + ".json")
 
 
+def output_dir(prefix) -> Path:
+    """The directory of the output ``prefix``; a missing one is named with the
+    prefix, not as a temporary file in it that the caller never chose."""
+    directory = Path(prefix).parent
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no directory {directory} for the output prefix {prefix}")
+    return directory
+
+
 def _local_sizes(header: tuple, extra: bytes) -> tuple[int, int]:
     """``(compressed size, size)`` from a local header and its extra field,
     whose ZIP64 record holds them when the header's own read 0xFFFFFFFF."""
@@ -399,8 +408,10 @@ class SolutionRecord:
         reader sees a partial archive and one that reads the old file keeps
         its arrays (its inode survives); on any error it is deleted instead.
         Arrays still stored are then read from the new archive, and the files
-        they were in are let go.
+        they were in are let go.  A missing directory is named before anything
+        is opened (:func:`output_dir`).
         """
+        output_dir(prefix)
         npz_path, json_path = _paths(prefix)
         tmp = npz_path.with_name(f"{npz_path.name}.{os.urandom(4).hex()}.tmp")
         try:

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-from pathlib import Path
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -458,9 +457,7 @@ class Stepper:
         """
         if snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if output is not None and not Path(output).parent.is_dir():
-            raise FileNotFoundError(f"no directory {Path(output).parent} for the output "
-                                    f"prefix {output}")
+        directory = None if output is None else records.output_dir(output)
         steps = np.fromiter(_snapshot_steps(self.step_index, self.grid.n_t, snapshot_stride),
                             np.int64)
         times = steps * self.grid.dt
@@ -468,10 +465,10 @@ class Stepper:
         # snapshots would hold each one twice; the accumulator is stored on the
         # relay window, as it is zero past it
         shapes = (times.size, self.n), (times.size, self.m)
-        if output is None:
+        if directory is None:
             w, accum = (np.empty(shape) for shape in shapes)
         else:
-            w, accum = (spool(Path(output).parent, shape) for shape in shapes)
+            w, accum = (spool(directory, shape) for shape in shapes)
         for k, step in enumerate(steps):
             for _ in range(step - self.step_index):
                 self.step()

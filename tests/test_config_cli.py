@@ -1098,6 +1098,19 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
 
 # -- inputs a command would drop or fail on late exit 1 ------------------------
 
+# (0.1, 0.0067) is the front node x = 0.1 of the short run below.
+ON_FRONT = "is within 2*dx and 2*dt of front node (0.1, 0.0067)"
+
+
+def simulate_short_run(tmp_path) -> dict:
+    """The settings of a short run on the coarse grid, saved as ``tmp_path/rec``."""
+    run = dict(TINY, x_max=4.0, snapshot_stride=7)
+    path = write_config(tmp_path, dict(run, output_dir=str(tmp_path)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0
+    return run
+
+
 @pytest.mark.parametrize("probes, named", [
     (None, "probe (0.11477337910434565, 0.05269171420411939) is past the record's last "
            "time 0.05"),
@@ -1111,21 +1124,23 @@ def test_saved_record_commands_reject_a_config_of_another_run(tmp_path, capsys, 
      "probe (0.1, 0.0005) is before the 10*dt burn-in, which ends at t = 0.001\n"
      "  - probe (0.2, 0.0012) has 2 snapshots below it; F1 needs 3\n"
      "  - probe (0.3, 0.06) is past the record's last time 0.05"),
+    ([[0.1, 0.0067]], f"probe (0.1, 0.0067) {ON_FRONT}"),
+    ([[0.1, 0.0067], [0.3, 0.06]], "probe (0.3, 0.06) is past the record's last time 0.05\n"
+                                   f"  - probe (0.1, 0.0067) {ON_FRONT}"),
 ], ids=["default_ladder", "config_probe", "config_probe_left_of_the_grid",
         "config_probe_right_of_the_grid", "config_probe_in_the_burn_in",
-        "config_probe_with_two_snapshots_below", "config_probes_each_named"])
+        "config_probe_with_two_snapshots_below", "config_probes_each_named",
+        "config_probe_on_the_front", "config_probes_on_the_front_and_past_the_record"])
 def test_diagnose_rejects_probes_past_the_record(tmp_path, capsys, monkeypatch, probes, named):
     # the default ladder of a short record once exited 2 from the quadrature
     # ("numerical failure: t = 0.0526... beyond record horizon 0.05"), and a
     # probe off the grid exited 0 with u_t from the clamped end node; a probe
     # in the burn-in exited 1 with a bare "error: F1 requires t >= 10*dt", one
     # with two snapshots below it exited 2, and of several bad probes only
-    # those past the record were named
+    # those past the record were named; a probe on the front exited 2, or
+    # went unnamed beside one past the record
     monkeypatch.delenv(config.ENV_OUTPUT_DIR, raising=False)
-    run = dict(TINY, x_max=4.0, snapshot_stride=7)
-    path = write_config(tmp_path, dict(run, output_dir=str(tmp_path)))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["simulate", "-c", path, "-o", "rec"]) == 0
+    run = simulate_short_run(tmp_path)
     out = tmp_path / "out"
     args = ["-c", write_config(tmp_path, dict(run, output_dir=str(out), probes=probes),
                                "probes.json")] if probes else ["--output-dir", str(out)]
@@ -1136,6 +1151,56 @@ def test_diagnose_rejects_probes_past_the_record(tmp_path, capsys, monkeypatch, 
         "error: invalid configuration:"]
     assert f"  - {named}\n" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_no_F1_is_taken_when_any_probe_is_bad(tmp_path, capsys, monkeypatch):
+    # a good probe's F1 and F2 were taken before a probe on the front after it
+    # raised, and diagnose exited 2
+    run = simulate_short_run(tmp_path)
+    probes = [[0.1, 0.04], [0.1, 0.0067]]
+    calls, eval_F1 = [], duhamel.eval_F1
+    monkeypatch.setattr(duhamel, "eval_F1", lambda *a: calls.append(a) or eval_F1(*a))
+    path = write_config(tmp_path, dict(run, output_dir=str(tmp_path), probes=probes),
+                        "probes.json")
+    assert cli.main(["diagnose", "-c", path, "-r", str(tmp_path / "rec")]) == 1
+    assert capsys.readouterr().err == ("error: invalid configuration:\n"
+                                       f"  - probe (0.1, 0.0067) {ON_FRONT}\n")
+    record = lg.SolutionRecord.load(tmp_path / "rec")
+    with pytest.raises(ValueError, match="of front node"):
+        duhamel.check_ut_identity(record, fronts.extract_front(record), probes)
+    assert calls == []
+
+
+def test_diagnose_of_a_record_without_constants_names_the_library_call(tmp_path, capsys):
+    # the error advised "provide probes in the config", which every config
+    # then failed, since none describes a prescribed field's run
+    grid = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.5)
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    record = lg.SolutionRecord.from_fields(
+        lambda x, t: np.full(np.shape(x), params.u_star + t - 0.2), params, grid)
+    prefix = tmp_path / "rec"
+    record.save(prefix)
+    out = tmp_path / "out"
+    assert cli.main(["diagnose", "-r", str(prefix), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration:\n  - record {prefix} has no ring constants, so no "
+        "default probe ladder, and no config can describe its synthetic or subcritical run; "
+        "evaluate it with duhamel.diagnostics_report(record, probes)\n")
+    assert not out.exists()
+    report = duhamel.diagnostics_report(lg.SolutionRecord.load(prefix), [(0.5, 0.1)])
+    assert [row["x"] for row in report["probes"]] == [0.5]
+
+
+# The two-ring run takes a snapshot every 5 steps, not 20, so that F1 can be
+# taken at the ladder's first probe.
+@pytest.mark.parametrize("settings", [COARSE, dict(MULTI_RING, snapshot_stride=5)],
+                         ids=["coarse", "multi_ring"])
+def test_the_default_probe_ladder_is_off_the_front(settings):
+    # a ladder probe on the front would stop every diagnose given no probes
+    cfg = config.parse_config(overrides=settings)
+    record = lg.run(cfg.params, cfg.grid, cfg.relay_kind, cfg.snapshot_stride)
+    ladder = config.default_probe_ladder(cfg.constants, cfg.params.alpha)
+    assert duhamel.probe_faults(record, ladder) == []
 
 
 @pytest.mark.parametrize("argv, named", [

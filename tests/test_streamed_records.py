@@ -109,6 +109,19 @@ def test_a_missing_output_directory_is_named_before_the_first_step(tmp_path, mon
     assert not steps and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_save_names_a_missing_directory(tmp_path):
+    # the error named the temporary archive '<dir>/missing/rec.npz.<hex>.tmp'
+    grid = lg.GridSpec.make(dx=0.05, dt=0.01, x_max=1.0, t_max=0.1)
+    params = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
+    record = lg.SolutionRecord.from_fields(lambda x, t: np.zeros(np.shape(x)), params, grid)
+    prefix = tmp_path / "missing" / "rec"
+    with pytest.raises(FileNotFoundError) as raised:
+        record.save(prefix)
+    assert str(raised.value) == (f"no directory {tmp_path / 'missing'} for the output prefix "
+                                 f"{prefix}")
+    assert not any(tmp_path.rglob("*"))
+
+
 def test_a_run_never_saved_leaves_no_file(tmp_path, monkeypatch):
     cfg = config.parse_config(write_config(tmp_path))
     seen, snapshot = set(), solver.Stepper.snapshot

@@ -29,9 +29,14 @@ ring starts at x = 2.57); only ``simulate``, ``analyze`` (also with
 it.  The sixth is the coarse grid with ``u_star_fraction`` 0.99999, whose
 front is the one node x = 0, so that F2's rule for an isolated node is
 compared: ``simulate`` and ``diagnose`` at four probes.  Every command must
-exit 0.  Outputs go to one subdirectory per config, given in the configs as
-relative paths, so the reports do not depend on ``--workdir`` (default: a
-temporary directory, removed at the end).  About 10 s on 2 vCPUs.
+exit 0, but those of :func:`failing_commands`, which must fail: ``diagnose``
+on the saved sharp record with a probe on its front node (0.1, 0.0067),
+alone and beside one past the record, ``compare`` given ``--rec1`` alone
+with ``--epsilon2``, and ``analyze`` given ``--dx``, which the record fixes.
+Each prints ``[<command>] exit <code> stderr <sha256>``.
+Outputs go to one subdirectory per config, given in the configs as relative
+paths, so the reports do not depend on ``--workdir`` (default: a temporary
+directory, removed at the end).  About 10 s on 2 vCPUs.
 """
 from __future__ import annotations
 
@@ -70,6 +75,8 @@ REPORT_TOLERANCES = {"measure_tol": 0.05, "jump_factor": 1.0, "front_tol": 1e-3,
                      "slope_floor": 1.0, "rate_floor": 1.0}
 ONE_NODE = {**COARSE, "u_star_fraction": 0.99999, "output_dir": "one_node",
             "probes": [[0.1, 0.1], [0.3, 0.2], [0.05, 0.25], [0.5, 0.15]]}
+# Probes of the sharp coarse record that diagnose must reject.
+BAD_PROBES = {"on_front": [[0.1, 0.0067]], "on_front_past_record": [[0.1, 0.0067], [0.3, 0.5]]}
 
 
 def commands(name: str) -> list[list[str]]:
@@ -108,14 +115,33 @@ def final_commands() -> list[list[str]]:
     ]
 
 
-def run(argv: list[str]) -> str:
-    """Run one command in-process; return its stdout, failing on a non-zero exit."""
+def failing_commands() -> list[list[str]]:
+    return [
+        *(["diagnose", "-c", f"{name}.json", "-r", "sharp_deficit/record"] for name in BAD_PROBES),
+        ["compare", "-c", "sharp_deficit.json", "--rec1", "sharp_deficit/record",
+         "--epsilon2", "1e-3"],
+        ["analyze", "-r", "sharp_deficit/record", "--dx", "0.01"],
+    ]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Run one command in-process; return its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def succeed(argv: list[str]) -> str:
+    """Run one command in-process; return its stdout, failing on a non-zero exit."""
+    code, out, err = run(argv)
     if code != 0:
-        raise SystemExit(f"liesegang {' '.join(argv)} exited {code}: {err.getvalue()}")
-    return out.getvalue()
+        raise SystemExit(f"liesegang {' '.join(argv)} exited {code}: {err}")
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def hashes(root: Path):
@@ -156,17 +182,27 @@ def main(argv=None) -> int:
             Path(f"{name}_tolerances.json").write_text(
                 json.dumps({**cfg, "tolerances": {**tolerances, **REPORT_TOLERANCES}}))
             for argv in commands(name):
-                stdout.append((" ".join(argv), run(argv)))
+                stdout.append((" ".join(argv), succeed(argv)))
         Path("multi_ring.json").write_text(json.dumps(MULTI_RING))
         Path("multi_ring_measure_tol.json").write_text(
             json.dumps({**MULTI_RING, "tolerances": {"measure_tol": 0.2}}))
         Path("one_node.json").write_text(json.dumps(ONE_NODE))
+        for name, probes in BAD_PROBES.items():
+            Path(f"{name}.json").write_text(
+                json.dumps({**COARSE, "output_dir": "sharp_deficit", "probes": probes}))
         for argv in final_commands():
-            stdout.append((" ".join(argv), run(argv)))
+            stdout.append((" ".join(argv), succeed(argv)))
+        failed = []
+        for argv in failing_commands():
+            code, _, err = run(argv)
+            if code == 0:
+                raise SystemExit(f"liesegang {' '.join(argv)} exited 0, but must fail")
+            failed.append(f"[{' '.join(argv)}] exit {code} stderr {sha256(err)}")
         for label, digest in hashes(root):
             print(f"{label} {digest}")
         for label, text in stdout:
-            print(f"[{label}] stdout {hashlib.sha256(text.encode()).hexdigest()}")
+            print(f"[{label}] stdout {sha256(text)}")
+        print("\n".join(failed))
     return 0
 
 
