@@ -9,15 +9,7 @@ diagnostics for the Duhamel derivative identity, a two-ODE switching toy,
 and a two-solution comparison harness.
 """
 from .comparison import ComparisonReport, GridMismatch, compare, energy_monotonicity_check, perturbation_sweep
-from .duhamel import (
-    DegenerateRate,
-    InsufficientSnapshots,
-    check_ut_identity,
-    eval_F1,
-    eval_F2,
-    front_derivative_estimate,
-    transversality,
-)
+from .duhamel import check_ut_identity, eval_F1, eval_F2, front_derivative_estimate, transversality
 from .fronts import (
     BoundaryClass,
     EmptyFront,

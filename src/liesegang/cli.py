@@ -25,10 +25,10 @@ from .model import compute_constants
 from .odetoy import CONSTANT, LINEAR, ToyConfig, enumerate_policies
 from .records import SolutionRecord
 from .relay import RelayKind
-from .solver import NonFiniteField, measure_t1
+from .solver import measure_t1
 
-_NUMERICAL_ERRORS = (NonFiniteField, EmptyFront, duhamel.InsufficientSnapshots,
-                     duhamel.DegenerateRate, FloatingPointError, LinAlgError)
+# solver.NonFiniteField is a FloatingPointError
+_NUMERICAL_ERRORS = (FloatingPointError, LinAlgError, EmptyFront)
 
 
 class _Parser(argparse.ArgumentParser):

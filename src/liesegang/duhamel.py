@@ -44,14 +44,6 @@ _FLAT_CELL_REL = 1e-6
 BURN_IN_STEPS = 10  # F1 and the look-back rate u_t_minus need t >= BURN_IN_STEPS*dt
 
 
-class InsufficientSnapshots(ValueError):
-    """Record does not store enough history below the evaluation time."""
-
-
-class DegenerateRate(ValueError):
-    """Temporal transversality fails; the front slope formula is undefined."""
-
-
 # -- u_t from snapshots -------------------------------------------------------
 
 def ut_table(record: SolutionRecord, k: int, cols=slice(None)) -> np.ndarray:
@@ -129,17 +121,17 @@ def _snapshots_below(times: np.ndarray, t: float) -> int:
     return int(np.count_nonzero(times < t - 1e-15 * max(t, 1.0)))
 
 
-def f1_unmet(record: SolutionRecord, t: float) -> tuple[type, str] | None:
-    """None if :func:`eval_F1` can evaluate F1 at time ``t``, else the error it
-    raises and why: ``t`` is before the burn-in, past the record's last
-    time, or has fewer than three snapshots below it."""
+def f1_unmet(record: SolutionRecord, t: float) -> str | None:
+    """None if :func:`eval_F1` can evaluate F1 at time ``t``, else why not:
+    ``t`` is before the burn-in, past the record's last time, or has fewer
+    than three snapshots below it."""
     times, burn_in = record.times, BURN_IN_STEPS * record.grid.dt
     if t < burn_in:
-        return ValueError, f"is before the {BURN_IN_STEPS}*dt burn-in, which ends at t = {burn_in}"
+        return f"is before the {BURN_IN_STEPS}*dt burn-in, which ends at t = {burn_in}"
     if t > times[-1] * (1.0 + records.HORIZON_SLACK):
-        return InsufficientSnapshots, f"is past the record's last time {times[-1]}"
+        return f"is past the record's last time {times[-1]}"
     n = _snapshots_below(times, t)
-    return (InsufficientSnapshots, f"has {n} snapshots below it; F1 needs 3") if n < 3 else None
+    return f"has {n} snapshots below it; F1 needs 3" if n < 3 else None
 
 
 def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
@@ -166,7 +158,7 @@ def eval_F1(record: SolutionRecord, x: float, t: float) -> float:
     order of one sum over all of them, so the float is the same.
     """
     if unmet := f1_unmet(record, t):
-        raise unmet[0](f"t = {t} {unmet[1]}")
+        raise ValueError(f"t = {t} {unmet}")
     times = record.times
     K = _snapshots_below(times, t) - 1
     xg = record.x
@@ -281,7 +273,7 @@ def probe_faults(record: SolutionRecord, probes) -> list[str]:
     end, dx, dt = record.x[-1], record.grid.dx, record.grid.dt
     lit = np.isfinite(record.ignition_time)
     xs, ells = record.x[lit], record.ignition_time[lit]
-    bad = [f"probe ({x}, {t}) {unmet[1]}" for x, t in probes if (unmet := f1_unmet(record, t))]
+    bad = [f"probe ({x}, {t}) {unmet}" for x, t in probes if (unmet := f1_unmet(record, t))]
     bad += [f"probe ({x}, {t}) is off the grid, which ends at x = {end}"
             for x, t in probes if not 0.0 <= x <= end]
     at = np.reshape(np.asarray(probes, dtype=float), (-1, 2))
@@ -360,7 +352,7 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
         raise ValueError(f"no temporal rate at x = {x}: not ignited, ignited before 10*dt, "
                          f"or no look-back samples stored")
     if not u_t_minus > Tolerances.rate_floor:
-        raise DegenerateRate(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
+        raise ValueError(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
     if math.isnan(u_x_plus):
         raise ValueError(f"no rightward samples stored at node x = {x}")
     value = -u_x_plus / u_t_minus

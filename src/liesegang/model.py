@@ -39,7 +39,8 @@ class RootNotBracketed(RuntimeError):
 class ModelParams:
     """Physical parameters: source speed alpha, strength beta, threshold u_star.
 
-    ``u_star`` may be ``math.inf`` as a sentinel for "no precipitation".
+    ``alpha`` and ``beta`` are finite; ``u_star`` may be ``math.inf`` as a
+    sentinel for "no precipitation".
     """
 
     alpha: float
@@ -47,10 +48,9 @@ class ModelParams:
     u_star: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("alpha", "beta"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (self.u_star > 0):
             raise ValueError(f"u_star must be positive, got {self.u_star}")
 

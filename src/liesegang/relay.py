@@ -46,8 +46,8 @@ class RelayKind:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown relay variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == MOLLIFIED:
-            if self.epsilon is None or not (self.epsilon > 0):
-                raise ValueError("mollified relay requires epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < np.inf:
+                raise ValueError(f"mollified relay requires a finite epsilon > 0, got {self.epsilon}")
         elif self.epsilon is not None:
             raise ValueError(f"{self.variant} relay takes no epsilon")
 

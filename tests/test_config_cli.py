@@ -469,7 +469,7 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema",
                                         "corrupt_sidecar", "non_utf8_sidecar", "wide_accum",
-                                        "no_snapshots"])
+                                        "no_snapshots", "infinite_alpha", "infinite_epsilon"])
     def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
         import numpy as np
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
@@ -498,6 +498,14 @@ class TestCli:
             json_path.write_bytes(json_path.read_bytes()[:30])
         elif damage == "non_utf8_sidecar":
             json_path.write_bytes(b"\xff" + json_path.read_bytes())
+        elif damage in ("infinite_alpha", "infinite_epsilon"):
+            # analyze once raised OverflowError on the first, and took the second
+            meta = json.loads(json_path.read_text())
+            if damage == "infinite_alpha":
+                meta["params"]["alpha"] = math.inf
+            else:
+                meta["relay"] = {"variant": "mollified", "epsilon": math.inf}
+            json_path.write_text(json.dumps(meta))
         else:
             version = lg.records.RECORD_SCHEMA_VERSION
             json_path.write_text(json_path.read_text().replace(
@@ -510,7 +518,14 @@ class TestCli:
             assert "rec.npz" in err
         else:
             assert "rec.json" in err
-            assert damage == "wrong_schema" or "unreadable sidecar" in err
+            assert damage == "wrong_schema" or "unreadable sidecar" in err or (
+                damage.startswith("infinite") and "malformed sidecar" in err)
+        if damage.startswith("infinite"):
+            assert self.run_cli("analyze", "-r", str(tmp_path / "rec"),
+                                "--output-dir", str(tmp_path)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("error:") == 1
+            assert "rec.json: malformed sidecar" in err and "Traceback" not in err
         if damage == "no_snapshots":  # compare once raised IndexError on it
             rec = str(tmp_path / "rec")
             assert self.run_cli("compare", "--rec1", rec, "--rec2", rec,

@@ -210,9 +210,9 @@ class TestF1:
 
     def test_insufficient_snapshots(self, rec_coarse_sharp):
         t_late = rec_coarse_sharp.times[-1] * 2
-        with pytest.raises(duhamel.InsufficientSnapshots):
+        with pytest.raises(ValueError, match="past the record's last time"):
             duhamel.eval_F1(rec_coarse_sharp, 0.1, t_late)
-        with pytest.raises(duhamel.InsufficientSnapshots):
+        with pytest.raises(ValueError, match="snapshots below it"):
             duhamel.eval_F1(rec_coarse_sharp, 0.1, rec_coarse_sharp.times[2])
 
     def test_bounded_by_theory(self, rec_coarse_sharp):
@@ -508,7 +508,7 @@ class TestFrontDerivative:
             return np.full(np.shape(x), PARAMS.u_star + (1e-12 if t >= 0.5 else 0.0))
 
         rec = synthetic_record(u_fn)
-        with pytest.raises(duhamel.DegenerateRate):
+        with pytest.raises(ValueError, match="rate_floor"):
             duhamel.front_derivative_estimate(rec, 0.2)
 
     def test_a_point_between_nodes_is_rejected(self):

@@ -209,6 +209,13 @@ class TestParams:
         with pytest.raises(ValueError):
             lg.ModelParams(alpha=1.0, beta=1.0, u_star=0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf),
+                                             (math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_alpha_or_beta_rejected(self, alpha, beta):
+        # a sidecar's "alpha": Infinity once reached fronts.segment_rings
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            lg.ModelParams(alpha, beta, 0.4)
+
     def test_infinite_threshold_is_a_valid_sentinel(self):
         p = lg.ModelParams(1.0, 1.0, math.inf)
         assert not p.supercritical

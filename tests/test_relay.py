@@ -31,6 +31,12 @@ class TestKind:
             lg.RelayKind(SHARP, epsilon=0.1)
         assert lg.RelayKind.mollified(1e-3).epsilon == 1e-3
 
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # an infinite width once gave nodes an ignition time with p = 0 everywhere
+        with pytest.raises(ValueError, match="finite epsilon > 0"):
+            lg.RelayKind.mollified(epsilon)
+
 
 class TestAccumulate:
     def test_below_threshold_leaves_state_untouched(self, params):

@@ -32,7 +32,11 @@ compared: ``simulate`` and ``diagnose`` at four probes.  Every command must
 exit 0, but those of :func:`failing_commands`, which must fail: ``diagnose``
 on the saved sharp record with a probe on its front node (0.1, 0.0067),
 alone and beside one past the record, ``compare`` given ``--rec1`` alone
-with ``--epsilon2``, and ``analyze`` given ``--dx``, which the record fixes.
+with ``--epsilon2``, ``analyze`` given ``--dx``, which the record fixes, and
+``analyze`` and ``diagnose`` on copies of that record whose sidecar says
+``"alpha": Infinity`` (both) or gives a mollified relay of ``"epsilon":
+Infinity`` (``analyze``) (:data:`DAMAGED_SIDECARS`; the copies are removed
+before the files are hashed).
 Each prints ``[<command>] exit <code> stderr <sha256>``.
 Outputs go to one subdirectory per config, given in the configs as relative
 paths, so the reports do not depend on ``--workdir`` (default: a temporary
@@ -45,7 +49,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import sys
 import tempfile
 import zipfile
@@ -77,6 +83,12 @@ ONE_NODE = {**COARSE, "u_star_fraction": 0.99999, "output_dir": "one_node",
             "probes": [[0.1, 0.1], [0.3, 0.2], [0.05, 0.25], [0.5, 0.15]]}
 # Probes of the sharp coarse record that diagnose must reject.
 BAD_PROBES = {"on_front": [[0.1, 0.0067]], "on_front_past_record": [[0.1, 0.0067], [0.3, 0.5]]}
+# Sidecar edits of the sharp coarse record, each in a copy named after it,
+# and the commands that must reject the copy.
+DAMAGED_SIDECARS = {
+    "infinite_alpha": ({"params": {"alpha": math.inf}}, ("analyze", "diagnose")),
+    "infinite_epsilon": ({"relay": {"variant": "mollified", "epsilon": math.inf}}, ("analyze",)),
+}
 
 
 def commands(name: str) -> list[list[str]]:
@@ -121,7 +133,20 @@ def failing_commands() -> list[list[str]]:
         ["compare", "-c", "sharp_deficit.json", "--rec1", "sharp_deficit/record",
          "--epsilon2", "1e-3"],
         ["analyze", "-r", "sharp_deficit/record", "--dx", "0.01"],
+        *([command, "-r", f"{name}/record"]
+          for name, (_, cmds) in DAMAGED_SIDECARS.items() for command in cmds),
     ]
+
+
+def write_damaged_copies() -> None:
+    """Copy the sharp coarse record into one directory per
+    :data:`DAMAGED_SIDECARS` entry, its sidecar's objects updated by the edit."""
+    meta = json.loads(Path("sharp_deficit/record.json").read_text())
+    for name, (edit, _) in DAMAGED_SIDECARS.items():
+        Path(name).mkdir()
+        shutil.copy("sharp_deficit/record.npz", f"{name}/record.npz")
+        damaged = {**meta, **{key: {**meta[key], **value} for key, value in edit.items()}}
+        Path(f"{name}/record.json").write_text(json.dumps(damaged))
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -192,12 +217,15 @@ def main(argv=None) -> int:
                 json.dumps({**COARSE, "output_dir": "sharp_deficit", "probes": probes}))
         for argv in final_commands():
             stdout.append((" ".join(argv), succeed(argv)))
+        write_damaged_copies()
         failed = []
         for argv in failing_commands():
             code, _, err = run(argv)
             if code == 0:
                 raise SystemExit(f"liesegang {' '.join(argv)} exited 0, but must fail")
             failed.append(f"[{' '.join(argv)}] exit {code} stderr {sha256(err)}")
+        for name in DAMAGED_SIDECARS:
+            shutil.rmtree(name)
         for label, digest in hashes(root):
             print(f"{label} {digest}")
         for label, text in stdout:
