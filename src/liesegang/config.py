@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .jsonio import SCHEMA_VERSION
 from .model import (ModelConstants, ModelParams, NotSupercritical, RootNotBracketed,
                     compute_constants)
 from .relay import MOLLIFIED, SHARP, VARIANTS, RelayKind
-from .solver import SCHEMES
+from .solver import SCHEMES, SNAPSHOT_STRIDE
 
 ENV_OUTPUT_DIR = "LIESEGANG_OUTPUT_DIR"
 
@@ -81,7 +80,7 @@ KEYS = (
     Key("relay", SHARP, VARIANTS, "--relay", record_fixed=True),
     Key("epsilon", None, float, "--epsilon", nullable=True, record_fixed=True),
     Key("scheme", "deficit", SCHEMES, "--scheme", record_fixed=True),
-    Key("snapshot_stride", 100, int, "--stride", record_fixed=True),
+    Key("snapshot_stride", SNAPSHOT_STRIDE, int, "--stride", record_fixed=True),
     Key("probes", []),
     Key("output_dir", ".", str, "--output-dir", nullable=True),  # null selects "."
     Key("tolerances", {}),
@@ -251,18 +250,16 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                     params = ModelParams(alpha, beta, u_star)
                 else:
                     params = ModelParams.from_fraction(alpha, beta, fraction)
-                constants = compute_constants(params, t1=tol_kwargs["t1_ceiling"])
                 # a tiny alpha or beta underflows T2 (the default t_max is 2*T2),
-                # c_psi or Psi(alpha) to 0 or to a subnormal float
-                tiny = [k for k, v in asdict(constants).items() if not v >= sys.float_info.min]
-                if tiny:
-                    raise ArithmeticError(f"{', '.join(tiny)} not positive normal floats")
+                # c_psi or Psi(alpha) to 0 or to a subnormal float, which
+                # ModelConstants rejects with a ValueError
+                constants = compute_constants(params, t1=tol_kwargs["t1_ceiling"])
             except NotSupercritical:
                 violations.append(
                     f"threshold u_star = {params.u_star:.6g} is not supercritical "
                     f"(Psi(alpha) = {params.psi_alpha:.6g})"
                 )
-            except (RootNotBracketed, ArithmeticError) as exc:
+            except (RootNotBracketed, ArithmeticError, ValueError) as exc:
                 violations.append(f"no ring constants for alpha = {alpha:g}, beta = {beta:g}: "
                                   f"{exc}")
 

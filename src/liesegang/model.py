@@ -13,7 +13,8 @@ loops and the record readers all call it, and erfc runs only past the plateau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -188,7 +189,8 @@ class ModelConstants:
     is the alternative expression sqrt(t_star) that appears without the alpha
     factor.  Both are reported; the canonical value used by the tools is
     ``L``.  The fields, in order, are the JSON layout of the constants in
-    record sidecars and constants reports.
+    record sidecars and constants reports.  Each must be a positive normal
+    float: a ValueError names every one that is not.
     """
 
     alpha_star: float
@@ -201,6 +203,12 @@ class ModelConstants:
     T2: float
     T_unique: float
     psi_alpha: float
+
+    def __post_init__(self):
+        bad = [f"{f.name} = {v!r}" for f in fields(self)
+               if not sys.float_info.min <= (v := getattr(self, f.name)) < math.inf]
+        if bad:
+            raise ValueError(f"constants not positive normal floats: {', '.join(bad)}")
 
     @property
     def ring_width_alt(self) -> float:

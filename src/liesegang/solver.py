@@ -35,19 +35,20 @@ known forcing.  So the relay is not updated after every step but once per
 block of steps in which no node can switch (:class:`Stepper`): each step
 only checks whether a node that can still ignite has ``u > u_star``.  The
 mollified relay's ``p`` also moves on every step a node spends in its
-smoothstep band ``0 < a < eps``; only those few nodes' ``p`` is updated after
-every step, and the accumulator goes through the block path on all nodes.
+smoothstep band ``0 < a < eps``; only the band's ``p``, on the one slice from
+its first to its last node, is updated after every step, and the
+accumulator goes through the block path on all nodes.
 
 The interior step matrix ``I - mu*D2 + dt*diag(p)`` depends on time only
 through ``p``, which the irreversible relay changes only when a node switches
-and, under the mollified relay, on the smoothstep band's columns after every
-step a node spends in it.  :class:`StepMatrix` keeps the diagonal as state:
-a relay update rebuilds it and a band step rewrites the band's columns.
-After an update it is LU-factored once (LAPACK ``gttrf``) and each step of a
-switch-free block is solved with the stored factors (``gttrs``); after a
-band step, since the diagonal changes again one step later, the next solve
-is a single ``gtsv`` elimination.  Every path is bit-identical to a fresh
-``gtsv`` elimination on every step.
+and, under the mollified relay, on the band's columns after every step.
+:class:`StepMatrix` keeps the diagonal as state, with one writer: a relay
+update rewrites the window's columns and a band step the band's.  The first
+solve after a write is a single ``gtsv`` elimination; only a second solve on
+an unchanged diagonal LU-factors it (LAPACK ``gttrf``), and it and every
+later step of a switch-free block are solved with the stored factors
+(``gttrs``).  Every path is bit-identical to a fresh ``gtsv`` elimination on
+every step.
 
 A second scheme integrates ``u`` directly, depositing the singular source
 ``(alpha*beta / (2 sqrt t)) * delta(x - alpha sqrt t)`` onto the grid with
@@ -92,6 +93,8 @@ TAIL_BLOCK_STEPS = 128
 LOOKBACK = max(BACK_OFFSETS)
 # The schemes :func:`run` takes; the config's ``scheme`` key accepts the same.
 SCHEMES = ("deficit", "deposition")
+# The snapshot stride of :func:`run` and of the config's ``snapshot_stride`` key.
+SNAPSHOT_STRIDE = 100
 
 
 def solve_banded(*args, **kwargs):  # unused; perfbench/tracing.py wraps it
@@ -124,15 +127,14 @@ class StepMatrix:
     row at ``x_max`` when the interior is the whole grid (``tail_h0`` None);
     otherwise it couples to a :class:`ModalTail`, which adds ``-mu*tail_h0``
     to its diagonal and keeps the ``-mu`` towards the interior.  The diagonal
-    ``diag = main_base + dt*p`` is state, ``main_base`` (p = 0) when built:
-    :meth:`set_p` rebuilds it for ``dt*p`` on the leading nodes, and
-    :meth:`set_band` rewrites it on the mollified relay's smoothstep band,
-    which changes it again after the next step.  :meth:`solve` is every
-    step's solve and picks the LAPACK path:
-    after a band write, one ``gtsv`` elimination; otherwise a ``gttrf`` on
-    the first solve after a change (counted in ``factorizations``) and a
-    ``gttrs`` with the stored factors on every solve.  Both paths give the
-    solution of a fresh ``gtsv`` bit for bit.
+    ``diag = main_base + dt*p`` is state, ``main_base`` (p = 0) when built,
+    and :meth:`set_p` is its one writer.  :meth:`solve` is every step's solve
+    and picks the LAPACK path from that state: the first solve after the
+    matrix is built or written is one ``gtsv`` elimination; the second solve
+    on an unchanged diagonal factors it with ``gttrf`` (counted in
+    ``factorizations``), and it and every later one until the next write
+    solve with the stored factors (``gttrs``).  Every path gives the solution
+    of a fresh ``gtsv`` bit for bit.
     """
 
     def __init__(self, n: int, mu: float, tail_h0: float | None = None):
@@ -145,30 +147,28 @@ class StepMatrix:
         else:
             self.main_base[-1] -= mu * tail_h0
         self.diag = self.main_base.copy()
-        self.factors: tuple = ()  # LU factors of diag; empty after it changed
-        self.band_written = False  # set_band changed diag since the last solve
+        # LU factors of diag: None until the first solve after a write, then
+        # empty until the second
+        self.factors: tuple | None = None
         self.factorizations = 0
 
-    def set_p(self, dt_p: np.ndarray) -> None:
-        """The diagonal for ``dt*p`` on the leading nodes."""
-        np.add(self.main_base[: dt_p.size], dt_p, out=self.diag[: dt_p.size])
-        self.factors = ()
-
-    def set_band(self, band: slice | np.ndarray, dt_p: np.ndarray) -> None:
-        """The diagonal on the band's columns for their ``dt*p``."""
-        self.diag[band] = self.main_base[band] + dt_p
-        self.factors = ()
-        self.band_written = True
+    def set_p(self, dt_p: np.ndarray, cols: slice | None = None) -> None:
+        """The diagonal for ``dt*p`` on the columns ``cols``, by default the
+        leading ``dt_p.size``."""
+        if cols is None:
+            cols = slice(0, dt_p.size)
+        np.add(self.main_base[cols], dt_p, out=self.diag[cols])
+        self.factors = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution, written over ``rhs``."""
+        if self.factors is None:
+            self.factors = ()
+            *_, x, info = lapack.dgtsv(self.dl, self.diag, self.du, rhs, overwrite_b=1)
+            if info != 0:
+                raise LinAlgError(f"singular step matrix (gtsv info={info})")
+            return x
         if not self.factors:
-            if self.band_written:
-                self.band_written = False
-                *_, x, info = lapack.dgtsv(self.dl, self.diag, self.du, rhs, overwrite_b=1)
-                if info != 0:
-                    raise LinAlgError(f"singular step matrix (gtsv info={info})")
-                return x
             *factors, info = lapack.dgttrf(self.dl, self.diag, self.du)
             if info != 0:
                 raise LinAlgError(f"singular step matrix (gttrf info={info})")
@@ -294,16 +294,17 @@ class Stepper:
     check.  The accumulator has one writer, :func:`relay.accumulate`, which
     the update calls on every window column.  Under the mollified relay a
     node's ``p`` also changes on every step it spends inside the smoothstep
-    band ``0 < a < eps``: the update takes the band and a copy of its
-    accumulators, to which each step adds its rectangles, in the update's
-    order, to re-evaluate the band's ``p`` by the relay's own rules
-    (:meth:`_step_band`); once the whole band has reached ``eps``, ``p`` is 1
-    there for good and the band ends.  Between updates the accumulators lag
-    (ignition times do not); :meth:`snapshot` brings them up to date.  ``p``
-    can change only at an update in which a node ignited and at a band step.  Such an update
-    rebuilds the step matrix's diagonal, and the next solve factors it; a
-    band step rewrites only the band's columns, and the next solve
-    eliminates in one LAPACK call (:class:`StepMatrix`).
+    band ``0 < a < eps``: the update takes the band, the one slice from the
+    first to the last such node, and a copy of its accumulators, to which
+    each step adds its rectangles, in the update's order, to re-evaluate the
+    band's ``p`` by the relay's own rules (:meth:`_step_band`) until the next
+    update.  The slice's other nodes keep their ``p``: a live one gets a zero
+    rectangle, or it ignites and the update ends the same step, and a
+    saturated one re-evaluates to ``p = 1``.  Between updates the
+    accumulators lag (ignition times do not); :meth:`snapshot` brings them up
+    to date.  ``p`` can change only at an update in which a node ignited and
+    at a band step, and each writes the step matrix's diagonal on its columns
+    (:class:`StepMatrix`, whose next solve is one ``gtsv``).
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
@@ -341,9 +342,9 @@ class Stepper:
         self._u_buf = np.full((LOOKBACK + TAIL_BLOCK_STEPS, self.mc), np.nan)
         self._hi = LOOKBACK
         self._threshold = np.full(self.mc, np.inf)  # u_star on live nodes
-        # mollified: the window nodes in the smoothstep band, a slice when contiguous
-        self._band: slice | np.ndarray = slice(0, 0)
-        self._band_size = 0
+        # mollified: the slice of window nodes from the first to the last in
+        # the smoothstep band, None when none is in it
+        self._band: slice | None = None
         self.relay_updates = 0
         self._find_live()
 
@@ -414,7 +415,7 @@ class Stepper:
                 u_win[:] = field[:mc]
         self.step_index += 1
         self._hi = j + 1
-        if self._band_size:
+        if self._band is not None:
             self._step_band(u_win)
         # NaN fails <=, so a non-finite buffered value ends the block at once
         if self._hi == len(self._u_buf) or np.count_nonzero(u_win <= self._threshold) < self.mc:
@@ -512,17 +513,14 @@ class Stepper:
 
     def _step_band(self, u_win: np.ndarray) -> None:
         """Add this step's rectangles to the copy of the band's accumulators
-        and re-evaluate their ``dt*p`` and the step matrix's diagonal there;
-        end the band once all of it has reached ``eps``."""
+        and re-evaluate their ``dt*p`` and the step matrix's diagonal there."""
         band, a, dt = self._band, self._band_acc, self.grid.dt
         a += rectangles(u_win[band], self.state.u_star, dt)
         # through the module: the solver's ``evaluate`` is the update's, one call per update
         dt_p = relay.evaluate(a, self.relay_kind)
         dt_p *= dt
         self._dt_p[band] = dt_p
-        self.matrix.set_band(band, dt_p)
-        if a.min() >= self.relay_kind.epsilon:  # p is 1 on the band, and a only grows
-            self._band_size = 0
+        self.matrix.set_p(dt_p, band)
 
     def _log_ignitions(self, nodes: list, rows: list) -> None:
         """Capture ``u`` right of each node that ignited, and at the look-back
@@ -535,8 +533,8 @@ class Stepper:
     def _find_live(self) -> None:
         """Set the threshold the live check compares each step's buffer row
         with: ``u_star`` on unignited window nodes that can still ignite, inf
-        elsewhere; under the mollified relay, also find the band and copy its
-        accumulators."""
+        elsewhere; under the mollified relay, also find the band's slice and
+        copy its accumulators."""
         a = self.state.accumulator
         live = a == 0.0
         if self.relay_kind.variant == PROPERTY_P:
@@ -544,11 +542,10 @@ class Stepper:
         self._threshold[: self.m] = np.where(live, self.state.u_star, np.inf)
         if self.relay_kind.variant == MOLLIFIED:
             band = np.flatnonzero(~live & (a < self.relay_kind.epsilon))
-            self._band_size = band.size
-            self._band_acc = a[band]
-            if band.size and band[-1] - band[0] == band.size - 1:
-                band = slice(int(band[0]), int(band[-1]) + 1)
-            self._band = band
+            self._band = None
+            if band.size:
+                self._band = slice(int(band[0]), int(band[-1]) + 1)
+                self._band_acc = a[self._band].copy()
 
 
 DeficitStepper = Stepper  # the name perfbench/tracing.py wraps for the per-step span
@@ -564,7 +561,8 @@ def _snapshot_steps(start: int, n_t: int, stride: int):
 
 
 def run(params: ModelParams, grid: GridSpec, relay_kind: RelayKind,
-        snapshot_stride: int = 100, *, scheme: str = "deficit", output=None) -> SolutionRecord:
+        snapshot_stride: int = SNAPSHOT_STRIDE, *, scheme: str = "deficit",
+        output=None) -> SolutionRecord:
     """Full run of ``scheme`` with snapshots every ``snapshot_stride`` steps:
     ``deficit``, the deficit formulation, or ``deposition``, the source
     deposition scheme.  With an ``output`` prefix the run spools the rows of

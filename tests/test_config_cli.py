@@ -467,9 +467,21 @@ class TestCli:
         assert lines[0] == "x,t,u_t,psi_t,F1,F2,residual"
         assert len(lines) == 11
 
+    # Sidecar edits that load once took or, for the first, analyze once died
+    # of with an OverflowError: each updates the fields of its sections.
+    SIDECAR_EDITS = {
+        "infinite_alpha": {"params": {"alpha": math.inf}},
+        "infinite_epsilon": {"relay": {"variant": "mollified", "epsilon": math.inf}},
+        "infinite_alpha_star": {"constants": {"alpha_star": math.inf}},
+        "negative_T2": {"constants": {"T2": -1}},
+        "nan_T2": {"constants": {"T2": math.nan}},
+        "infinite_L": {"constants": {"L": math.inf}},
+        "zero_C_ell": {"constants": {"C_ell": 0}},
+    }
+
     @pytest.mark.parametrize("damage", ["truncated", "mis_shaped", "wrong_schema",
                                         "corrupt_sidecar", "non_utf8_sidecar", "wide_accum",
-                                        "no_snapshots", "infinite_alpha", "infinite_epsilon"])
+                                        "no_snapshots", *SIDECAR_EDITS])
     def test_diagnose_rejects_a_damaged_record(self, tmp_path, capsys, damage):
         import numpy as np
         path = write_config(tmp_path, dict(TINY, output_dir=str(tmp_path)))
@@ -498,13 +510,10 @@ class TestCli:
             json_path.write_bytes(json_path.read_bytes()[:30])
         elif damage == "non_utf8_sidecar":
             json_path.write_bytes(b"\xff" + json_path.read_bytes())
-        elif damage in ("infinite_alpha", "infinite_epsilon"):
-            # analyze once raised OverflowError on the first, and took the second
+        elif damage in self.SIDECAR_EDITS:
             meta = json.loads(json_path.read_text())
-            if damage == "infinite_alpha":
-                meta["params"]["alpha"] = math.inf
-            else:
-                meta["relay"] = {"variant": "mollified", "epsilon": math.inf}
+            for section, edit in self.SIDECAR_EDITS[damage].items():
+                meta[section] = {**meta[section], **edit}
             json_path.write_text(json.dumps(meta))
         else:
             version = lg.records.RECORD_SCHEMA_VERSION
@@ -519,8 +528,8 @@ class TestCli:
         else:
             assert "rec.json" in err
             assert damage == "wrong_schema" or "unreadable sidecar" in err or (
-                damage.startswith("infinite") and "malformed sidecar" in err)
-        if damage.startswith("infinite"):
+                damage in self.SIDECAR_EDITS and "malformed sidecar" in err)
+        if damage in self.SIDECAR_EDITS:
             assert self.run_cli("analyze", "-r", str(tmp_path / "rec"),
                                 "--output-dir", str(tmp_path)) == 1
             err = capsys.readouterr().err
@@ -1028,6 +1037,17 @@ def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
     cfg = config.parse_config(path)
     measured = lg.measure_t1(lg.run(cfg.params, cfg.grid, cfg.relay_kind, cfg.snapshot_stride))
     assert report["t1_measured"] == measured > T1_CEILING
+
+
+def test_a_measured_t1_of_zero_exits_1_naming_t1(tmp_path, capsys, monkeypatch):
+    # measure_t1 returns 0.0 when its bound fails at the first snapshot after
+    # t = 0; the report once took the constants it set, T1 = T2 = 0
+    monkeypatch.setattr(cli, "measure_t1", lambda record: 0.0)
+    path = write_config(tmp_path, dict(COARSE, output_dir=str(tmp_path)))
+    assert cli.main(["constants", "-c", path, "--measure-t1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: constants not positive normal floats: T1 = 0.0, T2 = 0.0")
+    assert err.count("error:") == 1 and not (tmp_path / "constants.json").exists()
 
 
 # -- every tolerance a report reads reaches it from a config -------------------

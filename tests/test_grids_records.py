@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 import warnings
@@ -519,7 +520,8 @@ def field_bits(obj):
             for v in dataclasses.astuple(obj)]
 
 
-NUMBERS = st.floats(allow_nan=False)
+# a ModelConstants field: a positive normal float
+NORMAL = st.floats(sys.float_info.min, math.inf, exclude_max=True)
 POSITIVE = st.floats(1e-300, 1e300)
 
 
@@ -532,7 +534,7 @@ def sidecar_records(draw):
                        n_t=10**6)
     # t_star in [0, 1], as for real constants: ring_width_alt is sqrt(t_star)
     constants = draw(st.none() | st.builds(
-        lg.ModelConstants, NUMBERS, st.floats(0, 1), *[NUMBERS] * 8))
+        lg.ModelConstants, NORMAL, st.floats(sys.float_info.min, 1), *[NORMAL] * 8))
     n = n_x + 1
     return lg.SolutionRecord(
         params=lg.ModelParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)),

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -222,6 +224,20 @@ class TestParams:
 
 
 class TestConstants:
+    @pytest.mark.parametrize("edit", [
+        {"alpha_star": math.inf}, {"T2": -1.0}, {"T2": math.nan}, {"L": math.inf},
+        {"C_ell": 0.0}, {"T1": 5e-324}, {"T1": 0.0, "T2": 0.0, "T_unique": 0.0},
+    ], ids=["inf_alpha_star", "negative_T2", "nan_T2", "inf_L", "zero_C_ell",
+            "subnormal_T1", "zero_horizons"])
+    def test_every_field_must_be_a_positive_normal_float(self, params, edit):
+        # a sidecar's constants once loaded with any of these
+        c = lg.compute_constants(params)
+        named = ", ".join(f"{k} = {v!r}" for k, v in edit.items())
+        message = f"^constants not positive normal floats: {re.escape(named)}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(c, **edit)
+        assert dataclasses.replace(c, T1=sys.float_info.min).T1 == sys.float_info.min
+
     def test_threshold_at_plateau_is_not_supercritical(self, params):
         boundary = lg.ModelParams(ALPHA, BETA, params.psi_alpha)
         assert not boundary.supercritical

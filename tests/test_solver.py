@@ -168,7 +168,8 @@ class TestStepMatrix:
         matrix = solver.StepMatrix(self.N, self.MU)
         for p_win in patterns + patterns[:1]:
             matrix.set_p(self.DT * p_win)
-            for _ in range(2):  # the second solve reuses the factors
+            # the first solve eliminates, the second factors, the third reuses the factors
+            for _ in range(3):
                 rhs = rng.normal(size=self.N)
                 x = matrix.solve(rhs.copy())
                 assert np.array_equal(x, banded_solve(self.MU, self.DT, p_win, rhs))
@@ -195,47 +196,64 @@ class TestStepMatrix:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("keep", "set_p", "band")),
-                              st.integers(1, 2**M - 1), st.booleans()),
+                              st.integers(0, M - 1), st.integers(1, M)),
                     min_size=1, max_size=10),
            st.integers(0, 2**32 - 1))
-    def test_band_eliminations_mixed_with_factored_solves(self, ops, seed):
-        # band writes (one gtsv) between full rebuilds and solves that keep
-        # the diagonal (gttrf once, then gttrs), on slice and index-array bands
+    def test_eliminations_mixed_with_factored_solves(self, ops, seed):
+        # writes of the leading nodes or of a band's slice between solves that
+        # keep the diagonal: the first solve after a write (or after the
+        # matrix is built) is one gtsv, the second a gttrf and a gttrs, any
+        # later one a gttrs
         rng = np.random.default_rng(seed)
+        spy = self.LapackSpy()
         matrix = solver.StepMatrix(self.N, self.MU)
-        p_win, changed, banded, factorizations = np.zeros(self.M), True, False, 0
-        for op, bits, as_slice in ops:
-            if op == "set_p":
-                p_win = rng.uniform(0.0, 1.0, self.M)
-                matrix.set_p(self.DT * p_win)
-                changed = True
-            elif op == "band":
-                cols = np.flatnonzero([(bits >> i) & 1 for i in range(self.M)])
-                contiguous = cols[-1] - cols[0] == cols.size - 1
-                band = slice(cols[0], cols[-1] + 1) if contiguous and as_slice else cols
-                p_win[band] = rng.uniform(0.0, 1.0, cols.size)
-                matrix.set_band(band, self.DT * p_win[band])
-                changed = banded = True
-            if banded:
-                banded = False
-            elif changed:
-                factorizations += 1
-                changed = False
-            rhs = rng.normal(size=self.N)
-            assert np.array_equal(matrix.solve(rhs.copy()),
-                                  banded_solve(self.MU, self.DT, p_win, rhs))
-            assert matrix.factorizations == factorizations
+        p_win, solves = np.zeros(self.M), 0  # solves since the last write
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "lapack", spy)
+            for op, start, size in ops:
+                if op == "set_p":
+                    p_win = rng.uniform(0.0, 1.0, self.M)
+                    matrix.set_p(self.DT * p_win)
+                elif op == "band":
+                    band = slice(start, min(start + size, self.M))
+                    p_win[band] = rng.uniform(0.0, 1.0, p_win[band].size)
+                    matrix.set_p(self.DT * p_win[band], band)
+                if op != "keep":
+                    solves = 0
+                rhs = rng.normal(size=self.N)
+                before = len(spy.calls)
+                assert np.array_equal(matrix.solve(rhs.copy()),
+                                      banded_solve(self.MU, self.DT, p_win, rhs))
+                assert spy.calls[before:] == self.lapack_calls(solves)
+                solves += 1
+        assert matrix.factorizations == spy.calls.count("dgttrf")
 
-    def test_sharp_run_refactors_once_per_ignition_step(self):
+    @staticmethod
+    def lapack_calls(solves):
+        """The LAPACK routines of a solve after ``solves`` solves since the last write."""
+        return (["dgtsv"], ["dgttrf", "dgttrs"])[solves] if solves < 2 else ["dgttrs"]
+
+    @staticmethod
+    def factored_writes(writes, last):
+        """The writes of a run that ends at step ``last`` after which the
+        step matrix is factored: those followed by two solves with no write
+        between them, at the two steps after the write."""
+        writes = set(writes)
+        return sum(s + 1 not in writes and s + 2 <= last for s in writes)
+
+    def test_sharp_run_factors_once_per_isolated_ignition_step(self):
         grid = coarse_grid(t_max=0.26, x_max=4.0)
         stepper = solver.Stepper(PARAMS, grid, lg.RelayKind.sharp())
         for _ in range(grid.n_t):
             stepper.step()
         ign = stepper.state.ignition_time
         steps = np.unique(np.round(ign[np.isfinite(ign)] / grid.dt).astype(int))
-        assert steps.size > 10
-        # p changes after each ignition step; the next solve refactors
-        assert stepper.matrix.factorizations == 1 + np.count_nonzero(steps < grid.n_t)
+        # node 0 ignites at step 1, so the matrix as built is never factored
+        assert steps.size > 10 and steps[0] == 1
+        # p changes after each ignition step and the matrix is written; the
+        # next solve eliminates, and the one after it factors, unless p
+        # changed again in between
+        assert stepper.matrix.factorizations == self.factored_writes([0, *steps], grid.n_t)
 
     def test_infinite_threshold_factors_once(self):
         grid = coarse_grid()
@@ -261,34 +279,32 @@ class TestStepMatrix:
     @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
     @pytest.mark.parametrize("kind", RELAYS, ids=lambda k: k.variant)
     def test_lapack_calls_per_step(self, monkeypatch, kind, scheme):
-        # a solve after a band step is one gtsv; any other solve is a gttrs,
-        # after a gttrf only when p changed
+        # a step writes the diagonal when it is a band step or a node
+        # ignites in it: the next solve is one gtsv, the one after it a
+        # gttrf and a gttrs if nothing was written in between, and any
+        # other solve one gttrs
         spy = self.LapackSpy()
         monkeypatch.setattr(solver, "lapack", spy)
         grid = coarse_grid(t_max=0.26, x_max=4.0)
         stepper = solver.Stepper(PARAMS, grid, kind, scheme=scheme)
-        first, band_steps, follows_band = stepper.step_index, 0, False
+        writes, band_steps = [stepper.step_index], 0  # the matrix is built at the first step
         while stepper.step_index < grid.n_t:
-            before, band_step = len(spy.calls), stepper._band_size > 0
+            before, band_step = len(spy.calls), stepper._band is not None
+            ignited = np.isfinite(stepper.state.ignition_time).sum()
             stepper.step()
-            calls = spy.calls[before:]
-            if follows_band:
-                assert calls == ["dgtsv"]
-            else:
-                assert calls in (["dgttrs"], ["dgttrf", "dgttrs"])
+            solves = stepper.step_index - 1 - writes[-1]  # solves since the last write
+            assert spy.calls[before:] == self.lapack_calls(solves)
+            if band_step or np.isfinite(stepper.state.ignition_time).sum() > ignited:
+                writes.append(stepper.step_index)
             band_steps += band_step
-            follows_band = band_step
         assert spy.calls.count("dgttrf") == stepper.matrix.factorizations
+        assert spy.calls.count("dgtsv") == np.count_nonzero(np.array(writes) < grid.n_t)
+        assert stepper.matrix.factorizations == self.factored_writes(writes, grid.n_t)
+        assert len(writes) > 10
         if kind.variant == "mollified":
             assert band_steps > grid.n_t // 2
-            assert spy.calls.count("dgtsv") == band_steps - follows_band
         else:
-            ign = stepper.state.ignition_time
-            steps = np.unique(np.round(ign[np.isfinite(ign)] / grid.dt).astype(int))
-            assert spy.calls.count("dgtsv") == 0
-            # p changes after each ignition step; the next solve refactors
-            assert stepper.matrix.factorizations == 1 + np.count_nonzero(
-                (steps > first) & (steps < grid.n_t))
+            assert band_steps == 0
 
 
 class TestPsiRows:
@@ -685,8 +701,9 @@ class TestBlockRelay:
 
     @pytest.mark.parametrize("block", [None, 2])
     def test_mollified_band_in_two_runs(self, monkeypatch, block):
-        # nodes 3-4 enter the band at step 5 (a slice), nodes 10-11 at step 12
-        # (with 3-4, an index array); eps keeps all four in it to the end
+        # nodes 3-4 enter the band at step 5, nodes 10-11 at step 12, and the
+        # band is then the slice of nodes 3-11, live nodes 5-9 included; eps
+        # keeps all four in it to the end
         if block is not None:
             monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
         steps = {3: 5, 4: 5, 10: 12, 11: 12}
@@ -696,7 +713,7 @@ class TestBlockRelay:
         assert_same_record(rec, ref)
         p = rec.p[-1]
         assert np.all((p[list(steps)] > 0.0) & (p[list(steps)] < 1.0))
-        np.testing.assert_array_equal(stepper._band, sorted(steps))
+        assert stepper._band == slice(3, 12)
         if block is None:
             assert stepper.relay_updates == rec.times.size - 1 + 2
 
@@ -720,23 +737,48 @@ class TestBlockRelay:
                 accum = stepper.state.accumulator.copy()
             if step >= 3:
                 # the band's copy runs ahead of the accumulator, which waits
-                # for the next update; the band ends once it saturates
+                # for the next update; the band lasts until that update, its
+                # saturated node re-evaluated to p = 1
                 assert stepper._band == slice(node, node + 1)
                 assert np.array_equal(stepper.state.accumulator, accum)
                 assert (stepper._band_acc[0] >= kind.epsilon) == (step >= 4)
-                assert stepper._band_size == (step == 3)
             assert (stepper._dt_p[node] == FIELD_GRID.dt) == (step >= 4)
         stepper.snapshot()  # the next update
-        assert stepper._dt_p[node] == FIELD_GRID.dt and stepper._band_size == 0
+        assert stepper._dt_p[node] == FIELD_GRID.dt and stepper._band is None
         assert stepper._threshold[node] == np.inf and stepper.relay_updates == 2
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_mollified_band_slice_spans_live_and_saturated_nodes(self, monkeypatch, block):
+        # nodes 2 and 6 ignite at step 3, so the band is the slice of nodes
+        # 2-6, and both pass eps = 3e-3 at step 4 (as node 4 does in the test
+        # above); live node 4, inside the slice, ignites at step 5, a band
+        # step, whose update then ends the block
+        if block is not None:
+            monkeypatch.setattr(solver, "TAIL_BLOCK_STEPS", block)
+        steps, kind = {2: 3, 6: 3, 4: 5}, lg.RelayKind.mollified(3e-3)
+        field = self.band_field(steps, 0.2)
+        rec, ref, _ = with_oracle(monkeypatch, lambda: lg.SolutionRecord.from_fields(
+            field, PARAMS, FIELD_GRID, kind, snapshot_stride=7))
+        assert_same_record(rec, ref)
+        ignited = np.flatnonzero(np.isfinite(rec.ignition_time))
+        assert {int(i): round(rec.ignition_time[i] / FIELD_GRID.dt) for i in ignited} == steps
+        stepper = solver.Stepper(PARAMS, FIELD_GRID, kind, scheme="synthetic", u_fn=field)
+        for _ in range(4):
+            stepper.step()
+        assert stepper._band == slice(2, 7) and stepper._hi > solver.LOOKBACK
+        assert np.all(stepper._band_acc[[0, 4]] >= kind.epsilon)
+        assert np.all(stepper._band_acc[1:4] == 0.0) and stepper._threshold[4] == PARAMS.u_star
+        stepper.step()
+        assert stepper._hi == solver.LOOKBACK and stepper._band == slice(4, 5)
 
     @pytest.mark.parametrize("scheme", ["deficit", "deposition"])
     def test_band_steps_leave_the_accumulator_to_the_update(self, monkeypatch, scheme):
         # On this dx 0.1 grid, whole bands saturate between updates (the
         # record matrix's tail grids).  Each step, the block stepper and the
         # per-step oracle advance side by side: a band step writes only the
-        # band's copy, every update agrees with the oracle's accumulator and
-        # p bit for bit, and no band step starts saturated.
+        # band's copy, p and the step matrix's diagonal agree with the
+        # oracle's bit for bit after every step, saturated bands included,
+        # and every update agrees with the oracle's accumulator.
         dx, t_max = 0.1, 0.05
         m = (math.ceil(lg.compute_constants(PARAMS).alpha_star * math.sqrt(t_max) / dx)
              + solver.WINDOW_MARGIN_CELLS)
@@ -745,21 +787,22 @@ class TestBlockRelay:
         stepper = solver.Stepper(PARAMS, grid, kind, scheme=scheme)
         oracle = PerStepRelay(PARAMS, grid, kind, scheme=scheme)
         assert stepper.tail is not None
-        band_steps = ended = 0
+        band_steps = saturated = 0
         while stepper.step_index < grid.n_t:
-            accum, in_band = stepper.state.accumulator.copy(), stepper._band_size
-            if in_band:
-                assert stepper._band_acc.min() < kind.epsilon
+            accum, band = stepper.state.accumulator.copy(), stepper._band
+            if band is not None:
+                band_steps += 1
+                saturated += bool(stepper._band_acc.min() >= kind.epsilon)
             stepper.step()
             oracle.step()
-            band_steps += bool(in_band)
+            assert np.array_equal(stepper._dt_p, oracle._dt_p)
+            assert np.array_equal(stepper.matrix.diag, oracle.matrix.diag)
             if stepper._hi == solver.LOOKBACK:  # an update ended the step
                 assert np.array_equal(stepper.state.accumulator, oracle.state.accumulator)
-                assert np.array_equal(stepper._dt_p, oracle._dt_p)
             else:
                 assert np.array_equal(stepper.state.accumulator, accum)
-                ended += bool(in_band) and not stepper._band_size
-        assert band_steps > 10 and ended > 0
+                assert stepper._band == band  # the band lasts until the next update
+        assert band_steps > 10 and saturated > 0
         rec, ref, _ = with_oracle(monkeypatch, lambda: lg.run(PARAMS, grid, kind, 5,
                                                               scheme=scheme))
         assert_same_record(rec, ref)

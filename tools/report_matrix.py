@@ -34,9 +34,10 @@ on the saved sharp record with a probe on its front node (0.1, 0.0067),
 alone and beside one past the record, ``compare`` given ``--rec1`` alone
 with ``--epsilon2``, ``analyze`` given ``--dx``, which the record fixes, and
 ``analyze`` and ``diagnose`` on copies of that record whose sidecar says
-``"alpha": Infinity`` (both) or gives a mollified relay of ``"epsilon":
-Infinity`` (``analyze``) (:data:`DAMAGED_SIDECARS`; the copies are removed
-before the files are hashed).
+``"alpha": Infinity`` (both), gives a mollified relay of ``"epsilon":
+Infinity`` (``analyze``) or has constants with ``"C_ell": 0`` (both)
+(:data:`DAMAGED_SIDECARS`; the copies are removed before the files are
+hashed).
 Each prints ``[<command>] exit <code> stderr <sha256>``.
 Outputs go to one subdirectory per config, given in the configs as relative
 paths, so the reports do not depend on ``--workdir`` (default: a temporary
@@ -88,6 +89,7 @@ BAD_PROBES = {"on_front": [[0.1, 0.0067]], "on_front_past_record": [[0.1, 0.0067
 DAMAGED_SIDECARS = {
     "infinite_alpha": ({"params": {"alpha": math.inf}}, ("analyze", "diagnose")),
     "infinite_epsilon": ({"relay": {"variant": "mollified", "epsilon": math.inf}}, ("analyze",)),
+    "zero_C_ell": ({"constants": {"C_ell": 0}}, ("analyze", "diagnose")),
 }
 
 
