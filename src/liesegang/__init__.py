@@ -8,7 +8,7 @@ precipitation-front extraction and segmentation, singular-quadrature
 diagnostics for the Duhamel derivative identity, a two-ODE switching toy,
 and a two-solution comparison harness.
 """
-from .comparison import ComparisonReport, GridMismatch, compare, energy_monotonicity_check, perturbation_sweep
+from .comparison import ComparisonReport, compare, energy_monotonicity_check, perturbation_sweep
 from .duhamel import check_ut_identity, eval_F1, eval_F2, front_derivative_estimate, transversality
 from .fronts import (
     BoundaryClass,
@@ -36,7 +36,7 @@ from .model import (
 )
 from .odetoy import SwitchPolicy, ToyConfig, enumerate_policies, feasible, integrate
 from .records import SolutionRecord
-from .relay import LengthMismatch, RelayKind, RelayState, accumulate, evaluate, smoothstep
-from .solver import NonFiniteField, measure_t1, run
+from .relay import RelayKind, RelayState, accumulate, evaluate, smoothstep
+from .solver import measure_t1, run
 
 __version__ = "0.1.0"

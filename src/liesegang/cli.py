@@ -27,7 +27,6 @@ from .records import SolutionRecord
 from .relay import RelayKind
 from .solver import measure_t1
 
-# solver.NonFiniteField is a FloatingPointError
 _NUMERICAL_ERRORS = (FloatingPointError, LinAlgError, EmptyFront)
 
 

@@ -8,8 +8,8 @@ fronts are *entangled* when neither stays ahead of the other: the sign of
 ``ell_1 - ell_2`` (beyond a one-step magnitude) takes both values inside
 some x-window.
 
-:func:`compare` takes two records on one domain ``[0, x_max]`` (else
-:class:`GridMismatch`), on any grids and snapshot schedules, saved or rerun,
+:func:`compare` takes two records on one domain ``[0, x_max]`` (else a
+``ValueError``), on any grids and snapshot schedules, saved or rerun,
 and samples both on the nodes and snapshot times of the coarser one (the first
 on equal ``dx``), from the later start (t = dt in a deposition run) up to the
 shorter horizon.  A stored time reads its one row and a record's own nodes are
@@ -34,10 +34,6 @@ from . import solver
 from .grids import _REL_TOL, GridSpec
 from .records import HORIZON_SLACK, SolutionRecord
 from .relay import RelayKind
-
-
-class GridMismatch(ValueError):
-    """Records live on different domains."""
 
 
 def median_ignition_rate(record: SolutionRecord, t_max: float) -> float:
@@ -148,7 +144,7 @@ def _sampled(record: SolutionRecord, times: np.ndarray, x: np.ndarray):
 
 def _check_domain(g1: GridSpec, g2: GridSpec) -> None:
     if not math.isclose(g1.x_max, g2.x_max, rel_tol=_REL_TOL):
-        raise GridMismatch(f"domains differ: x_max {g1.x_max} vs {g2.x_max}")
+        raise ValueError(f"domains differ: x_max {g1.x_max} vs {g2.x_max}")
 
 
 def compare(rec1: SolutionRecord, rec2: SolutionRecord, agreement_tol: float) -> ComparisonReport:

@@ -235,15 +235,15 @@ def _f2_cells(xs: np.ndarray, ells: np.ndarray, dx: float, x: float, t: float,
     return total
 
 
-def eval_F2(front: FrontFunction, x: float, t: float,
-            slope_floor: float = Tolerances.slope_floor) -> float:
+def eval_F2(front: FrontFunction, x: float, t: float, tol: Tolerances = Tolerances()) -> float:
     """Kernel integral along the front, one :func:`_f2_cells` sum per segment
-    (an isolated node's spacing is the grid's); +inf signals a flat crossing cell."""
+    (an isolated node's spacing is the grid's); +inf signals a crossing cell
+    whose front slope is below ``tol.slope_floor``."""
     total = 0.0
     for i0, i1 in front.segments():
         xs = front.x[i0:i1 + 1]
         dx = xs[1] - xs[0] if i1 > i0 else front.dx
-        seg = _f2_cells(xs, front.ell[i0:i1 + 1], dx, x, t, slope_floor,
+        seg = _f2_cells(xs, front.ell[i0:i1 + 1], dx, x, t, tol.slope_floor,
                         include_left_half=(i0 != 0))
         if math.isinf(seg):
             return math.inf
@@ -285,7 +285,7 @@ def probe_faults(record: SolutionRecord, probes) -> list[str]:
 
 
 def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
-                      slope_floor: float = Tolerances.slope_floor) -> list[ProbeRow]:
+                      tol: Tolerances = Tolerances()) -> list[ProbeRow]:
     """Residual u_t - psi_t + F1 + u_star*F2 at each probe point; a
     ValueError names every probe of :func:`probe_faults`."""
     if bad := probe_faults(record, probes):
@@ -298,7 +298,7 @@ def check_ut_identity(record: SolutionRecord, front: FrontFunction, probes,
                               + frac * ut_table(record, k + 1, near)))
         p_t = model.psi_t(x, t, record.params)
         f1 = eval_F1(record, x, t)
-        f2 = eval_F2(front, x, t, slope_floor=slope_floor)
+        f2 = eval_F2(front, x, t, tol)
         rows.append(ProbeRow(x=float(x), t=float(t), u_t=u_t, psi_t=p_t, F1=f1, F2=f2,
                              residual=u_t - p_t + f1 + record.params.u_star * f2))
     return rows
@@ -338,9 +338,10 @@ class EllPrimeEstimate:
     u_t_minus: float
 
 
-def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstimate:
+def front_derivative_estimate(record: SolutionRecord, x: float,
+                              tol: Tolerances = Tolerances()) -> EllPrimeEstimate:
     """Front slope from the transversal ratio -u_x+/u_t- (u_t- above
-    ``Tolerances.rate_floor``), compared with the discrete slope of ell: the
+    ``tol.rate_floor``), compared with the discrete slope of ell: the
     difference of ell between the node's neighbours that ignited, else the
     node itself, so centered, one-sided, or NaN when neither ignited."""
     cells = x / record.grid.dx
@@ -351,7 +352,7 @@ def front_derivative_estimate(record: SolutionRecord, x: float) -> EllPrimeEstim
     if math.isnan(u_t_minus):
         raise ValueError(f"no temporal rate at x = {x}: not ignited, ignited before 10*dt, "
                          f"or no look-back samples stored")
-    if not u_t_minus > Tolerances.rate_floor:
+    if not u_t_minus > tol.rate_floor:
         raise ValueError(f"temporal rate {u_t_minus} <= rate_floor at x = {x}")
     if math.isnan(u_x_plus):
         raise ValueError(f"no rightward samples stored at node x = {x}")
@@ -374,7 +375,7 @@ def diagnostics_report(record: SolutionRecord, probes, tol: Tolerances = Toleran
     ``slope_floor`` and ``rate_floor``, as one JSON-ready dict."""
     # through the module, so that a wrapper of fronts.extract_front sees the call
     front = fronts.extract_front(record)
-    rows = check_ut_identity(record, front, probes, slope_floor=tol.slope_floor)
+    rows = check_ut_identity(record, front, probes, tol)
     consts = record.constants
     f1_bound = f2_bound = None
     if consts is not None:

@@ -129,12 +129,11 @@ def _node_classes(record: SolutionRecord, i_max: int) -> np.ndarray:
     return classes
 
 
-def segment_rings(record: SolutionRecord,
-                  measure_tol: float = Tolerances.measure_tol) -> RingSegmentation:
+def segment_rings(record: SolutionRecord, tol: Tolerances = Tolerances()) -> RingSegmentation:
     """Segment the precipitation pattern above the parabola into rings and gaps.
 
     Only nodes whose parabola time lies inside the record (x <= alpha*
-    sqrt(t_max)) are classified.  Runs shorter than ``measure_tol`` times the
+    sqrt(t_max)) are classified.  Runs shorter than ``tol.measure_tol`` times the
     analyzed span are merged into their surroundings when both neighbors
     agree (the grid analogue of ignoring measure-zero exceptional sets).
     """
@@ -147,7 +146,7 @@ def segment_rings(record: SolutionRecord,
     runs = _runs(classes)
     # merge a short run into equal determined neighbours; a merge can make the
     # run before it mergeable, so the pass steps back one run
-    min_nodes = math.ceil(measure_tol * analyzed_x_max / dx)
+    min_nodes = math.ceil(tol.measure_tol * analyzed_x_max / dx)
     r = 1
     while r < len(runs) - 1:
         cls, i0, i1 = runs[r]
@@ -191,21 +190,21 @@ def parabola_tol(x, dx: float, dt: float, alpha: float):
 
 
 def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
-                      jump_factor: float = Tolerances.jump_factor,
+                      tol: Tolerances = Tolerances(),
                       segmentation: RingSegmentation | None = None) -> BoundaryClass:
     """Label every front node Regular / Degenerate (on the parabola within
-    grid tolerance) / Jump (discrete increment above ``jump_factor`` times the
+    grid tolerance) / Jump (discrete increment above ``tol.jump_factor`` times the
     local median increment; the node after the step is flagged).
 
     With a ``segmentation``, each ring whose first node (the first node at or
     right of the ring's left edge) ignited gets a ring-start check of that
-    node's on-parabola test: ``(x, ell, parabola time, tol, ok)``."""
+    node's on-parabola test: ``(x, ell, parabola time, parabola_tol, ok)``."""
     idx = front.indices
     xs = front.x[idx]
     ells = front.ell[idx]
     parabola = parabola_time(xs, params.alpha)
-    tol = parabola_tol(xs, grid.dx, grid.dt, params.alpha)
-    on_parabola = np.abs(ells - parabola) <= tol
+    slack = parabola_tol(xs, grid.dx, grid.dt, params.alpha)
+    on_parabola = np.abs(ells - parabola) <= slack
     labels = np.where(on_parabola, DEGENERATE, REGULAR).astype(np.int8)
 
     incs = np.diff(ells)
@@ -213,13 +212,13 @@ def classify_boundary(front: FrontFunction, params: ModelParams, grid: GridSpec,
     for j in range(incs.size):
         lo, hi = max(0, j - half), min(incs.size, j + half + 1)
         med = float(np.median(incs[lo:hi]))
-        if med > 0 and incs[j] > jump_factor * med and labels[j + 1] == REGULAR:
+        if med > 0 and incs[j] > tol.jump_factor * med and labels[j + 1] == REGULAR:
             labels[j + 1] = JUMP
 
     hist = {name: int(np.sum(labels == code)) for code, name in _LABEL_NAMES.items()}
     edges = [a for a, _b in segmentation.rings] if segmentation is not None else []
     first = np.searchsorted(front.x, edges)  # each ring's first node
-    ring_start_checks = [(float(xs[k]), float(ells[k]), float(parabola[k]), float(tol[k]),
+    ring_start_checks = [(float(xs[k]), float(ells[k]), float(parabola[k]), float(slack[k]),
                           bool(on_parabola[k])) for k in np.flatnonzero(np.isin(idx, first))]
     return BoundaryClass(labels=labels, histogram=hist, ring_start_checks=ring_start_checks)
 
@@ -275,9 +274,8 @@ def front_report(record: SolutionRecord, tol: Tolerances = Tolerances()) -> dict
     grid = record.grid
     front_tol = 10.0 * (grid.dx + grid.dt / grid.dx) if tol.front_tol is None else tol.front_tol
     residual_max = float(np.nanmax(np.abs(record.ignition_u - record.params.u_star)))
-    seg = segment_rings(record, measure_tol=tol.measure_tol)
-    cls = classify_boundary(front, record.params, record.grid, jump_factor=tol.jump_factor,
-                            segmentation=seg)
+    seg = segment_rings(record, tol)
+    cls = classify_boundary(front, record.params, record.grid, tol, segmentation=seg)
     slope = None
     if record.constants is not None:
         slope = asdict(front_slope_check(front, record.constants))

@@ -33,10 +33,6 @@ VARIANTS = (SHARP, MOLLIFIED, PROPERTY_P)
 _NO_NODES = np.empty(0, dtype=np.intp)
 
 
-class LengthMismatch(ValueError):
-    """Field length does not match the relay state."""
-
-
 @dataclass(frozen=True)
 class RelayKind:
     variant: str
@@ -146,11 +142,11 @@ def accumulate(state: RelayState, u_field: np.ndarray, dt: float, t_new,
         raise ValueError(f"dt must be positive, got {dt}")
     u_field = np.asarray(u_field, dtype=float)
     if u_field.shape[-1] != state.size:
-        raise LengthMismatch(f"field has {u_field.shape[-1]} nodes, state has {state.size}")
+        raise ValueError(f"field has {u_field.shape[-1]} nodes, state has {state.size}")
     times = np.asarray(t_new, dtype=float).reshape(-1, 1)
     inc = rectangles(u_field.reshape(-1, state.size), state.u_star, dt)
     if len(times) != len(inc):
-        raise LengthMismatch(f"{len(inc)} field rows but {len(times)} times")
+        raise ValueError(f"{len(inc)} field rows but {len(times)} times")
     if kind.variant == PROPERTY_P:
         inc[times > state.cap_time] = 0.0
     fresh = (inc > 0.0) & np.isnan(state.ignition_time)

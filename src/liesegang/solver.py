@@ -102,10 +102,6 @@ def solve_banded(*args, **kwargs):  # unused; perfbench/tracing.py wraps it
     return solve_banded(*args, **kwargs)
 
 
-class NonFiniteField(FloatingPointError):
-    """A grid value became NaN or infinite during time stepping."""
-
-
 def _relay_window(params: ModelParams, grid: GridSpec,
                   constants: ModelConstants | None) -> int:
     """Number of leading nodes on which the relay can possibly switch.
@@ -496,7 +492,7 @@ class Stepper:
         lo, hi = LOOKBACK, self._hi
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[hi - 1]).all():
             field = "deficit field" if self.scheme == "deficit" else "concentration"
-            raise NonFiniteField(f"non-finite {field} at step {self.step_index}, t={self.t}")
+            raise FloatingPointError(f"non-finite {field} at step {self.step_index}, t={self.t}")
         self.relay_updates += 1
         steps = np.arange(self.step_index - (hi - lo) + 1, self.step_index + 1)
         nodes, rows = accumulate(self.state, self._u_buf[lo:hi, : self.m], self.grid.dt,
@@ -605,7 +601,8 @@ def measure_t1(record: SolutionRecord) -> float:
     Scans the record for the first snapshot where the one-sided bound
     ``u_x <= -(alpha*beta / (4 sqrt t)) * exp((alpha^2 - alpha_star^2)/4)``
     fails at some interior node of ES(t) = {alpha*sqrt(t) < x < alpha_star*
-    sqrt(t)}; returns the last snapshot time before that failure.  If the
+    sqrt(t)}; returns the last snapshot time before that failure, or raises
+    ValueError naming the snapshot if it is the first after t = 0.  If the
     bound never fails, it returns the record's last time, which is then only
     a lower bound on T1.
     """
@@ -631,6 +628,9 @@ def measure_t1(record: SolutionRecord) -> float:
         u_x = (u[inner + 1] - u[inner - 1]) / (2.0 * dx)
         bound = -(a * b / (4.0 * math.sqrt(t))) * math.exp(0.25 * (a * a - astar * astar))
         if np.max(u_x - bound) > 0.0:
+            if holds_until == 0.0:
+                raise ValueError(f"the gradient bound of T1 fails at snapshot {k}, t = {t}, "
+                                 "the first after t = 0: no horizon to measure")
             return holds_until
         holds_until = t
     return holds_until

@@ -1,5 +1,5 @@
 """``tools/compare_checkouts.py`` on canned runs and outputs: the pair summary of
-``--bench``, the per-layer metrics of its traced runs, the tier-1 counts,
+``--bench``, the load averages of its pairs, the per-layer metrics of its traced runs, the tier-1 counts,
 failing test ids and times, and the matrix verdicts and line counts it writes."""
 import json
 import sys
@@ -150,9 +150,13 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
     monkeypatch.setattr(compare_checkouts, "snapshot", lambda dest: None)
     calls = []
 
+    def loads(side, seed):
+        return {"loadavg_before": [float(seed), 0.5, 0.25],
+                "loadavg_after": [seed + (side == "change") + 0.1, 0.5, 0.25]}
+
     def bench_run(tree, workload, seed, seconds, trace=0):
         calls.append((tree.name, workload, seed, trace))
-        return traced if trace else runs
+        return traced if trace else dict(runs, info=loads(tree.name, seed))
 
     monkeypatch.setattr(compare_checkouts, "bench_run", bench_run)
     monkeypatch.setattr(compare_checkouts, "compare_trees", lambda old, new, rev: compared)
@@ -167,9 +171,14 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
     assert written["src_lines"] == compared["src_lines"]
     assert written["tier1"] == tier1  # reported, not a failure of the tool
     assert written["parent"] == "HEAD commit"
+    assert written["host"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     # three traced runs per side and workload, alternating which side goes
     # first, their per-layer medians and ranges under "layers"
     workloads = json.loads((compare_checkouts.ROOT / "BENCHMARK.json").read_text())["workloads"]
+    # each pair's load averages, both sides, per workload
+    assert written["loadavg"] == {w["name"]: [
+        {side: loads(side, seed) for side in ("parent", "change")} for seed in (1, 2)]
+        for w in workloads}
     assert written["layers"] == {w["name"]: {"solver.steps": {
         "unit": "count", "parent": 6500, "change": 6500,
         "parent_range": [6500, 6500], "change_range": [6500, 6500]}} for w in workloads}
@@ -178,6 +187,16 @@ def test_the_bench_file_holds_the_matrix_verdicts_and_line_counts(tmp_path, monk
                 if workload == w["name"] and trace] == [
             ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
             ("parent", 3), ("change", 3)]
+
+
+def test_pair_loads_keep_both_runs_load_averages():
+    parent, change = canned({"wall_s": 3.0}), canned({"wall_s": 2.9})
+    parent["info"] = {"nproc": 2, "loadavg_before": [1.5, 1.2, 0.9],
+                      "loadavg_after": [2.1, 1.4, 1.0]}
+    # an info line without load averages gives None
+    assert compare_checkouts.pair_loads([(parent, change)]) == [{
+        "parent": {"loadavg_before": [1.5, 1.2, 0.9], "loadavg_after": [2.1, 1.4, 1.0]},
+        "change": {"loadavg_before": None, "loadavg_after": None}}]
 
 
 def traced_run(metrics: dict) -> dict:

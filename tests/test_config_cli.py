@@ -21,6 +21,7 @@ from scipy.linalg import LinAlgError
 
 import liesegang as lg
 from liesegang import cli, config, duhamel, fronts, jsonio, odetoy
+from util import flat_record
 
 TINY = {
     "alpha": 1.0,
@@ -1040,13 +1041,14 @@ def test_measure_t1_keeps_the_t1_ceiling(tmp_path):
 
 
 def test_a_measured_t1_of_zero_exits_1_naming_t1(tmp_path, capsys, monkeypatch):
-    # measure_t1 returns 0.0 when its bound fails at the first snapshot after
-    # t = 0; the report once took the constants it set, T1 = T2 = 0
-    monkeypatch.setattr(cli, "measure_t1", lambda record: 0.0)
+    # measure_t1 once returned 0.0 when its bound failed at the first snapshot
+    # after t = 0; the report took the constants it set, T1 = T2 = 0, and
+    # then the error named those, not the snapshot
+    monkeypatch.setattr(cli, "_run_from_config", lambda cfg: flat_record(cfg.params))
     path = write_config(tmp_path, dict(COARSE, output_dir=str(tmp_path)))
     assert cli.main(["constants", "-c", path, "--measure-t1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: constants not positive normal floats: T1 = 0.0, T2 = 0.0")
+    assert err.startswith("error: the gradient bound of T1 fails at snapshot 1, t = 0.1, ")
     assert err.count("error:") == 1 and not (tmp_path / "constants.json").exists()
 
 

@@ -511,6 +511,30 @@ class TestFrontDerivative:
         with pytest.raises(ValueError, match="rate_floor"):
             duhamel.front_derivative_estimate(rec, 0.2)
 
+    def test_a_configured_rate_floor_splits_the_nodes_as_diagnose_flags_them(
+            self, rec_coarse_sharp):
+        # a rate_floor between two front nodes' u_t-, far above the default;
+        # the estimate once read the class default, and took every node's ratio
+        rec = rec_coarse_sharp
+        u_x_plus, u_t_minus = duhamel.transversality(rec)
+        front = fronts.extract_front(rec)
+        rates = np.sort(u_t_minus[front.indices][np.isfinite(u_t_minus[front.indices])])
+        r = float(0.5 * (rates[rates.size // 2 - 1] + rates[rates.size // 2]))
+        tol = config.Tolerances(rate_floor=r)
+        rows = duhamel.diagnostics_report(rec, [], tol)["front_nodes"]
+        taken = refused = 0
+        for i, row in zip(front.indices, rows):
+            if math.isnan(u_x_plus[i]) or row["temporal_flag"] is None:
+                continue
+            if row["temporal_flag"]:
+                assert duhamel.front_derivative_estimate(rec, row["x"], tol).u_t_minus > r
+                taken += 1
+            else:
+                with pytest.raises(ValueError, match="rate_floor"):
+                    duhamel.front_derivative_estimate(rec, row["x"], tol)
+                refused += 1
+        assert taken and refused
+
     def test_a_point_between_nodes_is_rejected(self):
         # x = 0.409 on dx 0.02 once returned node 0.4's estimate
         rec = synthetic_record(lambda x, t: PARAMS.u_star + 3.0 * (t - np.asarray(x) ** 2),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import liesegang as lg
 from liesegang import fronts
+from liesegang.config import Tolerances
 from util import make_record
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
@@ -81,9 +82,10 @@ class TestSegmentRings:
 
     def test_measure_tol_merges_short_runs(self):
         rec = self.make_pattern_record([1, 1, 0, 1, 1, 1, 0])
-        raw = fronts.segment_rings(rec, measure_tol=0.0)
+        raw = fronts.segment_rings(rec, Tolerances(measure_tol=0.0))
         assert len(raw.rings) == 2
-        merged = fronts.segment_rings(rec, measure_tol=0.3)  # 0.3*0.6/0.1 -> 2-node floor
+        # 0.3*0.6/0.1 -> 2-node floor
+        merged = fronts.segment_rings(rec, Tolerances(measure_tol=0.3))
         assert len(merged.rings) == 1
         assert merged.rings[0] == (0.0, pytest.approx(0.55))
 
@@ -310,7 +312,7 @@ def test_segment_rings_matches_the_loop(runs, measure_tol):
     grid = lg.GridSpec(dx=dx, dt=1.0, x_max=n_x * dx, t_max=1e6, n_x=n_x, n_t=10**6)
     record = types.SimpleNamespace(params=PARAMS, grid=grid, x=grid.x)
     with mock.patch.object(fronts, "_node_classes", lambda rec, i_max: classes.copy()):
-        seg = fronts.segment_rings(record, measure_tol=measure_tol)
+        seg = fronts.segment_rings(record, Tolerances(measure_tol=measure_tol))
     rings, interrings, X_star, node_class = segment_rings_loop(classes, grid.x, dx, measure_tol)
     assert (seg.rings, seg.interrings, seg.X_star) == (rings, interrings, X_star)
     assert seg.node_class.dtype == node_class.dtype

@@ -15,6 +15,7 @@ from scipy.linalg import lapack, solve_banded
 import liesegang as lg
 from liesegang import cli, model, records, relay, solver
 from liesegang.records import BACK_OFFSETS, RIGHT_CELLS
+from util import flat_record
 
 PARAMS = lg.ModelParams.from_fraction(1.0, 1.0, 0.8)
 NO_RINGS = lg.ModelParams(1.0, 1.0, math.inf)  # the relay never switches
@@ -60,7 +61,7 @@ class TestDeficitScheme:
         stepper = solver.Stepper(PARAMS, coarse_grid(), lg.RelayKind.sharp())
         stepper.step()
         stepper.field[0] = math.nan
-        with pytest.raises(lg.NonFiniteField):
+        with pytest.raises(FloatingPointError, match="non-finite deficit field at step"):
             stepper.step()
 
     @pytest.mark.parametrize("runner", [lg.run, solver.source_deposition_run])
@@ -515,7 +516,7 @@ class PerStepRelay(solver.Stepper):
         (j,) = range(solver.LOOKBACK, self._hi)
         u_win = self._u_buf[j, : self.m].copy()
         if self.scheme != "synthetic" and not np.isfinite(self._u_buf[j]).all():
-            raise solver.NonFiniteField(f"non-finite field at step {self.step_index}, t={self.t}")
+            raise FloatingPointError(f"non-finite field at step {self.step_index}, t={self.t}")
         newly = per_row_accumulate(self.state, u_win, self.grid.dt, self.t, self.relay_kind)
         for i in newly:
             hi = min(i + RIGHT_CELLS, self.n)
@@ -828,7 +829,7 @@ class TestBlockRelay:
         grid = coarse_grid()
         self.poison_solve(monkeypatch, 35)
         bad = 35 + first_step - 1
-        with pytest.raises(lg.NonFiniteField, match=f"at step {bad}, t={bad * grid.dt}$"):
+        with pytest.raises(FloatingPointError, match=f"at step {bad}, t={bad * grid.dt}$"):
             lg.run(PARAMS, grid, lg.RelayKind.sharp(), snapshot_stride=20, scheme=scheme)
 
     @settings(max_examples=40, deadline=None)
@@ -843,7 +844,7 @@ class TestBlockRelay:
         row = {"first": 0, "window": m // 2, "last": -1}[where]
         bad = call + (scheme == "deposition")  # the deposition run starts at step 1
         message = re.escape(f"at step {bad}, t={bad * grid.dt}") + "$"
-        with pytest.MonkeyPatch.context() as patch, pytest.raises(lg.NonFiniteField,
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(FloatingPointError,
                                                                   match=message):
             self.poison_solve(patch, call, row, value)
             lg.run(params, grid, kind, snapshot_stride=20, scheme=scheme)
@@ -957,6 +958,13 @@ class TestMeasureT1:
         rec.constants = lg.compute_constants(PARAMS)
         k = int(np.flatnonzero(rec.times >= 0.1 - 1e-9)[0])
         assert solver.measure_t1(rec) == rec.times[k - 1] < rec.times[-1]
+
+    def test_a_bound_failing_at_the_first_snapshot_raises_naming_it(self):
+        # 0.0 was once returned there, as if it were a horizon
+        rec = flat_record(PARAMS)
+        assert rec.times.tolist() == [0.0, 0.1, 0.2, 0.3]
+        with pytest.raises(ValueError, match=r"fails at snapshot 1, t = 0\.1, the first after t = 0"):
+            solver.measure_t1(rec)
 
     def test_requires_constants(self):
         grid = coarse_grid()

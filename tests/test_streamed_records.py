@@ -265,7 +265,7 @@ def fail_at_step_1000(monkeypatch, watch):
     def failing_step(self):
         if self.step_index == 1000:
             watch()
-            raise solver.NonFiniteField("non-finite field at step 1000")
+            raise FloatingPointError("non-finite field at step 1000")
         return step(self)
 
     monkeypatch.setattr(solver.Stepper, "step", failing_step)

@@ -41,6 +41,17 @@ def make_record(params, grid, times, u=None, p=None, ignition_time=None):
     )
 
 
+def flat_record(params):
+    """u = -1 on dx 0.02 and x_max 1 at t = 0, 0.1, 0.2 and 0.3, with the ring
+    constants of ``params``: its u_x = 0 lies above the (negative) gradient
+    bound of :func:`liesegang.solver.measure_t1` at every snapshot after t = 0."""
+    grid = lg.GridSpec.make(dx=0.02, dt=1e-3, x_max=1.0, t_max=0.3)
+    record = lg.SolutionRecord.from_fields(lambda x, t: 0.0 * x - 1.0, params, grid,
+                                           snapshot_stride=100)
+    record.constants = lg.compute_constants(params)
+    return record
+
+
 @contextlib.contextmanager
 def no_whole_record_reads():
     """Inside the block, reading ``SolutionRecord.u`` or ``.p``, or a ``w`` or

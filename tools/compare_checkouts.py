@@ -28,7 +28,12 @@ in even ones.  It writes ``BENCH_<N>.json`` at the top of this
 checkout: per workload and end-to-end metric, each pair's two values, both
 sides' medians and quartiles (``perfbench/steadiness.py``'s ``summarize``),
 the parent's quartile spread, the pairs the change won and the verdict
-against the metric's bound (:func:`summarize_pairs`).  After the pairs of a
+against the metric's bound (:func:`summarize_pairs`); and under ``loadavg``,
+per workload and pair, each run's load averages before and after it
+(:func:`pair_loads`), which tell a pair run on a busy host.  ``host`` records
+``sys.flags.dont_write_bytecode``, which the runs share when it comes from
+``PYTHONDONTWRITEBYTECODE`` and which decides whether their ``setup_s``
+includes compiling the package.  After the pairs of a
 workload it runs ``perfbench/run.py --trace 1`` ``TRACED_RUNS`` times in each
 tree, alternating which tree goes first as the pairs do, with seeds from 1,
 and writes each per-layer metric's median and range on each side under
@@ -237,6 +242,14 @@ def summarize_pairs(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def pair_loads(pairs: list) -> list:
+    """Per pair of ``(parent run, change run)`` (as :func:`bench_run` returns
+    them), each side's ``loadavg_before`` and ``loadavg_after`` from its info
+    line, None where the line lacks one."""
+    return [{side: {k: run["info"].get(k) for k in ("loadavg_before", "loadavg_after")}
+             for side, run in zip(("parent", "change"), pair)} for pair in pairs]
+
+
 def layer_table(parent: list, change: list) -> dict:
     """Per metric of each side's ``--trace 1`` runs (as :func:`bench_run`
     returns them): its unit, each side's median under ``parent`` and
@@ -295,8 +308,9 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
     head, parent = commit("HEAD"), commit(rev)
     report = {"parent": parent, "change": f"working tree on {head}", "pairs": n_pairs,
               "run_seconds": seconds,
-              "host": {"machine": platform.machine(), "platform": platform.platform()},
-              "workloads": {}, "layers": {}, "tier1": {}}
+              "host": {"machine": platform.machine(), "platform": platform.platform(),
+                       "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
+              "workloads": {}, "loadavg": {}, "layers": {}, "tier1": {}}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -319,6 +333,7 @@ def bench(rev: str, n_pairs: int, out_path: Path) -> int:
                                    for k in ("nproc", "python", "numpy", "scipy")})
             summary = summarize_pairs(pairs, spec["end_to_end"])
             report["workloads"][workload] = summary
+            report["loadavg"][workload] = pair_loads(pairs)
             for name, row in summary.items():
                 print(f"  {name:<13} {row['parent']['median']:>14.6g} -> "
                       f"{row['change']['median']:<14.6g} iqr {row['parent_iqr']:<10.3g} "
